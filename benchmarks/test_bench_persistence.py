@@ -1,4 +1,4 @@
-"""Persistence benchmark: recovery time and hydrated stepping throughput.
+"""Persistence benchmark: recovery time and journaling overhead.
 
 Measures what the durability layer was built for:
 
@@ -6,12 +6,11 @@ Measures what the durability layer was built for:
   populated system, once from a pure WAL (crash without checkpoint) and
   once from a snapshot (clean checkpoint), including the recovered
   steps/sec a resumed population achieves;
-* **hydrated stepping throughput** — ``step_many()`` over a population
-  far larger than the LRU live-instance cap (cases hydrate from the
-  instance store on access, dirty cases are written back on eviction)
-  against the all-in-RAM baseline.  The acceptance gate: a 10k-case
-  population under a 1k cap stays within 2x of the all-in-RAM path on
-  multi-step batches.
+* **journaling overhead** — ``step_many()`` on a durable system against
+  the in-memory façade.
+
+Stepping over a store larger than the live cache is the ``batch``
+workload of ``benchmarks/e2e`` (absolute numbers, no ratio gate).
 
 Rows land in ``benchmarks/results/BENCH_persistence.txt``.
 
@@ -33,14 +32,7 @@ SMOKE = os.environ.get("BENCH_SMOKE", "") not in ("", "0")
 
 EXPERIMENT = "BENCH_persistence"
 
-POPULATION = 40 if SMOKE else 10_000
-LIVE_CAP = 8 if SMOKE else 1_000
 RECOVERY_POPULATION = 20 if SMOKE else 1_000
-BATCH_STEPS = 3
-
-#: Acceptance ceiling: hydrated multi-step batches may cost at most this
-#: factor over the all-in-RAM path.
-MAX_HYDRATED_SLOWDOWN = 2.0
 
 
 def _populate(system, count):
@@ -142,56 +134,6 @@ def test_recovery_snapshot_beats_wal_gate(tmp_path):
     raise AssertionError(
         f"snapshot recovery never beat WAL replay: {outcomes}"
     )
-
-
-def test_hydrated_stepping_throughput_vs_all_in_ram():
-    """step_many over a population larger than the live cap vs all-in-RAM."""
-    ram = AdeptSystem()
-    _, ram_ids = _populate(ram, POPULATION)
-    lru = AdeptSystem(cache_instances=LIVE_CAP)
-    _, lru_ids = _populate(lru, POPULATION)
-    assert len(lru.live_instance_ids()) <= LIVE_CAP
-
-    ram_single = _steps_per_second(ram, ram_ids, 1)
-    lru_single = _steps_per_second(lru, lru_ids, 1)
-
-    ram2 = AdeptSystem()
-    _, ram2_ids = _populate(ram2, POPULATION)
-    lru2 = AdeptSystem(cache_instances=LIVE_CAP)
-    _, lru2_ids = _populate(lru2, POPULATION)
-    ram_batch = _steps_per_second(ram2, ram2_ids, BATCH_STEPS)
-    lru_batch = _steps_per_second(lru2, lru2_ids, BATCH_STEPS)
-
-    write_rows(
-        EXPERIMENT,
-        f"hydrated stepping ({POPULATION} cases, live cap {LIVE_CAP})",
-        [
-            {
-                "batch": "steps=1",
-                "all-in-RAM steps/s": f"{ram_single:.0f}",
-                "hydrated steps/s": f"{lru_single:.0f}",
-                "slowdown": f"{ram_single / lru_single:.2f}x",
-            },
-            {
-                "batch": f"steps={BATCH_STEPS}",
-                "all-in-RAM steps/s": f"{ram_batch:.0f}",
-                "hydrated steps/s": f"{lru_batch:.0f}",
-                "slowdown": f"{ram_batch / lru_batch:.2f}x",
-            },
-        ],
-        gate=gate_result(
-            "hydrated_step_many_slowdown",
-            MAX_HYDRATED_SLOWDOWN,
-            ram_batch / lru_batch,
-            higher_is_better=False,
-        ),
-        schema_sizes={"population": POPULATION, "live_cap": LIVE_CAP},
-    )
-    if not SMOKE:
-        assert ram_batch / lru_batch <= MAX_HYDRATED_SLOWDOWN, (
-            f"hydrated step_many is {ram_batch / lru_batch:.2f}x slower than "
-            f"all-in-RAM (gate: {MAX_HYDRATED_SLOWDOWN}x)"
-        )
 
 
 def test_durable_stepping_overhead(tmp_path):

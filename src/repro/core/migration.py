@@ -38,7 +38,6 @@ from repro.runtime.engine import ProcessEngine
 from repro.runtime.events import EngineEvent, EventLog, EventType
 from repro.runtime.instance import ProcessInstance
 from repro.schema.graph import ProcessSchema, SchemaError
-from repro.schema.index import indexing_enabled
 from repro.verification.verifier import SchemaVerifier
 
 
@@ -292,9 +291,8 @@ class MigrationManager:
         # Compile both type schemas once up front: every per-instance
         # compliance check, replay and state adaptation below then shares
         # the same SchemaIndex instead of re-traversing the graphs.
-        if indexing_enabled():
-            old_schema.index
-            new_schema.index
+        old_schema.index
+        new_schema.index
         if memoize:
             self.migrate_batch(
                 list(instances),

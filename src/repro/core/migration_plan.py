@@ -83,7 +83,6 @@ from repro.runtime.markings import Marking
 from repro.runtime.states import NodeState
 from repro.schema.data import DataAccess
 from repro.schema.graph import ProcessSchema
-from repro.schema.index import indexing_enabled
 
 #: Node states counting as "started" (mirrors ``NodeState.is_started``);
 #: the residual predicates test membership on the raw marking dict.
@@ -186,13 +185,10 @@ class MigrationPlan:
         # canonical extraction order for the hot fingerprint path: node
         # and edge states are projected positionally in the old schema's
         # index order, so no per-instance sorting (and no key strings)
-        # enter the digest.  ``None`` when indexing is disabled.
-        self._node_order: Optional[tuple] = None
-        self._edge_order: Optional[tuple] = None
-        if indexing_enabled():
-            index = old_schema.index
-            self._node_order = tuple(index.node_ids)
-            self._edge_order = tuple(index.non_loop_edge_keys())
+        # enter the digest.
+        index = old_schema.index
+        self._node_order: tuple = tuple(index.node_ids)
+        self._edge_order: tuple = tuple(index.non_loop_edge_keys())
         #: per-distinct-bias projection extensions (see :meth:`bias_extras`)
         self._bias_extras: Dict[Any, "BiasExtras"] = {}
 
@@ -354,8 +350,7 @@ class MigrationPlan:
         edge_states = instance.marking.edge_states
         marking_part: Any = None
         if (
-            self._node_order is not None
-            and instance.schema_version == self.old_schema.version
+            instance.schema_version == self.old_schema.version
             and len(node_states) == len(self._node_order)
             and len(edge_states) == len(self._edge_order)
         ):
@@ -446,8 +441,7 @@ class MigrationPlan:
         marking_part: Any = None
         version = record.get("schema_version", 0)
         if (
-            self._node_order is not None
-            and version == self.old_schema.version
+            version == self.old_schema.version
             and len(node_states) == len(self._node_order)
             and len(edge_list) == len(self._edge_order)
             and self._edge_list_in_index_order(edge_list)

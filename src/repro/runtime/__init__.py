@@ -18,13 +18,7 @@ from repro.runtime.engine import (
     ProcessEngine,
     PropagationLimitError,
 )
-from repro.runtime.kernel import (
-    MarkingLayout,
-    StepKernel,
-    compiled_stepping_enabled,
-    set_compiled_stepping,
-    without_compiled_kernel,
-)
+from repro.runtime.kernel import MarkingLayout, StepKernel
 from repro.runtime.markings import DenseMarking
 from repro.runtime.worklist import WorkItem, WorkItemState, WorklistManager
 from repro.runtime.events import EngineEvent, EventLog, EventType
@@ -40,9 +34,6 @@ __all__ = [
     "StepKernel",
     "JoinSignalConflictError",
     "PropagationLimitError",
-    "compiled_stepping_enabled",
-    "set_compiled_stepping",
-    "without_compiled_kernel",
     "ExecutionHistory",
     "HistoryEntry",
     "HistoryEventType",

@@ -17,18 +17,21 @@ from many threads concurrently, provided each *instance* is driven by at
 most one thread at a time (the :class:`~repro.system.AdeptSystem` façade
 enforces this with striped per-instance locks).  The step path touches
 no shared mutable state: all execution state lives on the instance, the
-compiled :class:`~repro.schema.index.SchemaIndex` is an immutable
-snapshot shared read-only across threads, and the engine's only caches
-publish fully-computed values atomically.  Driving the *same* instance
-from two threads without external locking is not supported.
+compiled :class:`~repro.schema.index.SchemaIndex` (and its step kernel)
+is an immutable snapshot shared read-only across threads, and the engine
+itself caches nothing.  Driving the *same* instance from two threads
+without external locking is not supported.
+
+There is one stepping path — the compiled
+:class:`~repro.runtime.kernel.StepKernel`.  Its reference is the scan
+oracle under ``tests/baselines``, which the ``kernel``-marked parity
+suites compare it against.
 """
 
 from __future__ import annotations
 
-import threading
-
 from heapq import heapify, heappop, heappush
-from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Set
 
 from repro.errors import ReproError
 from repro.runtime.data_context import DataContext
@@ -36,21 +39,13 @@ from repro.runtime.events import EngineEvent, EventLog, EventType
 from repro.runtime.expressions import ExpressionError, evaluate_condition
 from repro.runtime.history import HistoryEventType
 from repro.runtime.instance import ProcessInstance
-from repro.runtime.kernel import (
-    ACTION_END,
-    ACTION_LOOP_END,
-    ACTION_XOR_SPLIT,
-    StepKernel,
-    compiled_stepping_enabled,
-    scan_round_bound,
-)
+from repro.runtime.kernel import ACTION_END, ACTION_LOOP_END, ACTION_XOR_SPLIT, StepKernel
 from repro.runtime.markings import Marking
 from repro.runtime.states import EdgeState, InstanceStatus, NodeState
 from repro.schema.data import DataType
-from repro.schema.edges import Edge, EdgeType
+from repro.schema.edges import EdgeType
 from repro.schema.graph import ProcessSchema
-from repro.schema.index import SchemaIndex, indexing_enabled
-from repro.schema.nodes import Node, NodeType
+from repro.schema.nodes import Node
 
 
 class EngineError(ReproError):
@@ -93,65 +88,6 @@ class PropagationLimitError(EngineError):
 # A worker turns an activated activity into its output data values.
 Worker = Callable[[Node, Mapping[str, Any]], Mapping[str, Any]]
 
-_NOT_SIGNALED = EdgeState.NOT_SIGNALED
-_TRUE_SIGNALED = EdgeState.TRUE_SIGNALED
-_FALSE_SIGNALED = EdgeState.FALSE_SIGNALED
-
-
-def _decide_entry(spec, edge_states) -> Optional[str]:
-    """Entry decision for one node from its compiled spec (hot path).
-
-    ``spec`` is the ``(kind, control keys, sync keys)`` triple produced by
-    :meth:`repro.schema.index.SchemaIndex.entry_specs`; ``edge_states`` is
-    the marking's raw edge-state dict.  Semantically identical to
-    :meth:`ProcessEngine._entry_decision` with indexing disabled — the
-    decision rules mirror that method line by line, minus all per-edge
-    object traffic.
-    """
-    kind, control_keys, sync_keys = spec
-    if kind == 0:  # START
-        return "activate"
-    if not control_keys:
-        return None
-    get = edge_states.get
-    sync_ready = True
-    for key in sync_keys:
-        if get(key, _NOT_SIGNALED) is _NOT_SIGNALED:
-            sync_ready = False
-            break
-    if kind == 3:  # single incoming control edge (the overwhelming majority)
-        state = get(control_keys[0], _NOT_SIGNALED)
-        if state is _TRUE_SIGNALED:
-            return "activate" if sync_ready else None
-        if state is _FALSE_SIGNALED:
-            return "skip"
-        return None
-    states = [get(key, _NOT_SIGNALED) for key in control_keys]
-    if kind == 1:  # AND join
-        true_count = 0
-        for state in states:
-            if state is _NOT_SIGNALED:
-                return None
-            if state is _TRUE_SIGNALED:
-                true_count += 1
-        if true_count == 0:
-            return "skip"
-        if true_count == len(states):
-            return "activate" if sync_ready else None
-        # Mixed TRUE/FALSE signals: the join can never fire nor be skipped.
-        # The caller raises JoinSignalConflictError with full edge context.
-        return "conflict"
-    # XOR join
-    any_true = False
-    for state in states:
-        if state is _NOT_SIGNALED:
-            return None
-        if state is _TRUE_SIGNALED:
-            any_true = True
-    if any_true:
-        return "activate" if sync_ready else None
-    return "skip"
-
 
 def default_worker(node: Node, data: Mapping[str, Any]) -> Dict[str, Any]:
     """Produce plausible outputs for every data element an activity writes.
@@ -180,21 +116,6 @@ class ProcessEngine:
         #: budget, floored at the legacy constant of 10000 — see
         #: :func:`repro.runtime.kernel.derive_round_bound`.
         self.max_propagation_rounds = max_propagation_rounds
-        # per-thread sink capturing which nodes had in-edges touched or
-        # were reset during signalling; lets the propagation kernels seed
-        # their worklist with exactly the nodes whose entry decision can
-        # have changed.  Thread-local because one engine may drive
-        # disjoint instances from many threads.
-        self._touch_sink = threading.local()
-        # loop-body cache for the scan path (indexing disabled); the
-        # indexed path uses the SchemaIndex's own caches instead.  Guarded
-        # by a lock: the cache is keyed by id(schema) and shared by every
-        # thread driving instances through this engine.
-        self._loop_body_cache: Dict[Tuple[int, str], Set[str]] = {}
-        self._loop_body_cache_lock = threading.Lock()
-        # derived round bounds for the scan path (indexing disabled); the
-        # indexed paths use the SchemaIndex / StepKernel caches instead
-        self._scan_bound_cache: Dict[int, int] = {}
         #: Optional hook invoked after every committed activity transition
         #: with ``(action, instance, activity_id, outputs, user)`` where
         #: ``action`` is ``"start"`` or ``"complete"``.  The durability
@@ -236,18 +157,18 @@ class ProcessEngine:
         """Activity ids the user could start right now (worklist content)."""
         return instance.activated_activities()
 
-    def _first_activated_compiled(
-        self, instance: ProcessInstance, kernel: StepKernel
-    ) -> Optional[str]:
+    def _first_activated_compiled(self, instance: ProcessInstance) -> Optional[str]:
         """First activated activity id, via the dense view when possible.
 
         Byte-for-byte the same answer as ``activated_activities()[0]``:
         when the dense view is aligned (marking holds exactly the layout's
         nodes in layout order) the positional scan visits nodes in
         marking-dict order, and ``bytearray.find`` runs it at C speed in
-        O(first hit) instead of O(schema).  Unaligned markings (ad-hoc
-        changed instances) fall back to the dict scan.
+        O(first hit) instead of O(schema).  Unaligned markings (cases
+        hydrated from a store, whose JSON form sorts the marking dicts)
+        fall back to the dict scan.
         """
+        kernel = instance.execution_schema.index.step_kernel()
         view = instance.marking.dense_view(kernel.layout)
         if not view.aligned:
             activated = instance.activated_activities()
@@ -353,43 +274,21 @@ class ProcessEngine:
             # whole transition (outputs, marking advance) is committed
             self.step_listener("complete", instance, activity_id, outputs, user)
 
-    def _advance_after_completion(
-        self, instance: ProcessInstance, activity_id: str, kernel: Optional[StepKernel] = None
-    ) -> None:
+    def _advance_after_completion(self, instance: ProcessInstance, activity_id: str) -> None:
         """Signal the completed activity's out-edges and re-propagate.
 
-        On the compiled path, a marking whose dense view is still at
-        fixpoint needs only the nodes the signals just touched re-examined
-        — stepping cost becomes O(affected cascade) instead of O(schema).
-        ``kernel`` lets :meth:`step_many_compiled` resolve the kernel once
-        per batch instead of once per step.
+        A marking whose dense view is still at fixpoint needs only the
+        nodes the signals just touched re-examined — stepping cost is
+        O(affected cascade) instead of O(schema).
         """
-        if not (indexing_enabled() and compiled_stepping_enabled()):
-            self._signal_outgoing(instance, activity_id, chosen_target=None, skipped=False)
-            self._propagate_interpreted(instance)
-            return
-        schema = instance.execution_schema
-        index = schema.index
-        if kernel is None or kernel is not index._step_kernel:
-            # the batch-resolved kernel no longer matches this instance's
-            # schema (ad-hoc change, rollout adoption): re-resolve
-            kernel = index.step_kernel()
+        kernel = instance.execution_schema.index.step_kernel()
         marking = instance.marking
-        view = marking.dense_view(kernel.layout)
-        was_fixpoint = view.at_fixpoint
-        sink: List[str] = []
-        position = kernel.layout.node_pos.get(activity_id)
-        if position is not None:
-            self._signal_kernel(marking, position, kernel, None, False, sink)
-        else:  # activity outside the layout (should not happen; be safe)
-            outer = self._touch_sink
-            previous_sink = getattr(outer, "nodes", None)
-            outer.nodes = sink
-            try:
-                self._signal_outgoing(instance, activity_id, chosen_target=None, skipped=False)
-            finally:
-                outer.nodes = previous_sink
-        self._propagate_kernel(instance, kernel, seeds=sink if was_fixpoint else None)
+        was_fixpoint = marking.dense_view(kernel.layout).at_fixpoint
+        touched: List[str] = []
+        self._signal_outgoing(
+            marking, kernel.layout.node_pos[activity_id], kernel, None, False, touched
+        )
+        self._propagate_kernel(instance, kernel, seeds=touched if was_fixpoint else None)
 
     def suspend_activity(self, instance: ProcessInstance, activity_id: str) -> None:
         """Suspend a running activity (work interrupted)."""
@@ -427,19 +326,7 @@ class ProcessEngine:
         omitted, plausible defaults are generated (booleans become True so
         loops terminate).
         """
-        if indexing_enabled() and compiled_stepping_enabled():
-            counts = self.step_many_compiled([instance], max_steps, worker)
-            return counts[0]
-        steps = 0
-        while instance.status.is_active and steps < max_steps:
-            activated = self.activated_activities(instance)
-            if not activated:
-                break
-            activity_id = activated[0]
-            outputs = self.outputs_for(instance, activity_id, worker)
-            self.complete_activity(instance, activity_id, outputs=outputs)
-            steps += 1
-        return steps
+        return self.step_many_compiled([instance], max_steps, worker)[0]
 
     def advance_instance(
         self,
@@ -448,19 +335,7 @@ class ProcessEngine:
         worker: Optional[Worker] = None,
     ) -> int:
         """Complete up to ``activity_count`` activities (population generator)."""
-        if indexing_enabled() and compiled_stepping_enabled():
-            counts = self.step_many_compiled([instance], activity_count, worker)
-            return counts[0]
-        executed = 0
-        while executed < activity_count and instance.status.is_active:
-            activated = self.activated_activities(instance)
-            if not activated:
-                break
-            activity_id = activated[0]
-            outputs = self.outputs_for(instance, activity_id, worker)
-            self.complete_activity(instance, activity_id, outputs=outputs)
-            executed += 1
-        return executed
+        return self.step_many_compiled([instance], activity_count, worker)[0]
 
     def step_many_compiled(
         self,
@@ -468,91 +343,26 @@ class ProcessEngine:
         activity_count: int,
         worker: Optional[Worker] = None,
     ) -> List[int]:
-        """Advance a batch of instances with one kernel dispatch per schema.
+        """Advance each instance by up to ``activity_count`` activities.
 
-        Equivalent to calling :meth:`advance_instance` per instance, but
-        the compiled step kernel of each distinct execution schema is
-        resolved once for the whole batch — instances of one process type
-        share a schema object, so stepping a homogeneous batch touches the
-        index exactly once.  Returns the per-instance executed counts in
-        input order.  Falls back to :meth:`advance_instance` when the
-        compiled path is disabled.
+        Every step completes the instance's first activated activity with
+        the outputs :meth:`outputs_for` generates.  The compiled kernel is
+        looked up per step, so a case whose schema changes mid-batch (the
+        touch listener adopting a rollout) continues on the new one.
+        Returns the per-instance executed counts in input order.
         """
-        if not (indexing_enabled() and compiled_stepping_enabled()):
-            return [
-                self.advance_instance(instance, activity_count, worker)
-                for instance in instances
-            ]
-        kernels: Dict[int, StepKernel] = {}
         results: List[int] = []
         for instance in instances:
-            schema = instance.execution_schema
-            index = schema.index
-            kernel = kernels.get(id(schema))
-            if kernel is None or kernel is not index._step_kernel:
-                kernel = index.step_kernel()
-                kernels[id(schema)] = kernel
             executed = 0
             while executed < activity_count and instance.status.is_active:
-                activity_id = self._first_activated_compiled(instance, kernel)
+                activity_id = self._first_activated_compiled(instance)
                 if activity_id is None:
                     break
                 outputs = self.outputs_for(instance, activity_id, worker)
-                self._complete_with_kernel(instance, activity_id, outputs, kernel)
+                self.complete_activity(instance, activity_id, outputs)
                 executed += 1
             results.append(executed)
         return results
-
-    def _complete_with_kernel(
-        self,
-        instance: ProcessInstance,
-        activity_id: str,
-        outputs: Mapping[str, Any],
-        kernel: StepKernel,
-    ) -> None:
-        """`complete_activity` with a batch-resolved kernel (hot loop body)."""
-        if self.touch_listener is not None:
-            self.touch_listener(instance)
-        self._require_active(instance)
-        schema = instance.execution_schema
-        node = schema.node(activity_id)
-        if not node.is_activity:
-            raise EngineError(f"{activity_id!r} is not an activity node")
-        outputs = dict(outputs or {})
-        writable = {data_edge.element for data_edge in schema.writes_of(activity_id)}
-        unknown = set(outputs) - writable
-        if unknown:
-            raise EngineError(
-                f"activity {activity_id!r} has no write access to {sorted(unknown)!r}"
-            )
-        if outputs and self.step_outputs_validator is not None:
-            try:
-                self.step_outputs_validator(outputs)
-            except (TypeError, ValueError) as exc:
-                raise EngineError(
-                    f"activity {activity_id!r} outputs cannot be journaled: {exc}"
-                ) from exc
-        state = instance.marking.node_state(activity_id)
-        if state is NodeState.ACTIVATED:
-            self.start_activity(instance, activity_id)
-        elif state not in (NodeState.RUNNING, NodeState.SUSPENDED):
-            raise EngineError(
-                f"activity {activity_id!r} cannot be completed from state {state.value!r}"
-            )
-        iteration = self._iteration_of(instance, activity_id)
-        for element, value in outputs.items():
-            instance.data.write(element, value, writer=activity_id, iteration=iteration)
-        instance.marking.set_node_state(activity_id, NodeState.COMPLETED)
-        instance.history.record(
-            HistoryEventType.ACTIVITY_COMPLETED,
-            activity_id,
-            iteration=iteration,
-            values=outputs,
-        )
-        self._emit(EventType.ACTIVITY_COMPLETED, instance, node=activity_id)
-        self._advance_after_completion(instance, activity_id, kernel=kernel)
-        if self.step_listener is not None:
-            self.step_listener("complete", instance, activity_id, outputs, None)
 
     def outputs_for(
         self, instance: ProcessInstance, activity_id: str, worker: Optional[Worker] = None
@@ -593,80 +403,10 @@ class ProcessEngine:
     def propagate(self, instance: ProcessInstance) -> None:
         """Advance the marking until no further automatic step is possible.
 
-        Three implementations share byte-identical semantics (markings,
-        events, event order):
-
-        * the **compiled kernel** (default): per-node closures over a
-          dense marking view, driven by a worklist — only nodes whose
-          in-edges changed are re-examined;
-        * the **interpreted** per-spec loop (compiled stepping disabled):
-          full node scan per round against the marking dicts — the PR-2
-          baseline the parity suite pins the kernel against;
-        * the **edge-scan** loop (indexing disabled): the original
-          pre-index implementation.
+        Re-examines every untouched node (full propagation, e.g. after
+        migration or ad-hoc change).
         """
-        if indexing_enabled() and compiled_stepping_enabled():
-            kernel = instance.execution_schema.index.step_kernel()
-            self._propagate_kernel(instance, kernel, seeds=None)
-        else:
-            self._propagate_interpreted(instance)
-
-    def _propagate_interpreted(self, instance: ProcessInstance) -> None:
-        """Fixpoint propagation by full node scans (non-compiled modes)."""
-        schema = instance.execution_schema
-        # the index compiles once and is shared by every round below; with
-        # indexing disabled the entry decisions run the pre-index edge
-        # scans instead (benchmarks and parity tests)
-        if indexing_enabled():
-            index = schema.index
-            specs = index.entry_specs()
-            node_list = index.node_ids
-            bound = (
-                self.max_propagation_rounds
-                if self.max_propagation_rounds is not None
-                else index.propagation_round_bound()
-            )
-        else:
-            specs = None
-            node_list = schema.node_ids()
-            bound = (
-                self.max_propagation_rounds
-                if self.max_propagation_rounds is not None
-                else self._scan_round_bound(schema)
-            )
-        not_activated = NodeState.NOT_ACTIVATED
-        changed_nodes: List[str] = []
-        for _ in range(bound):
-            changed_nodes = []
-            # re-read both dicts per round: loop resets and structural
-            # execution mutate them through the marking in place
-            node_states = instance.marking.node_states
-            edge_states = instance.marking.edge_states
-            for node_id in node_list:
-                if node_states.get(node_id, not_activated) is not not_activated:
-                    continue
-                if specs is not None:
-                    decision = _decide_entry(specs[node_id], edge_states)
-                else:
-                    decision = self._entry_decision(instance, None, node_id)
-                if decision is None:
-                    continue
-                if decision == "activate":
-                    node = schema.node(node_id)
-                    if node.is_activity:
-                        instance.marking.set_node_state(node_id, NodeState.ACTIVATED)
-                        self._emit(EventType.ACTIVITY_ACTIVATED, instance, node=node_id)
-                    else:
-                        self._execute_structural(instance, node)
-                    changed_nodes.append(node_id)
-                elif decision == "conflict":
-                    raise self._join_conflict(instance, node_id)
-                else:
-                    self._skip_node(instance, node_id)
-                    changed_nodes.append(node_id)
-            if not changed_nodes:
-                return
-        raise PropagationLimitError(instance.instance_id, bound, changed_nodes)
+        self._propagate_kernel(instance, instance.execution_schema.index.step_kernel())
 
     def _propagate_kernel(
         self,
@@ -677,15 +417,14 @@ class ProcessEngine:
         """Worklist propagation through the compiled stepping kernel.
 
         ``seeds`` — node ids whose in-edges changed since the marking was
-        last at fixpoint; ``None`` re-examines every untouched node (full
-        propagation, e.g. after migration or ad-hoc change).
+        last at fixpoint; ``None`` re-examines every untouched node.
 
-        The worklist replays the interpreted scan order exactly: within a
+        The worklist visits nodes in the order a round-based full scan
+        would (the reference oracle under ``tests/baselines``): within a
         round, candidate positions are processed in ascending index
         order; a node touched at position ``p`` joins the current round
         when its position is > ``p`` (the scan has not passed it yet),
-        otherwise the next round.  This keeps the emitted event stream
-        byte-identical to the per-round full scans.
+        otherwise the next round.  This fixes the emitted event order.
         """
         schema = instance.execution_schema
         # Debug-mode stale-kernel guard: a kernel compiled for a previous
@@ -719,130 +458,122 @@ class ProcessEngine:
             if self.max_propagation_rounds is not None
             else kernel.round_bound
         )
-        sink: List[str] = []
-        outer = self._touch_sink
-        previous_sink = getattr(outer, "nodes", None)
-        outer.nodes = sink
-        try:
-            rounds = 0
+        # nodes whose in-edges were signalled, or that were reset, by the
+        # node just acted on: exactly those whose entry decision can change
+        touched: List[str] = []
+        rounds = 0
+        while current:
+            rounds += 1
+            if rounds > bound:
+                raise PropagationLimitError(
+                    instance.instance_id, rounds - 1, [node_ids[p] for p in set(current)]
+                )
+            next_round: Set[int] = set()
             while current:
-                rounds += 1
-                if rounds > bound:
-                    raise PropagationLimitError(
-                        instance.instance_id, rounds - 1, [node_ids[p] for p in set(current)]
-                    )
-                next_round: Set[int] = set()
-                while current:
-                    p = heappop(current)
-                    if not untouched[p]:
-                        continue
-                    decision = deciders[p](edge_values)
-                    if decision == 0:
-                        continue
-                    del sink[:]
-                    if decision == 1:
-                        if is_activity[p]:
-                            node_id = node_ids[p]
-                            marking.set_node_state(node_id, NodeState.ACTIVATED)
-                            self._emit(EventType.ACTIVITY_ACTIVATED, instance, node=node_id)
-                        else:
-                            self._execute_structural_kernel(instance, p, kernel, marking, sink)
-                    elif decision == 2:
-                        self._skip_node_kernel(instance, p, kernel, marking, sink)
+                p = heappop(current)
+                if not untouched[p]:
+                    continue
+                decision = deciders[p](edge_values)
+                if decision == 0:
+                    continue
+                del touched[:]
+                if decision == 1:
+                    if is_activity[p]:
+                        node_id = node_ids[p]
+                        marking.set_node_state(node_id, NodeState.ACTIVATED)
+                        self._emit(EventType.ACTIVITY_ACTIVATED, instance, node=node_id)
                     else:
-                        raise self._join_conflict(instance, node_ids[p])
-                    if view is not marking.dense_view(kernel.layout):
-                        # structural marking mutation mid-propagation (should
-                        # not happen during normal stepping): restart dense
-                        view = marking.dense_view(kernel.layout)
-                        edge_values = view.edge_values
-                        untouched = view.untouched
-                    for touched_id in sink:
-                        tp = node_pos.get(touched_id)
-                        if tp is None:
-                            continue
-                        if tp > p:
-                            heappush(current, tp)
-                        else:
-                            next_round.add(tp)
-                # a sorted list is a valid heap
-                current = sorted(next_round)
-            view.at_fixpoint = True
-        finally:
-            outer.nodes = previous_sink
+                        self._execute_structural(instance, p, kernel, marking, touched)
+                elif decision == 2:
+                    self._skip_node(instance, p, kernel, marking, touched)
+                else:
+                    raise self._join_conflict(instance, node_ids[p])
+                if view is not marking.dense_view(kernel.layout):
+                    # structural marking mutation mid-propagation (should
+                    # not happen during normal stepping): restart dense
+                    view = marking.dense_view(kernel.layout)
+                    edge_values = view.edge_values
+                    untouched = view.untouched
+                for touched_id in touched:
+                    tp = node_pos.get(touched_id)
+                    if tp is None:
+                        continue
+                    if tp > p:
+                        heappush(current, tp)
+                    else:
+                        next_round.add(tp)
+            # a sorted list is a valid heap
+            current = sorted(next_round)
+        view.at_fixpoint = True
 
-    def _signal_kernel(
+    def _signal_outgoing(
         self,
         marking: Marking,
         p: int,
         kernel: StepKernel,
         chosen_target: Optional[str],
         skipped: bool,
-        sink: List[str],
+        touched: List[str],
     ) -> None:
-        """Signal a node's out-edges through the kernel's precompiled lists.
+        """Signal all outgoing control and sync edges of a finished node.
 
-        Same writes as :meth:`_signal_outgoing`, minus the per-call
-        schema/index/edge-object traffic: the edge keys and targets were
-        resolved at kernel compile time.
+        The edge keys and targets were resolved at kernel compile time;
+        every signalled edge's target is appended to ``touched``.
         """
         set_key = marking.set_edge_state_key
         if skipped:
             for key, target in kernel.out_control[p]:
                 set_key(key, EdgeState.FALSE_SIGNALED)
-                sink.append(target)
+                touched.append(target)
             for key, target in kernel.out_sync[p]:
                 set_key(key, EdgeState.FALSE_SIGNALED)
-                sink.append(target)
+                touched.append(target)
             return
         for key, target in kernel.out_control[p]:
             if chosen_target is not None and target != chosen_target:
                 set_key(key, EdgeState.FALSE_SIGNALED)
             else:
                 set_key(key, EdgeState.TRUE_SIGNALED)
-            sink.append(target)
+            touched.append(target)
         for key, target in kernel.out_sync[p]:
             set_key(key, EdgeState.TRUE_SIGNALED)
-            sink.append(target)
+            touched.append(target)
 
-    def _execute_structural_kernel(
+    def _execute_structural(
         self,
         instance: ProcessInstance,
         p: int,
         kernel: StepKernel,
         marking: Marking,
-        sink: List[str],
+        touched: List[str],
     ) -> None:
-        """Kernel-path twin of :meth:`_execute_structural` (same semantics)."""
+        """Automatically execute a structural node that just became ready."""
         kind = kernel.action_kind[p]
         node_id = kernel.node_ids[p]
         if kind == ACTION_XOR_SPLIT:
             marking.set_node_state(node_id, NodeState.COMPLETED)
             chosen = self._choose_branch(instance, instance.execution_schema, node_id)
-            self._signal_kernel(marking, p, kernel, chosen, False, sink)
+            self._signal_outgoing(marking, p, kernel, chosen, False, touched)
             return
         if kind == ACTION_LOOP_END:
-            # loop machinery (condition evaluation, body reset) is shared
-            # with the interpreted path; its signals and resets reach the
-            # worklist through the installed thread-local sink
-            self._execute_loop_end(instance, kernel.nodes[p])
+            self._execute_loop_end(instance, p, kernel, marking, touched)
             return
         marking.set_node_state(node_id, NodeState.COMPLETED)
         if kind == ACTION_END:
             instance.status = InstanceStatus.COMPLETED
             self._emit(EventType.INSTANCE_COMPLETED, instance, node=node_id)
             return
-        self._signal_kernel(marking, p, kernel, None, False, sink)
+        self._signal_outgoing(marking, p, kernel, None, False, touched)
 
-    def _skip_node_kernel(
+    def _skip_node(
         self,
         instance: ProcessInstance,
         p: int,
         kernel: StepKernel,
         marking: Marking,
-        sink: List[str],
+        touched: List[str],
     ) -> None:
-        """Kernel-path twin of :meth:`_skip_node` (same semantics)."""
+        """Dead-path elimination: mark a node skipped and signal FALSE onwards."""
         node_id = kernel.node_ids[p]
         marking.set_node_state(node_id, NodeState.SKIPPED)
         self._emit(EventType.ACTIVITY_SKIPPED, instance, node=node_id)
@@ -854,23 +585,11 @@ class ProcessEngine:
             )
         if kernel.action_kind[p] == ACTION_END:
             return
-        self._signal_kernel(marking, p, kernel, None, True, sink)
-
-    def _scan_round_bound(self, schema: ProcessSchema) -> int:
-        """Derived round bound for the index-less scan path (cached)."""
-        bound = self._scan_bound_cache.get(id(schema))
-        if bound is None:
-            bound = scan_round_bound(schema)
-            self._scan_bound_cache[id(schema)] = bound
-        return bound
+        self._signal_outgoing(marking, p, kernel, None, True, touched)
 
     def _join_conflict(self, instance: ProcessInstance, node_id: str) -> JoinSignalConflictError:
         """Build the mixed-signal AND-join error with full edge context."""
-        schema = instance.execution_schema
-        if indexing_enabled():
-            control_edges = schema.index.in_edges(node_id, EdgeType.CONTROL)
-        else:
-            control_edges = schema.edges_to(node_id, EdgeType.CONTROL)
+        control_edges = instance.execution_schema.index.in_edges(node_id, EdgeType.CONTROL)
         marking = instance.marking
         states = ", ".join(
             f"{edge.source}->{edge.target}: {marking.edge_state_key(edge.key).value}"
@@ -882,81 +601,11 @@ class ProcessEngine:
             f"skipped — the schema or a migration produced an inconsistent marking"
         )
 
-    def _entry_decision(
-        self, instance: ProcessInstance, index: Optional[SchemaIndex], node_id: str
-    ) -> Optional[str]:
-        """Decide whether a NOT_ACTIVATED node should activate, skip or wait."""
-        if index is not None:
-            node = index.node(node_id)
-            control_edges = index.in_edges(node_id, EdgeType.CONTROL)
-            sync_edges = index.in_edges(node_id, EdgeType.SYNC)
-        else:
-            schema = instance.execution_schema
-            node = schema.node(node_id)
-            control_edges = schema.edges_to(node_id, EdgeType.CONTROL)
-            sync_edges = schema.edges_to(node_id, EdgeType.SYNC)
-        if node.node_type is NodeType.START:
-            return "activate"
-        if not control_edges:
-            return None
-        marking = instance.marking
-        states = [marking.edge_state_key(edge.key) for edge in control_edges]
-        sync_states = [marking.edge_state_key(edge.key) for edge in sync_edges]
-        all_signaled = all(s.is_signaled for s in states)
-        sync_ready = all(s.is_signaled for s in sync_states)
-        if node.node_type is NodeType.AND_JOIN:
-            if not all_signaled:
-                return None
-            if all(s is EdgeState.FALSE_SIGNALED for s in states):
-                return "skip"
-            if all(s is EdgeState.TRUE_SIGNALED for s in states):
-                return "activate" if sync_ready else None
-            # Mixed TRUE/FALSE signals: the join can never fire nor be skipped.
-            # The caller raises JoinSignalConflictError with full edge context.
-            return "conflict"
-        if node.node_type is NodeType.XOR_JOIN:
-            if not all_signaled:
-                return None
-            if any(s is EdgeState.TRUE_SIGNALED for s in states):
-                return "activate" if sync_ready else None
-            return "skip"
-        # single incoming control edge (activities, splits, loop nodes, end)
-        state = states[0]
-        if state is EdgeState.TRUE_SIGNALED:
-            return "activate" if sync_ready else None
-        if state is EdgeState.FALSE_SIGNALED:
-            return "skip"
-        return None
-
-    def _execute_structural(self, instance: ProcessInstance, node: Node) -> None:
-        """Automatically execute a structural node that just became ready."""
-        schema = instance.execution_schema
-        node_id = node.node_id
-        if node.node_type is NodeType.XOR_SPLIT:
-            instance.marking.set_node_state(node_id, NodeState.COMPLETED)
-            self._signal_outgoing(
-                instance, node_id, chosen_target=self._choose_branch(instance, schema, node_id), skipped=False
-            )
-            return
-        if node.node_type is NodeType.LOOP_END:
-            self._execute_loop_end(instance, node)
-            return
-        instance.marking.set_node_state(node_id, NodeState.COMPLETED)
-        if node.node_type is NodeType.END:
-            instance.status = InstanceStatus.COMPLETED
-            self._emit(EventType.INSTANCE_COMPLETED, instance, node=node_id)
-            return
-        self._signal_outgoing(instance, node_id, chosen_target=None, skipped=False)
-
     def _choose_branch(
         self, instance: ProcessInstance, schema: ProcessSchema, split_id: str
     ) -> str:
         """Evaluate XOR guards over the current data and pick a branch."""
-        edges = (
-            schema.index.out_edges(split_id, EdgeType.CONTROL)
-            if indexing_enabled()
-            else schema.edges_from(split_id, EdgeType.CONTROL)
-        )
+        edges = schema.index.out_edges(split_id, EdgeType.CONTROL)
         default_target: Optional[str] = None
         for edge in edges:
             if edge.guard is None:
@@ -973,9 +622,17 @@ class ProcessEngine:
         # (structural verification warns about this situation at buildtime).
         return edges[0].target
 
-    def _execute_loop_end(self, instance: ProcessInstance, node: Node) -> None:
+    def _execute_loop_end(
+        self,
+        instance: ProcessInstance,
+        p: int,
+        kernel: StepKernel,
+        marking: Marking,
+        touched: List[str],
+    ) -> None:
+        """Evaluate the loop condition: leave the loop or start a new iteration."""
         schema = instance.execution_schema
-        node_id = node.node_id
+        node_id = kernel.node_ids[p]
         loop_start_id = schema.matching_loop_start(node_id)
         loop_edge = schema.edge(node_id, loop_start_id, EdgeType.LOOP)
         loop_start = schema.node(loop_start_id)
@@ -988,36 +645,29 @@ class ProcessEngine:
             except ExpressionError:
                 repeat = False
         if not repeat:
-            instance.marking.set_node_state(node_id, NodeState.COMPLETED)
-            self._signal_outgoing(instance, node_id, chosen_target=None, skipped=False)
+            marking.set_node_state(node_id, NodeState.COMPLETED)
+            self._signal_outgoing(marking, p, kernel, None, False, touched)
             return
-        self._reset_loop(instance, loop_start_id, node_id)
+        self._reset_loop(instance, loop_start_id, touched)
 
-    def _reset_loop(self, instance: ProcessInstance, loop_start_id: str, loop_end_id: str) -> None:
+    def _reset_loop(
+        self, instance: ProcessInstance, loop_start_id: str, touched: List[str]
+    ) -> None:
         """Start a new iteration: reset the loop body and supersede its history."""
         schema = instance.execution_schema
-        body = self._loop_body(schema, loop_start_id)
+        index = schema.index
+        body = index.loop_body(loop_start_id)
         instance.loop_iterations[loop_start_id] = instance.loop_iterations.get(loop_start_id, 0) + 1
         activities_in_body = [n for n in body if schema.node(n).is_activity]
         instance.history.supersede_activities(activities_in_body)
         reset_nodes = set(body) | {loop_start_id}
         for node_id in reset_nodes:
             instance.marking.set_node_state(node_id, NodeState.NOT_ACTIVATED)
-        if indexing_enabled():
-            internal = schema.index.loop_internal_edges(loop_start_id)
-        else:
-            internal = tuple(
-                edge
-                for edge in schema.edges
-                if not edge.is_loop and edge.source in reset_nodes and edge.target in reset_nodes
-            )
-        for edge in internal:
+        for edge in index.loop_internal_edges(loop_start_id):
             instance.marking.set_edge_state_key(edge.key, EdgeState.NOT_SIGNALED)
-        sink = getattr(self._touch_sink, "nodes", None)
-        if sink is not None:
-            # every reset node is untouched again with changed in-edges (or,
-            # for the loop start, a still-TRUE in-edge): all need re-deciding
-            sink.extend(reset_nodes)
+        # every reset node is untouched again with changed in-edges (or,
+        # for the loop start, a still-TRUE in-edge): all need re-deciding
+        touched.extend(reset_nodes)
         self._emit(EventType.LOOP_ITERATION, instance, node=loop_start_id)
         instance.history.record(
             HistoryEventType.LOOP_ITERATION_STARTED,
@@ -1027,88 +677,16 @@ class ProcessEngine:
         # The incoming control edge of the loop start is still TRUE-signalled,
         # so the next propagation round re-executes the loop start node.
 
-    def _skip_node(self, instance: ProcessInstance, node_id: str) -> None:
-        """Dead-path elimination: mark a node skipped and signal FALSE onwards."""
-        schema = instance.execution_schema
-        instance.marking.set_node_state(node_id, NodeState.SKIPPED)
-        self._emit(EventType.ACTIVITY_SKIPPED, instance, node=node_id)
-        node = schema.node(node_id)
-        if node.is_activity:
-            instance.history.record(
-                HistoryEventType.ACTIVITY_SKIPPED,
-                node_id,
-                iteration=self._iteration_of(instance, node_id),
-            )
-        if node.node_type is NodeType.END:
-            return
-        self._signal_outgoing(instance, node_id, chosen_target=None, skipped=True)
-
-    def _signal_outgoing(
-        self,
-        instance: ProcessInstance,
-        node_id: str,
-        chosen_target: Optional[str],
-        skipped: bool,
-    ) -> None:
-        """Signal all outgoing control and sync edges of a finished node."""
-        schema = instance.execution_schema
-        if indexing_enabled():
-            control_out = schema.index.out_edges(node_id, EdgeType.CONTROL)
-            sync_out = schema.index.out_edges(node_id, EdgeType.SYNC)
-        else:
-            control_out = schema.edges_from(node_id, EdgeType.CONTROL)
-            sync_out = schema.edges_from(node_id, EdgeType.SYNC)
-        marking = instance.marking
-        sink = getattr(self._touch_sink, "nodes", None)
-        for edge in control_out:
-            if skipped:
-                state = EdgeState.FALSE_SIGNALED
-            elif chosen_target is not None and edge.target != chosen_target:
-                state = EdgeState.FALSE_SIGNALED
-            else:
-                state = EdgeState.TRUE_SIGNALED
-            marking.set_edge_state_key(edge.key, state)
-            if sink is not None:
-                sink.append(edge.target)
-        for edge in sync_out:
-            state = EdgeState.FALSE_SIGNALED if skipped else EdgeState.TRUE_SIGNALED
-            marking.set_edge_state_key(edge.key, state)
-            if sink is not None:
-                sink.append(edge.target)
-
     # ------------------------------------------------------------------ #
     # helpers
     # ------------------------------------------------------------------ #
 
-    def _loop_body(self, schema: ProcessSchema, loop_start_id: str) -> Set[str]:
-        if indexing_enabled():
-            return schema.index.loop_body(loop_start_id)
-        key = (id(schema), loop_start_id)
-        body = self._loop_body_cache.get(key)
-        if body is None:
-            body = schema.loop_body(loop_start_id)
-            with self._loop_body_cache_lock:
-                self._loop_body_cache[key] = body
-        return body
-
     def _iteration_of(self, instance: ProcessInstance, node_id: str) -> int:
         """Iteration counter of the innermost loop containing ``node_id``."""
-        schema = instance.execution_schema
-        if indexing_enabled():
-            loop_start_id = schema.index.innermost_loop_start(node_id)
-            if loop_start_id is None:
-                return 0
-            return instance.loop_iterations.get(loop_start_id, 0)
-        best: Optional[Tuple[int, int]] = None  # (body size, iteration)
-        for edge in schema.loop_edges():
-            loop_start_id = edge.target
-            body = self._loop_body(schema, loop_start_id)
-            if node_id in body or node_id == loop_start_id:
-                size = len(body)
-                iteration = instance.loop_iterations.get(loop_start_id, 0)
-                if best is None or size < best[0]:
-                    best = (size, iteration)
-        return best[1] if best is not None else 0
+        loop_start_id = instance.execution_schema.index.innermost_loop_start(node_id)
+        if loop_start_id is None:
+            return 0
+        return instance.loop_iterations.get(loop_start_id, 0)
 
     def _require_active(self, instance: ProcessInstance) -> None:
         if not instance.status.is_active:

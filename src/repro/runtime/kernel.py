@@ -2,16 +2,16 @@
 
 The engine's marking propagation asks one question per node and round:
 given the states of the node's incoming control and sync edges, does the
-node *activate*, *skip* (dead-path elimination) or *wait*?  The
-interpreted answer (:func:`repro.runtime.engine._decide_entry`) re-reads
-the marking dict per edge on every round.  This module compiles the
-question away: at :class:`~repro.schema.index.SchemaIndex` build time
-every node is specialised into a small closure over **dense positions**
-— integer offsets into an index-ordered marking array — so the hot-path
-entry decision becomes a handful of ``bytearray`` reads with no dict
-lookups, no enum traffic and no per-edge objects.
+node *activate*, *skip* (dead-path elimination) or *wait*?  Answering it
+from the marking dicts means one lookup per edge per node per round.
+This module compiles the question away: once per
+:class:`~repro.schema.index.SchemaIndex` every node is specialised into
+a small closure over **dense positions** — integer offsets into an
+index-ordered marking array — so the hot-path entry decision becomes a
+handful of ``bytearray`` reads with no dict lookups, no enum traffic and
+no per-edge objects.
 
-Three pieces:
+Two pieces:
 
 * :class:`MarkingLayout` — the dense coordinate system of one schema
   generation: node ids and non-loop edge keys in index order plus their
@@ -21,10 +21,9 @@ Three pieces:
 * :class:`StepKernel` — the compiled kernel: one decider closure per
   node (by position), the structural metadata the engine needs to act on
   a decision, and the schema-derived propagation round bound.
-* the ``compiled_stepping`` switch — parity tests and benchmarks disable
-  the kernel to fall back to the interpreted per-spec path
-  (:func:`without_compiled_kernel`), exactly like
-  :func:`repro.schema.index.without_index` falls back to edge scans.
+
+The reference these closures are pinned against is the full-scan oracle
+under ``tests/baselines`` (``pytest -m kernel``).
 
 Decision codes (shared with the dense edge-state encoding):
 
@@ -43,17 +42,15 @@ branch-free: the decider returns ``edge_values[position]``.
 
 Code 3 is the explicit surfacing of a real bug class: an AND join whose
 incoming control edges are all signalled but disagree (some TRUE, some
-FALSE) can never fire *and* can never be skipped — the interpreted
-engine used to wait forever on such markings with a comment claiming
-they "cannot happen".  Ill-formed schemas and buggy migrations do
-produce them; the engine now raises
-:class:`~repro.runtime.engine.JoinSignalConflictError` in every mode.
+FALSE) can never fire *and* can never be skipped — the engine used to
+wait forever on such markings with a comment claiming they "cannot
+happen".  Ill-formed schemas and buggy migrations do produce them; the
+engine raises :class:`~repro.runtime.engine.JoinSignalConflictError`.
 """
 
 from __future__ import annotations
 
-import contextlib
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Tuple
 
 from repro.runtime.states import EdgeState
 from repro.schema.nodes import Node, NodeType
@@ -88,42 +85,6 @@ ACTION_STRUCTURAL = 4
 #: Legacy engine-wide round cap; the schema-derived bound never goes
 #: below it so existing deep-loop schemas keep converging.
 LEGACY_ROUND_BOUND = 10000
-
-
-# ---------------------------------------------------------------------- #
-# global switch (benchmarks / parity tests)
-# ---------------------------------------------------------------------- #
-
-_COMPILED_STEPPING = True
-
-
-def compiled_stepping_enabled() -> bool:
-    """True when the engine propagates markings through compiled kernels."""
-    return _COMPILED_STEPPING
-
-
-def set_compiled_stepping(enabled: bool) -> None:
-    """Globally enable or disable the compiled stepping kernel."""
-    global _COMPILED_STEPPING
-    _COMPILED_STEPPING = bool(enabled)
-
-
-@contextlib.contextmanager
-def without_compiled_kernel():
-    """Context manager: temporarily propagate via the interpreted path.
-
-    With indexing still enabled this selects the per-spec interpreted
-    loop (the PR-2 baseline); combined with
-    :func:`repro.schema.index.without_index` it selects the original
-    edge-scan path.  Parity tests run all three.
-    """
-    global _COMPILED_STEPPING
-    previous = _COMPILED_STEPPING
-    _COMPILED_STEPPING = False
-    try:
-        yield
-    finally:
-        _COMPILED_STEPPING = previous
 
 
 # ---------------------------------------------------------------------- #
@@ -180,8 +141,7 @@ def _compile_decider(
 
     The returned closure reads only the dense edge-state array; all
     structural facts (node kind, edge positions, arity) are baked in at
-    compile time.  Semantics mirror the interpreted
-    ``ProcessEngine._entry_decision`` case by case.
+    compile time.
     """
     # entry-spec kinds, mirroring SchemaIndex.ENTRY_*
     if kind == 0:  # START — always ready
@@ -430,14 +390,6 @@ def derive_round_bound(node_count: int, depth: int, loop_budget: int) -> int:
     return max(LEGACY_ROUND_BOUND, derived)
 
 
-def scan_round_bound(schema: "ProcessSchema") -> int:
-    """Round bound for the index-less scan path, derived by edge scans."""
-    loop_budget = _loop_budget(schema.loop_edges(), schema)
-    return derive_round_bound(
-        node_count=len(schema), depth=len(schema), loop_budget=loop_budget
-    )
-
-
 __all__ = [
     "DECIDE_ACTIVATE",
     "DECIDE_CONFLICT",
@@ -446,9 +398,5 @@ __all__ = [
     "EDGE_CODE",
     "MarkingLayout",
     "StepKernel",
-    "compiled_stepping_enabled",
     "derive_round_bound",
-    "scan_round_bound",
-    "set_compiled_stepping",
-    "without_compiled_kernel",
 ]

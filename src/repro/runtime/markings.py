@@ -15,7 +15,6 @@ from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, Optional, Set, 
 from repro.runtime.states import EdgeState, NodeState
 from repro.schema.edges import EdgeType
 from repro.schema.graph import ProcessSchema
-from repro.schema.index import indexing_enabled
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.runtime.kernel import MarkingLayout
@@ -141,17 +140,11 @@ class Marking:
     @classmethod
     def initial(cls, schema: ProcessSchema) -> "Marking":
         """The marking of a freshly created instance: everything untouched."""
-        if indexing_enabled():
-            index = schema.index
-            return cls(
-                dict.fromkeys(index.node_ids, NodeState.NOT_ACTIVATED),
-                dict.fromkeys(index.non_loop_edge_keys(), EdgeState.NOT_SIGNALED),
-            )
-        node_states = {node_id: NodeState.NOT_ACTIVATED for node_id in schema.node_ids()}
-        edge_states = {
-            edge.key: EdgeState.NOT_SIGNALED for edge in schema.edges if not edge.is_loop
-        }
-        return cls(node_states, edge_states)
+        index = schema.index
+        return cls(
+            dict.fromkeys(index.node_ids, NodeState.NOT_ACTIVATED),
+            dict.fromkeys(index.non_loop_edge_keys(), EdgeState.NOT_SIGNALED),
+        )
 
     def copy(self) -> "Marking":
         """An independent copy of this marking."""

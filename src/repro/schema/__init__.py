@@ -11,7 +11,7 @@ from repro.schema.nodes import Node, NodeType
 from repro.schema.edges import Edge, EdgeType
 from repro.schema.data import DataElement, DataEdge, DataAccess, DataType
 from repro.schema.graph import ProcessSchema, SchemaError
-from repro.schema.index import SchemaIndex, indexing_enabled, set_indexing, without_index
+from repro.schema.index import SchemaIndex
 from repro.schema.blocks import Block, BlockTree, BlockStructureError
 from repro.schema.builder import SchemaBuilder, BuilderError
 from repro.schema import templates
@@ -28,9 +28,6 @@ __all__ = [
     "ProcessSchema",
     "SchemaError",
     "SchemaIndex",
-    "indexing_enabled",
-    "set_indexing",
-    "without_index",
     "Block",
     "BlockTree",
     "BlockStructureError",

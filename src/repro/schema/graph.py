@@ -19,8 +19,8 @@ from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Seque
 from repro.errors import ReproError
 from repro.schema.data import DataEdge, DataElement
 from repro.schema.edges import Edge, EdgeType
-from repro.schema.index import SchemaIndex, indexing_enabled
-from repro.schema.nodes import Node, NodeType
+from repro.schema.index import SchemaIndex
+from repro.schema.nodes import Node
 
 
 class SchemaError(ReproError):
@@ -263,101 +263,50 @@ class ProcessSchema:
 
     def start_node(self) -> Node:
         """The unique start node of the schema."""
-        if indexing_enabled():
-            return self.node(self.index.start_node_id())
-        starts = [n for n in self._nodes.values() if n.node_type is NodeType.START]
-        if len(starts) != 1:
-            raise SchemaError(f"schema must have exactly one start node, found {len(starts)}")
-        return starts[0]
+        return self.node(self.index.start_node_id())
 
     def end_node(self) -> Node:
         """The unique end node of the schema."""
-        if indexing_enabled():
-            return self.node(self.index.end_node_id())
-        ends = [n for n in self._nodes.values() if n.node_type is NodeType.END]
-        if len(ends) != 1:
-            raise SchemaError(f"schema must have exactly one end node, found {len(ends)}")
-        return ends[0]
+        return self.node(self.index.end_node_id())
 
     def edges_from(self, node_id: str, edge_type: Optional[EdgeType] = None) -> List[Edge]:
         """Outgoing edges of ``node_id``, optionally filtered by type."""
-        if indexing_enabled():
-            return self.index.edges_from(node_id, edge_type)
-        return [
-            e
-            for e in self._edges.values()
-            if e.source == node_id and (edge_type is None or e.edge_type is edge_type)
-        ]
+        return self.index.edges_from(node_id, edge_type)
 
     def edges_to(self, node_id: str, edge_type: Optional[EdgeType] = None) -> List[Edge]:
         """Incoming edges of ``node_id``, optionally filtered by type."""
-        if indexing_enabled():
-            return self.index.edges_to(node_id, edge_type)
-        return [
-            e
-            for e in self._edges.values()
-            if e.target == node_id and (edge_type is None or e.edge_type is edge_type)
-        ]
+        return self.index.edges_to(node_id, edge_type)
 
     def successors(self, node_id: str, edge_type: EdgeType = EdgeType.CONTROL) -> List[str]:
         """Direct successors of ``node_id`` via edges of ``edge_type``."""
-        return [e.target for e in self.edges_from(node_id, edge_type)]
+        return self.index.successors(node_id, edge_type)
 
     def predecessors(self, node_id: str, edge_type: EdgeType = EdgeType.CONTROL) -> List[str]:
         """Direct predecessors of ``node_id`` via edges of ``edge_type``."""
-        return [e.source for e in self.edges_to(node_id, edge_type)]
+        return self.index.predecessors(node_id, edge_type)
 
     def control_edges(self) -> List[Edge]:
-        if indexing_enabled():
-            return self.index.control_edges()
-        return [e for e in self._edges.values() if e.is_control]
+        return self.index.control_edges()
 
     def sync_edges(self) -> List[Edge]:
-        if indexing_enabled():
-            return self.index.sync_edges()
-        return [e for e in self._edges.values() if e.is_sync]
+        return self.index.sync_edges()
 
     def loop_edges(self) -> List[Edge]:
-        if indexing_enabled():
-            return self.index.loop_edges()
-        return [e for e in self._edges.values() if e.is_loop]
+        return self.index.loop_edges()
 
     def transitive_successors(self, node_id: str, include_sync: bool = False) -> Set[str]:
         """All nodes reachable from ``node_id`` via control (and optionally
         sync) edges, excluding loop-back edges and the node itself."""
-        return self._reach(node_id, forward=True, include_sync=include_sync)
+        return set(self.index.transitive_successors(node_id, include_sync))
 
     def transitive_predecessors(self, node_id: str, include_sync: bool = False) -> Set[str]:
         """All nodes from which ``node_id`` is reachable via control (and
         optionally sync) edges, excluding loop-back edges and the node itself."""
-        return self._reach(node_id, forward=False, include_sync=include_sync)
-
-    def _reach(self, node_id: str, forward: bool, include_sync: bool) -> Set[str]:
-        if indexing_enabled():
-            return set(self.index._reach(node_id, forward=forward, include_sync=include_sync))
-        self.node(node_id)
-        seen: Set[str] = set()
-        frontier = [node_id]
-        while frontier:
-            current = frontier.pop()
-            if forward:
-                neighbours = self.successors(current, EdgeType.CONTROL)
-                if include_sync:
-                    neighbours += self.successors(current, EdgeType.SYNC)
-            else:
-                neighbours = self.predecessors(current, EdgeType.CONTROL)
-                if include_sync:
-                    neighbours += self.predecessors(current, EdgeType.SYNC)
-            for nxt in neighbours:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    frontier.append(nxt)
-        seen.discard(node_id)
-        return seen
+        return set(self.index.transitive_predecessors(node_id, include_sync))
 
     def is_predecessor(self, earlier: str, later: str, include_sync: bool = True) -> bool:
         """True when ``earlier`` precedes ``later`` in the (acyclic) flow."""
-        return later in self.transitive_successors(earlier, include_sync=include_sync)
+        return later in self.index.transitive_successors(earlier, include_sync)
 
     def are_parallel(self, first: str, second: str) -> bool:
         """True when neither node precedes the other (concurrent nodes)."""
@@ -373,66 +322,23 @@ class ProcessSchema:
         remaining graph is cyclic (which verification reports as a
         deadlock-causing cycle).
         """
-        if indexing_enabled():
-            return self.index.topological_order(include_sync)
-        indegree: Dict[str, int] = {node_id: 0 for node_id in self._nodes}
-        adjacency: Dict[str, List[str]] = {node_id: [] for node_id in self._nodes}
-        for edge in self._edges.values():
-            if edge.is_loop:
-                continue
-            if edge.is_sync and not include_sync:
-                continue
-            adjacency[edge.source].append(edge.target)
-            indegree[edge.target] += 1
-        ready = sorted(node_id for node_id, deg in indegree.items() if deg == 0)
-        order: List[str] = []
-        while ready:
-            current = ready.pop(0)
-            order.append(current)
-            for nxt in adjacency[current]:
-                indegree[nxt] -= 1
-                if indegree[nxt] == 0:
-                    ready.append(nxt)
-            ready.sort()
-        if len(order) != len(self._nodes):
-            raise SchemaError("schema contains a cycle not formed by loop edges")
-        return order
+        return self.index.topological_order(include_sync)
 
     def control_path_exists(self, source: str, target: str) -> bool:
         """True when a pure control-edge path leads from source to target."""
-        return target in self.transitive_successors(source, include_sync=False)
+        return target in self.index.transitive_successors(source, include_sync=False)
 
     def loop_body(self, loop_start_id: str) -> Set[str]:
         """All nodes strictly inside the loop block opened by ``loop_start_id``."""
-        loop_start = self.node(loop_start_id)
-        if loop_start.node_type is not NodeType.LOOP_START:
-            raise SchemaError(f"{loop_start_id!r} is not a loop start node")
-        if indexing_enabled():
-            return set(self.index.loop_body(loop_start_id))
-        loop_end_id = self.matching_loop_end(loop_start_id)
-        inside = self.transitive_successors(loop_start_id, include_sync=False)
-        after_end = self.transitive_successors(loop_end_id, include_sync=False)
-        body = (inside - after_end) - {loop_end_id}
-        body.add(loop_end_id)
-        return body
+        return set(self.index.loop_body(loop_start_id))
 
     def matching_loop_end(self, loop_start_id: str) -> str:
         """The loop-end node whose loop edge points back to ``loop_start_id``."""
-        if indexing_enabled():
-            return self.index.matching_loop_end(loop_start_id)
-        for edge in self.loop_edges():
-            if edge.target == loop_start_id:
-                return edge.source
-        raise SchemaError(f"no loop edge back to {loop_start_id!r}")
+        return self.index.matching_loop_end(loop_start_id)
 
     def matching_loop_start(self, loop_end_id: str) -> str:
         """The loop-start node targeted by the loop edge of ``loop_end_id``."""
-        if indexing_enabled():
-            return self.index.matching_loop_start(loop_end_id)
-        for edge in self.loop_edges():
-            if edge.source == loop_end_id:
-                return edge.target
-        raise SchemaError(f"no loop edge from {loop_end_id!r}")
+        return self.index.matching_loop_start(loop_end_id)
 
     # ------------------------------------------------------------------ #
     # data-flow queries
@@ -440,31 +346,21 @@ class ProcessSchema:
 
     def writers_of(self, element: str) -> List[str]:
         """Activities writing ``element``."""
-        if indexing_enabled():
-            return self.index.writers_of(element)
-        return [d.activity for d in self._data_edges.values() if d.element == element and d.is_write]
+        return self.index.writers_of(element)
 
     def readers_of(self, element: str) -> List[str]:
         """Activities reading ``element``."""
-        if indexing_enabled():
-            return self.index.readers_of(element)
-        return [d.activity for d in self._data_edges.values() if d.element == element and d.is_read]
+        return self.index.readers_of(element)
 
     def data_edges_of(self, activity: str) -> List[DataEdge]:
         """All data edges attached to ``activity``."""
-        if indexing_enabled():
-            return self.index.data_edges_of(activity)
-        return [d for d in self._data_edges.values() if d.activity == activity]
+        return self.index.data_edges_of(activity)
 
     def reads_of(self, activity: str) -> List[DataEdge]:
-        if indexing_enabled():
-            return self.index.reads_of(activity)
-        return [d for d in self.data_edges_of(activity) if d.is_read]
+        return self.index.reads_of(activity)
 
     def writes_of(self, activity: str) -> List[DataEdge]:
-        if indexing_enabled():
-            return self.index.writes_of(activity)
-        return [d for d in self.data_edges_of(activity) if d.is_write]
+        return self.index.writes_of(activity)
 
     # ------------------------------------------------------------------ #
     # copy / compare / serialize

@@ -2,10 +2,10 @@
 
 Every structural question the engine, the verifiers, the change
 operations or the migration manager ask (successors, predecessors,
-topological order, reachability, block structure, data-flow maps) can be
-answered either by scanning the schema's full edge list — O(E) per query
-— or from structures compiled once per schema.  This module implements
-the compiled form: given a :class:`~repro.schema.graph.ProcessSchema`,
+topological order, reachability, block structure, data-flow maps) is
+answered from structures compiled once per schema instead of scanning
+the schema's full edge list — O(E) — per query.  Given a
+:class:`~repro.schema.graph.ProcessSchema`,
 a :class:`SchemaIndex` builds per-node adjacency maps for all three edge
 types (forward and backward), caches start/end nodes, topological orders
 and ranks, reachability sets, dominator/post-dominator sets, the block
@@ -21,15 +21,10 @@ Contract for callers holding an index across operations: an index is a
 snapshot of one generation.  Holding it across *reads* (stepping many
 instances, verifying, migrating a population) is the intended use; after
 any structural mutation of the schema, re-fetch ``schema.index``.
-
-The module-level switch :func:`set_indexing` /: func:`without_index`
-exists for benchmarks and parity tests only — it routes the schema's
-query methods back to their original linear-scan implementations.
 """
 
 from __future__ import annotations
 
-import contextlib
 from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.schema.data import DataEdge
@@ -41,39 +36,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (graph imports index)
     from repro.schema.graph import ProcessSchema
 
 EdgeKey = Tuple[str, str, str]
-
-# ---------------------------------------------------------------------- #
-# global switch (benchmarks / parity tests)
-# ---------------------------------------------------------------------- #
-
-_INDEXING_ENABLED = True
-
-
-def indexing_enabled() -> bool:
-    """True when schema queries are answered from the compiled index."""
-    return _INDEXING_ENABLED
-
-
-def set_indexing(enabled: bool) -> None:
-    """Globally enable or disable index-backed schema queries."""
-    global _INDEXING_ENABLED
-    _INDEXING_ENABLED = bool(enabled)
-
-
-@contextlib.contextmanager
-def without_index():
-    """Context manager: temporarily answer schema queries by edge scans.
-
-    Used by the throughput benchmark to measure the pre-index baseline and
-    by the parity tests to compare indexed against scanned answers.
-    """
-    global _INDEXING_ENABLED
-    previous = _INDEXING_ENABLED
-    _INDEXING_ENABLED = False
-    try:
-        yield
-    finally:
-        _INDEXING_ENABLED = previous
 
 
 class SchemaIndex:
@@ -177,8 +139,7 @@ class SchemaIndex:
                 out_loop[edge.source].append(edge)
                 in_loop[edge.target].append(edge)
                 loop_edges.append(edge)
-                # first loop edge wins, matching the scan order of
-                # matching_loop_start / matching_loop_end
+                # first loop edge (in insertion order) wins
                 loop_start_of.setdefault(edge.source, edge.target)
                 loop_end_of.setdefault(edge.target, edge.source)
 
@@ -358,7 +319,7 @@ class SchemaIndex:
         """Keys of all control and sync edges (marking initialisation)."""
         return self._non_loop_edge_keys
 
-    # entry-spec kinds consumed by the engine's marking propagation
+    # entry-spec kinds consumed by the step-kernel compiler
     ENTRY_START = 0
     ENTRY_AND_JOIN = 1
     ENTRY_XOR_JOIN = 2
@@ -367,12 +328,10 @@ class SchemaIndex:
     def entry_specs(self) -> Dict[str, Tuple[int, Tuple[EdgeKey, ...], Tuple[EdgeKey, ...]]]:
         """Per-node ``(kind, control edge keys, sync edge keys)`` triples.
 
-        This is the engine's hottest structure: the marking propagation
-        decides for every still-untouched node whether it activates,
-        skips or waits, purely from its incoming control/sync edge states.
-        Precompiling the node kind and the marking lookup keys turns that
-        decision into a handful of dict reads with no per-edge object
-        traffic.
+        Compile input of :class:`repro.runtime.kernel.StepKernel`, which
+        turns each triple into a decider closure over dense positions:
+        whether a still-untouched node activates, skips or waits depends
+        only on its kind and its incoming control/sync edge states.
         """
         specs = self._entry_specs
         if specs is None:
@@ -538,7 +497,7 @@ class SchemaIndex:
         return cached
 
     def topological_order(self, include_sync: bool = True) -> List[str]:
-        """Cached topological order (same tie-breaking as the schema scan)."""
+        """Cached topological order (ties broken by node id)."""
         cached = self._topo_cache.get(include_sync)
         if cached is None:
             cached = self._compute_topological_order(include_sync)

@@ -936,7 +936,7 @@ class AdeptSystem:
         results: List[Optional[RunResult]] = [None] * len(ids)
         # maximal runs of consecutive same-type positions execute as one
         # batch: one type read lock, one multi-stripe acquisition, one
-        # compiled-kernel dispatch for the whole run.  Chunks stay small so
+        # engine call for the whole run.  Chunks stay small so
         # a batch never pins more cases than a bounded live cache can hold.
         chunk_cap = _BATCH_CHUNK
         if self.cache_instances is not None:
@@ -1469,7 +1469,6 @@ class AdeptSystem:
         from repro.core.migration import InstanceMigrationResult, MigrationOutcome
         from repro.core.migration_plan import FingerprintCache
         from repro.runtime.states import InstanceStatus
-        from repro.schema.index import indexing_enabled
 
         active_statuses = frozenset(
             status.value for status in InstanceStatus if status.is_active
@@ -1477,9 +1476,8 @@ class AdeptSystem:
 
         old_schema = process_type.schema_for(type_change.from_version)
         new_schema = process_type.schema_for(type_change.to_version)
-        if indexing_enabled():
-            old_schema.index
-            new_schema.index
+        old_schema.index
+        new_schema.index
         plan = self._migrator.compile_plan(old_schema, new_schema, type_change)
         cache = FingerprintCache()
         report = MigrationReport(
@@ -1831,14 +1829,12 @@ class AdeptSystem:
     def _attach_plan(self, rollout: Rollout) -> None:
         """Compile the rollout's migration plan and fresh verdict cache."""
         from repro.core.migration_plan import FingerprintCache
-        from repro.schema.index import indexing_enabled
 
         process_type = self.repository.process_type(rollout.type_id)
         old_schema = process_type.schema_for(rollout.from_version)
         new_schema = process_type.schema_for(rollout.to_version)
-        if indexing_enabled():
-            old_schema.index
-            new_schema.index
+        old_schema.index
+        new_schema.index
         rollout.plan = self._migrator.compile_plan(old_schema, new_schema, rollout.type_change)
         rollout.cache = FingerprintCache()
 

@@ -174,11 +174,17 @@ class PersistentBackend:
         self._bootstrap_seq()
 
     def _bootstrap_seq(self) -> None:
-        """Continue the record sequence after the last durable record."""
-        snapshot = self.load_snapshot()
+        """Continue the record sequence after the last durable record.
+
+        The snapshot and the WAL records read here are kept for
+        :meth:`recover`, so one ``open`` parses each file once; any write
+        through this backend in between drops them.
+        """
+        snapshot, records = self.load_snapshot(), self.wal.records()
+        self._read_at_open = (snapshot, records)
         if snapshot is not None:
             self._seq = int(snapshot.get("next_seq", 0))
-        for record in self.wal.records():
+        for record in records:
             self._seq = max(self._seq, int(record.get("seq", 0)))
 
     # ------------------------------------------------------------------ #
@@ -214,6 +220,7 @@ class PersistentBackend:
         if not self.active:
             return None
         with self._seq_lock:
+            self._read_at_open = None
             self._seq += 1
             seq = self._seq
             record = {"kind": kind, "seq": seq}
@@ -268,6 +275,7 @@ class PersistentBackend:
         temporary.write_text(json.dumps(payload, sort_keys=True), encoding="utf-8")
         temporary.replace(self.snapshot_path)
         self.wal.truncate()
+        self._read_at_open = None
 
     def load_snapshot(self) -> Optional[Dict[str, Any]]:
         """The latest snapshot payload, or ``None`` when none exists.
@@ -302,12 +310,13 @@ class PersistentBackend:
         """
         report = RecoveryReport()
         with self.suspended():
-            snapshot = self.load_snapshot()
+            snapshot, records = self._read_at_open or (self.load_snapshot(), self.wal.records())
+            self._read_at_open = None
             snapshot_seq = 0
             if snapshot is not None:
                 self._load_snapshot_into(system, snapshot, report)
                 snapshot_seq = int(snapshot.get("next_seq", 0))
-            for record in self.wal.records():
+            for record in records:
                 seq = int(record.get("seq", 0))
                 if seq <= snapshot_seq:
                     # a crash between the snapshot's atomic replace and the

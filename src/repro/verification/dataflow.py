@@ -24,7 +24,6 @@ from typing import Dict, List, Optional, Set
 
 from repro.schema.edges import EdgeType
 from repro.schema.graph import ProcessSchema, SchemaError
-from repro.schema.index import indexing_enabled
 from repro.schema.nodes import NodeType
 from repro.verification.report import (
     IssueCode,
@@ -59,10 +58,10 @@ def _conditional_interiors(schema: ProcessSchema) -> Set[str]:
     only count towards availability along the branch they belong to — never
     via sync edges into other branches.
     """
-    from repro.schema.blocks import BlockKind, BlockStructureError, BlockTree
+    from repro.schema.blocks import BlockKind, BlockStructureError
 
     try:
-        tree = schema.index.block_tree() if indexing_enabled() else BlockTree.build(schema)
+        tree = schema.index.block_tree()
     except (BlockStructureError, SchemaError):
         return set()
     interiors: Set[str] = set()
@@ -122,9 +121,7 @@ class DataFlowVerifier:
         """Run all data-flow checks and return the findings."""
         report = VerificationReport(schema_id=schema.schema_id)
         try:
-            available = (
-                schema.index.written_before() if indexing_enabled() else written_before(schema)
-            )
+            available = schema.index.written_before()
         except SchemaError:
             # A cyclic or endpoint-less schema is reported by the structural
             # and deadlock verifiers; data-flow analysis needs a DAG.
@@ -211,10 +208,10 @@ class DataFlowVerifier:
                     )
 
     def _check_parallel_writes(self, schema: ProcessSchema, report: VerificationReport) -> None:
-        from repro.schema.blocks import BlockKind, BlockStructureError, BlockTree
+        from repro.schema.blocks import BlockKind, BlockStructureError
 
         try:
-            tree = schema.index.block_tree() if indexing_enabled() else BlockTree.build(schema)
+            tree = schema.index.block_tree()
         except (BlockStructureError, SchemaError):
             return
         for element in schema.data_elements:

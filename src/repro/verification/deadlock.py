@@ -17,10 +17,9 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.schema.blocks import BlockKind, BlockStructureError, BlockTree
+from repro.schema.blocks import BlockKind, BlockStructureError
 from repro.schema.edges import EdgeType
 from repro.schema.graph import ProcessSchema, SchemaError
-from repro.schema.index import indexing_enabled
 from repro.schema.nodes import NodeType
 from repro.verification.report import (
     IssueCode,
@@ -37,27 +36,17 @@ def find_cycle(schema: ProcessSchema, include_sync: bool = True) -> Optional[Lis
     correct WSM net.  The returned list contains the node ids along the
     cycle, starting and ending with the same node.
     """
-    if indexing_enabled():
-        # consume the compiled per-node adjacency instead of scanning edges;
-        # out_edges() preserves global edge-insertion order, so the cycle
-        # reported is identical to the scan fallback below
-        index = schema.index
-        adjacency: Dict[str, List[str]] = {
-            node_id: [
-                edge.target
-                for edge in index.out_edges(node_id)
-                if not edge.is_loop and (include_sync or not edge.is_sync)
-            ]
-            for node_id in index.node_ids
-        }
-    else:
-        adjacency = {node_id: [] for node_id in schema.node_ids()}
-        for edge in schema.edges:
-            if edge.is_loop:
-                continue
-            if edge.is_sync and not include_sync:
-                continue
-            adjacency[edge.source].append(edge.target)
+    # out_edges() preserves global edge-insertion order, which fixes which
+    # cycle is reported when there are several
+    index = schema.index
+    adjacency: Dict[str, List[str]] = {
+        node_id: [
+            edge.target
+            for edge in index.out_edges(node_id)
+            if not edge.is_loop and (include_sync or not edge.is_sync)
+        ]
+        for node_id in index.node_ids
+    }
 
     WHITE, GREY, BLACK = 0, 1, 2
     colour: Dict[str, int] = {node_id: WHITE for node_id in adjacency}
@@ -132,7 +121,7 @@ class DeadlockVerifier:
         if not sync_edges:
             return
         try:
-            tree = schema.index.block_tree() if indexing_enabled() else BlockTree.build(schema)
+            tree = schema.index.block_tree()
         except (BlockStructureError, SchemaError):
             tree = None
         loop_blocks = tree.loop_blocks() if tree is not None else []

@@ -9,10 +9,9 @@ from __future__ import annotations
 
 from typing import List
 
-from repro.schema.blocks import BlockStructureError, BlockTree, matching_join
+from repro.schema.blocks import BlockStructureError
 from repro.schema.edges import EdgeType
 from repro.schema.graph import ProcessSchema, SchemaError
-from repro.schema.index import indexing_enabled
 from repro.schema.nodes import NodeType
 from repro.verification.report import (
     IssueCode,
@@ -194,16 +193,13 @@ class StructuralVerifier:
             if not node.node_type.is_split:
                 continue
             try:
-                if indexing_enabled():
-                    schema.index.matching_join(node.node_id)
-                else:
-                    matching_join(schema, node.node_id)
+                schema.index.matching_join(node.node_id)
             except BlockStructureError as exc:
                 report.add(
                     error(IssueCode.UNMATCHED_BLOCK, str(exc), nodes=(node.node_id,))
                 )
         try:
-            tree = schema.index.block_tree() if indexing_enabled() else BlockTree.build(schema)
+            tree = schema.index.block_tree()
         except SchemaError:
             # includes BlockStructureError and dangling loop-edge problems,
             # which are reported by the loop-edge checks above

@@ -4,13 +4,9 @@ Hypothesis shrinks and replays examples across test invocations; any
 module-level mutable state that leaks between examples makes failures
 irreproducible (a shrunk example behaves differently than the original
 because a *previous* example warmed a cache).  This fixture resets the
-known shared caches before every property test:
-
-* the bounded LRU of :func:`repro.runtime.expressions.compile_expression`
-  (the expression-AST cache introduced with the compiled SchemaIndex);
-* the compiled-index switch — a test that crashed inside
-  :func:`repro.schema.index.without_index` must not leave scan mode on
-  for every test after it.
+one shared cache before every property test: the bounded LRU of
+:func:`repro.runtime.expressions.compile_expression` (the expression-AST
+cache introduced with the compiled SchemaIndex).
 """
 
 from __future__ import annotations
@@ -18,13 +14,9 @@ from __future__ import annotations
 import pytest
 
 from repro.runtime.expressions import compile_expression
-from repro.schema.index import set_indexing
 
 
 @pytest.fixture(autouse=True)
 def _isolate_shared_module_state():
-    """Every property test starts from cold shared caches and index mode."""
+    """Every property test starts from a cold expression cache."""
     compile_expression.cache_clear()
-    set_indexing(True)
-    yield
-    set_indexing(True)

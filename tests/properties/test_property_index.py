@@ -2,7 +2,7 @@
 
 The central invariant of the index layer: for ANY schema, after ANY
 sequence of structural mutations, every index answer is identical to a
-fresh recomputation by the original edge-list scans.  The mutation
+fresh recomputation by brute-force edge-list scans.  The mutation
 sequences cover add/remove node, add/remove control and sync edges and
 data-flow edits, plus the two real mutation paths of the system —
 ad-hoc instance change and type evolution.
@@ -17,8 +17,9 @@ from repro.core.operations import SerialInsertActivity
 from repro.runtime.engine import ProcessEngine
 from repro.schema.edges import Edge, EdgeType
 from repro.schema.graph import ProcessSchema, SchemaError
-from repro.schema.index import without_index
 from repro.schema.nodes import Node, NodeType
+
+from tests.baselines import brute_force as bf
 
 from .strategies import random_schemas
 
@@ -31,31 +32,27 @@ RELAXED = settings(
 
 def _scan_snapshot(schema: ProcessSchema):
     """All structural answers recomputed from scratch by edge scans."""
-    with without_index():
-        snapshot = {}
+    snapshot = {}
+    for key, variant in (("topo_both", True), ("topo_control", False)):
         try:
-            snapshot["topo_both"] = schema.topological_order(include_sync=True)
+            snapshot[key] = bf.topological_order(schema, include_sync=variant)
         except SchemaError as exc:
-            snapshot["topo_both"] = ("error", str(exc))
-        try:
-            snapshot["topo_control"] = schema.topological_order(include_sync=False)
-        except SchemaError as exc:
-            snapshot["topo_control"] = ("error", str(exc))
-        for node_id in schema.node_ids():
-            snapshot[("succ", node_id)] = {
-                edge_type: schema.successors(node_id, edge_type) for edge_type in EdgeType
-            }
-            snapshot[("pred", node_id)] = {
-                edge_type: schema.predecessors(node_id, edge_type) for edge_type in EdgeType
-            }
-            snapshot[("reach+", node_id)] = schema.transitive_successors(node_id, include_sync=True)
-            snapshot[("reach-", node_id)] = schema.transitive_predecessors(node_id, include_sync=False)
-            snapshot[("reads", node_id)] = [d.key for d in schema.reads_of(node_id)]
-            snapshot[("writes", node_id)] = [d.key for d in schema.writes_of(node_id)]
-        for element in schema.data_elements:
-            snapshot[("writers", element)] = schema.writers_of(element)
-            snapshot[("readers", element)] = schema.readers_of(element)
-        return snapshot
+            snapshot[key] = ("error", str(exc))
+    for node_id in schema.nodes:
+        snapshot[("succ", node_id)] = {
+            edge_type: bf.successors(schema, node_id, edge_type) for edge_type in EdgeType
+        }
+        snapshot[("pred", node_id)] = {
+            edge_type: bf.predecessors(schema, node_id, edge_type) for edge_type in EdgeType
+        }
+        snapshot[("reach+", node_id)] = bf.reach(schema, node_id, forward=True, include_sync=True)
+        snapshot[("reach-", node_id)] = bf.reach(schema, node_id, forward=False, include_sync=False)
+        snapshot[("reads", node_id)] = [d.key for d in bf.reads_of(schema, node_id)]
+        snapshot[("writes", node_id)] = [d.key for d in bf.writes_of(schema, node_id)]
+    for element in schema.data_elements:
+        snapshot[("writers", element)] = bf.writers_of(schema, element)
+        snapshot[("readers", element)] = bf.readers_of(schema, element)
+    return snapshot
 
 
 def _index_snapshot(schema: ProcessSchema):

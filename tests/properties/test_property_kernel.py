@@ -5,7 +5,7 @@ invariant is that after ANY execution (including loop resets) and ANY
 structural mutation (ad-hoc change, marking-level grafts) the view either
 matches the dicts cell for cell or flags itself stale/unaligned so the
 engine falls back to the dict path.  A second property pins the compiled
-kernel to the interpreted stepping path over random schemas.
+kernel to the scan oracle (``tests/baselines``) over random schemas.
 """
 
 import random
@@ -17,10 +17,12 @@ from hypothesis import strategies as st
 from repro.core.adhoc import AdHocChangeError, AdHocChanger
 from repro.core.operations import SerialInsertActivity
 from repro.runtime.engine import ProcessEngine
-from repro.runtime.kernel import EDGE_CODE, without_compiled_kernel
+from repro.runtime.kernel import EDGE_CODE
 from repro.runtime.states import NodeState
 from repro.schema.edges import EdgeType
 from repro.schema.nodes import Node
+
+from tests.baselines.scan_oracle import ScanOracle, observed
 
 from .strategies import random_schemas
 
@@ -116,21 +118,12 @@ def test_dense_view_survives_structural_mutation(schema, seed):
 
 @RELAXED
 @given(schema=random_schemas(), seed=st.integers(min_value=0, max_value=10_000))
-def test_compiled_and_interpreted_stepping_agree(schema, seed):
-    """Same random schedule → identical traces, markings and events."""
+def test_kernel_and_oracle_stepping_agree(schema, seed):
+    """Same random schedule → identical traces, instance states and events."""
 
-    def run():
-        rng = random.Random(seed)
-        engine = ProcessEngine()
+    def run(engine):
         instance = engine.create_instance(schema, "prop")
-        trace = list(_step_randomly(engine, instance, rng, steps=60))
-        events = tuple(
-            (event.event_type.value, event.node_id) for event in engine.event_log.events
-        )
-        marking = tuple(sorted((k, v.value) for k, v in instance.marking.node_states.items()))
-        return trace, events, marking, instance.status.value
+        trace = list(_step_randomly(engine, instance, random.Random(seed), steps=60))
+        return trace, observed(engine, [instance])
 
-    compiled = run()
-    with without_compiled_kernel():
-        interpreted = run()
-    assert compiled == interpreted
+    assert run(ProcessEngine()) == run(ScanOracle())

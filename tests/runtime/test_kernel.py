@@ -21,18 +21,15 @@ from repro.runtime.engine import (
     ProcessEngine,
     PropagationLimitError,
 )
-from repro.runtime.kernel import (
-    EDGE_CODE,
-    derive_round_bound,
-    without_compiled_kernel,
-)
+from repro.runtime.kernel import EDGE_CODE, derive_round_bound
 from repro.runtime.states import EdgeState, InstanceStatus, NodeState
 from repro.schema import templates
 from repro.schema.builder import SchemaBuilder
 from repro.schema.edges import Edge, EdgeType
 from repro.schema.graph import ProcessSchema
-from repro.schema.index import without_index
 from repro.schema.nodes import Node, NodeType
+
+from tests.baselines.scan_oracle import ScanOracle
 
 pytestmark = pytest.mark.kernel
 
@@ -101,9 +98,11 @@ def _pathological_loop_schema(max_iterations=10**6):
 
 
 class TestJoinSignalConflict:
-    def test_compiled_kernel_reports_mixed_and_join(self, engine):
-        schema = _parallel_schema()
-        instance, join_id = _mixed_signal_instance(engine, schema)
+    @pytest.mark.parametrize("make_engine", [ProcessEngine, ScanOracle])
+    def test_mixed_and_join_is_reported(self, make_engine):
+        """Kernel and oracle both name the join and its edge states."""
+        engine = make_engine()
+        instance, join_id = _mixed_signal_instance(engine, _parallel_schema())
         with pytest.raises(JoinSignalConflictError) as err:
             engine.propagate(instance)
         message = str(err.value)
@@ -112,22 +111,6 @@ class TestJoinSignalConflict:
         assert EdgeState.TRUE_SIGNALED.value in message
         assert EdgeState.FALSE_SIGNALED.value in message
 
-    def test_interpreted_path_reports_mixed_and_join(self, engine):
-        schema = _parallel_schema()
-        with without_compiled_kernel():
-            instance, join_id = _mixed_signal_instance(engine, schema)
-            with pytest.raises(JoinSignalConflictError) as err:
-                engine.propagate(instance)
-        assert join_id in str(err.value)
-
-    def test_scan_path_reports_mixed_and_join(self, engine):
-        schema = _parallel_schema()
-        with without_index():
-            instance, join_id = _mixed_signal_instance(engine, schema)
-            with pytest.raises(JoinSignalConflictError) as err:
-                engine.propagate(instance)
-        assert join_id in str(err.value)
-
     def test_consistent_signals_still_fire_the_join(self, engine):
         instance = engine.create_instance(_parallel_schema(), "clean")
         engine.run_to_completion(instance)
@@ -135,8 +118,9 @@ class TestJoinSignalConflict:
 
 
 class TestPropagationLimit:
-    def test_compiled_kernel_reports_non_convergence(self):
-        engine = ProcessEngine(max_propagation_rounds=50)
+    @pytest.mark.parametrize("make_engine", [ProcessEngine, ScanOracle])
+    def test_non_convergence_is_reported(self, make_engine):
+        engine = make_engine(max_propagation_rounds=50)
         with pytest.raises(PropagationLimitError) as err:
             engine.create_instance(_pathological_loop_schema(), "pathological")
         error = err.value
@@ -147,21 +131,6 @@ class TestPropagationLimit:
         assert "pathological" in message
         assert "50" in message
         assert any(node_id in message for node_id in ("loop_start", "split", "join", "loop_end"))
-
-    def test_interpreted_path_reports_non_convergence(self):
-        engine = ProcessEngine(max_propagation_rounds=50)
-        with without_compiled_kernel():
-            with pytest.raises(PropagationLimitError) as err:
-                engine.create_instance(_pathological_loop_schema(), "pathological")
-        assert err.value.instance_id == "pathological"
-        assert err.value.changing_nodes
-
-    def test_scan_path_reports_non_convergence(self):
-        engine = ProcessEngine(max_propagation_rounds=50)
-        with without_index():
-            with pytest.raises(PropagationLimitError) as err:
-                engine.create_instance(_pathological_loop_schema(), "pathological")
-        assert err.value.instance_id == "pathological"
 
     def test_default_bound_is_derived_from_schema_size(self):
         engine = ProcessEngine()

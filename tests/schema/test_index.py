@@ -1,9 +1,9 @@
 """Unit tests for the compiled :class:`SchemaIndex` layer.
 
-Every answer of the index must be identical to the schema's original
-linear-scan implementation (exercised through ``without_index()``), and
-the generation counter must invalidate the compiled structures after
-every kind of structural mutation.
+Every answer of the index must be identical to the brute-force
+edge-list scans of :mod:`tests.baselines.brute_force`, and the
+generation counter must invalidate the compiled structures after every
+kind of structural mutation.
 """
 
 import pytest
@@ -11,40 +11,41 @@ import pytest
 from repro.schema.data import DataAccess, DataEdge, DataElement, DataType
 from repro.schema.edges import Edge, EdgeType, control_edge, sync_edge
 from repro.schema.graph import ProcessSchema, SchemaError
-from repro.schema.index import SchemaIndex, without_index
+from repro.schema.index import SchemaIndex
 from repro.schema.nodes import Node, NodeType
 from repro.schema.templates import loop_process, online_order_process
 
+from tests.baselines import brute_force as bf
+
 
 def scan_answers(schema):
-    """Structural answers computed by the original edge-list scans."""
-    with without_index():
-        answers = {
-            "topo_both": schema.topological_order(include_sync=True),
-            "topo_control": schema.topological_order(include_sync=False),
-            "start": schema.start_node().node_id,
-            "end": schema.end_node().node_id,
-        }
-        for node_id in schema.node_ids():
-            answers[("out", node_id)] = [e.key for e in schema.edges_from(node_id)]
-            answers[("in", node_id)] = [e.key for e in schema.edges_to(node_id)]
-            for edge_type in EdgeType:
-                answers[("succ", node_id, edge_type)] = schema.successors(node_id, edge_type)
-                answers[("pred", node_id, edge_type)] = schema.predecessors(node_id, edge_type)
-            for include_sync in (False, True):
-                answers[("reach+", node_id, include_sync)] = schema.transitive_successors(
-                    node_id, include_sync=include_sync
-                )
-                answers[("reach-", node_id, include_sync)] = schema.transitive_predecessors(
-                    node_id, include_sync=include_sync
-                )
-            answers[("dedges", node_id)] = [d.key for d in schema.data_edges_of(node_id)]
-            answers[("reads", node_id)] = [d.key for d in schema.reads_of(node_id)]
-            answers[("writes", node_id)] = [d.key for d in schema.writes_of(node_id)]
-        for element in schema.data_elements:
-            answers[("writers", element)] = schema.writers_of(element)
-            answers[("readers", element)] = schema.readers_of(element)
-        return answers
+    """Structural answers computed by brute-force edge-list scans."""
+    answers = {
+        "topo_both": bf.topological_order(schema, include_sync=True),
+        "topo_control": bf.topological_order(schema, include_sync=False),
+        "start": bf.start_node_id(schema),
+        "end": bf.end_node_id(schema),
+    }
+    for node_id in schema.nodes:
+        answers[("out", node_id)] = [e.key for e in bf.edges_from(schema, node_id)]
+        answers[("in", node_id)] = [e.key for e in bf.edges_to(schema, node_id)]
+        for edge_type in EdgeType:
+            answers[("succ", node_id, edge_type)] = bf.successors(schema, node_id, edge_type)
+            answers[("pred", node_id, edge_type)] = bf.predecessors(schema, node_id, edge_type)
+        for include_sync in (False, True):
+            answers[("reach+", node_id, include_sync)] = bf.reach(
+                schema, node_id, forward=True, include_sync=include_sync
+            )
+            answers[("reach-", node_id, include_sync)] = bf.reach(
+                schema, node_id, forward=False, include_sync=include_sync
+            )
+        answers[("dedges", node_id)] = [d.key for d in bf.data_edges_of(schema, node_id)]
+        answers[("reads", node_id)] = [d.key for d in bf.reads_of(schema, node_id)]
+        answers[("writes", node_id)] = [d.key for d in bf.writes_of(schema, node_id)]
+    for element in schema.data_elements:
+        answers[("writers", element)] = bf.writers_of(schema, element)
+        answers[("readers", element)] = bf.readers_of(schema, element)
+    return answers
 
 
 def assert_index_matches_scans(schema):
@@ -85,13 +86,18 @@ class TestIndexAnswers:
     def test_loop_maps(self):
         schema = loop_process()
         index = schema.index
-        with without_index():
-            for edge in schema.loop_edges():
-                assert index.matching_loop_start(edge.source) == schema.matching_loop_start(
-                    edge.source
+        loop_edges = bf.loop_edges(schema)
+        assert [e.key for e in index.loop_edges()] == [e.key for e in loop_edges]
+        for edge in loop_edges:
+            assert index.matching_loop_start(edge.source) == bf.matching_loop_start(
+                schema, edge.source
+            )
+            assert index.matching_loop_end(edge.target) == bf.matching_loop_end(schema, edge.target)
+            assert index.loop_body(edge.target) == bf.loop_body(schema, edge.target)
+            for node_id in schema.nodes:
+                assert index.innermost_loop_start(node_id) == bf.innermost_loop_start(
+                    schema, node_id
                 )
-                assert index.matching_loop_end(edge.target) == schema.matching_loop_end(edge.target)
-                assert index.loop_body(edge.target) == schema.loop_body(edge.target)
 
     def test_unknown_nodes_raise(self):
         index = online_order_process().index

@@ -276,6 +276,46 @@ class TestBackendUnit:
         assert backend.wal_records() == []
         assert backend.journal("step", instance_id="x") == 1
 
+    def test_open_parses_snapshot_and_wal_once(self, store_path, monkeypatch):
+        system = AdeptSystem.open(store_path)
+        orders = system.deploy(templates.sequential_process())
+        first = orders.start().instance_id
+        system.checkpoint()
+        second = orders.start().instance_id
+        system.backend.close()
+
+        from repro.storage.wal import WriteAheadLog
+
+        reads = {"snapshot": 0, "wal": 0}
+        load_snapshot, records = PersistentBackend.load_snapshot, WriteAheadLog.records
+
+        def counted_snapshot(backend):
+            reads["snapshot"] += 1
+            return load_snapshot(backend)
+
+        def counted_records(wal):
+            reads["wal"] += 1
+            return records(wal)
+
+        monkeypatch.setattr(PersistentBackend, "load_snapshot", counted_snapshot)
+        monkeypatch.setattr(WriteAheadLog, "records", counted_records)
+        reopened = AdeptSystem.open(store_path)
+        assert reads == {"snapshot": 1, "wal": 1}
+        assert reopened.last_recovery.snapshot_loaded
+        assert reopened.last_recovery.replayed_records == 1
+        for instance_id in (first, second):
+            assert reopened.get_instance(instance_id).instance_id == instance_id
+
+    def test_recover_rereads_after_a_write_through_the_same_backend(self, store_path):
+        """What the constructor read is dropped by any journal call in between."""
+        backend = PersistentBackend(store_path)
+        backend.journal("type_deployed", schema=templates.sequential_process().to_dict())
+        system = AdeptSystem()
+        system._attach_backend(backend)
+        report = backend.recover(system)
+        assert report.replayed_records == 1
+        assert [handle.type_id for handle in system.types()] == ["sequence"]
+
     def test_sequence_continues_across_reopen(self, store_path):
         backend = PersistentBackend(store_path)
         backend.journal("step", instance_id="a")

@@ -5,6 +5,7 @@ import pytest
 from repro.runtime.states import InstanceStatus
 from repro.schema import templates
 from repro.system import AdeptSystem
+from repro.workloads.schema_generator import RandomSchemaGenerator, SchemaGeneratorConfig
 
 
 @pytest.fixture()
@@ -46,6 +47,31 @@ class TestStepMany:
             system.get_instance(i).status is InstanceStatus.COMPLETED
             for i in batch_ids + single_ids
         )
+
+    def test_executes_the_same_step_count_as_per_activity_run(self):
+        """Batched and one-at-a-time stepping of a large looping schema agree."""
+        schema = RandomSchemaGenerator(
+            SchemaGeneratorConfig(target_activities=60, loop_probability=0.05), seed=7
+        ).generate("step_count")
+
+        def total_steps(schema_id, advance):
+            system = AdeptSystem(monitor=False)
+            handle = system.deploy(schema.copy(schema_id=schema_id), verify=False)
+            ids = [handle.start().instance_id for _ in range(5)]
+            total = 0
+            while True:
+                advanced = advance(system, ids)
+                if not advanced:
+                    return total
+                total += advanced
+
+        batched = total_steps(
+            "batched", lambda system, ids: sum(r.steps for r in system.step_many(ids, steps=1))
+        )
+        single = total_steps(
+            "single", lambda system, ids: sum(system.run(i, max_steps=1).steps for i in ids)
+        )
+        assert batched == single > 0
 
     def test_completed_instances_report_zero_steps(self, system_with_population):
         system, handle, cases = system_with_population

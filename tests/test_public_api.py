@@ -65,3 +65,24 @@ class TestPublicApi:
         instance = engine.create_instance(order_schema, "api-store")
         store.save(instance)
         assert store.load("api-store").instance_id == "api-store"
+
+    def test_stepping_mode_switches_are_gone(self):
+        """One stepping path: no process-global mode switch is importable."""
+        import repro.runtime
+        import repro.runtime.kernel
+        import repro.schema
+        import repro.schema.index
+
+        removed = {
+            (repro.schema, repro.schema.index): ("indexing_enabled", "set_indexing", "without_index"),
+            (repro.runtime, repro.runtime.kernel): (
+                "compiled_stepping_enabled",
+                "set_compiled_stepping",
+                "without_compiled_kernel",
+            ),
+        }
+        for modules, names in removed.items():
+            for module in modules:
+                for name in names:
+                    assert not hasattr(module, name), f"{module.__name__}.{name} is back"
+                    assert name not in getattr(module, "__all__", ())
