@@ -5,8 +5,20 @@ whose role matches the activity's staff assignment (resolved through the
 organisational model, :mod:`repro.org`).  A user claims an item, performs
 the work and completes it through the engine.
 
-**Thread safety.**  All item state lives behind one reentrant manager
-lock; :meth:`WorklistManager.claim` is an *atomic reservation* — under
+**Synchronisation is per case.**  Whoever changes a case calls
+:meth:`WorklistManager.sync_instance` for exactly that case before it
+lets go of it (the façade does so at the exit of every execution scope,
+while the case's stripe is still held), so the offered items of a case
+equal its activated activities whenever nobody is working on it — at a
+cost independent of how many other cases exist.  Only *open* (offered or
+claimed) items are resident: a completed or withdrawn item leaves the
+manager (the step itself is in the case history and the event feed); a
+caller still holding the :class:`WorkItem` sees its final state.
+
+**Thread safety.**  All item state lives behind one manager lock, an
+innermost leaf: it guards the item and registry dicts only and is never
+held across an engine call, a hydration or a lock acquisition.
+:meth:`WorklistManager.claim` is an *atomic reservation* — under
 contention exactly one claimer flips an item from OFFERED to CLAIMED,
 every other claimer gets a clean :class:`EngineError`.  The engine call
 itself runs outside the manager lock, wrapped in the optional
@@ -19,12 +31,30 @@ from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Set, Tuple
+from typing import (
+    Any,
+    Callable,
+    Collection,
+    Dict,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Set,
+    Tuple,
+)
 
 from repro.runtime.engine import EngineError, ProcessEngine
 from repro.runtime.instance import ProcessInstance
+from repro.runtime.markings import Marking
+from repro.runtime.states import NodeState
+from repro.schema.graph import ProcessSchema
+
+
+# hoisted: an enum member lookup per node would dominate the marking pass
+_ACTIVATED, _RUNNING, _SUSPENDED = NodeState.ACTIVATED, NodeState.RUNNING, NodeState.SUSPENDED
 
 
 class WorkItemState(str, Enum):
@@ -58,16 +88,13 @@ class WorklistManager:
     def __init__(self, engine: ProcessEngine, org_model: Optional[Any] = None) -> None:
         self.engine = engine
         self.org_model = org_model
+        #: Open (offered or claimed) items by id — closed items leave.
         self._items: Dict[str, WorkItem] = {}
         self._instances: Dict[str, ProcessInstance] = {}
         self._counter = 0
-        #: Open (offered or claimed) items indexed by (instance, activity) —
-        #: kept incrementally so refresh and registration stay linear in the
-        #: number of *activations*, not in the total item history.
-        self._open_pairs: Dict[tuple, WorkItem] = {}
-        #: Open pairs per instance — per-case synchronisation (the worker
-        #: pool's path) must not scan the global open set.
-        self._open_by_instance: Dict[str, Set[tuple]] = {}
+        #: The open items again, by activity, per instance — per-case
+        #: synchronisation never looks at another case's items.
+        self._open_by_instance: Dict[str, Dict[str, WorkItem]] = {}
         #: Optional hook mapping an instance id to a live instance.  The
         #: façade's lazy-hydration cache sets this so claiming or completing
         #: a work item of an evicted case transparently re-hydrates it from
@@ -75,45 +102,29 @@ class WorklistManager:
         self.instance_resolver: Optional[Any] = None
         #: Optional context-manager factory ``guard(instance_id) -> instance``
         #: wrapping every engine call performed through the worklist.  The
-        #: façade installs its execution locking (type read lock + instance
-        #: stripe) here; standalone managers run unguarded.
+        #: façade installs its execution scope (type read lock + instance
+        #: stripe, synchronising the case on exit) here; standalone
+        #: managers run unguarded and synchronise the case themselves.
         self.execution_guard: Optional[Callable[[str], Any]] = None
-        #: Optional striped lock table; when set, refresh holds each
-        #: instance's stripe while reading its activations so a case that
-        #: is mid-step is never observed with a half-propagated marking.
-        self.lock_table: Optional[Any] = None
-        #: Process types currently quiesced by an evolve.  refresh leaves
-        #: their instances (and their open items) untouched — the marking
-        #: of a mid-migration case must not be read, and the evolve runs
-        #: one global refresh right after releasing the quiesce.
-        self.quiescing_types: set = set()
-        # guards _items / _open_pairs / _open_by_instance / _counter;
-        # reentrant because refresh re-enters _offer_items_for
-        self._lock = threading.RLock()
-        # innermost micro-lock for the instance registry only — taken by
-        # register/unregister while callers may hold instance stripes, so
-        # it must never be the big manager lock (lock-order inversion)
-        self._registry_lock = threading.Lock()
+        # guards _items / _open_by_instance / _instances / _counter /
+        # _completing; a leaf — nothing else is acquired or called into
+        # while it is held
+        self._lock = threading.Lock()
         # items whose completion is currently executing (double-complete guard)
         self._completing: Set[str] = set()
 
     # ------------------------------------------------------------------ #
+    # synchronisation with the cases
+    # ------------------------------------------------------------------ #
 
-    def register_instance(self, instance: ProcessInstance, refresh: bool = True) -> None:
-        """Track an instance and create work items for its activated activities.
+    def register_instance(self, instance: ProcessInstance) -> None:
+        """Track a live instance (or its replacement object) and synchronise it.
 
-        Registration offers items for *this* instance only (a global
-        refresh per registration would make bulk population starts
-        quadratic).  ``refresh=False`` defers even that to the next
-        :meth:`refresh` — worklist views refresh on read, so bulk
-        hydration uses it to stay linear.
+        The caller owns the case (holds its stripe, or is single-threaded).
         """
-        with self._registry_lock:
+        with self._lock:
             self._instances[instance.instance_id] = instance
-        if refresh:
-            with self._lock:
-                with self._reading(instance.instance_id):
-                    self._offer_items_for(instance)
+        self.sync_instance(instance)
 
     def unregister_instance(self, instance_id: str) -> None:
         """Stop tracking an instance (eviction from the live cache).
@@ -122,7 +133,7 @@ class WorklistManager:
         instance store; claiming one re-hydrates it through
         :attr:`instance_resolver`.
         """
-        with self._registry_lock:
+        with self._lock:
             self._instances.pop(instance_id, None)
 
     def discard_instance(self, instance_id: str) -> None:
@@ -132,23 +143,111 @@ class WorklistManager:
         nothing could ever re-hydrate it, so offered items must not
         linger.
         """
-        self.unregister_instance(instance_id)
         with self._lock:
-            for pair in list(self._open_by_instance.get(instance_id, ())):
-                self._drop_open_pair(pair).state = WorkItemState.WITHDRAWN
+            self._instances.pop(instance_id, None)
+            for item in list(self._open_by_instance.get(instance_id, {}).values()):
+                self._close(item, WorkItemState.WITHDRAWN)
 
-    def _drop_open_pair(self, pair: tuple) -> WorkItem:
-        """Remove one pair from the open indexes (manager lock held)."""
-        item = self._open_pairs.pop(pair)
-        pairs = self._open_by_instance.get(pair[0])
-        if pairs is not None:
-            pairs.discard(pair)
-            if not pairs:
-                del self._open_by_instance[pair[0]]
-        return item
+    def sync_instance(self, instance: ProcessInstance) -> None:
+        """Make one case's open items match its marking.
+
+        O(the case's own nodes), whatever the population.  The caller
+        owns the case (holds its stripe, or is single-threaded), so the
+        marking read here is not mid-step.  A case that is no longer
+        active keeps nothing open — nobody could start or complete its
+        activities.
+        """
+        offers: Mapping[str, Optional[str]] = {}
+        running: Collection[str] = ()
+        if instance.status.is_active:
+            offers, running = self.work_of(instance.execution_schema, instance.marking)
+        self.sync_offers(instance.instance_id, offers, running)
+
+    @staticmethod
+    def work_of(
+        schema: ProcessSchema, marking: Marking
+    ) -> Tuple[Dict[str, Optional[str]], List[str]]:
+        """One pass over a marking: what a case in that state offers on
+        ``schema`` (activated activity id → role) and the node ids in
+        execution."""
+        offers: Dict[str, Optional[str]] = {}
+        running: List[str] = []
+        for node_id, state in marking.node_states.items():
+            if state is _ACTIVATED:
+                if schema.has_node(node_id):
+                    node = schema.node(node_id)
+                    if node.is_activity:
+                        offers[node_id] = node.staff_assignment
+            elif state is _RUNNING or state is _SUSPENDED:
+                running.append(node_id)
+        return offers, running
+
+    def sync_offers(
+        self,
+        instance_id: str,
+        offers: Mapping[str, Optional[str]],
+        running: Optional[Collection[str]] = None,
+    ) -> None:
+        """Make one case's offered items equal ``offers`` (activity id → role).
+
+        A CLAIMED item stays open while its activity is still offered
+        (the claimer is about to start it) or among ``running`` (it did);
+        otherwise the work was taken from under the claim — completed
+        directly, compensated, reverted, its case aborted — and the item
+        withdraws.  ``running=None`` is the form for a case that is not
+        materialised (a migration rewriting a stored record hands in what
+        the adapted marking activates; it never changes what is running):
+        claimed items are left alone.
+        """
+        with self._lock:
+            open_items = self._open_by_instance.get(instance_id)
+            if open_items is None:
+                if not offers:
+                    return
+                open_items = self._open_by_instance[instance_id] = {}
+            for activity_id, role in offers.items():
+                if activity_id not in open_items:
+                    self._counter += 1
+                    item = WorkItem(f"wi-{self._counter}", instance_id, activity_id, role)
+                    self._items[item.item_id] = open_items[activity_id] = item
+            for item in [
+                item
+                for activity_id, item in open_items.items()
+                if activity_id not in offers
+                and (
+                    item.state is WorkItemState.OFFERED
+                    or (running is not None and activity_id not in running)
+                )
+            ]:
+                # e.g. completed directly, skipped, or deleted by a change
+                self._close(item, WorkItemState.WITHDRAWN)
+
+    def refresh(self) -> None:
+        """Resynchronise every registered instance, one by one.
+
+        Linear in the population and without any case locking: for
+        single-threaded callers only — recovery, after its replay drove
+        the engine directly, and standalone managers whose instances are
+        stepped behind their back.  The façade never calls it while
+        serving.
+        """
+        with self._lock:
+            instances = list(self._instances.values())
+        for instance in instances:
+            self.sync_instance(instance)
+
+    def _close(self, item: WorkItem, state: WorkItemState) -> None:
+        """Give an open item its final state and drop it (manager lock held)."""
+        item.state = state
+        self._items.pop(item.item_id, None)
+        open_items = self._open_by_instance.get(item.instance_id)
+        if open_items is not None and open_items.get(item.activity_id) is item:
+            del open_items[item.activity_id]
+            if not open_items:
+                del self._open_by_instance[item.instance_id]
 
     def _live_instance(self, instance_id: str) -> ProcessInstance:
-        with self._registry_lock:
+        with self._lock:
             instance = self._instances.get(instance_id)
         if instance is not None:
             return instance
@@ -159,154 +258,52 @@ class WorklistManager:
 
     @contextmanager
     def _execution(self, instance_id: str) -> Iterator[ProcessInstance]:
-        """The locked execution scope for one engine call."""
+        """The scope of one engine call; the case is synchronised on exit."""
         if self.execution_guard is not None:
             with self.execution_guard(instance_id) as instance:
                 yield instance
         else:
-            yield self._live_instance(instance_id)
+            instance = self._live_instance(instance_id)
+            try:
+                yield instance
+            finally:
+                self.sync_instance(instance)
 
-    @contextmanager
-    def _reading(self, instance_id: str) -> Iterator[None]:
-        """Hold the instance's stripe (when a lock table is installed)."""
-        if self.lock_table is not None:
-            with self.lock_table.holding(instance_id):
-                yield
-        else:
-            yield
-
-    def _offer_items_for(self, instance: ProcessInstance) -> set:
-        """Create items for an instance's activations; returns its active pairs.
-
-        Caller holds the manager lock.
-        """
-        schema = instance.execution_schema
-        pairs = set()
-        for activity_id in instance.activated_activities():
-            pair = (instance.instance_id, activity_id)
-            pairs.add(pair)
-            if pair not in self._open_pairs:
-                self._counter += 1
-                role = schema.node(activity_id).staff_assignment
-                item = WorkItem(
-                    item_id=f"wi-{self._counter}",
-                    instance_id=instance.instance_id,
-                    activity_id=activity_id,
-                    role=role,
-                )
-                self._items[item.item_id] = item
-                self._open_pairs[pair] = item
-                self._open_by_instance.setdefault(instance.instance_id, set()).add(pair)
-        return pairs
-
-    def begin_quiesce(self, type_id: str) -> None:
-        """Exclude one type's instances from refresh (evolve in progress)."""
-        with self._lock:
-            self.quiescing_types.add(type_id)
-
-    def end_quiesce(self, type_id: str) -> None:
-        with self._lock:
-            self.quiescing_types.discard(type_id)
-
-    def refresh(self) -> None:
-        """Synchronise work items with the current activations of all instances.
-
-        Instances of a type currently quiesced by an evolve are skipped —
-        their markings are mid-migration; the evolve triggers a global
-        refresh once the quiesce lifts.
-        """
-        with self._registry_lock:
-            instances = list(self._instances.values())
-        with self._lock:
-            quiescing = set(self.quiescing_types)
-            active_pairs = set()
-            tracked = set()
-            for instance in instances:
-                if instance.process_type in quiescing:
-                    continue  # not tracked: its pairs are left untouched below
-                tracked.add(instance.instance_id)
-                with self._reading(instance.instance_id):
-                    active_pairs |= self._offer_items_for(instance)
-            # withdraw OFFERED items whose activity is no longer activated
-            # (e.g. the activity was deleted by an ad-hoc change or
-            # skipped).  CLAIMED items are exempt — the activity is
-            # RUNNING, its completion (or the completing thread's revert)
-            # owns the pair.  Items of unregistered (evicted) instances
-            # are left offered — the case still exists in the store.
-            for pair, item in list(self._open_pairs.items()):
-                if (
-                    item.state is WorkItemState.OFFERED
-                    and pair[0] in tracked
-                    and pair not in active_pairs
-                ):
-                    self._drop_open_pair(pair).state = WorkItemState.WITHDRAWN
-
-    def sync_instance(self, instance: ProcessInstance) -> None:
-        """Synchronise the items of one case only (O(its activations)).
-
-        The worker pool calls this after every completion instead of
-        :meth:`refresh`, which is linear in the population.  Like
-        refresh, it leaves quiesced types alone — the completion ran
-        before the evolve took the write lock, but this sync runs after
-        the execution guard was released, so the marking may already be
-        mid-migration; the evolve's closing refresh resynchronises.
-        """
-        with self._lock:
-            if instance.process_type in self.quiescing_types:
-                return
-            with self._reading(instance.instance_id):
-                active = self._offer_items_for(instance)
-            for pair in list(self._open_by_instance.get(instance.instance_id, ())):
-                item = self._open_pairs[pair]
-                if item.state is WorkItemState.OFFERED and pair not in active:
-                    self._drop_open_pair(pair).state = WorkItemState.WITHDRAWN
-
-    def swap_instance(self, instance: ProcessInstance) -> None:
-        """Replace the tracked live object of one case (canary revert).
-
-        A rollout rollback restores a case from its pre-adoption snapshot
-        as a *new* object; the manager must track that object from now
-        on.  The revert runs while the type is quiesced, so re-deriving
-        the case's items is left to the evolve's closing refresh.
-        """
-        with self._registry_lock:
-            if instance.instance_id in self._instances:
-                self._instances[instance.instance_id] = instance
-
-    def _has_open_item(self, instance_id: str, activity_id: str) -> bool:
-        with self._lock:
-            return (instance_id, activity_id) in self._open_pairs
-
+    # ------------------------------------------------------------------ #
+    # views
     # ------------------------------------------------------------------ #
 
     def worklist_for(self, user: str) -> List[WorkItem]:
-        """Open work items the given user is authorised to perform."""
+        """Offered work items the given user is authorised to perform."""
         with self._lock:
-            items = []
-            for item in self._items.values():
-                if item.state is not WorkItemState.OFFERED:
-                    continue
-                if self._authorised(user, item.role):
-                    items.append(item)
-            return items
+            return [
+                item
+                for item in self._items.values()
+                if item.state is WorkItemState.OFFERED and self._authorised(user, item.role)
+            ]
 
     def offered_items(self) -> List[WorkItem]:
         """All currently offered items (the worker pool's seed set)."""
         with self._lock:
-            return [
-                item
-                for item in self._open_pairs.values()
-                if item.state is WorkItemState.OFFERED
-            ]
+            return [item for item in self._items.values() if item.state is WorkItemState.OFFERED]
 
     def offered_items_for_instance(self, instance_id: str) -> List[WorkItem]:
         """Currently offered items of one case."""
+        return [
+            item
+            for item in self.items_for_instance(instance_id)
+            if item.state is WorkItemState.OFFERED
+        ]
+
+    def open_items(self) -> List[WorkItem]:
+        """All currently offered or claimed items."""
         with self._lock:
-            return [
-                self._open_pairs[pair]
-                for pair in self._open_by_instance.get(instance_id, ())
-                if self._open_pairs[pair].state is WorkItemState.OFFERED
-            ]
+            return list(self._items.values())
+
+    def items_for_instance(self, instance_id: str) -> List[WorkItem]:
+        """The open (offered or claimed) items of one instance."""
+        with self._lock:
+            return list(self._open_by_instance.get(instance_id, {}).values())
 
     def _authorised(self, user: str, role: Optional[str]) -> bool:
         if role is None:
@@ -315,6 +312,10 @@ class WorklistManager:
             return True
         return self.org_model.user_has_role(user, role)
 
+    # ------------------------------------------------------------------ #
+    # performing work
+    # ------------------------------------------------------------------ #
+
     def claim(self, item_id: str, user: str, enforce_roles: bool = True) -> WorkItem:
         """Claim an offered work item for ``user``.
 
@@ -322,9 +323,7 @@ class WorklistManager:
         racing claimers resolve to exactly one winner; the loser raises.
         The engine start runs outside the lock (under the execution
         guard); any failure — unknown instance, un-activated activity —
-        reverts the item to OFFERED (unless the item was withdrawn in the
-        meantime, e.g. its case was deleted — a withdrawn item must never
-        be resurrected into the offered set).
+        releases the claim (see :meth:`_release_claim`).
 
         ``enforce_roles=False`` skips the org-model authorisation check:
         the worker pool executes items *as the system* (like
@@ -342,45 +341,38 @@ class WorklistManager:
             item.claimed_by = user
         try:
             with self._execution(item.instance_id) as instance:
-                self.engine.start_activity(instance, item.activity_id, user=user)
+                try:
+                    self.engine.start_activity(instance, item.activity_id, user=user)
+                except BaseException:
+                    # released while the scope still owns the case: its
+                    # closing sync withdraws the item if the activity was
+                    # completed, skipped or deleted under the claim — a
+                    # stale item bouncing back to OFFERED would be a
+                    # phantom that livelocks ``WorkerPool.drain``
+                    self._release_claim(item, user)
+                    raise
         except BaseException:
-            self._revert_failed_claim(item, user)
+            self._release_claim(item, user)  # the scope itself failed
             raise
         return item
 
-    def _revert_failed_claim(self, item: WorkItem, user: str) -> None:
-        """Put a claim whose engine start failed back into a sane state.
+    def _release_claim(self, item: WorkItem, user: str) -> None:
+        """Undo a claim whose engine start failed.
 
-        Only while it is still our claim (a concurrent
-        ``discard_instance`` may have withdrawn it already), and only
-        back to OFFERED while the activity is *actually still activated*
-        — re-offering a stale item (its activity was completed, skipped
-        or deleted under the claim) would leave a phantom no completion
-        ever clears, which livelocks ``WorkerPool.drain``.
+        Only while it is still our claim — a concurrent
+        ``discard_instance`` may have withdrawn it already, and a
+        withdrawn item must never be resurrected.  Back to OFFERED while
+        the case is tracked (its offers were exact when it was last let
+        go of); an item of a case nobody can resolve withdraws.
         """
         with self._lock:
             if item.state is not WorkItemState.CLAIMED or item.claimed_by != user:
                 return
-            with self._registry_lock:
-                instance = self._instances.get(item.instance_id)
-            still_activated = False
-            if instance is not None:
-                if instance.process_type in self.quiescing_types:
-                    # the marking is mid-migration and unreadable; keep the
-                    # item offered — the evolve's closing refresh withdraws
-                    # it if the migrated case no longer activates it
-                    still_activated = True
-                else:
-                    with self._reading(item.instance_id):
-                        still_activated = item.activity_id in instance.activated_activities()
             item.claimed_by = None
-            if still_activated:
+            if item.instance_id in self._instances:
                 item.state = WorkItemState.OFFERED
             else:
-                item.state = WorkItemState.WITHDRAWN
-                pair = (item.instance_id, item.activity_id)
-                if pair in self._open_pairs:
-                    self._drop_open_pair(pair)
+                self._close(item, WorkItemState.WITHDRAWN)
 
     def complete(
         self,
@@ -388,15 +380,13 @@ class WorklistManager:
         outputs: Optional[Mapping[str, Any]] = None,
         auto_outputs: bool = False,
         worker: Optional[Any] = None,
-        refresh: bool = True,
     ) -> WorkItem:
         """Complete a claimed work item through the engine.
 
         ``auto_outputs=True`` generates outputs the way scripted
         execution does (via ``worker``, or the engine's plausible
         defaults) — the worker pool uses it so loop conditions and
-        guards keep progressing.  ``refresh=False`` synchronises only
-        this item's case instead of the whole population.
+        guards keep progressing.
         """
         with self._lock:
             item = self._item(item_id)
@@ -412,32 +402,14 @@ class WorklistManager:
                 self.engine.complete_activity(
                     instance, item.activity_id, outputs=outputs, user=item.claimed_by
                 )
-            with self._lock:
-                item.state = WorkItemState.COMPLETED
-                if (item.instance_id, item.activity_id) in self._open_pairs:
-                    self._drop_open_pair((item.instance_id, item.activity_id))
+                # closed before the scope's closing sync: a loop that
+                # re-activates the activity at once gets a fresh item
+                with self._lock:
+                    self._close(item, WorkItemState.COMPLETED)
         finally:
             with self._lock:
                 self._completing.discard(item_id)
-        if refresh:
-            self.refresh()
-        else:
-            self.sync_instance(instance)
         return item
-
-    def open_items(self) -> List[WorkItem]:
-        """All currently offered or claimed items."""
-        with self._lock:
-            return [
-                item
-                for item in self._items.values()
-                if item.state in (WorkItemState.OFFERED, WorkItemState.CLAIMED)
-            ]
-
-    def items_for_instance(self, instance_id: str) -> List[WorkItem]:
-        """All items (any state) belonging to one instance."""
-        with self._lock:
-            return [item for item in self._items.values() if item.instance_id == instance_id]
 
     def _item(self, item_id: str) -> WorkItem:
         try:
@@ -446,5 +418,6 @@ class WorklistManager:
             raise EngineError(f"unknown work item {item_id!r}") from None
 
     def __len__(self) -> int:
+        """Number of open (offered or claimed) items."""
         with self._lock:
             return len(self._items)

@@ -25,9 +25,9 @@ able to run at once — this module provides the primitives that let one
   point, so a failing interleaving replays exactly from its seed.
 
 The façade's lock hierarchy (documented in ``docs/architecture.md``) is:
-schema lock → per-type RW locks → worklist-manager lock → instance
-stripes → the live-registry lock → storage/bus internals.  Locks are
-only ever acquired downwards.
+schema lock → per-type RW locks → instance stripes → leaves (the
+live-registry lock, the worklist-manager lock, storage/bus internals).
+Locks are only ever acquired downwards.
 """
 
 from __future__ import annotations
@@ -238,9 +238,9 @@ class WorkerPool:
     even if an item id ends up queued twice (a resync races a worker)
     it is performed exactly once; the loser counts a stale claim.
 
-    The pool never refreshes the global worklist while serving — each
-    completion synchronises only the affected case's items (and feeds
-    them back into the queues), so stepping stays linear in the work
+    Nothing rescans the population: each completion leaves its case's
+    items synchronised (the execution scope's exit) and the pool feeds
+    them back into the queues, so stepping stays linear in the work
     performed, not in the population size.
     """
 
@@ -349,8 +349,7 @@ class WorkerPool:
         new — completions by the pool itself, by concurrent façade calls
         and by migrations are all driven to quiescence.  ``timeout``
         bounds the *whole* drain (idle waits and resync rounds together),
-        so a pathological requeue cycle raises instead of spinning.  Ends
-        with one global worklist refresh so views are exact.
+        so a pathological requeue cycle raises instead of spinning.
         """
         deadline = None if timeout is None else time.monotonic() + timeout
         while True:
@@ -364,7 +363,6 @@ class WorkerPool:
             if self.resync() == 0:
                 break
         self.stop()
-        self.system.worklists.refresh()
         return self.stats
 
     def stop(self) -> None:
@@ -439,10 +437,7 @@ class WorkerPool:
                     continue
                 try:
                     item = worklists.complete(
-                        item_id,
-                        auto_outputs=True,
-                        worker=self.worker_fn,
-                        refresh=False,
+                        item_id, auto_outputs=True, worker=self.worker_fn
                     )
                 except EngineError as exc:
                     with self._mutex:

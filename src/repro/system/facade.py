@@ -36,7 +36,13 @@ public method is thread-safe.  The locking discipline (see
   most one thread at a time; multi-case operations (migration) acquire
   all involved stripes in canonical order;
 * a **registry lock** for the live-instance LRU, the dirty set and the
-  case-id counters (innermost, never held across engine work).
+  case-id counters, and the **worklist-manager lock** for the open work
+  items (both innermost leaves, never held across engine work).
+
+Whoever works on a case synchronises *that case's* work items before
+releasing its stripe (the exits of :meth:`AdeptSystem._case_execution`
+and :meth:`AdeptSystem._batch_execution`) — no request ever rescans the
+population.
 
 :meth:`serve` / :meth:`drain` run a :class:`~repro.system.concurrency.
 WorkerPool` over the worklist — the multi-worker runtime that actually
@@ -245,9 +251,14 @@ class AdeptSystem:
         #: Report of the recovery performed by :meth:`open` (``None`` otherwise).
         self.last_recovery: Optional[RecoveryReport] = None
 
-        # ---- concurrency plumbing (lock hierarchy: schema lock → type
-        # RW locks → worklist manager lock → instance stripes → registry
-        # lock → storage/bus internals; only ever acquired downwards) ----
+        # ---- concurrency plumbing.  The lock hierarchy, only ever
+        # acquired downwards: schema lock → type RW locks → instance
+        # stripes → leaves (the registry lock below, the worklist-manager
+        # lock, storage/bus internals).  A leaf guards its own dicts and
+        # is never held while a lock above it is waited for — in
+        # particular the worklist manager never takes a stripe: it reads
+        # a marking only of a case handed in by whoever holds that case's
+        # stripe (or its type's write lock) ----
         #: Striped per-instance execution locks.
         self._locks = LockTable()
         self._type_locks: Dict[str, RWLock] = {}
@@ -292,8 +303,6 @@ class AdeptSystem:
         self.worklists.instance_resolver = self.get_instance
         # worklist engine calls run under the same locks as direct calls
         self.worklists.execution_guard = self._case_execution
-        # worklist reads of a case's activations hold its stripe
-        self.worklists.lock_table = self._locks
 
     # ------------------------------------------------------------------ #
     # locking helpers
@@ -322,7 +331,10 @@ class AdeptSystem:
         Holds the case's type read lock (so an ``evolve`` quiesces it),
         pins the case against eviction and holds its stripe — the
         per-instance mutual exclusion that makes the engine's
-        thread-safety contract hold.  Yields the live instance.
+        thread-safety contract hold.  Yields the live instance and, on
+        the way out with the stripe still held, synchronises its work
+        items — the one place a stepped, changed, claimed or aborted
+        case meets the worklist.
         """
         type_id = self._type_of(instance_id)
         self._pin(instance_id)
@@ -330,13 +342,16 @@ class AdeptSystem:
             with self._type_read(type_id):
                 with self._locks.holding(instance_id):
                     instance = self.get_instance(instance_id)
-                    if self._rollouts:
-                        # lazy on-touch migration: the case adopts an
-                        # in-flight rollout's version before it is worked
-                        # on (claim, step, change, save — every path
-                        # through this scope)
-                        self._touch_for_rollout(instance)
-                    yield instance
+                    try:
+                        if self._rollouts:
+                            # lazy on-touch migration: the case adopts an
+                            # in-flight rollout's version before it is
+                            # worked on (claim, step, change, save — every
+                            # path through this scope)
+                            self._touch_for_rollout(instance)
+                        yield instance
+                    finally:
+                        self.worklists.sync_instance(instance)
         finally:
             self._unpin(instance_id)
 
@@ -350,20 +365,25 @@ class AdeptSystem:
         the shared type read lock once, then acquires all case stripes in
         one deadlock-free :meth:`~repro.system.concurrency.LockTable.holding`
         call (deduplicated, canonical stripe order).  Yields the hydrated
-        live instances in batch order.
+        live instances in batch order and synchronises the work items of
+        exactly those cases before the stripes are released.
         """
         for instance_id in instance_ids:
             self._pin(instance_id)
         try:
             with self._type_read(type_id):
                 with self._locks.holding(*instance_ids):
-                    instances = []
-                    for instance_id in instance_ids:
-                        instance = self.get_instance(instance_id)
-                        if self._rollouts:
-                            self._touch_for_rollout(instance)
-                        instances.append(instance)
-                    yield instances
+                    instances: List[ProcessInstance] = []
+                    try:
+                        for instance_id in instance_ids:
+                            instance = self.get_instance(instance_id)
+                            instances.append(instance)
+                            if self._rollouts:
+                                self._touch_for_rollout(instance)
+                        yield instances
+                    finally:
+                        for instance in instances:
+                            self.worklists.sync_instance(instance)
         finally:
             for instance_id in instance_ids:
                 self._unpin(instance_id)
@@ -692,25 +712,28 @@ class AdeptSystem:
                 ):
                     raise EngineError(f"instance id {case_id!r} is already in use")
                 self._reserved_ids.add(case_id)
-            try:
-                instance = self.engine.create_instance(schema, case_id, initial_data=data or None)
-                with self._registry:
-                    self._instances[case_id] = instance
-                    self._dirty.add(case_id)
-            finally:
-                with self._registry:
-                    self._reserved_ids.discard(case_id)
-            # journal before the case becomes claimable through the
-            # worklist — a pool worker must never journal a step of a
-            # case whose start record is not durable yet
-            self._journal(
-                KIND_INSTANCE_STARTED,
-                instance_id=case_id,
-                type_id=type_id,
-                version=schema.version,
-                data=dict(data),
-            )
-            self.worklists.register_instance(instance)
+            with self._locks.holding(case_id):
+                try:
+                    instance = self.engine.create_instance(
+                        schema, case_id, initial_data=data or None
+                    )
+                    with self._registry:
+                        self._instances[case_id] = instance
+                        self._dirty.add(case_id)
+                finally:
+                    with self._registry:
+                        self._reserved_ids.discard(case_id)
+                # journal before the case becomes claimable through the
+                # worklist — a pool worker must never journal a step of a
+                # case whose start record is not durable yet
+                self._journal(
+                    KIND_INSTANCE_STARTED,
+                    instance_id=case_id,
+                    type_id=type_id,
+                    version=schema.version,
+                    data=dict(data),
+                )
+                self.worklists.register_instance(instance)
         self._notify_pool(case_id)
         self._enforce_cache_cap()
         return InstanceHandle(self, case_id)
@@ -760,17 +783,18 @@ class AdeptSystem:
         self.repository.process_type(instance.process_type)  # raises when unknown
         instance_id = instance.instance_id
         with self._type_read(instance.process_type):
-            with self._registry:
-                if instance_id in self._instances or instance_id in self._reserved_ids:
-                    raise EngineError(f"instance id {instance_id!r} is already in use")
-                self._instances[instance_id] = instance
-                self._dirty.add(instance_id)
-            self._journal(
-                KIND_INSTANCE_ADOPTED,
-                instance_id=instance_id,
-                record=self.store.encode_record(instance),
-            )
-            self.worklists.register_instance(instance)
+            with self._locks.holding(instance_id):
+                with self._registry:
+                    if instance_id in self._instances or instance_id in self._reserved_ids:
+                        raise EngineError(f"instance id {instance_id!r} is already in use")
+                    self._instances[instance_id] = instance
+                    self._dirty.add(instance_id)
+                self._journal(
+                    KIND_INSTANCE_ADOPTED,
+                    instance_id=instance_id,
+                    record=self.store.encode_record(instance),
+                )
+                self.worklists.register_instance(instance)
         self._notify_pool(instance_id)
         self._enforce_cache_cap()
         return InstanceHandle(self, instance_id)
@@ -799,10 +823,9 @@ class AdeptSystem:
             instance = self.store.load(instance_id)
             with self._registry:
                 self._instances[instance_id] = instance
-            # register without an immediate refresh: worklist views refresh
-            # on read, and refreshing per hydration would make bulk stepping
-            # of large populations quadratic
-            self.worklists.register_instance(instance, refresh=False)
+            # synchronised here, under its stripe: the stored record may
+            # have been rewritten (migrated) while the case was evicted
+            self.worklists.register_instance(instance)
         self.bus.publish(CATEGORY_SYSTEM, "instance_loaded", instance_id=instance_id)
         self._enforce_cache_cap()
         return instance
@@ -888,7 +911,6 @@ class AdeptSystem:
                 status=instance.status,
                 activated=instance.activated_activities(),
             )
-        self.worklists.refresh()
         self._drain_rollout_actions()
         return result
 
@@ -899,7 +921,6 @@ class AdeptSystem:
         with self._case_execution(instance_id) as instance:
             steps = self.engine.run_to_completion(instance, worker=worker, max_steps=max_steps)
             result = RunResult(instance_id=instance_id, steps=steps, status=instance.status)
-        self.worklists.refresh()
         self._drain_rollout_actions()
         return result
 
@@ -914,9 +935,9 @@ class AdeptSystem:
         The batch form amortises the per-step overhead that
         :meth:`complete` pays per call: the compiled
         :class:`~repro.schema.index.SchemaIndex` of each type schema is
-        reused across all instances of the type, and the worklists are
-        refreshed once at the end instead of once per activity.  This is
-        the intended API for high-throughput population stepping
+        reused across all instances of the type, and each case's work
+        items are synchronised once per batch instead of once per
+        activity.  This is the intended API for high-throughput stepping
         (simulation, load generation, bulk progression).
 
         With a bounded live cache the batch is processed grouped by process
@@ -972,9 +993,8 @@ class AdeptSystem:
                             status=instance.status,
                         )
         finally:
-            # instances advanced before a mid-batch failure (e.g. an unknown
-            # id) must still be reflected in the worklists
-            self.worklists.refresh()
+            # chunks that ran before a mid-batch failure (e.g. an unknown
+            # id) synchronised their cases on the way out of their scope
             self._drain_rollout_actions()
         return [result for result in results if result is not None]
 
@@ -985,7 +1005,6 @@ class AdeptSystem:
             with self._registry:
                 self._dirty.add(instance_id)
             self._journal(KIND_INSTANCE_ABORTED, instance_id=instance_id)
-        self.worklists.refresh()
 
     # ------------------------------------------------------------------ #
     # the multi-worker runtime
@@ -1049,8 +1068,7 @@ class AdeptSystem:
     # ------------------------------------------------------------------ #
 
     def worklist(self, user: str) -> List[WorkItem]:
-        """Open work items ``user`` is authorised to perform."""
-        self.worklists.refresh()
+        """Offered work items ``user`` is authorised to perform (a pure read)."""
         return self.worklists.worklist_for(user)
 
     def claim(self, item_id: str, user: str) -> WorkItem:
@@ -1102,7 +1120,6 @@ class AdeptSystem:
                 change=change_log.to_dict(),
                 user=user,
             )
-        self.worklists.refresh()
         return ChangeResult(
             ok=True,
             instance_id=changeset.instance_id,
@@ -1230,15 +1247,7 @@ class AdeptSystem:
                 decide_externally=canary_decide == "external",
             )
         with self._type_lock(type_id).write():
-            # while the type is quiesced, worklist refreshes triggered by
-            # other types' completions must not read its mid-migration
-            # markings; the global refresh below resynchronises its items
-            self.worklists.begin_quiesce(type_id)
-            try:
-                report = self._evolve_locked(type_id, change, migrate, collect_results)
-            finally:
-                self.worklists.end_quiesce(type_id)
-        self.worklists.refresh()
+            report = self._evolve_locked(type_id, change, migrate, collect_results)
         self._notify_pool()
         if migrate != MIGRATE_NONE:
             self.bus.publish(
@@ -1323,11 +1332,10 @@ class AdeptSystem:
         with self._pinned_hydration():
             candidate_ids = self._evolution_candidates(type_id)
             # No stripe capture: the type write lock already excludes
-            # every façade mutator of these cases, the hydration pin
-            # blocks eviction write-backs, and the quiesce flag keeps
-            # worklist refreshes away from their markings — so cases of
-            # *other* types keep executing at full speed regardless of
-            # how many candidates migrate.
+            # every façade mutator of these cases and the hydration pin
+            # blocks eviction write-backs — nobody else reads their
+            # markings — so cases of *other* types keep executing at full
+            # speed regardless of how many candidates migrate.
             instances = [self.get_instance(instance_id) for instance_id in candidate_ids]
 
             if migrate == MIGRATE_STRICT:
@@ -1374,12 +1382,13 @@ class AdeptSystem:
                     # already covers their rollback compensations
                     job_context=self._journal_suspended,
                 )
+            # migrated covers rollback migrations, which compensate
+            # activities and therefore also change the instance state
+            migrated = [i for i in instances if i.schema_version == new_schema.version]
             with self._registry:
-                for instance in instances:
-                    # migrated covers rollback migrations, which compensate
-                    # activities and therefore also change the instance state
-                    if instance.schema_version == new_schema.version:
-                        self._dirty.add(instance.instance_id)
+                self._dirty.update(instance.instance_id for instance in migrated)
+            for instance in migrated:
+                self.worklists.sync_instance(instance)
             self._journal(
                 KIND_EVOLUTION,
                 type_id=type_id,
@@ -1489,7 +1498,6 @@ class AdeptSystem:
         started = _time.perf_counter()
         cap = self.cache_instances
         batch_size = max(1, min(cap, 1024)) if cap is not None else 1024
-        template_dicts: Dict[str, Any] = {}
         # Record-level rewrites require the stored representation to stay
         # valid across the version change without re-encoding the case.
         # full_copy fails that for *unbiased* records too (its payload
@@ -1561,11 +1569,7 @@ class AdeptSystem:
                     hydrate_positions.append(position)
                     continue
                 if verdict.compliant:
-                    template = template_dicts.get(verdict.fingerprint)
-                    if template is None:
-                        template = verdict.adapted_marking_dict()
-                        template_dicts[verdict.fingerprint] = template
-                    self.store.migrate_record(instance_id, new_schema.version, template)
+                    self._migrate_stored(instance_id, new_schema, verdict)
                     results[position] = InstanceMigrationResult(
                         instance_id=instance_id,
                         outcome=MigrationOutcome.MIGRATED,
@@ -1620,6 +1624,8 @@ class AdeptSystem:
                     hydrate_positions, batch_results, instances
                 ):
                     results[position] = result
+                    if result.migrated:
+                        self.worklists.sync_instance(instance)
                     fingerprint = representative_of.get(position)
                     if fingerprint is not None:
                         bias_classes[fingerprint] = self._biased_class_descriptor(
@@ -1634,16 +1640,14 @@ class AdeptSystem:
                     if descriptor is None:
                         # representative did not resolve (defensive):
                         # migrate this member classically
+                        instance = self.get_instance(instance_id)
                         results[position] = self._migrator.migrate_instance(
-                            self.get_instance(instance_id),
-                            old_schema,
-                            new_schema,
-                            type_change,
-                            emit=False,
+                            instance, old_schema, new_schema, type_change, emit=False
                         )
-                        with self._registry:
-                            if results[position].migrated:
+                        if results[position].migrated:
+                            with self._registry:
                                 self._dirty.add(instance_id)
+                            self.worklists.sync_instance(instance)
                     else:
                         results[position] = self._apply_biased_class(
                             instance_id, descriptor, new_schema.version
@@ -1685,6 +1689,9 @@ class AdeptSystem:
         if result.migrated:
             encoded = self.store.encode_record(instance)
             descriptor["marking"] = encoded["marking"]
+            descriptor["offers"], _ = self.worklists.work_of(
+                instance.execution_schema, instance.marking
+            )
             descriptor["updates"] = {
                 "biased": encoded.get("biased", False),
                 "bias": encoded.get("bias"),
@@ -1705,12 +1712,24 @@ class AdeptSystem:
                 descriptor["marking"],
                 updates=descriptor["updates"],
             )
+            self.worklists.sync_offers(instance_id, descriptor["offers"])
         return InstanceMigrationResult(
             instance_id=instance_id,
             outcome=descriptor["outcome"],
             conflicts=list(descriptor["conflicts"]),
             was_biased=True,
         )
+
+    def _migrate_stored(self, instance_id: str, schema: ProcessSchema, verdict: Any) -> None:
+        """Apply a compliant class verdict to one evicted, unbiased member.
+
+        Record-level: the stored record moves onto ``schema`` with the
+        class's adapted marking, and the case is offered what that
+        marking activates — all without materialising it.
+        """
+        self.store.migrate_record(instance_id, schema.version, verdict.adapted_marking_dict())
+        offers, _ = self.worklists.work_of(schema, verdict.adapted_marking)
+        self.worklists.sync_offers(instance_id, offers)
 
     def _as_type_change(self, process_type: ProcessType, change: ChangeLike) -> TypeChange:
         """Normalise the accepted change flavours onto a :class:`TypeChange`."""
@@ -1923,6 +1942,9 @@ class AdeptSystem:
         if result.migrated:
             with self._registry:
                 self._dirty.add(instance_id)
+            # the stripe is held on every way in (touch and sweep) — the
+            # sweep has no execution scope whose exit would synchronise
+            self.worklists.sync_instance(instance)
             self._journal(
                 KIND_ROLLOUT_MIGRATED,
                 type_id=rollout.type_id,
@@ -1996,26 +2018,21 @@ class AdeptSystem:
         with self._type_lock(type_id).write():
             if not rollout.roll_back():
                 return
-            self.worklists.begin_quiesce(type_id)
-            try:
-                if rollout.policy == POLICY_REVERT:
-                    reverted = self._revert_canary_cohort(rollout)
-                self._journal(
-                    KIND_ROLLOUT_ROLLED_BACK,
-                    type_id=type_id,
-                    to_version=rollout.to_version,
-                    policy=rollout.policy,
-                    reverted=reverted,
-                )
-                if rollout.policy == POLICY_REVERT:
-                    self.repository.withdraw_version(type_id, rollout.to_version)
-                else:
-                    self._retired_versions.setdefault(type_id, set()).add(rollout.to_version)
-                self._rollouts.pop(type_id, None)
-                self._rollout_history[type_id] = rollout
-            finally:
-                self.worklists.end_quiesce(type_id)
-        self.worklists.refresh()
+            if rollout.policy == POLICY_REVERT:
+                reverted = self._revert_canary_cohort(rollout)
+            self._journal(
+                KIND_ROLLOUT_ROLLED_BACK,
+                type_id=type_id,
+                to_version=rollout.to_version,
+                policy=rollout.policy,
+                reverted=reverted,
+            )
+            if rollout.policy == POLICY_REVERT:
+                self.repository.withdraw_version(type_id, rollout.to_version)
+            else:
+                self._retired_versions.setdefault(type_id, set()).add(rollout.to_version)
+            self._rollouts.pop(type_id, None)
+            self._rollout_history[type_id] = rollout
         self._notify_pool()
         self.bus.publish(
             CATEGORY_MIGRATION,
@@ -2048,9 +2065,11 @@ class AdeptSystem:
                             self._instances[instance_id] = restored
                             self._dirty.add(instance_id)
                     if live:
-                        self.worklists.swap_instance(restored)
+                        # tracks the restored object and re-offers its work
+                        self.worklists.register_instance(restored)
                     else:
                         self.store.write_back(restored)
+                        self.worklists.sync_instance(restored)
                 reverted.append(instance_id)
         return reverted
 
@@ -2155,9 +2174,7 @@ class AdeptSystem:
                 )
                 if verdict is not None:
                     if verdict.compliant:
-                        self.store.migrate_record(
-                            instance_id, rollout.to_version, verdict.adapted_marking_dict()
-                        )
+                        self._migrate_stored(instance_id, rollout.plan.new_schema, verdict)
                         self._journal(
                             KIND_ROLLOUT_MIGRATED,
                             type_id=rollout.type_id,
@@ -2295,7 +2312,7 @@ class AdeptSystem:
                         self._instances[instance_id] = restored
                         self._dirty.add(instance_id)
                 if live:
-                    self.worklists.swap_instance(restored)
+                    self.worklists.register_instance(restored)
                 else:
                     self.store.write_back(restored)
             self.repository.withdraw_version(type_id, rollout.to_version)
@@ -2353,7 +2370,9 @@ class AdeptSystem:
                     self._dirty.discard(instance_id)
                 existed_stored = self.store.delete(instance_id)
                 self._journal(KIND_INSTANCE_DELETED, instance_id=instance_id)
-        self.worklists.discard_instance(instance_id)
+                # inside the stripe: a racing start() of the same id must
+                # not lose its fresh offers to this withdrawal
+                self.worklists.discard_instance(instance_id)
         self.bus.publish(CATEGORY_SYSTEM, "instance_deleted", instance_id=instance_id)
         return existed_live or existed_stored
 

@@ -328,23 +328,32 @@ class PersistentBackend:
                 report.replayed_records += 1
                 kind = record.get("kind", "?")
                 report.replayed_by_kind[kind] = report.replayed_by_kind.get(kind, 0) + 1
+            # the replay stepped cases through the engine directly: one
+            # global resynchronisation, the only one the system ever runs —
+            # the live cases first (hydrating the others evicts them)
+            system.worklists.refresh()
             self._reoffer_stored_work(system)
-        system.worklists.refresh()
         return report
 
     @staticmethod
     def _reoffer_stored_work(system: "AdeptSystem") -> None:
-        """Recreate work items for running cases resident only in the store.
+        """Synchronise the work items of the cases resident only in the store.
 
         The snapshot bypasses the worklist manager; without this pass a
         restarted system would show an empty worklist until each case
-        happened to be hydrated for another reason.  Hydration respects
-        the LRU cap — the created items survive a subsequent eviction.
+        happened to be hydrated for another reason.  Hydrating a case
+        synchronises its items (and respects the LRU cap — the items
+        survive the subsequent eviction).  Besides the running cases this
+        covers every evicted case that still holds items: the replay
+        steps cases through the engine directly, so items offered before
+        such a step are stale by now.
         """
-        for instance_id in system.store.running_instances():
-            if instance_id not in system._instances:
-                instance = system.get_instance(instance_id)
-                system.worklists.register_instance(instance)
+        stored = set(system.store.running_instances())
+        stored.update(item.instance_id for item in system.worklists.open_items())
+        # the cases live right now were just synchronised; one this loop
+        # evicts keeps its items and needs no second hydration
+        for instance_id in sorted(stored.difference(system._instances)):
+            system.get_instance(instance_id)
 
     def _load_snapshot_into(
         self, system: "AdeptSystem", snapshot: Mapping[str, Any], report: RecoveryReport
@@ -439,6 +448,9 @@ def _replay_step(system: "AdeptSystem", record: Mapping[str, Any]) -> None:
 
 def _replay_instance_aborted(system: "AdeptSystem", record: Mapping[str, Any]) -> None:
     system.engine.abort_instance(system.get_instance(record["instance_id"]))
+    # an abort is no engine step: without this an eviction later in the
+    # replay would drop the case unsaved and the abort with it
+    system._dirty.add(record["instance_id"])
 
 
 def _replay_adhoc_change(system: "AdeptSystem", record: Mapping[str, Any]) -> None:

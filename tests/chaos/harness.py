@@ -126,6 +126,56 @@ def check_exactly_once(system: AdeptSystem, ids: List[str]) -> None:
     assert population_digest(twin, ids) == population_digest(system, ids), (
         "WAL replay disagrees with the live system"
     )
+    # and both offer exactly the work their cases activate
+    check_worklist_parity(system)
+    check_worklist_parity(twin)
+
+
+def check_worklist_parity(system: AdeptSystem) -> None:
+    """The worklist oracle: incremental ≡ from scratch.
+
+    From scratch, an active case offers exactly its activated
+    activities — read off the live object, or off the stored record of
+    an evicted case (materialised on the side, never hydrated: looking
+    must not repair anything).  At any quiescent point the manager's
+    OFFERED pairs equal that set, a CLAIMED pair is a running activity,
+    and nothing else is resident.
+    """
+    from repro.runtime.worklist import WorkItemState
+
+    with system._registry:
+        cases = dict(system._instances)
+    for instance_id, record in system.store.scan_records():
+        if instance_id not in cases:  # the live copy governs
+            cases[instance_id] = system.store.instantiate(record)
+    activated, running = set(), set()
+    for instance_id, instance in cases.items():
+        if instance.status.is_active:
+            activated.update((instance_id, a) for a in instance.activated_activities())
+            running.update((instance_id, n) for n in instance.marking.running_nodes())
+
+    worklists = system.worklists
+    resident = worklists.open_items()
+    by_state = {state: set() for state in WorkItemState}
+    for item in resident:
+        by_state[item.state].add((item.instance_id, item.activity_id))
+    offered, claimed = by_state[WorkItemState.OFFERED], by_state[WorkItemState.CLAIMED]
+    assert not by_state[WorkItemState.COMPLETED] and not by_state[WorkItemState.WITHDRAWN], (
+        "closed items are still resident"
+    )
+    assert offered == activated, (
+        f"stale offers {sorted(offered - activated)}, "
+        f"missing offers {sorted(activated - offered)}"
+    )
+    assert claimed <= running, f"claimed but not running: {sorted(claimed - running)}"
+    assert len(resident) == len(offered) + len(claimed) == len(worklists), (
+        "two open items for one (case, activity)"
+    )
+    for instance_id in {pair[0] for pair in offered | claimed}:
+        assert {
+            (item.instance_id, item.activity_id)
+            for item in worklists.items_for_instance(instance_id)
+        } == {pair for pair in offered | claimed if pair[0] == instance_id}
 
 
 class RolloutToucher:

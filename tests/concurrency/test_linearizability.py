@@ -22,6 +22,7 @@ import pytest
 from repro.schema import templates
 from repro.system import AdeptSystem, VirtualScheduler
 
+from tests.chaos.harness import check_worklist_parity
 from tests.concurrency.harness import (
     RandomOps,
     run_threads,
@@ -42,11 +43,13 @@ def _build_system(path: str):
 
 def _oracle_check(system, store: str) -> None:
     """The final state must be reproducible by the journaled interleaving."""
+    check_worklist_parity(system)  # every actor synchronised what it touched
     expected = system_fingerprint(system)
     system.backend.close()
     recovered = AdeptSystem.open(store)
     try:
         assert system_fingerprint(recovered) == expected
+        check_worklist_parity(recovered)
     finally:
         recovered.backend.close()
 

@@ -10,7 +10,22 @@ from repro.schema import templates
 from repro.system import AdeptSystem, WorkerPool, simulated_latency_worker
 from repro.workloads.order_process import order_type_change_v2
 
+from tests.chaos.harness import check_worklist_parity
 from tests.concurrency.harness import system_fingerprint
+
+
+@pytest.fixture(autouse=True)
+def _parity_after_every_drain(monkeypatch):
+    """Every successful ``drain()`` in this module ends parity-clean: the
+    pool has no closing global refresh to paper over a missed sync."""
+    drain = AdeptSystem.drain
+
+    def checked_drain(self, *args, **kwargs):
+        stats = drain(self, *args, **kwargs)
+        check_worklist_parity(self)
+        return stats
+
+    monkeypatch.setattr(AdeptSystem, "drain", checked_drain)
 
 
 class TestServeDrain:
@@ -144,9 +159,10 @@ class TestPoolAuthorization:
         system = AdeptSystem()
         process = system.deploy(templates.sequential_process())
         process.start(case_id="case")
-        # complete step_1 and sync, then plant a stale OFFERED item for it
-        # (the production shape: an evolve/ad-hoc change deactivates the
-        # activity after the item was offered, before any sync ran)
+        # complete step_1, then plant a stale OFFERED item for it (the
+        # production shape: a claim whose execution scope failed to open
+        # goes back to OFFERED unchecked while a direct completion of the
+        # same activity slipped in between)
         system.complete("case", "step_1")
         worklists = system.worklists
         with worklists._lock:
@@ -154,12 +170,13 @@ class TestPoolAuthorization:
                 item_id="wi-stale", instance_id="case", activity_id="step_1", role="worker"
             )
             worklists._items[stale.item_id] = stale
-            worklists._open_pairs[("case", "step_1")] = stale
-            worklists._open_by_instance.setdefault("case", set()).add(("case", "step_1"))
+            worklists._open_by_instance["case"]["step_1"] = stale
 
         system.serve(workers=2)
         stats = system.drain(timeout=30)  # must terminate, not livelock
+        # closed items leave the manager; the held handle shows how it ended
         assert stale.state is WorkItemState.WITHDRAWN
+        assert len(worklists) == 0
         assert not system.get_instance("case").status.is_active
         assert stats.items_completed == 4  # step_2..step_5 still performed
 

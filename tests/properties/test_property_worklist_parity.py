@@ -1,0 +1,273 @@
+"""Worklist parity: incremental synchronisation ≡ derivation from scratch.
+
+The worklist manager is never rescanned while the system serves — every
+façade operation synchronises exactly the cases it touched.  That is
+only correct if *no* operation forgets a case, so this suite drives a
+seeded mix of every operation that can change what a case offers and
+runs the from-scratch oracle (:func:`tests.chaos.harness.
+check_worklist_parity`) after each single one: starts, batch steps,
+direct completions, claim + complete through the worklist, aborts,
+ad-hoc inserts and deletes, eager evolutions, lazy rollouts with touches
+and sweeps, canary rollouts with a forced revert, deletions, eviction
+and re-hydration under a live cache of four — and crash + reopen, after
+which the recovered offers must equal the pre-crash ones.
+"""
+
+import random
+import shutil
+import tempfile
+from pathlib import Path
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repro.core.operations import DeleteActivity, SerialInsertActivity
+from repro.errors import ReproError
+from repro.schema import templates
+from repro.schema.nodes import Node
+from repro.system import AdeptSystem
+
+from tests.chaos.harness import check_worklist_parity
+
+TYPE_ID = "sequence"
+CACHE = 4
+#: where type changes happen; ad-hoc changes keep to ``step_5..`` and the
+#: activities they inserted themselves (``step_4`` separates the two)
+HEAD = frozenset({"step_1", "step_2", "step_3", "step_4"})
+
+RELAXED = settings(
+    max_examples=10,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+
+def _offered(system):
+    return sorted(
+        (item.instance_id, item.activity_id) for item in system.worklists.offered_items()
+    )
+
+
+class _OpMix:
+    """One seeded run: an operation, the oracle, the next operation."""
+
+    def __init__(self, root: Path, seed: int, cache) -> None:
+        self.rng = random.Random(seed)
+        self.path = root / "db"
+        self.cache = cache
+        self.system = AdeptSystem.open(self.path, cache_instances=cache)
+        self.system.deploy(templates.sequential_process(length=7))
+        self.ids = []
+        self.serial = 0
+        self.performed = {}
+
+    # -- helpers -------------------------------------------------------- #
+
+    def _case(self):
+        return self.rng.choice(self.ids) if self.ids else None
+
+    def _fresh_name(self, prefix):
+        self.serial += 1
+        return f"{prefix}_{self.serial}"
+
+    def _type_delta(self):
+        """A Δ that changes what untouched cases offer: delete or insert
+        right where most of the population currently stands.
+
+        Type changes stay in the head of the process (``step_1..3``),
+        ad-hoc changes in its tail: a bias never conflicts structurally
+        with a Δ, so no biased case is left behind on an old version
+        (the next eager evolve would migrate it over the skipped Δ — a
+        known migration defect this suite is not about).
+        """
+        schema = self.system.repository.process_type(TYPE_ID).latest_schema
+        head = sorted(set(schema.activity_ids()) & HEAD - {"step_4"})
+        if len(head) > 1 and self.rng.random() < 0.5:
+            return [DeleteActivity(activity_id=self.rng.choice(head))]
+        succ = self.rng.choice(head)
+        (pred,) = schema.predecessors(succ)
+        return [
+            SerialInsertActivity(
+                activity=Node(node_id=self._fresh_name("evo")), pred=pred, succ=succ
+            )
+        ]
+
+    # -- the operations ------------------------------------------------- #
+
+    def op_start(self):
+        self.ids.append(self.system.start(TYPE_ID).instance_id)
+
+    def op_step_many(self):
+        if self.ids:
+            batch = self.rng.sample(self.ids, min(len(self.ids), self.rng.randrange(1, 7)))
+            self.system.step_many(batch, steps=self.rng.randrange(1, 3))
+
+    def op_complete(self):
+        case = self._case()
+        if case is not None:
+            activated = self.system.activated(case)
+            if activated:
+                self.system.complete(case, self.rng.choice(activated))
+
+    def op_claim_complete(self):
+        offered = self.system.worklists.offered_items()
+        if offered:
+            item = self.rng.choice(offered)
+            self.system.claim(item.item_id, "clerk")
+            self.system.complete_item(item.item_id)
+
+    def op_start_activity(self):
+        case = self._case()
+        if case is not None:
+            activated = self.system.activated(case)
+            if activated:
+                activity = self.rng.choice(activated)
+                self.system.start_activity(case, activity)
+                check_worklist_parity(self.system)  # running, offered by nobody
+                self.system.complete(case, activity)
+
+    def op_abort(self):
+        case = self._case()
+        if case is not None and self.rng.random() < 0.3:
+            self.system.abort(case)
+
+    def _tail(self, case):
+        """The case's schema and the activities an ad-hoc change may touch."""
+        schema = self.system.get_instance(case).execution_schema
+        return schema, sorted(
+            a for a in schema.activity_ids() if not a.startswith("evo_") and a not in HEAD
+        )
+
+    def op_adhoc_insert(self):
+        case = self._case()
+        if case is not None:
+            schema, tail = self._tail(case)
+            succ = self.rng.choice(tail + ["end"])
+            (pred,) = schema.predecessors(succ)
+            self.system.change(case).serial_insert(
+                self._fresh_name("adhoc"), pred=pred, succ=succ
+            ).apply()
+
+    def op_adhoc_delete(self):
+        case = self._case()
+        if case is not None:
+            _, tail = self._tail(case)
+            # an activated one when there is one: its offer must withdraw
+            candidates = sorted(set(self.system.activated(case)) & set(tail)) or tail
+            if candidates:
+                self.system.change(case).delete(self.rng.choice(candidates)).apply()
+
+    def op_evolve_eager(self):
+        self.system.evolve(TYPE_ID, self._type_delta())
+
+    def op_evolve_lazy(self):
+        if self.system.rollout_of(TYPE_ID) is None:
+            self.system.evolve(TYPE_ID, self._type_delta(), rollout="lazy")
+            check_worklist_parity(self.system)
+            for case in self.rng.sample(self.ids, min(len(self.ids), 2)):
+                self.system.save(case)  # a touch that does not step
+                check_worklist_parity(self.system)
+        self.system.sweep_rollout(TYPE_ID, max_cases=self.rng.randrange(1, 4))
+
+    def op_canary_rollback(self):
+        if self.system.rollout_of(TYPE_ID) is not None:
+            return self.op_evolve_lazy()
+        self.system.evolve(
+            TYPE_ID,
+            self._type_delta(),
+            rollout="canary",
+            fraction=1.0,
+            canary_decide="external",
+        )
+        for case in self.rng.sample(self.ids, min(len(self.ids), 4)):
+            self.system.step_many([case], steps=1)  # adopts, then moves on
+            check_worklist_parity(self.system)
+        self.system._rollback_rollout(TYPE_ID)
+
+    def op_delete(self):
+        case = self._case()
+        if case is not None and self.rng.random() < 0.5:
+            self.system.delete_instance(case)
+            self.ids.remove(case)
+
+    def op_rehydrate(self):
+        evicted = sorted(set(self.ids) - set(self.system.live_instance_ids()))
+        if evicted:
+            self.system.get_instance(self.rng.choice(evicted))
+
+    def op_checkpoint(self):
+        self.system.checkpoint()
+
+    def op_crash_reopen(self):
+        before = _offered(self.system)
+        self.system.close(checkpoint=False)
+        self.system = AdeptSystem.open(self.path, cache_instances=self.cache)
+        assert _offered(self.system) == before, "recovered offers differ from pre-crash offers"
+
+    OPS = (
+        ("start", 4),
+        ("step_many", 6),
+        ("complete", 3),
+        ("claim_complete", 3),
+        ("start_activity", 1),
+        ("abort", 1),
+        ("adhoc_insert", 2),
+        ("adhoc_delete", 2),
+        ("evolve_eager", 1),
+        ("evolve_lazy", 3),
+        ("canary_rollback", 1),
+        ("delete", 1),
+        ("rehydrate", 2),
+        ("checkpoint", 1),
+        ("crash_reopen", 1),
+    )
+
+    def run(self, operations: int) -> None:
+        names = [name for name, _ in self.OPS]
+        weights = [weight for _, weight in self.OPS]
+        for _ in range(8):
+            self.op_start()
+        check_worklist_parity(self.system)
+        for _ in range(operations):
+            (name,) = self.rng.choices(names, weights)
+            try:
+                getattr(self, f"op_{name}")()
+                self.performed[name] = self.performed.get(name, 0) + 1
+            except ReproError:
+                pass  # a rejected operation must leave the worklist exact too
+            try:
+                check_worklist_parity(self.system)
+            except AssertionError as exc:
+                raise AssertionError(f"after {name!r}: {exc}") from exc
+            if self.cache is not None:
+                assert len(self.system.live_instance_ids()) <= self.cache
+        self.system.close(checkpoint=False)
+
+
+def _run(seed: int, operations: int, cache=CACHE) -> _OpMix:
+    root = Path(tempfile.mkdtemp(prefix="worklist_parity_"))
+    try:
+        mix = _OpMix(root, seed, cache)
+        mix.run(operations)
+        return mix
+    finally:
+        shutil.rmtree(root, ignore_errors=True)
+
+
+class TestWorklistParity:
+    def test_every_operation_kind_is_exercised(self):
+        """The fixed seeds below reach every operation of the mix (so a
+        green run is not a run that happened to skip the hard ones)."""
+        performed = set()
+        for seed in (1, 2, 3):
+            performed |= set(_run(seed, operations=120).performed)
+        assert performed == {name for name, _ in _OpMix.OPS}
+
+    def test_unbounded_live_set(self):
+        """The same mix with every case live (no eviction, no store reads)."""
+        _run(5, operations=120, cache=None)
+
+    @RELAXED
+    @given(seed=st.integers(min_value=0, max_value=10**6))
+    def test_incremental_equals_from_scratch(self, seed):
+        _run(seed, operations=60)

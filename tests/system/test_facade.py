@@ -107,6 +107,35 @@ class TestLifecycle:
         case = orders.start()
         case.abort()
         assert case.status is InstanceStatus.ABORTED
+        # nobody could start anything on it any more: nothing stays offered
+        assert system.worklists.items_for_instance(case.instance_id) == []
+
+    def test_start_activity_withdraws_the_offer_at_once(self, system, orders):
+        """Regression: an activity started directly (not through ``claim``)
+        stayed OFFERED and claimable until some later refresh."""
+        case = orders.start()
+        (item,) = system.worklists.offered_items_for_instance(case.instance_id)
+        assert item.activity_id == "get_order"
+        system.start_activity(case.instance_id, "get_order", user="alice")
+        assert system.worklists.offered_items_for_instance(case.instance_id) == []
+        assert system.worklist("alice") == []
+        with pytest.raises(EngineError, match="unknown work item"):
+            system.claim(item.item_id, "alice")
+        # completing the running activity offers its successor
+        system.complete(case.instance_id, "get_order", outputs={"order": {"id": 1}})
+        assert [
+            i.activity_id for i in system.worklists.offered_items_for_instance(case.instance_id)
+        ] == ["collect_data"]
+
+    def test_worklist_is_a_pure_read(self, system, orders):
+        """``worklist()`` neither resynchronises nor reads any case."""
+        case = orders.start()
+        # step the case behind the façade's back: a pure read cannot notice
+        system.engine.complete_activity(case.raw, "get_order", outputs={"order": {}})
+        assert [i.activity_id for i in system.worklist("anyone")] == ["get_order"]
+        # the next façade call that touches the case synchronises it
+        system.activated(case.instance_id)
+        assert [i.activity_id for i in system.worklist("anyone")] == ["collect_data"]
 
     def test_statistics(self, system, orders):
         orders.start().run()

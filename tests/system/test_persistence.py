@@ -237,18 +237,7 @@ class TestLazyHydration:
     def test_worklist_claim_rehydrates_evicted_case(self, store_path):
         system, orders, ids = self.populate(store_path)
         evicted = next(i for i in ids if i not in system.live_instance_ids())
-        items = [
-            item
-            for item in system.worklists.open_items()
-            if item.instance_id == evicted
-        ]
-        if not items:
-            system.worklists.refresh()
-            items = [
-                item
-                for item in system.worklists.open_items()
-                if item.instance_id == evicted
-            ]
+        items = system.worklists.items_for_instance(evicted)
         assert items, "evicted case should still have offered work items"
         claimed = system.claim(items[0].item_id, user="clerk")
         assert claimed.instance_id == evicted
@@ -429,12 +418,12 @@ class TestReviewRegressions:
         items = [i for i in system.worklists.open_items() if i.instance_id == case_id]
         assert items
         system.delete_instance(case_id)
-        assert all(
-            item.state is WorkItemState.WITHDRAWN
-            for item in system.worklists.items_for_instance(case_id)
-        )
+        # the held handles show the final state; closed items are not resident
+        assert all(item.state is WorkItemState.WITHDRAWN for item in items)
+        assert system.worklists.items_for_instance(case_id) == []
+        assert len(system.worklists) == 0
         # a stale item id can no longer be claimed, and nothing gets stuck
-        with pytest.raises(EngineError):
+        with pytest.raises(EngineError, match="unknown work item"):
             system.claim(items[0].item_id, user="clerk")
         assert items[0].state is WorkItemState.WITHDRAWN
 

@@ -276,6 +276,70 @@ class TestCanaryRollout:
             )
 
 
+def _offers(system, instance_id):
+    return sorted(
+        item.activity_id
+        for item in system.worklists.offered_items_for_instance(instance_id)
+    )
+
+
+class TestRolloutWorklistSync:
+    """Adoption outside an execution scope must not leave stale offers
+    (a later request's global worklist rescan used to repair them)."""
+
+    def test_sweep_withdraws_offers_of_deleted_activities(self):
+        from repro.core.operations import DeleteActivity
+
+        system = AdeptSystem()
+        sequence = system.deploy(templates.sequential_process())
+        ids = [sequence.start().instance_id for _ in range(4)]
+        system.step_many(ids[:2], steps=1)
+        assert [_offers(system, i) for i in ids] == [["step_2"]] * 2 + [["step_1"]] * 2
+        sequence.evolve([DeleteActivity(activity_id="step_2")], rollout="lazy")
+        assert system.sweep_rollout("sequence") == 4
+        # no other call in between: the sweep itself synchronised the cases
+        assert [_offers(system, i) for i in ids] == [["step_3"]] * 2 + [["step_1"]] * 2
+
+    def test_sweep_synchronises_evicted_cases_without_hydrating_them(self, tmp_path):
+        from repro.core.operations import DeleteActivity
+
+        system = AdeptSystem.open(tmp_path / "db", cache_instances=2)
+        sequence = system.deploy(templates.sequential_process())
+        ids = [sequence.start().instance_id for _ in range(6)]
+        system.step_many(ids, steps=1)
+        sequence.evolve([DeleteActivity(activity_id="step_2")], rollout="lazy")
+        while system.rollout_of("sequence") is not None:
+            if system.sweep_rollout("sequence", max_cases=2) == 0:
+                break
+        assert system.rollout_status("sequence")["state"] == STATE_COMPLETED
+        evicted = [i for i in ids if i not in system.live_instance_ids()]
+        assert evicted
+        assert [_offers(system, i) for i in ids] == [["step_3"]] * 6
+        assert set(evicted).isdisjoint(system.live_instance_ids())
+
+    def test_canary_revert_reoffers_the_restored_activations(self):
+        system, orders, fresh, _ = _order_system(fresh=6)
+        rollout = orders.evolve(
+            order_type_change_v2(),
+            rollout="canary",
+            fraction=1.0,
+            canary_decide="external",
+        )
+        # adopt, then move on *on the canary version*
+        _touch_all(system, fresh)
+        assert rollout.adopted == {case.instance_id for case in fresh}
+        assert all(_offers(system, c.instance_id) == ["collect_data"] for c in fresh)
+        system._rollback_rollout("online_order")
+        assert rollout.state == STATE_ROLLED_BACK
+        for case in fresh:
+            restored = system.get_instance(case.instance_id)
+            assert restored.schema_version == 1
+            assert restored.activated_activities() == ["get_order"]
+            assert _offers(system, case.instance_id) == ["get_order"]
+            # the manager tracks the restored object, not the discarded one
+            assert system.worklists._instances[case.instance_id] is restored
+
+
 class TestRolloutExclusion:
     def test_eager_evolve_blocked_while_rollout_in_flight(self):
         system, orders, cases, _ = _order_system(fresh=3)
