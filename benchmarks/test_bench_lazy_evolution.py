@@ -62,7 +62,7 @@ def _seed_store(path, population):
     (``send_questions`` between ``compose_order`` and ``pack_goods``);
     level 3 has started the successor and conflicts.  Returns the clone
     ids grouped by compliance so the load phases can pick steppable,
-    compliant cases deterministically.
+    compliant cases deterministically, and each compliant clone's level.
     """
     system = AdeptSystem.open(path, cache_instances=CACHE_CAP)
     handle = system.deploy(templates.online_order_process())
@@ -75,19 +75,20 @@ def _seed_store(path, population):
         records.append(system.store.record(case.instance_id))
 
     conflicts = max(1, int(population * CONFLICT_SHARE))
-    compliant_ids, conflicting_ids = [], []
+    compliant_ids, conflicting_ids, level_of = [], [], {}
     for index in range(population - len(records)):
         if index < conflicts:
             template, bucket = records[3], conflicting_ids
         else:
             template, bucket = records[index % 3], compliant_ids
+            level_of[f"lazy-{index:06d}"] = index % 3
         record = json.loads(json.dumps(template))
         record["instance_id"] = f"lazy-{index:06d}"
         system.store.put_record(record)
         bucket.append(record["instance_id"])
     system.checkpoint()  # durable baseline; the WAL now carries only what follows
     system.close()
-    return compliant_ids, conflicting_ids
+    return compliant_ids, conflicting_ids, level_of
 
 
 def _timed_steps(system, case_ids, workers, out):
@@ -123,7 +124,7 @@ def _digest(system, ids):
 
 def _run_soak(path, population):
     """The soak scenario; returns the measured numbers for the gates."""
-    compliant, conflicting = _seed_store(path / "db", population)
+    compliant, conflicting, level_of = _seed_store(path / "db", population)
     system = AdeptSystem.open(path / "db", cache_instances=CACHE_CAP)
 
     sample = WORKERS * SAMPLE_PER_WORKER
@@ -132,6 +133,13 @@ def _run_soak(path, population):
 
     steady_latencies = []
     _timed_steps(system, steady_cases, WORKERS, steady_latencies)
+    # a level-2 case has confirm_order and compose_order activated; its
+    # steady-phase step completes confirm_order (first in schema order),
+    # which V2's send_questions -> confirm_order sync edge must precede —
+    # these cases left the compliant set before the rollout began
+    stepped_out = {c for c in steady_cases if level_of[c] == 2}
+    conflicting = conflicting + sorted(stepped_out)
+    compliant = [c for c in compliant if c not in stepped_out]
 
     rollout_latencies = []
     sweep_started = time.perf_counter()

@@ -78,6 +78,7 @@ from repro.core.operations import (
     ParallelInsertActivity,
     SerialInsertActivity,
 )
+from repro.runtime.history import ExecutionHistory
 from repro.runtime.instance import ProcessInstance
 from repro.runtime.markings import Marking
 from repro.runtime.states import NodeState
@@ -182,13 +183,7 @@ class MigrationPlan:
             method=compliance_method,
             checked_operations=len(self.operations),
         )
-        # canonical extraction order for the hot fingerprint path: node
-        # and edge states are projected positionally in the old schema's
-        # index order, so no per-instance sorting (and no key strings)
-        # enter the digest.
-        index = old_schema.index
-        self._node_order: tuple = tuple(index.node_ids)
-        self._edge_order: tuple = tuple(index.non_loop_edge_keys())
+        self._layout = old_schema.index.marking_layout()
         #: per-distinct-bias projection extensions (see :meth:`bias_extras`)
         self._bias_extras: Dict[Any, "BiasExtras"] = {}
 
@@ -325,20 +320,7 @@ class MigrationPlan:
         """
         if instance.is_biased:
             return None
-        history = None
-        if self.include_history:
-            history = [
-                [
-                    entry.sequence,
-                    entry.event.value,
-                    entry.activity,
-                    entry.iteration,
-                    dict(entry.values),
-                    entry.user,
-                    entry.timestamp,
-                ]
-                for entry in instance.history.reduced()
-            ]
+        history = instance.history.reduced_rows() if self.include_history else None
         initial_writes = None
         if self.compliance_method != "conditions":
             initial_writes = [
@@ -346,32 +328,10 @@ class MigrationPlan:
                 for write in instance.data.writes
                 if write.writer == "<initial>"
             ]
-        node_states = instance.marking.node_states
-        edge_states = instance.marking.edge_states
-        marking_part: Any = None
-        if (
-            instance.schema_version == self.old_schema.version
-            and len(node_states) == len(self._node_order)
-            and len(edge_states) == len(self._edge_order)
-        ):
-            # positional projection in index order — no sorting, no keys
-            marking_part = (
-                "ix",
-                tuple(
-                    node_states[node_id].value if node_id in node_states else None
-                    for node_id in self._node_order
-                ),
-                tuple(
-                    edge_states[key].value if key in edge_states else None
-                    for key in self._edge_order
-                ),
-            )
-        else:
-            marking_part = (
-                "sorted",
-                tuple(sorted((n, s.value) for n, s in node_states.items())),
-                tuple(sorted((k[0], k[1], k[2], s.value) for k, s in edge_states.items())),
-            )
+        # the marking part is the marking as a write-back would store it
+        marking_part = Marking.stored_key(
+            instance.marking.to_stored(instance.original_schema.index.marking_layout())
+        )
         return self._digest(
             schema_version=instance.schema_version,
             status=instance.status.value,
@@ -389,8 +349,9 @@ class MigrationPlan:
 
         Produces exactly the digest :meth:`fingerprint_of_instance` would
         produce for the hydrated instance — without materialising it.
-        The stored ``marking`` *is* the canonical ``Marking.to_dict``
-        form, so the hot path hashes it without any transformation.
+        The marking part of the digest is a slice of the record: the
+        layout checksum and the two code strings of a positionally
+        stored marking are hashed as they are.
 
         ``include_bias=True`` additionally fingerprints *biased* records:
         the canonical bias payload joins the digest and the data
@@ -415,19 +376,7 @@ class MigrationPlan:
             extra_elements = extras.elements
         history = None
         if self.include_history:
-            history = [
-                [
-                    entry.get("sequence", 0),
-                    entry.get("event"),
-                    entry.get("activity"),
-                    entry.get("iteration", 0),
-                    entry.get("values", {}),
-                    entry.get("user"),
-                    entry.get("timestamp", 0),
-                ]
-                for entry in record.get("history", {}).get("entries", [])
-                if not entry.get("superseded", False)
-            ]
+            history = ExecutionHistory.from_dict(record.get("history", {})).reduced_rows()
         initial_writes = None
         if self.compliance_method != "conditions":
             initial_writes = [
@@ -435,36 +384,14 @@ class MigrationPlan:
                 for write in record.get("data", {}).get("writes", [])
                 if write.get("writer") == "<initial>"
             ]
-        marking = record.get("marking", {})
-        node_states = marking.get("node_states", {})
-        edge_list = marking.get("edge_states", [])
-        marking_part: Any = None
         version = record.get("schema_version", 0)
-        if (
-            version == self.old_schema.version
-            and len(node_states) == len(self._node_order)
-            and len(edge_list) == len(self._edge_order)
-            and self._edge_list_in_index_order(edge_list)
-        ):
-            # the stored edge list keeps its Marking.initial insertion
-            # order through every round trip (JSON sorts dict keys, never
-            # list elements) — states can be read positionally
-            marking_part = (
-                "ix",
-                tuple([node_states.get(node_id) for node_id in self._node_order]),
-                tuple([entry["state"] for entry in edge_list]),
-            )
-        else:
-            marking_part = (
-                "sorted",
-                tuple(sorted(node_states.items())),
-                tuple(
-                    sorted(
-                        (e["source"], e["target"], e["edge_type"], e["state"])
-                        for e in edge_list
-                    )
-                ),
-            )
+        # a positional marking is its own projection; a keyed one written
+        # before the positional form (unbiased, on the plan's version) is
+        # keyed the way its hydrated case would be written back
+        upgrade = bias_part is None and version == self.old_schema.version
+        marking_part = Marking.stored_key(
+            record.get("marking", {}), self._layout if upgrade else None
+        )
         return self._digest(
             schema_version=version,
             status=record.get("status", "running"),
@@ -475,23 +402,6 @@ class MigrationPlan:
             initial_writes=initial_writes,
             bias_part=bias_part,
             extra_elements=extra_elements,
-        )
-
-    def _edge_list_in_index_order(self, edge_list: List[Mapping[str, Any]]) -> bool:
-        """Spot-check that a stored edge list follows the index order.
-
-        Unbiased instances of the plan's old version always keep their
-        ``Marking.initial`` edge order (only ad-hoc change — bias — adds
-        or removes marking edges); the first and last entries are checked
-        so a surprising record safely falls back to the sorted
-        canonicalisation instead of fingerprinting positionally.
-        """
-        if not edge_list:
-            return True
-        first, last = edge_list[0], edge_list[-1]
-        return (
-            (first["source"], first["target"], first["edge_type"]) == self._edge_order[0]
-            and (last["source"], last["target"], last["edge_type"]) == self._edge_order[-1]
         )
 
     def _digest(
@@ -519,7 +429,7 @@ class MigrationPlan:
             marking_part,
             sorted(loop_iterations.items()),
             [(name, _stable(values[name])) for name in names],
-            [entry[:4] + [_stable(entry[4])] + entry[5:] for entry in history]
+            [row[:4] + [_stable(row[4])] + row[5:] for row in history]
             if history is not None
             else None,
             [[element, _stable(value)] for element, value in initial_writes]
@@ -728,13 +638,18 @@ class ClassVerdict:
     def conflicts(self) -> List[Conflict]:
         return self.compliance.conflicts
 
-    def adapted_marking_dict(self) -> Dict[str, Any]:
-        """Serialised template (cached) for direct stored-record rewrites."""
+    def adapted_marking_dict(self, layout: Any) -> Dict[str, Any]:
+        """Stored-form template (cached) for direct stored-record rewrites.
+
+        ``layout`` is the target schema version's marking layout — the
+        class members are unbiased, so the template is what a write-back
+        of any migrated member would store.
+        """
         if self.adapted_marking is None:
             raise ValueError("non-compliant classes have no adapted marking")
         cached = getattr(self, "_marking_dict", None)
         if cached is None:
-            cached = self.adapted_marking.to_dict()
+            cached = self.adapted_marking.to_stored(layout)
             self._marking_dict = cached  # type: ignore[attr-defined]
         return cached
 

@@ -164,9 +164,10 @@ class ProcessEngine:
         when the dense view is aligned (marking holds exactly the layout's
         nodes in layout order) the positional scan visits nodes in
         marking-dict order, and ``bytearray.find`` runs it at C speed in
-        O(first hit) instead of O(schema).  Unaligned markings (cases
-        hydrated from a store, whose JSON form sorts the marking dicts)
-        fall back to the dict scan.
+        O(first hit) instead of O(schema).  Fresh, migrated and hydrated
+        cases are all aligned (a stored marking is decoded in layout
+        order), so the pick order is the layout order; only a marking
+        that does not cover its layout falls back to the dict scan.
         """
         kernel = instance.execution_schema.index.step_kernel()
         view = instance.marking.dense_view(kernel.layout)

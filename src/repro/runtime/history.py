@@ -26,6 +26,20 @@ class HistoryEventType(str, Enum):
     LOOP_ITERATION_STARTED = "loop_iteration_started"
 
 
+# Stored histories are rows
+# ``[sequence, event_code, activity, iteration, values, user, superseded, timestamp]``;
+# the codes are part of the store format (spelled out, not enum order).
+_EVENT_CODE = {
+    HistoryEventType.ACTIVITY_STARTED: 0,
+    HistoryEventType.ACTIVITY_COMPLETED: 1,
+    HistoryEventType.ACTIVITY_SKIPPED: 2,
+    HistoryEventType.ACTIVITY_COMPENSATED: 3,
+    HistoryEventType.LOOP_ITERATION_STARTED: 4,
+}
+_EVENT_OF_CODE = {code: event for event, code in _EVENT_CODE.items()}
+_ACTIVITY, _SUPERSEDED = 2, 6  # row columns read without building an entry
+
+
 @dataclass(frozen=True)
 class HistoryEntry:
     """One event of an instance's execution history.
@@ -90,12 +104,70 @@ class HistoryEntry:
             timestamp=payload.get("timestamp", 0),
         )
 
+    def to_row(self) -> list:
+        """The stored row of this entry."""
+        return [
+            self.sequence,
+            _EVENT_CODE[self.event],
+            self.activity,
+            self.iteration,
+            dict(self.values),
+            self.user,
+            1 if self.superseded else 0,
+            self.timestamp,
+        ]
+
+    @classmethod
+    def from_row(cls, row: Sequence[Any]) -> "HistoryEntry":
+        sequence, code, activity, iteration, values, user, superseded, timestamp = row
+        return cls(
+            sequence, _EVENT_OF_CODE[code], activity, iteration, dict(values), user,
+            bool(superseded), timestamp,
+        )
+
 
 class ExecutionHistory:
-    """Ordered log of the events an instance produced so far."""
+    """Ordered log of the events an instance produced so far.
+
+    A history loaded from a store keeps the stored rows *by reference* and
+    builds :class:`HistoryEntry` objects only when something reads them
+    (compliance replay, ad-hoc change, rollback, ``completed_activities``);
+    stepping only appends.  Hydration is therefore O(1) and write-back
+    O(entries recorded since) in the history.
+
+    Some readers (monitoring, ``instance_info``) query a live case's
+    history without holding its lock while its owner records.  Every
+    structural change is therefore published by one attribute assignment:
+    ``_rows`` is never mutated in place (superseding replaces the list),
+    and the entries built from it are cached together with the very list
+    they were built from, so a cache published late by a reader is
+    recognised as outdated rather than trusted.
+    """
 
     def __init__(self, entries: Optional[Iterable[HistoryEntry]] = None) -> None:
-        self._entries: List[HistoryEntry] = list(entries or [])
+        #: the stored prefix, shared with the record it was loaded from
+        self._rows: List[list] = []
+        #: ``(rows, entries built from exactly that list)``
+        self._built: Tuple[List[list], List[HistoryEntry]] = (self._rows, [])
+        #: entries recorded since (everything, for a never-stored history)
+        self._tail: List[HistoryEntry] = list(entries or [])
+
+    def _stored_entries(self) -> List[HistoryEntry]:
+        """The entries of the stored prefix, materialised on first use."""
+        rows = self._rows
+        built_from, entries = self._built
+        if built_from is not rows:
+            entries = [HistoryEntry.from_row(row) for row in rows]
+            self._built = (rows, entries)
+        return entries
+
+    def _all(self) -> List[HistoryEntry]:
+        return self._stored_entries() + self._tail
+
+    @property
+    def materialised(self) -> bool:
+        """False while stored rows are held that nothing has read yet."""
+        return self._built[0] is self._rows
 
     # ------------------------------------------------------------------ #
     # recording
@@ -110,16 +182,17 @@ class ExecutionHistory:
         user: Optional[str] = None,
     ) -> HistoryEntry:
         """Append a new entry and return it."""
+        position = len(self._rows) + len(self._tail)
         entry = HistoryEntry(
-            sequence=len(self._entries),
+            sequence=position,
             event=event,
             activity=activity,
             iteration=iteration,
             values=dict(values or {}),
             user=user,
-            timestamp=len(self._entries),
+            timestamp=position,
         )
-        self._entries.append(entry)
+        self._tail.append(entry)
         return entry
 
     def supersede_activities(self, activities: Iterable[str]) -> int:
@@ -130,10 +203,24 @@ class ExecutionHistory:
         reduced history.  Returns the number of entries flagged.
         """
         targets = set(activities)
-        flagged = 0
-        for index, entry in enumerate(self._entries):
+        rows = self._rows
+        hits = [
+            index
+            for index, row in enumerate(rows)
+            if row[_ACTIVITY] in targets and not row[_SUPERSEDED]
+        ]
+        if hits:
+            rows = list(rows)
+            for index in hits:
+                row = list(rows[index])
+                row[_SUPERSEDED] = 1
+                rows[index] = row
+            self._rows = rows  # entries built from the old list are outdated now
+        flagged = len(hits)
+        tail = self._tail
+        for index, entry in enumerate(tail):
             if entry.activity in targets and not entry.superseded:
-                self._entries[index] = entry.mark_superseded()
+                tail[index] = entry.mark_superseded()
                 flagged += 1
         return flagged
 
@@ -144,20 +231,26 @@ class ExecutionHistory:
     @property
     def entries(self) -> List[HistoryEntry]:
         """All entries in recording order (full history)."""
-        return list(self._entries)
+        return self._all()
 
     def reduced(self) -> List[HistoryEntry]:
         """The reduced history: entries of superseded loop iterations removed."""
-        return [entry for entry in self._entries if not entry.superseded]
+        return [entry for entry in self._all() if not entry.superseded]
+
+    def reduced_rows(self) -> List[list]:
+        """The reduced history as stored rows (builds no stored entry)."""
+        rows = [row for row in self._rows if not row[_SUPERSEDED]]
+        rows.extend(entry.to_row() for entry in self._tail if not entry.superseded)
+        return rows
 
     def entries_for(self, activity: str, reduced: bool = False) -> List[HistoryEntry]:
         """All entries of one activity."""
-        source = self.reduced() if reduced else self._entries
+        source = self.reduced() if reduced else self._all()
         return [entry for entry in source if entry.activity == activity]
 
     def completed_activities(self, reduced: bool = True) -> List[str]:
         """Activity ids with a completion entry, in completion order."""
-        source = self.reduced() if reduced else self._entries
+        source = self.reduced() if reduced else self._all()
         return [
             entry.activity
             for entry in source
@@ -166,7 +259,7 @@ class ExecutionHistory:
 
     def started_activities(self, reduced: bool = True) -> List[str]:
         """Activity ids with a start entry, in start order."""
-        source = self.reduced() if reduced else self._entries
+        source = self.reduced() if reduced else self._all()
         return [
             entry.activity
             for entry in source
@@ -180,34 +273,50 @@ class ExecutionHistory:
     def written_values(self, element: str) -> List[Any]:
         """Chronological values written to a data element (full history)."""
         values = []
-        for entry in self._entries:
+        for entry in self._all():
             if entry.event is HistoryEventType.ACTIVITY_COMPLETED and element in entry.values:
                 values.append(entry.values[element])
         return values
 
     def last_sequence(self) -> int:
         """Sequence number of the newest entry (-1 when empty)."""
-        return self._entries[-1].sequence if self._entries else -1
+        if self._tail:
+            return self._tail[-1].sequence
+        return self._rows[-1][0] if self._rows else -1
 
     # ------------------------------------------------------------------ #
     # copy / serialization
     # ------------------------------------------------------------------ #
 
     def copy(self) -> "ExecutionHistory":
-        return ExecutionHistory(self._entries)
+        clone = ExecutionHistory(self._tail)
+        clone._rows = self._rows
+        clone._built = self._built
+        return clone
 
     def to_dict(self) -> dict:
-        return {"entries": [entry.to_dict() for entry in self._entries]}
+        return {"rows": self._rows + [entry.to_row() for entry in self._tail]}
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> "ExecutionHistory":
-        return cls(HistoryEntry.from_dict(item) for item in payload.get("entries", []))
+        """Reconstruct a history from :meth:`to_dict` output.
+
+        Also reads the ``"entries"`` list of per-entry dicts that stores
+        written before the row form hold.
+        """
+        history = cls()
+        rows = payload.get("rows")
+        if rows is None:
+            rows = [HistoryEntry.from_dict(item).to_row() for item in payload.get("entries", [])]
+        if rows:
+            history._rows = rows
+        return history
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._rows) + len(self._tail)
 
     def __iter__(self):
-        return iter(self._entries)
+        return iter(self._all())
 
     def __repr__(self) -> str:
-        return f"ExecutionHistory(entries={len(self._entries)}, reduced={len(self.reduced())})"
+        return f"ExecutionHistory(entries={len(self)}, reduced={len(self.reduced_rows())})"

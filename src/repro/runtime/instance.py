@@ -37,22 +37,65 @@ class ProcessInstance:
         schema: ProcessSchema,
         initial_data: Optional[Mapping[str, Any]] = None,
     ) -> None:
+        self._bind(
+            instance_id,
+            schema,
+            InstanceStatus.CREATED,
+            Marking.initial(schema),
+            ExecutionHistory(),
+            DataContext(schema),
+            {},
+        )
+        if initial_data:
+            for element, value in initial_data.items():
+                self.data.write(element, value, writer="<initial>")
+
+    @classmethod
+    def restore(
+        cls,
+        instance_id: str,
+        schema: ProcessSchema,
+        status: InstanceStatus,
+        marking: Marking,
+        history: ExecutionHistory,
+        data: DataContext,
+        loop_iterations: Dict[str, int],
+    ) -> "ProcessInstance":
+        """An (unbiased) instance holding exactly the given state objects.
+
+        The constructor for state that already exists — hydration from a
+        stored record, :meth:`clone` — which builds no initial marking or
+        data context only to replace them.  The caller hands over
+        ownership of the objects; attach a bias with :meth:`set_bias`.
+        """
+        instance = cls.__new__(cls)
+        instance._bind(instance_id, schema, status, marking, history, data, loop_iterations)
+        return instance
+
+    def _bind(
+        self,
+        instance_id: str,
+        schema: ProcessSchema,
+        status: InstanceStatus,
+        marking: Marking,
+        history: ExecutionHistory,
+        data: DataContext,
+        loop_iterations: Dict[str, int],
+    ) -> None:
+        """Set every attribute of an instance (shared by both constructors)."""
         if not instance_id:
             raise ValueError("instance_id must be non-empty")
         self.instance_id = instance_id
         self.original_schema = schema
         self.process_type = schema.name
         self.schema_version = schema.version
-        self.marking = Marking.initial(schema)
-        self.history = ExecutionHistory()
-        self.data = DataContext(schema)
-        self.status = InstanceStatus.CREATED
-        self.loop_iterations: Dict[str, int] = {}
+        self.marking = marking
+        self.history = history
+        self.data = data
+        self.status = status
+        self.loop_iterations = loop_iterations
         self.bias: Optional[Any] = None
         self._execution_schema: Optional[ProcessSchema] = None
-        if initial_data:
-            for element, value in initial_data.items():
-                self.data.write(element, value, writer="<initial>")
 
     # ------------------------------------------------------------------ #
     # schema access
@@ -97,12 +140,15 @@ class ProcessInstance:
         Used by what-if analyses such as planning a partial rollback before
         committing it to the real instance.
         """
-        copy = ProcessInstance(instance_id or f"{self.instance_id}__clone", self.original_schema)
-        copy.status = self.status
-        copy.marking = self.marking.copy()
-        copy.history = self.history.copy()
-        copy.data = self.data.copy()
-        copy.loop_iterations = dict(self.loop_iterations)
+        copy = ProcessInstance.restore(
+            instance_id or f"{self.instance_id}__clone",
+            self.original_schema,
+            self.status,
+            self.marking.copy(),
+            self.history.copy(),
+            self.data.copy(),
+            dict(self.loop_iterations),
+        )
         copy.bias = self.bias
         copy._execution_schema = self._execution_schema
         copy.schema_version = self.schema_version

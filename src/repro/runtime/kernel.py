@@ -50,13 +50,14 @@ engine raises :class:`~repro.runtime.engine.JoinSignalConflictError`.
 
 from __future__ import annotations
 
+import json
+import zlib
 from typing import TYPE_CHECKING, Callable, Dict, List, Tuple
 
 from repro.runtime.states import EdgeState
 from repro.schema.nodes import Node, NodeType
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.schema.graph import ProcessSchema
     from repro.schema.index import SchemaIndex
 
 EdgeKey = Tuple[str, str, str]
@@ -102,7 +103,15 @@ class MarkingLayout:
     generation.
     """
 
-    __slots__ = ("schema_id", "generation", "node_ids", "edge_keys", "node_pos", "edge_pos")
+    __slots__ = (
+        "schema_id",
+        "generation",
+        "node_ids",
+        "edge_keys",
+        "node_pos",
+        "edge_pos",
+        "checksum",
+    )
 
     def __init__(
         self,
@@ -117,6 +126,12 @@ class MarkingLayout:
         self.edge_keys = edge_keys
         self.node_pos: Dict[str, int] = {node_id: i for i, node_id in enumerate(node_ids)}
         self.edge_pos: Dict[EdgeKey, int] = {key: i for i, key in enumerate(edge_keys)}
+        #: crc32 of the coordinates: a positionally stored marking names the
+        #: layout it was written against, so a record can never be decoded
+        #: onto a schema whose node or edge order differs
+        self.checksum = "%08x" % zlib.crc32(
+            json.dumps([node_ids, edge_keys], separators=(",", ":")).encode("ascii")
+        )
 
     def __repr__(self) -> str:
         return (
@@ -259,15 +274,10 @@ class StepKernel:
         "round_bound",
     )
 
-    def __init__(self, schema: "ProcessSchema", index: "SchemaIndex") -> None:
+    def __init__(self, index: "SchemaIndex") -> None:
         from repro.schema.edges import EdgeType
 
-        self.layout = MarkingLayout(
-            schema.schema_id,
-            index.generation,
-            tuple(index.node_ids),
-            tuple(index.non_loop_edge_keys()),
-        )
+        self.layout = index.marking_layout()
         layout = self.layout
         node_count = len(layout.node_ids)
         specs = index.entry_specs()

@@ -29,6 +29,26 @@ _EDGE_CODE = {
     EdgeState.FALSE_SIGNALED: 2,
 }
 
+# The positional stored form writes one code character per node / edge in
+# layout order.  The characters are part of the store format: spelled out,
+# never derived from enum order; the edge characters are the dense codes.
+_NODE_CHAR = {
+    NodeState.NOT_ACTIVATED: "0",
+    NodeState.ACTIVATED: "1",
+    NodeState.RUNNING: "2",
+    NodeState.SUSPENDED: "3",
+    NodeState.COMPLETED: "4",
+    NodeState.SKIPPED: "5",
+    NodeState.FAILED: "6",
+}
+_EDGE_CHAR = {state: str(code) for state, code in _EDGE_CODE.items()}
+_NODE_OF_CHAR = {char: state for state, char in _NODE_CHAR.items()}
+_EDGE_OF_CHAR = {char: state for state, char in _EDGE_CHAR.items()}
+# code string -> dense arrays, one C-speed pass each
+_EDGE_VALUES = bytes.maketrans(b"012", bytes((0, 1, 2)))
+_UNTOUCHED = bytes.maketrans(b"0123456", bytes((1, 0, 0, 0, 0, 0, 0)))
+_ACTIVATED = bytes.maketrans(b"0123456", bytes((0, 1, 0, 0, 0, 0, 0)))
+
 
 class DenseMarking:
     """Dense, positionally-indexed projection of a :class:`Marking`.
@@ -63,8 +83,29 @@ class DenseMarking:
         "stale",
     )
 
-    def __init__(self, layout: "MarkingLayout", marking: "Marking") -> None:
+    def __init__(
+        self,
+        layout: "MarkingLayout",
+        edge_values: bytearray,
+        untouched: bytearray,
+        activated: bytearray,
+        aligned: bool,
+    ) -> None:
         self.layout = layout
+        self.edge_values = edge_values
+        self.untouched = untouched
+        self.activated = activated
+        # True when the marking holds exactly the layout's nodes in the
+        # layout's order — then a positional scan visits nodes in the same
+        # order as a marking-dict scan, and dense answers (e.g. "first
+        # activated activity") replicate the dict-based ones exactly
+        self.aligned = aligned
+        self.at_fixpoint = False
+        self.stale = False
+
+    @classmethod
+    def of_marking(cls, layout: "MarkingLayout", marking: "Marking") -> "DenseMarking":
+        """Project the marking's dicts onto ``layout`` (one pass over each)."""
         edge_values = bytearray(len(layout.edge_keys))
         edge_states = marking.edge_states
         for key, state in edge_states.items():
@@ -82,16 +123,26 @@ class DenseMarking:
                 untouched[position] = 1
             elif state is is_activated:
                 activated[position] = 1
-        self.edge_values = edge_values
-        self.untouched = untouched
-        self.activated = activated
-        # True when the marking holds exactly the layout's nodes in the
-        # layout's order — then a positional scan visits nodes in the same
-        # order as a marking-dict scan, and dense answers (e.g. "first
-        # activated activity") replicate the dict-based ones exactly
-        self.aligned = list(node_states) == list(layout.node_ids)
-        self.at_fixpoint = False
-        self.stale = False
+        aligned = list(node_states) == list(layout.node_ids)
+        return cls(layout, edge_values, untouched, activated, aligned)
+
+    @classmethod
+    def from_codes(
+        cls, layout: "MarkingLayout", node_codes: str, edge_codes: str
+    ) -> "DenseMarking":
+        """The view of the marking two validated code strings spell out.
+
+        Byte for byte what :meth:`of_marking` builds from the decoded
+        dicts, without walking them; always ``aligned``.
+        """
+        nodes = node_codes.encode("ascii")
+        return cls(
+            layout,
+            bytearray(edge_codes.encode("ascii").translate(_EDGE_VALUES)),
+            bytearray(nodes.translate(_UNTOUCHED)),
+            bytearray(nodes.translate(_ACTIVATED)),
+            True,
+        )
 
     # mutator mirror hooks (called from Marking's setters) ------------- #
 
@@ -260,7 +311,7 @@ class Marking:
         """
         view = self._dense
         if view is None or view.layout is not layout or view.stale:
-            view = DenseMarking(layout, self)
+            view = DenseMarking.of_marking(layout, self)
             self._dense = view
         return view
 
@@ -290,12 +341,16 @@ class Marking:
         return not self.differences(other)
 
     def to_dict(self) -> dict:
-        """Serialize the marking to a JSON-compatible dictionary."""
+        """Serialize the marking to a JSON-compatible dictionary (keyed form).
+
+        Edges are listed in sorted key order, so the output depends on the
+        states alone, not on the order the dicts were filled in.
+        """
         return {
             "node_states": {node_id: state.value for node_id, state in self._node_states.items()},
             "edge_states": [
                 {"source": key[0], "target": key[1], "edge_type": key[2], "state": state.value}
-                for key, state in self._edge_states.items()
+                for key, state in sorted(self._edge_states.items())
             ],
         }
 
@@ -310,6 +365,118 @@ class Marking:
             for entry in payload.get("edge_states", [])
         }
         return cls(node_states, edge_states)
+
+    # -- the stored form ------------------------------------------------ #
+    #
+    # A marking that covers exactly a layout is stored *positionally*:
+    # ``{"layout": <checksum>, "nodes": "4441…", "edges": "1102…"}`` — one
+    # code character per node / edge in layout order; the schema version the
+    # record references spells the names (paper Fig. 2).  Any other marking
+    # is stored in the keyed :meth:`to_dict` form, which is also what stores
+    # written before the positional form hold.
+
+    def to_codes(self, layout: "MarkingLayout") -> Optional[Tuple[str, str]]:
+        """Node and edge code strings in layout order.
+
+        ``None`` when the marking does not hold exactly the layout's nodes
+        and edges (positions would not identify them).
+        """
+        node_states = self._node_states
+        edge_states = self._edge_states
+        if len(node_states) != len(layout.node_ids) or len(edge_states) != len(layout.edge_keys):
+            return None
+        try:
+            return (
+                "".join(map(_NODE_CHAR.__getitem__, map(node_states.__getitem__, layout.node_ids))),
+                "".join(map(_EDGE_CHAR.__getitem__, map(edge_states.__getitem__, layout.edge_keys))),
+            )
+        except KeyError:
+            return None
+
+    @classmethod
+    def from_codes(cls, layout: "MarkingLayout", node_codes: str, edge_codes: str) -> "Marking":
+        """The marking two code strings spell out against ``layout``.
+
+        Its dicts are in layout order and its dense view is pre-built
+        from the strings.  Raises ``ValueError`` when a string does not fit
+        the layout or holds an unknown code.
+        """
+        if len(node_codes) != len(layout.node_ids) or len(edge_codes) != len(layout.edge_keys):
+            raise ValueError(
+                f"marking codes ({len(node_codes)} nodes, {len(edge_codes)} edges) do not fit "
+                f"{layout!r}"
+            )
+        marking = cls()
+        try:
+            marking._node_states = dict(
+                zip(layout.node_ids, map(_NODE_OF_CHAR.__getitem__, node_codes))
+            )
+            marking._edge_states = dict(
+                zip(layout.edge_keys, map(_EDGE_OF_CHAR.__getitem__, edge_codes))
+            )
+        except KeyError as exc:
+            raise ValueError(f"unknown marking state code {exc.args[0]!r}") from None
+        marking._dense = DenseMarking.from_codes(layout, node_codes, edge_codes)
+        return marking
+
+    def to_stored(self, layout: Optional["MarkingLayout"]) -> dict:
+        """The stored form: positional against ``layout`` when it is covered.
+
+        ``layout=None`` asks for the keyed form outright — the caller knows
+        positions will not be reproducible on load (a biased case's
+        execution schema is re-materialised in another order).
+        """
+        codes = self.to_codes(layout) if layout is not None else None
+        if codes is None:
+            return self.to_dict()
+        return {"layout": layout.checksum, "nodes": codes[0], "edges": codes[1]}
+
+    @classmethod
+    def from_stored(cls, payload: Mapping, layout: "MarkingLayout") -> "Marking":
+        """Reconstruct a marking from either stored form, in layout order.
+
+        A positional payload must name ``layout``'s checksum — a mismatch
+        raises ``ValueError`` instead of assigning states to the wrong
+        nodes.  A keyed payload that covers the layout is re-ordered onto
+        it (JSON snapshots sort the keys), so scans of a loaded marking
+        visit nodes in the order a never-stored one does.
+        """
+        if "layout" in payload:
+            if payload["layout"] != layout.checksum:
+                raise ValueError(
+                    f"marking was stored against layout {payload['layout']}, "
+                    f"but {layout!r} has checksum {layout.checksum}"
+                )
+            return cls.from_codes(layout, payload["nodes"], payload["edges"])
+        marking = cls.from_dict(payload)
+        codes = marking.to_codes(layout)
+        return marking if codes is None else cls.from_codes(layout, *codes)
+
+    @staticmethod
+    def stored_key(payload: Mapping, layout: Optional["MarkingLayout"] = None) -> tuple:
+        """Hashable, order-canonical projection of a stored marking.
+
+        Equal keys ⇔ equal markings on the same coordinates.  A positional
+        payload *is* its key (checksum + the two code strings).  A keyed
+        payload that covers ``layout`` yields the key its next write-back
+        would have, so records written before and after the positional
+        form classify together; otherwise its sorted items.
+        """
+        if "layout" in payload:
+            return (payload["layout"], payload["nodes"], payload["edges"])
+        if layout is not None:
+            codes = Marking.from_dict(payload).to_codes(layout)
+            if codes is not None:
+                return (layout.checksum,) + codes
+        return (
+            tuple(sorted(payload.get("node_states", {}).items())),
+            tuple(
+                sorted(
+                    (e["source"], e["target"], e["edge_type"], e["state"])
+                    for e in payload.get("edge_states", [])
+                )
+            ),
+        )
 
     def __repr__(self) -> str:
         active = len(self.nodes_in_state(NodeState.ACTIVATED, NodeState.RUNNING))

@@ -90,6 +90,7 @@ class SchemaIndex:
         "_block_tree",
         "_written_before",
         "_entry_specs",
+        "_marking_layout",
         "_step_kernel",
         "_round_bound",
     )
@@ -193,6 +194,7 @@ class SchemaIndex:
         self._block_tree: Optional["BlockTree"] = None
         self._written_before: Optional[Dict[str, Set[str]]] = None
         self._entry_specs: Optional[Dict[str, Tuple[int, Tuple[EdgeKey, ...], Tuple[EdgeKey, ...]]]] = None
+        self._marking_layout = None  # lazily built MarkingLayout (runtime.kernel)
         self._step_kernel = None  # lazily compiled StepKernel (runtime.kernel)
         self._round_bound: Optional[int] = None
 
@@ -354,6 +356,25 @@ class SchemaIndex:
             self._entry_specs = specs
         return specs
 
+    def marking_layout(self):
+        """The dense marking coordinates of this generation (cached).
+
+        One :class:`~repro.runtime.kernel.MarkingLayout` per index: the
+        step kernel, the dense marking views and the positional stored
+        form of a marking all share this object, so "same layout" is an
+        identity check.  Building it needs no kernel compilation — the
+        instance store decodes records of schemas that are never stepped.
+        """
+        layout = self._marking_layout
+        if layout is None:
+            from repro.runtime.kernel import MarkingLayout
+
+            layout = MarkingLayout(
+                self._schema.schema_id, self.generation, self.node_ids, self._non_loop_edge_keys
+            )
+            self._marking_layout = layout
+        return layout
+
     def step_kernel(self):
         """The compiled per-schema stepping kernel (cached per generation).
 
@@ -367,7 +388,7 @@ class SchemaIndex:
         if kernel is None:
             from repro.runtime.kernel import StepKernel
 
-            kernel = StepKernel(self._schema, self)
+            kernel = StepKernel(self)
             self._step_kernel = kernel
         return kernel
 

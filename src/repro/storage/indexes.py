@@ -11,6 +11,14 @@ from __future__ import annotations
 from typing import Dict, List, Mapping, Optional, Set
 
 
+def _discard(buckets: Dict, key, instance_id: str) -> None:
+    """Take ``instance_id`` out of ``buckets[key]``; drop the bucket when it empties."""
+    bucket = buckets[key]
+    bucket.discard(instance_id)
+    if not bucket:
+        del buckets[key]
+
+
 class InstanceIndex:
     """Inverted indexes over stored instance records."""
 
@@ -19,50 +27,50 @@ class InstanceIndex:
         self._by_version: Dict[tuple, Set[str]] = {}
         self._by_status: Dict[str, Set[str]] = {}
         self._biased: Set[str] = set()
+        #: instance id -> ``(process_type, version, status, biased)`` as
+        #: indexed: re-indexing touches exactly the buckets that hold the id,
+        #: whatever number of versions the repository has ever released
+        self._entries: Dict[str, tuple] = {}
 
     # ------------------------------------------------------------------ #
 
     def add(self, instance_id: str, record: Mapping) -> None:
         """Index (or re-index) one stored record."""
+        entry = (
+            record.get("process_type", ""),
+            record.get("schema_version", 0),
+            record.get("status", ""),
+            bool(record.get("biased")),
+        )
+        if self._entries.get(instance_id) == entry:
+            return
         self.remove(instance_id)
-        process_type = record.get("process_type", "")
-        version = record.get("schema_version", 0)
-        status = record.get("status", "")
+        self._entries[instance_id] = entry
+        process_type, version, status, biased = entry
         self._by_type.setdefault(process_type, set()).add(instance_id)
         self._by_version.setdefault((process_type, version), set()).add(instance_id)
         self._by_status.setdefault(status, set()).add(instance_id)
-        if record.get("biased"):
+        if biased:
             self._biased.add(instance_id)
-
-    def change_version(
-        self, instance_id: str, process_type: str, old_version: int, new_version: int
-    ) -> None:
-        """Move one instance to a new schema version (bulk-migration hot path).
-
-        Equivalent to a full re-``add`` of the rewritten record, but only
-        the two affected version buckets are touched — type, status and
-        bias flags are unchanged by an unbiased migration.
-        """
-        bucket = self._by_version.get((process_type, old_version))
-        if bucket is not None:
-            bucket.discard(instance_id)
-        self._by_version.setdefault((process_type, new_version), set()).add(instance_id)
 
     def remove(self, instance_id: str) -> None:
         """Drop an instance from every index."""
-        for bucket in self._by_type.values():
-            bucket.discard(instance_id)
-        for bucket in self._by_version.values():
-            bucket.discard(instance_id)
-        for bucket in self._by_status.values():
-            bucket.discard(instance_id)
-        self._biased.discard(instance_id)
+        entry = self._entries.pop(instance_id, None)
+        if entry is None:
+            return
+        process_type, version, status, biased = entry
+        _discard(self._by_type, process_type, instance_id)
+        _discard(self._by_version, (process_type, version), instance_id)
+        _discard(self._by_status, status, instance_id)
+        if biased:
+            self._biased.discard(instance_id)
 
     def clear(self) -> None:
         self._by_type.clear()
         self._by_version.clear()
         self._by_status.clear()
         self._biased.clear()
+        self._entries.clear()
 
     # ------------------------------------------------------------------ #
 
@@ -86,6 +94,6 @@ class InstanceIndex:
         """Mapping of schema version to number of instances of the type."""
         counts: Dict[int, int] = {}
         for (type_name, version), bucket in self._by_version.items():
-            if type_name == process_type and bucket:
+            if type_name == process_type:
                 counts[version] = len(bucket)
         return counts

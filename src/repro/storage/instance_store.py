@@ -12,20 +12,15 @@ import threading
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Mapping, Optional
 
-from repro.errors import ReproError
 from repro.runtime.instance import ProcessInstance
 from repro.storage.indexes import InstanceIndex
 from repro.storage.kv import KeyValueStore
 from repro.storage.repository import SchemaRepository
 from repro.storage.representations import HybridSubstitutionRepresentation, RepresentationStrategy
-from repro.storage.serialization import instance_from_dict, instance_to_dict
+from repro.storage.serialization import StorageError, instance_from_record, instance_to_dict
 from repro.storage.wal import WriteAheadLog
 
 _NAMESPACE = "instances"
-
-
-class StorageError(ReproError):
-    """Raised when an instance cannot be stored or loaded."""
 
 
 @dataclass
@@ -209,23 +204,16 @@ class InstanceStore:
             record = self._store.get(_NAMESPACE, instance_id)
             if record is None:
                 raise StorageError(f"unknown instance {instance_id!r}")
-            old_version = record.get("schema_version", 0)
             record = dict(record)
             record["schema_version"] = schema_version
             record["marking"] = marking
-            if updates:
-                for key, value in updates.items():
-                    if value is None:
-                        record.pop(key, None)
-                    else:
-                        record[key] = value
-                self._store.put(_NAMESPACE, instance_id, record, validate=False)
-                self.index.add(instance_id, record)
-            else:
-                self._store.put(_NAMESPACE, instance_id, record, validate=False)
-                self.index.change_version(
-                    instance_id, record.get("process_type", ""), old_version, schema_version
-                )
+            for key, value in (updates or {}).items():
+                if value is None:
+                    record.pop(key, None)
+                else:
+                    record[key] = value
+            self._store.put(_NAMESPACE, instance_id, record, validate=False)
+            self.index.add(instance_id, record)
         return record
 
     def instantiate(self, record: Mapping[str, Any]) -> ProcessInstance:
@@ -329,7 +317,7 @@ class InstanceStore:
         execution_schema = self.strategy.materialize_schema(
             representation, original, record["instance_id"]
         )
-        return instance_from_dict(record, self.repository.resolve, execution_schema=execution_schema)
+        return instance_from_record(record, original, execution_schema)
 
     def _rebuild_index(self) -> None:
         self.index.clear()

@@ -4,6 +4,17 @@ The representation strategies (:mod:`repro.storage.representations`)
 decide how the *schema* of an instance is persisted; everything else —
 marking, history, data context, loop counters, status, bias change log —
 is serialised here in one canonical format.
+
+An unbiased instance *references* its schema version and stores only
+instance-specific state (paper Fig. 2), so its marking is written
+positionally against that version's
+:class:`~repro.runtime.kernel.MarkingLayout` — the record never re-spells
+the schema's node and edge names.  A biased instance executes on a
+private schema that is re-materialised on load in a different element
+order, so positions would not be reproducible: its marking keeps the
+keyed form.  The choice follows from the instance alone; the two forms
+themselves belong to :mod:`repro.runtime.markings`, the history rows to
+:mod:`repro.runtime.history`.
 """
 
 from __future__ import annotations
@@ -11,6 +22,7 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, Mapping, Optional
 
 from repro.core.changelog import ChangeLog
+from repro.errors import ReproError
 from repro.runtime.data_context import DataContext
 from repro.runtime.history import ExecutionHistory
 from repro.runtime.instance import ProcessInstance
@@ -21,18 +33,24 @@ from repro.schema.graph import ProcessSchema
 SchemaResolver = Callable[[str, int], ProcessSchema]
 
 
+class StorageError(ReproError):
+    """Raised when an instance cannot be stored or loaded."""
+
+
 def instance_to_dict(instance: ProcessInstance) -> Dict[str, Any]:
     """Serialise the representation-independent part of an instance."""
+    biased = instance.is_biased
+    layout = None if biased else instance.original_schema.index.marking_layout()
     payload: Dict[str, Any] = {
         "instance_id": instance.instance_id,
         "process_type": instance.process_type,
         "schema_version": instance.schema_version,
         "status": instance.status.value,
-        "marking": instance.marking.to_dict(),
+        "marking": instance.marking.to_stored(layout),
         "history": instance.history.to_dict(),
         "data": instance.data.to_dict(),
         "loop_iterations": dict(instance.loop_iterations),
-        "biased": instance.is_biased,
+        "biased": biased,
     }
     if isinstance(instance.bias, ChangeLog) and len(instance.bias) > 0:
         payload["bias"] = instance.bias.to_dict()
@@ -52,17 +70,45 @@ def instance_from_dict(
     representation strategy) and may be omitted for unbiased ones.
     """
     original = schema_resolver(payload["process_type"], payload["schema_version"])
-    instance = ProcessInstance(instance_id=payload["instance_id"], schema=original)
-    instance.status = InstanceStatus(payload.get("status", "running"))
-    instance.marking = Marking.from_dict(payload.get("marking", {}))
-    instance.history = ExecutionHistory.from_dict(payload.get("history", {}))
-    instance.data = DataContext.from_dict(payload.get("data", {}))
-    instance.loop_iterations = dict(payload.get("loop_iterations", {}))
+    return instance_from_record(payload, original, execution_schema)
+
+
+def instance_from_record(
+    payload: Mapping[str, Any],
+    original: ProcessSchema,
+    execution_schema: Optional[ProcessSchema] = None,
+) -> ProcessInstance:
+    """:func:`instance_from_dict` for a caller that already resolved ``original``.
+
+    Raises :class:`StorageError` when the stored marking does not fit the
+    schema it would be decoded onto (layout checksum or length mismatch).
+    """
+    bias: Optional[ChangeLog] = None
     bias_payload = payload.get("bias")
     if bias_payload:
         bias = ChangeLog.from_dict(bias_payload)
         if execution_schema is None:
             execution_schema = bias.apply_to(original, check=False)
-            execution_schema.schema_id = f"{original.schema_id}+{instance.instance_id}"
+            execution_schema.schema_id = f"{original.schema_id}+{payload['instance_id']}"
+    executes_on = original if bias is None else execution_schema
+    try:
+        marking = Marking.from_stored(
+            payload.get("marking", {}), executes_on.index.marking_layout()
+        )
+    except ValueError as exc:
+        raise StorageError(
+            f"stored marking of instance {payload['instance_id']!r} does not fit "
+            f"{payload['process_type']!r} v{payload['schema_version']}: {exc}"
+        ) from exc
+    instance = ProcessInstance.restore(
+        payload["instance_id"],
+        original,
+        InstanceStatus(payload.get("status", "running")),
+        marking,
+        ExecutionHistory.from_dict(payload.get("history", {})),
+        DataContext.from_dict(payload.get("data", {})),
+        dict(payload.get("loop_iterations", {})),
+    )
+    if bias is not None:
         instance.set_bias(bias, execution_schema)
     return instance

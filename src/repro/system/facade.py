@@ -1727,7 +1727,11 @@ class AdeptSystem:
         class's adapted marking, and the case is offered what that
         marking activates — all without materialising it.
         """
-        self.store.migrate_record(instance_id, schema.version, verdict.adapted_marking_dict())
+        self.store.migrate_record(
+            instance_id,
+            schema.version,
+            verdict.adapted_marking_dict(schema.index.marking_layout()),
+        )
         offers, _ = self.worklists.work_of(schema, verdict.adapted_marking)
         self.worklists.sync_offers(instance_id, offers)
 

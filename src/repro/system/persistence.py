@@ -53,8 +53,12 @@ from repro.storage.wal import WriteAheadLog
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.system.facade import AdeptSystem
 
-#: Snapshot/WAL format version (bumped on incompatible layout changes).
-FORMAT_VERSION = 1
+#: Snapshot format written by this code (bumped on incompatible layout
+#: changes).  Format 2 may hold positionally stored markings and history
+#: rows; both it and format 1 (keyed markings, per-entry history dicts —
+#: still the read path of every record) load.
+FORMAT_VERSION = 2
+READABLE_FORMATS = (1, 2)
 
 
 def shard_store_path(base: str, shard_id: str) -> str:
@@ -289,10 +293,10 @@ class PersistentBackend:
             payload = json.loads(self.snapshot_path.read_text(encoding="utf-8"))
         except json.JSONDecodeError:
             return None
-        if payload.get("format") != FORMAT_VERSION:
+        if payload.get("format") not in READABLE_FORMATS:
             raise RecoveryError(
                 f"snapshot format {payload.get('format')!r} is not supported "
-                f"(expected {FORMAT_VERSION})"
+                f"(expected one of {READABLE_FORMATS})"
             )
         return payload
 

@@ -214,9 +214,9 @@ class TestChangedCasesParity:
 
     def test_adhoc_changed_hydrated_case_runs_to_completion(self):
         """An ad-hoc changed case after a store round trip: JSON sorts the
-        marking dicts, the dense view is unaligned with the layout, and
-        ``step_many_compiled`` picks the next activity through its dict
-        fallback."""
+        keyed marking's dicts, loading re-orders them onto the layout of
+        the re-materialised execution schema, and ``step_many_compiled``
+        picks the next activity from the (aligned) dense view."""
         schema = templates.online_order_process()
         insert = SerialInsertActivity(
             activity=Node(node_id="verify_address"), pred="get_order", succ="collect_data"
@@ -230,7 +230,7 @@ class TestChangedCasesParity:
             instance = instance_from_dict(stored, lambda name, version: schema)
             if isinstance(engine, ProcessEngine):
                 kernel = instance.execution_schema.index.step_kernel()
-                assert not instance.marking.dense_view(kernel.layout).aligned
+                assert instance.marking.dense_view(kernel.layout).aligned
             steps = engine.run_to_completion(instance)
             assert "verify_address" in instance.completed_activities()
             return steps, observed(engine, [instance])

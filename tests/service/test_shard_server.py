@@ -129,6 +129,10 @@ class TestCaseOps:
         try:
             _deploy_orders(client_b)
             exported = client_a.call("export_case", instance_id="ord-1")
+            # an unbiased case travels in the positional form: both shards
+            # hold the schema version, the record names only its layout
+            assert set(exported["record"]["marking"]) == {"layout", "nodes", "edges"}
+            assert "rows" in exported["record"]["history"]
             client_b.call("import_case", record=exported["record"])
             # the case left shard A entirely and kept its exact state on B
             with pytest.raises(RemoteError):
@@ -137,6 +141,8 @@ class TestCaseOps:
             assert info["state_fingerprint"] == fingerprint
             assert client_a.call("telemetry")["handover"] == 1
             assert client_b.call("telemetry")["handover"] == 1
+            done = client_b.call("step_many", instance_ids=["ord-1"], steps=10)
+            assert done[0]["status"] == "completed"
         finally:
             client_b.close()
             server_b.stop()

@@ -68,3 +68,51 @@ class TestInstanceIndex:
         assert index.biased_instances() == []
         index.clear()
         assert index.by_type("online_order") == []
+
+    def test_buckets_are_bounded_by_what_is_indexed(self):
+        """50 rounds of "release a version, migrate everyone": the index
+        keeps buckets for the (type, version) pairs that hold a case, not
+        for every version ever released — ``add`` re-indexes in O(1)."""
+        index = InstanceIndex()
+        ids = [f"case-{n}" for n in range(6)]
+        for instance_id in ids:
+            index.add(instance_id, self.record(instance_id, version=1))
+        for version in range(2, 52):
+            for instance_id in ids[:-1]:  # the last case conflicts and stays on v1
+                index.add(instance_id, self.record(instance_id, version=version))
+        assert len(index._by_version) == 2
+        assert index.counts_by_version("online_order") == {1: 1, 51: 5}
+        assert index.by_version("online_order", 51) == ids[:-1]
+        assert index.by_version("online_order", 1) == ids[-1:]
+        assert index.by_version("online_order", 17) == []
+        assert index.by_type("online_order") == ids
+        assert index.by_status("running") == ids
+
+        index.add(ids[0], self.record(ids[0], version=51, status="completed", biased=True))
+        assert index.by_status("completed") == [ids[0]]
+        assert index.by_status("running") == ids[1:]
+        assert index.biased_instances() == [ids[0]]
+        for instance_id in ids:
+            index.remove(instance_id)
+        index.remove("never-indexed")
+        assert not (index._by_type or index._by_version or index._by_status or index._biased)
+
+    def test_store_index_stays_bounded_across_evolutions(self):
+        """The same through the façade: evolve + migrate-all, 50 times."""
+        from repro import AdeptSystem
+        from repro.core.operations import ChangeActivityAttributes
+
+        system = AdeptSystem(cache_instances=2)
+        sequence = system.deploy(templates.sequential_process())
+        ids = [sequence.start().instance_id for _ in range(6)]
+        for round_ in range(50):
+            report = sequence.evolve(
+                [ChangeActivityAttributes(activity_id="step_5", name=f"round {round_}")]
+            )
+            assert report.migrated_count == len(ids)
+        system.save_all()  # live cases write back lazily
+        index = system.store.index
+        stored = set(system.stored_instance_ids())
+        assert stored == set(ids) and len(index._by_version) == 1
+        assert set(index.by_version("sequence", 51)) == stored
+        assert index.counts_by_version("sequence") == {51: len(stored)}

@@ -13,16 +13,27 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.core.adhoc import AdHocChanger
 from repro.core.changelog import ChangeLog
-from repro.core.operations import SerialInsertActivity
+from repro.core.evolution import ProcessType, TypeChange
+from repro.core.migration_plan import MigrationPlan
+from repro.core.operations import ChangeActivityAttributes, SerialInsertActivity
 from repro.core.substitution import SubstitutionBlock
 from repro.runtime.data_context import DataContext
 from repro.runtime.engine import ProcessEngine
-from repro.runtime.history import ExecutionHistory
-from repro.runtime.markings import Marking
+from repro.runtime.history import ExecutionHistory, HistoryEventType
+from repro.runtime.markings import DenseMarking, Marking
+from repro.runtime.states import NodeState
+from repro.schema.data import DataType
 from repro.schema.nodes import Node, NodeType
-from repro.schema.templates import online_order_process
-from repro.storage.serialization import instance_from_dict, instance_to_dict
+from repro.schema.templates import (
+    loop_process,
+    online_order_process,
+    patient_treatment_process,
+)
+from repro.storage.serialization import StorageError, instance_from_dict, instance_to_dict
+from repro.system import AdeptSystem
+from repro.workloads.order_process import order_type_change_v2
 
 from tests.properties.strategies import executed_instances, random_schemas
 
@@ -139,3 +150,294 @@ class TestWholeInstanceRoundTrip:
         payload = json_round_trip(instance_to_dict(instance))
         restored = instance_from_dict(payload, lambda name, version: schema)
         assert restored.state_fingerprint() == instance.state_fingerprint()
+
+
+# --------------------------------------------------------------------------- #
+# the positional record: marking as two code strings, history as rows
+# --------------------------------------------------------------------------- #
+
+
+#: random block-structured schemas, plus templates whose loops the random
+#: ones rarely grow (a drawn ``False`` exit flag supersedes an iteration)
+codec_schemas = st.one_of(
+    random_schemas(min_activities=3, max_activities=12),
+    st.builds(lambda length: loop_process(body_length=length, max_iterations=4), st.integers(1, 3)),
+    st.builds(patient_treatment_process),
+)
+
+
+@st.composite
+def scheduled_instances(draw, schema):
+    """An instance driven by a random schedule, not "first activated wins".
+
+    Each step picks any activated activity and either completes it with
+    drawn outputs (a ``False`` loop flag runs another iteration and
+    supersedes the last one; choice flags kill XOR branches), or leaves
+    it running, suspended or failed.
+    """
+    engine = ProcessEngine()
+    instance = engine.create_instance(schema, "codec")
+    for _ in range(draw(st.integers(min_value=0, max_value=3 * len(schema.activity_ids())))):
+        activated = instance.activated_activities()
+        if not activated:
+            break
+        activity = draw(st.sampled_from(activated))
+        action = draw(st.sampled_from(["complete"] * 7 + ["start", "suspend", "fail"]))
+        if action == "complete":
+            outputs = engine.outputs_for(instance, activity)
+            for name in outputs:
+                if schema.data_element(name).data_type is DataType.BOOLEAN:
+                    outputs[name] = draw(st.booleans())
+            engine.complete_activity(instance, activity, outputs)
+            continue
+        engine.start_activity(instance, activity)
+        if action == "suspend":
+            engine.suspend_activity(instance, activity)
+        elif action == "fail":
+            instance.marking.set_node_state(activity, NodeState.FAILED)
+    return engine, instance
+
+
+def keyed_twin(instance):
+    """``instance``'s record in the keyed marking / entry-dict history form."""
+    record = instance_to_dict(instance)
+    record["marking"] = instance.marking.to_dict()
+    record["history"] = {"entries": [entry.to_dict() for entry in instance.history.entries]}
+    return record
+
+
+def biased_order_case(engine):
+    schema = online_order_process()
+    instance = engine.create_instance(schema, "biased")
+    engine.complete_activity(instance, "get_order")
+    AdHocChanger().apply(
+        instance,
+        [
+            SerialInsertActivity(
+                activity=Node(node_id="verify_address"), pred="get_order", succ="collect_data"
+            )
+        ],
+    )
+    return schema, instance
+
+
+class TestPositionalRecord:
+    @settings(RELAXED, max_examples=80)
+    @given(data=st.data(), schema=codec_schemas)
+    def test_round_trip_restores_every_part_in_layout_order(self, data, schema):
+        _, instance = data.draw(scheduled_instances(schema))
+        layout = schema.index.marking_layout()
+        record = instance_to_dict(instance)
+        assert set(record["marking"]) == {"layout", "nodes", "edges"}
+        assert record["marking"]["layout"] == layout.checksum
+
+        for payload in (record, json_round_trip(record), keyed_twin(instance)):
+            restored = instance_from_dict(payload, lambda name, version: schema)
+            marking = restored.marking
+            # states *and* dict order: the layout's
+            assert list(marking.node_states.items()) == [
+                (node_id, instance.marking.node_state(node_id)) for node_id in layout.node_ids
+            ]
+            assert list(marking.edge_states.items()) == [
+                (key, instance.marking.edge_state_key(key)) for key in layout.edge_keys
+            ]
+            assert restored.history.entries == instance.history.entries
+            assert restored.history.reduced() == instance.history.reduced()
+            assert restored.data.to_dict() == instance.data.to_dict()
+            assert restored.status is instance.status
+            assert restored.loop_iterations == instance.loop_iterations
+            assert not restored.is_biased
+            # the dense view came with the marking and is what the dicts say
+            prebuilt = marking._dense
+            assert prebuilt is not None and marking.dense_view(layout) is prebuilt
+            rebuilt = DenseMarking.of_marking(layout, marking)
+            assert prebuilt.edge_values == rebuilt.edge_values
+            assert prebuilt.untouched == rebuilt.untouched
+            assert prebuilt.activated == rebuilt.activated
+            assert prebuilt.aligned and rebuilt.aligned
+            # one canonical serialisation, whatever the record went through
+            assert instance_to_dict(restored) == record
+            assert restored.state_fingerprint() == instance.state_fingerprint()
+
+    @settings(RELAXED, max_examples=50)
+    @given(data=st.data(), schema=codec_schemas)
+    def test_record_and_instance_fingerprints_agree(self, data, schema):
+        _, instance = data.draw(scheduled_instances(schema))
+        change = TypeChange.of(
+            1, [ChangeActivityAttributes(activity_id=schema.activity_ids()[0], name="renamed")]
+        )
+        new_schema = ProcessType(schema.name, schema).release_new_version(change)
+        # "replay" puts reduced history (with values) and initial writes in the digest
+        for method in ("conditions", "replay"):
+            plan = MigrationPlan.compile(schema, new_schema, change, compliance_method=method)
+            expected = plan.fingerprint_of_instance(instance)
+            for record in (instance_to_dict(instance), keyed_twin(instance)):
+                for payload in (record, json_round_trip(record)):
+                    assert plan.fingerprint_of_record(payload) == expected
+                    hydrated = instance_from_dict(payload, lambda name, version: schema)
+                    assert plan.fingerprint_of_instance(hydrated) == expected
+
+    def test_biased_record_fingerprint_survives_hydration(self, engine):
+        schema, instance = biased_order_case(engine)
+        change = order_type_change_v2()
+        new_schema = ProcessType("online_order", schema).release_new_version(change)
+        plan = MigrationPlan.compile(schema, new_schema, change)
+        record = instance_to_dict(instance)
+        expected = plan.fingerprint_of_record(record, include_bias=True)
+        assert expected is not None and plan.fingerprint_of_record(record) is None
+        sorted_record = json_round_trip(record)
+        assert plan.fingerprint_of_record(sorted_record, include_bias=True) == expected
+        hydrated = instance_from_dict(sorted_record, lambda name, version: schema)
+        assert (
+            plan.fingerprint_of_record(instance_to_dict(hydrated), include_bias=True) == expected
+        )
+        assert instance_to_dict(hydrated) == record
+
+    def test_keyed_form_is_written_only_when_positions_are_not_reproducible(self, engine):
+        schema, biased = biased_order_case(engine)
+        assert set(instance_to_dict(biased)["marking"]) == {"node_states", "edge_states"}
+
+        unbiased = engine.create_instance(schema, "plain")
+        assert set(instance_to_dict(unbiased)["marking"]) == {"layout", "nodes", "edges"}
+        unbiased.marking.remove_node("deliver_goods")  # no longer covers the layout
+        record = instance_to_dict(unbiased)
+        assert set(record["marking"]) == {"node_states", "edge_states"}
+        restored = instance_from_dict(record, lambda name, version: schema)
+        assert "deliver_goods" not in restored.marking.node_states
+        assert instance_to_dict(restored) == record
+
+    def test_a_marking_stored_against_another_layout_is_refused(self, executed):
+        schema = executed.original_schema
+        record = instance_to_dict(executed)
+
+        def load(**marking):
+            payload = dict(record, marking=dict(record["marking"], **marking))
+            return instance_from_dict(payload, lambda name, version: schema)
+
+        assert load().state_fingerprint() == executed.state_fingerprint()
+        with pytest.raises(StorageError, match="layout"):
+            load(layout="00000000")
+        with pytest.raises(StorageError, match="do not fit"):
+            load(nodes=record["marking"]["nodes"][:-1])
+        with pytest.raises(StorageError, match="do not fit"):
+            load(edges=record["marking"]["edges"] + "0")
+        with pytest.raises(StorageError, match="unknown marking state code"):
+            load(nodes="9" + record["marking"]["nodes"][1:])
+        # an equal schema built elsewhere has the same layout; another one does not
+        assert online_order_process().index.marking_layout().checksum == (
+            record["marking"]["layout"]
+        )
+        with pytest.raises(StorageError, match="layout"):
+            instance_from_dict(record, lambda name, version: loop_process())
+
+
+class TestStoredHistoryStaysRows:
+    def test_stepping_a_hydrated_case_never_materialises_its_history(self, engine):
+        schema = online_order_process()
+        instance = engine.create_instance(schema, "lazy")
+        engine.advance_instance(instance, 2)
+        restored = instance_from_dict(
+            json_round_trip(instance_to_dict(instance)), lambda name, version: schema
+        )
+        history = restored.history
+        assert not history.materialised
+        assert len(history) == 4 and history.last_sequence() == 3
+
+        engine.advance_instance(restored, 2)
+        assert not history.materialised  # only record() ran
+        assert len(history) == 8 and history.last_sequence() == 7
+        record = instance_to_dict(restored)
+        assert not history.materialised  # write-back reads rows, builds none
+        assert [row[0] for row in record["history"]["rows"]] == list(range(8))
+
+        entries = history.entries  # a reader arrives
+        assert history.materialised
+        assert [entry.sequence for entry in entries] == list(range(8))
+        assert len(history) == 8 and history.last_sequence() == 7
+        entry = history.record(HistoryEventType.ACTIVITY_SKIPPED, "x")
+        assert entry.sequence == 8 and history.last_sequence() == 8
+        assert history.entries[-1] is entry
+        assert instance_to_dict(restored)["history"]["rows"][:8] == record["history"]["rows"]
+
+    def test_superseding_stored_rows_never_mutates_the_record(self, engine):
+        schema = loop_process(body_length=2, max_iterations=5)
+        instance = engine.create_instance(schema, "looping")
+        for activity, outputs in (("prepare", {}), ("body_1", {}), ("body_2", {"done": False})):
+            engine.complete_activity(instance, activity, outputs)
+        twin = instance.clone("twin")
+        record = json_round_trip(instance_to_dict(instance))
+        frozen = json.dumps(record, sort_keys=True)
+        restored = instance_from_dict(record, lambda name, version: schema)
+        for case in (restored, twin):  # second iteration loops back again
+            engine.complete_activity(case, "body_1")
+            engine.complete_activity(case, "body_2", {"done": False})
+        assert not restored.history.materialised
+        assert json.dumps(record, sort_keys=True) == frozen
+        assert restored.history.entries == twin.history.entries
+        assert restored.history.reduced() == twin.history.reduced()
+        assert instance_to_dict(restored)["history"] == instance_to_dict(twin)["history"]
+        # both passes through the body are superseded, stored rows and new entries alike
+        assert [e.activity for e in restored.history.reduced()] == [
+            "prepare", "prepare", "loop_start_main_1", "loop_start_main_1",
+        ]
+
+    def test_old_entry_dicts_still_load(self, executed):
+        payload = {"entries": [entry.to_dict() for entry in executed.history.entries]}
+        restored = ExecutionHistory.from_dict(json_round_trip(payload))
+        assert restored.entries == executed.history.entries
+        assert restored.to_dict() == executed.history.to_dict()
+
+
+class TestStoredRecordRewrites:
+    """Evolution rewrites *evicted* records without hydrating them; the
+    class template is positional against the new version's layout."""
+
+    def evicted_cases(self, system):
+        orders = system.deploy(online_order_process())
+        ids = [orders.start().instance_id for _ in range(6)]
+        system.step_many(ids, steps=1)
+        evicted = [i for i in ids if i not in system.live_instance_ids()]
+        assert len(evicted) >= 3
+        rewritten = []
+        migrate_record = system.store.migrate_record
+
+        def spy(instance_id, *args, **kwargs):
+            rewritten.append(instance_id)
+            return migrate_record(instance_id, *args, **kwargs)
+
+        system.store.migrate_record = spy
+        return orders, ids, evicted, rewritten
+
+    def assert_rewritten_onto_v2(self, system, evicted):
+        assert set(evicted).isdisjoint(system.live_instance_ids())
+        layout = system.repository.resolve("online_order", 2).index.marking_layout()
+        for instance_id in evicted:
+            record = system.store.record(instance_id)
+            assert record["schema_version"] == 2
+            assert record["marking"]["layout"] == layout.checksum
+            assert len(record["marking"]["nodes"]) == len(layout.node_ids)
+        hydrated = system.get_instance(evicted[0])
+        assert list(hydrated.marking.node_states) == list(layout.node_ids)
+        assert hydrated.node_state("send_questions") is NodeState.NOT_ACTIVATED
+        results = system.step_many(evicted, steps=20)
+        assert all(result.status.value == "completed" for result in results)
+        assert "send_questions" in system.get_instance(evicted[0]).completed_activities()
+
+    def test_eager_evolve_rewrites_evicted_positional_records(self):
+        system = AdeptSystem(cache_instances=2)
+        orders, ids, evicted, rewritten = self.evicted_cases(system)
+        report = orders.evolve(order_type_change_v2())
+        assert report.migrated_count == len(ids)
+        assert rewritten  # in place, not by hydrating and writing back
+        self.assert_rewritten_onto_v2(system, rewritten)
+
+    def test_sweep_rollout_rewrites_evicted_positional_records(self):
+        system = AdeptSystem(cache_instances=2)
+        orders, ids, evicted, rewritten = self.evicted_cases(system)
+        orders.evolve(order_type_change_v2(), rollout="lazy")
+        while system.rollout_of("online_order") is not None:
+            if system.sweep_rollout("online_order", max_cases=4) == 0:
+                break
+        assert system.rollout_status("online_order")["state"] == "completed"
+        assert rewritten  # in place, not by hydrating and writing back
+        self.assert_rewritten_onto_v2(system, rewritten)

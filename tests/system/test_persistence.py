@@ -2,6 +2,8 @@
 and the LRU-bounded live-instance cache."""
 
 import json
+import shutil
+from pathlib import Path
 
 import pytest
 
@@ -445,3 +447,57 @@ class TestReviewRegressions:
         reported = {result.instance_id for result in report.results}
         assert set(running_ids) <= reported
         assert not (set(stored_finished) & reported)
+
+
+class TestPickOrderAcrossRestart:
+    """Which activity ``step_many`` picks must not depend on whether the
+    case went through a store: a snapshot sorts the keys of a keyed
+    marking, and a marking scanned in that order used to prefer
+    ``compose_order`` where a never-stored case takes ``confirm_order``."""
+
+    @staticmethod
+    def picks(system, case_id, steps):
+        sequence = []
+        for _ in range(steps):
+            done = system.get_instance(case_id).completed_activities()
+            system.step_many([case_id], steps=1)
+            sequence += system.get_instance(case_id).completed_activities()[len(done):]
+        return sequence
+
+    def run(self, store_path, restart, bias):
+        system = open_system(store_path)
+        system.deploy(templates.online_order_process())
+        system.start("online_order", case_id="case")
+        if bias:
+            system.change("case").serial_insert(
+                "verify_address", pred="get_order", succ="collect_data"
+            ).apply()
+        sequence = self.picks(system, "case", 2)
+        if restart:
+            system.checkpoint()
+            system.close()
+            system = open_system(store_path)
+        sequence += self.picks(system, "case", 5)
+        system.close()
+        return sequence
+
+    @pytest.mark.parametrize("bias", [False, True], ids=["unbiased", "biased"])
+    def test_same_sequence_with_and_without_restart(self, tmp_path, bias):
+        plain = self.run(str(tmp_path / "plain"), restart=False, bias=bias)
+        restarted = self.run(str(tmp_path / "restarted"), restart=True, bias=bias)
+        assert restarted == plain
+        assert plain.index("confirm_order") < plain.index("compose_order")  # schema order
+
+    def test_same_sequence_from_a_store_in_the_old_format(self, tmp_path):
+        """``order-2`` of the format-1 fixture sits where both branches of
+        the AND block are activated; its keyed marking is alphabetical."""
+        fixture = Path(__file__).resolve().parents[1] / "fixtures" / "store_v1"
+        shutil.copytree(fixture, tmp_path / "old")
+        old = open_system(str(tmp_path / "old"))
+        fresh = AdeptSystem()
+        fresh.deploy(templates.online_order_process())
+        fresh.start("online_order", case_id="order-2")
+        fresh.step_many(["order-2"], steps=2)
+        # (order-2 is outside the fixture's canary cohort and stays on v1)
+        assert self.picks(old, "order-2", 4) == self.picks(fresh, "order-2", 4)
+        old.close(checkpoint=False)
