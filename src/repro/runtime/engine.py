@@ -116,9 +116,12 @@ class ProcessEngine:
         #: budget, floored at the legacy constant of 10000 — see
         #: :func:`repro.runtime.kernel.derive_round_bound`.
         self.max_propagation_rounds = max_propagation_rounds
-        #: Optional hook invoked after every committed activity transition
-        #: with ``(action, instance, activity_id, outputs, user)`` where
-        #: ``action`` is ``"start"`` or ``"complete"``.  The durability
+        #: Optional hook invoked once per acknowledged activity operation
+        #: with ``(action, instance, activity_id, outputs, user)``:
+        #: ``"start"`` for an explicit :meth:`start_activity`,
+        #: ``"complete"`` for a :meth:`complete_activity` — including the
+        #: implicit start it performs on an ACTIVATED activity, so a
+        #: completed activity has one commit point.  The durability
         #: layer journals these as typed WAL records; unlike the event log
         #: the hook receives the *actual outputs* written by the step, so a
         #: crash-recovery replay reproduces the exact data context.
@@ -199,10 +202,24 @@ class ProcessEngine:
             raise EngineError(
                 f"activity {activity_id!r} cannot be started from state {state.value!r}"
             )
+        self._begin_activity(instance, activity_id, user)
+        if self.step_listener is not None:
+            self.step_listener("start", instance, activity_id, None, user)
+
+    def _begin_activity(
+        self, instance: ProcessInstance, activity_id: str, user: Optional[str]
+    ) -> None:
+        """The start transition of an ACTIVATED activity, unannounced.
+
+        :meth:`start_activity` is acknowledged on its own, so it tells the
+        step listener; the implicit start inside :meth:`complete_activity`
+        does not — its one commit point is the ``complete`` notification,
+        which a replay turns back into this same transition.
+        """
         instance.marking.set_node_state(activity_id, NodeState.RUNNING)
         read_values = {
             data_edge.element: instance.data.get(data_edge.element)
-            for data_edge in schema.reads_of(activity_id)
+            for data_edge in instance.execution_schema.reads_of(activity_id)
         }
         instance.history.record(
             HistoryEventType.ACTIVITY_STARTED,
@@ -212,8 +229,6 @@ class ProcessEngine:
             user=user,
         )
         self._emit(EventType.ACTIVITY_STARTED, instance, node=activity_id, user=user)
-        if self.step_listener is not None:
-            self.step_listener("start", instance, activity_id, None, user)
 
     def complete_activity(
         self,
@@ -225,7 +240,10 @@ class ProcessEngine:
         """Complete a running activity, write its outputs and advance the instance.
 
         The activity may also be completed directly from ACTIVATED state
-        (implicit start), which keeps scripted executions short.
+        (implicit start), which keeps scripted executions short.  The step
+        listener hears of such a step once, as ``"complete"``, after the
+        marking advanced: a crash before that leaves the activity
+        ACTIVATED in the journal's eyes and the step can simply be retried.
         """
         if self.touch_listener is not None:
             self.touch_listener(instance)
@@ -252,7 +270,7 @@ class ProcessEngine:
                 ) from exc
         state = instance.marking.node_state(activity_id)
         if state is NodeState.ACTIVATED:
-            self.start_activity(instance, activity_id, user=user)
+            self._begin_activity(instance, activity_id, user)
         elif state not in (NodeState.RUNNING, NodeState.SUSPENDED):
             raise EngineError(
                 f"activity {activity_id!r} cannot be completed from state {state.value!r}"
@@ -702,11 +720,4 @@ class ProcessEngine:
         node: Optional[str],
         user: Optional[str] = None,
     ) -> None:
-        self.event_log.append(
-            EngineEvent(
-                event_type=event_type,
-                instance_id=instance.instance_id,
-                node_id=node,
-                user=user,
-            )
-        )
+        self.event_log.append(EngineEvent(event_type, instance.instance_id, node, user))

@@ -9,9 +9,14 @@ behavioural properties without poking at engine internals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import deque
 from enum import Enum
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Deque, List, NamedTuple, Optional
+
+#: How many events an :class:`EventLog` — and, by default, the system
+#: bus's history — retains: the newest ones.  Both are windows for
+#: inspection, not archives; the journal is the durable record.
+MAX_RETAINED_EVENTS = 10000
 
 
 class EventType(str, Enum):
@@ -33,9 +38,8 @@ class EventType(str, Enum):
     SCHEMA_VERSION_RELEASED = "schema_version_released"
 
 
-@dataclass(frozen=True)
-class EngineEvent:
-    """One published event."""
+class EngineEvent(NamedTuple):
+    """One published event (immutable; a tuple, so building one is cheap)."""
 
     event_type: EventType
     instance_id: Optional[str] = None
@@ -60,18 +64,20 @@ Listener = Callable[[EngineEvent], None]
 
 
 class EventLog:
-    """Append-only in-memory event log with listener support.
+    """In-memory window of the newest engine events, with listener support.
 
-    :meth:`append` sits on the engine's hot step path and stays lock
-    free: ``list.append`` is atomic under the GIL and the listener
-    collection is an immutable tuple republished by :meth:`subscribe`,
-    so concurrent appenders never observe a half-registered listener.
-    Ordering *between* threads is provided by the callers (each instance
-    is stepped under its stripe lock; the system bus re-sequences).
+    The log retains the last :data:`MAX_RETAINED_EVENTS` events; older
+    ones fall off the front in O(1).  :meth:`append` sits on the engine's
+    hot step path and stays lock free: ``deque.append`` is atomic under
+    the GIL and the listener collection is an immutable tuple republished
+    by :meth:`subscribe`, so concurrent appenders never observe a
+    half-registered listener.  Ordering *between* threads is provided by
+    the callers (each instance is stepped under its stripe lock; the
+    system bus re-sequences).
     """
 
     def __init__(self) -> None:
-        self._events: List[EngineEvent] = []
+        self._events: Deque[EngineEvent] = deque(maxlen=MAX_RETAINED_EVENTS)
         self._listeners: tuple = ()
 
     def append(self, event: EngineEvent) -> None:
@@ -86,13 +92,15 @@ class EventLog:
 
     @property
     def events(self) -> List[EngineEvent]:
+        """The retained events, oldest first (a copy)."""
         return list(self._events)
 
     def events_of(self, event_type: EventType, instance_id: Optional[str] = None) -> List[EngineEvent]:
-        """Events filtered by type and optionally by instance."""
+        """Retained events filtered by type and optionally by instance."""
+        # over the copy: a deque appended to mid-iteration raises
         return [
             event
-            for event in self._events
+            for event in self.events
             if event.event_type is event_type
             and (instance_id is None or event.instance_id == instance_id)
         ]

@@ -10,7 +10,8 @@ processes look like one system:
 * **fan-out** — batch operations (``step_many``, ``start_many``) are
   partitioned per shard, sent in parallel, and merged **in input
   order**: the k-th id a caller passes gets the k-th result back, no
-  matter which shard executed it.
+  matter which shard executed it.  The calling thread carries the first
+  shard's call itself; pool threads exist for the second to N-th.
 * **schema broadcast** — ``evolve`` is a versioned two-phase commit:
   phase 1 *publishes* the change to every shard (each validates that
   its type sits at the expected version and stages the change); only
@@ -145,15 +146,23 @@ class ShardRouter:
     def _fan_out(
         self, calls: Sequence[Tuple[str, Callable[[], Any]]]
     ) -> Dict[str, Any]:
-        """Run thunks in parallel; raise the first failure after all land."""
-        futures = {
-            shard_id: self._pool.submit(thunk) for shard_id, thunk in calls
-        }
+        """Run thunks in parallel; raise the first failure after all land.
+
+        The caller would only wait, so it runs the first thunk itself:
+        every other one is handed to the pool before that, and all are
+        collected in call order.  A request that involves one shard —
+        every single-case operation's batch form — therefore never
+        leaves the calling thread.
+        """
+        landings = [
+            (shard_id, thunk if position == 0 else self._pool.submit(thunk).result)
+            for position, (shard_id, thunk) in enumerate(calls)
+        ]
         results: Dict[str, Any] = {}
         first_error: Optional[Exception] = None
-        for shard_id, future in futures.items():
+        for shard_id, land in landings:
             try:
-                results[shard_id] = future.result()
+                results[shard_id] = land()
             except Exception as exc:  # noqa: BLE001 - re-raised below
                 if first_error is None:
                     first_error = exc

@@ -49,6 +49,7 @@ from typing import (
     Set,
     Tuple,
 )
+from zlib import crc32
 
 __all__ = [
     "LockTable",
@@ -84,10 +85,7 @@ class LockTable:
         # a stable, cheap string hash (hash() is randomised per process,
         # which is fine within one process but worth avoiding for
         # reproducible stress runs under PYTHONHASHSEED experiments)
-        value = 0
-        for char in key:
-            value = (value * 131 + ord(char)) & 0x7FFFFFFF
-        return value % len(self._stripes)
+        return crc32(key.encode()) % len(self._stripes)
 
     def lock_for(self, key: str) -> threading.RLock:
         """The stripe lock guarding ``key``."""

@@ -21,10 +21,22 @@ from __future__ import annotations
 
 import threading
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Any, Callable, Deque, Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
+from types import MappingProxyType
+from typing import (
+    Any,
+    Callable,
+    Deque,
+    Dict,
+    FrozenSet,
+    List,
+    Mapping,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
-from repro.runtime.events import EngineEvent, EventType
+from repro.runtime.events import MAX_RETAINED_EVENTS, EngineEvent, EventType
 
 #: Event categories published by the façade.
 CATEGORY_ENGINE = "engine"
@@ -51,9 +63,8 @@ _ENGINE_EVENT_CATEGORIES: Dict[EventType, str] = {
 }
 
 
-@dataclass(frozen=True)
-class SystemEvent:
-    """One published event.
+class SystemEvent(NamedTuple):
+    """One published event (immutable; a tuple, so building one is cheap).
 
     Attributes:
         seq: Monotonically increasing sequence number (per bus) — two
@@ -72,7 +83,7 @@ class SystemEvent:
     name: str
     instance_id: Optional[str] = None
     type_id: Optional[str] = None
-    payload: Mapping[str, Any] = field(default_factory=dict)
+    payload: Mapping[str, Any] = MappingProxyType({})
 
     def __str__(self) -> str:
         parts = [f"#{self.seq}", f"[{self.category}]", self.name]
@@ -88,14 +99,11 @@ class SystemEvent:
 Subscriber = Callable[[SystemEvent], None]
 
 
-@dataclass
-class _Subscription:
+class _Subscription(NamedTuple):
     token: int
     handler: Subscriber
+    #: ``None`` subscribes to every category
     categories: Optional[FrozenSet[str]]
-
-    def wants(self, event: SystemEvent) -> bool:
-        return self.categories is None or event.category in self.categories
 
 
 class EventBus:
@@ -115,8 +123,11 @@ class EventBus:
     that processes events on their own thread.
     """
 
-    def __init__(self, max_history: int = 10000) -> None:
-        self._subscriptions: List[_Subscription] = []
+    def __init__(self, max_history: int = MAX_RETAINED_EVENTS) -> None:
+        # an immutable tuple, republished by subscribe/unsubscribe: a
+        # publish iterates the one it found, so a handler that subscribes
+        # or unsubscribes mid-delivery never disturbs the event in flight
+        self._subscriptions: Tuple[_Subscription, ...] = ()
         self._seq = 0
         self._token = 0
         # bounded deque: appending beyond the cap drops the oldest event
@@ -144,14 +155,14 @@ class EventBus:
         with self._lock:
             self._token += 1
             wanted = frozenset(categories) if categories is not None else None
-            self._subscriptions.append(_Subscription(self._token, handler, wanted))
+            self._subscriptions += (_Subscription(self._token, handler, wanted),)
             return self._token
 
     def unsubscribe(self, token: int) -> bool:
         """Remove a subscription; returns True when it existed."""
         with self._lock:
             before = len(self._subscriptions)
-            self._subscriptions = [s for s in self._subscriptions if s.token != token]
+            self._subscriptions = tuple(s for s in self._subscriptions if s.token != token)
             return len(self._subscriptions) < before
 
     @property
@@ -173,22 +184,15 @@ class EventBus:
         """Create a :class:`SystemEvent` and deliver it to all subscribers."""
         with self._lock:
             self._seq += 1
-            event = SystemEvent(
-                seq=self._seq,
-                category=category,
-                name=name,
-                instance_id=instance_id,
-                type_id=type_id,
-                payload=payload,
-            )
+            event = SystemEvent(self._seq, category, name, instance_id, type_id, payload)
             self._history.append(event)
-            for subscription in list(self._subscriptions):
-                if not subscription.wants(event):
+            for _, handler, categories in self._subscriptions:
+                if categories is not None and category not in categories:
                     continue
                 try:
-                    subscription.handler(event)
+                    handler(event)
                 except Exception as exc:  # noqa: BLE001 - subscriber isolation
-                    self.delivery_errors.append((subscription.handler, event, exc))
+                    self.delivery_errors.append((handler, event, exc))
             return event
 
     def publish_engine_event(self, event: EngineEvent) -> SystemEvent:

@@ -529,6 +529,12 @@ class AdeptSystem:
         outputs: Optional[Mapping[str, Any]],
         user: Optional[str],
     ) -> None:
+        """Mark the case dirty and journal the operation as one ``step`` record.
+
+        The engine notifies once per acknowledged operation — an explicit
+        start, or a completion (which covers its implicit start) — so a
+        completed activity is one record and one commit point.
+        """
         instance_id = instance.instance_id
         with self._registry:
             if instance_id not in self._instances:
@@ -572,15 +578,21 @@ class AdeptSystem:
         # waiting until the store copy is current
         victims: List[tuple] = []  # (instance_id, instance, dirty)
         with self._registry:
-            if self._pin_count:
+            excess = len(self._instances) - cap
+            if excess <= 0 or self._pin_count:
                 return
-            for instance_id in list(self._instances):
-                if len(self._instances) <= cap:
-                    break
+            # from the LRU head, no further than the excess requires: the
+            # cost of an eviction must not grow with the cache it trims
+            chosen: List[str] = []
+            for instance_id in self._instances:
                 if self._pinned_ids.get(instance_id):
                     continue  # mid-execution on another thread
                 if not self._locks.try_acquire(instance_id):
                     continue  # its stripe is busy; try again next time
+                chosen.append(instance_id)
+                if len(chosen) == excess:
+                    break
+            for instance_id in chosen:
                 instance = self._instances.pop(instance_id)
                 dirty = instance_id in self._dirty
                 self._dirty.discard(instance_id)

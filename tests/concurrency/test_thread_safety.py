@@ -176,6 +176,21 @@ class TestPrimitives:
 
         run_threads([(lambda s=s: worker(s)) for s in range(8)])
 
+    def test_stripe_index_is_a_pure_function_of_the_key_over_all_stripes(self):
+        """Stable across tables, processes and PYTHONHASHSEED values (the
+        pinned indices are crc32's, not ``hash()``'s), and 10 000 generated
+        ids reach every one of the 64 stripes about evenly."""
+        table, other = LockTable(), LockTable()
+        assert table._stripe_index("online_order-r000001") == 54
+        assert table._stripe_index("sequence-00042") == 14
+        ids = [f"online_order-r{n:06d}" for n in range(5000)]
+        ids += [f"sequence-{n:05d}" for n in range(5000)]
+        indices = [table._stripe_index(case_id) for case_id in ids]
+        assert indices == [other._stripe_index(case_id) for case_id in ids]
+        per_stripe = [indices.count(stripe) for stripe in range(len(table))]
+        assert min(per_stripe) > 0
+        assert max(per_stripe) < 2 * len(ids) / len(table)
+
     def test_rwlock_write_excludes_readers_and_vice_versa(self):
         lock = RWLock()
         state = {"readers": 0, "writers": 0, "max_readers": 0, "violations": 0}

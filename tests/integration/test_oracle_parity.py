@@ -285,7 +285,10 @@ class TestChangedCasesParity:
     def test_user_is_recorded_by_complete_but_not_by_step_many(self):
         """One completion body serves both entry points: ``complete_activity``
         carries its ``user`` into history, event and step listener;
-        ``step_many_compiled`` records none."""
+        ``step_many_compiled`` records none.  The listener hears one
+        notification per acknowledged operation: an implicit start is part
+        of its ``complete``, an explicit start is announced on its own —
+        history and events are the oracle's either way."""
         engine, oracle = ProcessEngine(), ScanOracle()
         journaled = []
         engine.step_listener = lambda action, instance, activity, outputs, user: journaled.append(
@@ -300,24 +303,29 @@ class TestChangedCasesParity:
         second = instance.activated_activities()[0]
         engine.step_many_compiled([instance], 1)
         oracle.advance_instance(twin, 1)
+        third = instance.activated_activities()[0]
+        for side, case in ((engine, instance), (oracle, twin)):
+            side.start_activity(case, third, user="bob")
+            side.complete_activity(case, third, user="bob")
 
         assert observed(engine, [instance]) == observed(oracle, [twin])
         assert journaled == [
-            ("start", first, "alice"),
             ("complete", first, "alice"),
-            ("start", second, None),
             ("complete", second, None),
+            ("start", third, "bob"),
+            ("complete", third, "bob"),
         ]
         assert {(e.activity, e.user) for e in instance.history.entries} == {
             (first, "alice"),
             (second, None),
+            (third, "bob"),
         }
         transitions = [
             (event.node_id, event.user)
             for event in engine.event_log.events
             if event.event_type.value in ("activity_started", "activity_completed")
         ]
-        assert transitions == [(first, "alice")] * 2 + [(second, None)] * 2
+        assert transitions == [(first, "alice")] * 2 + [(second, None)] * 2 + [(third, "bob")] * 2
 
 
 def _migration_outcome(engine):

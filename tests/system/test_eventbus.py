@@ -3,6 +3,7 @@
 import pytest
 
 from repro import AdeptSystem, EventBus, EventFeed
+from repro.runtime.events import MAX_RETAINED_EVENTS
 from repro.schema import templates
 from repro.workloads.order_process import order_type_change_v2
 
@@ -111,6 +112,41 @@ class TestSubscriptionApi:
         assert handler is broken
         assert isinstance(error, RuntimeError)
 
+    def test_subscribing_and_unsubscribing_mid_delivery_leaves_the_event_in_flight_alone(self):
+        """Each event goes to exactly the subscribers registered when it was
+        published: a handler that unsubscribes itself still hears it once
+        and never again, one subscribed mid-delivery starts with the next
+        event, and a raising neighbour is recorded, not propagated."""
+        bus = EventBus()
+        heard = {"once": [], "late": [], "steady": []}
+        tokens = {}
+
+        def once(event):
+            heard["once"].append(event.name)
+            assert bus.unsubscribe(tokens["once"])
+            bus.subscribe(lambda late_event: heard["late"].append(late_event.name))
+
+        def broken(event):
+            raise RuntimeError("dashboard down")
+
+        tokens["once"] = bus.subscribe(once)
+        bus.subscribe(broken)
+        bus.subscribe(lambda event: heard["steady"].append(event.name))
+        for name in ("one", "two", "three"):
+            bus.publish("system", name)
+
+        assert heard == {
+            "once": ["one"],
+            "late": ["two", "three"],
+            "steady": ["one", "two", "three"],
+        }
+        assert [(handler, event.name) for handler, event, _ in bus.delivery_errors] == [
+            (broken, "one"),
+            (broken, "two"),
+            (broken, "three"),
+        ]
+        assert bus.subscriber_count == 3
+
     def test_history_is_bounded(self):
         bus = EventBus(max_history=5)
         for index in range(12):
@@ -118,3 +154,41 @@ class TestSubscriptionApi:
         assert len(bus) == 5
         assert [event.name for event in bus.events] == ["e7", "e8", "e9", "e10", "e11"]
         assert bus.events_of(name="e11")
+
+
+class TestRetention:
+    def test_thirty_thousand_steps_leave_every_event_store_at_its_bound(self, tmp_path):
+        """Events are windows, not archives: the engine log, the bus history
+        and the monitoring feed each hold their newest events and nothing
+        else, while sequence numbers keep counting and order is kept."""
+        system = AdeptSystem.open(tmp_path / "db")
+        sequence = system.deploy(templates.sequential_process(length=6))
+        steps = 0
+        while steps < 30000:
+            ids = [sequence.start().instance_id for _ in range(250)]
+            steps += sum(result.steps for result in system.step_many(ids, steps=6))
+            for case_id in ids:
+                system.delete_instance(case_id)
+
+        assert len(system.event_log) == MAX_RETAINED_EVENTS
+        assert len(system.event_log.events) == MAX_RETAINED_EVENTS
+        assert len(system.bus) == system.bus.max_history == MAX_RETAINED_EVENTS
+        assert len(system.feed.events) == system.feed.max_events
+        # nothing stopped counting: far more was published than is retained
+        published = system.bus.events[-1].seq
+        assert published > 2 * steps > system.feed.max_events
+        # and every window is the unbroken tail of what was published
+        for window in (system.bus.events, system.feed.events):
+            assert [event.seq for event in window] == list(
+                range(published - len(window) + 1, published + 1)
+            )
+        assert system.feed.names()[-1] == "instance_deleted"
+        newest_engine_events = [e for e in system.bus.events if e.category == "engine"]
+        assert [
+            (e.name, e.instance_id) for e in newest_engine_events
+        ] == [
+            (e.event_type.value, e.instance_id)
+            for e in system.event_log.events[-len(newest_engine_events):]
+        ]
+        system.close()
+

@@ -117,6 +117,57 @@ class TestCheckpointAndRecovery:
         result = recovered.run(case_id)
         assert result.status is InstanceStatus.COMPLETED
 
+    def test_a_log_in_the_old_start_complete_pair_form_replays_like_the_new_one(
+        self, store_path, tmp_path
+    ):
+        """Code before the single commit point journaled every implicitly
+        started step as a ``start`` + ``complete`` pair.  Such a log and the
+        single-record log of the same schedule recover to the same system."""
+        system = open_system(store_path)
+        orders = system.deploy(templates.online_order_process())
+        stepped, clerked, claimed = (orders.start().instance_id for _ in range(3))
+        system.step_many([stepped, clerked], steps=2)
+        system.complete(clerked, system.activated(clerked)[0], user="alice")
+        system.start_activity(stepped, system.activated(stepped)[0], user="bob")  # explicit: a pair today
+        system.claim(system.worklists.offered_items_for_instance(claimed)[0].item_id, "carol")
+        system.backend.close()
+
+        records = system.backend.wal_records()
+        paired, explicitly_started = [], set()
+        for record in records:
+            if record["kind"] == KIND_STEP:
+                key = (record["instance_id"], record["activity"])
+                if record["action"] == "start":
+                    explicitly_started.add(key)
+                elif key not in explicitly_started:
+                    paired.append(dict(record, action="start", outputs=None))
+            paired.append(dict(record))
+        assert len(paired) == len(records) + 5  # 2 × 2 batch steps and alice's completion
+        old_store = tmp_path / "old_form"
+        old_store.mkdir()
+        (old_store / "wal.jsonl").write_text(
+            "".join(
+                json.dumps(dict(record, seq=seq), sort_keys=True) + "\n"
+                for seq, record in enumerate(paired, start=1)
+            )
+        )
+
+        new, old = open_system(store_path), open_system(str(old_store))
+        assert old.last_recovery.replayed_records == new.last_recovery.replayed_records + 5
+        for case_id in (stepped, clerked, claimed):
+            ours, theirs = new.get_instance(case_id), old.get_instance(case_id)
+            assert ours.state_fingerprint() == theirs.state_fingerprint()
+            assert [entry.to_row() for entry in ours.history.entries] == [
+                entry.to_row() for entry in theirs.history.entries
+            ]
+        assert {entry.user for entry in new.get_instance(clerked).history.entries} == {None, "alice"}
+        assert new.get_instance(stepped).marking.running_nodes()
+        offers = [
+            sorted((item.instance_id, item.activity_id, item.state) for item in s.worklists.open_items())
+            for s in (new, old)
+        ]
+        assert offers[0] == offers[1] and offers[0]
+
     def test_torn_trailing_record_is_ignored(self, store_path):
         system = open_system(store_path)
         orders = system.deploy(templates.sequential_process())
