@@ -26,17 +26,25 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.changelog import ChangeLog
 from repro.core.compliance import ComplianceChecker
-from repro.core.conflicts import Conflict, ConflictKind, semantic_conflict, structural_conflict
+from repro.core.conflicts import (
+    Conflict,
+    ConflictKind,
+    semantic_conflict,
+    state_conflict,
+    structural_conflict,
+)
 from repro.core.evolution import ProcessType, TypeChange
+from repro.core.migration_plan import ClassVerdict, FingerprintCache, MigrationPlan
 from repro.core.operations import OperationError
 from repro.core.state_adaptation import StateAdapter
 from repro.runtime.engine import ProcessEngine
 from repro.runtime.events import EngineEvent, EventLog, EventType
 from repro.runtime.instance import ProcessInstance
+from repro.runtime.states import ACTIVE_STATUS_VALUES
 from repro.schema.graph import ProcessSchema, SchemaError
 from repro.verification.verifier import SchemaVerifier
 
@@ -130,11 +138,7 @@ class MigrationReport:
 
     @property
     def migrated_count(self) -> int:
-        return (
-            self.count(MigrationOutcome.MIGRATED)
-            + self.count(MigrationOutcome.MIGRATED_WITH_BIAS)
-            + self.count(MigrationOutcome.MIGRATED_WITH_ROLLBACK)
-        )
+        return sum(self.count(outcome) for outcome in MigrationOutcome if outcome.migrated)
 
     @property
     def total(self) -> int:
@@ -246,29 +250,20 @@ class MigrationManager:
         type_change: TypeChange,
         instances: Iterable[ProcessInstance],
         release: bool = True,
-        memoize: bool = False,
         collect_results: bool = True,
-        parallel: int = 0,
-        plan: Optional["MigrationPlan"] = None,
-        cache: Optional["FingerprintCache"] = None,
-        job_context: Optional[Callable[[], Any]] = None,
+        plan: Optional[MigrationPlan] = None,
+        cache: Optional[FingerprintCache] = None,
     ) -> MigrationReport:
         """Release ΔT as a new version and migrate all given instances.
 
         With ``release=False`` the new version must already have been
         released (e.g. by a previous call) and is looked up instead.
-
-        ``memoize=True`` switches to the bulk path: the change is
-        compiled once into a :class:`~repro.core.migration_plan.
-        MigrationPlan` and unbiased instances share one verdict and one
-        adapted-marking template per compliance fingerprint class; the
-        non-shareable residue (biased instances, rollback attempts) runs
-        the classic per-instance path — optionally fanned over
-        ``parallel`` threads.  Reports are identical to the unmemoized
-        run (property-tested).  ``collect_results=False`` keeps only
-        counters and a bounded conflict sample (large populations).
-        ``plan``/``cache`` allow the caller to reuse a compiled plan and
-        verdict cache across batches of one evolution.
+        The change is compiled once (:meth:`compile_plan`); every
+        instance then goes through :meth:`migrate_instance`, sharing one
+        verdict cache.  ``collect_results=False`` keeps only counters
+        and a bounded conflict sample (large populations).
+        ``plan``/``cache`` let the caller reuse a compiled plan and its
+        verdicts across calls of one evolution.
         """
         if release:
             new_schema = process_type.release_new_version(type_change)
@@ -288,225 +283,52 @@ class MigrationManager:
             collect_results=collect_results,
         )
         started = time.perf_counter()
-        # Compile both type schemas once up front: every per-instance
-        # compliance check, replay and state adaptation below then shares
-        # the same SchemaIndex instead of re-traversing the graphs.
-        old_schema.index
-        new_schema.index
-        if memoize:
-            self.migrate_batch(
-                list(instances),
-                old_schema,
-                new_schema,
-                type_change,
-                report,
-                plan=plan,
-                cache=cache,
-                parallel=parallel,
-                job_context=job_context,
-            )
-        else:
-            for instance in instances:
-                report.add(self.migrate_instance(instance, old_schema, new_schema, type_change))
+        self.migrate_batch(
+            instances, old_schema, new_schema, type_change, report, plan=plan, cache=cache
+        )
         report.duration_seconds = time.perf_counter() - started
         return report
 
-    # ------------------------------------------------------------------ #
-    # bulk migration: fingerprint-memoized batch processing
-    # ------------------------------------------------------------------ #
-
     def compile_plan(
         self, old_schema: ProcessSchema, new_schema: ProcessSchema, type_change: TypeChange
-    ) -> "MigrationPlan":
+    ) -> MigrationPlan:
         """Compile ΔT once for this manager's compliance method."""
-        from repro.core.migration_plan import MigrationPlan
-
+        # both schema indexes are built here, once, instead of by the
+        # first compliance check, replay or state adaptation that asks
+        old_schema.index
+        new_schema.index
         return MigrationPlan.compile(
             old_schema, new_schema, type_change, compliance_method=self.compliance_method
         )
 
     def migrate_batch(
         self,
-        instances: Sequence[ProcessInstance],
+        instances: Iterable[ProcessInstance],
         old_schema: ProcessSchema,
         new_schema: ProcessSchema,
         type_change: TypeChange,
         report: Optional[MigrationReport] = None,
-        plan: Optional["MigrationPlan"] = None,
-        cache: Optional["FingerprintCache"] = None,
-        parallel: int = 0,
+        plan: Optional[MigrationPlan] = None,
+        cache: Optional[FingerprintCache] = None,
         emit: bool = True,
-        job_context: Optional[Callable[[], Any]] = None,
     ) -> List[InstanceMigrationResult]:
-        """Migrate one batch of instances with fingerprint memoization.
-
-        Unbiased instances are fingerprinted; the first member of each
-        class computes the verdict (compiled plan check + one state
-        adaptation), every further member applies it O(1).  Instances the
-        verdict cannot be shared for — biased ones and state-conflicting
-        instances under the rollback policy (the rollback mutates the
-        case) — run the classic :meth:`migrate_instance`, optionally in
-        ``parallel`` worker threads (each case is touched by exactly one
-        thread; the engine contract the concurrent runtime established).
-        Results are reported in input order regardless of parallelism and
-        events are emitted in the same order.
-
-        ``job_context`` is an optional context-manager factory entered
-        around every classic residue migration.  The façade passes its
-        per-thread WAL journal suspension here: worker threads would
-        otherwise escape the *calling* thread's suspension and journal
-        rollback compensations as separate step records inside an
-        evolution whose typed record already covers them.
-        """
-        from repro.core.migration_plan import FingerprintCache
-
+        """:meth:`migrate_instance` over ``instances`` in input order, one plan and cache."""
         if plan is None:
             plan = self.compile_plan(old_schema, new_schema, type_change)
         if cache is None:
             cache = FingerprintCache()
-        ordered = list(instances)
-        results: List[Optional[InstanceMigrationResult]] = [None] * len(ordered)
-        residue: List[int] = []
-        for position, instance in enumerate(ordered):
-            result = self._memoized_fast_path(instance, new_schema, plan, cache)
-            if result is None:
-                residue.append(position)
-            else:
-                results[position] = result
-        if residue:
-
-            def run_classic(position: int) -> InstanceMigrationResult:
-                if job_context is None:
-                    return self.migrate_instance(
-                        ordered[position], old_schema, new_schema, type_change, emit=False
-                    )
-                with job_context():
-                    return self.migrate_instance(
-                        ordered[position], old_schema, new_schema, type_change, emit=False
-                    )
-
-            if parallel > 1 and len(residue) > 1:
-                from concurrent.futures import ThreadPoolExecutor
-
-                with ThreadPoolExecutor(max_workers=parallel) as pool:
-                    for position, result in zip(residue, pool.map(run_classic, residue)):
-                        results[position] = result
-            else:
-                for position in residue:
-                    results[position] = run_classic(position)
-        emitted: List[InstanceMigrationResult] = []
-        for result in results:
-            assert result is not None  # every position is filled above
+        results = []
+        for instance in instances:
+            result = self.migrate_instance(
+                instance, old_schema, new_schema, type_change, plan=plan, cache=cache, emit=emit
+            )
             if report is not None:
                 report.add(result)
-            if emit:
-                self._emit(result)
-            emitted.append(result)
-        return emitted
-
-    def _memoized_fast_path(
-        self,
-        instance: ProcessInstance,
-        new_schema: ProcessSchema,
-        plan: "MigrationPlan",
-        cache: "FingerprintCache",
-    ) -> Optional[InstanceMigrationResult]:
-        """Decide one instance from its fingerprint class, or defer.
-
-        Returns ``None`` when the instance must run the classic path:
-        biased cases, un-fingerprintable states and state conflicts under
-        the rollback policy (compensation is a per-case mutation).
-        """
-        from repro.core.migration_plan import ClassVerdict
-
-        started = time.perf_counter()
-        if not instance.status.is_active:
-            return InstanceMigrationResult(
-                instance_id=instance.instance_id,
-                outcome=MigrationOutcome.FINISHED,
-                was_biased=instance.is_biased,
-                duration_seconds=time.perf_counter() - started,
-            )
-        if instance.is_biased:
-            return None
-        fingerprint = plan.fingerprint_of_instance(instance)
-        if fingerprint is None:
-            return None
-        verdict = cache.get(fingerprint)
-        if verdict is None:
-            compliance = plan.check(instance)
-            adapted = (
-                self.adapter.adapt(instance, new_schema) if compliance.compliant else None
-            )
-            verdict = cache.put(
-                ClassVerdict(
-                    fingerprint=fingerprint,
-                    compliance=compliance,
-                    adapted_marking=adapted,
-                    outcome=(
-                        MigrationOutcome.MIGRATED
-                        if compliance.compliant
-                        else self._outcome_for_conflicts(compliance.conflicts)
-                    ),
-                )
-            )
-        if verdict.compliant:
-            instance.marking = verdict.adapted_marking.copy()
-            instance.rebind_schema(new_schema)
-            return InstanceMigrationResult(
-                instance_id=instance.instance_id,
-                outcome=MigrationOutcome.MIGRATED,
-                was_biased=False,
-                duration_seconds=time.perf_counter() - started,
-            )
-        if (
-            verdict.outcome is MigrationOutcome.STATE_CONFLICT
-            and self.rollback_on_state_conflict
-        ):
-            return None  # the rollback attempt compensates work: per-case
-        return InstanceMigrationResult(
-            instance_id=instance.instance_id,
-            outcome=verdict.outcome,
-            conflicts=list(verdict.conflicts),
-            was_biased=False,
-            duration_seconds=time.perf_counter() - started,
-        )
+            results.append(result)
+        return results
 
     # ------------------------------------------------------------------ #
-    # on-touch migration (progressive rollout)
-    # ------------------------------------------------------------------ #
-
-    def migrate_on_touch(
-        self,
-        instance: ProcessInstance,
-        old_schema: ProcessSchema,
-        new_schema: ProcessSchema,
-        type_change: TypeChange,
-        plan: "MigrationPlan",
-        cache: "FingerprintCache",
-        emit: bool = False,
-    ) -> InstanceMigrationResult:
-        """Attempt one lazy adoption when a case is touched mid-rollout.
-
-        The memoized fast path decides the case from its fingerprint
-        class in O(1) whenever the class verdict is already cached; the
-        non-shareable residue (biased cases, un-fingerprintable states,
-        rollback-policy state conflicts) runs the classic per-case check.
-        The outcome contract is identical to the eager paths, which is
-        what makes lazy adoption byte-equal to ``migrate="compliant"``
-        per fingerprint class (property-tested).
-        """
-        result = self._memoized_fast_path(instance, new_schema, plan, cache)
-        if result is None:
-            result = self.migrate_instance(
-                instance, old_schema, new_schema, type_change, emit=False
-            )
-        if emit:
-            self._emit(result)
-        return result
-
-    # ------------------------------------------------------------------ #
-    # single-instance migration
+    # one case × ΔT: the live instance, or as much as its stored record tells
     # ------------------------------------------------------------------ #
 
     def migrate_instance(
@@ -515,69 +337,151 @@ class MigrationManager:
         old_schema: ProcessSchema,
         new_schema: ProcessSchema,
         type_change: TypeChange,
+        plan: Optional[MigrationPlan] = None,
+        cache: Optional[FingerprintCache] = None,
         emit: bool = True,
     ) -> InstanceMigrationResult:
-        """Check one instance and migrate it if possible.
+        """Decide one live instance and migrate it if possible.
 
-        ``emit=False`` defers the migration event — the bulk path emits
-        all events in report order after a (possibly parallel) batch.
+        The only place a live case meets a type change — eager evolution,
+        a rollout's touch and sweep and recovery all end here: finished →
+        version gap → biased (:meth:`_migrate_biased`) → the verdict of
+        the case's fingerprint class, which applies the class's
+        adapted-marking template, attempts the rollback policy or reports
+        the class's conflicts.  ``plan``/``cache`` share the compiled
+        change and its verdicts between the cases of one evolution;
+        without them the case is a class of its own.
         """
         started = time.perf_counter()
         was_biased = instance.is_biased
-        if not instance.status.is_active:
-            return InstanceMigrationResult(
-                instance_id=instance.instance_id,
-                outcome=MigrationOutcome.FINISHED,
-                was_biased=was_biased,
-                duration_seconds=time.perf_counter() - started,
-            )
-        if was_biased:
+        result = self._decided_unseen(
+            instance.instance_id, instance.status.value, instance.schema_version,
+            type_change, was_biased,
+        )
+        if result is not None:
+            pass  # finished, or left behind by an earlier change
+        elif was_biased:
             result = self._migrate_biased(instance, new_schema, type_change)
         else:
-            result = self._migrate_unbiased(instance, new_schema, type_change)
+            if plan is None:
+                plan = self.compile_plan(old_schema, new_schema, type_change)
+            if cache is None:  # an empty cache is falsy
+                cache = FingerprintCache()
+            verdict = self._class_verdict(instance, plan, cache)
+            rolled_back = None
+            if verdict.compliant:
+                instance.marking = verdict.adapted_marking.copy()
+                instance.rebind_schema(new_schema)
+            elif self._rollback_applies(verdict):
+                # compensation mutates the case: never shared with the class
+                rolled_back = self._try_rollback_migration(instance, new_schema, type_change)
+            result = rolled_back or InstanceMigrationResult(
+                instance.instance_id, verdict.outcome, conflicts=list(verdict.conflicts)
+            )
         result.duration_seconds = time.perf_counter() - started
         if emit:
             self._emit(result)
         return result
 
-    def _migrate_unbiased(
-        self,
-        instance: ProcessInstance,
-        new_schema: ProcessSchema,
-        type_change: TypeChange,
-    ) -> InstanceMigrationResult:
-        compliance = self.checker.check(
-            instance,
-            type_change.operations,
-            target_schema=new_schema,
-            method=self.compliance_method,
+    def _class_verdict(
+        self, instance: ProcessInstance, plan: MigrationPlan, cache: FingerprintCache
+    ) -> ClassVerdict:
+        """The verdict of an unbiased instance's fingerprint class.
+
+        The first member computes it — the compiled plan check plus one
+        state adaptation — every further member finds it in ``cache``.
+        """
+        fingerprint = plan.fingerprint_of_instance(instance)
+        verdict = cache.get(fingerprint)
+        if verdict is None:
+            compliance = plan.check(instance)
+            if compliance.compliant:
+                adapted = self.adapter.adapt(instance, plan.new_schema)
+                outcome = MigrationOutcome.MIGRATED
+            else:
+                adapted = None
+                outcome = self._outcome_for_conflicts(compliance.conflicts)
+            verdict = cache.put(ClassVerdict(fingerprint, compliance, adapted, outcome=outcome))
+        return verdict
+
+    def _rollback_applies(self, verdict: ClassVerdict) -> bool:
+        return (
+            self.rollback_on_state_conflict
+            and verdict.outcome is MigrationOutcome.STATE_CONFLICT
         )
-        if not compliance.compliant:
-            outcome = self._outcome_for_conflicts(compliance.conflicts)
-            if outcome is MigrationOutcome.STATE_CONFLICT and self.rollback_on_state_conflict:
-                rolled_back = self._try_rollback_migration(instance, new_schema, type_change)
-                if rolled_back is not None:
-                    return rolled_back
+
+    @staticmethod
+    def _decided_unseen(
+        instance_id: str, status: str, version: int, type_change: TypeChange, biased: bool
+    ) -> Optional[InstanceMigrationResult]:
+        """The two results that need no look at the case's state.
+
+        A finished case has nothing to migrate.  And a case never skips
+        a delta: ΔT leads from its ``from_version`` only, so a case an
+        earlier change left behind stays where it is — whatever the
+        rollback policy; compensating work cannot make a change log
+        written against another version apply.
+        """
+        if status not in ACTIVE_STATUS_VALUES:
             return InstanceMigrationResult(
-                instance_id=instance.instance_id,
-                outcome=outcome,
-                conflicts=compliance.conflicts,
-                was_biased=False,
+                instance_id, MigrationOutcome.FINISHED, was_biased=biased
             )
-        adapted = self.adapter.adapt(instance, new_schema)
-        instance.marking = adapted
-        instance.rebind_schema(new_schema)
-        return InstanceMigrationResult(
-            instance_id=instance.instance_id,
-            outcome=MigrationOutcome.MIGRATED,
-            was_biased=False,
+        if version != type_change.from_version:
+            gap = state_conflict(
+                f"the instance runs on version {version}, the type change leads from "
+                f"version {type_change.from_version} to version {type_change.to_version}"
+            )
+            return InstanceMigrationResult(
+                instance_id, MigrationOutcome.STATE_CONFLICT, conflicts=[gap], was_biased=biased
+            )
+        return None
+
+    def decide_record(
+        self,
+        record: Mapping[str, Any],
+        type_change: TypeChange,
+        plan: MigrationPlan,
+        cache: FingerprintCache,
+        share_bias: bool = False,
+    ) -> Tuple[str, Any]:
+        """Decide a store-resident case from its record, as far as that goes.
+
+        Pure — nothing is written.  Returns one of
+
+        * ``("report", result)`` — final, the record stays as it is
+          (finished, version gap, member of a conflicting class);
+        * ``("rewrite", verdict)`` — member of a known compliant class:
+          the caller moves the record onto the new version with the
+          verdict's marking template;
+        * ``("hydrate", bias_class)`` — only :meth:`migrate_instance` on
+          the live case can tell: biased records, the first member of a
+          class, rollback candidates.  With ``share_bias`` a biased
+          record names its (bias, state) class, whose members share one
+          representative's outcome; ``None`` otherwise.
+        """
+        instance_id = record["instance_id"]
+        biased = bool(record.get("biased"))
+        result = self._decided_unseen(
+            instance_id, record.get("status", "running"), record.get("schema_version", 0),
+            type_change, biased,
+        )
+        if result is not None:
+            return "report", result
+        if biased:
+            if not share_bias:
+                return "hydrate", None
+            return "hydrate", plan.fingerprint_of_record(record, include_bias=True)
+        verdict = cache.get(plan.fingerprint_of_record(record))
+        if verdict is None or self._rollback_applies(verdict):
+            return "hydrate", None
+        if verdict.compliant:
+            return "rewrite", verdict
+        return "report", InstanceMigrationResult(
+            instance_id, verdict.outcome, conflicts=list(verdict.conflicts)
         )
 
     def _try_rollback_migration(
-        self,
-        instance: ProcessInstance,
-        new_schema: ProcessSchema,
-        type_change: TypeChange,
+        self, instance: ProcessInstance, new_schema: ProcessSchema, type_change: TypeChange
     ) -> Optional[InstanceMigrationResult]:
         """Compensate blocking activities and migrate, if a feasible plan exists."""
         from repro.core.rollback import RollbackManager, RollbackPlanner
@@ -596,13 +500,10 @@ class MigrationManager:
         )
         if not compliance.compliant:
             return None
-        adapted = self.adapter.adapt(instance, new_schema)
-        instance.marking = adapted
+        instance.marking = self.adapter.adapt(instance, new_schema)
         instance.rebind_schema(new_schema)
         return InstanceMigrationResult(
-            instance_id=instance.instance_id,
-            outcome=MigrationOutcome.MIGRATED_WITH_ROLLBACK,
-            was_biased=False,
+            instance.instance_id, MigrationOutcome.MIGRATED_WITH_ROLLBACK
         )
 
     def _migrate_biased(
@@ -612,6 +513,12 @@ class MigrationManager:
         type_change: TypeChange,
     ) -> InstanceMigrationResult:
         bias: ChangeLog = instance.bias
+
+        def refused(outcome: MigrationOutcome, conflicts: List[Conflict]) -> InstanceMigrationResult:
+            return InstanceMigrationResult(
+                instance.instance_id, outcome, conflicts=conflicts, was_biased=True
+            )
+
         # 1. semantic conflicts: ΔT and ΔI overlap on the same schema elements.
         #    One benign special case is handled first: the instance anticipated
         #    the type change (its bias already contains exactly the operations
@@ -627,12 +534,7 @@ class MigrationManager:
                 "elements; their combined intent is ambiguous",
                 nodes=tuple(sorted(overlap)),
             )
-            return InstanceMigrationResult(
-                instance_id=instance.instance_id,
-                outcome=MigrationOutcome.SEMANTIC_CONFLICT,
-                conflicts=[conflict],
-                was_biased=True,
-            )
+            return refused(MigrationOutcome.SEMANTIC_CONFLICT, [conflict])
         # 2. structural conflicts: ΔT applied to (S + ΔI) must yield a correct schema
         try:
             combined_schema = type_change.operations.apply_to(instance.execution_schema, check=True)
@@ -640,12 +542,7 @@ class MigrationManager:
             conflict = structural_conflict(
                 f"the type change cannot be applied to the instance-specific schema: {exc}",
             )
-            return InstanceMigrationResult(
-                instance_id=instance.instance_id,
-                outcome=MigrationOutcome.STRUCTURAL_CONFLICT,
-                conflicts=[conflict],
-                was_biased=True,
-            )
+            return refused(MigrationOutcome.STRUCTURAL_CONFLICT, [conflict])
         combined_schema.schema_id = f"{new_schema.schema_id}+{instance.instance_id}"
         combined_schema.version = new_schema.version
         report = self.verifier.verify(combined_schema)
@@ -653,12 +550,7 @@ class MigrationManager:
             conflicts = [
                 structural_conflict(str(issue), nodes=tuple(issue.nodes)) for issue in report.errors
             ]
-            return InstanceMigrationResult(
-                instance_id=instance.instance_id,
-                outcome=MigrationOutcome.STRUCTURAL_CONFLICT,
-                conflicts=conflicts,
-                was_biased=True,
-            )
+            return refused(MigrationOutcome.STRUCTURAL_CONFLICT, conflicts)
         # 3. state-related conflicts on the combined schema
         compliance = self.checker.check(
             instance,
@@ -667,20 +559,14 @@ class MigrationManager:
             method=self.compliance_method,
         )
         if not compliance.compliant:
-            return InstanceMigrationResult(
-                instance_id=instance.instance_id,
-                outcome=self._outcome_for_conflicts(compliance.conflicts),
-                conflicts=compliance.conflicts,
-                was_biased=True,
+            return refused(
+                self._outcome_for_conflicts(compliance.conflicts), compliance.conflicts
             )
-        adapted = self.adapter.adapt(instance, combined_schema)
-        instance.marking = adapted
+        instance.marking = self.adapter.adapt(instance, combined_schema)
         instance.rebind_schema(new_schema, execution_schema=combined_schema)
         instance.bias = bias
         return InstanceMigrationResult(
-            instance_id=instance.instance_id,
-            outcome=MigrationOutcome.MIGRATED_WITH_BIAS,
-            was_biased=True,
+            instance.instance_id, MigrationOutcome.MIGRATED_WITH_BIAS, was_biased=True
         )
 
     def _try_absorb_anticipated_change(
@@ -731,8 +617,6 @@ class MigrationManager:
             outcome=outcome,
             was_biased=True,
         )
-
-    # ------------------------------------------------------------------ #
 
     @staticmethod
     def _outcome_for_conflicts(conflicts: Sequence[Conflict]) -> MigrationOutcome:

@@ -72,6 +72,11 @@ class InstanceStatus(str, Enum):
         return self in (InstanceStatus.CREATED, InstanceStatus.RUNNING, InstanceStatus.SUSPENDED)
 
 
+#: ``InstanceStatus.is_active`` over the string form stored records and indexes hold
+ACTIVE_STATUS_VALUES: FrozenSet[str] = frozenset(
+    status.value for status in InstanceStatus if status.is_active
+)
+
 _NODE_TRANSITIONS: Dict[NodeState, FrozenSet[NodeState]] = {
     NodeState.NOT_ACTIVATED: frozenset({NodeState.ACTIVATED, NodeState.SKIPPED}),
     NodeState.ACTIVATED: frozenset(

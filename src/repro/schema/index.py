@@ -25,6 +25,7 @@ any structural mutation of the schema, re-fetch ``schema.index``.
 
 from __future__ import annotations
 
+import weakref
 from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.schema.data import DataEdge
@@ -51,7 +52,7 @@ class SchemaIndex:
     """
 
     __slots__ = (
-        "_schema",
+        "_schema_ref",
         "generation",
         "node_ids",
         "_nodes",
@@ -96,7 +97,11 @@ class SchemaIndex:
     )
 
     def __init__(self, schema: "ProcessSchema") -> None:
-        self._schema = schema
+        # weak: the schema owns its index.  A strong back-reference would make
+        # every discarded schema (an evicted or re-migrated biased case's private
+        # execution schema, ~40 KB with index and kernel) a reference cycle
+        # that waits for a full collection instead of being freed on the spot
+        self._schema_ref = weakref.ref(schema)
         self.generation = schema.generation
 
         nodes = schema.nodes
@@ -209,12 +214,12 @@ class SchemaIndex:
 
     @property
     def schema(self) -> "ProcessSchema":
-        return self._schema
+        return self._schema_ref()
 
     @property
     def stale(self) -> bool:
         """True once the schema mutated past this index's generation."""
-        return self.generation != self._schema.generation
+        return self.generation != self.schema.generation
 
     # ------------------------------------------------------------------ #
     # nodes
@@ -370,7 +375,7 @@ class SchemaIndex:
             from repro.runtime.kernel import MarkingLayout
 
             layout = MarkingLayout(
-                self._schema.schema_id, self.generation, self.node_ids, self._non_loop_edge_keys
+                self.schema.schema_id, self.generation, self.node_ids, self._non_loop_edge_keys
             )
             self._marking_layout = layout
         return layout
@@ -572,7 +577,7 @@ class SchemaIndex:
             from repro.schema.blocks import dominators
 
             self._dominators = dominators(
-                self._schema, order=self.topological_order(include_sync=False)
+                self.schema, order=self.topological_order(include_sync=False)
             )
         return self._dominators
 
@@ -582,7 +587,7 @@ class SchemaIndex:
             from repro.schema.blocks import post_dominators
 
             self._post_dominators = post_dominators(
-                self._schema, order=self.topological_order(include_sync=False)
+                self.schema, order=self.topological_order(include_sync=False)
             )
         return self._post_dominators
 
@@ -593,7 +598,7 @@ class SchemaIndex:
             from repro.schema.blocks import matching_join
 
             join_id = matching_join(
-                self._schema,
+                self.schema,
                 split_id,
                 postdom=self.post_dominators(),
                 order=self.topological_order(include_sync=False),
@@ -608,7 +613,7 @@ class SchemaIndex:
             from repro.schema.blocks import matching_split
 
             split_id = matching_split(
-                self._schema,
+                self.schema,
                 join_id,
                 dom=self.dominators(),
                 order=self.topological_order(include_sync=False),
@@ -621,7 +626,7 @@ class SchemaIndex:
         if self._block_tree is None:
             from repro.schema.blocks import BlockTree
 
-            self._block_tree = BlockTree.build(self._schema)
+            self._block_tree = BlockTree.build(self.schema)
         return self._block_tree
 
     # ------------------------------------------------------------------ #
@@ -660,14 +665,14 @@ class SchemaIndex:
         if self._written_before is None:
             from repro.verification.dataflow import written_before
 
-            self._written_before = written_before(self._schema)
+            self._written_before = written_before(self.schema)
         return self._written_before
 
     # ------------------------------------------------------------------ #
 
     def __repr__(self) -> str:
         return (
-            f"SchemaIndex({self._schema.schema_id!r}, generation={self.generation}, "
+            f"SchemaIndex({self.schema.schema_id!r}, generation={self.generation}, "
             f"nodes={len(self._nodes)}, edges="
             f"{len(self._control_edge_list) + len(self._sync_edge_list) + len(self._loop_edge_list)})"
         )

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Mapping, Optional, Set
 
+from repro.runtime.states import ACTIVE_STATUS_VALUES
+
 
 def _discard(buckets: Dict, key, instance_id: str) -> None:
     """Take ``instance_id`` out of ``buckets[key]``; drop the bucket when it empties."""
@@ -81,6 +83,20 @@ class InstanceIndex:
     def by_version(self, process_type: str, version: int) -> List[str]:
         """Instance ids of one process type running on a specific version."""
         return sorted(self._by_version.get((process_type, version), set()))
+
+    def active_by_type(self, process_type: str) -> List[str]:
+        """Instance ids of one process type that may still execute."""
+        return self._active_in(self._by_type.get(process_type, ()))
+
+    def active_by_version(self, process_type: str, version: int) -> List[str]:
+        """Instance ids of one process type on one version that may still execute."""
+        return self._active_in(self._by_version.get((process_type, version), ()))
+
+    def _active_in(self, bucket) -> List[str]:
+        # reads one entry per member of the bucket — never the other
+        # types' cases, however many the store holds
+        entries = self._entries
+        return sorted(i for i in bucket if entries[i][2] in ACTIVE_STATUS_VALUES)
 
     def by_status(self, status: str) -> List[str]:
         """Instance ids currently in one lifecycle status."""

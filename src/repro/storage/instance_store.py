@@ -243,9 +243,7 @@ class InstanceStore:
     def running_instances_of_type(self, process_type: str) -> List[str]:
         """Active instance ids of one process type (migration candidates)."""
         with self._lock:
-            return sorted(
-                set(self.running_instances()) & set(self.index.by_type(process_type))
-            )
+            return self.index.active_by_type(process_type)
 
     def running_instances_on_version(self, process_type: str, version: int) -> List[str]:
         """Active instance ids of one type still stored on ``version``.
@@ -255,10 +253,7 @@ class InstanceStore:
         active stored records still indexed under the old version.
         """
         with self._lock:
-            return sorted(
-                set(self.running_instances())
-                & set(self.index.by_version(process_type, version))
-            )
+            return self.index.active_by_version(process_type, version)
 
     def biased_instances(self) -> List[str]:
         with self._lock:

@@ -35,7 +35,7 @@ class RepresentationStrategy(ABC):
     name: str = "abstract"
     #: True when :meth:`encode` output depends only on the *schemas* (no
     #: instance ids inside) — two same-bias instances then share one
-    #: payload verbatim, which the bulk evolution engine exploits to
+    #: payload verbatim, which eager evolution exploits to
     #: rewrite migrated biased records without materialising them.
     instance_independent_payload: bool = True
 

@@ -52,6 +52,7 @@ exploits this.
 from __future__ import annotations
 
 import threading
+import time
 from collections import OrderedDict, deque
 from contextlib import contextmanager
 from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Union
@@ -59,7 +60,13 @@ from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Seque
 from repro.core.adhoc import AdHocChanger
 from repro.core.changelog import ChangeLog
 from repro.core.evolution import ProcessType, TypeChange
-from repro.core.migration import MigrationManager, MigrationOutcome, MigrationReport
+from repro.core.migration import (
+    InstanceMigrationResult,
+    MigrationManager,
+    MigrationOutcome,
+    MigrationReport,
+)
+from repro.core.migration_plan import ClassVerdict, FingerprintCache, MigrationPlan
 from repro.core.operations import ChangeOperation
 from repro.errors import MigrationError
 from repro.monitoring.feed import EventFeed
@@ -173,18 +180,6 @@ class AdeptSystem:
             on access and the least-recently-used clean cases are evicted
             (dirty ones are saved first) — populations larger than memory
             stay addressable.  ``None`` (default) keeps every case live.
-        memoize_migrations: Use fingerprint memoization during
-            :meth:`evolve` — instances in the same execution state share
-            one compliance verdict and one adapted marking (identical
-            reports, property-tested).  Default True.
-        bulk_evolution: Stream evolution candidates from the instance
-            store in bounded batches instead of hydrating the whole
-            population up front (default True).  ``False`` restores the
-            hydrate-everything path (baselines, benchmarks).
-        migration_workers: Fan the non-shareable migration residue
-            (biased cases, rollback attempts) of an evolve over this many
-            threads while the type is quiesced.  0 (default) migrates
-            inline.
     """
 
     def __init__(
@@ -198,9 +193,6 @@ class AdeptSystem:
         kv_store: Optional[KeyValueStore] = None,
         monitor: bool = True,
         cache_instances: Optional[int] = None,
-        memoize_migrations: bool = True,
-        bulk_evolution: bool = True,
-        migration_workers: int = 0,
     ) -> None:
         # an empty EventBus is falsy (it has __len__), so test for None explicitly
         self.bus = bus if bus is not None else EventBus()
@@ -242,10 +234,6 @@ class AdeptSystem:
         self._dirty: Set[str] = set()
         self._case_counters: Dict[str, int] = {}
         self.cache_instances = cache_instances
-        self.memoize_migrations = memoize_migrations
-        self.bulk_evolution = bulk_evolution
-        self.migration_workers = migration_workers
-        self._pin_count = 0
         self._backend: Optional[PersistentBackend] = None
         self._closed = False
         #: Report of the recovery performed by :meth:`open` (``None`` otherwise).
@@ -554,18 +542,6 @@ class AdeptSystem:
     # lazy hydration: the LRU-bounded live-instance cache
     # ------------------------------------------------------------------ #
 
-    @contextmanager
-    def _pinned_hydration(self) -> Iterator[None]:
-        """Keep every hydrated case live until the block ends (bulk migration)."""
-        with self._registry:
-            self._pin_count += 1
-        try:
-            yield
-        finally:
-            with self._registry:
-                self._pin_count -= 1
-            self._enforce_cache_cap()
-
     def _enforce_cache_cap(self) -> None:
         cap = self.cache_instances
         if cap is None:
@@ -579,7 +555,7 @@ class AdeptSystem:
         victims: List[tuple] = []  # (instance_id, instance, dirty)
         with self._registry:
             excess = len(self._instances) - cap
-            if excess <= 0 or self._pin_count:
+            if excess <= 0:
                 return
             # from the LRU head, no further than the excess requires: the
             # cost of an eviction must not grow with the cache it trims
@@ -1206,7 +1182,12 @@ class AdeptSystem:
         * ``"strict"`` — all-or-nothing: a dry run on cloned instances
           checks that *every* active instance can migrate; if any cannot,
           :class:`MigrationError` is raised and neither the repository nor
-          any instance is modified.
+          any instance is modified.  After the pre-check the cases
+          migrate exactly as under ``"compliant"``.
+
+        A case never skips a delta: a running case on another version
+        than the change's ``from_version`` (an earlier change refused it)
+        is reported ``state_conflict`` and stays where it is.
 
         ``collect_results=False`` returns a counters-only report (plus a
         bounded conflict sample) — for very large populations the report
@@ -1219,14 +1200,14 @@ class AdeptSystem:
         snapshot — no step can slip between compliance check and
         migration.
 
-        With the default *bulk evolution engine* the candidate population
-        is streamed from the instance store in bounded batches: the change
-        is compiled once into a :class:`~repro.core.migration_plan.
-        MigrationPlan`, unbiased candidates are classified by compliance
+        The candidates meet the change one at a time
+        (:meth:`_migrate_case`): the change is compiled once into a
+        :class:`~repro.core.migration_plan.MigrationPlan`, unbiased
+        store-resident candidates are classified by compliance
         fingerprint straight from their stored records, and only one
         representative per execution-state class (plus the biased /
         rollback residue) is ever hydrated — memory stays bounded by
-        ``cache_instances`` no matter how large the population is.
+        ``cache_instances`` + 1 no matter how large the population is.
         """
         if migrate not in (MIGRATE_COMPLIANT, MIGRATE_NONE, MIGRATE_STRICT):
             raise ValueError(
@@ -1283,39 +1264,44 @@ class AdeptSystem:
             )
         process_type = self.repository.process_type(type_id)
         type_change = self._as_type_change(process_type, change)
-
+        candidate_ids = [] if migrate == MIGRATE_NONE else self._evolution_candidates(type_id)
+        if migrate == MIGRATE_STRICT:
+            self._require_all_compliant(process_type, type_change, candidate_ids)
+        new_schema = self.repository.release_version(type_id, type_change)
+        # published in causal order (before the instance_migrated engine
+        # events the migration emits).  This — like those engine events —
+        # runs under the type's write lock, which is why bus subscribers
+        # must never call back into the system synchronously (see the
+        # EventBus contract).
+        self.bus.publish(
+            CATEGORY_SCHEMA,
+            "schema_version_released",
+            type_id=type_id,
+            version=new_schema.version,
+        )
         if migrate == MIGRATE_NONE:
-            new_schema = self.repository.release_version(type_id, type_change)
-            self._journal(
-                KIND_EVOLUTION,
-                type_id=type_id,
-                change=type_change.to_dict(),
-                policy=migrate,
-                to_version=new_schema.version,
-                candidates=[],
-            )
-            self.bus.publish(
-                CATEGORY_SCHEMA,
-                "schema_version_released",
-                type_id=type_id,
-                version=new_schema.version,
-            )
-            return MigrationReport(
+            report = MigrationReport(
                 process_type=type_id,
                 from_version=type_change.from_version,
                 to_version=new_schema.version,
             )
-        # the streaming engine *is* fingerprint sharing — with
-        # memoization disabled, evolve honestly falls back to the
-        # hydrate-everything per-instance path instead of silently
-        # ignoring the knob
-        if (
-            migrate == MIGRATE_COMPLIANT
-            and self.bulk_evolution
-            and self.memoize_migrations
-        ):
-            return self._evolve_streaming(process_type, type_change, collect_results)
-        return self._evolve_hydrated(process_type, type_change, migrate, collect_results)
+        else:
+            with self._journal_suspended():
+                # the single typed evolution record below covers the whole
+                # mutation — rollback compensations inside the migration
+                # must not journal separate step records
+                report = self._migrate_candidates(
+                    process_type, type_change, candidate_ids, collect_results
+                )
+        self._journal(
+            KIND_EVOLUTION,
+            type_id=type_id,
+            change=type_change.to_dict(),
+            policy=migrate,
+            to_version=new_schema.version,
+            candidates=candidate_ids,
+        )
+        return report
 
     def _evolution_candidates(self, type_id: str) -> List[str]:
         """Every live case of the type plus the *running* store-resident ones.
@@ -1332,345 +1318,80 @@ class AdeptSystem:
         candidates.update(self.store.running_instances_of_type(type_id))
         return sorted(candidates)
 
-    def _evolve_hydrated(
-        self,
-        process_type: ProcessType,
-        type_change: TypeChange,
-        migrate: str,
-        collect_results: bool = True,
-    ) -> MigrationReport:
-        """The hydrate-everything evolution (strict policy, baselines)."""
-        type_id = process_type.name
-        with self._pinned_hydration():
-            candidate_ids = self._evolution_candidates(type_id)
-            # No stripe capture: the type write lock already excludes
-            # every façade mutator of these cases and the hydration pin
-            # blocks eviction write-backs — nobody else reads their
-            # markings — so cases of *other* types keep executing at full
-            # speed regardless of how many candidates migrate.
-            instances = [self.get_instance(instance_id) for instance_id in candidate_ids]
+    def _require_all_compliant(
+        self, process_type: ProcessType, type_change: TypeChange, candidate_ids: Sequence[str]
+    ) -> None:
+        """``migrate="strict"``: dry-run ΔT on clones, refuse it if any case would stay behind.
 
-            if migrate == MIGRATE_STRICT:
-                dry_report = self._dry_run(process_type, type_change, instances)
-                blocked = [
-                    result
-                    for result in dry_report.results
-                    if result.outcome in _CONFLICT_OUTCOMES
-                ]
-                if blocked:
-                    raise MigrationError(
-                        f"strict migration of {type_id!r} refused: "
-                        f"{len(blocked)} of {dry_report.total} instance(s) cannot migrate "
-                        f"({', '.join(sorted(r.instance_id for r in blocked))})",
-                        report=dry_report,
-                    )
-
-            new_schema = self.repository.release_version(type_id, type_change)
-            # published in causal order (before the instance_migrated
-            # engine events the migration emits).  This — like those
-            # engine events — runs under the type's write lock, which
-            # is why bus subscribers must never call back into the
-            # system synchronously (see the EventBus contract).
-            self.bus.publish(
-                CATEGORY_SCHEMA,
-                "schema_version_released",
-                type_id=type_id,
-                version=new_schema.version,
-            )
-            with self._journal_suspended():
-                # the single typed evolution record below covers the whole
-                # mutation — rollback compensations inside the migration
-                # must not journal separate step records
-                report = self._migrator.migrate_type(
-                    process_type,
-                    type_change,
-                    instances,
-                    release=False,
-                    memoize=self.memoize_migrations,
-                    collect_results=collect_results,
-                    parallel=self.migration_workers,
-                    # residue worker threads must inherit this thread's
-                    # journal suspension — the evolution's typed record
-                    # already covers their rollback compensations
-                    job_context=self._journal_suspended,
-                )
-            # migrated covers rollback migrations, which compensate
-            # activities and therefore also change the instance state
-            migrated = [i for i in instances if i.schema_version == new_schema.version]
-            with self._registry:
-                self._dirty.update(instance.instance_id for instance in migrated)
-            for instance in migrated:
-                self.worklists.sync_instance(instance)
-            self._journal(
-                KIND_EVOLUTION,
-                type_id=type_id,
-                change=type_change.to_dict(),
-                policy=migrate,
-                to_version=new_schema.version,
-                candidates=candidate_ids,
-            )
-        return report
-
-    def _evolve_streaming(
-        self,
-        process_type: ProcessType,
-        type_change: TypeChange,
-        collect_results: bool = True,
-    ) -> MigrationReport:
-        """The bulk evolution engine (``migrate="compliant"``).
-
-        Releases the new version, then streams the candidate population
-        through :meth:`_run_bulk_migration` and journals one evolution
-        record covering the whole mutation.
+        Runs before the version is released, against a scratch copy of
+        the type — neither the repository nor any case is modified.
         """
-        type_id = process_type.name
-        candidate_ids = self._evolution_candidates(type_id)
-        new_schema = self.repository.release_version(type_id, type_change)
-        self.bus.publish(
-            CATEGORY_SCHEMA,
-            "schema_version_released",
-            type_id=type_id,
-            version=new_schema.version,
+        scratch_type = ProcessType(process_type.name)
+        for version in process_type.versions:
+            scratch_type.add_version(process_type.schema_for(version))
+        scratch_migrator = MigrationManager(
+            ProcessEngine(),
+            compliance_method=self.compliance_method,
+            rollback_on_state_conflict=self.rollback_on_state_conflict,
         )
-        with self._journal_suspended():
-            report = self._run_bulk_migration(
-                process_type, type_change, candidate_ids, collect_results
+        # clones only: the cases themselves pass through the bounded live cache
+        clones = [
+            instance_from_dict(
+                instance_to_dict(self.get_instance(instance_id)), self.repository.resolve
             )
-        self._journal(
-            KIND_EVOLUTION,
-            type_id=type_id,
-            change=type_change.to_dict(),
-            policy=MIGRATE_COMPLIANT,
-            to_version=new_schema.version,
-            candidates=candidate_ids,
-        )
-        return report
+            for instance_id in candidate_ids
+        ]
+        dry_report = scratch_migrator.migrate_type(scratch_type, type_change, clones)
+        blocked = [
+            result for result in dry_report.results if result.outcome in _CONFLICT_OUTCOMES
+        ]
+        if blocked:
+            raise MigrationError(
+                f"strict migration of {process_type.name!r} refused: "
+                f"{len(blocked)} of {dry_report.total} instance(s) cannot migrate "
+                f"({', '.join(sorted(r.instance_id for r in blocked))})",
+                report=dry_report,
+            )
 
-    def _run_bulk_migration(
+    def _migrate_candidates(
         self,
         process_type: ProcessType,
         type_change: TypeChange,
         candidate_ids: Sequence[str],
         collect_results: bool = True,
     ) -> MigrationReport:
-        """Stream ``candidate_ids`` through the compiled migration plan.
+        """The eager driver: every candidate meets ΔT, one at a time, in order.
 
-        The new schema version must already be released.  Candidates are
-        processed in bounded batches; within a batch
-
-        * live cases go through the manager's memoized batch path (they
-          are pinned for the batch so LRU eviction cannot detach them
-          mid-migration);
-        * store-resident unbiased cases are classified from their raw
-          records: a known fingerprint class applies its shared verdict
-          O(1) — compliant members get their stored record rewritten in
-          place (new version + adapted-marking template), conflicting
-          members just report — while unknown classes and rollback
-          candidates hydrate and run the classic path (becoming the
-          representatives of their class for every later member).
-          Record rewrites require a representation whose payload stays
-          valid across the version change (``instance_independent_payload``
-          — ``full_copy`` embeds a versioned schema copy and therefore
-          hydrates every stored case instead);
-        * store-resident *biased* cases form their own classes (state
-          fingerprint + canonical bias): one representative per class
-          hydrates and migrates classically, then every member shares its
-          outcome, adapted marking and re-encoded representation — the
-          record is rewritten without materialising the case.  This
-          requires an instance-independent representation payload (the
-          default hybrid substitution qualifies; ``full_copy`` falls back
-          to per-case hydration).
-
-        Invariant relied upon: a case that is *not* live has a current
-        store record — eviction writes dirty cases back before dropping
-        them.  Everything here runs under the type's write lock.
+        The new schema version must already be released and the caller
+        holds the type's write lock (evolve, or recovery replaying one).
+        Memory stays bounded by ``cache_instances`` + 1 whatever the
+        population: :meth:`_migrate_case` decides store-resident cases
+        from their records and hydrates only what it must.
         """
-        import time as _time
-
-        from repro.core.migration import InstanceMigrationResult, MigrationOutcome
-        from repro.core.migration_plan import FingerprintCache
-        from repro.runtime.states import InstanceStatus
-
-        active_statuses = frozenset(
-            status.value for status in InstanceStatus if status.is_active
+        plan = self._migrator.compile_plan(
+            process_type.schema_for(type_change.from_version),
+            process_type.schema_for(type_change.to_version),
+            type_change,
         )
-
-        old_schema = process_type.schema_for(type_change.from_version)
-        new_schema = process_type.schema_for(type_change.to_version)
-        old_schema.index
-        new_schema.index
-        plan = self._migrator.compile_plan(old_schema, new_schema, type_change)
         cache = FingerprintCache()
         report = MigrationReport(
             process_type=process_type.name,
             from_version=type_change.from_version,
-            to_version=new_schema.version,
+            to_version=type_change.to_version,
             collect_results=collect_results,
         )
-        started = _time.perf_counter()
-        cap = self.cache_instances
-        batch_size = max(1, min(cap, 1024)) if cap is not None else 1024
-        # Record-level rewrites require the stored representation to stay
-        # valid across the version change without re-encoding the case.
-        # full_copy fails that for *unbiased* records too (its payload
-        # embeds the old-version schema copy), so it falls back to
-        # hydration everywhere; hydrated cases re-encode on write-back.
-        record_rewrites = bool(
-            getattr(self.store.strategy, "instance_independent_payload", False)
-        )
-        # biased classes: fingerprint -> shared outcome descriptor (None
-        # while the class representative is still being migrated)
-        bias_sharing = record_rewrites
-        bias_classes: Dict[str, Optional[Dict[str, Any]]] = {}
-
-        for offset in range(0, len(candidate_ids), batch_size):
-            batch = list(candidate_ids[offset : offset + batch_size])
-            with self._registry:
-                live_ids = {iid for iid in batch if iid in self._instances}
-            records = dict(self.store.records_for([i for i in batch if i not in live_ids]))
-            results: List[Optional[InstanceMigrationResult]] = [None] * len(batch)
-            hydrate_positions: List[int] = []
-            #: hydrate position -> biased-class fingerprint it represents
-            representative_of: Dict[int, str] = {}
-            #: biased members waiting for their in-batch representative
-            biased_pending: Dict[str, List[int]] = {}
-            for position, instance_id in enumerate(batch):
-                if instance_id in live_ids:
-                    hydrate_positions.append(position)
-                    continue
-                record = records.get(instance_id)
-                if record is None:
-                    # unknown id (defensive): let hydration raise the
-                    # canonical EngineError
-                    hydrate_positions.append(position)
-                    continue
-                if record.get("status", "running") not in active_statuses:
-                    results[position] = InstanceMigrationResult(
-                        instance_id=instance_id,
-                        outcome=MigrationOutcome.FINISHED,
-                        was_biased=bool(record.get("biased")),
-                    )
-                    continue
-                if record.get("biased"):
-                    fingerprint = (
-                        plan.fingerprint_of_record(record, include_bias=True)
-                        if bias_sharing
-                        else None
-                    )
-                    if fingerprint is None:
-                        hydrate_positions.append(position)
-                    elif fingerprint not in bias_classes:
-                        # first of its class: hydrate as representative
-                        bias_classes[fingerprint] = None
-                        representative_of[position] = fingerprint
-                        hydrate_positions.append(position)
-                    elif bias_classes[fingerprint] is None:
-                        biased_pending.setdefault(fingerprint, []).append(position)
-                    else:
-                        results[position] = self._apply_biased_class(
-                            instance_id, bias_classes[fingerprint], new_schema.version
-                        )
-                    continue
-                fingerprint = (
-                    plan.fingerprint_of_record(record) if record_rewrites else None
-                )
-                verdict = cache.get(fingerprint) if fingerprint is not None else None
-                if verdict is None:
-                    # un-rewritable strategy, un-fingerprintable or
-                    # first-of-class: hydrate
-                    hydrate_positions.append(position)
-                    continue
-                if verdict.compliant:
-                    self._migrate_stored(instance_id, new_schema, verdict)
-                    results[position] = InstanceMigrationResult(
-                        instance_id=instance_id,
-                        outcome=MigrationOutcome.MIGRATED,
-                        was_biased=False,
-                    )
-                    continue
-                outcome = verdict.outcome or self._migrator._outcome_for_conflicts(
-                    verdict.conflicts
-                )
-                if (
-                    outcome is MigrationOutcome.STATE_CONFLICT
-                    and self.rollback_on_state_conflict
-                ):
-                    # compensation mutates the case: per-instance path
-                    hydrate_positions.append(position)
-                    continue
-                results[position] = InstanceMigrationResult(
-                    instance_id=instance_id,
-                    outcome=outcome,
-                    conflicts=list(verdict.conflicts),
-                    was_biased=False,
-                )
-
-            if hydrate_positions:
-                hydrated_ids = [batch[position] for position in hydrate_positions]
-                for instance_id in hydrated_ids:
-                    self._pin(instance_id)
-                try:
-                    instances = [self.get_instance(iid) for iid in hydrated_ids]
-                    batch_results = self._migrator.migrate_batch(
-                        instances,
-                        old_schema,
-                        new_schema,
-                        type_change,
-                        report=None,
-                        plan=plan,
-                        cache=cache,
-                        parallel=self.migration_workers,
-                        emit=False,
-                        # residue worker threads must inherit this
-                        # thread's journal suspension (see migrate_batch)
-                        job_context=self._journal_suspended,
-                    )
-                finally:
-                    for instance_id in hydrated_ids:
-                        self._unpin(instance_id)
-                with self._registry:
-                    for instance, result in zip(instances, batch_results):
-                        if result.migrated:
-                            self._dirty.add(instance.instance_id)
-                for position, result, instance in zip(
-                    hydrate_positions, batch_results, instances
-                ):
-                    results[position] = result
-                    if result.migrated:
-                        self.worklists.sync_instance(instance)
-                    fingerprint = representative_of.get(position)
-                    if fingerprint is not None:
-                        bias_classes[fingerprint] = self._biased_class_descriptor(
-                            instance, result
-                        )
-                self._enforce_cache_cap()
-
-            for fingerprint, positions in biased_pending.items():
-                descriptor = bias_classes.get(fingerprint)
-                for position in positions:
-                    instance_id = batch[position]
-                    if descriptor is None:
-                        # representative did not resolve (defensive):
-                        # migrate this member classically
-                        instance = self.get_instance(instance_id)
-                        results[position] = self._migrator.migrate_instance(
-                            instance, old_schema, new_schema, type_change, emit=False
-                        )
-                        if results[position].migrated:
-                            with self._registry:
-                                self._dirty.add(instance_id)
-                            self.worklists.sync_instance(instance)
-                    else:
-                        results[position] = self._apply_biased_class(
-                            instance_id, descriptor, new_schema.version
-                        )
-
-            for result in results:
-                assert result is not None  # every batch position is decided
-                report.add(result)
-                self._migrator._emit(result)
-
-        report.duration_seconds = _time.perf_counter() - started
+        started = time.perf_counter()
+        # biased classes (state fingerprint + canonical bias) decided so
+        # far: fingerprint -> what the class's representative came to
+        bias_classes: Dict[str, Dict[str, Any]] = {}
+        for instance_id in candidate_ids:
+            result = self._migrate_case(
+                instance_id, type_change, plan, cache, bias_classes=bias_classes
+            )
+            report.add(result)
+            self._migrator._emit(result)
+        self._enforce_cache_cap()
+        report.duration_seconds = time.perf_counter() - started
         self.bus.publish(
             CATEGORY_SYSTEM,
             "bulk_migration_classes",
@@ -1682,7 +1403,79 @@ class AdeptSystem:
         )
         return report
 
-    def _biased_class_descriptor(self, instance: ProcessInstance, result: Any) -> Dict[str, Any]:
+    def _migrate_case(
+        self,
+        instance_id: str,
+        type_change: TypeChange,
+        plan: MigrationPlan,
+        cache: FingerprintCache,
+        instance: Optional[ProcessInstance] = None,
+        bias_classes: Optional[Dict[str, Dict[str, Any]]] = None,
+    ) -> InstanceMigrationResult:
+        """One case meets ΔT — for eager evolve, sweep, touch and recovery alike.
+
+        A live case (``instance`` when the caller already holds it) goes
+        to :meth:`MigrationManager.migrate_instance`.  A store-resident
+        one is decided from its record as far as that goes
+        (:meth:`MigrationManager.decide_record`): reported as it is,
+        rewritten in place with its class's marking template, or
+        hydrated and migrated like a live one.  With ``bias_classes``
+        (eager only) store-resident biased cases in the same state with
+        the same bias share one hydrated representative's outcome,
+        adapted marking and re-encoded representation.
+
+        Record-level decisions need a representation whose payload stays
+        valid across the version change (``instance_independent_payload``
+        — ``full_copy`` embeds a versioned schema copy, so its cases all
+        hydrate and re-encode on write-back).  Relied upon: a case that
+        is not live has a current store record — eviction writes dirty
+        cases back before dropping them.  The caller holds the type's
+        write lock, or its read lock and the case's stripe.
+        """
+        bias_class = record = None
+        if instance is None:
+            with self._registry:
+                live = instance_id in self._instances
+            if not live and self.store.strategy.instance_independent_payload:
+                # an unknown id has no record: hydration raises the canonical EngineError
+                record = dict(self.store.records_for([instance_id])).get(instance_id)
+        if record is not None:
+            action, found = self._migrator.decide_record(
+                record, type_change, plan, cache, share_bias=bias_classes is not None
+            )
+            if action == "report":
+                return found
+            if action == "rewrite":
+                self._migrate_stored(instance_id, plan.new_schema, found)
+                return InstanceMigrationResult(instance_id, MigrationOutcome.MIGRATED)
+            bias_class = found
+            if bias_class is not None and bias_class in bias_classes:
+                return self._apply_biased_class(
+                    instance_id, bias_classes[bias_class], plan.new_schema.version
+                )
+        # pinned: LRU eviction must not detach the case mid-migration
+        self._pin(instance_id)
+        try:
+            if instance is None:
+                instance = self.get_instance(instance_id)
+            result = self._migrator.migrate_instance(
+                instance, plan.old_schema, plan.new_schema, type_change, plan, cache, emit=False
+            )
+            if result.migrated:
+                # covers rollback migrations, which compensate activities
+                # and therefore also change the instance state
+                with self._registry:
+                    self._dirty.add(instance_id)
+                self.worklists.sync_instance(instance)
+        finally:
+            self._unpin(instance_id)
+        if bias_class is not None:
+            bias_classes[bias_class] = self._biased_class_descriptor(instance, result)
+        return result
+
+    def _biased_class_descriptor(
+        self, instance: ProcessInstance, result: InstanceMigrationResult
+    ) -> Dict[str, Any]:
         """Shared outcome of one biased fingerprint class, from its representative.
 
         Everything the class members need is a pure function of (bias,
@@ -1713,10 +1506,8 @@ class AdeptSystem:
 
     def _apply_biased_class(
         self, instance_id: str, descriptor: Dict[str, Any], new_version: int
-    ) -> Any:
+    ) -> InstanceMigrationResult:
         """Apply a biased class's shared verdict to one stored member."""
-        from repro.core.migration import InstanceMigrationResult
-
         if descriptor["migrated"]:
             self.store.migrate_record(
                 instance_id,
@@ -1732,7 +1523,9 @@ class AdeptSystem:
             was_biased=True,
         )
 
-    def _migrate_stored(self, instance_id: str, schema: ProcessSchema, verdict: Any) -> None:
+    def _migrate_stored(
+        self, instance_id: str, schema: ProcessSchema, verdict: ClassVerdict
+    ) -> None:
         """Apply a compliant class verdict to one evicted, unbiased member.
 
         Record-level: the stored record moves onto ``schema`` with the
@@ -1764,28 +1557,6 @@ class AdeptSystem:
                 comment=change.comment,
             )
         return TypeChange.of(process_type.latest_version, list(change))
-
-    def _dry_run(
-        self,
-        process_type: ProcessType,
-        type_change: TypeChange,
-        instances: Sequence[ProcessInstance],
-    ) -> MigrationReport:
-        """Run the migration against cloned instances and a scratch type."""
-        scratch_type = ProcessType(process_type.name)
-        for version in process_type.versions:
-            scratch_type.add_version(process_type.schema_for(version))
-        clones = [self._clone_instance(instance) for instance in instances]
-        scratch_migrator = MigrationManager(
-            ProcessEngine(),
-            compliance_method=self.compliance_method,
-            rollback_on_state_conflict=self.rollback_on_state_conflict,
-        )
-        return scratch_migrator.migrate_type(scratch_type, type_change, clones, release=True)
-
-    def _clone_instance(self, instance: ProcessInstance) -> ProcessInstance:
-        """A deep copy of an instance via the canonical serialisation."""
-        return instance_from_dict(instance_to_dict(instance), self.repository.resolve)
 
     # ------------------------------------------------------------------ #
     # progressive (zero-downtime) rollouts
@@ -1863,14 +1634,12 @@ class AdeptSystem:
 
     def _attach_plan(self, rollout: Rollout) -> None:
         """Compile the rollout's migration plan and fresh verdict cache."""
-        from repro.core.migration_plan import FingerprintCache
-
         process_type = self.repository.process_type(rollout.type_id)
-        old_schema = process_type.schema_for(rollout.from_version)
-        new_schema = process_type.schema_for(rollout.to_version)
-        old_schema.index
-        new_schema.index
-        rollout.plan = self._migrator.compile_plan(old_schema, new_schema, rollout.type_change)
+        rollout.plan = self._migrator.compile_plan(
+            process_type.schema_for(rollout.from_version),
+            process_type.schema_for(rollout.to_version),
+            rollout.type_change,
+        )
         rollout.cache = FingerprintCache()
 
     def rollout_of(self, type_id: str) -> Optional[Rollout]:
@@ -1920,47 +1689,44 @@ class AdeptSystem:
         try:
             with rollout.lock:
                 rollout.touches += 1
-            decision = self._adopt_on_touch(rollout, instance)
+            decision = self._adopt(rollout, instance.instance_id, instance)
         finally:
             self._touch_guard.busy = False
         if decision is not None:
             self._pending_rollout_actions.append((rollout.type_id, decision))
 
-    def _adopt_on_touch(self, rollout: Rollout, instance: ProcessInstance) -> Optional[str]:
-        """Migrate one touched case onto the rollout's version.
+    def _adopt(
+        self, rollout: Rollout, instance_id: str, instance: Optional[ProcessInstance] = None
+    ) -> Optional[str]:
+        """Migrate one case onto the rollout's version and keep the books.
 
-        Returns the canary decision the adoption triggered ("promote" /
-        "rollback"), if any — the *caller* queues it.  The memoized fast
-        path makes the common case O(marking): fingerprint lookup, shared
-        verdict, adapted-marking copy.
+        The touch path passes the live ``instance`` it holds; the sweep
+        passes only the id, so a store-resident case can adopt without
+        being hydrated.  Returns the canary decision the attempt
+        triggered ("promote" / "rollback"), if any — the *caller* queues
+        it.  Caller holds the type's read lock and the case's stripe.
         """
-        process_type = self.repository.process_type(rollout.type_id)
-        old_schema = process_type.schema_for(rollout.from_version)
-        new_schema = process_type.schema_for(rollout.to_version)
-        instance_id = instance.instance_id
         pre_state = None
-        if rollout.state == STATE_OBSERVING and rollout.policy == POLICY_REVERT:
+        if (
+            instance is not None
+            and rollout.state == STATE_OBSERVING
+            and rollout.policy == POLICY_REVERT
+        ):
             # captured *before* the migration so a rollback can restore
-            # the case byte-identically
+            # the case byte-identically (observing rollouts adopt on
+            # touch only — the sweep waits for the promotion)
             pre_state = instance_to_dict(instance)
         with self._journal_suspended():
-            result = self._migrator.migrate_on_touch(
-                instance,
-                old_schema,
-                new_schema,
-                rollout.type_change,
-                rollout.plan,
-                rollout.cache,
-                emit=False,
+            result = self._migrate_case(
+                instance_id, rollout.type_change, rollout.plan, rollout.cache, instance
             )
         if result.outcome is MigrationOutcome.FINISHED:
             return None
+        with self._registry:
+            # a store-resident case adopts silently, as it always has:
+            # ``rollout_swept`` carries its count
+            announce = instance_id in self._instances
         if result.migrated:
-            with self._registry:
-                self._dirty.add(instance_id)
-            # the stripe is held on every way in (touch and sweep) — the
-            # sweep has no execution scope whose exit would synchronise
-            self.worklists.sync_instance(instance)
             self._journal(
                 KIND_ROLLOUT_MIGRATED,
                 type_id=rollout.type_id,
@@ -1968,22 +1734,24 @@ class AdeptSystem:
                 to_version=rollout.to_version,
             )
             decision = rollout.note_adoption(instance_id, pre_state)
-            self.bus.publish(
-                CATEGORY_MIGRATION,
-                "rollout_case_adopted",
-                type_id=rollout.type_id,
-                instance_id=instance_id,
-                to_version=rollout.to_version,
-            )
+            if announce:
+                self.bus.publish(
+                    CATEGORY_MIGRATION,
+                    "rollout_case_adopted",
+                    type_id=rollout.type_id,
+                    instance_id=instance_id,
+                    to_version=rollout.to_version,
+                )
         else:
             decision = rollout.note_conflict(instance_id)
-            self.bus.publish(
-                CATEGORY_MIGRATION,
-                "rollout_case_conflict",
-                type_id=rollout.type_id,
-                instance_id=instance_id,
-                outcome=result.outcome.value,
-            )
+            if announce:
+                self.bus.publish(
+                    CATEGORY_MIGRATION,
+                    "rollout_case_conflict",
+                    type_id=rollout.type_id,
+                    instance_id=instance_id,
+                    outcome=result.outcome.value,
+                )
         return decision
 
     def _drain_rollout_actions(self) -> None:
@@ -2105,24 +1873,17 @@ class AdeptSystem:
         rollout = self._rollouts.get(type_id)
         if rollout is None or rollout.state != STATE_MIGRATING:
             return 0
-        from repro.runtime.states import InstanceStatus
-
-        active_statuses = frozenset(
-            status.value for status in InstanceStatus if status.is_active
-        )
-        record_rewrites = bool(
-            getattr(self.store.strategy, "instance_independent_payload", False)
-        )
-        residue = self._rollout_residue(rollout)
+        exhausted = True
         swept = 0
-        for instance_id in residue:
+        for instance_id in self._rollout_residue(rollout):
             if swept >= max_cases:
+                exhausted = False
                 break
             with self._type_read(type_id):
                 if rollout.state != STATE_MIGRATING:
                     break
                 with self._locks.holding(instance_id):
-                    if self._sweep_one(rollout, instance_id, active_statuses, record_rewrites):
+                    if self._sweep_one(rollout, instance_id):
                         swept += 1
         if swept:
             with rollout.lock:
@@ -2134,7 +1895,9 @@ class AdeptSystem:
                 swept=swept,
             )
             self._enforce_cache_cap()
-        if rollout.state == STATE_MIGRATING and not self._rollout_residue(rollout):
+        # cases left in the list are still undecided: only a sweep that
+        # got through it can have finished the rollout
+        if exhausted and rollout.state == STATE_MIGRATING and not self._rollout_residue(rollout):
             self._complete_rollout(rollout)
         return swept
 
@@ -2161,63 +1924,17 @@ class AdeptSystem:
         }
         return sorted((live | stored) - rollout.adopted - rollout.conflicted)
 
-    def _sweep_one(
-        self,
-        rollout: Rollout,
-        instance_id: str,
-        active_statuses: frozenset,
-        record_rewrites: bool,
-    ) -> bool:
+    def _sweep_one(self, rollout: Rollout, instance_id: str) -> bool:
         """Adopt (or conflict) one residue case; True when it was decided.
 
         Caller holds the type read lock and the case's stripe.
         """
-        with self._registry:
-            live = instance_id in self._instances
-        if not live and record_rewrites:
-            try:
-                record = self.store.record(instance_id)
-            except StorageError:
-                return False  # deleted since the residue scan
-            if record.get("schema_version") != rollout.from_version:
-                return False  # adopted by a concurrent touch
-            if record.get("status", "running") not in active_statuses:
-                return False
-            if not record.get("biased"):
-                fingerprint = rollout.plan.fingerprint_of_record(record)
-                verdict = (
-                    rollout.cache.get(fingerprint) if fingerprint is not None else None
-                )
-                if verdict is not None:
-                    if verdict.compliant:
-                        self._migrate_stored(instance_id, rollout.plan.new_schema, verdict)
-                        self._journal(
-                            KIND_ROLLOUT_MIGRATED,
-                            type_id=rollout.type_id,
-                            instance_id=instance_id,
-                            to_version=rollout.to_version,
-                        )
-                        rollout.note_adoption(instance_id)
-                        return True
-                    outcome = verdict.outcome or self._migrator._outcome_for_conflicts(
-                        verdict.conflicts
-                    )
-                    if not (
-                        outcome is MigrationOutcome.STATE_CONFLICT
-                        and self.rollback_on_state_conflict
-                    ):
-                        rollout.note_conflict(instance_id)
-                        return True
-                    # compensation mutates the case: hydrate below
-        # live, biased, first-of-class or un-rewritable: hydrate and run
-        # the same adoption a touch would
+        if instance_id in rollout.adopted or instance_id in rollout.conflicted:
+            return False  # decided by a concurrent touch since the residue scan
         try:
-            instance = self.get_instance(instance_id)
+            decision = self._adopt(rollout, instance_id)
         except EngineError:
-            return False
-        if instance.schema_version != rollout.from_version or not instance.status.is_active:
-            return False
-        decision = self._adopt_on_touch(rollout, instance)
+            return False  # deleted since the residue scan
         if decision is not None:
             self._pending_rollout_actions.append((rollout.type_id, decision))
         return True
@@ -2278,24 +1995,13 @@ class AdeptSystem:
             # migrated state; only the bookkeeping needs replaying
             rollout.adopted.add(instance_id)
             return
-        process_type = self.repository.process_type(type_id)
-        old_schema = process_type.schema_for(rollout.from_version)
-        new_schema = process_type.schema_for(rollout.to_version)
         pre_state = None
         if rollout.state == STATE_OBSERVING and rollout.policy == POLICY_REVERT:
             pre_state = instance_to_dict(instance)
-        result = self._migrator.migrate_on_touch(
-            instance,
-            old_schema,
-            new_schema,
-            rollout.type_change,
-            rollout.plan,
-            rollout.cache,
-            emit=False,
+        result = self._migrate_case(
+            instance_id, rollout.type_change, rollout.plan, rollout.cache, instance
         )
         if result.migrated:
-            with self._registry:
-                self._dirty.add(instance_id)
             rollout.note_adoption(instance_id, pre_state)
         # conflicts are not journaled, so a decision re-derived during
         # replay may differ from the one that was taken live — decisions

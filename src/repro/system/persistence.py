@@ -472,25 +472,11 @@ def _replay_evolution(system: "AdeptSystem", record: Mapping[str, Any]) -> None:
     _reconcile_version(record, new_schema.version)
     if record.get("policy") == "none":
         return
-    candidates = list(record.get("candidates", []))
-    if system.bulk_evolution and system.memoize_migrations:
-        # the bulk engine streams the candidates from the store in bounded
-        # batches — recovering a 100k-case evolution does not hydrate the
-        # population, exactly like the original evolve did not.  The replay
-        # is deterministic: same records, same plan, same per-class
-        # verdicts, same end state.
-        system._run_bulk_migration(
-            process_type, type_change, candidates, collect_results=False
-        )
-        return
-    with system._pinned_hydration():
-        instances = [system.get_instance(i) for i in candidates]
-        migration_report = system._migrator.migrate_type(
-            process_type, type_change, instances, release=False
-        )
-        for result in migration_report.results:
-            if result.migrated:
-                system._dirty.add(result.instance_id)
+    # the same driver the original evolve ran: same records, same plan,
+    # same per-class verdicts, same end state — and as little hydration
+    system._migrate_candidates(
+        process_type, type_change, list(record.get("candidates", [])), collect_results=False
+    )
 
 
 def _replay_instance_saved(system: "AdeptSystem", record: Mapping[str, Any]) -> None:

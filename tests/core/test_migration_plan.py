@@ -160,7 +160,7 @@ class TestMemoizedMigrateType:
         manager = MigrationManager(engine)
         cache = FingerprintCache()
         report = manager.migrate_type(
-            process_type, change, instances, memoize=True, cache=cache
+            process_type, change, instances, cache=cache
         )
         assert report.total == 40
         assert cache.classes == 4  # one verdict per distinct progress level
@@ -174,7 +174,7 @@ class TestMemoizedMigrateType:
             _instance_at(engine, schema, 5, f"case-{index}") for index in range(4)
         ]
         manager = MigrationManager(engine, rollback_on_state_conflict=True)
-        report = manager.migrate_type(process_type, change, instances, memoize=True)
+        report = manager.migrate_type(process_type, change, instances)
         # all four share a fingerprint class, yet each one rolled back and
         # migrated individually (the compensation mutates the case)
         assert report.count(MigrationOutcome.MIGRATED_WITH_ROLLBACK) == 4
@@ -190,7 +190,7 @@ class TestReportTrimming:
         ]
         manager = MigrationManager(engine)
         report = manager.migrate_type(
-            process_type, change, instances, memoize=True, collect_results=False
+            process_type, change, instances, collect_results=False
         )
         assert report.results == []
         assert report.total == 30

@@ -1,11 +1,13 @@
-"""Property-based tests for the bulk evolution engine.
+"""Property-based tests for the migration pipeline.
 
-The fingerprint-memoization soundness contract: instances with equal
+The fingerprint-sharing soundness contract: instances with equal
 compliance fingerprints receive byte-identical ``ComplianceResult``s and
-adapted markings, so migrating a population with memoization on and off
-must produce identical ``MigrationReport``s and identical end states —
-including biased instances, the rollback-on-state-conflict policy and
-mid-stream LRU eviction under a small ``cache_instances`` bound.
+adapted markings, so migrating a population through the one pipeline
+(compiled plan, class verdicts, stored-record rewrites) must produce the
+``MigrationReport`` and the end states of the per-instance reference
+migrator (``tests/baselines/reference_migration.py``) — including biased
+instances, the rollback-on-state-conflict policy and mid-stream LRU
+eviction under a small ``cache_instances`` bound.
 """
 
 import json
@@ -23,6 +25,12 @@ from repro.system import AdeptSystem
 from repro.workloads.change_generator import ChangeScenarioGenerator
 from repro.workloads.population import PopulationConfig, PopulationGenerator
 from repro.workloads.schema_generator import RandomSchemaGenerator, SchemaGeneratorConfig
+
+from tests.baselines.reference_migration import (
+    ReferenceMigrator,
+    reference_evolve,
+    report_payload,
+)
 
 RELAXED = settings(
     max_examples=15,
@@ -63,12 +71,6 @@ def _type_change(schema, seed: int):
     return change
 
 
-def _report_dict(report) -> dict:
-    payload = report.to_dict()
-    payload.pop("duration_seconds", None)
-    return payload
-
-
 def _state_digest(instances) -> list:
     return [json.dumps(instance_to_dict(i), sort_keys=True) for i in instances]
 
@@ -85,24 +87,25 @@ class TestMemoizationParity:
     def test_memoized_equals_per_instance(
         self, schema_seed, activities, population_seed, change_seed, rollback
     ):
-        """Identical reports and end states, with and without memoization."""
+        """The manager's reports and end states are the reference migrator's."""
         schema = _random_schema(schema_seed, activities)
         change = _type_change(schema, change_seed)
         if change is None:
             return
         runs = []
-        for memoize in (False, True):
+        for migrator in (
+            ReferenceMigrator(rollback_on_state_conflict=rollback),
+            MigrationManager(rollback_on_state_conflict=rollback),
+        ):
             fresh_schema = _random_schema(schema_seed, activities)
             population = _population(fresh_schema, population_seed, 30, biased=0.25)
             process_type = ProcessType(fresh_schema.name, fresh_schema)
-            manager = MigrationManager(rollback_on_state_conflict=rollback)
-            report = manager.migrate_type(
-                process_type, _type_change(fresh_schema, change_seed), population,
-                memoize=memoize,
+            report = migrator.migrate_type(
+                process_type, _type_change(fresh_schema, change_seed), population
             )
-            runs.append((_report_dict(report), _state_digest(population)))
-        assert runs[0][0] == runs[1][0], "reports diverge with memoization"
-        assert runs[0][1] == runs[1][1], "instance end states diverge with memoization"
+            runs.append((report_payload(report), _state_digest(population)))
+        assert runs[0][0] == runs[1][0], "reports diverge from the reference migrator"
+        assert runs[0][1] == runs[1][1], "instance end states diverge from the reference migrator"
 
     @RELAXED
     @given(
@@ -160,7 +163,7 @@ class TestMemoizationParity:
     def test_streaming_evolve_with_eviction_matches_hydrated(
         self, schema_seed, population_seed, change_seed, cache_cap
     ):
-        """Facade parity: bulk streaming under a tiny LRU == hydrate-everything."""
+        """Facade parity: evolve under a tiny LRU == the per-instance reference."""
         probe_schema = _random_schema(schema_seed, 6)
         if _type_change(probe_schema, change_seed) is None:
             return
@@ -168,13 +171,8 @@ class TestMemoizationParity:
         # same LRU bound on both sides: the candidate set (live cases plus
         # *running* stored cases) depends on which finished cases are still
         # live, so differing caps would compare different populations
-        for bulk, memoize, cap in (
-            (True, True, cache_cap),
-            (False, False, cache_cap),
-        ):
-            system = AdeptSystem(
-                bulk_evolution=bulk, memoize_migrations=memoize, cache_instances=cap
-            )
+        for evolve in (reference_evolve, AdeptSystem.evolve):
+            system = AdeptSystem(cache_instances=cache_cap)
             schema = _random_schema(schema_seed, 6)
             handle = system.deploy(schema, verify=False)
             PopulationGenerator(
@@ -188,14 +186,14 @@ class TestMemoizationParity:
                 system=system,
             ).generate()
             # part of the population rests in the store only (evicted)
-            report = system.evolve(handle.type_id, _type_change(schema, change_seed))
+            report = evolve(system, handle.type_id, _type_change(schema, change_seed))
             states = {
                 handle_.instance_id: system.get_instance(
                     handle_.instance_id
                 ).state_fingerprint()
                 for handle_ in system.instances_of(handle.type_id)
             }
-            outcomes.append((_report_dict(report), states))
+            outcomes.append((report_payload(report), states))
             system.close()
-        assert outcomes[0][0] == outcomes[1][0], "reports diverge between paths"
-        assert outcomes[0][1] == outcomes[1][1], "end states diverge between paths"
+        assert outcomes[0][0] == outcomes[1][0], "reports diverge from the reference"
+        assert outcomes[0][1] == outcomes[1][1], "end states diverge from the reference"

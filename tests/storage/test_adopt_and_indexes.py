@@ -116,3 +116,79 @@ class TestInstanceIndex:
         assert stored == set(ids) and len(index._by_version) == 1
         assert set(index.by_version("sequence", 51)) == stored
         assert index.counts_by_version("sequence") == {51: len(stored)}
+
+
+class _CountingEntries(dict):
+    """The index's per-case entries, counting every one a query reads."""
+
+    reads = 0
+
+    def __getitem__(self, key):
+        self.reads += 1
+        return super().__getitem__(key)
+
+
+class TestActiveCaseQueries:
+    """``running_instances_of_type`` / ``running_instances_on_version``."""
+
+    STATUSES = ("created", "running", "suspended", "completed")
+
+    def mixed_store(self):
+        repository = SchemaRepository()
+        store = InstanceStore(repository)
+        serial = 0
+        for type_name in ("alpha", "beta", "gamma"):
+            for version in (1, 2, 3):
+                for status in self.STATUSES:
+                    for _ in range(2):
+                        serial += 1
+                        store.put_record(
+                            {
+                                # ids deliberately not in type/version order
+                                "instance_id": f"case-{(serial * 37) % 101:03d}-{serial}",
+                                "process_type": type_name,
+                                "schema_version": version,
+                                "status": status,
+                            }
+                        )
+        return store
+
+    def test_queries_equal_a_filter_over_every_record(self):
+        store = self.mixed_store()
+        records = [record for _, record in store.scan_records()]
+        active = ("created", "running", "suspended")
+        for type_name in ("alpha", "beta", "gamma", "unknown"):
+            of_type = [r for r in records if r["process_type"] == type_name]
+            assert store.running_instances_of_type(type_name) == sorted(
+                r["instance_id"] for r in of_type if r["status"] in active
+            )
+            for version in (1, 2, 3, 4):
+                assert store.running_instances_on_version(type_name, version) == sorted(
+                    r["instance_id"]
+                    for r in of_type
+                    if r["schema_version"] == version and r["status"] in active
+                )
+
+    def test_cost_is_set_by_the_bucket_not_by_the_store(self):
+        store = self.mixed_store()
+        entries = store.index._entries = _CountingEntries(store.index._entries)
+
+        def reads_of(query, *args):
+            before = entries.reads
+            result = query(*args)
+            return result, entries.reads - before
+
+        on_version, version_reads = reads_of(store.running_instances_on_version, "alpha", 2)
+        of_type, type_reads = reads_of(store.running_instances_of_type, "alpha")
+        assert (version_reads, type_reads) == (8, 24)  # the bucket's members, once each
+        for serial in range(20_000):
+            store.put_record(
+                {
+                    "instance_id": f"other-{serial}",
+                    "process_type": "delta",
+                    "schema_version": 1,
+                    "status": "running",
+                }
+            )
+        assert reads_of(store.running_instances_on_version, "alpha", 2) == (on_version, 8)
+        assert reads_of(store.running_instances_of_type, "alpha") == (of_type, 24)

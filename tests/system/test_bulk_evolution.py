@@ -1,10 +1,19 @@
-"""Facade-level tests for the streaming bulk evolution engine."""
+"""Facade-level tests for eager evolution over store-resident populations.
+
+The reference is ``tests/baselines/reference_migration.py``: every
+candidate hydrated and migrated on its own, no plan, no fingerprint.
+"""
+
+import json
+import shutil
 
 import pytest
 
 from repro.core.migration import MigrationOutcome
 from repro.schema import templates
 from repro.system import AdeptSystem
+
+from tests.baselines.reference_migration import reference_evolve, report_payload
 
 
 def _seed(system, population=40, biased_every=4, advanced_every=5):
@@ -43,18 +52,14 @@ def _change(handle):
 
 @pytest.mark.parametrize("cache", [3, None])
 def test_streaming_equals_hydrated_with_identical_bias_clones(cache):
-    """Bias-class record sharing must match the per-instance path exactly."""
+    """Bias-class record sharing must match the per-instance reference exactly."""
     outcomes = []
-    for bulk, memoize in ((True, True), (False, False)):
-        system = AdeptSystem(
-            bulk_evolution=bulk, memoize_migrations=memoize, cache_instances=cache
-        )
+    for evolve in (AdeptSystem.evolve, reference_evolve):
+        system = AdeptSystem(cache_instances=cache)
         handle, ids = _seed(system)
-        report = system.evolve(handle.type_id, _change(handle))
+        report = evolve(system, handle.type_id, _change(handle))
         states = {iid: system.get_instance(iid).state_fingerprint() for iid in ids}
-        payload = report.to_dict()
-        payload.pop("duration_seconds")
-        outcomes.append((payload, states))
+        outcomes.append((report_payload(report), states))
     assert outcomes[0][0] == outcomes[1][0]
     assert outcomes[0][1] == outcomes[1][1]
 
@@ -101,19 +106,12 @@ def test_full_copy_strategy_falls_back_to_hydration():
     stale old-version ``schema_copy``.
     """
     outcomes = []
-    for bulk in (True, False):
-        system = AdeptSystem(
-            representation="full_copy",
-            bulk_evolution=bulk,
-            memoize_migrations=bulk,
-            cache_instances=3,
-        )
+    for evolve in (AdeptSystem.evolve, reference_evolve):
+        system = AdeptSystem(representation="full_copy", cache_instances=3)
         handle, ids = _seed(system)
-        report = system.evolve(handle.type_id, _change(handle))
+        report = evolve(system, handle.type_id, _change(handle))
         states = {iid: system.get_instance(iid).state_fingerprint() for iid in ids}
-        payload = report.to_dict()
-        payload.pop("duration_seconds")
-        outcomes.append((payload, states))
+        outcomes.append((report_payload(report), states))
         # every stored record stays internally consistent: the embedded
         # schema copy's version matches the record's schema_version
         for _, record in system.store.scan_records():
@@ -156,12 +154,11 @@ def test_streaming_evolution_survives_wal_replay(tmp_path):
 
 
 def test_parallel_residue_inherits_journal_suspension(tmp_path):
-    """Rollback compensations on migration worker threads must not journal.
+    """Rollback compensations inside an evolve must not journal.
 
     The evolution's single typed WAL record covers the whole mutation;
-    a residue worker thread escaping the evolving thread's per-thread
-    journal suspension would append stray step records that double-apply
-    on recovery.
+    a compensation escaping the evolve's journal suspension would append
+    stray step records that double-apply on recovery.
     """
     from repro.workloads.order_process import order_type_change_v2
 
@@ -169,7 +166,6 @@ def test_parallel_residue_inherits_journal_suspension(tmp_path):
     system = AdeptSystem.open(
         store,
         rollback_on_state_conflict=True,
-        migration_workers=2,
         cache_instances=4,
     )
     orders = system.deploy(templates.online_order_process())
@@ -189,7 +185,6 @@ def test_parallel_residue_inherits_journal_suspension(tmp_path):
     recovered = AdeptSystem.open(
         store,
         rollback_on_state_conflict=True,
-        migration_workers=2,
         cache_instances=4,
     )
     try:
@@ -203,16 +198,105 @@ def test_parallel_residue_inherits_journal_suspension(tmp_path):
         recovered.close()
 
 
-def test_memoize_disabled_falls_back_to_hydrated_path():
-    """memoize_migrations=False must actually disable fingerprint sharing."""
-    system = AdeptSystem(memoize_migrations=False, cache_instances=3)
-    handle, ids = _seed(system, population=16)
-    seen = []
-    system.bus.subscribe(
-        lambda event: seen.append(event.name), categories=["system"]
+# --------------------------------------------------------------------------- #
+# a durable population larger than the live cache (values only, no timing)
+# --------------------------------------------------------------------------- #
+
+POPULATION = 2_000
+CACHE_CAP = 64
+SCHEMA_LENGTH = 20
+
+
+def _seed_store(path):
+    """Templates executed through the façade, the population cloned from their records.
+
+    One template per progress level plus four ad-hoc modified ones (2 %
+    of the clones); the type change below inserts before ``step_11``, so
+    about half of the population conflicts.
+    """
+    system = AdeptSystem.open(path, cache_instances=CACHE_CAP)
+    handle = system.deploy(templates.sequential_process(length=SCHEMA_LENGTH, schema_id="bulk_seq"))
+    template_ids = []
+    for progress in range(SCHEMA_LENGTH):
+        case = handle.start()
+        system.step_many([case.instance_id], steps=progress)
+        template_ids.append(case.instance_id)
+    for index in range(4):
+        case = handle.start()
+        system.step_many([case.instance_id], steps=index)
+        system.change(case.instance_id, comment="deviation").serial_insert(
+            f"extra_{index}", pred=f"step_{index + 12}", succ=f"step_{index + 13}"
+        ).apply()
+        template_ids.append(case.instance_id)
+    for instance_id in template_ids:
+        system.save(instance_id)
+    records = [system.store.record(instance_id) for instance_id in template_ids]
+    unbiased, biased = records[:SCHEMA_LENGTH], records[SCHEMA_LENGTH:]
+    clones = POPULATION - len(template_ids)
+    for index in range(clones):
+        pool = biased if index < clones // 50 else unbiased
+        record = json.loads(json.dumps(pool[index % len(pool)]))
+        record["instance_id"] = f"clone-{index:06d}"
+        system.store.put_record(record)
+    system.checkpoint()
+    system.close()
+
+
+def _insert_before_step_11():
+    from repro.core.evolution import TypeChange
+    from repro.core.operations import SerialInsertActivity
+    from repro.schema.nodes import Node
+
+    return TypeChange.of(
+        1, [SerialInsertActivity(activity=Node(node_id="review"), pred="step_10", succ="step_11")]
     )
-    report = system.evolve(handle.type_id, _change(handle))
-    assert report.total == len(ids)
-    # the streaming engine publishes its class telemetry; the fallback
-    # hydrate-everything path must not have engaged it
-    assert "bulk_migration_classes" not in seen
+
+
+def _on_version(system, version):
+    return {handle.instance_id for handle in system.instances_of("sequence", version=version)}
+
+
+def test_evolve_over_store_resident_population_is_exact_bounded_and_durable(tmp_path):
+    """Reference outcomes and membership, hydration ≤ cap + 1, the same after a crash."""
+    store = str(tmp_path / "store")
+    _seed_store(store)
+    reference_store = str(tmp_path / "reference")
+    shutil.copytree(store, reference_store)
+
+    system = AdeptSystem.open(store, cache_instances=CACHE_CAP)
+    peak_live = 0
+
+    def watch(event):
+        nonlocal peak_live
+        if event.name == "instance_loaded":
+            peak_live = max(peak_live, len(system.live_instance_ids()))
+
+    system.bus.subscribe(watch, categories=["system"])
+    report = system.evolve("sequence", _insert_before_step_11(), collect_results=False)
+    assert peak_live <= CACHE_CAP + 1
+    outcomes = report.outcome_counts()
+    assert report.total == POPULATION
+    assert outcomes["migrated"] and outcomes["state_conflict"] and outcomes["migrated_with_bias"]
+    on_new_version = _on_version(system, report.to_version)
+    assert len(on_new_version) == report.migrated_count
+    sample = sorted(on_new_version)[::20] + sorted(_on_version(system, 1))[::20]
+    fingerprints = {iid: system.get_instance(iid).state_fingerprint() for iid in sample}
+    system.backend.close()  # crash without checkpoint: the WAL must rebuild it
+
+    reference = AdeptSystem.open(reference_store, cache_instances=CACHE_CAP)
+    reference_report = reference_evolve(reference, "sequence", _insert_before_step_11())
+    assert outcomes == reference_report.outcome_counts()
+    assert on_new_version == _on_version(reference, report.to_version)
+    assert fingerprints == {
+        iid: reference.get_instance(iid).state_fingerprint() for iid in sample
+    }
+    reference.backend.close()
+
+    recovered = AdeptSystem.open(store, cache_instances=CACHE_CAP)
+    try:
+        assert _on_version(recovered, report.to_version) == on_new_version
+        assert fingerprints == {
+            iid: recovered.get_instance(iid).state_fingerprint() for iid in sample
+        }
+    finally:
+        recovered.close()

@@ -120,3 +120,115 @@ class TestStrictPolicy:
         assert report.migrated_count == 1
         assert live.version == 2
         assert done.version == 1  # finished cases stay where they are
+
+
+class TestNoCaseSkipsADelta:
+    """A case an earlier change left behind is not moved by a later one.
+
+    ΔT(2→3) describes the way from v2 to v3 only; re-linking a v1 case
+    to v3 with it would hand the case Δ(1→2)'s insertion *before* a step
+    it has already completed.
+    """
+
+    @staticmethod
+    def _insert(node_id, pred, succ):
+        from repro import ChangeSet
+
+        return ChangeSet().serial_insert(node_id, pred=pred, succ=succ)
+
+    def _open(self, tmp_path, durable, **kwargs):
+        if durable:
+            return AdeptSystem.open(str(tmp_path / "store"), cache_instances=1, **kwargs)
+        return AdeptSystem(**kwargs)
+
+    def _assert_left_on_v1(self, system, instance_id):
+        from repro.baselines.replay_compliance import ReplayComplianceBaseline
+
+        instance = system.get_instance(instance_id)
+        assert instance.schema_version == 1
+        assert not instance.execution_schema.has_node("review")
+        assert not instance.execution_schema.has_node("audit")
+        # its history is one the schema it runs on can produce
+        own_schema = system.repository.resolve("sequence", 1)
+        assert ReplayComplianceBaseline().is_compliant(instance, own_schema)
+
+    @pytest.mark.parametrize("durable", [False, True], ids=["in_memory", "durable"])
+    def test_straggler_stays_on_its_version(self, tmp_path, monkeypatch, durable):
+        from repro.core.migration import MigrationOutcome
+        from repro.core.migration_plan import MigrationPlan
+
+        system = self._open(tmp_path, durable)
+        sequence = system.deploy(templates.sequential_process(length=6))
+        straggler = sequence.start(case_id="straggler").instance_id
+        system.step_many([straggler], steps=3)  # step_3 completed: refuses Δ(1→2)
+        fresh = sequence.start(case_id="fresh").instance_id
+        first = sequence.evolve(self._insert("review", "step_2", "step_3"))
+        assert {r.instance_id: r.outcome for r in first.results} == {
+            straggler: MigrationOutcome.STATE_CONFLICT,
+            fresh: MigrationOutcome.MIGRATED,
+        }
+        on_v2 = sequence.start(case_id="on_v2").instance_id
+
+        loaded, fingerprinted = [], []
+
+        def record_hydration(event):
+            if event.name == "instance_loaded":
+                loaded.append(event.instance_id)
+
+        system.bus.subscribe(record_hydration)
+        fingerprint_of_record = MigrationPlan.fingerprint_of_record
+
+        def recording_fingerprint(plan, record, **kwargs):
+            fingerprinted.append(record["instance_id"])
+            return fingerprint_of_record(plan, record, **kwargs)
+
+        monkeypatch.setattr(MigrationPlan, "fingerprint_of_record", recording_fingerprint)
+        second = sequence.evolve(self._insert("audit", "step_5", "step_6"))
+
+        # the candidate set does not shrink; the straggler is refused by version
+        outcomes = {r.instance_id: r for r in second.results}
+        assert second.total == 3
+        assert outcomes[fresh].outcome is MigrationOutcome.MIGRATED
+        assert outcomes[on_v2].outcome is MigrationOutcome.MIGRATED
+        assert outcomes[straggler].outcome is MigrationOutcome.STATE_CONFLICT
+        (conflict,) = outcomes[straggler].conflicts
+        assert "version 1" in str(conflict) and "version 2" in str(conflict)
+        if durable:  # store-resident: decided from the record's schema_version alone
+            assert straggler not in loaded and straggler not in fingerprinted
+        self._assert_left_on_v1(system, straggler)
+        assert system.get_instance(on_v2).schema_version == 3
+        assert system.get_instance(fresh).execution_schema.has_node("audit")
+        expected = system.get_instance(straggler).state_fingerprint()
+        if durable:
+            system.backend.close()  # crash: recovery replays both evolutions
+            system = AdeptSystem.open(str(tmp_path / "store"), cache_instances=1)
+            self._assert_left_on_v1(system, straggler)
+            assert system.get_instance(straggler).state_fingerprint() == expected
+            assert system.get_instance(on_v2).schema_version == 3
+        assert system.run(straggler).ok  # and it still finishes on v1
+        system.close()
+
+    @pytest.mark.parametrize("rollback", [False, True], ids=["plain", "rollback_policy"])
+    @pytest.mark.parametrize("durable", [False, True], ids=["in_memory", "durable"])
+    def test_cases_passed_over_by_migrate_none_stay_too(self, tmp_path, durable, rollback):
+        from repro.core.migration import MigrationOutcome
+
+        system = self._open(tmp_path, durable, rollback_on_state_conflict=rollback)
+        sequence = system.deploy(templates.sequential_process(length=6))
+        passed_over = sequence.start(case_id="passed_over").instance_id
+        system.step_many([passed_over], steps=3)
+        sequence.evolve(self._insert("review", "step_2", "step_3"), migrate="none")
+        on_v2 = sequence.start(case_id="on_v2").instance_id
+        before = system.get_instance(passed_over).state_fingerprint()
+
+        report = sequence.evolve(self._insert("audit", "step_5", "step_6"))
+        outcomes = {r.instance_id: r.outcome for r in report.results}
+        assert outcomes == {
+            passed_over: MigrationOutcome.STATE_CONFLICT,
+            on_v2: MigrationOutcome.MIGRATED,
+        }
+        # refused before the rollback policy: nothing was compensated
+        assert system.get_instance(passed_over).state_fingerprint() == before
+        self._assert_left_on_v1(system, passed_over)
+        assert system.get_instance(on_v2).schema_version == 3
+        system.close()

@@ -86,3 +86,31 @@ class TestPublicApi:
                 for name in names:
                     assert not hasattr(module, name), f"{module.__name__}.{name} is back"
                     assert name not in getattr(module, "__all__", ())
+
+    def test_migration_surface_has_no_path_selecting_knobs(self):
+        """One migration pipeline: nothing on the surface chooses between paths."""
+        import inspect
+
+        def parameters(function):
+            return [name for name in inspect.signature(function).parameters if name != "self"]
+
+        assert parameters(repro.AdeptSystem.__init__) == [
+            "org_model",
+            "bus",
+            "compliance_method",
+            "rollback_on_state_conflict",
+            "representation",
+            "wal",
+            "kv_store",
+            "monitor",
+            "cache_instances",
+        ]
+        assert parameters(repro.MigrationManager.migrate_type) == [
+            "process_type",
+            "type_change",
+            "instances",
+            "release",
+            "collect_results",
+            "plan",
+            "cache",
+        ]
