@@ -131,8 +131,8 @@ class StateAdapter:
             source_state = marking.node_state(edge.source)
             if not (source_state.is_finished or source_state is NodeState.RUNNING):
                 continue
-            old_edge_state = old_marking.edge_states.get(edge.key)
-            if old_edge_state is not None and old_edge_state is not EdgeState.NOT_SIGNALED:
+            old_edge_state = old_marking.edge_state_key(edge.key)  # NOT_SIGNALED if new
+            if old_edge_state is not EdgeState.NOT_SIGNALED:
                 # the edge existed before and was already signalled: keep it
                 marking.set_edge_state(edge.source, edge.target, old_edge_state, edge.edge_type)
             elif source_state is NodeState.COMPLETED:
@@ -154,9 +154,8 @@ class StateAdapter:
         for edge in target_schema.edges_to(node_id):
             if edge.is_loop:
                 continue
-            old_edge_state = old_marking.edge_states.get(edge.key)
-            if old_edge_state is None or old_edge_state is EdgeState.NOT_SIGNALED:
-                continue
+            if old_marking.edge_state_key(edge.key) is EdgeState.NOT_SIGNALED:
+                continue  # new, or never signalled
             if edge.source not in carried:
                 return False
         return True

@@ -19,7 +19,6 @@ from repro.runtime.engine import (
     PropagationLimitError,
 )
 from repro.runtime.kernel import MarkingLayout, StepKernel
-from repro.runtime.markings import DenseMarking
 from repro.runtime.worklist import WorkItem, WorkItemState, WorklistManager
 from repro.runtime.events import EngineEvent, EventLog, EventType
 from repro.runtime.expressions import ExpressionError, evaluate_condition
@@ -29,7 +28,6 @@ __all__ = [
     "InstanceStatus",
     "NodeState",
     "Marking",
-    "DenseMarking",
     "MarkingLayout",
     "StepKernel",
     "JoinSignalConflictError",

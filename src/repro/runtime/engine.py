@@ -18,8 +18,9 @@ most one thread at a time (the :class:`~repro.system.AdeptSystem` façade
 enforces this with striped per-instance locks).  The step path touches
 no shared mutable state: all execution state lives on the instance, the
 compiled :class:`~repro.schema.index.SchemaIndex` (and its step kernel)
-is an immutable snapshot shared read-only across threads, and the engine
-itself caches nothing.  Driving the *same* instance from two threads
+is a snapshot shared read-only across threads — the kernel's per-activity
+facts are filled in on first use, idempotently — and the engine itself
+caches nothing.  Driving the *same* instance from two threads
 without external locking is not supported.
 
 There is one stepping path — the compiled
@@ -30,22 +31,45 @@ suites compare it against.
 
 from __future__ import annotations
 
-from heapq import heapify, heappop, heappush
-from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Set
+from heapq import heappop, heappush
+from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.errors import ReproError
-from repro.runtime.data_context import DataContext
 from repro.runtime.events import EngineEvent, EventLog, EventType
 from repro.runtime.expressions import ExpressionError, evaluate_condition
 from repro.runtime.history import HistoryEventType
 from repro.runtime.instance import ProcessInstance
-from repro.runtime.kernel import ACTION_END, ACTION_LOOP_END, ACTION_XOR_SPLIT, StepKernel
-from repro.runtime.markings import Marking
+from repro.runtime.kernel import (
+    ACTION_END,
+    ACTION_LOOP_END,
+    ACTION_XOR_SPLIT,
+    ActivityFacts,
+    StepKernel,
+)
+from repro.runtime.markings import EDGE_CODE, NODE_CODE, NODE_STATES, Marking
 from repro.runtime.states import EdgeState, InstanceStatus, NodeState
 from repro.schema.data import DataType
 from repro.schema.edges import EdgeType
 from repro.schema.graph import ProcessSchema
 from repro.schema.nodes import Node
+
+
+# the marking's state codes the step path writes and tests (see markings.py)
+_ACTIVATED = NODE_CODE[NodeState.ACTIVATED]
+_RUNNING = NODE_CODE[NodeState.RUNNING]
+_SUSPENDED = NODE_CODE[NodeState.SUSPENDED]
+_COMPLETED = NODE_CODE[NodeState.COMPLETED]
+_SKIPPED = NODE_CODE[NodeState.SKIPPED]
+_TRUE = EDGE_CODE[EdgeState.TRUE_SIGNALED]
+_FALSE = EDGE_CODE[EdgeState.FALSE_SIGNALED]
+
+# scripted default output per data type value; documents and strings are
+# built per activity in ProcessEngine.outputs_for
+_DEFAULT_OUTPUT = {
+    DataType.BOOLEAN.value: True,
+    DataType.INTEGER.value: 1,
+    DataType.FLOAT.value: 1.0,
+}
 
 
 class EngineError(ReproError):
@@ -160,30 +184,40 @@ class ProcessEngine:
         """Activity ids the user could start right now (worklist content)."""
         return instance.activated_activities()
 
-    def _first_activated_compiled(self, instance: ProcessInstance) -> Optional[str]:
-        """First activated activity id, via the dense view when possible.
+    def _kernel_of(self, instance: ProcessInstance) -> StepKernel:
+        """The compiled kernel of the instance's execution schema, with the
+        instance's marking on the kernel's layout.
 
-        Byte-for-byte the same answer as ``activated_activities()[0]``:
-        when the dense view is aligned (marking holds exactly the layout's
-        nodes in layout order) the positional scan visits nodes in
-        marking-dict order, and ``bytearray.find`` runs it at C speed in
-        O(first hit) instead of O(schema).  Fresh, migrated and hydrated
-        cases are all aligned (a stored marking is decoded in layout
-        order), so the pick order is the layout order; only a marking
-        that does not cover its layout falls back to the dict scan.
+        The one place a marking changes coordinates: a case whose schema
+        was mutated in place, or swapped under a marking built elsewhere,
+        is re-laid by name before the kernel reads it by position.
         """
         kernel = instance.execution_schema.index.step_kernel()
-        view = instance.marking.dense_view(kernel.layout)
-        if not view.aligned:
-            activated = instance.activated_activities()
-            return activated[0] if activated else None
-        flags = view.activated
+        if instance.marking.layout is not kernel.layout:
+            instance.marking.lay_onto(kernel.layout)
+        return kernel
+
+    def _locate(
+        self, instance: ProcessInstance, node_id: str
+    ) -> Tuple[StepKernel, int, ActivityFacts]:
+        """Kernel, position and facts of ``node_id`` — a step's one lookup by name."""
+        schema = instance.execution_schema
+        kernel = self._kernel_of(instance)
+        position = kernel.layout.node_pos.get(node_id)
+        if position is None:
+            schema.node(node_id)  # raises: unknown node
+        return kernel, position, kernel.facts_of(position, schema.index)
+
+    def _first_activated_compiled(self, instance: ProcessInstance) -> Optional[str]:
+        """First activated activity id in layout order, O(first hit)."""
+        kernel = self._kernel_of(instance)
+        nodes = instance.marking.nodes
         is_activity = kernel.is_activity
-        position = flags.find(1)
+        position = nodes.find(_ACTIVATED)
         while position != -1:
             if is_activity[position]:
                 return kernel.node_ids[position]
-            position = flags.find(1, position + 1)
+            position = nodes.find(_ACTIVATED, position + 1)
         return None
 
     def start_activity(
@@ -193,21 +227,21 @@ class ProcessEngine:
         if self.touch_listener is not None:
             self.touch_listener(instance)
         self._require_active(instance)
-        schema = instance.execution_schema
-        node = schema.node(activity_id)
-        if not node.is_activity:
+        kernel, position, facts = self._locate(instance, activity_id)
+        if not kernel.is_activity[position]:
             raise EngineError(f"{activity_id!r} is not an activity node")
-        state = instance.marking.node_state(activity_id)
-        if state is not NodeState.ACTIVATED:
+        code = instance.marking.nodes[position]
+        if code != _ACTIVATED:
             raise EngineError(
-                f"activity {activity_id!r} cannot be started from state {state.value!r}"
+                f"activity {activity_id!r} cannot be started from state "
+                f"{NODE_STATES[code].value!r}"
             )
-        self._begin_activity(instance, activity_id, user)
+        self._begin_activity(instance, position, facts, user)
         if self.step_listener is not None:
             self.step_listener("start", instance, activity_id, None, user)
 
     def _begin_activity(
-        self, instance: ProcessInstance, activity_id: str, user: Optional[str]
+        self, instance: ProcessInstance, position: int, facts: ActivityFacts, user: Optional[str]
     ) -> None:
         """The start transition of an ACTIVATED activity, unannounced.
 
@@ -216,16 +250,14 @@ class ProcessEngine:
         does not — its one commit point is the ``complete`` notification,
         which a replay turns back into this same transition.
         """
-        instance.marking.set_node_state(activity_id, NodeState.RUNNING)
-        read_values = {
-            data_edge.element: instance.data.get(data_edge.element)
-            for data_edge in instance.execution_schema.reads_of(activity_id)
-        }
+        activity_id, reads, _, _, loop_start = facts
+        instance.marking.nodes[position] = _RUNNING
+        data = instance.data
         instance.history.record(
             HistoryEventType.ACTIVITY_STARTED,
             activity_id,
-            iteration=self._iteration_of(instance, activity_id),
-            values=read_values,
+            iteration=instance.loop_iterations.get(loop_start, 0) if loop_start else 0,
+            values={element: data.get(element) for element in reads},
             user=user,
         )
         self._emit(EventType.ACTIVITY_STARTED, instance, node=activity_id, user=user)
@@ -248,13 +280,12 @@ class ProcessEngine:
         if self.touch_listener is not None:
             self.touch_listener(instance)
         self._require_active(instance)
-        schema = instance.execution_schema
-        node = schema.node(activity_id)
-        if not node.is_activity:
+        kernel, position, facts = self._locate(instance, activity_id)
+        if not kernel.is_activity[position]:
             raise EngineError(f"{activity_id!r} is not an activity node")
+        writable, loop_start = facts[2], facts[4]
         outputs = dict(outputs or {})
-        writable = {data_edge.element for data_edge in schema.writes_of(activity_id)}
-        unknown = set(outputs) - writable
+        unknown = [element for element in outputs if element not in writable]
         if unknown:
             raise EngineError(
                 f"activity {activity_id!r} has no write access to {sorted(unknown)!r}"
@@ -268,17 +299,19 @@ class ProcessEngine:
                 raise EngineError(
                     f"activity {activity_id!r} outputs cannot be journaled: {exc}"
                 ) from exc
-        state = instance.marking.node_state(activity_id)
-        if state is NodeState.ACTIVATED:
-            self._begin_activity(instance, activity_id, user)
-        elif state not in (NodeState.RUNNING, NodeState.SUSPENDED):
+        marking = instance.marking
+        code = marking.nodes[position]
+        if code == _ACTIVATED:
+            self._begin_activity(instance, position, facts, user)
+        elif code != _RUNNING and code != _SUSPENDED:
             raise EngineError(
-                f"activity {activity_id!r} cannot be completed from state {state.value!r}"
+                f"activity {activity_id!r} cannot be completed from state "
+                f"{NODE_STATES[code].value!r}"
             )
-        iteration = self._iteration_of(instance, activity_id)
+        iteration = instance.loop_iterations.get(loop_start, 0) if loop_start else 0
         for element, value in outputs.items():
             instance.data.write(element, value, writer=activity_id, iteration=iteration)
-        instance.marking.set_node_state(activity_id, NodeState.COMPLETED)
+        marking.nodes[position] = _COMPLETED
         instance.history.record(
             HistoryEventType.ACTIVITY_COMPLETED,
             activity_id,
@@ -287,27 +320,16 @@ class ProcessEngine:
             user=user,
         )
         self._emit(EventType.ACTIVITY_COMPLETED, instance, node=activity_id, user=user)
-        self._advance_after_completion(instance, activity_id)
+        # signal the out-edges and re-propagate; a settled marking needs only
+        # the signalled targets re-examined — O(affected cascade), not O(schema)
+        touched: List[int] = []
+        settled = marking.settled
+        self._signal_outgoing(marking.edges, kernel, position, _TRUE, -1, touched)
+        self._propagate_kernel(instance, kernel, touched if settled else None)
         if self.step_listener is not None:
             # after propagation: the listener journals the step only once the
             # whole transition (outputs, marking advance) is committed
             self.step_listener("complete", instance, activity_id, outputs, user)
-
-    def _advance_after_completion(self, instance: ProcessInstance, activity_id: str) -> None:
-        """Signal the completed activity's out-edges and re-propagate.
-
-        A marking whose dense view is still at fixpoint needs only the
-        nodes the signals just touched re-examined — stepping cost is
-        O(affected cascade) instead of O(schema).
-        """
-        kernel = instance.execution_schema.index.step_kernel()
-        marking = instance.marking
-        was_fixpoint = marking.dense_view(kernel.layout).at_fixpoint
-        touched: List[str] = []
-        self._signal_outgoing(
-            marking, kernel.layout.node_pos[activity_id], kernel, None, False, touched
-        )
-        self._propagate_kernel(instance, kernel, seeds=touched if was_fixpoint else None)
 
     def suspend_activity(self, instance: ProcessInstance, activity_id: str) -> None:
         """Suspend a running activity (work interrupted)."""
@@ -394,25 +416,18 @@ class ProcessEngine:
         worklist manager's ``auto_outputs`` path, the worker pool — share
         exactly the generation :meth:`run_to_completion` uses.
         """
-        schema = instance.execution_schema
-        node = schema.node(activity_id)
+        kernel, position, (_, _, writes, write_types, _) = self._locate(instance, activity_id)
         if worker is not None:
-            produced = dict(worker(node, instance.data.values))
-            writable = {edge.element for edge in schema.writes_of(activity_id)}
-            return {k: v for k, v in produced.items() if k in writable}
+            produced = dict(worker(kernel.nodes[position], instance.data.values))
+            return {k: v for k, v in produced.items() if k in writes}
         outputs: Dict[str, Any] = {}
-        for data_edge in schema.writes_of(activity_id):
-            element = schema.data_element(data_edge.element)
-            if element.data_type is DataType.BOOLEAN:
-                outputs[element.name] = True
-            elif element.data_type is DataType.INTEGER:
-                outputs[element.name] = 1
-            elif element.data_type is DataType.FLOAT:
-                outputs[element.name] = 1.0
-            elif element.data_type is DataType.DOCUMENT:
-                outputs[element.name] = {"produced_by": activity_id}
+        for element, data_type in zip(writes, write_types):
+            if data_type in _DEFAULT_OUTPUT:
+                outputs[element] = _DEFAULT_OUTPUT[data_type]
+            elif data_type == DataType.DOCUMENT.value:
+                outputs[element] = {"produced_by": activity_id}
             else:
-                outputs[element.name] = f"{element.name}_by_{activity_id}"
+                outputs[element] = f"{element}_by_{activity_id}"
         return outputs
 
     # ------------------------------------------------------------------ #
@@ -425,18 +440,19 @@ class ProcessEngine:
         Re-examines every untouched node (full propagation, e.g. after
         migration or ad-hoc change).
         """
-        self._propagate_kernel(instance, instance.execution_schema.index.step_kernel())
+        self._propagate_kernel(instance, self._kernel_of(instance))
 
     def _propagate_kernel(
         self,
         instance: ProcessInstance,
         kernel: StepKernel,
-        seeds: Optional[List[str]] = None,
+        seeds: Optional[List[int]] = None,
     ) -> None:
         """Worklist propagation through the compiled stepping kernel.
 
-        ``seeds`` — node ids whose in-edges changed since the marking was
-        last at fixpoint; ``None`` re-examines every untouched node.
+        ``seeds`` — positions of the nodes whose in-edges changed since
+        the marking was last settled; ``None`` re-examines every untouched
+        node.
 
         The worklist visits nodes in the order a round-based full scan
         would (the reference oracle under ``tests/baselines``): within a
@@ -445,41 +461,35 @@ class ProcessEngine:
         when its position is > ``p`` (the scan has not passed it yet),
         otherwise the next round.  This fixes the emitted event order.
         """
-        schema = instance.execution_schema
-        # Debug-mode stale-kernel guard: a kernel compiled for a previous
-        # schema generation must never drive a marking of the current one
-        # (positions may have shifted; decisions would be garbage).
-        assert kernel.layout.generation == schema.generation, (
-            f"stale step kernel: compiled for generation {kernel.layout.generation} "
-            f"of schema {kernel.layout.schema_id!r}, but instance "
-            f"{instance.instance_id!r} executes generation {schema.generation}"
-        )
         marking = instance.marking
-        view = marking.dense_view(kernel.layout)
-        if view.stale:  # structural marking mutation since the view was built
-            view = marking.dense_view(kernel.layout)
+        if marking.layout is not kernel.layout:
+            # positions may have shifted; decisions would be garbage
+            raise EngineError(
+                f"stale step kernel: compiled for {kernel.layout!r}, but the marking of "
+                f"instance {instance.instance_id!r} lives on {marking.layout!r}"
+            )
+        marking.settled = False  # until this pass has run to quiescence
         deciders = kernel.deciders
         node_ids = kernel.node_ids
         is_activity = kernel.is_activity
-        node_pos = kernel.layout.node_pos
-        edge_values = view.edge_values
-        untouched = view.untouched
-        node_count = len(node_ids)
+        nodes = marking.nodes
+        edges = marking.edges
 
+        # ascending, so already a valid heap
         if seeds is None:
-            current = [p for p in range(node_count) if untouched[p]]
+            current = [p for p, code in enumerate(nodes) if not code]
         else:
-            current = sorted({node_pos[n] for n in seeds if n in node_pos})
-        heapify(current)
+            current = sorted(set(seeds))
 
         bound = (
             self.max_propagation_rounds
             if self.max_propagation_rounds is not None
             else kernel.round_bound
         )
-        # nodes whose in-edges were signalled, or that were reset, by the
-        # node just acted on: exactly those whose entry decision can change
-        touched: List[str] = []
+        # positions of the nodes whose in-edges were signalled, or that were
+        # reset, by the node just acted on: exactly those whose entry
+        # decision can change
+        touched: List[int] = []
         rounds = 0
         while current:
             rounds += 1
@@ -490,72 +500,46 @@ class ProcessEngine:
             next_round: Set[int] = set()
             while current:
                 p = heappop(current)
-                if not untouched[p]:
+                if nodes[p]:
                     continue
-                decision = deciders[p](edge_values)
+                decision = deciders[p](edges)
                 if decision == 0:
                     continue
                 del touched[:]
                 if decision == 1:
                     if is_activity[p]:
-                        node_id = node_ids[p]
-                        marking.set_node_state(node_id, NodeState.ACTIVATED)
-                        self._emit(EventType.ACTIVITY_ACTIVATED, instance, node=node_id)
+                        nodes[p] = _ACTIVATED
+                        self._emit(EventType.ACTIVITY_ACTIVATED, instance, node=node_ids[p])
                     else:
                         self._execute_structural(instance, p, kernel, marking, touched)
                 elif decision == 2:
                     self._skip_node(instance, p, kernel, marking, touched)
                 else:
                     raise self._join_conflict(instance, node_ids[p])
-                if view is not marking.dense_view(kernel.layout):
-                    # structural marking mutation mid-propagation (should
-                    # not happen during normal stepping): restart dense
-                    view = marking.dense_view(kernel.layout)
-                    edge_values = view.edge_values
-                    untouched = view.untouched
-                for touched_id in touched:
-                    tp = node_pos.get(touched_id)
-                    if tp is None:
-                        continue
+                for tp in touched:
                     if tp > p:
                         heappush(current, tp)
                     else:
                         next_round.add(tp)
-            # a sorted list is a valid heap
             current = sorted(next_round)
-        view.at_fixpoint = True
+        marking.settled = True
 
+    @staticmethod
     def _signal_outgoing(
-        self,
-        marking: Marking,
-        p: int,
-        kernel: StepKernel,
-        chosen_target: Optional[str],
-        skipped: bool,
-        touched: List[str],
+        edges: bytearray, kernel: StepKernel, p: int, signal: int, chosen: int, touched: List[int]
     ) -> None:
-        """Signal all outgoing control and sync edges of a finished node.
+        """Write ``signal`` to all outgoing control and sync edges of a finished node.
 
-        The edge keys and targets were resolved at kernel compile time;
-        every signalled edge's target is appended to ``touched``.
+        ``chosen`` is the target position an XOR split decided for (its
+        other control edges get FALSE), -1 otherwise.  Edge and target
+        positions were resolved at kernel compile time; every signalled
+        edge's target is appended to ``touched``.
         """
-        set_key = marking.set_edge_state_key
-        if skipped:
-            for key, target in kernel.out_control[p]:
-                set_key(key, EdgeState.FALSE_SIGNALED)
-                touched.append(target)
-            for key, target in kernel.out_sync[p]:
-                set_key(key, EdgeState.FALSE_SIGNALED)
-                touched.append(target)
-            return
-        for key, target in kernel.out_control[p]:
-            if chosen_target is not None and target != chosen_target:
-                set_key(key, EdgeState.FALSE_SIGNALED)
-            else:
-                set_key(key, EdgeState.TRUE_SIGNALED)
+        for edge, target in kernel.out_control[p]:
+            edges[edge] = signal if chosen < 0 or target == chosen else _FALSE
             touched.append(target)
-        for key, target in kernel.out_sync[p]:
-            set_key(key, EdgeState.TRUE_SIGNALED)
+        for edge, target in kernel.out_sync[p]:
+            edges[edge] = signal
             touched.append(target)
 
     def _execute_structural(
@@ -564,25 +548,20 @@ class ProcessEngine:
         p: int,
         kernel: StepKernel,
         marking: Marking,
-        touched: List[str],
+        touched: List[int],
     ) -> None:
         """Automatically execute a structural node that just became ready."""
         kind = kernel.action_kind[p]
-        node_id = kernel.node_ids[p]
-        if kind == ACTION_XOR_SPLIT:
-            marking.set_node_state(node_id, NodeState.COMPLETED)
-            chosen = self._choose_branch(instance, instance.execution_schema, node_id)
-            self._signal_outgoing(marking, p, kernel, chosen, False, touched)
-            return
         if kind == ACTION_LOOP_END:
             self._execute_loop_end(instance, p, kernel, marking, touched)
             return
-        marking.set_node_state(node_id, NodeState.COMPLETED)
+        marking.nodes[p] = _COMPLETED
         if kind == ACTION_END:
             instance.status = InstanceStatus.COMPLETED
-            self._emit(EventType.INSTANCE_COMPLETED, instance, node=node_id)
+            self._emit(EventType.INSTANCE_COMPLETED, instance, node=kernel.node_ids[p])
             return
-        self._signal_outgoing(marking, p, kernel, None, False, touched)
+        chosen = self._choose_branch(instance, kernel, p) if kind == ACTION_XOR_SPLIT else -1
+        self._signal_outgoing(marking.edges, kernel, p, _TRUE, chosen, touched)
 
     def _skip_node(
         self,
@@ -590,21 +569,22 @@ class ProcessEngine:
         p: int,
         kernel: StepKernel,
         marking: Marking,
-        touched: List[str],
+        touched: List[int],
     ) -> None:
         """Dead-path elimination: mark a node skipped and signal FALSE onwards."""
         node_id = kernel.node_ids[p]
-        marking.set_node_state(node_id, NodeState.SKIPPED)
+        marking.nodes[p] = _SKIPPED
         self._emit(EventType.ACTIVITY_SKIPPED, instance, node=node_id)
         if kernel.is_activity[p]:
+            loop_start = kernel.facts_of(p, instance.execution_schema.index)[4]
             instance.history.record(
                 HistoryEventType.ACTIVITY_SKIPPED,
                 node_id,
-                iteration=self._iteration_of(instance, node_id),
+                iteration=instance.loop_iterations.get(loop_start, 0) if loop_start else 0,
             )
         if kernel.action_kind[p] == ACTION_END:
             return
-        self._signal_outgoing(marking, p, kernel, None, True, touched)
+        self._signal_outgoing(marking.edges, kernel, p, _FALSE, -1, touched)
 
     def _join_conflict(self, instance: ProcessInstance, node_id: str) -> JoinSignalConflictError:
         """Build the mixed-signal AND-join error with full edge context."""
@@ -620,26 +600,26 @@ class ProcessEngine:
             f"skipped — the schema or a migration produced an inconsistent marking"
         )
 
-    def _choose_branch(
-        self, instance: ProcessInstance, schema: ProcessSchema, split_id: str
-    ) -> str:
-        """Evaluate XOR guards over the current data and pick a branch."""
-        edges = schema.index.out_edges(split_id, EdgeType.CONTROL)
-        default_target: Optional[str] = None
-        for edge in edges:
+    def _choose_branch(self, instance: ProcessInstance, kernel: StepKernel, p: int) -> int:
+        """Evaluate XOR guards over the current data; the chosen target's position."""
+        edges = instance.execution_schema.index.out_edges(kernel.node_ids[p], EdgeType.CONTROL)
+        # out_control[p] was compiled from the same edge list, in the same order
+        targets = [target for _, target in kernel.out_control[p]]
+        default_target: Optional[int] = None
+        for edge, target in zip(edges, targets):
             if edge.guard is None:
-                default_target = edge.target
+                default_target = target
                 continue
             try:
                 if evaluate_condition(edge.guard, instance.data.values):
-                    return edge.target
+                    return target
             except ExpressionError:
                 continue
         if default_target is not None:
             return default_target
         # No guard held and no default branch: fall back to the first branch
         # (structural verification warns about this situation at buildtime).
-        return edges[0].target
+        return targets[0]
 
     def _execute_loop_end(
         self,
@@ -647,15 +627,16 @@ class ProcessEngine:
         p: int,
         kernel: StepKernel,
         marking: Marking,
-        touched: List[str],
+        touched: List[int],
     ) -> None:
-        """Evaluate the loop condition: leave the loop or start a new iteration."""
+        """Evaluate the loop condition: leave the loop, or reset its body and
+        supersede its history for a new iteration."""
         schema = instance.execution_schema
+        index = schema.index
         node_id = kernel.node_ids[p]
-        loop_start_id = schema.matching_loop_start(node_id)
+        loop_start_id = index.matching_loop_start(node_id)
         loop_edge = schema.edge(node_id, loop_start_id, EdgeType.LOOP)
-        loop_start = schema.node(loop_start_id)
-        max_iterations = int(loop_start.properties.get("max_iterations", 100))
+        max_iterations = int(schema.node(loop_start_id).properties.get("max_iterations", 100))
         iteration = instance.loop_iterations.get(loop_start_id, 0)
         repeat = False
         if loop_edge.loop_condition is not None and iteration + 1 < max_iterations:
@@ -664,48 +645,28 @@ class ProcessEngine:
             except ExpressionError:
                 repeat = False
         if not repeat:
-            marking.set_node_state(node_id, NodeState.COMPLETED)
-            self._signal_outgoing(marking, p, kernel, None, False, touched)
+            marking.nodes[p] = _COMPLETED
+            self._signal_outgoing(marking.edges, kernel, p, _TRUE, -1, touched)
             return
-        self._reset_loop(instance, loop_start_id, touched)
-
-    def _reset_loop(
-        self, instance: ProcessInstance, loop_start_id: str, touched: List[str]
-    ) -> None:
-        """Start a new iteration: reset the loop body and supersede its history."""
-        schema = instance.execution_schema
-        index = schema.index
         body = index.loop_body(loop_start_id)
-        instance.loop_iterations[loop_start_id] = instance.loop_iterations.get(loop_start_id, 0) + 1
-        activities_in_body = [n for n in body if schema.node(n).is_activity]
-        instance.history.supersede_activities(activities_in_body)
-        reset_nodes = set(body) | {loop_start_id}
-        for node_id in reset_nodes:
-            instance.marking.set_node_state(node_id, NodeState.NOT_ACTIVATED)
+        instance.loop_iterations[loop_start_id] = iteration + 1
+        instance.history.supersede_activities([n for n in body if schema.node(n).is_activity])
+        node_pos = kernel.layout.node_pos
+        for reset_id in set(body) | {loop_start_id}:
+            marking.set_node_state(reset_id, NodeState.NOT_ACTIVATED)
+            # untouched again with changed in-edges (or, for the loop start,
+            # a still-TRUE in-edge, so the next round re-executes it)
+            touched.append(node_pos[reset_id])
         for edge in index.loop_internal_edges(loop_start_id):
-            instance.marking.set_edge_state_key(edge.key, EdgeState.NOT_SIGNALED)
-        # every reset node is untouched again with changed in-edges (or,
-        # for the loop start, a still-TRUE in-edge): all need re-deciding
-        touched.extend(reset_nodes)
+            marking.set_edge_state_key(edge.key, EdgeState.NOT_SIGNALED)
         self._emit(EventType.LOOP_ITERATION, instance, node=loop_start_id)
         instance.history.record(
-            HistoryEventType.LOOP_ITERATION_STARTED,
-            loop_start_id,
-            iteration=instance.loop_iterations[loop_start_id],
+            HistoryEventType.LOOP_ITERATION_STARTED, loop_start_id, iteration=iteration + 1
         )
-        # The incoming control edge of the loop start is still TRUE-signalled,
-        # so the next propagation round re-executes the loop start node.
 
     # ------------------------------------------------------------------ #
     # helpers
     # ------------------------------------------------------------------ #
-
-    def _iteration_of(self, instance: ProcessInstance, node_id: str) -> int:
-        """Iteration counter of the innermost loop containing ``node_id``."""
-        loop_start_id = instance.execution_schema.index.innermost_loop_start(node_id)
-        if loop_start_id is None:
-            return 0
-        return instance.loop_iterations.get(loop_start_id, 0)
 
     def _require_active(self, instance: ProcessInstance) -> None:
         if not instance.status.is_active:

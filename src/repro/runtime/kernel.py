@@ -15,11 +15,10 @@ Two pieces:
 
 * :class:`MarkingLayout` — the dense coordinate system of one schema
   generation: node ids and non-loop edge keys in index order plus their
-  reverse position maps.  :meth:`repro.runtime.markings.Marking.dense_view`
-  materialises a marking against a layout and keeps it coherent with the
-  dict representation through every mutator.
+  reverse position maps.  A :class:`repro.runtime.markings.Marking` *is*
+  two code arrays in this order.
 * :class:`StepKernel` — the compiled kernel: one decider closure per
-  node (by position), the structural metadata the engine needs to act on
+  node (by position), the positional metadata the engine needs to act on
   a decision, and the schema-derived propagation round bound.
 
 The reference these closures are pinned against is the full-scan oracle
@@ -38,7 +37,7 @@ code  as an edge state            as an entry decision
 
 The identity of edge-state codes and decision codes is what makes the
 single-incoming-edge case (the overwhelming majority of nodes) literally
-branch-free: the decider returns ``edge_values[position]``.
+branch-free: the decider returns ``marking.edges[position]``.
 
 Code 3 is the explicit surfacing of a real bug class: an AND join whose
 incoming control edges are all signalled but disagree (some TRUE, some
@@ -52,22 +51,14 @@ from __future__ import annotations
 
 import json
 import zlib
-from typing import TYPE_CHECKING, Callable, Dict, List, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
-from repro.runtime.states import EdgeState
 from repro.schema.nodes import Node, NodeType
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.schema.index import SchemaIndex
 
 EdgeKey = Tuple[str, str, str]
-
-# dense edge-state encoding (see the module docstring table)
-EDGE_CODE: Dict[EdgeState, int] = {
-    EdgeState.NOT_SIGNALED: 0,
-    EdgeState.TRUE_SIGNALED: 1,
-    EdgeState.FALSE_SIGNALED: 2,
-}
 
 #: Decision codes returned by compiled deciders.
 DECIDE_WAIT = 0
@@ -83,6 +74,12 @@ ACTION_LOOP_END = 2
 ACTION_END = 3
 ACTION_STRUCTURAL = 4
 
+_ACTION_OF = {
+    NodeType.XOR_SPLIT: ACTION_XOR_SPLIT,
+    NodeType.LOOP_END: ACTION_LOOP_END,
+    NodeType.END: ACTION_END,
+}
+
 #: Legacy engine-wide round cap; the schema-derived bound never goes
 #: below it so existing deep-loop schemas keep converging.
 LEGACY_ROUND_BOUND = 10000
@@ -97,10 +94,10 @@ class MarkingLayout:
     """Dense, index-ordered coordinates of one schema generation.
 
     Node positions follow ``SchemaIndex.node_ids`` and edge positions
-    follow ``SchemaIndex.non_loop_edge_keys()`` — the same positional
-    order ``Marking.initial`` inserts and the PR-5 migration fingerprint
-    projects, so every dense consumer shares one layout per schema
-    generation.
+    follow ``SchemaIndex.non_loop_edge_keys()``.  A marking's code arrays,
+    its positional stored form, the kernel's deciders and the migration
+    fingerprint all use these coordinates: one layout object per schema
+    generation, so "same layout" is an identity check.
     """
 
     __slots__ = (
@@ -238,26 +235,30 @@ class StepKernel:
     """The compiled stepping kernel of one schema at one generation.
 
     Everything the marking propagation touches per node is precompiled
-    into position-indexed, allocation-free structures:
+    into position-indexed structures; the engine never translates a node
+    id or an edge key while it steps:
 
     * ``deciders[p]`` — the entry-decision closure of the node at
-      position ``p`` (reads the dense edge-state array, returns a
-      decision code);
+      position ``p`` (reads the marking's edge codes, returns a decision
+      code);
     * ``nodes[p]`` / ``node_ids[p]`` — the node object / id for acting
-      on a non-wait decision (structural execution, events, history);
+      on a non-wait decision (workers, events, history);
     * ``is_activity[p]`` — 1 for activity nodes (activate instead of
-      auto-executing);
-    * ``successor_positions[p]`` — positions of all control/sync
-      successors, the nodes whose entry decision can change when node
-      ``p`` signals its outgoing edges (worklist propagation);
+      auto-executing); ``action_kind[p]`` — what executing it means;
+    * ``out_control[p]`` / ``out_sync[p]`` — ``(edge position, target
+      position)`` of every outgoing control / sync edge: signalling is an
+      array write, and the targets are the nodes to re-decide;
+    * ``facts[p]`` — the :data:`ActivityFacts` of the activity at ``p``,
+      filled in by :meth:`facts_of` the first time it is stepped;
     * ``round_bound`` — the schema-derived propagation bound:
       control-flow depth × total loop-iteration budget, floored at the
       legacy engine-wide constant.
 
     Kernels are cached on the :class:`~repro.schema.index.SchemaIndex`
-    and invalidated with it by the schema generation counter; the engine
-    additionally rejects a kernel whose generation no longer matches the
-    schema (the stale-kernel guard).
+    and invalidated with it by the schema generation counter.  Every
+    published schema version keeps its kernel alive, so a kernel holds no
+    reference to its index or schema (no cycle for the collector) and
+    nothing per node heavier than a tuple.
     """
 
     __slots__ = (
@@ -267,32 +268,25 @@ class StepKernel:
         "node_ids",
         "is_activity",
         "action_kind",
-        "control_in_keys",
         "out_control",
         "out_sync",
-        "successor_positions",
+        "facts",
         "round_bound",
     )
 
     def __init__(self, index: "SchemaIndex") -> None:
         from repro.schema.edges import EdgeType
 
-        self.layout = index.marking_layout()
-        layout = self.layout
-        node_count = len(layout.node_ids)
-        specs = index.entry_specs()
-
-        deciders: List[Decider] = []
-        nodes: List[Node] = []
-        is_activity = bytearray(node_count)
-        action_kind = bytearray(node_count)
-        control_in_keys: List[Tuple[EdgeKey, ...]] = []
-        out_control: List[Tuple[Tuple[EdgeKey, str], ...]] = []
-        out_sync: List[Tuple[Tuple[EdgeKey, str], ...]] = []
-        successor_positions: List[Tuple[int, ...]] = []
+        layout = self.layout = index.marking_layout()
         edge_pos = layout.edge_pos
         node_pos = layout.node_pos
-        for position, node_id in enumerate(layout.node_ids):
+        specs = index.entry_specs()
+        deciders: List[Decider] = []
+        out: Dict[EdgeType, List[Tuple[Tuple[int, int], ...]]] = {
+            EdgeType.CONTROL: [],
+            EdgeType.SYNC: [],
+        }
+        for node_id in layout.node_ids:
             kind, control_keys, sync_keys = specs[node_id]
             deciders.append(
                 _compile_decider(
@@ -301,54 +295,71 @@ class StepKernel:
                     tuple(edge_pos[key] for key in sync_keys),
                 )
             )
-            node = index.node(node_id)
-            nodes.append(node)
-            is_activity[position] = 1 if node.is_activity else 0
-            if node.is_activity:
-                action_kind[position] = ACTION_ACTIVITY
-            elif node.node_type is NodeType.XOR_SPLIT:
-                action_kind[position] = ACTION_XOR_SPLIT
-            elif node.node_type is NodeType.LOOP_END:
-                action_kind[position] = ACTION_LOOP_END
-            elif node.node_type is NodeType.END:
-                action_kind[position] = ACTION_END
-            else:
-                action_kind[position] = ACTION_STRUCTURAL
-            control_in_keys.append(control_keys)
-            out_control.append(
-                tuple(
-                    (edge.key, edge.target)
-                    for edge in index.out_edges(node_id, EdgeType.CONTROL)
+            for edge_type, compiled in out.items():
+                compiled.append(
+                    tuple(
+                        (edge_pos[edge.key], node_pos[edge.target])
+                        for edge in index.out_edges(node_id, edge_type)
+                    )
                 )
-            )
-            out_sync.append(
-                tuple(
-                    (edge.key, edge.target)
-                    for edge in index.out_edges(node_id, EdgeType.SYNC)
-                )
-            )
-            successors = {
-                node_pos[edge.target]
-                for edge in index.out_edges(node_id, EdgeType.CONTROL)
-            }
-            successors.update(
-                node_pos[edge.target] for edge in index.out_edges(node_id, EdgeType.SYNC)
-            )
-            successor_positions.append(tuple(sorted(successors)))
-
         self.deciders: Tuple[Decider, ...] = tuple(deciders)
-        self.nodes: Tuple[Node, ...] = tuple(nodes)
+        self.nodes: Tuple[Node, ...] = tuple(index.node(node_id) for node_id in layout.node_ids)
         self.node_ids: Tuple[str, ...] = layout.node_ids
-        self.is_activity = is_activity
-        self.action_kind = action_kind
-        self.control_in_keys: Tuple[Tuple[EdgeKey, ...], ...] = tuple(control_in_keys)
-        self.out_control: Tuple[Tuple[Tuple[EdgeKey, str], ...], ...] = tuple(out_control)
-        self.out_sync: Tuple[Tuple[Tuple[EdgeKey, str], ...], ...] = tuple(out_sync)
-        self.successor_positions: Tuple[Tuple[int, ...], ...] = tuple(successor_positions)
+        self.is_activity = bytearray(node.is_activity for node in self.nodes)
+        self.action_kind = bytearray(
+            ACTION_ACTIVITY if node.is_activity else _ACTION_OF.get(node.node_type, ACTION_STRUCTURAL)
+            for node in self.nodes
+        )
+        self.out_control = tuple(out[EdgeType.CONTROL])
+        self.out_sync = tuple(out[EdgeType.SYNC])
+        self.facts: List[Optional[ActivityFacts]] = [None] * len(self.nodes)
         self.round_bound = index.propagation_round_bound()
+
+    def facts_of(self, position: int, index: "SchemaIndex") -> "ActivityFacts":
+        """The facts of the activity at ``position``, compiled on first use.
+
+        ``index`` is the index this kernel was compiled from (the caller
+        has it at hand; the kernel keeps no reference to it).
+        """
+        facts = self.facts[position]
+        if facts is None:
+            facts = self.facts[position] = _compile_facts(index, self.node_ids[position])
+        return facts
 
     def __repr__(self) -> str:
         return f"StepKernel({self.layout!r}, round_bound={self.round_bound})"
+
+
+# ---------------------------------------------------------------------- #
+# per-activity facts
+# ---------------------------------------------------------------------- #
+
+#: What a step of one activity needs from its schema, resolved once:
+#: ``(activity id, read elements, written elements, data type value of each
+#: written element, innermost loop start or None)`` — strings and tuples
+#: only, so equal activities of successive schema versions share one
+#: object (see :func:`_compile_facts`).
+ActivityFacts = Tuple[str, Tuple[str, ...], Tuple[str, ...], Tuple[str, ...], Optional[str]]
+
+_FACTS: Dict[ActivityFacts, ActivityFacts] = {}
+_FACTS_CAP = 8192
+
+
+def _compile_facts(index: "SchemaIndex", node_id: str) -> ActivityFacts:
+    writes = tuple(edge.element for edge in index.write_edges(node_id))
+    data_elements = index.schema.data_elements
+    facts: ActivityFacts = (
+        node_id,
+        tuple(edge.element for edge in index.read_edges(node_id)),
+        writes,
+        tuple(data_elements[element].data_type.value for element in writes),
+        index.innermost_loop_start(node_id),
+    )
+    # interned by value: a type with hundreds of published versions keeps
+    # one tuple per activity, not one per activity and version
+    if len(_FACTS) >= _FACTS_CAP:
+        _FACTS.clear()
+    return _FACTS.setdefault(facts, facts)
 
 
 def _control_depth(index: "SchemaIndex") -> int:
@@ -405,7 +416,6 @@ __all__ = [
     "DECIDE_CONFLICT",
     "DECIDE_SKIP",
     "DECIDE_WAIT",
-    "EDGE_CODE",
     "MarkingLayout",
     "StepKernel",
     "derive_round_bound",

@@ -6,11 +6,17 @@ edge of the instance's execution schema.  Markings are the
 instance-specific data the redundancy-free storage representation keeps
 next to the schema reference (paper Fig. 2), and the object on which the
 per-operation compliance conditions are evaluated (paper Fig. 1).
+
+There is one representation: two ``bytearray`` s of state codes in the
+order of the schema's :class:`~repro.runtime.kernel.MarkingLayout`.  The
+codes are the store format's own, so the stepping kernel reads the arrays
+directly, the stored form is the arrays as two digit strings, and the
+name-based API the rest of the system uses is a position lookup away.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Tuple
 
 from repro.runtime.states import EdgeState, NodeState
 from repro.schema.edges import EdgeType
@@ -21,221 +27,122 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 EdgeKey = Tuple[str, str, str]
 
-# dense edge-state codes, mirrored from repro.runtime.kernel.EDGE_CODE
-# (inlined here to keep the mutator hot path free of imports)
-_EDGE_CODE = {
-    EdgeState.NOT_SIGNALED: 0,
-    EdgeState.TRUE_SIGNALED: 1,
-    EdgeState.FALSE_SIGNALED: 2,
-}
-
-# The positional stored form writes one code character per node / edge in
-# layout order.  The characters are part of the store format: spelled out,
-# never derived from enum order; the edge characters are the dense codes.
-_NODE_CHAR = {
-    NodeState.NOT_ACTIVATED: "0",
-    NodeState.ACTIVATED: "1",
-    NodeState.RUNNING: "2",
-    NodeState.SUSPENDED: "3",
-    NodeState.COMPLETED: "4",
-    NodeState.SKIPPED: "5",
-    NodeState.FAILED: "6",
-}
-_EDGE_CHAR = {state: str(code) for state, code in _EDGE_CODE.items()}
-_NODE_OF_CHAR = {char: state for state, char in _NODE_CHAR.items()}
-_EDGE_OF_CHAR = {char: state for state, char in _EDGE_CHAR.items()}
-# code string -> dense arrays, one C-speed pass each
-_EDGE_VALUES = bytes.maketrans(b"012", bytes((0, 1, 2)))
-_UNTOUCHED = bytes.maketrans(b"0123456", bytes((1, 0, 0, 0, 0, 0, 0)))
-_ACTIVATED = bytes.maketrans(b"0123456", bytes((0, 1, 0, 0, 0, 0, 0)))
+# A state's code is its position below.  The codes are part of the store
+# format (the stored form writes them as the digits "0"…"6" / "0"…"2"), so
+# the tuples are spelled out, never derived from enum order.  The edge codes
+# double as the kernel's entry-decision codes.
+NODE_STATES = (
+    NodeState.NOT_ACTIVATED,
+    NodeState.ACTIVATED,
+    NodeState.RUNNING,
+    NodeState.SUSPENDED,
+    NodeState.COMPLETED,
+    NodeState.SKIPPED,
+    NodeState.FAILED,
+)
+EDGE_STATES = (EdgeState.NOT_SIGNALED, EdgeState.TRUE_SIGNALED, EdgeState.FALSE_SIGNALED)
+NODE_CODE: Dict[NodeState, int] = {state: code for code, state in enumerate(NODE_STATES)}
+EDGE_CODE: Dict[EdgeState, int] = {state: code for code, state in enumerate(EDGE_STATES)}
+_STARTED = tuple(state for state in NODE_STATES if state.is_started)
 
 
-class DenseMarking:
-    """Dense, positionally-indexed projection of a :class:`Marking`.
+def _digit_tables(count: int) -> Tuple[bytes, bytes]:
+    """``(codes -> digits, digits -> codes)``; any other character maps to 255."""
+    decode = bytearray(b"\xff" * 256)
+    decode[ord("0") : ord("0") + count] = range(count)
+    return bytes.maketrans(bytes(range(count)), b"0123456"[:count]), bytes(decode)
 
-    Built against a :class:`~repro.runtime.kernel.MarkingLayout` (one per
-    schema generation) and kept coherent by the marking's mutators:
 
-    * ``edge_values[p]`` — the dense state code (0 NOT / 1 TRUE / 2 FALSE)
-      of the edge at layout position ``p``;
-    * ``untouched[p]`` — 1 while the node at position ``p`` is
-      NOT_ACTIVATED, i.e. still eligible for an entry decision;
-    * ``at_fixpoint`` — True when a propagation pass has run to quiescence
-      since the last mutation; lets ``complete_activity`` seed the next
-      pass with only the nodes its signals touched;
-    * ``stale`` — set when the marking mutates structurally (node/edge
-      added or removed), which invalidates the positional mapping; the
-      next ``dense_view`` call rebuilds against the current layout.
+_NODE_DIGITS, _NODE_CODES = _digit_tables(len(NODE_STATES))
+_EDGE_DIGITS, _EDGE_CODES = _digit_tables(len(EDGE_STATES))
 
-    The positional order is exactly ``SchemaIndex.node_ids`` /
-    ``non_loop_edge_keys()`` — the same layout the migration fingerprints
-    project, so a dense view and a fingerprint of the same generation
-    always agree on coordinates.
-    """
 
-    __slots__ = (
-        "layout",
-        "edge_values",
-        "untouched",
-        "activated",
-        "aligned",
-        "at_fixpoint",
-        "stale",
-    )
-
-    def __init__(
-        self,
-        layout: "MarkingLayout",
-        edge_values: bytearray,
-        untouched: bytearray,
-        activated: bytearray,
-        aligned: bool,
-    ) -> None:
-        self.layout = layout
-        self.edge_values = edge_values
-        self.untouched = untouched
-        self.activated = activated
-        # True when the marking holds exactly the layout's nodes in the
-        # layout's order — then a positional scan visits nodes in the same
-        # order as a marking-dict scan, and dense answers (e.g. "first
-        # activated activity") replicate the dict-based ones exactly
-        self.aligned = aligned
-        self.at_fixpoint = False
-        self.stale = False
-
-    @classmethod
-    def of_marking(cls, layout: "MarkingLayout", marking: "Marking") -> "DenseMarking":
-        """Project the marking's dicts onto ``layout`` (one pass over each)."""
-        edge_values = bytearray(len(layout.edge_keys))
-        edge_states = marking.edge_states
-        for key, state in edge_states.items():
-            position = layout.edge_pos.get(key)
-            if position is not None:
-                edge_values[position] = _EDGE_CODE[state]
-        untouched = bytearray(len(layout.node_ids))
-        activated = bytearray(len(layout.node_ids))
-        node_states = marking.node_states
-        not_activated = NodeState.NOT_ACTIVATED
-        is_activated = NodeState.ACTIVATED
-        for position, node_id in enumerate(layout.node_ids):
-            state = node_states.get(node_id, not_activated)
-            if state is not_activated:
-                untouched[position] = 1
-            elif state is is_activated:
-                activated[position] = 1
-        aligned = list(node_states) == list(layout.node_ids)
-        return cls(layout, edge_values, untouched, activated, aligned)
-
-    @classmethod
-    def from_codes(
-        cls, layout: "MarkingLayout", node_codes: str, edge_codes: str
-    ) -> "DenseMarking":
-        """The view of the marking two validated code strings spell out.
-
-        Byte for byte what :meth:`of_marking` builds from the decoded
-        dicts, without walking them; always ``aligned``.
-        """
-        nodes = node_codes.encode("ascii")
-        return cls(
-            layout,
-            bytearray(edge_codes.encode("ascii").translate(_EDGE_VALUES)),
-            bytearray(nodes.translate(_UNTOUCHED)),
-            bytearray(nodes.translate(_ACTIVATED)),
-            True,
-        )
-
-    # mutator mirror hooks (called from Marking's setters) ------------- #
-
-    def on_node(self, node_id: str, state: NodeState) -> None:
-        position = self.layout.node_pos.get(node_id)
-        if position is None:
-            self.stale = True
-            return
-        if state is NodeState.NOT_ACTIVATED:
-            # a reset re-arms the node for entry decisions (loop back,
-            # migration, ad-hoc change): the fixpoint no longer holds
-            self.untouched[position] = 1
-            self.activated[position] = 0
-            self.at_fixpoint = False
-        else:
-            self.untouched[position] = 0
-            self.activated[position] = 1 if state is NodeState.ACTIVATED else 0
-
-    def on_edge(self, key: EdgeKey, state: EdgeState) -> None:
-        position = self.layout.edge_pos.get(key)
-        if position is None:
-            self.stale = True
-            return
-        self.edge_values[position] = _EDGE_CODE[state]
-        self.at_fixpoint = False
+def _decode(digits: str, table: bytes) -> bytearray:
+    codes = digits.encode("ascii").translate(table)  # non-ASCII: a ValueError too
+    bad = codes.find(255)
+    if bad != -1:
+        raise ValueError(f"unknown marking state code {digits[bad]!r}")
+    return bytearray(codes)
 
 
 class Marking:
-    """State assignment for all nodes and (control/sync) edges of a schema."""
+    """State assignment for all nodes and (control/sync) edges of a schema.
+
+    ``nodes[p]`` / ``edges[p]`` hold the state code of the node / edge at
+    position ``p`` of ``layout``.  ``settled`` is True while the marking is
+    a fixpoint of the engine's propagation — no untouched node's entry
+    decision is anything but "wait" — so the next step need only re-examine
+    the nodes its own signals reach.  The engine sets it when a pass runs
+    to quiescence; every write that can re-arm a decision (an edge state, a
+    node reset to NOT_ACTIVATED) clears it; :meth:`copy` and the cache
+    write-back keep it.  It is not part of the marking's value: equality,
+    the keyed form and the stored key ignore it.
+    """
+
+    __slots__ = ("layout", "nodes", "edges", "settled")
 
     def __init__(
-        self,
-        node_states: Optional[Mapping[str, NodeState]] = None,
-        edge_states: Optional[Mapping[EdgeKey, EdgeState]] = None,
+        self, layout: "MarkingLayout", nodes: bytearray, edges: bytearray, settled: bool = False
     ) -> None:
-        self._node_states: Dict[str, NodeState] = dict(node_states or {})
-        self._edge_states: Dict[EdgeKey, EdgeState] = dict(edge_states or {})
-        # dense projection, built on demand by dense_view() and kept
-        # coherent by the mutators below
-        self._dense: Optional[DenseMarking] = None
-
-    # ------------------------------------------------------------------ #
-    # construction
-    # ------------------------------------------------------------------ #
+        self.layout = layout
+        self.nodes = nodes
+        self.edges = edges
+        self.settled = settled
 
     @classmethod
     def initial(cls, schema: ProcessSchema) -> "Marking":
         """The marking of a freshly created instance: everything untouched."""
-        index = schema.index
-        return cls(
-            dict.fromkeys(index.node_ids, NodeState.NOT_ACTIVATED),
-            dict.fromkeys(index.non_loop_edge_keys(), EdgeState.NOT_SIGNALED),
-        )
+        layout = schema.index.marking_layout()
+        return cls(layout, bytearray(len(layout.node_ids)), bytearray(len(layout.edge_keys)))
 
     def copy(self) -> "Marking":
-        """An independent copy of this marking."""
-        return Marking(dict(self._node_states), dict(self._edge_states))
+        """An independent copy of this marking (on the same layout)."""
+        return Marking(self.layout, self.nodes[:], self.edges[:], self.settled)
+
+    def lay_onto(self, layout: "MarkingLayout") -> None:
+        """Move this marking onto ``layout``, matching nodes and edges by name.
+
+        For a marking whose schema changed under it: what the layout adds
+        starts untouched, what it no longer holds is dropped.
+        """
+        mine = self.layout
+        nodes = bytearray(len(layout.node_ids))
+        for node_id, position in layout.node_pos.items():
+            old = mine.node_pos.get(node_id)
+            if old is not None:
+                nodes[position] = self.nodes[old]
+        edges = bytearray(len(layout.edge_keys))
+        for key, position in layout.edge_pos.items():
+            old = mine.edge_pos.get(key)
+            if old is not None:
+                edges[position] = self.edges[old]
+        self.layout, self.nodes, self.edges, self.settled = layout, nodes, edges, False
 
     # ------------------------------------------------------------------ #
-    # node state accessors
+    # node states
     # ------------------------------------------------------------------ #
 
     @property
     def node_states(self) -> Dict[str, NodeState]:
-        return self._node_states
-
-    @property
-    def edge_states(self) -> Dict[EdgeKey, EdgeState]:
-        return self._edge_states
+        """``{node id: state}`` in layout order — a snapshot, not a view."""
+        return dict(zip(self.layout.node_ids, map(NODE_STATES.__getitem__, self.nodes)))
 
     def node_state(self, node_id: str) -> NodeState:
-        """State of ``node_id`` (untouched nodes default to NOT_ACTIVATED)."""
-        return self._node_states.get(node_id, NodeState.NOT_ACTIVATED)
+        """State of ``node_id`` (a node the layout lacks is NOT_ACTIVATED)."""
+        position = self.layout.node_pos.get(node_id)
+        return NodeState.NOT_ACTIVATED if position is None else NODE_STATES[self.nodes[position]]
 
     def set_node_state(self, node_id: str, state: NodeState) -> None:
-        self._node_states[node_id] = state
-        if self._dense is not None:
-            self._dense.on_node(node_id, state)
-
-    def remove_node(self, node_id: str) -> None:
-        """Forget the state of a node (used when a change deletes it)."""
-        self._node_states.pop(node_id, None)
-        self._edge_states = {
-            key: state
-            for key, state in self._edge_states.items()
-            if key[0] != node_id and key[1] != node_id
-        }
-        self._dense = None  # positional mapping no longer valid
+        code = NODE_CODE[state]
+        self.nodes[self.layout.node_pos[node_id]] = code
+        if not code:  # a reset (loop back, rollback) re-arms the node's entry decision
+            self.settled = False
 
     def nodes_in_state(self, *states: NodeState) -> List[str]:
-        """All node ids currently in one of ``states``."""
-        wanted = set(states)
-        return [node_id for node_id, state in self._node_states.items() if state in wanted]
+        """All node ids currently in one of ``states``, in layout order."""
+        wanted = {NODE_CODE[state] for state in states}
+        node_ids = self.layout.node_ids
+        return [node_ids[p] for p, code in enumerate(self.nodes) if code in wanted]
 
     def activated_nodes(self) -> List[str]:
         return self.nodes_in_state(NodeState.ACTIVATED)
@@ -248,90 +155,50 @@ class Marking:
 
     def started_nodes(self) -> List[str]:
         """Nodes whose execution has begun (running, suspended, completed, failed)."""
-        return [
-            node_id for node_id, state in self._node_states.items() if state.is_started
-        ]
+        return self.nodes_in_state(*_STARTED)
 
     # ------------------------------------------------------------------ #
-    # edge state accessors
+    # edge states
     # ------------------------------------------------------------------ #
 
-    def edge_state(self, source: str, target: str, edge_type: EdgeType = EdgeType.CONTROL) -> EdgeState:
-        """State of the edge (untouched edges default to NOT_SIGNALED)."""
-        return self._edge_states.get((source, target, edge_type.value), EdgeState.NOT_SIGNALED)
+    @property
+    def edge_states(self) -> Dict[EdgeKey, EdgeState]:
+        """``{edge key: state}`` in layout order — a snapshot, not a view."""
+        return dict(zip(self.layout.edge_keys, map(EDGE_STATES.__getitem__, self.edges)))
+
+    def edge_state(
+        self, source: str, target: str, edge_type: EdgeType = EdgeType.CONTROL
+    ) -> EdgeState:
+        """State of the edge (an edge the layout lacks is NOT_SIGNALED)."""
+        return self.edge_state_key((source, target, edge_type.value))
 
     def edge_state_key(self, key: EdgeKey) -> EdgeState:
-        """State of the edge by its precomputed key (engine hot path).
-
-        Avoids rebuilding the ``(source, target, type)`` tuple per lookup;
-        the engine feeds it the ``Edge.key`` tuples held by the compiled
-        :class:`~repro.schema.index.SchemaIndex`.
-        """
-        return self._edge_states.get(key, EdgeState.NOT_SIGNALED)
+        """State of the edge by its ``Edge.key`` tuple."""
+        position = self.layout.edge_pos.get(key)
+        return EdgeState.NOT_SIGNALED if position is None else EDGE_STATES[self.edges[position]]
 
     def set_edge_state_key(self, key: EdgeKey, state: EdgeState) -> None:
-        """Set the state of the edge by its precomputed key (engine hot path)."""
-        self._edge_states[key] = state
-        if self._dense is not None:
-            self._dense.on_edge(key, state)
+        self.edges[self.layout.edge_pos[key]] = EDGE_CODE[state]
+        self.settled = False
 
     def set_edge_state(
         self, source: str, target: str, state: EdgeState, edge_type: EdgeType = EdgeType.CONTROL
     ) -> None:
-        key = (source, target, edge_type.value)
-        self._edge_states[key] = state
-        if self._dense is not None:
-            self._dense.on_edge(key, state)
-
-    def ensure_edge(self, source: str, target: str, edge_type: EdgeType = EdgeType.CONTROL) -> None:
-        """Register a (new) edge with the default NOT_SIGNALED state."""
-        key = (source, target, edge_type.value)
-        if key not in self._edge_states:
-            self._edge_states[key] = EdgeState.NOT_SIGNALED
-            self._dense = None  # a structurally new edge invalidates positions
-
-    def ensure_node(self, node_id: str) -> None:
-        """Register a (new) node with the default NOT_ACTIVATED state."""
-        if node_id not in self._node_states:
-            self._node_states[node_id] = NodeState.NOT_ACTIVATED
-            self._dense = None  # a structurally new node invalidates positions
+        self.set_edge_state_key((source, target, edge_type.value), state)
 
     # ------------------------------------------------------------------ #
-    # dense projection (compiled stepping kernel)
-    # ------------------------------------------------------------------ #
-
-    def dense_view(self, layout: "MarkingLayout") -> DenseMarking:
-        """The dense projection of this marking against ``layout``.
-
-        The view is cached and mirrored through every mutator; it is
-        rebuilt when the layout changes (schema evolved to a new
-        generation) or after a structural marking mutation
-        (``ensure_node`` / ``ensure_edge`` / ``remove_node``) made the
-        cached positions unreliable.
-        """
-        view = self._dense
-        if view is None or view.layout is not layout or view.stale:
-            view = DenseMarking.of_marking(layout, self)
-            self._dense = view
-        return view
-
-    # ------------------------------------------------------------------ #
-    # comparison / serialization
+    # comparison / the keyed form
     # ------------------------------------------------------------------ #
 
     def differences(self, other: "Marking") -> List[str]:
-        """Human readable differences between two markings (for tests)."""
+        """Human readable differences between two markings, by name (for tests)."""
         problems: List[str] = []
-        node_ids = set(self._node_states) | set(other._node_states)
-        for node_id in sorted(node_ids):
-            mine = self.node_state(node_id)
-            theirs = other.node_state(node_id)
+        for node_id in sorted(set(self.layout.node_ids) | set(other.layout.node_ids)):
+            mine, theirs = self.node_state(node_id), other.node_state(node_id)
             if mine is not theirs:
                 problems.append(f"node {node_id}: {mine.value} != {theirs.value}")
-        edge_keys = set(self._edge_states) | set(other._edge_states)
-        for key in sorted(edge_keys):
-            mine_edge = self._edge_states.get(key, EdgeState.NOT_SIGNALED)
-            theirs_edge = other._edge_states.get(key, EdgeState.NOT_SIGNALED)
+        for key in sorted(set(self.layout.edge_keys) | set(other.layout.edge_keys)):
+            mine_edge, theirs_edge = self.edge_state_key(key), other.edge_state_key(key)
             if mine_edge is not theirs_edge:
                 problems.append(f"edge {key}: {mine_edge.value} != {theirs_edge.value}")
         return problems
@@ -341,116 +208,100 @@ class Marking:
         return not self.differences(other)
 
     def to_dict(self) -> dict:
-        """Serialize the marking to a JSON-compatible dictionary (keyed form).
+        """The keyed form: states by name, JSON-compatible.
 
-        Edges are listed in sorted key order, so the output depends on the
-        states alone, not on the order the dicts were filled in.
+        What a biased case stores (its execution schema is re-materialised
+        in another order on load) and what stores written before the
+        positional form hold.  Edges are listed in sorted key order.
         """
         return {
-            "node_states": {node_id: state.value for node_id, state in self._node_states.items()},
+            "node_states": {node_id: state.value for node_id, state in self.node_states.items()},
             "edge_states": [
                 {"source": key[0], "target": key[1], "edge_type": key[2], "state": state.value}
-                for key, state in sorted(self._edge_states.items())
+                for key, state in sorted(self.edge_states.items())
             ],
         }
 
     @classmethod
     def from_dict(cls, payload: Mapping) -> "Marking":
-        """Reconstruct a marking from :meth:`to_dict` output."""
-        node_states = {
-            node_id: NodeState(value) for node_id, value in payload.get("node_states", {}).items()
-        }
-        edge_states = {
-            (entry["source"], entry["target"], entry["edge_type"]): EdgeState(entry["state"])
-            for entry in payload.get("edge_states", [])
-        }
-        return cls(node_states, edge_states)
+        """The marking a keyed payload spells, on a layout of exactly its names."""
+        from repro.runtime.kernel import MarkingLayout
+
+        layout = MarkingLayout(
+            "",
+            0,
+            tuple(payload.get("node_states", {})),
+            tuple((e["source"], e["target"], e["edge_type"]) for e in payload.get("edge_states", [])),
+        )
+        return cls._from_keyed(payload, layout)
+
+    @classmethod
+    def _from_keyed(cls, payload: Mapping, layout: "MarkingLayout") -> "Marking":
+        """Lay a keyed payload onto ``layout`` by name.
+
+        A name the payload omits is untouched; one the layout does not
+        hold, or an unknown state, raises ``ValueError``.
+        """
+        nodes = bytearray(len(layout.node_ids))
+        edges = bytearray(len(layout.edge_keys))
+        try:
+            for node_id, value in payload.get("node_states", {}).items():
+                nodes[layout.node_pos[node_id]] = NODE_CODE[NodeState(value)]
+            for entry in payload.get("edge_states", []):
+                key = (entry["source"], entry["target"], entry["edge_type"])
+                edges[layout.edge_pos[key]] = EDGE_CODE[EdgeState(entry["state"])]
+        except KeyError as exc:
+            raise ValueError(f"{layout!r} does not hold {exc.args[0]!r}") from None
+        return cls(layout, nodes, edges)
 
     # -- the stored form ------------------------------------------------ #
     #
-    # A marking that covers exactly a layout is stored *positionally*:
+    # Against the layout it lives on, a marking is stored *positionally*:
     # ``{"layout": <checksum>, "nodes": "4441…", "edges": "1102…"}`` — one
-    # code character per node / edge in layout order; the schema version the
-    # record references spells the names (paper Fig. 2).  Any other marking
-    # is stored in the keyed :meth:`to_dict` form, which is also what stores
-    # written before the positional form hold.
-
-    def to_codes(self, layout: "MarkingLayout") -> Optional[Tuple[str, str]]:
-        """Node and edge code strings in layout order.
-
-        ``None`` when the marking does not hold exactly the layout's nodes
-        and edges (positions would not identify them).
-        """
-        node_states = self._node_states
-        edge_states = self._edge_states
-        if len(node_states) != len(layout.node_ids) or len(edge_states) != len(layout.edge_keys):
-            return None
-        try:
-            return (
-                "".join(map(_NODE_CHAR.__getitem__, map(node_states.__getitem__, layout.node_ids))),
-                "".join(map(_EDGE_CHAR.__getitem__, map(edge_states.__getitem__, layout.edge_keys))),
-            )
-        except KeyError:
-            return None
-
-    @classmethod
-    def from_codes(cls, layout: "MarkingLayout", node_codes: str, edge_codes: str) -> "Marking":
-        """The marking two code strings spell out against ``layout``.
-
-        Its dicts are in layout order and its dense view is pre-built
-        from the strings.  Raises ``ValueError`` when a string does not fit
-        the layout or holds an unknown code.
-        """
-        if len(node_codes) != len(layout.node_ids) or len(edge_codes) != len(layout.edge_keys):
-            raise ValueError(
-                f"marking codes ({len(node_codes)} nodes, {len(edge_codes)} edges) do not fit "
-                f"{layout!r}"
-            )
-        marking = cls()
-        try:
-            marking._node_states = dict(
-                zip(layout.node_ids, map(_NODE_OF_CHAR.__getitem__, node_codes))
-            )
-            marking._edge_states = dict(
-                zip(layout.edge_keys, map(_EDGE_OF_CHAR.__getitem__, edge_codes))
-            )
-        except KeyError as exc:
-            raise ValueError(f"unknown marking state code {exc.args[0]!r}") from None
-        marking._dense = DenseMarking.from_codes(layout, node_codes, edge_codes)
-        return marking
+    # digit per node / edge in layout order; the schema version the record
+    # references spells the names (paper Fig. 2).  The cache write-back adds
+    # ``"fix": 1`` to either form while the marking is settled.
 
     def to_stored(self, layout: Optional["MarkingLayout"]) -> dict:
-        """The stored form: positional against ``layout`` when it is covered.
+        """The stored form: positional when ``layout`` has this marking's coordinates.
 
         ``layout=None`` asks for the keyed form outright — the caller knows
         positions will not be reproducible on load (a biased case's
         execution schema is re-materialised in another order).
         """
-        codes = self.to_codes(layout) if layout is not None else None
-        if codes is None:
+        if layout is None or layout.checksum != self.layout.checksum:
             return self.to_dict()
-        return {"layout": layout.checksum, "nodes": codes[0], "edges": codes[1]}
+        return {
+            "layout": layout.checksum,
+            "nodes": self.nodes.translate(_NODE_DIGITS).decode("ascii"),
+            "edges": self.edges.translate(_EDGE_DIGITS).decode("ascii"),
+        }
 
     @classmethod
     def from_stored(cls, payload: Mapping, layout: "MarkingLayout") -> "Marking":
-        """Reconstruct a marking from either stored form, in layout order.
+        """Reconstruct a marking from either stored form, on ``layout``.
 
-        A positional payload must name ``layout``'s checksum — a mismatch
-        raises ``ValueError`` instead of assigning states to the wrong
-        nodes.  A keyed payload that covers the layout is re-ordered onto
-        it (JSON snapshots sort the keys), so scans of a loaded marking
-        visit nodes in the order a never-stored one does.
+        A positional payload must name ``layout``'s checksum and fit its
+        lengths — a mismatch raises ``ValueError`` instead of assigning
+        states to the wrong nodes, as does an unknown code.  A keyed
+        payload is laid onto the layout by name.
         """
-        if "layout" in payload:
-            if payload["layout"] != layout.checksum:
+        if "layout" not in payload:
+            marking = cls._from_keyed(payload, layout)
+        elif payload["layout"] != layout.checksum:
+            raise ValueError(
+                f"marking was stored against layout {payload['layout']}, "
+                f"but {layout!r} has checksum {layout.checksum}"
+            )
+        else:
+            nodes, edges = payload["nodes"], payload["edges"]
+            if len(nodes) != len(layout.node_ids) or len(edges) != len(layout.edge_keys):
                 raise ValueError(
-                    f"marking was stored against layout {payload['layout']}, "
-                    f"but {layout!r} has checksum {layout.checksum}"
+                    f"marking codes ({len(nodes)} nodes, {len(edges)} edges) do not fit {layout!r}"
                 )
-            return cls.from_codes(layout, payload["nodes"], payload["edges"])
-        marking = cls.from_dict(payload)
-        codes = marking.to_codes(layout)
-        return marking if codes is None else cls.from_codes(layout, *codes)
+            marking = cls(layout, _decode(nodes, _NODE_CODES), _decode(edges, _EDGE_CODES))
+        marking.settled = bool(payload.get("fix"))
+        return marking
 
     @staticmethod
     def stored_key(payload: Mapping, layout: Optional["MarkingLayout"] = None) -> tuple:
@@ -464,21 +315,26 @@ class Marking:
         """
         if "layout" in payload:
             return (payload["layout"], payload["nodes"], payload["edges"])
-        if layout is not None:
-            codes = Marking.from_dict(payload).to_codes(layout)
-            if codes is not None:
-                return (layout.checksum,) + codes
+        node_states = payload.get("node_states", {})
+        edge_states = payload.get("edge_states", [])
+        if (
+            layout is not None
+            and len(node_states) == len(layout.node_ids)
+            and len(edge_states) == len(layout.edge_keys)
+        ):
+            try:
+                stored = Marking._from_keyed(payload, layout).to_stored(layout)
+                return (stored["layout"], stored["nodes"], stored["edges"])
+            except ValueError:
+                pass
         return (
-            tuple(sorted(payload.get("node_states", {}).items())),
+            tuple(sorted(node_states.items())),
             tuple(
-                sorted(
-                    (e["source"], e["target"], e["edge_type"], e["state"])
-                    for e in payload.get("edge_states", [])
-                )
+                sorted((e["source"], e["target"], e["edge_type"], e["state"]) for e in edge_states)
             ),
         )
 
     def __repr__(self) -> str:
         active = len(self.nodes_in_state(NodeState.ACTIVATED, NodeState.RUNNING))
         done = len(self.completed_nodes())
-        return f"Marking(nodes={len(self._node_states)}, active={active}, completed={done})"
+        return f"Marking(nodes={len(self.nodes)}, active={active}, completed={done})"

@@ -48,13 +48,15 @@ from typing import (
 
 from repro.runtime.engine import EngineError, ProcessEngine
 from repro.runtime.instance import ProcessInstance
-from repro.runtime.markings import Marking
+from repro.runtime.markings import NODE_CODE, Marking
 from repro.runtime.states import NodeState
 from repro.schema.graph import ProcessSchema
 
 
-# hoisted: an enum member lookup per node would dominate the marking pass
-_ACTIVATED, _RUNNING, _SUSPENDED = NodeState.ACTIVATED, NodeState.RUNNING, NodeState.SUSPENDED
+# the marking codes work_of searches for
+_ACTIVATED = NODE_CODE[NodeState.ACTIVATED]
+_RUNNING = NODE_CODE[NodeState.RUNNING]
+_SUSPENDED = NODE_CODE[NodeState.SUSPENDED]
 
 
 class WorkItemState(str, Enum):
@@ -172,14 +174,21 @@ class WorklistManager:
         execution."""
         offers: Dict[str, Optional[str]] = {}
         running: List[str] = []
-        for node_id, state in marking.node_states.items():
-            if state is _ACTIVATED:
-                if schema.has_node(node_id):
-                    node = schema.node(node_id)
-                    if node.is_activity:
-                        offers[node_id] = node.staff_assignment
-            elif state is _RUNNING or state is _SUSPENDED:
-                running.append(node_id)
+        nodes = marking.nodes
+        node_ids = marking.layout.node_ids
+        position = nodes.find(_ACTIVATED)
+        while position != -1:
+            node_id = node_ids[position]
+            if schema.has_node(node_id):
+                node = schema.node(node_id)
+                if node.is_activity:
+                    offers[node_id] = node.staff_assignment
+            position = nodes.find(_ACTIVATED, position + 1)
+        for code in (_RUNNING, _SUSPENDED):
+            position = nodes.find(code)
+            while position != -1:
+                running.append(node_ids[position])
+                position = nodes.find(code, position + 1)
         return offers, running
 
     def sync_offers(

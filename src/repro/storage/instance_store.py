@@ -101,8 +101,16 @@ class InstanceStore:
         so the write-back only has to keep the store copy current — it
         skips the three ``json.dumps`` passes :meth:`save` spends on
         accounting and validation.
+
+        The only writer of the stored marking's ``"fix"`` key: a settled
+        marking says so in its payload, so the re-hydrated case's next step
+        re-examines the nodes it signals instead of the whole schema.  The
+        key is a cache hint, not state — no WAL record, fingerprint or
+        ``instance_to_dict`` carries it, and absent means "not known".
         """
         record = self.encode_record(instance)
+        if instance.marking.settled:
+            record["marking"]["fix"] = 1
         with self._lock:
             self._store.put(_NAMESPACE, instance.instance_id, record, validate=False)
             self.index.add(instance.instance_id, record)

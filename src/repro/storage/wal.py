@@ -29,6 +29,11 @@ import threading
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Mapping, Optional
 
+# one encoder for every record: json.dumps(..., sort_keys=True) builds a new
+# JSONEncoder per call (encode keeps no state between calls, so it is shared
+# by all threads); the bytes are json.dumps's
+_encode = json.JSONEncoder(sort_keys=True).encode
+
 
 class WriteAheadLog:
     """Append-only JSON-lines log with checkpoint and group-commit support.
@@ -74,7 +79,7 @@ class WriteAheadLog:
         pending buffer preserves enqueue order — and commit outside it.
         """
         entry = dict(record)
-        line = json.dumps(entry, sort_keys=True) + "\n"
+        line = _encode(entry) + "\n"
         with self._mutex:
             self.append_count += 1
             if self._path is None:

@@ -216,7 +216,7 @@ class TestChangedCasesParity:
         """An ad-hoc changed case after a store round trip: JSON sorts the
         keyed marking's dicts, loading re-orders them onto the layout of
         the re-materialised execution schema, and ``step_many_compiled``
-        picks the next activity from the (aligned) dense view."""
+        picks the next activity in that layout's order."""
         schema = templates.online_order_process()
         insert = SerialInsertActivity(
             activity=Node(node_id="verify_address"), pred="get_order", succ="collect_data"
@@ -230,7 +230,7 @@ class TestChangedCasesParity:
             instance = instance_from_dict(stored, lambda name, version: schema)
             if isinstance(engine, ProcessEngine):
                 kernel = instance.execution_schema.index.step_kernel()
-                assert instance.marking.dense_view(kernel.layout).aligned
+                assert instance.marking.layout is kernel.layout
             steps = engine.run_to_completion(instance)
             assert "verify_address" in instance.completed_activities()
             return steps, observed(engine, [instance])

@@ -1,11 +1,11 @@
-"""Property-based coherence tests for the compiled stepping kernel.
+"""Property-based tests pinning the compiled stepping kernel to the scan oracle.
 
-The dense marking view is a positional mirror of the marking dicts; the
-invariant is that after ANY execution (including loop resets) and ANY
-structural mutation (ad-hoc change, marking-level grafts) the view either
-matches the dicts cell for cell or flags itself stale/unaligned so the
-engine falls back to the dict path.  A second property pins the compiled
-kernel to the scan oracle (``tests/baselines``) over random schemas.
+Over random schemas and random schedules — including loop resets and a
+structural mutation by ad-hoc change mid-run — the kernel (positional,
+seeded from a settled marking) and the oracle (``tests/baselines``: a
+full scan by name every round) must produce identical traces, states and
+events.  What the marking's arrays say against plain dicts is
+``test_property_marking_parity.py``'s subject.
 """
 
 import random
@@ -17,8 +17,6 @@ from hypothesis import strategies as st
 from repro.core.adhoc import AdHocChangeError, AdHocChanger
 from repro.core.operations import SerialInsertActivity
 from repro.runtime.engine import ProcessEngine
-from repro.runtime.kernel import EDGE_CODE
-from repro.runtime.states import NodeState
 from repro.schema.edges import EdgeType
 from repro.schema.nodes import Node
 
@@ -33,18 +31,6 @@ RELAXED = settings(
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
 )
-
-
-def _assert_coherent(marking, layout):
-    """The dense view mirrors the dict representation cell for cell."""
-    view = marking.dense_view(layout)
-    assert not view.stale
-    for position, node_id in enumerate(layout.node_ids):
-        state = marking.node_state(node_id)
-        assert view.untouched[position] == (1 if state is NodeState.NOT_ACTIVATED else 0)
-        assert view.activated[position] == (1 if state is NodeState.ACTIVATED else 0)
-    for position, key in enumerate(layout.edge_keys):
-        assert view.edge_values[position] == EDGE_CODE[marking.edge_state_key(key)]
 
 
 def _step_randomly(engine, instance, rng, steps):
@@ -65,55 +51,60 @@ def _step_randomly(engine, instance, rng, steps):
 
 @RELAXED
 @given(schema=random_schemas(), seed=st.integers(min_value=0, max_value=10_000))
-def test_dense_view_stays_coherent_under_random_execution(schema, seed):
-    """Stepping — including loop resets — keeps the dense view in sync."""
-    rng = random.Random(seed)
+def test_every_step_ends_settled_at_a_fixpoint(schema, seed):
+    """Stepping — including loop resets — ends every step at a fixpoint."""
     engine = ProcessEngine()
-    layout = schema.index.step_kernel().layout
+    kernel = schema.index.step_kernel()
     instance = engine.create_instance(schema, "prop")
-    _assert_coherent(instance.marking, layout)
-    for _ in _step_randomly(engine, instance, rng, steps=40):
-        _assert_coherent(instance.marking, layout)
+    assert instance.marking.settled and instance.marking.layout is kernel.layout
+    for _ in _step_randomly(engine, instance, random.Random(seed), steps=40):
+        assert instance.marking.settled and instance.marking.layout is kernel.layout
+        # a fixpoint: no untouched node's entry decision is anything but "wait"
+        edges = instance.marking.edges
+        assert not any(
+            kernel.deciders[p](edges) for p, code in enumerate(instance.marking.nodes) if not code
+        )
 
 
 @RELAXED
 @given(schema=random_schemas(), seed=st.integers(min_value=0, max_value=10_000))
-def test_dense_view_survives_structural_mutation(schema, seed):
-    """Ad-hoc change invalidates the view; the rebuild is coherent again."""
-    rng = random.Random(seed)
-    engine = ProcessEngine()
-    changer = AdHocChanger(engine)
-    instance = engine.create_instance(schema, "prop")
-    list(_step_randomly(engine, instance, rng, steps=3))
-    if not instance.status.is_active:
-        return
-    activity_edges = [
-        edge
-        for edge in instance.execution_schema.edges
-        if edge.edge_type is EdgeType.CONTROL
-        and instance.execution_schema.node(edge.source).is_activity
-        and instance.execution_schema.node(edge.target).is_activity
-    ]
-    rng.shuffle(activity_edges)
-    for edge in activity_edges:
-        try:
-            changer.apply(
-                instance,
-                [
-                    SerialInsertActivity(
-                        activity=Node(node_id="grafted"),
-                        pred=edge.source,
-                        succ=edge.target,
-                    )
-                ],
-            )
-            break
-        except AdHocChangeError:
-            continue
-    layout = instance.execution_schema.index.step_kernel().layout
-    _assert_coherent(instance.marking, layout)
-    for _ in _step_randomly(engine, instance, rng, steps=40):
-        _assert_coherent(instance.marking, layout)
+def test_kernel_and_oracle_agree_across_an_adhoc_change(schema, seed):
+    """An ad-hoc change swaps schema and marking mid-run; both keep stepping alike."""
+
+    def run(engine):
+        rng = random.Random(seed)
+        instance = engine.create_instance(schema, "prop")
+        trace = list(_step_randomly(engine, instance, rng, steps=3))
+        if not instance.status.is_active:
+            return trace, observed(engine, [instance])
+        execution_schema = instance.execution_schema
+        activity_edges = [
+            edge
+            for edge in execution_schema.edges
+            if edge.edge_type is EdgeType.CONTROL
+            and execution_schema.node(edge.source).is_activity
+            and execution_schema.node(edge.target).is_activity
+        ]
+        rng.shuffle(activity_edges)
+        for edge in activity_edges:
+            try:
+                AdHocChanger().apply(
+                    instance,
+                    [
+                        SerialInsertActivity(
+                            activity=Node(node_id="grafted"),
+                            pred=edge.source,
+                            succ=edge.target,
+                        )
+                    ],
+                )
+                break
+            except AdHocChangeError:
+                continue
+        trace += list(_step_randomly(engine, instance, rng, steps=40))
+        return trace, observed(engine, [instance])
+
+    assert run(ProcessEngine()) == run(ScanOracle())
 
 
 @RELAXED

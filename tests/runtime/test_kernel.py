@@ -7,9 +7,9 @@ Covers the three propagation bugs fixed alongside the kernel:
 * non-converging propagation raises :class:`PropagationLimitError` with the
   instance id, round count and the still-changing node set — with the round
   bound derived from schema size rather than a blind constant,
-* a compiled kernel is never applied to a marking of a different schema
-  generation (debug assertion), and ad-hoc change rebuilds the kernel
-  before re-propagating.
+* a compiled kernel is never applied to a marking that lives on another
+  layout (``EngineError``; the public step path re-lays such a marking by
+  name first), and ad-hoc change rebuilds the kernel before re-propagating.
 """
 
 import pytest
@@ -17,11 +17,12 @@ import pytest
 from repro.core.adhoc import AdHocChanger
 from repro.core.operations import SerialInsertActivity
 from repro.runtime.engine import (
+    EngineError,
     JoinSignalConflictError,
     ProcessEngine,
     PropagationLimitError,
 )
-from repro.runtime.kernel import EDGE_CODE, derive_round_bound
+from repro.runtime.kernel import derive_round_bound
 from repro.runtime.states import EdgeState, InstanceStatus, NodeState
 from repro.schema import templates
 from repro.schema.builder import SchemaBuilder
@@ -157,13 +158,25 @@ class TestPropagationLimit:
 
 
 class TestKernelStaleness:
-    def test_stale_kernel_is_rejected_by_debug_assertion(self, engine, order_schema):
+    def test_a_kernel_never_reads_a_marking_on_another_layout(self, engine, order_schema):
         instance = engine.create_instance(order_schema, "case")
-        old_kernel = order_schema.index.step_kernel()
         order_schema.add_node(Node(node_id="late_addition", node_type=NodeType.ACTIVITY))
-        assert old_kernel.layout.generation != order_schema.generation
-        with pytest.raises(AssertionError, match="stale step kernel"):
-            engine._propagate_kernel(instance, old_kernel)
+        new_kernel = order_schema.index.step_kernel()
+        assert instance.marking.layout is not new_kernel.layout
+        with pytest.raises(EngineError, match="stale step kernel"):
+            engine._propagate_kernel(instance, new_kernel)
+
+    def test_schema_mutated_in_place_re_lays_the_marking_by_name(self, engine, order_schema):
+        instance = engine.create_instance(order_schema, "case")
+        engine.complete_activity(instance, "get_order")
+        before = instance.marking.node_states
+        order_schema.add_node(Node(node_id="late_addition", node_type=NodeType.ACTIVITY))
+        engine.complete_activity(instance, "collect_data")
+        assert instance.marking.layout is order_schema.index.step_kernel().layout
+        assert instance.marking.node_state("get_order") is before["get_order"]
+        assert instance.marking.node_state("late_addition") is NodeState.NOT_ACTIVATED
+        engine.run_to_completion(instance)
+        assert instance.status is InstanceStatus.COMPLETED
 
     def test_adhoc_change_rebuilds_kernel_before_repropagation(self, engine, order_schema):
         changer = AdHocChanger(engine)
@@ -188,50 +201,35 @@ class TestKernelStaleness:
         assert "verify_address" in instance.completed_activities()
 
 
-def _assert_dense_coherent(marking, layout):
-    """The dense view must mirror the dict representation cell for cell."""
-    view = marking.dense_view(layout)
-    assert not view.stale
-    for position, node_id in enumerate(layout.node_ids):
-        state = marking.node_state(node_id)
-        assert view.untouched[position] == (1 if state is NodeState.NOT_ACTIVATED else 0)
-        assert view.activated[position] == (1 if state is NodeState.ACTIVATED else 0)
-    for position, key in enumerate(layout.edge_keys):
-        assert view.edge_values[position] == EDGE_CODE[marking.edge_state_key(key)]
+class TestPositionalKernel:
+    def test_out_edges_are_edge_and_target_positions(self, order_schema):
+        kernel = order_schema.index.step_kernel()
+        layout = kernel.layout
+        for position, node_id in enumerate(layout.node_ids):
+            for edge_type, compiled in (
+                (EdgeType.CONTROL, kernel.out_control[position]),
+                (EdgeType.SYNC, kernel.out_sync[position]),
+            ):
+                assert [
+                    (layout.edge_keys[edge], layout.node_ids[target]) for edge, target in compiled
+                ] == [(e.key, e.target) for e in order_schema.edges_from(node_id, edge_type)]
 
+    def test_activity_facts_are_compiled_on_first_step_and_shared_by_value(self, engine):
+        schema = templates.online_order_process()
+        kernel = schema.index.step_kernel()
+        assert kernel.facts == [None] * len(kernel.node_ids)
+        instance = engine.create_instance(schema, "case")
+        engine.complete_activity(instance, "get_order", engine.outputs_for(instance, "get_order"))
+        position = kernel.layout.node_pos["get_order"]
+        assert [p for p, facts in enumerate(kernel.facts) if facts is not None] == [position]
+        assert kernel.facts[position] == ("get_order", (), ("order",), ("document",), None)
+        # an equal activity of another schema object (the next version) shares the tuple
+        twin = templates.online_order_process()
+        assert twin.index.step_kernel().facts_of(position, twin.index) is kernel.facts[position]
 
-class TestDenseViewCoherence:
-    def test_dense_view_tracks_stepping_and_loop_resets(self, engine):
+    def test_loop_body_activity_knows_its_loop(self):
         schema = templates.loop_process(body_length=2, max_iterations=5)
-        layout = schema.index.step_kernel().layout
-        instance = engine.create_instance(schema, "loop-case")
-        _assert_dense_coherent(instance.marking, layout)
-        while instance.status.is_active:
-            activity = instance.activated_activities()[0]
-            engine.complete_activity(
-                instance, activity, engine.outputs_for(instance, activity)
-            )
-            _assert_dense_coherent(instance.marking, layout)
-
-    def test_structural_mutation_invalidates_the_cached_view(self, engine, order_schema):
-        instance = engine.create_instance(order_schema, "case")
-        layout = order_schema.index.step_kernel().layout
-        view = instance.marking.dense_view(layout)
-        instance.marking.ensure_node("grafted")
-        rebuilt = instance.marking.dense_view(layout)
-        assert rebuilt is not view
-        _assert_dense_coherent(instance.marking, layout)
-
-    def test_view_goes_stale_when_marking_outgrows_the_layout(self, engine, order_schema):
-        instance = engine.create_instance(order_schema, "case")
-        layout = order_schema.index.step_kernel().layout
-        instance.marking.ensure_node("grafted")
-        rebuilt = instance.marking.dense_view(layout)
-        # the extra node breaks positional alignment, so dict-order answers
-        # (e.g. "first activated activity") fall back to the dict scan
-        assert not rebuilt.aligned
-        # writing a node the layout cannot place marks the view stale, and
-        # the next dense_view call rebuilds instead of mis-indexing
-        instance.marking.set_node_state("grafted", NodeState.ACTIVATED)
-        assert rebuilt.stale
-        assert instance.marking.dense_view(layout) is not rebuilt
+        kernel = schema.index.step_kernel()
+        facts = kernel.facts_of(kernel.layout.node_pos["body_2"], schema.index)
+        assert facts[4] == schema.index.innermost_loop_start("body_2") is not None
+        assert facts[2] == ("done",) and facts[3] == ("boolean",)

@@ -108,3 +108,36 @@ class TestWriteAheadLog:
         wal.append({"action": "save"})
         wal.truncate()
         assert len(WriteAheadLog(str(path))) == 0
+
+    def test_lines_are_byte_identical_to_json_dumps_sort_keys(self, tmp_path):
+        """The log encodes with one shared encoder; the bytes stay json.dumps's."""
+        import random
+
+        rng = random.Random(23)
+        values = [
+            None, True, False, 0, -7, 1.0, 2.5e-3, 1e22, "", "plain", "ümläut →  ", "q\"uo\\te",
+            [], {}, [1, [2, {"z": None, "a": [True]}]], {"b": {"d": 1, "c": "x"}, "a": []},
+        ]
+        records = []
+        for seq in range(1000):
+            kind = rng.choice(["step", "instance_started", "adhoc_change", "evolution"])
+            record = {"seq": seq, "kind": kind, "instance_id": f"case-{rng.randrange(50)}"}
+            if kind == "step":
+                record.update(
+                    action=rng.choice(["start", "complete"]),
+                    activity=f"act_{rng.randrange(9)}",
+                    outputs=rng.choice([None, {f"d{i}": rng.choice(values) for i in range(3)}]),
+                    user=rng.choice([None, "alice"]),
+                )
+            else:
+                for _ in range(rng.randrange(4)):
+                    record[rng.choice("zyxwvu") + str(rng.randrange(3))] = rng.choice(values)
+            records.append(record)
+        path = tmp_path / "mixed.wal"
+        wal = WriteAheadLog(str(path))
+        for record in records:
+            wal.append(record)
+        wal.close()
+        expected = "".join(json.dumps(record, sort_keys=True) + "\n" for record in records)
+        assert path.read_bytes() == expected.encode("utf-8")
+        assert WriteAheadLog(str(path)).records() == records

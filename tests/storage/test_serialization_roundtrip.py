@@ -22,7 +22,7 @@ from repro.core.substitution import SubstitutionBlock
 from repro.runtime.data_context import DataContext
 from repro.runtime.engine import ProcessEngine
 from repro.runtime.history import ExecutionHistory, HistoryEventType
-from repro.runtime.markings import DenseMarking, Marking
+from repro.runtime.markings import EDGE_CODE, NODE_CODE, Marking
 from repro.runtime.states import NodeState
 from repro.schema.data import DataType
 from repro.schema.nodes import Node, NodeType
@@ -247,14 +247,15 @@ class TestPositionalRecord:
             assert restored.status is instance.status
             assert restored.loop_iterations == instance.loop_iterations
             assert not restored.is_biased
-            # the dense view came with the marking and is what the dicts say
-            prebuilt = marking._dense
-            assert prebuilt is not None and marking.dense_view(layout) is prebuilt
-            rebuilt = DenseMarking.of_marking(layout, marking)
-            assert prebuilt.edge_values == rebuilt.edge_values
-            assert prebuilt.untouched == rebuilt.untouched
-            assert prebuilt.activated == rebuilt.activated
-            assert prebuilt.aligned and rebuilt.aligned
+            # on the schema's own layout object, and the arrays are what the names say
+            assert marking.layout is layout
+            assert list(marking.nodes) == [
+                NODE_CODE[instance.marking.node_state(node_id)] for node_id in layout.node_ids
+            ]
+            assert list(marking.edges) == [
+                EDGE_CODE[instance.marking.edge_state_key(key)] for key in layout.edge_keys
+            ]
+            assert not marking.settled  # no record but a cache write-back says "fix"
             # one canonical serialisation, whatever the record went through
             assert instance_to_dict(restored) == record
             assert restored.state_fingerprint() == instance.state_fingerprint()
@@ -299,12 +300,19 @@ class TestPositionalRecord:
 
         unbiased = engine.create_instance(schema, "plain")
         assert set(instance_to_dict(unbiased)["marking"]) == {"layout", "nodes", "edges"}
-        unbiased.marking.remove_node("deliver_goods")  # no longer covers the layout
+        # a marking that lives on other coordinates than the referenced
+        # version's (the schema grew under it) is spelled by name
+        unbiased.marking.lay_onto(biased.execution_schema.index.marking_layout())
         record = instance_to_dict(unbiased)
         assert set(record["marking"]) == {"node_states", "edge_states"}
-        restored = instance_from_dict(record, lambda name, version: schema)
-        assert "deliver_goods" not in restored.marking.node_states
-        assert instance_to_dict(restored) == record
+        assert "verify_address" in record["marking"]["node_states"]
+
+    def test_a_keyed_marking_naming_what_the_schema_lacks_is_refused(self, engine):
+        schema, biased = biased_order_case(engine)
+        record = instance_to_dict(biased)
+        del record["bias"]  # decoded onto the type schema, which has no verify_address
+        with pytest.raises(StorageError, match="does not hold 'verify_address'"):
+            instance_from_dict(record, lambda name, version: schema)
 
     def test_a_marking_stored_against_another_layout_is_refused(self, executed):
         schema = executed.original_schema

@@ -114,3 +114,28 @@ class TestPublicApi:
             "plan",
             "cache",
         ]
+
+    def test_the_marking_has_one_representation(self, order_schema):
+        """Two code arrays on a layout plus the settled flag — and no mirror of them."""
+        import re
+        from pathlib import Path
+
+        import repro.runtime
+        import repro.runtime.markings
+
+        assert repro.Marking.__slots__ == ("layout", "nodes", "edges", "settled")
+        assert not hasattr(repro.Marking.initial(order_schema), "__dict__")
+        for module in (repro, repro.runtime, repro.runtime.markings):
+            assert not hasattr(module, "DenseMarking"), f"{module.__name__}.DenseMarking is back"
+        for gone in ("dense_view", "ensure_node", "ensure_edge", "remove_node", "to_codes"):
+            assert not hasattr(repro.Marking, gone), f"Marking.{gone} is back"
+        # grep -rn "DenseMarking\|dense_view\|_dense" src/  must stay empty
+        mirror = re.compile(r"DenseMarking|dense_view|_dense")
+        source = Path(repro.__file__).resolve().parent
+        hits = [
+            f"{path.relative_to(source)}:{number}"
+            for path in sorted(source.rglob("*.py"))
+            for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+            if mirror.search(line)
+        ]
+        assert hits == []
