@@ -6,7 +6,8 @@ Generates a population of online-order cases inside one
 three representations discussed in the paper — full schema copy per
 instance, materialise-on-access, and the ADEPT2 hybrid substitution
 block — and prints the resulting footprint and access-latency table.
-Also demonstrates write-ahead-log crash recovery through the façade.
+Also demonstrates crash recovery of a durable system (snapshot +
+write-ahead log) through ``AdeptSystem.open``.
 
 Run with ``python examples/storage_representations.py``.
 """
@@ -19,17 +20,17 @@ except ImportError:  # fresh checkout: fall back to the in-tree sources
 
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
+import tempfile
+
 from repro import AdeptSystem
 from repro.baselines import compare_representations
 from repro.schema import templates
-from repro.storage.wal import WriteAheadLog
 from repro.workloads import PopulationConfig, PopulationGenerator
 
 
 def main() -> None:
     schema = templates.online_order_process()
-    wal = WriteAheadLog()
-    system = AdeptSystem(representation="hybrid_substitution", wal=wal)
+    system = AdeptSystem(representation="hybrid_substitution")
     system.deploy(schema)
 
     print("=== generating the instance population ===")
@@ -57,13 +58,25 @@ def main() -> None:
     print()
 
     print("=== crash recovery through the write-ahead log ===")
-    for instance in population[:25]:
-        system.save(instance.instance_id)
-    # simulate a crash: the store namespace is lost but the WAL survives
-    replayed = system.simulate_crash_recovery()
-    print(f"replayed {replayed} WAL record(s); store now holds {len(system.store)} instance(s)")
-    reloaded = system.store.load(population[0].instance_id)
-    print("first recovered instance:", reloaded.summary())
+    with tempfile.TemporaryDirectory() as directory:
+        durable = AdeptSystem.open(directory, representation="hybrid_substitution")
+        durable.deploy(schema)
+        cases = PopulationGenerator(
+            schema,
+            config=PopulationConfig(instance_count=25, biased_fraction=0.2, seed=11),
+            system=durable,
+        ).generate()
+        for instance in cases:
+            durable.save(instance.instance_id)
+        first = cases[0].instance_id
+        print(f"store holds {len(durable.store)} instance(s); first:", durable.store.load(first).summary())
+        # simulate a crash: no checkpoint, only the WAL reaches the next open
+        durable.backend.close()
+        recovered = AdeptSystem.open(directory, representation="hybrid_substitution")
+        replayed = recovered.last_recovery.replayed_records
+        print(f"replayed {replayed} WAL record(s); store now holds {len(recovered.store)} instance(s)")
+        print("first recovered instance:", recovered.store.load(first).summary())
+        recovered.close()
 
 
 if __name__ == "__main__":

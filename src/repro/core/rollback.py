@@ -62,7 +62,8 @@ class RollbackManager:
 
     def __init__(self, engine: Optional[ProcessEngine] = None, event_log: Optional[EventLog] = None) -> None:
         self.engine = engine or ProcessEngine()
-        self.event_log = event_log or self.engine.event_log
+        # an empty EventLog is falsy (it has __len__), so test for None explicitly
+        self.event_log = event_log if event_log is not None else self.engine.event_log
 
     # ------------------------------------------------------------------ #
 
@@ -168,7 +169,11 @@ class RollbackPlanner:
         """
         change_log = change if isinstance(change, ChangeLog) else ChangeLog(change)
         scratch = instance.clone()
-        manager = RollbackManager(engine=self.engine, event_log=EventLog())
+        # a scratch engine: neither the compensations nor the re-propagation
+        # of the clone may show up in the real engine's event log
+        manager = RollbackManager(
+            engine=ProcessEngine(max_propagation_rounds=self.engine.max_propagation_rounds)
+        )
         undone: List[str] = []
         for _ in range(self.max_rounds):
             result = self.checker.check_with_conditions(scratch, change_log)

@@ -82,7 +82,6 @@ class EventFeed:
         "instance_deleted",
         "checkpoint_completed",
         "recovery_completed",
-        "wal_recovered",
     )
 
     def storage_summary(self) -> Dict[str, int]:

@@ -5,11 +5,11 @@ repository, and an instance store in which unchanged instances are kept
 redundancy-free (schema reference + instance data) while biased instances
 carry a minimal substitution block that is overlaid on the original
 schema on access.  Baseline representations (full copy per instance,
-materialise-on-the-fly) are provided for the storage benchmark, plus a
-write-ahead log for crash recovery and simple secondary indexes.
+materialise-on-the-fly) are provided for the storage benchmark, plus the
+write-ahead log file the persistence backend journals to and simple
+secondary indexes.
 """
 
-from repro.storage.kv import KeyValueStore
 from repro.storage.wal import WriteAheadLog
 from repro.storage.serialization import instance_to_dict, instance_from_dict
 from repro.storage.repository import SchemaRepository
@@ -23,7 +23,6 @@ from repro.storage.instance_store import InstanceStore, StoredInstance
 from repro.storage.indexes import InstanceIndex
 
 __all__ = [
-    "KeyValueStore",
     "WriteAheadLog",
     "instance_to_dict",
     "instance_from_dict",

@@ -84,6 +84,11 @@ class InstanceIndex:
         """Instance ids of one process type running on a specific version."""
         return sorted(self._by_version.get((process_type, version), set()))
 
+    def active(self) -> List[str]:
+        """Instance ids of every type that may still execute."""
+        buckets = self._by_status
+        return sorted(i for status in ACTIVE_STATUS_VALUES for i in buckets.get(status, ()))
+
     def active_by_type(self, process_type: str) -> List[str]:
         """Instance ids of one process type that may still execute."""
         return self._active_in(self._by_type.get(process_type, ()))

@@ -1,26 +1,24 @@
-"""The instance store: persisting and re-loading process instances.
+"""The instance store: the one home of a stored case record.
 
 Combines the schema repository (shared schema versions), a representation
-strategy (how instance-specific schemas are stored — Fig. 2), the
-key-value store (persistence), the write-ahead log (recovery) and the
-secondary indexes (efficient querying by type / version / status).
+strategy (how instance-specific schemas are stored — Fig. 2) and the
+secondary indexes (efficient querying by type / version / status).  The
+records live in memory; what makes them durable is the system's snapshot
+and logical write-ahead log (:mod:`repro.system.persistence`).
 """
 
 from __future__ import annotations
 
+import json
 import threading
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Mapping, Optional
 
 from repro.runtime.instance import ProcessInstance
 from repro.storage.indexes import InstanceIndex
-from repro.storage.kv import KeyValueStore
 from repro.storage.repository import SchemaRepository
 from repro.storage.representations import HybridSubstitutionRepresentation, RepresentationStrategy
 from repro.storage.serialization import StorageError, instance_from_record, instance_to_dict
-from repro.storage.wal import WriteAheadLog
-
-_NAMESPACE = "instances"
 
 
 @dataclass
@@ -40,19 +38,16 @@ class InstanceStore:
         self,
         repository: SchemaRepository,
         strategy: Optional[RepresentationStrategy] = None,
-        store: Optional[KeyValueStore] = None,
-        wal: Optional[WriteAheadLog] = None,
     ) -> None:
         self.repository = repository
         self.strategy = strategy or HybridSubstitutionRepresentation()
-        self._store = store or KeyValueStore()
-        self._wal = wal
+        #: instance id -> stored record
+        self._records: Dict[str, Dict[str, Any]] = {}
         self.index = InstanceIndex()
         # one reentrant lock serialises record/index mutations and makes
         # every query a consistent snapshot — the store is shared by all
         # worker threads of the façade (innermost in its lock hierarchy)
         self._lock = threading.RLock()
-        self._rebuild_index()
 
     # ------------------------------------------------------------------ #
     # save / load / delete
@@ -77,14 +72,16 @@ class InstanceStore:
             for key, value in record["representation"].items()
             if key != "strategy"
         }
-        if self._wal is not None:
-            self._wal.append({"action": "save", "record": record})
+        # the size accounting's rendering is also the check that the record
+        # is JSON: a case holding a value that is not raises here, before
+        # the record or the index changes
+        total_bytes = len(json.dumps(record, sort_keys=True))
         with self._lock:
-            self._store.put(_NAMESPACE, instance.instance_id, record)
+            self._records[instance.instance_id] = record
             self.index.add(instance.instance_id, record)
         return StoredInstance(
             instance_id=instance.instance_id,
-            total_bytes=len(self._render(record)),
+            total_bytes=total_bytes,
             schema_payload_bytes=self.strategy.payload_size_bytes(schema_part),
             biased=bool(record.get("biased")),
         )
@@ -94,13 +91,12 @@ class InstanceStore:
         return [self.save(instance) for instance in instances]
 
     def write_back(self, instance: ProcessInstance) -> None:
-        """Fast-path persist without size accounting or WAL journaling.
+        """Fast-path persist without size accounting.
 
         The LRU cache uses this when evicting a dirty instance: the state
         is already covered by the durability layer's logical WAL records,
         so the write-back only has to keep the store copy current — it
-        skips the three ``json.dumps`` passes :meth:`save` spends on
-        accounting and validation.
+        skips the ``json.dumps`` passes :meth:`save` spends on accounting.
 
         The only writer of the stored marking's ``"fix"`` key: a settled
         marking says so in its payload, so the re-hydrated case's next step
@@ -112,13 +108,13 @@ class InstanceStore:
         if instance.marking.settled:
             record["marking"]["fix"] = 1
         with self._lock:
-            self._store.put(_NAMESPACE, instance.instance_id, record, validate=False)
+            self._records[instance.instance_id] = record
             self.index.add(instance.instance_id, record)
 
     def load(self, instance_id: str) -> ProcessInstance:
         """Re-load an instance (materialising its execution schema if biased)."""
         with self._lock:
-            record = self._store.get(_NAMESPACE, instance_id)
+            record = self._records.get(instance_id)
         if record is None:
             raise StorageError(f"unknown instance {instance_id!r}")
         return self._instantiate(record)
@@ -130,25 +126,23 @@ class InstanceStore:
 
     def delete(self, instance_id: str) -> bool:
         """Remove a stored instance; returns True when it existed."""
-        if self._wal is not None:
-            self._wal.append({"action": "delete", "instance_id": instance_id})
         with self._lock:
-            existed = self._store.delete(_NAMESPACE, instance_id)
+            existed = self._records.pop(instance_id, None) is not None
             self.index.remove(instance_id)
         return existed
 
     def contains(self, instance_id: str) -> bool:
         with self._lock:
-            return self._store.contains(_NAMESPACE, instance_id)
+            return instance_id in self._records
 
     def instance_ids(self) -> List[str]:
         with self._lock:
-            return sorted(self._store.keys(_NAMESPACE))
+            return sorted(self._records)
 
     def record(self, instance_id: str) -> Dict[str, Any]:
         """The raw stored record (tests and the storage benchmark use this)."""
         with self._lock:
-            record = self._store.get(_NAMESPACE, instance_id)
+            record = self._records.get(instance_id)
         if record is None:
             raise StorageError(f"unknown instance {instance_id!r}")
         return record
@@ -156,18 +150,18 @@ class InstanceStore:
     def put_record(self, record: Mapping[str, Any]) -> None:
         """Insert a previously serialised record verbatim (snapshot load, WAL replay).
 
-        Unlike :meth:`save` this neither re-encodes the instance nor journals
-        to the write-ahead log — the record *is* the durable form.
+        Unlike :meth:`save` this does not re-encode the instance — the
+        record *is* the durable form.
         """
         payload = dict(record)
         with self._lock:
-            self._store.put(_NAMESPACE, payload["instance_id"], payload)
+            self._records[payload["instance_id"]] = payload
             self.index.add(payload["instance_id"], payload)
 
     def scan_records(self) -> Iterable[tuple]:
         """``(instance_id, record)`` pairs of all stored instances (a snapshot)."""
         with self._lock:
-            return list(self._store.scan(_NAMESPACE))
+            return list(self._records.items())
 
     def records_for(self, instance_ids: Iterable[str]) -> List[tuple]:
         """``(instance_id, record)`` pairs for a batch of ids, one lock trip.
@@ -180,7 +174,7 @@ class InstanceStore:
         with self._lock:
             pairs = []
             for instance_id in instance_ids:
-                record = self._store.get(_NAMESPACE, instance_id)
+                record = self._records.get(instance_id)
                 if record is not None:
                     pairs.append((instance_id, record))
             return pairs
@@ -209,7 +203,7 @@ class InstanceStore:
         removed from the record.  Returns the rewritten record.
         """
         with self._lock:
-            record = self._store.get(_NAMESPACE, instance_id)
+            record = self._records.get(instance_id)
             if record is None:
                 raise StorageError(f"unknown instance {instance_id!r}")
             record = dict(record)
@@ -220,7 +214,7 @@ class InstanceStore:
                     record.pop(key, None)
                 else:
                     record[key] = value
-            self._store.put(_NAMESPACE, instance_id, record, validate=False)
+            self._records[instance_id] = record
             self.index.add(instance_id, record)
         return record
 
@@ -242,11 +236,7 @@ class InstanceStore:
     def running_instances(self) -> List[str]:
         """Instance ids that are still active."""
         with self._lock:
-            return sorted(
-                set(self.index.by_status("running"))
-                | set(self.index.by_status("created"))
-                | set(self.index.by_status("suspended"))
-            )
+            return self.index.active()
 
     def running_instances_of_type(self, process_type: str) -> List[str]:
         """Active instance ids of one process type (migration candidates)."""
@@ -268,49 +258,21 @@ class InstanceStore:
             return self.index.biased_instances()
 
     # ------------------------------------------------------------------ #
-    # accounting & recovery
+    # accounting
     # ------------------------------------------------------------------ #
 
     def total_bytes(self) -> int:
         """Approximate persisted size of all instance records."""
-        return self._store.size_bytes(_NAMESPACE)
+        return len(json.dumps(dict(self.scan_records()), sort_keys=True))
 
     def schema_payload_bytes(self) -> int:
         """Persisted bytes spent on per-instance schema representations."""
         total = 0
-        for _, record in self._store.scan(_NAMESPACE):
+        for _, record in self.scan_records():
             representation = dict(record.get("representation", {}))
             representation.pop("strategy", None)
             total += self.strategy.payload_size_bytes(representation)
         return total
-
-    def recover_from_wal(self) -> int:
-        """Re-apply WAL records on top of the current store content.
-
-        Returns the number of replayed records.  Called after a simulated
-        crash where the namespace file may lag behind the log.
-        """
-        if self._wal is None:
-            return 0
-        replayed = 0
-        for entry in self._wal.records():
-            action = entry.get("action")
-            if action == "save" and "record" in entry:
-                record = entry["record"]
-                self._store.put(_NAMESPACE, record["instance_id"], record)
-                self.index.add(record["instance_id"], record)
-                replayed += 1
-            elif action == "delete" and "instance_id" in entry:
-                self._store.delete(_NAMESPACE, entry["instance_id"])
-                self.index.remove(entry["instance_id"])
-                replayed += 1
-        return replayed
-
-    def checkpoint(self) -> None:
-        """Flush the store and truncate the WAL."""
-        self._store.flush()
-        if self._wal is not None:
-            self._wal.truncate()
 
     # ------------------------------------------------------------------ #
 
@@ -322,17 +284,6 @@ class InstanceStore:
         )
         return instance_from_record(record, original, execution_schema)
 
-    def _rebuild_index(self) -> None:
-        self.index.clear()
-        for instance_id, record in self._store.scan(_NAMESPACE):
-            self.index.add(instance_id, record)
-
-    @staticmethod
-    def _render(record: Mapping[str, Any]) -> str:
-        import json
-
-        return json.dumps(record, sort_keys=True)
-
     def __len__(self) -> int:
         with self._lock:
-            return self._store.count(_NAMESPACE)
+            return len(self._records)

@@ -1,35 +1,32 @@
 """The versioned schema repository.
 
 Process templates (schemas) are released per process type and version;
-the repository persists them through the key-value store and hands out
+the repository holds them as :class:`ProcessType` objects and hands out
 the referenced schema objects to the instance store — one shared object
 per version, which is what makes the reference-based instance
-representation redundancy free.
+representation redundancy free.  The system's snapshot serialises the
+schemas from these objects (:mod:`repro.system.persistence`).
 """
 
 from __future__ import annotations
 
+import json
 import threading
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List
 
 from repro.core.evolution import EvolutionError, ProcessType, TypeChange
 from repro.schema.graph import ProcessSchema
-from repro.storage.kv import KeyValueStore
-
-_NAMESPACE = "schemas"
 
 
 class SchemaRepository:
     """Stores process types and their released schema versions."""
 
-    def __init__(self, store: Optional[KeyValueStore] = None) -> None:
-        self._store = store or KeyValueStore()
+    def __init__(self) -> None:
         self._types: Dict[str, ProcessType] = {}
         # registrations and releases are rare next to lookups, but they
         # race under a multi-threaded façade (two deploys, a deploy vs a
         # checkpoint snapshot) — one reentrant lock keeps them atomic
         self._lock = threading.RLock()
-        self._load()
 
     # ------------------------------------------------------------------ #
 
@@ -40,11 +37,10 @@ class SchemaRepository:
                 raise EvolutionError(f"process type {schema.name!r} is already registered")
             process_type = ProcessType(schema.name, initial_schema=schema)
             self._types[schema.name] = process_type
-            self._persist(schema)
             return process_type
 
     def adopt_type(self, process_type: ProcessType) -> ProcessType:
-        """Adopt an externally managed process type (all versions are persisted).
+        """Adopt an externally managed process type with all its versions.
 
         Useful when a :class:`~repro.core.evolution.ProcessType` was built and
         evolved outside the repository (e.g. by a workload generator) and its
@@ -54,29 +50,21 @@ class SchemaRepository:
             if process_type.name in self._types:
                 raise EvolutionError(f"process type {process_type.name!r} is already registered")
             self._types[process_type.name] = process_type
-            for version in process_type.versions:
-                self._persist(process_type.schema_for(version))
             return process_type
 
     def release_version(self, type_name: str, type_change: TypeChange) -> ProcessSchema:
         """Release a new version of ``type_name`` by applying ``type_change``."""
         with self._lock:
-            process_type = self.process_type(type_name)
-            new_schema = process_type.release_new_version(type_change)
-            self._persist(new_schema)
-            return new_schema
+            return self.process_type(type_name).release_new_version(type_change)
 
     def withdraw_version(self, type_name: str, version: int) -> ProcessSchema:
-        """Withdraw the latest version of ``type_name`` and unpersist it.
+        """Withdraw the latest version of ``type_name``.
 
         Used by canary auto-rollback: the refused version is removed so a
         later evolve releases from the restored latest version again.
         """
         with self._lock:
-            process_type = self.process_type(type_name)
-            schema = process_type.withdraw_version(version)
-            self._store.delete(_NAMESPACE, f"{type_name}:{version}")
-            return schema
+            return self.process_type(type_name).withdraw_version(version)
 
     def process_type(self, type_name: str) -> ProcessType:
         try:
@@ -105,28 +93,15 @@ class SchemaRepository:
         """Schema resolver signature used by the instance store."""
         return self.schema(type_name, version)
 
-    # ------------------------------------------------------------------ #
-    # persistence
-    # ------------------------------------------------------------------ #
-
-    def _persist(self, schema: ProcessSchema) -> None:
-        key = f"{schema.name}:{schema.version}"
-        self._store.put(_NAMESPACE, key, schema.to_dict())
-
-    def _load(self) -> None:
-        records: Dict[str, List[Tuple[int, ProcessSchema]]] = {}
-        for _, payload in self._store.scan(_NAMESPACE):
-            schema = ProcessSchema.from_dict(payload)
-            records.setdefault(schema.name, []).append((schema.version, schema))
-        for type_name, versions in records.items():
-            process_type = ProcessType(type_name)
-            for _, schema in sorted(versions, key=lambda pair: pair[0]):
-                process_type.add_version(schema)
-            self._types[type_name] = process_type
-
     def storage_size_bytes(self) -> int:
-        """Approximate persisted size of all schema versions."""
-        return self._store.size_bytes(_NAMESPACE)
+        """Approximate persisted size of all schema versions (computed on demand)."""
+        with self._lock:
+            schemas = {
+                f"{name}:{version}": process_type.schema_for(version).to_dict()
+                for name, process_type in self._types.items()
+                for version in process_type.versions
+            }
+        return len(json.dumps(schemas, sort_keys=True))
 
     def __len__(self) -> int:
         return len(self._types)

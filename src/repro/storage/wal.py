@@ -1,11 +1,12 @@
-"""Write-ahead log for instance state changes.
+"""Write-ahead log: the journal file under the persistence backend.
 
-Every instance save is appended to the WAL before the instance store's
-namespace file is rewritten; after a crash the store replays the log on
-top of the last checkpoint.  The log is deliberately simple (JSON lines)
-— its purpose in the reproduction is to demonstrate that the hybrid
-storage representation composes with standard recovery techniques, and to
-give the failure-injection tests something real to exercise.
+:class:`~repro.system.persistence.PersistentBackend` appends one typed
+logical record per state-changing operation; after a crash, recovery
+loads the last snapshot and replays the log on top of it.  The log is
+deliberately simple (JSON lines) — its purpose in the reproduction is to
+demonstrate that the hybrid storage representation composes with standard
+recovery techniques, and to give the failure-injection tests something
+real to exercise.
 
 **Thread safety and group commit.**  The log is safe to append from many
 threads.  Appends are split into two phases: :meth:`enqueue` serialises
@@ -27,7 +28,7 @@ from __future__ import annotations
 import json
 import threading
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Mapping, Optional
+from typing import Any, Dict, Iterator, List, Mapping
 
 # one encoder for every record: json.dumps(..., sort_keys=True) builds a new
 # JSONEncoder per call (encode keeps no state between calls, so it is shared
@@ -45,11 +46,10 @@ class WriteAheadLog:
     handle; the log transparently reopens it on the next append.
     """
 
-    def __init__(self, path: Optional[str] = None) -> None:
-        self._path = Path(path) if path else None
-        self._memory: List[Dict[str, Any]] = []
+    def __init__(self, path: str) -> None:
+        self._path = Path(path)
         self._handle = None
-        #: guards the pending buffer, counters and the in-memory list
+        #: guards the pending buffer and counters
         self._mutex = threading.Lock()
         #: serialises physical writes; the holder is the batch leader
         self._flush_lock = threading.Lock()
@@ -60,10 +60,9 @@ class WriteAheadLog:
         self.flush_count = 0
         #: number of records ever enqueued (group-commit telemetry)
         self.append_count = 0
-        if self._path is not None:
-            self._path.parent.mkdir(parents=True, exist_ok=True)
-            if not self._path.exists():
-                self._path.touch()
+        self._path.parent.mkdir(parents=True, exist_ok=True)
+        if not self._path.exists():
+            self._path.touch()
 
     # ------------------------------------------------------------------ #
     # appending (enqueue + group commit)
@@ -78,23 +77,15 @@ class WriteAheadLog:
         backend's sequence numbers) enqueue under their own lock — the
         pending buffer preserves enqueue order — and commit outside it.
         """
-        entry = dict(record)
-        line = _encode(entry) + "\n"
+        line = _encode(record) + "\n"
         with self._mutex:
             self.append_count += 1
-            if self._path is None:
-                self._memory.append(entry)
-                self._enqueued += 1
-                self._committed = self._enqueued
-                return self._committed
             self._pending.append(line)
             self._enqueued += 1
             return self._enqueued
 
     def commit(self, ticket: int) -> None:
         """Make every record up to ``ticket`` durable (group commit)."""
-        if self._path is None:
-            return
         while True:
             with self._mutex:
                 if self._committed >= ticket:
@@ -159,9 +150,6 @@ class WriteAheadLog:
         Torn trailing lines (from a crash in the middle of a batch write)
         are ignored.
         """
-        if self._path is None:
-            with self._mutex:
-                return [dict(entry) for entry in self._memory]
         entries: List[Dict[str, Any]] = []
         if not self._path.exists():
             return entries
@@ -186,9 +174,6 @@ class WriteAheadLog:
             with self._mutex:
                 self._pending = []
                 self._committed = self._enqueued
-                if self._path is None:
-                    self._memory.clear()
-                    return
                 if self._handle is not None:
                     self._handle.close()
                     self._handle = None
@@ -203,14 +188,14 @@ class WriteAheadLog:
                     self._handle = None
 
     def size_bytes(self) -> int:
-        """Current size of the log in bytes (0 for in-memory logs)."""
-        if self._path is None or not self._path.exists():
+        """Current size of the log in bytes."""
+        if not self._path.exists():
             return 0
         return self._path.stat().st_size
 
     @property
-    def path(self) -> Optional[Path]:
-        """The backing file (``None`` for in-memory logs)."""
+    def path(self) -> Path:
+        """The backing file."""
         return self._path
 
     def __len__(self) -> int:

@@ -78,11 +78,9 @@ from repro.runtime.instance import ProcessInstance
 from repro.runtime.worklist import WorkItem, WorklistManager
 from repro.schema.graph import ProcessSchema, SchemaError
 from repro.storage.instance_store import InstanceStore, StorageError, StoredInstance
-from repro.storage.kv import KeyValueStore
 from repro.storage.repository import SchemaRepository
 from repro.storage.representations import RepresentationStrategy, strategy_by_name
 from repro.storage.serialization import instance_from_dict, instance_to_dict
-from repro.storage.wal import WriteAheadLog
 from repro.system.concurrency import LockTable, PoolStats, RWLock, WorkerPool
 from repro.system.persistence import (
     KIND_ADHOC_CHANGE,
@@ -169,9 +167,6 @@ class AdeptSystem:
         representation: Instance-store representation strategy (a
             :class:`RepresentationStrategy` or its name, e.g.
             ``"hybrid_substitution"``).
-        wal: Optional write-ahead log for the instance store.
-        kv_store: Optional shared key-value store backing repository and
-            instance store.
         monitor: When True (default), a :class:`repro.monitoring.EventFeed`
             is attached as the first bus subscriber and exposed as
             :attr:`feed`.
@@ -189,8 +184,6 @@ class AdeptSystem:
         compliance_method: str = "conditions",
         rollback_on_state_conflict: bool = False,
         representation: Optional[Union[str, RepresentationStrategy]] = None,
-        wal: Optional[WriteAheadLog] = None,
-        kv_store: Optional[KeyValueStore] = None,
         monitor: bool = True,
         cache_instances: Optional[int] = None,
     ) -> None:
@@ -209,12 +202,8 @@ class AdeptSystem:
 
         self.org_model = org_model
         self.engine = ProcessEngine(event_log=self.event_log)
-        self.repository = SchemaRepository(store=kv_store)
-        self._kv_store = kv_store
-        self._wal = wal
-        self.store = InstanceStore(
-            self.repository, strategy=representation, store=kv_store, wal=wal
-        )
+        self.repository = SchemaRepository()
+        self.store = InstanceStore(self.repository, strategy=representation)
         self.worklists = WorklistManager(self.engine, org_model=org_model)
         self.verifier = SchemaVerifier()
         self.compliance_method = compliance_method
@@ -2104,18 +2093,16 @@ class AdeptSystem:
     def checkpoint(self) -> None:
         """Make the current state the durable baseline.
 
-        With an attached backend: write every dirty live case back to the
-        instance store, capture one atomic snapshot (schemas, instance
-        records, case counters) and truncate the write-ahead log — after
-        this, recovery loads the snapshot and replays nothing.  The
-        checkpoint runs under a stop-the-world quiesce (every type's
-        write lock), so the snapshot is a consistent cut and no record is
-        lost between write-back and truncation.  Without a backend this
-        flushes the instance store and truncates its legacy WAL (the
-        pre-durability behaviour).
+        Writes every dirty live case back to the instance store, captures
+        one atomic snapshot (schemas, instance records, case counters) and
+        truncates the write-ahead log — after this, recovery loads the
+        snapshot and replays nothing.  The checkpoint runs under a
+        stop-the-world quiesce (every type's write lock), so the snapshot
+        is a consistent cut and no record is lost between write-back and
+        truncation.  A no-op on an in-memory system (one not created by
+        :meth:`open`), as :meth:`close` is: there is nothing to make durable.
         """
         if self._backend is None:
-            self.store.checkpoint()
             return
         with self._quiesced():
             with self._registry:
@@ -2131,33 +2118,6 @@ class AdeptSystem:
             instances=len(self.store),
             types=len(self.repository),
         )
-
-    def recover_from_wal(self) -> int:
-        """Replay WAL records into the instance store (crash recovery)."""
-        replayed = self.store.recover_from_wal()
-        self.bus.publish(CATEGORY_SYSTEM, "wal_recovered", records=replayed)
-        return replayed
-
-    def simulate_crash_recovery(self) -> int:
-        """Drop the in-memory store content and recover it from the WAL.
-
-        Swaps in a fresh instance store wired exactly like the original
-        (same repository, representation strategy, key-value backing and
-        write-ahead log), then replays the log — the storage example and
-        the recovery tests use this to demonstrate that the WAL alone
-        reconstructs the persisted population.  With the default in-memory
-        key-value store the swap genuinely loses the namespace content;
-        with an externally provided ``kv_store`` the content is durable
-        and the replay is an idempotent re-application.  Live in-memory
-        instances are unaffected.  Returns the number of replayed records.
-        """
-        self.store = InstanceStore(
-            self.repository,
-            strategy=self.store.strategy,
-            store=self._kv_store,
-            wal=self._wal,
-        )
-        return self.recover_from_wal()
 
     # ------------------------------------------------------------------ #
     # monitoring

@@ -5,7 +5,7 @@ import pytest
 from repro.core.changelog import ChangeLog
 from repro.core.migration import MigrationManager, MigrationOutcome
 from repro.core.rollback import RollbackError, RollbackManager, RollbackPlanner
-from repro.runtime.events import EventType
+from repro.runtime.events import EventLog, EventType
 from repro.runtime.history import HistoryEventType
 from repro.runtime.states import InstanceStatus, NodeState
 from repro.workloads.order_process import ORDER_EXECUTION_SEQUENCE, order_type_change_v2
@@ -50,6 +50,14 @@ class TestRollbackManager:
         full = instance.history.completed_activities(reduced=False)
         assert "collect_data" in full
 
+    def test_a_given_event_log_is_written_even_when_it_is_empty(self, engine, order_schema):
+        """An empty EventLog is falsy; it must still win over the engine's log."""
+        instance = instance_at(engine, order_schema, 2)
+        own_log = EventLog()
+        RollbackManager(engine, event_log=own_log).rollback_activities(instance, ["collect_data"])
+        assert own_log.count(EventType.ACTIVITY_COMPENSATED) == 1
+        assert engine.event_log.count(EventType.ACTIVITY_COMPENSATED) == 0
+
     def test_instance_continues_after_rollback(self, engine, order_schema):
         instance = instance_at(engine, order_schema, 4)
         RollbackManager(engine).rollback_activities(instance, ["compose_order"])
@@ -82,6 +90,15 @@ class TestRollbackPlanner:
         assert "pack_goods" in plan.activities
         # planning must not modify the real instance
         assert instance.node_state("pack_goods") is NodeState.COMPLETED
+
+    def test_plan_leaves_the_engine_log_untouched(self, engine, order_schema):
+        """The dry run compensates on a clone; no event of it reaches the real log."""
+        instance = instance_at(engine, order_schema, 5)
+        events_before = len(engine.event_log)
+        plan = RollbackPlanner(engine).plan(instance, order_type_change_v2().operations)
+        assert plan.activities
+        assert len(engine.event_log) == events_before
+        assert engine.event_log.count(EventType.ACTIVITY_COMPENSATED) == 0
 
     def test_plan_for_compliant_instance_is_empty(self, engine, order_schema):
         instance = instance_at(engine, order_schema, 2)

@@ -129,7 +129,7 @@ class _CountingEntries(dict):
 
 
 class TestActiveCaseQueries:
-    """``running_instances_of_type`` / ``running_instances_on_version``."""
+    """``running_instances`` / ``running_instances_of_type`` / ``running_instances_on_version``."""
 
     STATUSES = ("created", "running", "suspended", "completed")
 
@@ -157,6 +157,9 @@ class TestActiveCaseQueries:
         store = self.mixed_store()
         records = [record for _, record in store.scan_records()]
         active = ("created", "running", "suspended")
+        assert store.running_instances() == sorted(
+            r["instance_id"] for r in records if r["status"] in active
+        )
         for type_name in ("alpha", "beta", "gamma", "unknown"):
             of_type = [r for r in records if r["process_type"] == type_name]
             assert store.running_instances_of_type(type_name) == sorted(

@@ -1,90 +1,27 @@
-"""Tests for the key-value store and the write-ahead log."""
+"""Tests for the write-ahead log."""
 
 import json
 
-import pytest
-
-from repro.storage.kv import KeyValueStore
 from repro.storage.wal import WriteAheadLog
 
 
-class TestKeyValueStore:
-    def test_put_get_delete(self):
-        store = KeyValueStore()
-        store.put("ns", "k1", {"a": 1})
-        assert store.get("ns", "k1") == {"a": 1}
-        assert store.contains("ns", "k1")
-        assert store.delete("ns", "k1")
-        assert store.get("ns", "k1") is None
-        assert not store.delete("ns", "k1")
-
-    def test_get_default(self):
-        store = KeyValueStore()
-        assert store.get("ns", "missing", default="fallback") == "fallback"
-
-    def test_keys_and_scan(self):
-        store = KeyValueStore()
-        store.put("ns", "a", {"v": 1})
-        store.put("ns", "b", {"v": 2})
-        assert sorted(store.keys("ns")) == ["a", "b"]
-        assert dict(store.scan("ns")) == {"a": {"v": 1}, "b": {"v": 2}}
-
-    def test_namespaces_are_isolated(self):
-        store = KeyValueStore()
-        store.put("first", "k", {"v": 1})
-        store.put("second", "k", {"v": 2})
-        assert store.get("first", "k") != store.get("second", "k")
-        assert set(store.namespaces()) == {"first", "second"}
-
-    def test_non_serialisable_rejected(self):
-        store = KeyValueStore()
-        with pytest.raises(TypeError):
-            store.put("ns", "k", {"bad": object()})
-
-    def test_clear(self):
-        store = KeyValueStore()
-        store.put("ns", "k", {"v": 1})
-        store.clear("ns")
-        assert store.count("ns") == 0
-        store.put("other", "k", {"v": 1})
-        store.clear()
-        assert store.count("other") == 0
-
-    def test_size_accounting(self):
-        store = KeyValueStore()
-        assert store.size_bytes("ns") == len(json.dumps({}))
-        store.put("ns", "k", {"v": "x" * 100})
-        assert store.size_bytes("ns") > 100
-        assert store.size_bytes() >= store.size_bytes("ns")
-
-    def test_persistence_roundtrip(self, tmp_path):
-        store = KeyValueStore(directory=str(tmp_path))
-        store.put("ns", "k1", {"a": 1})
-        store.put("ns", "k2", {"b": 2})
-        store.delete("ns", "k2")
-        reopened = KeyValueStore(directory=str(tmp_path))
-        assert reopened.get("ns", "k1") == {"a": 1}
-        assert reopened.get("ns", "k2") is None
-
-    def test_corrupt_namespace_file_ignored(self, tmp_path):
-        (tmp_path / "broken.json").write_text("{not valid json", encoding="utf-8")
-        store = KeyValueStore(directory=str(tmp_path))
-        assert store.count("broken") == 0
-
-
 class TestWriteAheadLog:
-    def test_append_and_read_in_memory(self):
-        wal = WriteAheadLog()
+    def test_append_and_read(self, tmp_path):
+        wal = WriteAheadLog(str(tmp_path / "instances.wal"))
         wal.append({"action": "save", "id": "a"})
         wal.append({"action": "delete", "id": "b"})
         assert len(wal) == 2
         assert [r["action"] for r in wal] == ["save", "delete"]
+        assert (wal.append_count, wal.flush_count) == (2, 2)
 
-    def test_truncate(self):
-        wal = WriteAheadLog()
+    def test_truncate(self, tmp_path):
+        wal = WriteAheadLog(str(tmp_path / "instances.wal"))
         wal.append({"action": "save"})
         wal.truncate()
         assert len(wal) == 0
+        assert wal.size_bytes() == 0
+        wal.append({"action": "save", "id": "after"})
+        assert [r["id"] for r in wal] == ["after"]
 
     def test_file_backed_roundtrip(self, tmp_path):
         path = tmp_path / "logs" / "instances.wal"

@@ -1,10 +1,11 @@
 """Tests for the versioned schema repository."""
 
+import json
+
 import pytest
 
 from repro.core.evolution import EvolutionError
 from repro.schema import templates
-from repro.storage.kv import KeyValueStore
 from repro.storage.repository import SchemaRepository
 from repro.workloads.order_process import order_type_change_v2
 
@@ -52,18 +53,6 @@ class TestVersioning:
         repository = SchemaRepository()
         repository.register_type(order_schema)
         before = repository.storage_size_bytes()
+        assert before == len(json.dumps({"online_order:1": order_schema.to_dict()}, sort_keys=True))
         repository.release_version("online_order", order_type_change_v2())
         assert repository.storage_size_bytes() > before
-
-
-class TestPersistence:
-    def test_repository_reload(self, tmp_path, order_schema):
-        store = KeyValueStore(directory=str(tmp_path))
-        repository = SchemaRepository(store=store)
-        repository.register_type(order_schema)
-        repository.release_version("online_order", order_type_change_v2())
-
-        reopened = SchemaRepository(store=KeyValueStore(directory=str(tmp_path)))
-        assert reopened.versions_of("online_order") == [1, 2]
-        assert reopened.schema("online_order", 2).has_node("send_questions")
-        assert reopened.schema("online_order", 1).structurally_equals(order_schema)

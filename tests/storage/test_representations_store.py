@@ -7,7 +7,6 @@ from repro.core.operations import InsertSyncEdge, SerialInsertActivity
 from repro.runtime.states import InstanceStatus, NodeState
 from repro.schema.nodes import Node
 from repro.storage.instance_store import InstanceStore, StorageError
-from repro.storage.kv import KeyValueStore
 from repro.storage.repository import SchemaRepository
 from repro.storage.representations import (
     FullCopyRepresentation,
@@ -15,7 +14,6 @@ from repro.storage.representations import (
     MaterializeOnAccessRepresentation,
     strategy_by_name,
 )
-from repro.storage.wal import WriteAheadLog
 
 
 @pytest.fixture
@@ -166,37 +164,22 @@ class TestInstanceStore:
         assert "get_order" in loaded.completed_activities()
         assert len(store) == 1
 
-
-class TestRecovery:
-    def test_wal_recovery_restores_instances(self, engine, order_schema, repository):
-        wal = WriteAheadLog()
-        store = InstanceStore(repository, wal=wal)
-        instances = make_instances(engine, order_schema)
-        store.save_all(instances)
-
-        # simulate a crash: new store over an empty KV but the surviving WAL
-        recovered = InstanceStore(repository, store=KeyValueStore(), wal=wal)
-        assert len(recovered) == 0
-        replayed = recovered.recover_from_wal()
-        assert replayed == len(instances)
-        assert len(recovered) == len(instances)
-        reloaded = recovered.load(instances[1].instance_id)
-        assert reloaded.is_biased == instances[1].is_biased
-
-    def test_wal_replays_deletes(self, engine, order_schema, repository):
-        wal = WriteAheadLog()
-        store = InstanceStore(repository, wal=wal)
+    def test_save_of_a_non_json_value_changes_neither_record_nor_index(
+        self, engine, order_schema, repository
+    ):
+        store = InstanceStore(repository)
         instance = engine.create_instance(order_schema, "x")
         store.save(instance)
-        store.delete("x")
-        recovered = InstanceStore(repository, store=KeyValueStore(), wal=wal)
-        recovered.recover_from_wal()
-        assert not recovered.contains("x")
-
-    def test_checkpoint_truncates_wal(self, engine, order_schema, repository):
-        wal = WriteAheadLog()
-        store = InstanceStore(repository, wal=wal)
-        store.save(engine.create_instance(order_schema, "x"))
-        assert len(wal) == 1
-        store.checkpoint()
-        assert len(wal) == 0
+        before = store.record("x")
+        engine.complete_activity(instance, "get_order", outputs={"order": object()})
+        engine.run_to_completion(instance)
+        with pytest.raises(TypeError):
+            store.save(instance)
+        assert store.record("x") is before
+        assert store.running_instances() == ["x"]
+        unsaved = engine.create_instance(order_schema, "y")
+        engine.complete_activity(unsaved, "get_order", outputs={"order": object()})
+        with pytest.raises(TypeError):
+            store.save(unsaved)
+        assert not store.contains("y")
+        assert store.instances_of_type("online_order") == ["x"]

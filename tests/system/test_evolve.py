@@ -64,6 +64,33 @@ class TestCompliantPolicy:
             orders.evolve(order_type_change_v2(), migrate="yolo")
 
 
+class TestRollbackPolicy:
+    def test_bus_carries_one_event_per_compensated_activity(self):
+        """The planner's dry run on a clone publishes nothing: the bus shows
+        exactly the compensations the case's history records."""
+        from repro.core.migration import MigrationOutcome
+        from repro.runtime.history import HistoryEventType
+
+        system = AdeptSystem(rollback_on_state_conflict=True)
+        orders = system.deploy(templates.online_order_process())
+        blocked = orders.start(case_id="blocked")
+        for activity in ORDER_EXECUTION_SEQUENCE[:5]:  # pack_goods done -> state conflict
+            blocked.complete(activity)
+        report = orders.evolve(order_type_change_v2())
+        assert [r.outcome for r in report.results] == [MigrationOutcome.MIGRATED_WITH_ROLLBACK]
+        compensated = [
+            entry.activity
+            for entry in system.get_instance("blocked").history
+            if entry.event is HistoryEventType.ACTIVITY_COMPENSATED
+        ]
+        assert compensated
+        events = system.bus.events_of(name="activity_compensated")
+        assert [(event.instance_id, event.payload["node"]) for event in events] == [
+            ("blocked", activity) for activity in compensated
+        ]
+        assert {event.instance_id for event in system.bus.events} <= {None, "blocked"}
+
+
 class TestNonePolicy:
     def test_releases_version_without_migrating(self):
         system = AdeptSystem()

@@ -117,6 +117,42 @@ class TestCheckpointAndRecovery:
         result = recovered.run(case_id)
         assert result.status is InstanceStatus.COMPLETED
 
+    def test_crash_and_reopen_restore_the_stored_population_with_its_bias(self, store_path):
+        system = open_system(store_path)
+        orders = system.deploy(templates.online_order_process())
+        cases = [orders.start() for _ in range(4)]
+        for index, case in enumerate(cases):
+            case.complete("get_order")
+            if index % 2:
+                case.change(comment="extra").serial_insert(
+                    f"extra_{index}", pred="get_order", succ="collect_data"
+                ).apply()
+            case.save()
+        biased = {case.instance_id: case.is_biased for case in cases}
+        assert sorted(biased.values()) == [False, False, True, True]
+        system.backend.close()  # crash: no checkpoint
+
+        recovered = open_system(store_path)
+        assert recovered.stored_instance_ids() == sorted(biased)
+        assert {i: recovered.store.load(i).is_biased for i in biased} == biased
+        assert recovered.store.biased_instances() == sorted(i for i in biased if biased[i])
+
+    def test_released_versions_survive_reopen(self, store_path):
+        system = open_system(store_path)
+        orders = system.deploy(templates.online_order_process())
+        orders.evolve(order_type_change_v2())
+        system.backend.close()  # crash: no checkpoint
+        for source in ("the WAL", "the snapshot"):
+            reopened = open_system(store_path)
+            assert reopened.last_recovery.snapshot_loaded == (source == "the snapshot")
+            repository = reopened.repository
+            assert repository.versions_of("online_order") == [1, 2]
+            assert repository.schema("online_order", 2).has_node("send_questions")
+            assert repository.schema("online_order", 1).structurally_equals(
+                templates.online_order_process()
+            )
+            reopened.close()  # checkpoints: the next open reads the snapshot
+
     def test_a_log_in_the_old_start_complete_pair_form_replays_like_the_new_one(
         self, store_path, tmp_path
     ):

@@ -100,8 +100,6 @@ class TestPublicApi:
             "compliance_method",
             "rollback_on_state_conflict",
             "representation",
-            "wal",
-            "kv_store",
             "monitor",
             "cache_instances",
         ]
@@ -139,3 +137,45 @@ class TestPublicApi:
             if mirror.search(line)
         ]
         assert hits == []
+
+    def test_storage_has_one_durability_mechanism(self, tmp_path):
+        """Snapshot + logical WAL behind ``AdeptSystem.open`` — and nothing beside it."""
+        import importlib
+
+        import pytest
+
+        import repro.storage
+        from repro.storage import InstanceStore, SchemaRepository, WriteAheadLog
+
+        assert not hasattr(repro.storage, "KeyValueStore")
+        assert "KeyValueStore" not in repro.storage.__all__
+        with pytest.raises(ImportError):
+            importlib.import_module("repro.storage.kv")
+
+        repository = SchemaRepository()
+        wal = WriteAheadLog(str(tmp_path / "wal.jsonl"))
+        removed_keywords = [
+            (repro.AdeptSystem, {"wal": wal}),
+            (repro.AdeptSystem, {"kv_store": None}),
+            (SchemaRepository, {"store": None}),
+            (lambda **kw: InstanceStore(repository, **kw), {"store": None}),
+            (lambda **kw: InstanceStore(repository, **kw), {"wal": wal}),
+        ]
+        for construct, keyword in removed_keywords:
+            with pytest.raises(TypeError):
+                construct(**keyword)
+        with pytest.raises(TypeError):
+            WriteAheadLog()
+
+        removed_methods = {
+            repro.AdeptSystem: ("recover_from_wal", "simulate_crash_recovery"),
+            InstanceStore: ("recover_from_wal", "checkpoint"),
+            SchemaRepository: ("_persist", "_load"),
+        }
+        for owner, names in removed_methods.items():
+            for name in names:
+                assert not hasattr(owner, name), f"{owner.__name__}.{name} is back"
+        # an in-memory system has nothing to make durable: checkpoint() is a no-op
+        system = repro.AdeptSystem()
+        system.checkpoint()
+        assert system.bus.events_of(name="checkpoint_completed") == []
