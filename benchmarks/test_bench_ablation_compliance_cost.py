@@ -1,16 +1,14 @@
-"""Ablation A1: compliance-check cost as histories grow (loop backs).
+"""Ablation A1: compliance stays decidable however often a loop iterated.
 
-The paper motivates the per-operation compliance conditions with
-efficiency: the general criterion has to replay (a reduced form of) the
-execution history, whose length grows with every loop iteration, while
-the per-operation conditions only look at the current marking.  This
-benchmark executes a looping process for an increasing number of
-iterations and measures both checks.
+The per-operation conditions look only at the current marking; the
+relaxed trace-replay criterion replays the *reduced* history, dropping
+superseded loop iterations, so it "works correctly in connection with
+loop backs".  Every check accepts a change behind the loop, for any
+number of iterations.  Nothing here measures time.
 """
 
 import pytest
 
-from benchmarks.conftest import write_rows
 from repro.core.changelog import ChangeLog
 from repro.core.compliance import ComplianceChecker
 from repro.core.operations import SerialInsertActivity
@@ -21,28 +19,22 @@ from repro.schema.templates import loop_process
 ITERATION_COUNTS = (1, 8, 32, 128)
 
 
-def looping_instance(iterations: int):
-    """A loop-process instance that has gone through ``iterations`` loop passes."""
+def looping_instance(iterations):
+    """A loop-process case that has gone through ``iterations`` loop passes."""
     schema = loop_process(body_length=3, max_iterations=iterations + 1)
     engine = ProcessEngine()
     instance = engine.create_instance(schema, f"loop-{iterations}")
-    remaining = {"count": iterations}
-
-    def worker(node, data):
-        if node.node_id == "body_3":
-            remaining["count"] -= 1
-            return {"done": remaining["count"] <= 0}
-        return {}
-
     engine.complete_activity(instance, "prepare")
-    # drive the loop but stop before the final activity completes the instance
-    while instance.status.is_active and remaining["count"] > 0:
-        activated = engine.activated_activities(instance)
-        if not activated:
-            break
-        activity = activated[0]
-        engine.complete_activity(instance, activity, outputs=worker(schema.node(activity), {}))
-    return schema, engine, instance
+    remaining = iterations
+    # drive the loop but stop before the final activity completes the case
+    while instance.status.is_active and remaining > 0:
+        activity = engine.activated_activities(instance)[0]
+        outputs = {}
+        if activity == "body_3":
+            remaining -= 1
+            outputs = {"done": remaining <= 0}
+        engine.complete_activity(instance, activity, outputs=outputs)
+    return schema, instance
 
 
 def change_for(schema):
@@ -53,94 +45,27 @@ def change_for(schema):
     )
 
 
-@pytest.mark.benchmark(group="A1-conditions")
 @pytest.mark.parametrize("iterations", ITERATION_COUNTS)
-def test_conditions_cost_constant_in_history(benchmark, iterations):
-    schema, _, instance = looping_instance(iterations)
-    change = change_for(schema)
-    checker = ComplianceChecker()
-    result = benchmark(lambda: checker.check_with_conditions(instance, change))
-    assert result.compliant
-    benchmark.extra_info["history_entries"] = len(instance.history)
+def test_conditions_cost_constant_in_history(iterations):
+    schema, instance = looping_instance(iterations)
+    assert ComplianceChecker().check_with_conditions(instance, change_for(schema)).compliant
 
 
-@pytest.mark.benchmark(group="A1-replay")
 @pytest.mark.parametrize("iterations", ITERATION_COUNTS)
-def test_replay_cost_grows_with_history(benchmark, iterations):
-    schema, _, instance = looping_instance(iterations)
-    change = change_for(schema)
-    target = change.apply_to(schema)
+def test_replay_cost_grows_with_history(iterations):
+    schema, instance = looping_instance(iterations)
+    target = change_for(schema).apply_to(schema)
+    assert ComplianceChecker().check_by_replay(instance, target).compliant
+
+
+def test_summarise_cost_curve():
+    """Reduced and full replay both accept; only the reduced history
+    stays bounded once the loop has iterated."""
     checker = ComplianceChecker()
-    result = benchmark(lambda: checker.check_by_replay(instance, target))
-    assert result.compliant
-    benchmark.extra_info["history_entries"] = len(instance.history)
-
-
-def test_summarise_cost_curve(benchmark):
-    """Record the full cost curve in one table (and assert its shape).
-
-    Three checks are compared as the instance accumulates loop iterations:
-
-    * the per-operation **conditions** (marking only, cost independent of
-      the history),
-    * **replay of the reduced history** (the relaxed trace-equivalence
-      criterion: superseded iterations are dropped, so the cost stays
-      bounded — this is why the criterion "works correctly in connection
-      with loop backs"),
-    * **replay of the full history** (the naive criterion without the
-      relaxation, whose cost grows with every iteration).
-    """
-    import time
-
-    checker = ComplianceChecker()
-    rows = []
-
-    def sweep():
-        rows.clear()
-        for iterations in ITERATION_COUNTS:
-            schema, _, instance = looping_instance(iterations)
-            change = change_for(schema)
-            target = change.apply_to(schema)
-            started = time.perf_counter()
-            for _ in range(20):
-                checker.check_with_conditions(instance, change)
-            conditions_ms = (time.perf_counter() - started) / 20 * 1000
-            started = time.perf_counter()
-            for _ in range(5):
-                reduced_result = checker.check_by_replay(instance, target)
-            reduced_ms = (time.perf_counter() - started) / 5 * 1000
-            started = time.perf_counter()
-            for _ in range(3):
-                full_result = checker.check_by_replay(instance, target, reduced=False)
-            full_ms = (time.perf_counter() - started) / 3 * 1000
-            assert reduced_result.compliant and full_result.compliant
-            rows.append(
-                {
-                    "loop_iterations": iterations,
-                    "history_entries": len(instance.history),
-                    "conditions_ms": f"{conditions_ms:.3f}",
-                    "reduced_replay_ms": f"{reduced_ms:.3f}",
-                    "full_replay_ms": f"{full_ms:.3f}",
-                }
-            )
-        return rows
-
-    result = benchmark.pedantic(sweep, rounds=1, iterations=1)
-    write_rows(
-        "A1_compliance_cost",
-        "A1 — compliance-check cost vs. history length (loop process)",
-        result,
-    )
-    # shape: full replay grows markedly with history length, reduced replay
-    # stays bounded, and the per-operation conditions stay flat and cheapest
-    first_full = float(result[0]["full_replay_ms"])
-    last_full = float(result[-1]["full_replay_ms"])
-    first_reduced = float(result[0]["reduced_replay_ms"])
-    last_reduced = float(result[-1]["reduced_replay_ms"])
-    last_conditions = float(result[-1]["conditions_ms"])
-    assert last_full > first_full * 5
-    assert last_reduced < first_reduced * 3
-    # sub-millisecond timings jitter, so the flatness claim for the conditions
-    # is asserted relative to the replay costs rather than in absolute terms
-    assert last_conditions < last_reduced / 5
-    assert last_reduced < last_full
+    for iterations in ITERATION_COUNTS:
+        schema, instance = looping_instance(iterations)
+        target = change_for(schema).apply_to(schema)
+        assert checker.check_by_replay(instance, target).compliant
+        assert checker.check_by_replay(instance, target, reduced=False).compliant
+        reduced, full = len(instance.history.reduced()), len(instance.history.entries)
+        assert reduced == full if iterations == 1 else reduced < full

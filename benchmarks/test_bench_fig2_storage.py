@@ -1,19 +1,15 @@
-"""Experiment E2 (paper Fig. 2): managing schema and instance data.
+"""Paper Fig. 2 as value checks: schema and instance data per representation.
 
-Stores the same population of order instances (a fraction of them ad-hoc
-modified) under the three representations the paper discusses — full
-schema copy per instance, materialise-on-access, and the ADEPT2 hybrid
-substitution block — and compares persisted footprint and access latency.
-
-Expected shape: the hybrid representation needs only a tiny fraction of
-the per-instance schema bytes of the full copy (unchanged instances are
-redundancy-free), while loading stays as fast as (or faster than)
-re-applying the change log on every access.
+The same population of order cases (a fifth of them ad-hoc modified) is
+stored under the three representations the paper discusses — full
+schema copy per case, materialise-on-access and the ADEPT2 hybrid
+substitution block.  Every case loads back, and the hybrid keeps
+unchanged cases redundancy-free, so it needs a small fraction of the
+full copy's schema bytes.  Nothing here measures time.
 """
 
 import pytest
 
-from benchmarks.conftest import gate_result, write_rows
 from repro.baselines.storage_baselines import compare_representations
 from repro.schema.templates import online_order_process
 from repro.storage.instance_store import InstanceStore
@@ -49,176 +45,23 @@ def storage_setup():
     return repository, population
 
 
-@pytest.mark.benchmark(group="E2-store-and-load")
 @pytest.mark.parametrize("strategy_name", list(STRATEGIES))
-def test_store_and_load_population(benchmark, storage_setup, strategy_name):
-    """Persist and re-load the whole population under one representation."""
+def test_store_and_load_population(storage_setup, strategy_name):
+    """Every case saved under one representation loads back."""
     repository, population = storage_setup
-
-    def run():
-        store = InstanceStore(repository, strategy=STRATEGIES[strategy_name]())
-        store.save_all(population)
-        loaded = store.load_all()
-        return store, loaded
-
-    store, loaded = benchmark.pedantic(run, rounds=3, iterations=1)
+    store = InstanceStore(repository, strategy=STRATEGIES[strategy_name]())
+    store.save_all(population)
+    loaded = store.load_all()
     assert len(loaded) == INSTANCES
-    benchmark.extra_info["total_kb"] = round(store.total_bytes() / 1024, 1)
-    benchmark.extra_info["schema_payload_kb"] = round(store.schema_payload_bytes() / 1024, 1)
+    assert store.schema_payload_bytes() <= store.total_bytes()
 
 
-def test_fig2_representation_table(benchmark, storage_setup):
-    """The Fig. 2 comparison table: footprint and access latency per strategy."""
+def test_fig2_representation_table(storage_setup):
+    """The hybrid needs under a fifth of the full copy's schema bytes."""
     repository, population = storage_setup
-
-    comparisons = benchmark.pedantic(
-        lambda: compare_representations(repository, population, load_rounds=2),
-        rounds=1,
-        iterations=1,
-    )
+    comparisons = compare_representations(repository, population, load_rounds=1)
     by_name = {comparison.strategy: comparison for comparison in comparisons}
     hybrid = by_name["hybrid_substitution"]
     full = by_name["full_copy"]
-    on_access = by_name["materialize_on_access"]
-
-    # shape of the paper's argument:
-    # 1. the hybrid keeps unchanged instances redundancy-free -> schema bytes shrink drastically
     assert hybrid.schema_payload_bytes < full.schema_payload_bytes / 5
     assert hybrid.total_bytes < full.total_bytes
-    # 2. accessing hybrid instances is roughly as fast as re-materialising
-    #    from the change log.  The hard timing gate lives in the
-    #    stress-marked test below — wall-clock ratios flake when the full
-    #    tier-1 run shares the machine; here the ratio is only recorded.
-
-    write_rows(
-        "E2_fig2",
-        f"E2 / Fig.2 — instance storage representations "
-        f"({INSTANCES} instances, {BIASED_FRACTION:.0%} ad-hoc modified)",
-        [comparison.row() for comparison in comparisons],
-        gate=gate_result(
-            "hybrid_load_vs_materialize_ratio",
-            1.5,
-            hybrid.load_seconds / on_access.load_seconds if on_access.load_seconds else 0.0,
-            higher_is_better=False,
-        ),
-        schema_sizes={"instances": INSTANCES, "biased_fraction": BIASED_FRACTION},
-    )
-
-
-@pytest.mark.stress
-def test_fig2_load_latency_gate(storage_setup):
-    """Hard wall-clock gate (dedicated stress job only): hybrid loads
-    stay within 1.5x of change-log re-materialisation.  Best-of-three,
-    so a single scheduler hiccup cannot fail the gate."""
-    repository, population = storage_setup
-    ratios = []
-    for _ in range(3):
-        comparisons = compare_representations(repository, population, load_rounds=2)
-        by_name = {comparison.strategy: comparison for comparison in comparisons}
-        hybrid = by_name["hybrid_substitution"]
-        on_access = by_name["materialize_on_access"]
-        if not on_access.load_seconds:
-            return
-        ratios.append(hybrid.load_seconds / on_access.load_seconds)
-    assert min(ratios) <= 1.5, f"hybrid/materialize load ratios: {ratios}"
-
-
-def test_access_latency_vs_bias_length(benchmark, storage_setup):
-    """Materialising a biased instance: substitution-block overlay vs. change-log re-application.
-
-    The paper rejects "materialise on the fly" because every access pays the
-    change-application cost again; the substitution block makes access cost
-    proportional to the (small) delta.  The gap widens as instances
-    accumulate more ad-hoc operations.
-    """
-    import time
-
-    from repro.core.changelog import ChangeLog
-    from repro.core.operations import SerialInsertActivity
-    from repro.core.substitution import SubstitutionBlock
-    from repro.schema.nodes import Node
-
-    repository, _ = storage_setup
-    schema = repository.schema("online_order", 1)
-    rows = []
-
-    def sweep():
-        rows.clear()
-        for bias_length in (2, 10, 30):
-            operations = []
-            pred, succ = "get_order", "collect_data"
-            for index in range(bias_length):
-                operations.append(
-                    SerialInsertActivity(activity=Node(node_id=f"adhoc_{index}"), pred=pred, succ=succ)
-                )
-                pred = f"adhoc_{index}"
-            bias = ChangeLog(operations)
-            biased = bias.apply_to(schema)
-            block = SubstitutionBlock.from_schemas(schema, biased)
-            started = time.perf_counter()
-            for _ in range(100):
-                bias.apply_to(schema, check=True)
-            reapply_ms = (time.perf_counter() - started) / 100 * 1000
-            started = time.perf_counter()
-            for _ in range(100):
-                block.overlay(schema)
-            overlay_ms = (time.perf_counter() - started) / 100 * 1000
-            rows.append(
-                {
-                    "bias_operations": bias_length,
-                    "reapply_changelog_ms": f"{reapply_ms:.3f}",
-                    "overlay_substitution_ms": f"{overlay_ms:.3f}",
-                    "overlay_speedup": f"{reapply_ms / overlay_ms:.1f}x",
-                }
-            )
-        return rows
-
-    result = benchmark.pedantic(sweep, rounds=1, iterations=1)
-    # the overlay is faster at every bias length and the advantage grows
-    assert all(
-        float(row["overlay_substitution_ms"]) < float(row["reapply_changelog_ms"]) for row in result
-    )
-    assert float(result[-1]["overlay_speedup"][:-1]) >= float(result[0]["overlay_speedup"][:-1])
-    write_rows(
-        "E2_fig2",
-        "E2 — access latency of a biased instance: overlay vs. re-applying the change log",
-        result,
-    )
-
-
-def test_biased_fraction_sweep(benchmark, storage_setup):
-    """Hybrid footprint grows with the bias fraction, not with the schema size."""
-    repository, _ = storage_setup
-    schema = repository.schema("online_order", 1)
-    rows = []
-
-    def sweep():
-        rows.clear()
-        for fraction in (0.0, 0.1, 0.3, 0.5):
-            population = PopulationGenerator(
-                schema,
-                config=PopulationConfig(instance_count=120, biased_fraction=fraction, seed=7),
-            ).generate()
-            store = InstanceStore(repository, strategy=HybridSubstitutionRepresentation())
-            store.save_all(population)
-            full_store = InstanceStore(repository, strategy=FullCopyRepresentation())
-            full_store.save_all(population)
-            rows.append(
-                {
-                    "biased_fraction": f"{fraction:.0%}",
-                    "hybrid_schema_kb": round(store.schema_payload_bytes() / 1024, 1),
-                    "full_copy_schema_kb": round(full_store.schema_payload_bytes() / 1024, 1),
-                }
-            )
-        return rows
-
-    result = benchmark.pedantic(sweep, rounds=1, iterations=1)
-    # footprint is monotone in the number of biased instances and far below full copy
-    hybrid_kb = [row["hybrid_schema_kb"] for row in result]
-    assert hybrid_kb[0] <= hybrid_kb[-1]
-    assert all(row["hybrid_schema_kb"] < row["full_copy_schema_kb"] for row in result[1:])
-    write_rows(
-        "E2_fig2",
-        "E2 — hybrid substitution blocks: schema bytes vs. share of ad-hoc modified instances (120 instances)",
-        result,
-    )

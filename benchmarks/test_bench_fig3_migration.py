@@ -1,96 +1,43 @@
-"""Experiment E3 (paper Fig. 3): evolving a process type with many running instances.
+"""Paper Fig. 3 as value checks: evolving a type with many running cases.
 
-Releases the online-order V2 type change against populations of hundreds
-to thousands of running instances (a fraction of them ad-hoc modified),
-produces the migration report of the demo's monitoring component and
-measures migration throughput — the paper's requirement is that
-migrations of thousands of instances happen on-the-fly without
-performance penalties.
+Releases the online-order V2 type change against populations of
+hundreds to thousands of running cases (a tenth of them ad-hoc
+modified).  The migration report shows every outcome class, and cases
+that cannot migrate keep running on the old version.  Migration
+throughput is measured by the ``evolve`` workload of ``benchmarks/e2e``.
 """
 
 import pytest
 
-from benchmarks.conftest import write_rows
 from repro.core.migration import MigrationManager, MigrationOutcome
-from repro.monitoring.report import migration_report_table, migration_throughput
 from repro.workloads.order_process import order_type_change_v2, paper_fig3_population
 
-SIZES = (500, 1000, 2000)
 
-
-@pytest.mark.benchmark(group="E3-migration")
-@pytest.mark.parametrize("instance_count", SIZES)
-def test_migrate_population(benchmark, instance_count):
-    """Check and migrate every instance of a freshly generated population."""
-    reports = []
-
-    def setup():
-        process_type, engine, instances = paper_fig3_population(
-            instance_count=instance_count, biased_fraction=0.1, seed=instance_count
-        )
-        manager = MigrationManager(engine)
-        return (manager, process_type, instances), {}
-
-    def run(manager, process_type, instances):
-        report = manager.migrate_type(process_type, order_type_change_v2(), instances)
-        reports.append(report)
-        return report
-
-    benchmark.pedantic(run, setup=setup, rounds=2, iterations=1)
-    report = reports[-1]
-
+@pytest.mark.parametrize("instance_count", (500, 1000, 2000))
+def test_migrate_population(instance_count):
+    process_type, engine, instances = paper_fig3_population(
+        instance_count=instance_count, biased_fraction=0.1, seed=instance_count
+    )
+    report = MigrationManager(engine).migrate_type(
+        process_type, order_type_change_v2(), instances
+    )
     assert report.total == instance_count
     assert report.migrated_count > 0
     assert report.count(MigrationOutcome.STATE_CONFLICT) > 0
     assert report.count(MigrationOutcome.STRUCTURAL_CONFLICT) > 0
-    throughput = migration_throughput(report)
-    assert throughput > 200, f"migration throughput too low: {throughput:.0f} instances/s"
 
-    benchmark.extra_info["instances"] = instance_count
-    benchmark.extra_info["throughput_per_s"] = round(throughput)
-    benchmark.extra_info["migrated"] = report.migrated_count
 
-    rows = [
-        {"instances": instance_count, **{row["outcome"]: row["count"] for row in migration_report_table(report)},
-         "throughput_per_s": round(throughput)}
-    ]
-    write_rows(
-        "E3_fig3",
-        f"E3 / Fig.3 — migration report for {instance_count} running order instances (10% ad-hoc modified)",
-        rows,
+def test_non_migrated_instances_keep_running():
+    """Non-compliant cases simply remain on the old version and complete."""
+    process_type, engine, instances = paper_fig3_population(
+        instance_count=300, biased_fraction=0.1, seed=99
     )
-
-
-def test_non_migrated_instances_keep_running(benchmark):
-    """Fig. 3's footnote: non-compliant instances simply remain on the old version."""
-
-    def run():
-        process_type, engine, instances = paper_fig3_population(
-            instance_count=300, biased_fraction=0.1, seed=99
-        )
-        manager = MigrationManager(engine)
-        report = manager.migrate_type(process_type, order_type_change_v2(), instances)
-        finished = 0
-        for instance in instances:
-            if instance.status.is_active:
-                engine.run_to_completion(instance)
-            finished += instance.status.value == "completed"
-        return report, finished, instances
-
-    report, finished, instances = benchmark.pedantic(run, rounds=1, iterations=1)
-    assert finished == len(instances)
-    on_v1 = sum(1 for i in instances if i.schema_version == 1)
-    on_v2 = sum(1 for i in instances if i.schema_version == 2)
+    report = MigrationManager(engine).migrate_type(
+        process_type, order_type_change_v2(), instances
+    )
+    for instance in instances:
+        if instance.status.is_active:
+            engine.run_to_completion(instance)
+    assert all(instance.status.value == "completed" for instance in instances)
+    on_v2 = sum(1 for instance in instances if instance.schema_version == 2)
     assert on_v2 == report.migrated_count
-    write_rows(
-        "E3_fig3",
-        "E3 — after migration every instance still completes (300 instances)",
-        [
-            {
-                "completed": finished,
-                "finished_on_v1": on_v1,
-                "finished_on_v2": on_v2,
-                "migrated": report.migrated_count,
-            }
-        ],
-    )

@@ -13,8 +13,7 @@ The counters this package *models* (handover, change_propagation,
 migration, data_transfer) are *measured* by the real multi-process
 service tier in :mod:`repro.service`: shard servers count actual
 hand-overs, broadcast messages and bytes on the wire, reported under
-the same names (``repro.service.ShardTelemetry``, and the telemetry
-table in ``BENCH_sharded_service.json``).
+the same names (``repro.service.ShardTelemetry``).
 """
 
 from repro.distributed.partitioning import SchemaPartitioning

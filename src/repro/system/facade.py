@@ -1792,7 +1792,7 @@ class AdeptSystem:
             if not rollout.roll_back():
                 return
             if rollout.policy == POLICY_REVERT:
-                reverted = self._revert_canary_cohort(rollout)
+                reverted = self._revert_canary_cohort(rollout, sorted(rollout.adopted))
             self._journal(
                 KIND_ROLLOUT_ROLLED_BACK,
                 type_id=type_id,
@@ -1817,16 +1817,17 @@ class AdeptSystem:
             observed_conflict_rate=rollout.observed_conflict_rate,
         )
 
-    def _revert_canary_cohort(self, rollout: Rollout) -> List[str]:
-        """Restore every adopted canary case from its pre-adoption snapshot.
+    def _revert_canary_cohort(self, rollout: Rollout, instance_ids: Iterable[str]) -> List[str]:
+        """Restore adopted canary cases from their pre-adoption snapshots.
 
         Steps a case took on the canary version are discarded with it —
-        the deterministic policy (replay restores the same snapshots).
-        Runs under the type's write lock; the population is quiesced.
+        the deterministic policy (replay restores the same snapshots via
+        the ``reverted`` list of the journaled record).  Runs under the
+        type's write lock, or during recovery; the population is quiesced.
         """
         reverted: List[str] = []
         with self._journal_suspended():
-            for instance_id in sorted(rollout.adopted):
+            for instance_id in instance_ids:
                 pre_state = rollout.pre_states.get(instance_id)
                 if pre_state is None:
                     continue  # adopted without a snapshot (defensive)
@@ -2012,20 +2013,7 @@ class AdeptSystem:
         rollout.roll_back()
         rollout.pending_decision = "rollback"
         if record.get("policy", rollout.policy) == POLICY_REVERT:
-            for instance_id in record.get("reverted", []):
-                pre_state = rollout.pre_states.get(instance_id)
-                if pre_state is None:
-                    continue
-                restored = instance_from_dict(dict(pre_state), self.repository.resolve)
-                with self._registry:
-                    live = instance_id in self._instances
-                    if live:
-                        self._instances[instance_id] = restored
-                        self._dirty.add(instance_id)
-                if live:
-                    self.worklists.register_instance(restored)
-                else:
-                    self.store.write_back(restored)
+            self._revert_canary_cohort(rollout, record.get("reverted", []))
             self.repository.withdraw_version(type_id, rollout.to_version)
         else:
             self._retired_versions.setdefault(type_id, set()).add(rollout.to_version)

@@ -275,6 +275,13 @@ class PersistentBackend:
         rollouts = [rollout.to_dict() for rollout in system._rollouts.values()]
         if rollouts:
             payload["rollouts"] = rollouts
+        retired = {
+            type_id: sorted(versions)
+            for type_id, versions in system._retired_versions.items()
+            if versions
+        }
+        if retired:
+            payload["retired_versions"] = retired
         temporary = self.snapshot_path.with_suffix(".json.tmp")
         temporary.write_text(json.dumps(payload, sort_keys=True), encoding="utf-8")
         temporary.replace(self.snapshot_path)
@@ -380,6 +387,8 @@ class PersistentBackend:
         # from the (already adopted) repository versions
         for payload in snapshot.get("rollouts", []):
             system._restore_rollout(payload)
+        for type_id, versions in snapshot.get("retired_versions", {}).items():
+            system._retired_versions[type_id] = set(versions)
         self._seq = int(snapshot.get("next_seq", self._seq))
         report.snapshot_loaded = True
 

@@ -81,7 +81,6 @@ class TestStorageComparison:
         on_access = comparisons["materialize_on_access"]
         assert hybrid.schema_payload_bytes < full.schema_payload_bytes / 5
         assert hybrid.total_bytes < full.total_bytes
-        # load timings are measured (asserted only in the benchmarks, where the
-        # environment is controlled; unit tests avoid wall-clock assertions)
+        # load timings are measured but never compared: no wall-clock assertions
         assert hybrid.load_seconds > 0 and on_access.load_seconds > 0
         assert all(c.instance_count == 30 for c in comparisons.values())

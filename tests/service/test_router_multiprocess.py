@@ -8,12 +8,13 @@ mid-load recovery drill.
 """
 
 import signal
+import threading
 import time
 
 import pytest
 
 from repro import AdeptSystem
-from repro.schema.templates import online_order_process
+from repro.schema.templates import online_order_process, sequential_process
 from repro.service import (
     RemoteError,
     ShardRouter,
@@ -99,6 +100,66 @@ class TestSchemaBroadcast:
         assert len(summary["shards"]) == 3
         for case_id in ids[:5]:
             assert router.instance_info(case_id)["version"] == 2
+
+    def test_evolve_under_load_matches_single_process_reference(self, fleet):
+        """The broadcast equals one in-process evolve of the same population,
+        and each shard journals exactly one evolution record for it."""
+        _supervisor, router = fleet
+        router.deploy(ORDERS)
+        router.deploy(sequential_process(length=3).to_dict())
+        ids = router.start_many("online_order", 60)
+        # every third case advances past the V2 insertion point (a conflict)
+        plan = {case_id: 4 if index % 3 == 0 else 2 for index, case_id in enumerate(ids)}
+        for case_id, steps in plan.items():
+            assert router.step_many([case_id], steps=steps)[0]["steps"] == steps
+        side_ids = router.start_many("sequence", 30)
+
+        # a second type keeps stepping through the router during the broadcast
+        side_stepped, evolved, errors = threading.Event(), threading.Event(), []
+
+        def side_load():
+            try:
+                while not evolved.is_set():
+                    router.step_many(side_ids, steps=1)
+                    side_stepped.set()
+            except Exception as exc:  # noqa: BLE001 - asserted below
+                errors.append(exc)
+                side_stepped.set()
+
+        load = threading.Thread(target=side_load)
+        load.start()
+        assert side_stepped.wait(timeout=60)
+        summary = router.evolve(
+            "online_order", order_type_change_v2(1).to_dict(), expect_version=1
+        )
+        evolved.set()
+        load.join(timeout=60)
+        assert not errors, errors
+
+        reference = AdeptSystem()
+        reference.deploy(online_order_process())
+        for case_id in ids:
+            reference.start("online_order", case_id=case_id)
+        for case_id, steps in plan.items():
+            reference.step_many([case_id], steps=steps)
+        report = reference.evolve("online_order", order_type_change_v2(1))
+        assert summary["total"] == report.total == len(ids)
+        assert summary["migrated"] == report.migrated_count
+        assert summary["outcomes"] == report.outcome_counts()
+        assert summary["total"] - summary["migrated"] == sum(
+            1 for steps in plan.values() if steps == 4
+        )
+
+        # exactly once, from each shard's journal
+        candidates = []
+        for shard_id, wal in router.broadcast("wal_summary").items():
+            evolutions = [r for r in wal["evolutions"] if r["type_id"] == "online_order"]
+            assert len(evolutions) == 1, shard_id
+            candidates.extend(evolutions[0]["candidates"])
+            for case_id, steps in plan.items():
+                if router.ring.shard_for(case_id) == shard_id:
+                    assert wal["steps_by_instance"].get(case_id, 0) == steps
+        assert sorted(candidates) == sorted(ids)
 
     def test_version_skew_aborts_everywhere(self, fleet):
         _supervisor, router = fleet

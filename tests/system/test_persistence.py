@@ -249,6 +249,39 @@ class TestCheckpointAndRecovery:
         with pytest.raises(RecoveryError):
             open_system(store_path)
 
+    def test_pin_retired_version_survives_checkpoint(self, store_path):
+        """A "pin" canary rollback retires its version; the snapshot carries
+        that, since the checkpoint truncates the record that said so."""
+        system = open_system(store_path)
+        orders = system.deploy(templates.online_order_process())
+        fresh = [orders.start() for _ in range(15)]
+        advanced = [orders.start() for _ in range(15)]
+        for case in advanced:
+            system.step_many([case.instance_id], steps=3)
+        orders.evolve(
+            order_type_change_v2(),
+            rollout="canary",
+            fraction=1.0,
+            conflict_threshold=0.3,
+            min_observations=20,
+            canary_policy="pin",
+        )
+        for pair in zip(fresh, advanced):
+            for case in pair:
+                system.step_many([case.instance_id], steps=1)
+            if system.rollout_of("online_order") is None:
+                break
+        assert system.rollout_status("online_order")["state"] == "rolled_back"
+        assert orders.versions == [1, 2]
+        assert orders.start().version == 1
+        system.checkpoint()
+        system.close(checkpoint=False)
+
+        reopened = open_system(store_path)
+        assert reopened.last_recovery.snapshot_loaded
+        assert reopened.last_recovery.replayed_records == 0
+        assert reopened.start("online_order").version == 1
+
     def test_recovery_publishes_bus_event(self, store_path):
         system = open_system(store_path)
         system.deploy(templates.sequential_process())
