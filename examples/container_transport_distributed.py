@@ -30,6 +30,8 @@ from repro.schema import templates
 
 def main() -> None:
     system = AdeptSystem()
+    # the closing event count includes the per-step engine events
+    system.bus.subscribe(system.feed, categories=["engine"])
     transport = system.deploy(templates.container_transport_process())
     schema = transport.schema()
     partitioning = SchemaPartitioning.by_role(

@@ -52,6 +52,9 @@ def main() -> None:
 
     # 2. one system, one deployed type, one running case — all by handle
     system = AdeptSystem()
+    # the feed shows changes and lifecycle events; step 4 also shows the
+    # per-step engine events, which are built only for a subscriber
+    system.bus.subscribe(system.feed, categories=["engine"])
     orders = system.deploy(schema)
     case = orders.start(case_id="order-0001")
     print("=== execution ===")

@@ -41,6 +41,7 @@ from repro.schema import templates
 from repro.schema.graph import ProcessSchema
 from repro.schema.serialization import load_schema
 from repro.system import AdeptSystem
+from repro.system.events import CATEGORY_ENGINE
 from repro.verification.verifier import SchemaVerifier
 from repro.workloads.order_process import (
     order_type_change_v2,
@@ -71,6 +72,15 @@ def _make_system(args: argparse.Namespace) -> AdeptSystem:
     if store:
         return AdeptSystem.open(store)
     return AdeptSystem()
+
+
+def _with_engine_feed(system: AdeptSystem) -> AdeptSystem:
+    """``system`` with its feed also showing the per-step ``engine`` events.
+
+    The default feed leaves them out; the ``run`` reports count them.
+    """
+    system.bus.subscribe(system.feed, categories=[CATEGORY_ENGINE])
+    return system
 
 
 def _deploy_or_reuse(system: AdeptSystem, schema: ProcessSchema):
@@ -292,7 +302,7 @@ def _cmd_demo_fig3(args: argparse.Namespace) -> int:
 def _run_lifecycle(args: argparse.Namespace) -> Dict[str, Any]:
     """Deploy a template, execute N cases, report stats and event counts."""
     schema = _resolve_schema(args.schema)
-    system = _make_system(args)
+    system = _with_engine_feed(_make_system(args))
     process_type = _deploy_or_reuse(system, schema)
     completed = 0
     pool_stats: Optional[Dict[str, Any]] = None
@@ -330,7 +340,7 @@ def _run_lifecycle(args: argparse.Namespace) -> Dict[str, Any]:
 
 
 def _run_fig1(args: argparse.Namespace) -> Dict[str, Any]:
-    scenario = paper_fig1_system()
+    scenario = paper_fig1_system(_with_engine_feed(AdeptSystem()))
     report = scenario.migrate()
     return {
         "scenario": "fig1",
@@ -341,7 +351,7 @@ def _run_fig1(args: argparse.Namespace) -> Dict[str, Any]:
 
 def _run_fig3(args: argparse.Namespace) -> Dict[str, Any]:
     system, orders, cases = paper_fig3_system(
-        instance_count=args.instances, seed=args.seed
+        instance_count=args.instances, seed=args.seed, system=_with_engine_feed(AdeptSystem())
     )
     report = orders.evolve(order_type_change_v2())
     return {

@@ -3,9 +3,10 @@
 The paper's monitoring component visualises the effects of ad-hoc
 changes and type changes.  The :class:`EventFeed` is its live-feed
 counterpart: subscribed to the :class:`repro.system.EventBus`, it
-retains every published :class:`repro.system.SystemEvent` in delivery
-order and renders them as text — the library equivalent of the activity
-stream in the prototype's GUI.
+retains every :class:`repro.system.SystemEvent` of its categories in
+delivery order and renders them as text — the library equivalent of the
+activity stream in the prototype's GUI.  The façade's default feed
+subscribes to every category but the per-step ``engine`` one.
 
 The feed deliberately avoids importing :mod:`repro.system` (monitoring
 must stay importable on its own); it only relies on the event's

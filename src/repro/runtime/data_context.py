@@ -25,17 +25,45 @@ class DataWrite:
     iteration: int = 0
 
 
+def _write_of_row(row: Mapping[str, Any]) -> DataWrite:
+    return DataWrite(
+        element=row["element"],
+        value=row.get("value"),
+        writer=row.get("writer", ""),
+        iteration=row.get("iteration", 0),
+    )
+
+
 class DataContext:
-    """Current values plus write history of an instance's data elements."""
+    """Current values plus write history of an instance's data elements.
+
+    A context loaded from a store keeps the stored ``writes`` rows *by
+    reference* (as :class:`~repro.runtime.history.ExecutionHistory` keeps
+    its rows) and builds :class:`DataWrite` objects only when something
+    reads the write history; stepping only appends.  The rows are never
+    mutated, so the record they came from stays intact, and
+    :meth:`to_dict` hands them back as they were read.
+    """
 
     def __init__(self, schema: Optional[ProcessSchema] = None) -> None:
         self._values: Dict[str, Any] = {}
-        self._writes: List[DataWrite] = []
+        #: the stored prefix, shared with the record it was loaded from
+        self._rows: List[Mapping[str, Any]] = []
+        #: the writes built from ``_rows``, once something read them
+        self._built: Optional[List[DataWrite]] = None
+        #: writes recorded since (everything, for a never-stored context)
+        self._tail: List[DataWrite] = []
         if schema is not None:
             for element in schema.data_elements.values():
                 initial = element.initial_value()
                 if initial is not None:
                     self._values[element.name] = initial
+
+    def _all(self) -> List[DataWrite]:
+        built = self._built
+        if built is None:
+            built = self._built = [_write_of_row(row) for row in self._rows]
+        return built + self._tail
 
     # ------------------------------------------------------------------ #
 
@@ -47,7 +75,7 @@ class DataContext:
     @property
     def writes(self) -> List[DataWrite]:
         """Chronological list of all recorded writes."""
-        return list(self._writes)
+        return self._all()
 
     def get(self, element: str, default: Any = None) -> Any:
         return self._values.get(element, default)
@@ -59,7 +87,7 @@ class DataContext:
     def write(self, element: str, value: Any, writer: str, iteration: int = 0) -> None:
         """Record a write of ``element`` by activity ``writer``."""
         self._values[element] = value
-        self._writes.append(DataWrite(element=element, value=value, writer=writer, iteration=iteration))
+        self._tail.append(DataWrite(element=element, value=value, writer=writer, iteration=iteration))
 
     def supply(self, element: str, value: Any) -> None:
         """Set a value without an owning activity (missing-data supply).
@@ -72,11 +100,11 @@ class DataContext:
 
     def writers_of(self, element: str) -> List[str]:
         """All activities that wrote ``element`` so far."""
-        return [w.writer for w in self._writes if w.element == element]
+        return [w.writer for w in self._all() if w.element == element]
 
     def last_write(self, element: str) -> Optional[DataWrite]:
         """The most recent write of ``element``, if any."""
-        for write in reversed(self._writes):
+        for write in reversed(self._all()):
             if write.element == element:
                 return write
         return None
@@ -84,7 +112,9 @@ class DataContext:
     def copy(self) -> "DataContext":
         clone = DataContext()
         clone._values = dict(self._values)
-        clone._writes = list(self._writes)
+        clone._rows = self._rows
+        clone._built = self._built
+        clone._tail = list(self._tail)
         return clone
 
     # ------------------------------------------------------------------ #
@@ -92,14 +122,15 @@ class DataContext:
     def to_dict(self) -> dict:
         return {
             "values": dict(self._values),
-            "writes": [
+            "writes": self._rows
+            + [
                 {
                     "element": w.element,
                     "value": w.value,
                     "writer": w.writer,
                     "iteration": w.iteration,
                 }
-                for w in self._writes
+                for w in self._tail
             ],
         }
 
@@ -107,16 +138,9 @@ class DataContext:
     def from_dict(cls, payload: Mapping[str, Any]) -> "DataContext":
         context = cls()
         context._values = dict(payload.get("values", {}))
-        context._writes = [
-            DataWrite(
-                element=item["element"],
-                value=item.get("value"),
-                writer=item.get("writer", ""),
-                iteration=item.get("iteration", 0),
-            )
-            for item in payload.get("writes", [])
-        ]
+        context._rows = payload.get("writes", context._rows)
         return context
 
     def __repr__(self) -> str:
-        return f"DataContext(values={len(self._values)}, writes={len(self._writes)})"
+        writes = len(self._rows) + len(self._tail)
+        return f"DataContext(values={len(self._values)}, writes={writes})"

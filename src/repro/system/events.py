@@ -1,8 +1,9 @@
 """The pluggable event bus of the :class:`~repro.system.AdeptSystem` façade.
 
 Every observable state change of the system — engine steps, ad-hoc
-change sets, schema deployments and migration runs — is published as a
-:class:`SystemEvent` on one :class:`EventBus`.  Subscribers receive the
+change sets, schema deployments and migration runs — is published on
+one :class:`EventBus`, which turns it into a :class:`SystemEvent` only
+when some subscriber wants its category.  Subscribers receive the
 events in publication order (each event carries a monotonically
 increasing sequence number); they can subscribe to everything or to a
 set of categories only.
@@ -106,8 +107,22 @@ class _Subscription(NamedTuple):
     categories: Optional[FrozenSet[str]]
 
 
+def _wanted_by(subscriptions: Tuple[_Subscription, ...]) -> FrozenSet[str]:
+    """The categories at least one subscription receives."""
+    wanted: set = set()
+    for _, _, categories in subscriptions:
+        wanted.update(ALL_CATEGORIES if categories is None else categories)
+    return frozenset(wanted)
+
+
 class EventBus:
     """In-process publish/subscribe hub for :class:`SystemEvent` objects.
+
+    Events exist on demand: the bus builds one only for a category some
+    subscriber wants (:attr:`wanted`).  Publishing any other category
+    returns ``None`` at once — no sequence number, no :class:`SystemEvent`,
+    no history entry — so the per-step ``engine`` stream costs nothing
+    while nobody listens to it.
 
     Publishing is thread-safe: sequence allocation, history retention and
     subscriber dispatch happen under one reentrant lock, so every
@@ -128,6 +143,9 @@ class EventBus:
         # publish iterates the one it found, so a handler that subscribes
         # or unsubscribes mid-delivery never disturbs the event in flight
         self._subscriptions: Tuple[_Subscription, ...] = ()
+        #: The union of the subscriptions' categories (one without a filter
+        #: counts as all of them); republished with ``_subscriptions``.
+        self.wanted: FrozenSet[str] = frozenset()
         self._seq = 0
         self._token = 0
         # bounded deque: appending beyond the cap drops the oldest event
@@ -156,6 +174,7 @@ class EventBus:
             self._token += 1
             wanted = frozenset(categories) if categories is not None else None
             self._subscriptions += (_Subscription(self._token, handler, wanted),)
+            self.wanted = _wanted_by(self._subscriptions)
             return self._token
 
     def unsubscribe(self, token: int) -> bool:
@@ -163,6 +182,7 @@ class EventBus:
         with self._lock:
             before = len(self._subscriptions)
             self._subscriptions = tuple(s for s in self._subscriptions if s.token != token)
+            self.wanted = _wanted_by(self._subscriptions)
             return len(self._subscriptions) < before
 
     @property
@@ -180,8 +200,38 @@ class EventBus:
         instance_id: Optional[str] = None,
         type_id: Optional[str] = None,
         **payload: Any,
+    ) -> Optional[SystemEvent]:
+        """Create a :class:`SystemEvent` and deliver it to all subscribers.
+
+        Returns ``None`` without building anything when no subscriber
+        wants ``category``.
+        """
+        if category not in self.wanted:
+            return None
+        return self._deliver(category, name, instance_id, type_id, payload)
+
+    def publish_engine_event(self, event: EngineEvent) -> Optional[SystemEvent]:
+        """Bridge one :class:`repro.runtime.EngineEvent` onto the bus."""
+        category = _ENGINE_EVENT_CATEGORIES.get(event.event_type, CATEGORY_ENGINE)
+        if category not in self.wanted:
+            return None
+        payload: Dict[str, Any] = {}
+        if event.node_id:
+            payload["node"] = event.node_id
+        if event.user:
+            payload["user"] = event.user
+        if event.details:
+            payload["details"] = event.details
+        return self._deliver(category, event.event_type.value, event.instance_id, None, payload)
+
+    def _deliver(
+        self,
+        category: str,
+        name: str,
+        instance_id: Optional[str],
+        type_id: Optional[str],
+        payload: Mapping[str, Any],
     ) -> SystemEvent:
-        """Create a :class:`SystemEvent` and deliver it to all subscribers."""
         with self._lock:
             self._seq += 1
             event = SystemEvent(self._seq, category, name, instance_id, type_id, payload)
@@ -195,30 +245,13 @@ class EventBus:
                     self.delivery_errors.append((handler, event, exc))
             return event
 
-    def publish_engine_event(self, event: EngineEvent) -> SystemEvent:
-        """Bridge one :class:`repro.runtime.EngineEvent` onto the bus."""
-        category = _ENGINE_EVENT_CATEGORIES.get(event.event_type, CATEGORY_ENGINE)
-        payload: Dict[str, Any] = {}
-        if event.node_id:
-            payload["node"] = event.node_id
-        if event.user:
-            payload["user"] = event.user
-        if event.details:
-            payload["details"] = event.details
-        return self.publish(
-            category,
-            event.event_type.value,
-            instance_id=event.instance_id,
-            **payload,
-        )
-
     # ------------------------------------------------------------------ #
     # inspection
     # ------------------------------------------------------------------ #
 
     @property
     def events(self) -> List[SystemEvent]:
-        """The retained event history (bounded by ``max_history``)."""
+        """The retained history of wanted events (bounded by ``max_history``)."""
         with self._lock:
             return list(self._history)
 

@@ -113,6 +113,7 @@ from repro.system.rollout import (
 )
 from repro.system.changes import ChangeSet
 from repro.system.events import (
+    CATEGORY_CHANGE,
     CATEGORY_MIGRATION,
     CATEGORY_SCHEMA,
     CATEGORY_SYSTEM,
@@ -142,6 +143,10 @@ _CONFLICT_OUTCOMES = (
 
 ChangeLike = Union[TypeChange, ChangeSet, ChangeLog, Sequence[ChangeOperation]]
 
+#: What the default monitoring feed shows: the effects of changes and of
+#: the system's own lifecycle, not the per-step ``engine`` stream.
+FEED_CATEGORIES = (CATEGORY_CHANGE, CATEGORY_MIGRATION, CATEGORY_SCHEMA, CATEGORY_SYSTEM)
+
 
 def _json_serialisable(outputs: Mapping[str, Any]) -> None:
     """Fail-fast check installed as the engine's step-outputs validator."""
@@ -157,7 +162,8 @@ class AdeptSystem:
         org_model: Optional organisational model for worklist resolution.
         bus: A pluggable :class:`EventBus`; a fresh one is created when
             omitted.  All engine, change, schema and migration events are
-            published on it.
+            published on it; it builds those of the categories its
+            subscribers want.
         compliance_method: Compliance checking method handed to the
             ad-hoc changer and the migration manager (``"conditions"`` or
             ``"replay"``).
@@ -168,8 +174,9 @@ class AdeptSystem:
             :class:`RepresentationStrategy` or its name, e.g.
             ``"hybrid_substitution"``).
         monitor: When True (default), a :class:`repro.monitoring.EventFeed`
-            is attached as the first bus subscriber and exposed as
-            :attr:`feed`.
+            is attached as the first bus subscriber, to
+            :data:`FEED_CATEGORIES` (everything but ``engine``), and
+            exposed as :attr:`feed`.
         cache_instances: Optional cap on the number of *live* (in-memory)
             instances.  With a cap, cases hydrate from the instance store
             on access and the least-recently-used clean cases are evicted
@@ -193,7 +200,7 @@ class AdeptSystem:
         if monitor:
             # the monitoring package is the first subscriber on the bus
             self.feed = EventFeed()
-            self.bus.subscribe(self.feed)
+            self.bus.subscribe(self.feed, categories=FEED_CATEGORIES)
         self.event_log = EventLog()
         self.event_log.subscribe(self.bus.publish_engine_event)
 
@@ -2055,8 +2062,9 @@ class AdeptSystem:
     def delete_instance(self, instance_id: str) -> bool:
         """Remove a case from the live set and the instance store.
 
-        Returns True when the case existed anywhere.  The deletion is
-        journaled, so it survives recovery.  Holding the type's read lock
+        Returns True when the case existed anywhere.  Only then is the
+        deletion journaled (so it survives recovery) and published: an
+        unknown id leaves no trace.  Holding the type's read lock
         and the case's stripe serialises the deletion against steps of
         the case and against an evolve of its type — a migration never
         sees a half-deleted candidate.
@@ -2067,13 +2075,15 @@ class AdeptSystem:
                 with self._registry:
                     existed_live = self._instances.pop(instance_id, None) is not None
                     self._dirty.discard(instance_id)
-                existed_stored = self.store.delete(instance_id)
-                self._journal(KIND_INSTANCE_DELETED, instance_id=instance_id)
+                existed = self.store.delete(instance_id) or existed_live
+                if existed:
+                    self._journal(KIND_INSTANCE_DELETED, instance_id=instance_id)
                 # inside the stripe: a racing start() of the same id must
                 # not lose its fresh offers to this withdrawal
                 self.worklists.discard_instance(instance_id)
-        self.bus.publish(CATEGORY_SYSTEM, "instance_deleted", instance_id=instance_id)
-        return existed_live or existed_stored
+        if existed:
+            self.bus.publish(CATEGORY_SYSTEM, "instance_deleted", instance_id=instance_id)
+        return existed
 
     def stored_instance_ids(self) -> List[str]:
         return self.store.instance_ids()

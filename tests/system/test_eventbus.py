@@ -3,9 +3,14 @@
 import pytest
 
 from repro import AdeptSystem, EventBus, EventFeed
-from repro.runtime.events import MAX_RETAINED_EVENTS
+from repro.runtime.events import MAX_RETAINED_EVENTS, EventType
 from repro.schema import templates
+from repro.system.events import ALL_CATEGORIES
 from repro.workloads.order_process import order_type_change_v2
+
+
+def ignore(event):
+    pass
 
 
 class TestOrderedDelivery:
@@ -149,11 +154,97 @@ class TestSubscriptionApi:
 
     def test_history_is_bounded(self):
         bus = EventBus(max_history=5)
+        bus.subscribe(ignore)  # the history holds wanted events only
         for index in range(12):
             bus.publish("system", f"e{index}")
         assert len(bus) == 5
         assert [event.name for event in bus.events] == ["e7", "e8", "e9", "e10", "e11"]
         assert bus.events_of(name="e11")
+
+
+class TestOnDemand:
+    """The bus builds an event only for a category some subscriber wants."""
+
+    def test_wanted_is_the_union_of_the_subscriptions(self):
+        bus = EventBus()
+        assert bus.wanted == frozenset()
+        migrations = bus.subscribe(ignore, categories=["migration"])
+        assert bus.wanted == {"migration"}
+        everything = bus.subscribe(ignore)
+        assert bus.wanted == set(ALL_CATEGORIES)
+        bus.unsubscribe(everything)
+        assert bus.wanted == {"migration"}
+        assert bus.publish("system", "unwanted") is None
+        assert bus.publish("migration", "wanted").seq == 1
+        bus.unsubscribe(migrations)
+        assert bus.wanted == frozenset()
+        assert bus.publish("migration", "wanted") is None
+        assert [event.name for event in bus.events] == ["wanted"]
+
+    def test_default_feed_leaves_steps_off_the_bus_and_in_the_event_log(self):
+        system = AdeptSystem()
+        sequence = system.deploy(templates.sequential_process(length=5))
+        ids = [sequence.start().instance_id for _ in range(20)]
+        before = len(system.bus)
+        steps = sum(result.steps for result in system.step_many(ids, steps=5))
+        assert steps == 100
+        assert system.bus.events_of(category="engine") == []
+        assert len(system.bus) == before
+        completed = system.event_log.events_of(EventType.ACTIVITY_COMPLETED)
+        assert len(completed) == steps
+        assert len(system.event_log.events_of(EventType.INSTANCE_COMPLETED)) == len(ids)
+        assert "engine" not in system.feed.category_counts()
+
+    def test_engine_subscriber_added_mid_run_hears_the_steps_from_then_on(self):
+        system = AdeptSystem()
+        orders = system.deploy(templates.online_order_process())
+        early = orders.start(case_id="early")
+        early.complete("get_order")
+        heard = []
+        token = system.bus.subscribe(heard.append, categories=["engine", "migration"])
+        early.complete("collect_data")
+        orders.evolve(order_type_change_v2())
+        late = orders.start(case_id="late")
+        assert system.bus.unsubscribe(token)
+        late.complete("get_order")
+        early.complete("compose_order")
+
+        # the steps from the subscription on, interleaved with the migration
+        # in causal order, and nothing after the unsubscription
+        assert [(event.name, event.instance_id, event.payload.get("node")) for event in heard] == [
+            ("activity_started", "early", "collect_data"),
+            ("activity_completed", "early", "collect_data"),
+            ("activity_activated", "early", "confirm_order"),
+            ("activity_activated", "early", "compose_order"),
+            ("instance_migrated", "early", None),
+            ("migration_completed", None, None),
+            ("instance_created", "late", None),
+            ("activity_activated", "late", "get_order"),
+        ]
+        seqs = [event.seq for event in heard]
+        assert seqs == sorted(seqs) and len(set(seqs)) == len(seqs)
+        assert system.bus.events_of(category="engine") == [
+            event for event in heard if event.category == "engine"
+        ]
+
+    def test_without_a_feed_a_step_builds_no_event(self, monkeypatch):
+        import repro.system.events as events_module
+
+        system = AdeptSystem(monitor=False)
+        sequence = system.deploy(templates.sequential_process(length=4))
+        case = sequence.start()
+
+        def forbidden(*args):
+            raise AssertionError("built a SystemEvent nobody wants")
+
+        monkeypatch.setattr(events_module, "SystemEvent", forbidden)
+        assert case.run().ok
+        assert len(system.event_log.events_of(EventType.ACTIVITY_COMPLETED)) == 4
+        monkeypatch.undo()
+        assert system.bus.events == []
+        # no sequence number was taken: the first wanted event is number one
+        system.bus.subscribe(ignore, categories=["system"])
+        assert system.bus.publish("system", "first").seq == 1
 
 
 class TestRetention:
@@ -162,6 +253,8 @@ class TestRetention:
         and the monitoring feed each hold their newest events and nothing
         else, while sequence numbers keep counting and order is kept."""
         system = AdeptSystem.open(tmp_path / "db")
+        # the feed also asks for the per-step engine events, so the bus builds them
+        system.bus.subscribe(system.feed, categories=["engine"])
         sequence = system.deploy(templates.sequential_process(length=6))
         steps = 0
         while steps < 30000:

@@ -72,6 +72,8 @@ class TestRollbackPolicy:
         from repro.runtime.history import HistoryEventType
 
         system = AdeptSystem(rollback_on_state_conflict=True)
+        # compensations are engine events: built only for a subscriber
+        system.bus.subscribe(lambda event: None, categories=["engine"])
         orders = system.deploy(templates.online_order_process())
         blocked = orders.start(case_id="blocked")
         for activity in ORDER_EXECUTION_SEQUENCE[:5]:  # pack_goods done -> state conflict

@@ -230,6 +230,18 @@ class TestCheckpointAndRecovery:
         assert drop not in recovered.live_instance_ids()
         assert drop not in recovered.stored_instance_ids()
 
+    def test_deleting_an_unknown_id_journals_and_publishes_nothing(self, store_path):
+        system = open_system(store_path)
+        system.deploy(templates.sequential_process()).start(case_id="known")
+        records = system.backend.wal_records()
+        assert system.delete_instance("nope") is False
+        assert system.backend.wal_records() == records
+        assert system.feed.storage_summary()["instance_deleted"] == 0
+        assert system.delete_instance("known") is True
+        assert system.backend.wal_records()[-1]["kind"] == KIND_INSTANCE_DELETED
+        assert system.feed.storage_summary()["instance_deleted"] == 1
+        system.close(checkpoint=False)
+
     def test_version_reconciliation_rejects_tampered_journal(self, store_path):
         system = open_system(store_path)
         orders = system.deploy(templates.online_order_process())
