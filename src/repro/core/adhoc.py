@@ -7,8 +7,10 @@ enforces exactly that:
 
 1. the operations' schema preconditions must hold on the instance's
    current execution schema,
-2. the resulting instance-specific schema must pass buildtime
-   verification (no deadlock-causing cycles, no broken data flow),
+2. the resulting instance-specific schema must stay correct — no
+   deadlock-causing cycle, no broken data flow.  The operations guarantee
+   that by construction: ``ChangeLog.apply_to(check=True)`` judges what
+   the change touched once on its result, so no full re-check runs here,
 3. the instance's state must be compliant with the change (per-operation
    conditions), and
 4. the marking is adapted so the instance keeps running seamlessly.
@@ -26,14 +28,13 @@ from typing import List, Optional, Sequence, Union
 from repro.core.changelog import ChangeLog
 from repro.errors import ReproError
 from repro.core.compliance import ComplianceChecker
-from repro.core.conflicts import Conflict, structural_conflict
+from repro.core.conflicts import Conflict, structural_conflicts
 from repro.core.operations import ChangeOperation, OperationError
 from repro.core.state_adaptation import StateAdapter
 from repro.runtime.engine import ProcessEngine
 from repro.runtime.events import EngineEvent, EventLog, EventType
 from repro.runtime.instance import ProcessInstance
 from repro.schema.graph import ProcessSchema, SchemaError
-from repro.verification.verifier import SchemaVerifier
 
 
 class AdHocChangeError(ReproError):
@@ -73,7 +74,6 @@ class AdHocChanger:
         self.compliance_method = compliance_method
         self.checker = ComplianceChecker(engine=ProcessEngine())
         self.adapter = StateAdapter(engine=ProcessEngine())
-        self.verifier = SchemaVerifier()
         #: optional :class:`repro.org.authorization.ChangeAuthorization` policy
         self.authorization = authorization
 
@@ -108,24 +108,16 @@ class AdHocChanger:
         if not change_log:
             raise AdHocChangeError("the ad-hoc change contains no operations")
 
-        # 1 + 2: schema preconditions and buildtime verification of the result
+        # 1 + 2: schema preconditions; the result is correct by construction
         try:
             new_execution_schema = change_log.apply_to(instance.execution_schema, check=True)
         except (OperationError, SchemaError) as exc:
-            conflict = structural_conflict(f"the change cannot be applied to the instance schema: {exc}")
-            self._emit_rejected(instance, str(exc))
-            raise AdHocChangeError(str(exc), conflicts=[conflict]) from exc
-        new_execution_schema.schema_id = f"{instance.original_schema.schema_id}+{instance.instance_id}"
-        report = self.verifier.verify(new_execution_schema)
-        if not report.is_correct:
-            conflicts = [
-                structural_conflict(str(issue), nodes=tuple(issue.nodes)) for issue in report.errors
-            ]
-            self._emit_rejected(instance, "verification failed")
-            raise AdHocChangeError(
-                "the changed instance schema fails verification:\n" + report.summary(),
-                conflicts=conflicts,
+            conflicts = structural_conflicts(
+                exc, "the change cannot be applied to the instance schema"
             )
+            self._emit_rejected(instance, str(exc))
+            raise AdHocChangeError(str(exc), conflicts=conflicts) from exc
+        new_execution_schema.schema_id = f"{instance.original_schema.schema_id}+{instance.instance_id}"
 
         # 3: state compliance of the running instance with the change
         compliance = self.checker.check(

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set
 
+from repro.core.footprint import ChangeFootprint
 from repro.core.operations import ChangeOperation, OperationError, operation_from_dict
 from repro.schema.graph import ProcessSchema
 
@@ -102,16 +103,37 @@ class ChangeLog:
     def apply_to(self, schema: ProcessSchema, check: bool = True) -> ProcessSchema:
         """Apply all operations to a *copy* of ``schema`` and return it.
 
-        With ``check=True`` each operation's preconditions are enforced;
-        a violated precondition raises :class:`OperationError` and leaves
-        the input schema untouched (the copy is discarded).
+        With ``check=True`` the result is correct by construction: each
+        operation's preconditions are enforced on the schema it applies
+        to, and what the operations marked in their footprint is judged
+        once on the result (:class:`~repro.core.footprint.ChangeFootprint`).
+        A violation raises :class:`OperationError` — carrying the
+        verification ``issues`` when the result would be incorrect — and
+        leaves the input schema untouched (the copy is discarded).  The
+        first operation is checked against ``schema`` itself, whose index
+        is usually compiled already, before the copy is taken.
         """
-        changed = schema.copy()
-        for operation in self._operations:
-            if check:
-                operation.apply_checked(changed)
-            else:
+        operations = self._operations
+        if not check:
+            changed = schema.copy()
+            for operation in operations:
                 operation.apply(changed)
+            return changed
+        footprint = ChangeFootprint()
+        if operations:
+            operations[0].require(schema, footprint)
+        changed = schema.copy()
+        for position, operation in enumerate(operations):
+            if position:
+                operation.require(changed, footprint)
+            operation.apply(changed)
+        issues = footprint.issues_in(changed)
+        if issues:
+            raise OperationError(
+                "the change would make the schema incorrect: "
+                + "; ".join(str(issue) for issue in issues),
+                issues=issues,
+            )
         return changed
 
     # ------------------------------------------------------------------ #

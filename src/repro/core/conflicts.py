@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
 
 class ConflictKind(str, Enum):
@@ -71,6 +71,27 @@ def state_conflict(message: str, nodes: Tuple[str, ...] = (), operation: Optiona
 def structural_conflict(message: str, nodes: Tuple[str, ...] = (), operation: Optional[str] = None) -> Conflict:
     """Shorthand for a structural conflict."""
     return Conflict(kind=ConflictKind.STRUCTURAL, message=message, nodes=nodes, operation=operation)
+
+
+def structural_conflicts(exc: Exception, context: str) -> List[Conflict]:
+    """The structural conflicts of a change log refused with ``exc``.
+
+    One per verification issue when the refused result would have been
+    incorrect (an ``OperationError`` carrying ``issues``), otherwise one
+    naming the failed precondition.
+    """
+    issues = getattr(exc, "issues", ())
+    if issues:
+        return [
+            Conflict(
+                kind=ConflictKind.STRUCTURAL,
+                message=str(issue),
+                nodes=tuple(issue.nodes),
+                element=issue.element,
+            )
+            for issue in issues
+        ]
+    return [structural_conflict(f"{context}: {exc}")]
 
 
 def semantic_conflict(message: str, nodes: Tuple[str, ...] = (), operation: Optional[str] = None) -> Conflict:

@@ -16,7 +16,7 @@ from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence
 from repro.core.changelog import ChangeLog
 from repro.errors import ReproError
 from repro.core.operations import ChangeOperation, OperationError
-from repro.schema.graph import ProcessSchema
+from repro.schema.graph import ProcessSchema, SchemaError
 from repro.verification.verifier import SchemaVerifier
 
 
@@ -136,7 +136,7 @@ class ProcessType:
             )
         try:
             new_schema = type_change.operations.apply_to(base, check=True)
-        except OperationError as exc:
+        except (OperationError, SchemaError) as exc:
             raise EvolutionError(f"type change cannot be applied: {exc}") from exc
         new_schema.version = base.version + 1
         new_schema.schema_id = f"{self.name}_v{new_schema.version}"

@@ -15,7 +15,10 @@ on-the-fly:
   instance-specific schema would produce an incorrect schema (e.g. a
   deadlock-causing cycle, instance I2 in Fig. 1) they stay on the old
   version with a structural conflict; otherwise bias and type change are
-  combined and the instance migrates while keeping its bias.
+  combined and the instance migrates while keeping its bias.  The
+  structural check is the change operations' own: ``apply_to(check=True)``
+  refuses exactly the logs whose result would be incorrect, so no full
+  re-check of the combined schema runs per case.
 
 The outcome of a migration run is a :class:`MigrationReport` that mirrors
 the report of the paper's monitoring component.
@@ -35,7 +38,7 @@ from repro.core.conflicts import (
     ConflictKind,
     semantic_conflict,
     state_conflict,
-    structural_conflict,
+    structural_conflicts,
 )
 from repro.core.evolution import ProcessType, TypeChange
 from repro.core.migration_plan import ClassVerdict, FingerprintCache, MigrationPlan
@@ -46,7 +49,6 @@ from repro.runtime.events import EngineEvent, EventLog, EventType
 from repro.runtime.instance import ProcessInstance
 from repro.runtime.states import ACTIVE_STATUS_VALUES
 from repro.schema.graph import ProcessSchema, SchemaError
-from repro.verification.verifier import SchemaVerifier
 
 
 class MigrationOutcome(str, Enum):
@@ -235,7 +237,6 @@ class MigrationManager:
         self.event_log = event_log if event_log is not None else self.engine.event_log
         self.checker = ComplianceChecker(engine=ProcessEngine())
         self.adapter = StateAdapter(engine=ProcessEngine())
-        self.verifier = SchemaVerifier()
         #: optional policy: compensate the blocking activities of state-conflicting
         #: unbiased instances and migrate them anyway (see repro.core.rollback)
         self.rollback_on_state_conflict = rollback_on_state_conflict
@@ -535,22 +536,19 @@ class MigrationManager:
                 nodes=tuple(sorted(overlap)),
             )
             return refused(MigrationOutcome.SEMANTIC_CONFLICT, [conflict])
-        # 2. structural conflicts: ΔT applied to (S + ΔI) must yield a correct schema
+        # 2. structural conflicts: ΔT applied to (S + ΔI) must yield a correct
+        #    schema — which the checked application guarantees by construction
         try:
             combined_schema = type_change.operations.apply_to(instance.execution_schema, check=True)
         except (OperationError, SchemaError) as exc:
-            conflict = structural_conflict(
-                f"the type change cannot be applied to the instance-specific schema: {exc}",
+            return refused(
+                MigrationOutcome.STRUCTURAL_CONFLICT,
+                structural_conflicts(
+                    exc, "the type change cannot be applied to the instance-specific schema"
+                ),
             )
-            return refused(MigrationOutcome.STRUCTURAL_CONFLICT, [conflict])
         combined_schema.schema_id = f"{new_schema.schema_id}+{instance.instance_id}"
         combined_schema.version = new_schema.version
-        report = self.verifier.verify(combined_schema)
-        if not report.is_correct:
-            conflicts = [
-                structural_conflict(str(issue), nodes=tuple(issue.nodes)) for issue in report.errors
-            ]
-            return refused(MigrationOutcome.STRUCTURAL_CONFLICT, conflicts)
         # 3. state-related conflicts on the combined schema
         compliance = self.checker.check(
             instance,

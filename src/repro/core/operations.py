@@ -6,6 +6,8 @@ for these operations".  Every operation in this module knows how to
 
 * check its **schema preconditions** (does the change make sense on this
   schema at all?),
+* mark its **footprint** — what it may break that only the whole change
+  log can judge (see :mod:`repro.core.footprint`),
 * **apply** itself to a schema (always a copy owned by the caller),
 * report its **compliance conflicts** for a concrete instance — the
   precise, easy-to-implement conditions over the instance marking and
@@ -14,9 +16,11 @@ for these operations".  Every operation in this module knows how to
   detection between concurrent type and instance changes), and
 * serialise itself to a plain dictionary (change logs are persisted).
 
-Applying an operation never bypasses verification: the ad-hoc changer and
-the schema evolution manager re-verify the resulting schema, so the
-buildtime guarantees survive every dynamic change.
+Together, preconditions and footprint make a change correct by
+construction: a change log that ``ChangeLog.apply_to(check=True)``
+accepts yields a schema the buildtime verifier would accept, so the
+ad-hoc and migration paths run no verifier after a change
+(``tests/properties/test_property_correct_by_construction.py``).
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from dataclasses import dataclass, field, replace
 from typing import Any, ClassVar, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.core.conflicts import Conflict, data_conflict, state_conflict, structural_conflict
+from repro.core.footprint import ChangeFootprint, decision_nodes_reading
 from repro.core.primitives import (
     insert_conditional_block,
     insert_node_between,
@@ -39,10 +44,21 @@ from repro.schema.data import DataAccess, DataEdge, DataElement
 from repro.schema.edges import Edge, EdgeType
 from repro.schema.graph import ProcessSchema, SchemaError
 from repro.schema.nodes import Node, NodeType
+from repro.verification.dataflow import expression_identifiers
+from repro.verification.report import IssueCode, VerificationIssue, error
 
 
 class OperationError(ReproError):
-    """Raised when an operation is applied although its preconditions fail."""
+    """Raised when an operation is applied although its preconditions fail.
+
+    ``issues`` holds the verification issues of a change refused because
+    its result would be incorrect; it is empty for an operation's own
+    preconditions.
+    """
+
+    def __init__(self, message: str, issues: Sequence[VerificationIssue] = ()) -> None:
+        super().__init__(message)
+        self.issues: Tuple[VerificationIssue, ...] = tuple(issues)
 
 
 # --------------------------------------------------------------------------- #
@@ -86,13 +102,32 @@ class ChangeOperation(ABC):
         preconditions do not hold.
         """
 
-    def apply_checked(self, schema: ProcessSchema) -> None:
-        """Check preconditions, then apply."""
+    def mark_footprint(self, schema: ProcessSchema, footprint: ChangeFootprint) -> None:
+        """Record in ``footprint`` what applying to ``schema`` may break.
+
+        Called on the schema the operation applies to, after its
+        preconditions hold and before it applies.  The default marks
+        nothing: the operation cannot invalidate the data flow or add a
+        sync edge.
+        """
+
+    def require(self, schema: ProcessSchema, footprint: Optional[ChangeFootprint] = None) -> None:
+        """Raise :class:`OperationError` unless the preconditions hold, then mark ``footprint``."""
         problems = self.check_preconditions(schema)
         if problems:
             raise OperationError(
                 f"{self.describe()}: preconditions failed: " + "; ".join(problems)
             )
+        if footprint is not None:
+            self.mark_footprint(schema, footprint)
+
+    def apply_checked(self, schema: ProcessSchema) -> None:
+        """Check preconditions, then apply.
+
+        One operation alone: what only a whole change log can judge is
+        checked by ``ChangeLog.apply_to``.
+        """
+        self.require(schema)
         self.apply(schema)
 
     # -- instance level --------------------------------------------------- #
@@ -180,6 +215,28 @@ def _exists(schema: ProcessSchema, node_id: str, introduced: Optional[Set[str]] 
     return bool(introduced and node_id in introduced)
 
 
+def _mark_new_activity(
+    footprint: ChangeFootprint, node: Node, reads: Sequence[str]
+) -> None:
+    """Footprint of an inserted activity: its node type and its reads."""
+    if node.node_type is not NodeType.ACTIVITY:
+        loop_node = node.node_type in (NodeType.LOOP_START, NodeType.LOOP_END)
+        footprint.issues.append(
+            error(
+                IssueCode.UNMATCHED_BLOCK if loop_node else IssueCode.BAD_DEGREE,
+                f"inserted node {node.node_id!r} is a {node.node_type.value} node, "
+                "not an activity",
+                nodes=(node.node_id,),
+            )
+        )
+    if reads:
+        footprint.nodes.add(node.node_id)
+
+
+def _block_id_problems(schema: ProcessSchema, *node_ids: str) -> List[str]:
+    return [f"node {node_id!r} already exists" for node_id in node_ids if schema.has_node(node_id)]
+
+
 def _attach_data_edges(
     schema: ProcessSchema, activity_id: str, reads: Sequence[str], writes: Sequence[str]
 ) -> None:
@@ -233,6 +290,9 @@ class SerialInsertActivity(ChangeOperation):
         ):
             problems.append(f"no control edge {self.pred!r} -> {self.succ!r}")
         return problems
+
+    def mark_footprint(self, schema: ProcessSchema, footprint: ChangeFootprint) -> None:
+        _mark_new_activity(footprint, self.activity, self.reads)
 
     def apply(self, schema: ProcessSchema) -> None:
         insert_node_between(schema, self.activity, self.pred, self.succ)
@@ -334,7 +394,11 @@ class ParallelInsertActivity(ChangeOperation):
         target = schema.node(self.parallel_to)
         if not target.is_activity:
             problems.append(f"{self.parallel_to!r} is not an activity node")
+        problems.extend(_block_id_problems(schema, self.split_id, self.join_id))
         return problems
+
+    def mark_footprint(self, schema: ProcessSchema, footprint: ChangeFootprint) -> None:
+        _mark_new_activity(footprint, self.activity, self.reads)
 
     def apply(self, schema: ProcessSchema) -> None:
         wrap_in_parallel_block(schema, self.parallel_to, self.activity, self.split_id, self.join_id)
@@ -437,7 +501,21 @@ class ConditionalInsertActivity(ChangeOperation):
             and not schema.has_edge(self.pred, self.succ, EdgeType.CONTROL)
         ):
             problems.append(f"no control edge {self.pred!r} -> {self.succ!r}")
+        problems.extend(_block_id_problems(schema, self.split_id, self.join_id))
         return problems
+
+    def mark_footprint(self, schema: ProcessSchema, footprint: ChangeFootprint) -> None:
+        _mark_new_activity(footprint, self.activity, self.reads)
+        if self.guard is None:
+            footprint.issues.append(
+                error(
+                    IssueCode.DUPLICATE_GUARD_DEFAULT,
+                    "a conditional insert needs a guard: its other branch is the default",
+                    nodes=(self.split_id,),
+                )
+            )
+        elif expression_identifiers(self.guard):
+            footprint.nodes.add(self.split_id)
 
     def apply(self, schema: ProcessSchema) -> None:
         insert_conditional_block(
@@ -564,6 +642,13 @@ class DeleteActivity(ChangeOperation):
                     f"still read by {sorted(mandatory_readers)!r} (supply a value to resolve)"
                 )
         return problems
+
+    def mark_footprint(self, schema: ProcessSchema, footprint: ChangeFootprint) -> None:
+        # its writes, and what reached later nodes through it or its sync
+        # edges, are gone: everything after it is re-checked
+        index = schema.index
+        if footprint.carries_data(index, self.activity_id):
+            footprint.hand_over(index, self.activity_id)
 
     def apply(self, schema: ProcessSchema) -> None:
         # sync edges attached to the activity are dropped together with it
@@ -700,6 +785,18 @@ class MoveActivity(ChangeOperation):
             )
         return problems
 
+    def mark_footprint(self, schema: ProcessSchema, footprint: ChangeFootprint) -> None:
+        # at its old place like a deletion, at its new one like an insert
+        # that keeps its reads, writes and sync edges
+        index = schema.index
+        if footprint.carries_data(index, self.activity_id) or index.read_edges(self.activity_id):
+            footprint.hand_over(index, self.activity_id)
+            footprint.nodes.add(self.activity_id)
+        for edge in index.out_edges(self.activity_id, EdgeType.SYNC) + index.in_edges(
+            self.activity_id, EdgeType.SYNC
+        ):
+            footprint.sync_edges.add((edge.source, edge.target))
+
     def apply(self, schema: ProcessSchema) -> None:
         node = schema.node(self.activity_id)
         data_edges = schema.data_edges_of(self.activity_id)
@@ -809,6 +906,11 @@ class InsertSyncEdge(ChangeOperation):
             )
         return problems
 
+    def mark_footprint(self, schema: ProcessSchema, footprint: ChangeFootprint) -> None:
+        # a cycle over control and sync edges, or a crossed loop boundary,
+        # may need sync edges the rest of the log adds or moves
+        footprint.sync_edges.add((self.source, self.target))
+
     def apply(self, schema: ProcessSchema) -> None:
         schema.add_edge(Edge(source=self.source, target=self.target, edge_type=EdgeType.SYNC))
 
@@ -892,6 +994,10 @@ class DeleteSyncEdge(ChangeOperation):
         if not schema.has_edge(self.source, self.target, EdgeType.SYNC):
             return [f"sync edge {self.source!r} -> {self.target!r} does not exist"]
         return []
+
+    def mark_footprint(self, schema: ProcessSchema, footprint: ChangeFootprint) -> None:
+        # the target no longer sees what the source had written
+        footprint.nodes.add(self.target)
 
     def apply(self, schema: ProcessSchema) -> None:
         schema.remove_edge(self.source, self.target, EdgeType.SYNC)
@@ -988,6 +1094,9 @@ class DeleteDataElement(ChangeOperation):
             )
         return problems
 
+    def mark_footprint(self, schema: ProcessSchema, footprint: ChangeFootprint) -> None:
+        footprint.nodes |= decision_nodes_reading(schema, self.name)
+
     def apply(self, schema: ProcessSchema) -> None:
         schema.remove_data_element(self.name)
 
@@ -1044,6 +1153,10 @@ class AddDataEdge(ChangeOperation):
                 f"data edge {self.activity!r} {self.access.value} {self.element!r} already exists"
             )
         return problems
+
+    def mark_footprint(self, schema: ProcessSchema, footprint: ChangeFootprint) -> None:
+        if self.access is DataAccess.READ and self.mandatory:
+            footprint.nodes.add(self.activity)
 
     def apply(self, schema: ProcessSchema) -> None:
         schema.add_data_edge(
@@ -1140,6 +1253,10 @@ class DeleteDataEdge(ChangeOperation):
                 f"data edge {self.activity!r} {self.access.value} {self.element!r} does not exist"
             ]
         return []
+
+    def mark_footprint(self, schema: ProcessSchema, footprint: ChangeFootprint) -> None:
+        if self.access is DataAccess.WRITE:
+            footprint.nodes.add(self.activity)
 
     def apply(self, schema: ProcessSchema) -> None:
         schema.remove_data_edge(self.activity, self.element, self.access)

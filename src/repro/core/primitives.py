@@ -34,6 +34,28 @@ def insert_node_between(schema: ProcessSchema, node: Node, pred: str, succ: str)
     schema.add_edge(Edge(source=node.node_id, target=succ, edge_type=EdgeType.CONTROL))
 
 
+def _sole_control_edges(schema: ProcessSchema, node_id: str) -> Tuple[Edge, Edge]:
+    """The one incoming and the one outgoing control edge of an activity.
+
+    Read from the raw edge list rather than the compiled index: the
+    schema is a copy about to change, and an index compiled for this one
+    lookup would be discarded by the change.
+    """
+    incoming: List[Edge] = []
+    outgoing: List[Edge] = []
+    for edge in schema.raw_edges():
+        if edge.edge_type is EdgeType.CONTROL:
+            if edge.target == node_id:
+                incoming.append(edge)
+            elif edge.source == node_id:
+                outgoing.append(edge)
+    if len(incoming) != 1 or len(outgoing) != 1:
+        raise SchemaError(
+            f"activity {node_id!r} must have exactly one incoming and outgoing control edge"
+        )
+    return incoming[0], outgoing[0]
+
+
 def remove_activity_and_bridge(schema: ProcessSchema, node_id: str) -> Tuple[str, str]:
     """Remove an activity and reconnect its control predecessor and successor.
 
@@ -46,14 +68,9 @@ def remove_activity_and_bridge(schema: ProcessSchema, node_id: str) -> Tuple[str
     node = schema.node(node_id)
     if not node.is_activity:
         raise SchemaError(f"only activity nodes can be deleted, {node_id!r} is {node.node_type.value}")
-    incoming = schema.edges_to(node_id, EdgeType.CONTROL)
-    outgoing = schema.edges_from(node_id, EdgeType.CONTROL)
-    if len(incoming) != 1 or len(outgoing) != 1:
-        raise SchemaError(
-            f"activity {node_id!r} must have exactly one incoming and outgoing control edge"
-        )
-    pred, succ = incoming[0].source, outgoing[0].target
-    guard = incoming[0].guard
+    incoming, outgoing = _sole_control_edges(schema, node_id)
+    pred, succ = incoming.source, outgoing.target
+    guard = incoming.guard
     if schema.has_edge(pred, succ, EdgeType.CONTROL):
         raise SchemaError(
             f"removing {node_id!r} would duplicate the control edge {pred!r} -> {succ!r}"
@@ -81,11 +98,7 @@ def wrap_in_parallel_block(
     target = schema.node(existing)
     if not target.is_activity:
         raise SchemaError(f"can only parallel-insert next to activities, {existing!r} is {target.node_type.value}")
-    incoming = schema.edges_to(existing, EdgeType.CONTROL)
-    outgoing = schema.edges_from(existing, EdgeType.CONTROL)
-    if len(incoming) != 1 or len(outgoing) != 1:
-        raise SchemaError(f"activity {existing!r} must have exactly one incoming and outgoing control edge")
-    pred_edge, succ_edge = incoming[0], outgoing[0]
+    pred_edge, succ_edge = _sole_control_edges(schema, existing)
     pred, succ = pred_edge.source, succ_edge.target
     schema.add_node(Node(node_id=split_id, node_type=NodeType.AND_SPLIT, name=split_id))
     schema.add_node(Node(node_id=join_id, node_type=NodeType.AND_JOIN, name=join_id))

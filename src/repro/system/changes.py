@@ -2,8 +2,9 @@
 
 A :class:`ChangeSet` collects change operations through a fluent builder
 API and applies them **all-or-nothing**: the whole set is validated first
-(schema preconditions, buildtime verification of the resulting schema,
-state compliance of the running instance) and only then committed as a
+(schema preconditions, the once-per-set checks that keep the resulting
+schema correct by construction, state compliance of the running
+instance) and only then committed as a
 *single* change-log entry with one adapted marking.  If any operation of
 the set fails validation, the instance is left completely untouched —
 no partial bias, no marking change, no changelog entry.

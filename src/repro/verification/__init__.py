@@ -5,9 +5,9 @@ calls this "an important prerequisite for dynamic process changes":
 structural well-formedness and block structure, absence of
 deadlock-causing cycles (in particular those introduced by sync edges),
 and data-flow correctness (no activity reads a mandatory input that may
-not have been written).  The same verifier re-checks schemas produced by
-change operations, which is how ad-hoc and type changes preserve the
-buildtime guarantees.
+not have been written).  Schemas produced by change operations need no
+re-check: the operations keep these guarantees by construction
+(:mod:`repro.core.footprint`), with this verifier as their test oracle.
 """
 
 from repro.verification.report import (

@@ -2,11 +2,15 @@
 
 :class:`SchemaVerifier` runs the structural, deadlock, data-flow and
 (optionally) soundness checks over a schema and merges the findings into
-one report.  It is invoked by the schema builder, by every change
-operation before committing a changed schema, and by the schema
-repository before releasing a new schema version — mirroring the paper's
-statement that schema correctness "constitutes an important prerequisite
-for dynamic process changes".
+one report.  It is invoked for schemas the change operations did not
+produce — by the schema builder, on deployment, by ``repro.cli verify`` —
+and once per new schema version before the repository releases it,
+mirroring the paper's statement that schema correctness "constitutes an
+important prerequisite for dynamic process changes".  A schema changed
+only through the operations is correct by construction
+(:mod:`repro.core.footprint`); the ad-hoc and migration paths therefore
+do not run this verifier, and it stays the oracle the operations are
+tested against.
 """
 
 from __future__ import annotations

@@ -2,10 +2,12 @@
 
 Produces random type changes ΔT against a schema and random ad-hoc
 operations against a running instance.  Operations are generated and then
-validated (preconditions + verification of the changed schema); invalid
-candidates are discarded and re-drawn, so callers always receive changes
-that at least make structural sense — whether an *instance* is compliant
-with them is exactly what the compliance machinery decides.
+validated by applying them with ``ChangeLog.apply_to(check=True)``, whose
+preconditions and whole-log checks make the changed schema correct by
+construction; invalid candidates are discarded and re-drawn, so callers
+always receive changes that at least make structural sense — whether an
+*instance* is compliant with them is exactly what the compliance
+machinery decides.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ from repro.runtime.instance import ProcessInstance
 from repro.schema.edges import EdgeType
 from repro.schema.graph import ProcessSchema, SchemaError
 from repro.schema.nodes import Node
-from repro.verification.verifier import SchemaVerifier
 
 
 class ChangeScenarioGenerator:
@@ -36,7 +37,6 @@ class ChangeScenarioGenerator:
     def __init__(self, schema: ProcessSchema, seed: int = 99) -> None:
         self.schema = schema
         self._rng = random.Random(seed)
-        self._verifier = SchemaVerifier()
         self._counter = 0
 
     # ------------------------------------------------------------------ #
@@ -100,18 +100,17 @@ class ChangeScenarioGenerator:
     # ------------------------------------------------------------------ #
 
     def random_type_change(self, operation_count: int = 2, max_attempts: int = 30) -> TypeChange:
-        """A ΔT of ``operation_count`` operations yielding a verified schema."""
+        """A ΔT of ``operation_count`` operations yielding a correct schema."""
         for _ in range(max_attempts):
             operations = self._draw_operations(operation_count)
             if not operations:
                 continue
             change_log = ChangeLog(operations)
             try:
-                changed = change_log.apply_to(self.schema, check=True)
+                change_log.apply_to(self.schema, check=True)
             except (OperationError, SchemaError):
                 continue
-            if self._verifier.verify(changed).is_correct:
-                return TypeChange(from_version=self.schema.version, operations=change_log)
+            return TypeChange(from_version=self.schema.version, operations=change_log)
         # Fall back to the always-valid single serial insert.
         insert = self.random_serial_insert()
         if insert is None:

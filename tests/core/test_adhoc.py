@@ -164,6 +164,18 @@ class TestRejectedChanges:
         assert instance.marking.equivalent_to(marking_before)
         assert engine.event_log.count(EventType.ADHOC_CHANGE_REJECTED) == 1
 
+    def test_insert_reading_an_unwritten_element_rejected(self, engine, changer, order_schema):
+        instance = started_instance(engine, order_schema, "get_order")
+        audit = SerialInsertActivity(
+            activity=Node(node_id="audit"), pred="get_order", succ="collect_data", reads=("audit_note",)
+        )
+        with pytest.raises(AdHocChangeError) as excinfo:
+            changer.apply(instance, [audit])
+        (conflict,) = excinfo.value.conflicts
+        assert conflict.kind.value == "structural"
+        assert "missing_input_data" in str(conflict) and "audit_note" in str(conflict)
+        assert not instance.is_biased
+
     def test_missing_data_deletion_rejected_without_supply(self, engine, changer, order_schema):
         instance = started_instance(engine, order_schema, "get_order")
         with pytest.raises(AdHocChangeError):

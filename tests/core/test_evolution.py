@@ -2,10 +2,18 @@
 
 import pytest
 
+from repro import AdeptSystem
+from repro.core.adhoc import AdHocChangeError
 from repro.core.changelog import ChangeLog
 from repro.core.evolution import EvolutionError, ProcessType, TypeChange
-from repro.core.operations import DeleteActivity, InsertSyncEdge, SerialInsertActivity
+from repro.core.operations import (
+    DeleteActivity,
+    InsertSyncEdge,
+    ParallelInsertActivity,
+    SerialInsertActivity,
+)
 from repro.schema.nodes import Node
+from repro.schema.templates import sequential_process
 from repro.workloads.order_process import order_type_change_v2
 
 
@@ -109,3 +117,42 @@ class TestProcessType:
         process_type = ProcessType("online_order", order_schema)
         with pytest.raises(EvolutionError):
             process_type.schema_for(9)
+
+
+class TestReusedBlockIds:
+    """A parallel insert's AND split/join outlive a later delete of its activity."""
+
+    @staticmethod
+    def _type_with_leftover_block(system):
+        type_id = system.deploy(sequential_process(length=4)).type_id
+        system.evolve(type_id, [ParallelInsertActivity(activity=Node(node_id="x"), parallel_to="step_2")])
+        system.evolve(type_id, [DeleteActivity(activity_id="x")])
+        assert system.type(type_id).schema().has_node("x__psplit")
+        return type_id
+
+    def test_evolve_refuses_a_reused_split_id(self):
+        system = AdeptSystem()
+        type_id = self._type_with_leftover_block(system)
+        again = [ParallelInsertActivity(activity=Node(node_id="x"), parallel_to="step_3")]
+        with pytest.raises(EvolutionError, match="x__psplit"):
+            system.evolve(type_id, again)
+        assert system.type(type_id).latest_version == 3
+
+    def test_adhoc_change_refuses_a_reused_split_id(self):
+        system = AdeptSystem()
+        type_id = self._type_with_leftover_block(system)
+        case = system.start(type_id)
+        change = system.change(case.instance_id).parallel_insert("x", parallel_to="step_3")
+        with pytest.raises(AdHocChangeError, match="node 'x__psplit' already exists"):
+            change.apply()
+        assert not case.is_biased
+
+    def test_release_wraps_schema_errors(self, order_schema):
+        """An apply that fails past the preconditions is an EvolutionError, not a SchemaError."""
+        process_type = ProcessType("online_order", order_schema)
+        twice = SerialInsertActivity(
+            activity=Node(node_id="audit"), pred="get_order", succ="collect_data", reads=("x", "x")
+        )
+        with pytest.raises(EvolutionError, match="duplicate data edge"):
+            process_type.release_new_version(TypeChange.of(1, [twice]))
+        assert process_type.versions == [1]

@@ -5,7 +5,8 @@ import pytest
 from repro.core.adhoc import AdHocChanger
 from repro.core.evolution import ProcessType, TypeChange
 from repro.core.migration import MigrationManager, MigrationOutcome
-from repro.core.operations import ChangeActivityAttributes, SerialInsertActivity
+from repro.core.operations import ChangeActivityAttributes, DeleteActivity, SerialInsertActivity
+from repro.schema.builder import SchemaBuilder
 from repro.runtime.events import EventType
 from repro.runtime.states import InstanceStatus, NodeState
 from repro.schema.nodes import Node
@@ -20,6 +21,35 @@ from repro.workloads.order_process import (
 @pytest.fixture
 def manager(engine):
     return MigrationManager(engine)
+
+
+class TestBiasRemovedWriter:
+    """ΔT adds a reader of an element whose only writer the case's bias deleted."""
+
+    def test_structural_conflict(self, engine):
+        builder = SchemaBuilder("noted_v1", name="noted")
+        builder.data("note")
+        builder.activity("step_1").activity("step_2", writes=["note"])
+        builder.activity("step_3").activity("step_4")
+        schema = builder.build()
+        process_type = ProcessType("noted", schema)
+        instance = engine.create_instance(schema, "B1")
+        AdHocChanger(engine).apply(instance, [DeleteActivity(activity_id="step_2")])
+        reader = SerialInsertActivity(
+            activity=Node(node_id="review"), pred="step_3", succ="step_4", reads=("note",)
+        )
+        report = MigrationManager(engine).migrate_type(
+            process_type, TypeChange.of(1, [reader]), [instance]
+        )
+        (result,) = report.results
+        assert result.outcome is MigrationOutcome.STRUCTURAL_CONFLICT
+        assert result.was_biased
+        assert any(
+            "missing_input_data" in str(conflict) and "note" in str(conflict)
+            for conflict in result.conflicts
+        )
+        assert instance.schema_version == 1
+        assert not instance.execution_schema.has_node("review")
 
 
 class TestFig1Scenario:

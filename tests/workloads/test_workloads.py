@@ -96,6 +96,15 @@ class TestChangeScenarioGenerator:
             changed = change.operations.apply_to(order_schema)
             assert verify_schema(changed).is_correct
 
+    def test_every_generated_type_change_verifies(self, order_schema):
+        """The generator draws without a verifier; every ΔT it returns still verifies."""
+        schemas = [order_schema] + RandomSchemaGenerator(seed=5).generate_many(3)
+        for schema in schemas:
+            for seed in range(200):
+                change = ChangeScenarioGenerator(schema, seed=seed).random_type_change()
+                report = verify_schema(change.operations.apply_to(schema, check=False))
+                assert report.is_correct, f"{schema.schema_id} seed {seed}:\n{report.summary()}"
+
     def test_random_adhoc_operations_apply(self, engine, order_schema):
         generator = ChangeScenarioGenerator(order_schema, seed=17)
         instance = engine.create_instance(order_schema, "i1")
