@@ -143,8 +143,8 @@ class AdHocChanger:
             if supplied:
                 for element, value in supplied.items():
                     instance.data.supply(element, value)
-        instance.marking = adapted_marking
         instance.set_bias(combined_bias, new_execution_schema)
+        instance.install_marking(adapted_marking)
         self.event_log.append(
             EngineEvent(
                 event_type=EventType.ADHOC_CHANGE_APPLIED,

@@ -371,8 +371,8 @@ class MigrationManager:
             verdict = self._class_verdict(instance, plan, cache)
             rolled_back = None
             if verdict.compliant:
-                instance.marking = verdict.adapted_marking.copy()
                 instance.rebind_schema(new_schema)
+                instance.install_marking(verdict.adapted_marking.copy())
             elif self._rollback_applies(verdict):
                 # compensation mutates the case: never shared with the class
                 rolled_back = self._try_rollback_migration(instance, new_schema, type_change)
@@ -501,8 +501,9 @@ class MigrationManager:
         )
         if not compliance.compliant:
             return None
-        instance.marking = self.adapter.adapt(instance, new_schema)
+        adapted = self.adapter.adapt(instance, new_schema)
         instance.rebind_schema(new_schema)
+        instance.install_marking(adapted)
         return InstanceMigrationResult(
             instance.instance_id, MigrationOutcome.MIGRATED_WITH_ROLLBACK
         )
@@ -560,8 +561,9 @@ class MigrationManager:
             return refused(
                 self._outcome_for_conflicts(compliance.conflicts), compliance.conflicts
             )
-        instance.marking = self.adapter.adapt(instance, combined_schema)
+        adapted = self.adapter.adapt(instance, combined_schema)
         instance.rebind_schema(new_schema, execution_schema=combined_schema)
+        instance.install_marking(adapted)
         instance.bias = bias
         return InstanceMigrationResult(
             instance.instance_id, MigrationOutcome.MIGRATED_WITH_BIAS, was_biased=True

@@ -9,31 +9,47 @@ schema" (instance I1 in Fig. 1).
 
 Two procedures are provided:
 
-* :meth:`StateAdapter.adapt` — the **incremental** procedure: it carries
-  over the states of all nodes whose execution already finished or began,
-  resets the not-yet-started region and lets one marking propagation pass
-  of the engine re-derive activations and skips on the changed schema.
-  Its cost is proportional to the schema size, independent of how much
-  history the instance has accumulated.
+* :meth:`StateAdapter.adapt` — the **positional** procedure: (1) lay
+  the marking's codes onto the target's
+  :class:`~repro.runtime.kernel.MarkingLayout` by position, as
+  :meth:`Marking.lay_onto` does; (2) reset what the change took the
+  justification from — new nodes, nodes whose control/sync edges changed
+  (but not performed activities, nor unfired nodes whose inputs are
+  unchanged) and, along signalled edges, the derived states downstream
+  of those, up to performed activities — and fire the new out-edges of
+  kept COMPLETED nodes; (3) propagate from the reset nodes only.  Unless
+  a reset node is the start node or has a signalled control in-edge,
+  the marking already is a fixpoint and the target's step kernel is not
+  compiled.  Everything the change does not reach keeps its code: cost
+  O(layout) + O(changed region), no scratch instance, no copy of
+  history or data.
 * :meth:`StateAdapter.recompute_by_replay` — the **baseline**: replay the
   whole reduced history on the changed schema from scratch.  Used to
-  cross-validate the incremental procedure (they must produce equivalent
+  cross-validate the positional procedure (they must produce equivalent
   markings for compliant instances) and as the slow comparator in
   benchmark A2.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from types import SimpleNamespace
+from typing import Any, Optional, Set, Tuple
 
 from repro.core.compliance import ComplianceChecker
 from repro.runtime.engine import ProcessEngine
+from repro.runtime.history import ExecutionHistory
 from repro.runtime.instance import ProcessInstance
-from repro.runtime.markings import Marking
+from repro.runtime.markings import EDGE_CODE, NODE_CODE, Marking, lay_codes
 from repro.runtime.states import EdgeState, InstanceStatus, NodeState
 from repro.schema.edges import EdgeType
 from repro.schema.graph import ProcessSchema
 from repro.schema.nodes import NodeType
+
+_ACTIVATED = NODE_CODE[NodeState.ACTIVATED]
+_COMPLETED = NODE_CODE[NodeState.COMPLETED]
+_TRUE = EDGE_CODE[EdgeState.TRUE_SIGNALED]
+#: codes of performed work (``NodeState.is_started``)
+_STARTED = frozenset(NODE_CODE[state] for state in NodeState if state.is_started)
 
 
 class StateAdapter:
@@ -43,139 +59,98 @@ class StateAdapter:
         self._engine = engine or ProcessEngine()
 
     # ------------------------------------------------------------------ #
-    # incremental adaptation
+    # positional adaptation
     # ------------------------------------------------------------------ #
 
     def adapt(self, instance: ProcessInstance, target_schema: ProcessSchema) -> Marking:
-        """Compute the instance's marking on ``target_schema`` incrementally.
+        """Compute the instance's marking on ``target_schema`` (see the module docstring).
 
         The caller is responsible for having established compliance first;
         adapting the marking of a non-compliant instance yields an
-        undefined (though structurally valid) result.
+        undefined (though structurally valid) result.  The instance is
+        only read.
         """
-        carried = self._carry_over(instance, target_schema)
-        scratch = ProcessInstance(
-            instance_id=f"{instance.instance_id}__adapt",
-            schema=target_schema,
+        source = instance.marking
+        old = source.layout
+        index = target_schema.index
+        layout = index.marking_layout()
+        nodes, new_nodes = lay_codes(source.nodes, old.node_pos, layout.node_ids)
+        edges, added = lay_codes(source.edges, old.edge_pos, layout.edge_keys)
+        marking = Marking(layout, nodes, edges)
+
+        changed = [layout.edge_keys[position] for position in added]
+        if len(old.edge_keys) != len(layout.edge_keys) - len(added):  # some edge was removed
+            changed += [key for key in old.edge_keys if key not in layout.edge_pos]
+        inputs_changed = {key[1] for key in changed}
+        reset: Set[int] = set(new_nodes)
+        for node_id in inputs_changed.union(key[0] for key in changed):
+            position = layout.node_pos.get(node_id)  # None: deleted with the edge
+            # a node that has not fired yet decides on its inputs alone
+            if position is not None and (node_id in inputs_changed or nodes[position] > _ACTIVATED):
+                if not self._performed(index, node_id, nodes[position]):
+                    reset.add(position)
+        for position in reset:
+            nodes[position] = 0
+        self._reset_downstream(index, marking, reset)
+        for position in added:
+            if nodes[layout.node_pos[layout.edge_keys[position][0]]] == _COMPLETED:
+                edges[position] = _TRUE
+
+        if source.settled and not any(self._can_fire(index, marking, p) for p in reset):
+            marking.settled = True
+            return marking
+        # the pass reads the case's data and loop counters — a copy: a
+        # loop-back during the pass must not count on the case — and what
+        # it skips or loops back is re-derived, not work: no history
+        view = SimpleNamespace(
+            instance_id=instance.instance_id,
+            execution_schema=target_schema,
+            marking=marking,
+            data=instance.data,
+            loop_iterations=dict(instance.loop_iterations),
+            history=ExecutionHistory(),
+            status=InstanceStatus.RUNNING,
         )
-        scratch.marking = carried
-        scratch.data = instance.data.copy()
-        scratch.history = instance.history.copy()
-        scratch.loop_iterations = dict(instance.loop_iterations)
-        scratch.status = InstanceStatus.RUNNING
-        self._engine.propagate(scratch)
-        return scratch.marking
-
-    def _carry_over(self, instance: ProcessInstance, target_schema: ProcessSchema) -> Marking:
-        """Keep the work that already happened, reset everything the change affects.
-
-        Carried over are
-
-        * the states of started **activities** (performed work is never
-          rewound by a migration), and
-        * the states of started structural nodes (splits, joins, loop nodes,
-          start/end) whose incident edges are *unchanged* by the change — a
-          join that received a new incoming branch, or a split with a new
-          outgoing branch, has to be re-evaluated by the propagation pass,
-          exactly as a history replay would.
-
-        ``SKIPPED`` states are deliberately **not** carried: a skip is not
-        performed work but a derived consequence of a branching decision.
-        When that decision survives the change (the split node and its
-        signalled edges are carried), the propagation pass re-derives the
-        skip; when the change resets the decision (e.g. an activity inserted
-        before the split), the skip must disappear — exactly as a history
-        replay would leave the branch undecided.
-
-        The states of structural nodes are likewise *derived*, never
-        performed work: a join is COMPLETED because its incoming edges
-        were signalled, a loop start because the flow reached it.  Such a
-        state is only carried while its justification survives the change:
-        every incoming non-loop edge that was signalled in the old marking
-        must originate from a node that is itself carried.  Nodes are
-        visited in topological order, so a reset region (e.g. an activity
-        inserted before a join) transitively un-carries everything whose
-        state depended on it — exactly the states a history replay would
-        not reproduce until the new region has executed.
-
-        Signalled edges are carried when they still exist and their source
-        node's state was carried; new outgoing edges of carried, finished
-        nodes are signalled according to that state.  One engine propagation
-        pass afterwards re-derives all remaining activations and skips.
-        """
-        old_marking = instance.marking
-        old_schema = instance.execution_schema
-        marking = Marking.initial(target_schema)
-        carried_nodes = set()
-        for node_id in target_schema.topological_order():
-            old_state = old_marking.node_state(node_id)
-            if not old_state.is_started:
-                continue
-            node = target_schema.node(node_id)
-            if not node.is_activity:
-                if not self._incident_edges_unchanged(old_schema, target_schema, node_id):
-                    # structural node whose branching situation changed: re-derive
-                    continue
-                if not self._signals_justified(
-                    old_marking, target_schema, node_id, carried_nodes
-                ):
-                    # derived state whose upstream justification was reset
-                    continue
-            marking.set_node_state(node_id, old_state)
-            carried_nodes.add(node_id)
-        for edge in target_schema.edges:
-            if edge.is_loop:
-                continue
-            if edge.source not in carried_nodes:
-                continue
-            source_state = marking.node_state(edge.source)
-            if not (source_state.is_finished or source_state is NodeState.RUNNING):
-                continue
-            old_edge_state = old_marking.edge_state_key(edge.key)  # NOT_SIGNALED if new
-            if old_edge_state is not EdgeState.NOT_SIGNALED:
-                # the edge existed before and was already signalled: keep it
-                marking.set_edge_state(edge.source, edge.target, old_edge_state, edge.edge_type)
-            elif source_state is NodeState.COMPLETED:
-                # new outgoing edge of an already completed node: it fires now
-                marking.set_edge_state(edge.source, edge.target, EdgeState.TRUE_SIGNALED, edge.edge_type)
+        # a source not known to be a fixpoint gets a full pass
+        seeds = sorted(reset) if source.settled else None
+        self._engine._propagate_kernel(view, index.step_kernel(), seeds)
         return marking
 
     @staticmethod
-    def _signals_justified(
-        old_marking: Marking, target_schema: ProcessSchema, node_id: str, carried: set
-    ) -> bool:
-        """True when every signalled input of a structural node survives.
+    def _performed(index: Any, node_id: str, code: int) -> bool:
+        """True for a started activity: performed work is never rewound."""
+        return code in _STARTED and index.node(node_id).is_activity
 
-        A structural node's state is a consequence of the signals it
-        received; if any of those signals came from a node whose own state
-        is being re-derived (not carried), the consequence no longer holds
-        and the propagation pass must re-decide it.
+    @classmethod
+    def _reset_downstream(cls, index: Any, marking: Marking, reset: Set[int]) -> None:
+        """Withdraw the signals out of ``reset`` and reset what they justified.
+
+        A target joins ``reset`` unless it performed work or never fired
+        (untouched: one signal fewer keeps it waiting).
         """
-        for edge in target_schema.edges_to(node_id):
-            if edge.is_loop:
-                continue
-            if old_marking.edge_state_key(edge.key) is EdgeState.NOT_SIGNALED:
-                continue  # new, or never signalled
-            if edge.source not in carried:
-                return False
-        return True
+        layout, nodes, edges = marking.layout, marking.nodes, marking.edges
+        stack = list(reset)
+        while stack:
+            for edge in index.out_edges(layout.node_ids[stack.pop()]):
+                position = layout.edge_pos.get(edge.key)  # None: a loop edge
+                if position is None or not edges[position]:
+                    continue
+                edges[position] = 0
+                target = layout.node_pos[edge.target]
+                code = nodes[target]
+                if code and target not in reset and not cls._performed(index, edge.target, code):
+                    nodes[target] = 0
+                    reset.add(target)
+                    stack.append(target)
 
     @staticmethod
-    def _incident_edges_unchanged(
-        old_schema: ProcessSchema, target_schema: ProcessSchema, node_id: str
-    ) -> bool:
-        """True when the node has the same control/sync edges before and after the change."""
-        if not old_schema.has_node(node_id):
-            return False
-
-        def incident(schema: ProcessSchema) -> set:
-            keys = set()
-            for edge in schema.edges_from(node_id) + schema.edges_to(node_id):
-                if not edge.is_loop:
-                    keys.add(edge.key)
-            return keys
-
-        return incident(old_schema) == incident(target_schema)
+    def _can_fire(index: Any, marking: Marking, position: int) -> bool:
+        """False when the untouched node at ``position`` can only wait."""
+        node_id = marking.layout.node_ids[position]
+        if index.node(node_id).node_type is NodeType.START:
+            return True
+        edge_pos, edges = marking.layout.edge_pos, marking.edges
+        return any(edges[edge_pos[edge.key]] for edge in index.in_edges(node_id, EdgeType.CONTROL))
 
     # ------------------------------------------------------------------ #
     # baseline: full replay
@@ -206,25 +181,18 @@ class StateAdapter:
     def adapt_and_verify(
         self, instance: ProcessInstance, target_schema: ProcessSchema
     ) -> Tuple[Marking, bool]:
-        """Adapt incrementally and report agreement with the replay baseline.
+        """Adapt positionally and report agreement with the replay baseline.
 
         Returns ``(marking, agrees)`` where ``agrees`` is True when both
         procedures yield equivalent markings for the activity nodes.  Used
         by tests and the A2 ablation benchmark.
         """
-        incremental = self.adapt(instance, target_schema)
+        adapted = self.adapt(instance, target_schema)
         try:
             replayed = self.recompute_by_replay(instance, target_schema)
         except ValueError:
-            return incremental, False
-        agrees = self._activity_states_equal(incremental, replayed, target_schema)
-        return incremental, agrees
-
-    @staticmethod
-    def _activity_states_equal(
-        first: Marking, second: Marking, schema: ProcessSchema
-    ) -> bool:
-        for node_id in schema.activity_ids():
-            if first.node_state(node_id) is not second.node_state(node_id):
-                return False
-        return True
+            return adapted, False
+        return adapted, all(
+            adapted.node_state(node_id) is replayed.node_state(node_id)
+            for node_id in target_schema.activity_ids()
+        )

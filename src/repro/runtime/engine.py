@@ -113,20 +113,6 @@ class PropagationLimitError(EngineError):
 Worker = Callable[[Node, Mapping[str, Any]], Mapping[str, Any]]
 
 
-def default_worker(node: Node, data: Mapping[str, Any]) -> Dict[str, Any]:
-    """Produce plausible outputs for every data element an activity writes.
-
-    Booleans become ``True`` so that loop exit conditions and approval
-    guards eventually hold; other types receive simple non-empty values.
-    The worker is used by :meth:`ProcessEngine.run_to_completion` and the
-    workload generators when no domain-specific behaviour is supplied.
-    """
-    outputs: Dict[str, Any] = {}
-    for data_edge in node.properties.get("_writes", []):  # pragma: no cover - legacy hook
-        outputs[data_edge] = True
-    return outputs
-
-
 class ProcessEngine:
     """Executes process instances on (verified) process schemas."""
 
@@ -438,7 +424,7 @@ class ProcessEngine:
         """Advance the marking until no further automatic step is possible.
 
         Re-examines every untouched node (full propagation, e.g. after
-        migration or ad-hoc change).
+        rollback).
         """
         self._propagate_kernel(instance, self._kernel_of(instance))
 
@@ -450,9 +436,9 @@ class ProcessEngine:
     ) -> None:
         """Worklist propagation through the compiled stepping kernel.
 
-        ``seeds`` — positions of the nodes whose in-edges changed since
-        the marking was last settled; ``None`` re-examines every untouched
-        node.
+        ``seeds`` — positions of the nodes whose in-edges changed, or that
+        were reset (state adaptation), since the marking was last settled;
+        ``None`` re-examines every untouched node.
 
         The worklist visits nodes in the order a round-based full scan
         would (the reference oracle under ``tests/baselines``): within a

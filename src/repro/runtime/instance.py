@@ -134,6 +134,16 @@ class ProcessInstance:
         self.process_type = schema.name
         self._execution_schema = execution_schema
 
+    def install_marking(self, marking: Marking) -> None:
+        """Give the case a marking adapted to its (new) execution schema.
+
+        One that reached the end node finishes the case, as the step that
+        reaches the end would (a change removed the last pending activity).
+        """
+        self.marking = marking
+        if marking.reached_end(self.execution_schema):
+            self.status = InstanceStatus.COMPLETED
+
     def clone(self, instance_id: Optional[str] = None) -> "ProcessInstance":
         """A deep, independent copy of this instance (same schema references).
 

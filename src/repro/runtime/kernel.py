@@ -107,7 +107,7 @@ class MarkingLayout:
         "edge_keys",
         "node_pos",
         "edge_pos",
-        "checksum",
+        "_checksum",
     )
 
     def __init__(
@@ -123,12 +123,23 @@ class MarkingLayout:
         self.edge_keys = edge_keys
         self.node_pos: Dict[str, int] = {node_id: i for i, node_id in enumerate(node_ids)}
         self.edge_pos: Dict[EdgeKey, int] = {key: i for i, key in enumerate(edge_keys)}
-        #: crc32 of the coordinates: a positionally stored marking names the
-        #: layout it was written against, so a record can never be decoded
-        #: onto a schema whose node or edge order differs
-        self.checksum = "%08x" % zlib.crc32(
-            json.dumps([node_ids, edge_keys], separators=(",", ":")).encode("ascii")
-        )
+        self._checksum: Optional[str] = None
+
+    @property
+    def checksum(self) -> str:
+        """crc32 of the coordinates, computed on first use (never, for a
+        biased case's private schema: its marking is stored keyed).
+
+        A positionally stored marking names the layout it was written
+        against, so a record can never be decoded onto a schema whose node
+        or edge order differs.
+        """
+        checksum = self._checksum
+        if checksum is None:
+            checksum = self._checksum = "%08x" % zlib.crc32(
+                json.dumps([self.node_ids, self.edge_keys], separators=(",", ":")).encode("ascii")
+            )
+        return checksum
 
     def __repr__(self) -> str:
         return (

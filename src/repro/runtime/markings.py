@@ -16,7 +16,7 @@ name-based API the rest of the system uses is a position lookup away.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.runtime.states import EdgeState, NodeState
 from repro.schema.edges import EdgeType
@@ -44,6 +44,7 @@ EDGE_STATES = (EdgeState.NOT_SIGNALED, EdgeState.TRUE_SIGNALED, EdgeState.FALSE_
 NODE_CODE: Dict[NodeState, int] = {state: code for code, state in enumerate(NODE_STATES)}
 EDGE_CODE: Dict[EdgeState, int] = {state: code for code, state in enumerate(EDGE_STATES)}
 _STARTED = tuple(state for state in NODE_STATES if state.is_started)
+_COMPLETED = NODE_CODE[NodeState.COMPLETED]
 
 
 def _digit_tables(count: int) -> Tuple[bytes, bytes]:
@@ -55,6 +56,17 @@ def _digit_tables(count: int) -> Tuple[bytes, bytes]:
 
 _NODE_DIGITS, _NODE_CODES = _digit_tables(len(NODE_STATES))
 _EDGE_DIGITS, _EDGE_CODES = _digit_tables(len(EDGE_STATES))
+
+
+def lay_codes(
+    codes: bytearray, old_pos: Mapping[Any, int], names: Sequence[Any]
+) -> Tuple[bytearray, List[int]]:
+    """``codes`` (positioned by ``old_pos``) moved by name into ``names``'s order
+    — a new name's code is 0, untouched — and the positions of the new names."""
+    missing = len(codes)
+    where = [old_pos.get(name, missing) for name in names]
+    laid = bytearray(map((codes + b"\0").__getitem__, where))
+    return laid, [position for position, old in enumerate(where) if old == missing]
 
 
 def _decode(digits: str, table: bytes) -> bytearray:
@@ -105,17 +117,8 @@ class Marking:
         For a marking whose schema changed under it: what the layout adds
         starts untouched, what it no longer holds is dropped.
         """
-        mine = self.layout
-        nodes = bytearray(len(layout.node_ids))
-        for node_id, position in layout.node_pos.items():
-            old = mine.node_pos.get(node_id)
-            if old is not None:
-                nodes[position] = self.nodes[old]
-        edges = bytearray(len(layout.edge_keys))
-        for key, position in layout.edge_pos.items():
-            old = mine.edge_pos.get(key)
-            if old is not None:
-                edges[position] = self.edges[old]
+        nodes, _ = lay_codes(self.nodes, self.layout.node_pos, layout.node_ids)
+        edges, _ = lay_codes(self.edges, self.layout.edge_pos, layout.edge_keys)
         self.layout, self.nodes, self.edges, self.settled = layout, nodes, edges, False
 
     # ------------------------------------------------------------------ #
@@ -156,6 +159,11 @@ class Marking:
     def started_nodes(self) -> List[str]:
         """Nodes whose execution has begun (running, suspended, completed, failed)."""
         return self.nodes_in_state(*_STARTED)
+
+    def reached_end(self, schema: ProcessSchema) -> bool:
+        """True when ``schema``'s end node is COMPLETED: the case has finished."""
+        position = self.layout.node_pos.get(schema.index.end_node_id())
+        return position is not None and self.nodes[position] == _COMPLETED
 
     # ------------------------------------------------------------------ #
     # edge states

@@ -402,17 +402,24 @@ class SchemaIndex:
 
         Topological depth times the schema's total loop-iteration budget,
         floored at the legacy engine constant — see
-        :func:`repro.runtime.kernel.derive_round_bound`.
+        :func:`repro.runtime.kernel.derive_round_bound`.  The depth is at
+        most the node count, so the topological pass that measures it runs
+        only when the node count would lift the bound above the floor.
         """
         bound = self._round_bound
         if bound is None:
-            from repro.runtime.kernel import derive_round_bound, _control_depth, _loop_budget
-
-            bound = derive_round_bound(
-                node_count=len(self._nodes),
-                depth=_control_depth(self),
-                loop_budget=_loop_budget(self._loop_edge_list, self),
+            from repro.runtime.kernel import (
+                LEGACY_ROUND_BOUND,
+                derive_round_bound,
+                _control_depth,
+                _loop_budget,
             )
+
+            node_count = len(self._nodes)
+            budget = _loop_budget(self._loop_edge_list, self)
+            bound = derive_round_bound(node_count, max(node_count, 1), budget)
+            if bound > LEGACY_ROUND_BOUND:
+                bound = derive_round_bound(node_count, _control_depth(self), budget)
             self._round_bound = bound
         return bound
 

@@ -75,6 +75,7 @@ from repro.monitoring.statistics import PopulationStatistics
 from repro.runtime.engine import EngineError, ProcessEngine, Worker
 from repro.runtime.events import EventLog
 from repro.runtime.instance import ProcessInstance
+from repro.runtime.states import ACTIVE_STATUS_VALUES, InstanceStatus
 from repro.runtime.worklist import WorkItem, WorklistManager
 from repro.schema.graph import ProcessSchema, SchemaError
 from repro.storage.instance_store import InstanceStore, StorageError, StoredInstance
@@ -843,17 +844,6 @@ class AdeptSystem:
                 ids.add(instance_id)
         return [InstanceHandle(self, instance_id) for instance_id in sorted(ids)]
 
-    def _instance_ids_of_type(self, type_id: str) -> List[str]:
-        """Ids of every live or stored case of one type (no hydration)."""
-        with self._registry:
-            ids = {
-                instance.instance_id
-                for instance in self._instances.values()
-                if instance.process_type == type_id
-            }
-        ids.update(self.store.instances_of_type(type_id))
-        return sorted(ids)
-
     def live_instance_ids(self) -> List[str]:
         with self._registry:
             return sorted(self._instances)
@@ -1466,56 +1456,59 @@ class AdeptSystem:
         finally:
             self._unpin(instance_id)
         if bias_class is not None:
-            bias_classes[bias_class] = self._biased_class_descriptor(instance, result)
+            # the class's stored fields are encoded only if a second member comes
+            bias_classes[bias_class] = {"representative": instance_id, "result": result}
+            if result.migrated:
+                bias_classes[bias_class]["offers"], _ = self.worklists.work_of(
+                    instance.execution_schema, instance.marking
+                )
         return result
 
-    def _biased_class_descriptor(
-        self, instance: ProcessInstance, result: InstanceMigrationResult
-    ) -> Dict[str, Any]:
-        """Shared outcome of one biased fingerprint class, from its representative.
+    def _apply_biased_class(
+        self, instance_id: str, biased_class: Dict[str, Any], new_version: int
+    ) -> InstanceMigrationResult:
+        """Apply a biased class's shared verdict to one stored member.
 
         Everything the class members need is a pure function of (bias,
-        state fingerprint): the outcome and conflicts, the adapted
-        marking on the combined schema and — via one re-encoding of the
-        migrated representative — the stored ``bias`` / ``biased`` /
-        ``representation`` fields (bias absorption may have changed
-        them).  The representation payload is instance-independent by
-        the strategy contract checked by the caller.
+        state fingerprint): the representative's outcome, conflicts and
+        offers and — encoded once, at the first further member, from the
+        live representative or the record its eviction wrote back, less
+        that write-back's ``"fix"`` hint — its stored ``marking``,
+        ``status``, ``bias`` / ``biased`` / ``representation`` (bias
+        absorption may have changed them).  The representation payload is
+        instance-independent by the strategy contract checked by the caller.
         """
-        descriptor: Dict[str, Any] = {
-            "outcome": result.outcome,
-            "conflicts": result.conflicts,
-            "migrated": result.migrated,
-        }
+        result = biased_class["result"]
         if result.migrated:
-            encoded = self.store.encode_record(instance)
-            descriptor["marking"] = encoded["marking"]
-            descriptor["offers"], _ = self.worklists.work_of(
-                instance.execution_schema, instance.marking
-            )
-            descriptor["updates"] = {
-                "biased": encoded.get("biased", False),
-                "bias": encoded.get("bias"),
-                "representation": encoded.get("representation"),
-            }
-        return descriptor
-
-    def _apply_biased_class(
-        self, instance_id: str, descriptor: Dict[str, Any], new_version: int
-    ) -> InstanceMigrationResult:
-        """Apply a biased class's shared verdict to one stored member."""
-        if descriptor["migrated"]:
+            if "marking" not in biased_class:
+                representative = biased_class["representative"]
+                with self._registry:
+                    live = self._instances.get(representative)
+                if live is not None:
+                    encoded = self.store.encode_record(live)
+                else:
+                    encoded = self.store.record(representative)
+                marking = dict(encoded["marking"])
+                marking.pop("fix", None)
+                biased_class["marking"] = marking
+                biased_class["updates"] = {
+                    "status": encoded["status"],
+                    "biased": encoded.get("biased", False),
+                    "bias": encoded.get("bias"),
+                    "representation": encoded.get("representation"),
+                }
+            updates = biased_class["updates"]
             self.store.migrate_record(
-                instance_id,
-                new_version,
-                descriptor["marking"],
-                updates=descriptor["updates"],
+                instance_id, new_version, biased_class["marking"], updates=updates
             )
-            self.worklists.sync_offers(instance_id, descriptor["offers"])
+            finished = updates["status"] not in ACTIVE_STATUS_VALUES
+            self.worklists.sync_offers(
+                instance_id, biased_class["offers"], () if finished else None
+            )
         return InstanceMigrationResult(
             instance_id=instance_id,
-            outcome=descriptor["outcome"],
-            conflicts=list(descriptor["conflicts"]),
+            outcome=result.outcome,
+            conflicts=list(result.conflicts),
             was_biased=True,
         )
 
@@ -1526,15 +1519,19 @@ class AdeptSystem:
 
         Record-level: the stored record moves onto ``schema`` with the
         class's adapted marking, and the case is offered what that
-        marking activates — all without materialising it.
+        marking activates — all without materialising it.  A marking
+        that reached the end finishes the case, which then keeps no work
+        item open.
         """
+        finished = verdict.adapted_marking.reached_end(schema)
         self.store.migrate_record(
             instance_id,
             schema.version,
             verdict.adapted_marking_dict(schema.index.marking_layout()),
+            updates={"status": InstanceStatus.COMPLETED.value} if finished else None,
         )
         offers, _ = self.worklists.work_of(schema, verdict.adapted_marking)
-        self.worklists.sync_offers(instance_id, offers)
+        self.worklists.sync_offers(instance_id, offers, () if finished else None)
 
     def _as_type_change(self, process_type: ProcessType, change: ChangeLike) -> TypeChange:
         """Normalise the accepted change flavours onto a :class:`TypeChange`."""

@@ -4,12 +4,13 @@
 and 3) in the plainest way that still reproduces the manager's observable
 behaviour: *every* instance is checked on its own — the interpreted
 :class:`~repro.core.compliance.ComplianceChecker` (conditions, replay or
-both), one :class:`~repro.core.state_adaptation.StateAdapter` run, the
-biased-instance rules and the optional rollback policy.  It shares no
-decision code with :class:`repro.core.migration.MigrationManager`: no
-compiled plan, no fingerprint, no verdict cache, no stored-record
-shortcut — only the result and report dataclasses, so the two sides can
-be compared with ``==``.
+both), one run of the name-based reference adaptation
+(``reference_adaptation.py``), the biased-instance rules and the optional
+rollback policy.  It shares no decision code with
+:class:`repro.core.migration.MigrationManager`: no compiled plan, no
+fingerprint, no verdict cache, no stored-record shortcut, not even the
+positional ``StateAdapter`` — only the result and report dataclasses, so
+the two sides can be compared with ``==``.
 
 :func:`reference_evolve` lifts it to the façade: the same candidate set
 ``AdeptSystem.evolve`` takes (live cases of the type plus the running
@@ -28,11 +29,15 @@ from repro.core.evolution import ProcessType, TypeChange
 from repro.core.migration import InstanceMigrationResult, MigrationOutcome, MigrationReport
 from repro.core.operations import OperationError
 from repro.core.rollback import RollbackManager, RollbackPlanner
-from repro.core.state_adaptation import StateAdapter
 from repro.runtime.engine import ProcessEngine
 from repro.runtime.instance import ProcessInstance
+from repro.runtime.markings import Marking
+from repro.runtime.states import InstanceStatus, NodeState
 from repro.schema.graph import ProcessSchema, SchemaError
+from repro.schema.nodes import NodeType
 from repro.verification.verifier import SchemaVerifier
+
+from tests.baselines.reference_adaptation import ReferenceAdapter
 
 
 def _outcome_of(conflicts) -> MigrationOutcome:
@@ -56,7 +61,7 @@ class ReferenceMigrator:
         self.rollback_on_state_conflict = rollback_on_state_conflict
         self.engine = ProcessEngine()
         self.checker = ComplianceChecker(engine=ProcessEngine())
-        self.adapter = StateAdapter(engine=ProcessEngine())
+        self.adapter = ReferenceAdapter(engine=ProcessEngine())
         self.verifier = SchemaVerifier()
 
     # ------------------------------------------------------------------ #
@@ -109,12 +114,20 @@ class ReferenceMigrator:
             instance, type_change.operations, target_schema=target, method=self.compliance_method
         )
 
+    @staticmethod
+    def _install(instance: ProcessInstance, marking: Marking, schema: ProcessSchema) -> None:
+        """Give the case its adapted marking; one whose end node completed is finished."""
+        instance.marking = marking
+        end = next(n for n in schema.node_ids() if schema.node(n).node_type is NodeType.END)
+        if marking.node_state(end) is NodeState.COMPLETED:
+            instance.status = InstanceStatus.COMPLETED
+
     def _migrate_unbiased(
         self, instance: ProcessInstance, new_schema: ProcessSchema, type_change: TypeChange
     ) -> InstanceMigrationResult:
         compliance = self._check(instance, type_change, new_schema)
         if compliance.compliant:
-            instance.marking = self.adapter.adapt(instance, new_schema)
+            self._install(instance, self.adapter.adapt(instance, new_schema), new_schema)
             instance.rebind_schema(new_schema)
             return InstanceMigrationResult(instance.instance_id, MigrationOutcome.MIGRATED)
         outcome = _outcome_of(compliance.conflicts)
@@ -137,7 +150,7 @@ class ReferenceMigrator:
         RollbackManager(engine=self.engine).rollback_activities(instance, plan.activities)
         if not self._check(instance, type_change, new_schema).compliant:
             return False
-        instance.marking = self.adapter.adapt(instance, new_schema)
+        self._install(instance, self.adapter.adapt(instance, new_schema), new_schema)
         instance.rebind_schema(new_schema)
         return True
 
@@ -195,7 +208,7 @@ class ReferenceMigrator:
         compliance = self._check(instance, type_change, combined)
         if not compliance.compliant:
             return refused(_outcome_of(compliance.conflicts), compliance.conflicts)
-        instance.marking = self.adapter.adapt(instance, combined)
+        self._install(instance, self.adapter.adapt(instance, combined), combined)
         instance.rebind_schema(new_schema, execution_schema=combined)
         instance.bias = bias
         return InstanceMigrationResult(

@@ -180,3 +180,38 @@ class TestRejectedChanges:
         instance = started_instance(engine, order_schema, "get_order")
         with pytest.raises(AdHocChangeError):
             changer.apply(instance, [DeleteActivity(activity_id="pack_goods")])
+
+
+class TestChangeThatFinishesACase:
+    """Deleting a case's last pending activity ad hoc finishes the case."""
+
+    def test_changer(self, engine, changer, sequence_schema):
+        last = sequence_schema.activity_ids()[-1]
+        instance = started_instance(engine, sequence_schema, *sequence_schema.activity_ids()[:-1])
+        changer.apply(instance, [DeleteActivity(activity_id=last)])
+        assert instance.node_state("end") is NodeState.COMPLETED
+        assert instance.status is InstanceStatus.COMPLETED
+        assert engine.run_to_completion(instance) == 0
+
+    @pytest.mark.parametrize("durable", [False, True], ids=["in_memory", "reopened"])
+    def test_facade_change_set(self, tmp_path, durable):
+        from repro import AdeptSystem
+        from repro.schema import templates
+
+        def opened():
+            if durable:
+                return AdeptSystem.open(str(tmp_path / "store"), cache_instances=1)
+            return AdeptSystem()
+
+        system = opened()
+        case = system.deploy(templates.sequential_process(length=3)).start(case_id="c").instance_id
+        system.run(case, max_steps=2)
+        assert system.activated(case) == ["step_3"]
+        system.change(case).delete("step_3").apply()
+        if durable:
+            system.backend.close()  # crash: recovery replays the change
+            system = opened()
+        assert system.get_instance(case).status is InstanceStatus.COMPLETED
+        assert system.worklists.items_for_instance(case) == []
+        assert system.step_many([case], steps=5)[0].steps == 0
+        system.close()

@@ -333,3 +333,95 @@ class TestDerivedStateJustification:
         # the second parallel block (join -> split -> branches) reset too
         assert incremental.node_state("late_a") is NodeState.NOT_ACTIVATED
         assert incremental.node_state("late_b") is NodeState.NOT_ACTIVATED
+
+
+class TestKernelOnlyWhenAResetNodeCanFire:
+    """The target's step kernel is compiled only when the reset region can move.
+
+    A biased case's combined schema is private to the case, so compiling
+    its kernel is paid per case; a case the change's region does not reach
+    yet keeps every code and needs none.
+    """
+
+    @staticmethod
+    def _migrate(progress):
+        from repro.core.adhoc import AdHocChanger
+        from repro.core.changelog import ChangeLog
+        from repro.core.evolution import ProcessType, TypeChange
+        from repro.core.migration import MigrationManager, MigrationOutcome
+        from repro.core.operations import SerialInsertActivity
+        from repro.runtime.engine import ProcessEngine
+        from repro.schema.nodes import Node
+        from repro.schema.templates import sequential_process
+
+        schema = sequential_process(length=6)
+        engine = ProcessEngine()
+        case = engine.create_instance(schema, "case")
+        AdHocChanger(engine).apply(
+            case, [SerialInsertActivity(activity=Node(node_id="adhoc"), pred="step_5", succ="step_6")]
+        )
+        engine.advance_instance(case, progress)
+        delta = TypeChange(
+            from_version=1,
+            operations=ChangeLog(
+                [SerialInsertActivity(activity=Node(node_id="extra"), pred="step_3", succ="step_4")]
+            ),
+        )
+        report = MigrationManager().migrate_type(ProcessType(schema.name, schema), delta, [case])
+        assert [r.outcome for r in report.results] == [MigrationOutcome.MIGRATED_WITH_BIAS]
+        return case
+
+    @pytest.mark.parametrize("progress", [0, 1, 2], ids=["at_step_1", "at_step_2", "at_step_3"])
+    def test_region_not_reached_compiles_no_kernel(self, progress):
+        case = self._migrate(progress)
+        assert case.execution_schema.index._step_kernel is None
+        assert case.activated_activities() == [f"step_{progress + 1}"]
+        assert case.marking.settled
+
+    def test_region_reached_compiles_the_kernel(self):
+        case = self._migrate(3)  # step_3 completed: "extra" activates
+        assert case.execution_schema.index._step_kernel is not None
+        assert case.activated_activities() == ["extra"]
+        assert case.node_state("step_4") is NodeState.NOT_ACTIVATED
+
+
+class TestTakenDecisionsStay:
+    """A decision the change does not reach is kept, not taken again.
+
+    The split ``c2`` chose its default branch while ``g`` was False; a
+    later activity set ``g``.  A change elsewhere must not re-open the
+    branch not taken.  The replay baseline agrees.  The name-based
+    procedure the positional one replaced re-decided every split behind a
+    join with a skipped branch on the case's *current* data — here it
+    activated ``c`` after ``d`` and ``w`` had completed.
+    """
+
+    def test_kept_decision_agrees_with_replay(self, adapter, engine):
+        from repro.core.changelog import ChangeLog
+        from repro.core.operations import SerialInsertActivity
+        from repro.schema.builder import SchemaBuilder
+        from repro.schema.data import DataType
+        from repro.schema.nodes import Node
+
+        from tests.baselines.reference_adaptation import ReferenceAdapter
+
+        builder = SchemaBuilder("taken", name="taken")
+        builder.data("g", DataType.BOOLEAN, default=False)
+        builder.conditional([("g", lambda s: s.activity("a")), (None, lambda s: s.activity("b"))])
+        builder.conditional([("g", lambda s: s.activity("c")), (None, lambda s: s.activity("d"))])
+        builder.activity("w", writes=["g"]).activity("z")
+        schema = builder.build()
+        instance = engine.create_instance(schema, "case")
+        engine.complete_activity(instance, "b")
+        engine.complete_activity(instance, "d")
+        engine.complete_activity(instance, "w", {"g": True})
+        target = ChangeLog(
+            [SerialInsertActivity(activity=Node(node_id="x"), pred="z", succ="end")]
+        ).apply_to(schema)
+
+        adapted = adapter.adapt(instance, target)
+        assert adapted.node_state("c") is NodeState.SKIPPED
+        assert adapted.activated_nodes() == ["z"]
+        assert adapted.differences(adapter.recompute_by_replay(instance, target)) == []
+        re_decided = ReferenceAdapter().adapt(instance, target)
+        assert re_decided.node_state("c") is NodeState.ACTIVATED

@@ -17,8 +17,11 @@ from hypothesis import strategies as st
 from repro.core.adhoc import AdHocChangeError, AdHocChanger
 from repro.core.operations import SerialInsertActivity
 from repro.runtime.engine import ProcessEngine
+from repro.runtime.kernel import _control_depth, _loop_budget, derive_round_bound
 from repro.schema.edges import EdgeType
 from repro.schema.nodes import Node
+from repro.schema.builder import SchemaBuilder
+from repro.schema.data import DataType
 
 from tests.baselines.scan_oracle import ScanOracle, observed
 
@@ -118,3 +121,39 @@ def test_kernel_and_oracle_stepping_agree(schema, seed):
         return trace, observed(engine, [instance])
 
     assert run(ProcessEngine()) == run(ScanOracle())
+
+
+def _parallel_then_loop(branches: int, iterations: int):
+    """``branches`` parallel activities, then a loop of ``iterations`` at most.
+
+    The parallel block keeps the control-flow depth well below the node
+    count, so a bound above the floor depends on the depth itself.
+    """
+    builder = SchemaBuilder("wide_loop", name="wide_loop")
+    builder.data("done", DataType.BOOLEAN, default=False)
+    builder.parallel([lambda seq, i=i: seq.activity(f"p{i}") for i in range(branches)])
+    builder.loop(
+        lambda seq: seq.activity("body", writes=["done"]),
+        condition="not done",
+        max_iterations=iterations,
+    )
+    return builder.build()
+
+
+@RELAXED
+@given(
+    schema=random_schemas(),
+    branches=st.integers(min_value=2, max_value=12),
+    iterations=st.integers(min_value=1, max_value=5000),
+)
+def test_round_bound_is_the_unconditional_formula(schema, branches, iterations):
+    """Skipping the depth pass where the bound is the floor never changes the bound.
+
+    Random schemas stay at the floor; a loop with a drawn budget crosses it.
+    """
+    for each in (schema, _parallel_then_loop(branches, iterations)):
+        index = each.index
+        expected = derive_round_bound(
+            len(index.node_ids), _control_depth(index), _loop_budget(index.loop_edges(), index)
+        )
+        assert index.step_kernel().round_bound == expected

@@ -3,6 +3,8 @@
 import pytest
 
 from repro import AdeptSystem, MigrationError, MigrationManager, ReproError
+from repro.core.operations import DeleteActivity
+from repro.runtime.states import InstanceStatus, NodeState
 from repro.schema import templates
 from repro.workloads.order_process import (
     ORDER_EXECUTION_SEQUENCE,
@@ -260,4 +262,119 @@ class TestNoCaseSkipsADelta:
         assert system.get_instance(passed_over).state_fingerprint() == before
         self._assert_left_on_v1(system, passed_over)
         assert system.get_instance(on_v2).schema_version == 3
+        system.close()
+
+
+class TestMigrationThatFinishesACase:
+    """A change that removes a case's last pending activity finishes the case.
+
+    ``sequence`` v1 is step_1 → step_2 → step_3; a case with step_3
+    activated meets ``DeleteActivity("step_3")``: its adapted marking
+    completes the end node, so the case is COMPLETED — whichever path
+    installs the marking — keeps no work item and steps nowhere.
+    """
+
+    DELETE_LAST = staticmethod(lambda: [DeleteActivity(activity_id="step_3")])
+
+    @staticmethod
+    def _system(tmp_path=None, **kwargs):
+        if tmp_path is not None:
+            system = AdeptSystem.open(str(tmp_path / "store"), **kwargs)
+        else:
+            system = AdeptSystem(**kwargs)
+        return system, system.deploy(templates.sequential_process(length=3))
+
+    @staticmethod
+    def _at_step_3(system, sequence, case_id, bias=False):
+        case = sequence.start(case_id=case_id).instance_id
+        if bias:
+            system.change(case).serial_insert("extra", pred="step_1", succ="step_2").apply()
+        system.run(case, max_steps=3 if bias else 2)
+        assert system.activated(case) == ["step_3"]
+        return case
+
+    @staticmethod
+    def _assert_finished(system, case_id):
+        instance = system.get_instance(case_id)
+        assert instance.status is InstanceStatus.COMPLETED
+        assert instance.node_state("end") is NodeState.COMPLETED
+        assert system.worklists.items_for_instance(case_id) == []
+        assert system.step_many([case_id], steps=5)[0].steps == 0
+
+    def test_live_case(self):
+        system, sequence = self._system()
+        case = self._at_step_3(system, sequence, "live")
+        assert len(system.worklists.items_for_instance(case)) == 1
+        report = sequence.evolve(self.DELETE_LAST())
+        assert report.migrated_instances == [case]
+        self._assert_finished(system, case)
+
+    def test_stored_member_of_a_known_class(self):
+        system, sequence = self._system(cache_instances=1)
+        first = self._at_step_3(system, sequence, "a-first")
+        stored = self._at_step_3(system, sequence, "b-stored")
+        system.get_instance(first)  # "b-stored" is evicted: rewritten from its record
+        assert stored not in system.live_instance_ids()
+        sequence.evolve(self.DELETE_LAST())
+        assert system.store.record(stored)["status"] == "completed"
+        for case in (first, stored):
+            self._assert_finished(system, case)
+
+    def test_biased_case(self):
+        system, sequence = self._system()
+        case = self._at_step_3(system, sequence, "biased", bias=True)
+        report = sequence.evolve(self.DELETE_LAST())
+        assert [r.outcome.value for r in report.results] == ["migrated_with_bias"]
+        self._assert_finished(system, case)
+
+    @pytest.mark.parametrize("representative", ["live", "evicted"])
+    def test_stored_member_of_a_biased_class(self, representative):
+        system, sequence = self._system(cache_instances=1)
+        members = [self._at_step_3(system, sequence, f"m{i}", bias=True) for i in (0, 2)]
+        if representative == "evicted":
+            # hydrated between the two members, it evicts the representative m0
+            self._at_step_3(system, sequence, "m1")
+        system.get_instance(sequence.start(case_id="z-other").instance_id)
+        assert not set(members) & set(system.live_instance_ids())
+        sequence.evolve(self.DELETE_LAST())
+        # the member's record is the representative's, less the write-back's hint
+        shared = system.store.encode_record(system.get_instance("m0"))
+        member = system.store.record("m2")
+        assert "fix" not in member["marking"]
+        for key in ("marking", "status", "biased", "bias", "representation"):
+            assert member[key] == shared[key], key
+        for case in members:
+            assert system.store.record(case)["status"] == "completed"
+            self._assert_finished(system, case)
+
+    def test_rollback_migration(self):
+        system, sequence = self._system(rollback_on_state_conflict=True)
+        case = self._at_step_3(system, sequence, "compensated")
+        # step_2 completed: deleting it needs its compensation first
+        report = sequence.evolve(
+            [DeleteActivity(activity_id="step_2"), DeleteActivity(activity_id="step_3")]
+        )
+        assert [r.outcome.value for r in report.results] == ["migrated_with_rollback"]
+        self._assert_finished(system, case)
+
+    def test_lazy_rollout_sweep(self):
+        system, sequence = self._system(cache_instances=1)
+        cases = [self._at_step_3(system, sequence, f"lazy{i}") for i in range(3)]
+        sequence.evolve(self.DELETE_LAST(), rollout="lazy")
+        while system.rollout_of("sequence") is not None:
+            assert system.sweep_rollout("sequence")
+        assert system.rollout_status("sequence")["adopted"] == 3
+        for case in cases:
+            self._assert_finished(system, case)
+
+    def test_reopen_replays_the_finish(self, tmp_path):
+        system, sequence = self._system(tmp_path, cache_instances=1)
+        cases = [self._at_step_3(system, sequence, f"durable{i}") for i in range(2)]
+        sequence.evolve(self.DELETE_LAST())
+        expected = {case: system.get_instance(case).state_fingerprint() for case in cases}
+        system.backend.close()  # crash: recovery replays the evolution
+        system = AdeptSystem.open(str(tmp_path / "store"), cache_instances=1)
+        for case in cases:
+            self._assert_finished(system, case)
+            assert system.get_instance(case).state_fingerprint() == expected[case]
         system.close()
