@@ -114,6 +114,20 @@ class ProcessType:
         self._versions[schema.version] = schema
         if type_change is not None:
             self._changes[schema.version] = type_change
+        self._shed_superseded()
+
+    def _shed_superseded(self) -> None:
+        """Shed the release-time analyses of the version two behind the latest.
+
+        Called whenever a version becomes latest, so every version up to
+        latest − 2 keeps only what its stragglers step with (see
+        :meth:`~repro.schema.index.SchemaIndex.shed_analyses`).  Latest − 1
+        keeps everything: it is the from-version of the release that made
+        the latest, and an eager plan or an in-flight rollout may still ask.
+        """
+        superseded = self._versions.get(self.latest_version - 2)
+        if superseded is not None:
+            superseded.shed_analyses()
 
     # ------------------------------------------------------------------ #
 
@@ -148,6 +162,7 @@ class ProcessType:
             )
         self._versions[new_schema.version] = new_schema
         self._changes[new_schema.version] = type_change
+        self._shed_superseded()
         return new_schema
 
     def withdraw_version(self, version: int) -> ProcessSchema:

@@ -13,9 +13,11 @@ from collections import deque
 from enum import Enum
 from typing import Callable, Deque, List, NamedTuple, Optional
 
-#: How many events an :class:`EventLog` — and, by default, the system
-#: bus's history — retains: the newest ones.  Both are windows for
-#: inspection, not archives; the journal is the durable record.
+#: The one retention bound for events: how many an :class:`EventLog`,
+#: and by default the system bus's history, its failed deliveries and
+#: the monitoring feed, retain — the newest ones.  All are windows for
+#: inspection, not archives: the journal is the durable record, and
+#: counts that must stay exact are kept as counters beside the window.
 MAX_RETAINED_EVENTS = 10000
 
 

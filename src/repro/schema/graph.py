@@ -81,6 +81,14 @@ class ProcessSchema:
             self._index = index
         return index
 
+    def shed_analyses(self) -> None:
+        """Drop the index's release-time analyses (:meth:`SchemaIndex.shed_analyses`).
+
+        A schema that was never indexed holds none, and gets no index.
+        """
+        if self._index is not None:
+            self._index.shed_analyses()
+
     def _bump(self) -> None:
         """Invalidate the compiled index after a structural mutation."""
         self._generation += 1

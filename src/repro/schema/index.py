@@ -45,7 +45,9 @@ class SchemaIndex:
     The constructor eagerly builds the cheap O(N + E) structures
     (adjacency, edge-type partitions, data-flow maps); everything
     quadratic or failure-prone (topological orders, reachability,
-    dominators, blocks) is computed lazily on first use and cached.
+    dominators, blocks) is computed lazily on first use and cached; a
+    superseded schema version sheds the release-time caches
+    (:meth:`shed_analyses`).
     Obtain instances through ``schema.index`` (or :meth:`SchemaIndex.of`),
     which reuses the cached index while ``schema.generation`` is
     unchanged.
@@ -674,6 +676,31 @@ class SchemaIndex:
 
             self._written_before = written_before(self.schema)
         return self._written_before
+
+    # ------------------------------------------------------------------ #
+    # superseded versions
+    # ------------------------------------------------------------------ #
+
+    def shed_analyses(self) -> None:
+        """Drop the release-time analyses; any of them rebuilds lazily if asked.
+
+        A superseded schema version keeps what stepping its stragglers
+        needs — adjacency, data-flow and loop maps, topological order, the
+        marking layout, the step kernel and its round bound — and forgets
+        what releasing a version from it and migrating off it asked for:
+        reachability, (post-)dominators, matching splits and joins, the
+        block tree and the written-before sets, and the entry specs once
+        the kernel they compile into exists.
+        """
+        self._reach_cache = {}
+        self._dominators = None
+        self._post_dominators = None
+        self._matching_join = {}
+        self._matching_split = {}
+        self._block_tree = None
+        self._written_before = None
+        if self._step_kernel is not None:
+            self._entry_specs = None
 
     # ------------------------------------------------------------------ #
 

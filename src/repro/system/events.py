@@ -14,7 +14,8 @@ forwards events to an external queue.  The monitoring package is the
 first built-in subscriber (:class:`repro.monitoring.EventFeed`).
 
 Subscriber exceptions never interrupt the publishing component (a broken
-dashboard must not abort a migration run); they are recorded on
+dashboard must not abort a migration run); they are counted on
+:attr:`EventBus.delivery_failures` and the newest are kept on
 :attr:`EventBus.delivery_errors` instead.
 """
 
@@ -156,8 +157,15 @@ class EventBus:
         self.max_history = max_history
         # reentrant: a subscriber may itself publish (or subscribe)
         self._lock = threading.RLock()
-        #: ``(subscriber, event, exception)`` triples of failed deliveries.
-        self.delivery_errors: List[Tuple[Subscriber, SystemEvent, Exception]] = []
+        #: ``(subscriber, event, exception)`` triples of the newest failed
+        #: deliveries, bounded like the history: each exception holds its
+        #: traceback and with it the frames, so an archive of them would
+        #: grow with every publish to a subscriber that always raises.
+        self.delivery_errors: Deque[Tuple[Subscriber, SystemEvent, Exception]] = deque(
+            maxlen=max_history
+        )
+        #: Every failed delivery, counted exactly.
+        self.delivery_failures = 0
 
     # ------------------------------------------------------------------ #
     # subscription management
@@ -242,6 +250,7 @@ class EventBus:
                 try:
                     handler(event)
                 except Exception as exc:  # noqa: BLE001 - subscriber isolation
+                    self.delivery_failures += 1
                     self.delivery_errors.append((handler, event, exc))
             return event
 

@@ -5,7 +5,7 @@ import pytest
 from repro import AdeptSystem, EventBus, EventFeed
 from repro.runtime.events import MAX_RETAINED_EVENTS, EventType
 from repro.schema import templates
-from repro.system.events import ALL_CATEGORIES
+from repro.system.events import ALL_CATEGORIES, SystemEvent
 from repro.workloads.order_process import order_type_change_v2
 
 
@@ -251,22 +251,24 @@ class TestRetention:
     def test_thirty_thousand_steps_leave_every_event_store_at_its_bound(self, tmp_path):
         """Events are windows, not archives: the engine log, the bus history
         and the monitoring feed each hold their newest events and nothing
-        else, while sequence numbers keep counting and order is kept."""
+        else — all three at the one bound — while sequence numbers and the
+        feed's counts keep counting and order is kept."""
         system = AdeptSystem.open(tmp_path / "db")
         # the feed also asks for the per-step engine events, so the bus builds them
         system.bus.subscribe(system.feed, categories=["engine"])
         sequence = system.deploy(templates.sequential_process(length=6))
-        steps = 0
+        steps = deleted = 0
         while steps < 30000:
             ids = [sequence.start().instance_id for _ in range(250)]
             steps += sum(result.steps for result in system.step_many(ids, steps=6))
             for case_id in ids:
                 system.delete_instance(case_id)
+            deleted += len(ids)
 
         assert len(system.event_log) == MAX_RETAINED_EVENTS
         assert len(system.event_log.events) == MAX_RETAINED_EVENTS
         assert len(system.bus) == system.bus.max_history == MAX_RETAINED_EVENTS
-        assert len(system.feed.events) == system.feed.max_events
+        assert len(system.feed.events) == system.feed.max_events == MAX_RETAINED_EVENTS
         # nothing stopped counting: far more was published than is retained
         published = system.bus.events[-1].seq
         assert published > 2 * steps > system.feed.max_events
@@ -283,5 +285,79 @@ class TestRetention:
             (e.event_type.value, e.instance_id)
             for e in system.event_log.events[-len(newest_engine_events):]
         ]
+        # the counts are over everything delivered, not over the window
+        assert sum(system.feed.category_counts().values()) == published
+        assert system.feed.counts()["instance_completed"] == deleted
+        assert system.feed.storage_summary()["instance_deleted"] == deleted
         system.close()
+
+    def test_a_subscriber_that_always_raises_leaves_a_bounded_error_window(self):
+        """Each recorded failure holds its exception, traceback and frames,
+        so failures are a window like the history, with an exact count."""
+        bus = EventBus()
+        bus.subscribe(ignore)
+
+        def broken(event):
+            raise RuntimeError(event.name)
+
+        bus.subscribe(broken)
+        publishes = 3 * MAX_RETAINED_EVENTS
+        for index in range(publishes):
+            bus.publish("system", f"e{index}")
+        assert len(bus) == MAX_RETAINED_EVENTS
+        assert len(bus.delivery_errors) == MAX_RETAINED_EVENTS
+        assert bus.delivery_failures == publishes
+        assert [str(error) for _, _, error in bus.delivery_errors] == [
+            f"e{index}" for index in range(publishes - MAX_RETAINED_EVENTS, publishes)
+        ]
+        assert all(handler is broken for handler, _, _ in bus.delivery_errors)
+
+    def test_summaries_are_exact_past_the_window(self):
+        feed = EventFeed(max_events=5)
+        names = [
+            "instance_loaded",
+            "instance_evicted",
+            "rollout_case_adopted",
+            "rollout_case_conflict",
+        ] * 4 + ["checkpoint_completed", "rollout_started", "rollout_completed", "recovery_completed"]
+        categories = {"rollout_case_adopted": "migration", "rollout_case_conflict": "migration"}
+        for seq, name in enumerate(names, start=1):
+            feed(SystemEvent(seq, categories.get(name, "system"), name))
+
+        assert len(feed) == 5
+        assert feed.names() == names[-5:]
+        assert feed.counts() == {
+            "instance_loaded": 4,
+            "instance_evicted": 4,
+            "rollout_case_adopted": 4,
+            "rollout_case_conflict": 4,
+            "checkpoint_completed": 1,
+            "rollout_started": 1,
+            "rollout_completed": 1,
+            "recovery_completed": 1,
+        }
+        assert feed.category_counts() == {"system": 12, "migration": 8}
+        assert feed.storage_summary() == {
+            "instance_loaded": 4,
+            "instance_evicted": 4,
+            "instance_saved": 0,
+            "instance_deleted": 0,
+            "checkpoint_completed": 1,
+            "recovery_completed": 1,
+        }
+        assert feed.rollout_summary() == {
+            "rollout_started": 1,
+            "rollout_case_adopted": 4,
+            "rollout_case_conflict": 4,
+            "rollout_promoted": 0,
+            "rollout_rolled_back": 0,
+            "rollout_swept": 0,
+            "rollout_completed": 1,
+        }
+
+        feed.clear()
+        assert len(feed) == 0 and feed.names() == []
+        assert feed.counts() == {} and feed.category_counts() == {}
+        assert set(feed.storage_summary().values()) == {0}
+        assert set(feed.rollout_summary().values()) == {0}
 
