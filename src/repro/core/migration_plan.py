@@ -301,9 +301,7 @@ class MigrationPlan:
                 guard = getattr(operation, "guard", None)
                 if guard:
                     elements |= _expression_names(guard)
-                affected = getattr(operation, "affected_elements", None)
-                if affected is not None:
-                    elements |= set(affected())
+                elements |= operation.affected_elements()
             extras = BiasExtras(
                 key=key, elements=frozenset(elements), supported=not parse_failed
             )
@@ -469,9 +467,7 @@ def _compile_operation(
     relevant: Set[str],
 ) -> CompiledOperation:
     """Specialise one operation; collects its relevant data elements."""
-    affected = getattr(operation, "affected_elements", None)
-    if affected is not None:
-        relevant |= set(affected())
+    relevant |= operation.affected_elements()
 
     def exists(node_id: str) -> bool:
         return old_schema.has_node(node_id) or node_id in introduced

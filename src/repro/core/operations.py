@@ -14,7 +14,8 @@ for these operations".  Every operation in this module knows how to
   history that the paper's Fig. 1 illustrates for ``addActivity``,
 * name the schema elements it **affects** (used for semantic overlap
   detection between concurrent type and instance changes), and
-* serialise itself to a plain dictionary (change logs are persisted).
+* serialise itself to a plain dictionary (change logs are persisted) —
+  one codec on the base class, driven by the dataclass fields.
 
 Together, preconditions and footprint make a change correct by
 construction: a change log that ``ChangeLog.apply_to(check=True)``
@@ -25,9 +26,13 @@ ad-hoc and migration paths run no verifier after a change
 
 from __future__ import annotations
 
+import collections.abc
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field, replace
-from typing import Any, ClassVar, Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from dataclasses import MISSING, dataclass, field, fields, replace
+from enum import Enum
+from operator import attrgetter, methodcaller
+from typing import Any, Callable, ClassVar, Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import get_origin, get_type_hints
 
 from repro.core.conflicts import Conflict, data_conflict, state_conflict, structural_conflict
 from repro.core.footprint import ChangeFootprint, decision_nodes_reading
@@ -67,9 +72,31 @@ class OperationError(ReproError):
 
 _OPERATION_REGISTRY: Dict[str, type] = {}
 
+_Convert = Optional[Callable[[Any], Any]]
+#: one payload key: field name, encoder, decoder (None: stored as it is), required
+_FieldCodec = Tuple[str, _Convert, _Convert, bool]
+
+
+def _field_codec(hint: Any) -> Tuple[_Convert, _Convert]:
+    """Encoder and decoder of a field annotated ``hint``."""
+    if hint in (Node, DataElement):
+        return methodcaller("to_dict"), hint.from_dict
+    if isinstance(hint, type) and issubclass(hint, Enum):
+        return attrgetter("value"), hint
+    if get_origin(hint) is tuple:
+        return list, tuple
+    if get_origin(hint) is collections.abc.Mapping:
+        return dict, dict
+    return None, None
+
 
 def _register(cls):
-    """Class decorator adding the operation to the serialisation registry."""
+    """Class decorator: add the operation to the registry and plan its payload codec."""
+    hints = get_type_hints(cls)
+    cls._codec = tuple(
+        (f.name, *_field_codec(hints[f.name]), f.default is MISSING and f.default_factory is MISSING)
+        for f in fields(cls)
+    )
     _OPERATION_REGISTRY[cls.operation_name] = cls
     return cls
 
@@ -86,6 +113,8 @@ class ChangeOperation(ABC):
     """Common interface of all ADEPT2 change operations."""
 
     operation_name: ClassVar[str] = "abstract"
+    #: the payload plan :func:`_register` derives from the dataclass fields
+    _codec: ClassVar[Tuple[_FieldCodec, ...]] = ()
 
     # -- schema level ---------------------------------------------------- #
 
@@ -132,7 +161,6 @@ class ChangeOperation(ABC):
 
     # -- instance level --------------------------------------------------- #
 
-    @abstractmethod
     def compliance_conflicts(
         self, instance: ProcessInstance, introduced: Optional[Set[str]] = None
     ) -> List[Conflict]:
@@ -141,13 +169,15 @@ class ChangeOperation(ABC):
         An empty list means the instance is compliant with the operation:
         its (reduced) execution history could have been produced on the
         changed schema as well, so it may be migrated / changed on the fly.
+        The default is an always-compliant operation.
         """
+        return []
 
     # -- metadata ---------------------------------------------------------- #
 
-    @abstractmethod
     def affected_nodes(self) -> Set[str]:
         """Existing node ids this operation reads or rewires."""
+        return set()
 
     def added_node_ids(self) -> Set[str]:
         """Node ids newly introduced by this operation."""
@@ -165,34 +195,49 @@ class ChangeOperation(ABC):
         """The operation undoing this one (not available for every kind)."""
         raise NotImplementedError(f"{self.operation_name} has no static inverse")
 
-    @abstractmethod
     def to_dict(self) -> Dict[str, Any]:
-        """Serialise the operation (``op`` key identifies the kind)."""
+        """Serialise the operation: ``op``, then every field in declaration order."""
+        payload: Dict[str, Any] = {"op": self.operation_name}
+        for name, encode, _, _ in self._codec:
+            value = getattr(self, name)
+            payload[name] = value if encode is None else encode(value)
+        return payload
 
     @classmethod
-    @abstractmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> "ChangeOperation":
-        """Reconstruct the operation from :meth:`to_dict` output."""
+        """Reconstruct the operation from :meth:`to_dict` output.
+
+        A field without a default is a required key; an absent optional key
+        takes the field's default.  A malformed payload raises
+        :class:`OperationError` naming the operation and the key.
+        """
+        arguments: Dict[str, Any] = {}
+        for name, _, decode, required in cls._codec:
+            if name not in payload:
+                if required:
+                    raise OperationError(
+                        f"{cls.operation_name} payload lacks the required key {name!r}"
+                    )
+                continue
+            value = payload[name]
+            if decode is not None:
+                try:
+                    value = decode(value)
+                except (KeyError, TypeError, ValueError) as exc:
+                    raise OperationError(
+                        f"{cls.operation_name} payload has a malformed {name!r}: {exc}"
+                    ) from exc
+            arguments[name] = value
+        return cls(**arguments)
 
     def describe(self) -> str:
         """Short human readable rendering (used in reports and conflicts)."""
         return f"{self.operation_name}"
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return self.describe()
-
 
 # --------------------------------------------------------------------------- #
 # helpers shared by several operations
 # --------------------------------------------------------------------------- #
-
-
-def _activity_payload(node: Node) -> Dict[str, Any]:
-    return node.to_dict()
-
-
-def _activity_from_payload(payload: Mapping[str, Any]) -> Node:
-    return Node.from_dict(payload)
 
 
 def _not_started(
@@ -215,39 +260,78 @@ def _exists(schema: ProcessSchema, node_id: str, introduced: Optional[Set[str]] 
     return bool(introduced and node_id in introduced)
 
 
-def _mark_new_activity(
-    footprint: ChangeFootprint, node: Node, reads: Sequence[str]
-) -> None:
-    """Footprint of an inserted activity: its node type and its reads."""
-    if node.node_type is not NodeType.ACTIVITY:
-        loop_node = node.node_type in (NodeType.LOOP_START, NodeType.LOOP_END)
-        footprint.issues.append(
-            error(
-                IssueCode.UNMATCHED_BLOCK if loop_node else IssueCode.BAD_DEGREE,
-                f"inserted node {node.node_id!r} is a {node.node_type.value} node, "
-                "not an activity",
-                nodes=(node.node_id,),
-            )
-        )
-    if reads:
-        footprint.nodes.add(node.node_id)
-
-
 def _block_id_problems(schema: ProcessSchema, *node_ids: str) -> List[str]:
     return [f"node {node_id!r} already exists" for node_id in node_ids if schema.has_node(node_id)]
 
 
-def _attach_data_edges(
-    schema: ProcessSchema, activity_id: str, reads: Sequence[str], writes: Sequence[str]
-) -> None:
-    for element in reads:
-        if not schema.has_data_element(element):
-            schema.add_data_element(DataElement(name=element))
-        schema.add_data_edge(DataEdge(activity=activity_id, element=element, access=DataAccess.READ))
-    for element in writes:
-        if not schema.has_data_element(element):
-            schema.add_data_element(DataElement(name=element))
-        schema.add_data_edge(DataEdge(activity=activity_id, element=element, access=DataAccess.WRITE))
+def _insert_position_problems(
+    schema: ProcessSchema, node_id: str, pred: str, succ: str
+) -> List[str]:
+    """Preconditions of inserting ``node_id`` into the control edge ``pred -> succ``."""
+    problems = _block_id_problems(schema, node_id)
+    if not schema.has_node(pred):
+        problems.append(f"predecessor {pred!r} does not exist")
+    if not schema.has_node(succ):
+        problems.append(f"successor {succ!r} does not exist")
+    if (
+        schema.has_node(pred)
+        and schema.has_node(succ)
+        and not schema.has_edge(pred, succ, EdgeType.CONTROL)
+    ):
+        problems.append(f"no control edge {pred!r} -> {succ!r}")
+    return problems
+
+
+def _lost_position(
+    operation: Any, instance: ProcessInstance, introduced: Optional[Set[str]]
+) -> List[Conflict]:
+    """The structural conflict of an insert whose ``pred -> succ`` is gone from the instance."""
+    schema = instance.execution_schema
+    if _exists(schema, operation.succ, introduced) and _exists(schema, operation.pred, introduced):
+        return []
+    return [
+        structural_conflict(
+            "insertion position no longer exists on the instance's schema",
+            nodes=(operation.pred, operation.succ),
+            operation=operation.describe(),
+        )
+    ]
+
+
+class _ActivityInsert:
+    """The inserted activity's footprint, data edges and elements, for the three inserts.
+
+    A mixin without fields: inheriting dataclass fields would reorder the
+    operations' payload keys.
+    """
+
+    def mark_footprint(self, schema: ProcessSchema, footprint: ChangeFootprint) -> None:
+        """Footprint of an inserted activity: its node type and its reads."""
+        node = self.activity
+        if node.node_type is not NodeType.ACTIVITY:
+            loop_node = node.node_type in (NodeType.LOOP_START, NodeType.LOOP_END)
+            footprint.issues.append(
+                error(
+                    IssueCode.UNMATCHED_BLOCK if loop_node else IssueCode.BAD_DEGREE,
+                    f"inserted node {node.node_id!r} is a {node.node_type.value} node, "
+                    "not an activity",
+                    nodes=(node.node_id,),
+                )
+            )
+        if self.reads:
+            footprint.nodes.add(node.node_id)
+
+    def _attach_data_edges(self, schema: ProcessSchema) -> None:
+        for access, elements in ((DataAccess.READ, self.reads), (DataAccess.WRITE, self.writes)):
+            for element in elements:
+                if not schema.has_data_element(element):
+                    schema.add_data_element(DataElement(name=element))
+                schema.add_data_edge(
+                    DataEdge(activity=self.activity.node_id, element=element, access=access)
+                )
+
+    def affected_elements(self) -> Set[str]:
+        return set(self.reads) | set(self.writes)
 
 
 # --------------------------------------------------------------------------- #
@@ -257,7 +341,7 @@ def _attach_data_edges(
 
 @_register
 @dataclass
-class SerialInsertActivity(ChangeOperation):
+class SerialInsertActivity(_ActivityInsert, ChangeOperation):
     """Insert a new activity into the control edge ``pred -> succ``.
 
     This is the paper's ``addActivity(S, act, Preds, Succs)`` for the serial
@@ -269,49 +353,25 @@ class SerialInsertActivity(ChangeOperation):
 
     operation_name: ClassVar[str] = "serial_insert_activity"
 
-    activity: Node = None  # type: ignore[assignment]
-    pred: str = ""
-    succ: str = ""
+    activity: Node
+    pred: str
+    succ: str
     reads: Tuple[str, ...] = ()
     writes: Tuple[str, ...] = ()
 
     def check_preconditions(self, schema: ProcessSchema) -> List[str]:
-        problems: List[str] = []
-        if schema.has_node(self.activity.node_id):
-            problems.append(f"node {self.activity.node_id!r} already exists")
-        if not schema.has_node(self.pred):
-            problems.append(f"predecessor {self.pred!r} does not exist")
-        if not schema.has_node(self.succ):
-            problems.append(f"successor {self.succ!r} does not exist")
-        if (
-            schema.has_node(self.pred)
-            and schema.has_node(self.succ)
-            and not schema.has_edge(self.pred, self.succ, EdgeType.CONTROL)
-        ):
-            problems.append(f"no control edge {self.pred!r} -> {self.succ!r}")
-        return problems
-
-    def mark_footprint(self, schema: ProcessSchema, footprint: ChangeFootprint) -> None:
-        _mark_new_activity(footprint, self.activity, self.reads)
+        return _insert_position_problems(schema, self.activity.node_id, self.pred, self.succ)
 
     def apply(self, schema: ProcessSchema) -> None:
         insert_node_between(schema, self.activity, self.pred, self.succ)
-        _attach_data_edges(schema, self.activity.node_id, self.reads, self.writes)
+        self._attach_data_edges(schema)
 
     def compliance_conflicts(
         self, instance: ProcessInstance, introduced: Optional[Set[str]] = None
     ) -> List[Conflict]:
-        schema = instance.execution_schema
-        if not _exists(schema, self.succ, introduced) or not _exists(schema, self.pred, introduced):
-            return [
-                structural_conflict(
-                    "insertion position no longer exists on the instance's schema",
-                    nodes=(self.pred, self.succ),
-                    operation=self.describe(),
-                )
-            ]
-        if _not_started(instance, self.succ, introduced):
-            return []
+        lost = _lost_position(self, instance, introduced)
+        if lost or _not_started(instance, self.succ, introduced):
+            return lost
         return [
             state_conflict(
                 f"successor {self.succ!r} already started "
@@ -328,31 +388,8 @@ class SerialInsertActivity(ChangeOperation):
     def added_node_ids(self) -> Set[str]:
         return {self.activity.node_id}
 
-    def affected_elements(self) -> Set[str]:
-        return set(self.reads) | set(self.writes)
-
     def inverse(self) -> "ChangeOperation":
         return DeleteActivity(activity_id=self.activity.node_id)
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "op": self.operation_name,
-            "activity": _activity_payload(self.activity),
-            "pred": self.pred,
-            "succ": self.succ,
-            "reads": list(self.reads),
-            "writes": list(self.writes),
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "SerialInsertActivity":
-        return cls(
-            activity=_activity_from_payload(payload["activity"]),
-            pred=payload["pred"],
-            succ=payload["succ"],
-            reads=tuple(payload.get("reads", ())),
-            writes=tuple(payload.get("writes", ())),
-        )
 
     def describe(self) -> str:
         return f"serialInsert({self.activity.node_id}, {self.pred} -> {self.succ})"
@@ -360,7 +397,7 @@ class SerialInsertActivity(ChangeOperation):
 
 @_register
 @dataclass
-class ParallelInsertActivity(ChangeOperation):
+class ParallelInsertActivity(_ActivityInsert, ChangeOperation):
     """Insert a new activity in parallel to an existing one.
 
     The existing activity is wrapped into a fresh AND block whose second
@@ -371,8 +408,8 @@ class ParallelInsertActivity(ChangeOperation):
 
     operation_name: ClassVar[str] = "parallel_insert_activity"
 
-    activity: Node = None  # type: ignore[assignment]
-    parallel_to: str = ""
+    activity: Node
+    parallel_to: str
     reads: Tuple[str, ...] = ()
     writes: Tuple[str, ...] = ()
 
@@ -385,24 +422,18 @@ class ParallelInsertActivity(ChangeOperation):
         return f"{self.activity.node_id}__pjoin"
 
     def check_preconditions(self, schema: ProcessSchema) -> List[str]:
-        problems: List[str] = []
-        if schema.has_node(self.activity.node_id):
-            problems.append(f"node {self.activity.node_id!r} already exists")
+        problems = _block_id_problems(schema, self.activity.node_id)
         if not schema.has_node(self.parallel_to):
             problems.append(f"activity {self.parallel_to!r} does not exist")
             return problems
-        target = schema.node(self.parallel_to)
-        if not target.is_activity:
+        if not schema.node(self.parallel_to).is_activity:
             problems.append(f"{self.parallel_to!r} is not an activity node")
         problems.extend(_block_id_problems(schema, self.split_id, self.join_id))
         return problems
 
-    def mark_footprint(self, schema: ProcessSchema, footprint: ChangeFootprint) -> None:
-        _mark_new_activity(footprint, self.activity, self.reads)
-
     def apply(self, schema: ProcessSchema) -> None:
         wrap_in_parallel_block(schema, self.parallel_to, self.activity, self.split_id, self.join_id)
-        _attach_data_edges(schema, self.activity.node_id, self.reads, self.writes)
+        self._attach_data_edges(schema)
 
     def compliance_conflicts(
         self, instance: ProcessInstance, introduced: Optional[Set[str]] = None
@@ -435,34 +466,13 @@ class ParallelInsertActivity(ChangeOperation):
     def added_node_ids(self) -> Set[str]:
         return {self.activity.node_id, self.split_id, self.join_id}
 
-    def affected_elements(self) -> Set[str]:
-        return set(self.reads) | set(self.writes)
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "op": self.operation_name,
-            "activity": _activity_payload(self.activity),
-            "parallel_to": self.parallel_to,
-            "reads": list(self.reads),
-            "writes": list(self.writes),
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "ParallelInsertActivity":
-        return cls(
-            activity=_activity_from_payload(payload["activity"]),
-            parallel_to=payload["parallel_to"],
-            reads=tuple(payload.get("reads", ())),
-            writes=tuple(payload.get("writes", ())),
-        )
-
     def describe(self) -> str:
         return f"parallelInsert({self.activity.node_id} || {self.parallel_to})"
 
 
 @_register
 @dataclass
-class ConditionalInsertActivity(ChangeOperation):
+class ConditionalInsertActivity(_ActivityInsert, ChangeOperation):
     """Insert a new activity between two nodes, guarded by a condition.
 
     A fresh XOR block is created whose guarded branch contains the new
@@ -472,9 +482,9 @@ class ConditionalInsertActivity(ChangeOperation):
 
     operation_name: ClassVar[str] = "conditional_insert_activity"
 
-    activity: Node = None  # type: ignore[assignment]
-    pred: str = ""
-    succ: str = ""
+    activity: Node
+    pred: str
+    succ: str
     guard: str = "True"
     reads: Tuple[str, ...] = ()
     writes: Tuple[str, ...] = ()
@@ -488,24 +498,11 @@ class ConditionalInsertActivity(ChangeOperation):
         return f"{self.activity.node_id}__cjoin"
 
     def check_preconditions(self, schema: ProcessSchema) -> List[str]:
-        problems: List[str] = []
-        if schema.has_node(self.activity.node_id):
-            problems.append(f"node {self.activity.node_id!r} already exists")
-        if not schema.has_node(self.pred):
-            problems.append(f"predecessor {self.pred!r} does not exist")
-        if not schema.has_node(self.succ):
-            problems.append(f"successor {self.succ!r} does not exist")
-        if (
-            schema.has_node(self.pred)
-            and schema.has_node(self.succ)
-            and not schema.has_edge(self.pred, self.succ, EdgeType.CONTROL)
-        ):
-            problems.append(f"no control edge {self.pred!r} -> {self.succ!r}")
-        problems.extend(_block_id_problems(schema, self.split_id, self.join_id))
-        return problems
+        problems = _insert_position_problems(schema, self.activity.node_id, self.pred, self.succ)
+        return problems + _block_id_problems(schema, self.split_id, self.join_id)
 
     def mark_footprint(self, schema: ProcessSchema, footprint: ChangeFootprint) -> None:
-        _mark_new_activity(footprint, self.activity, self.reads)
+        super().mark_footprint(schema, footprint)
         if self.guard is None:
             footprint.issues.append(
                 error(
@@ -521,22 +518,14 @@ class ConditionalInsertActivity(ChangeOperation):
         insert_conditional_block(
             schema, self.activity, self.pred, self.succ, self.guard, self.split_id, self.join_id
         )
-        _attach_data_edges(schema, self.activity.node_id, self.reads, self.writes)
+        self._attach_data_edges(schema)
 
     def compliance_conflicts(
         self, instance: ProcessInstance, introduced: Optional[Set[str]] = None
     ) -> List[Conflict]:
-        schema = instance.execution_schema
-        if not _exists(schema, self.succ, introduced) or not _exists(schema, self.pred, introduced):
-            return [
-                structural_conflict(
-                    "insertion position no longer exists on the instance's schema",
-                    nodes=(self.pred, self.succ),
-                    operation=self.describe(),
-                )
-            ]
-        if _not_started(instance, self.succ, introduced):
-            return []
+        lost = _lost_position(self, instance, introduced)
+        if lost or _not_started(instance, self.succ, introduced):
+            return lost
         return [
             state_conflict(
                 f"successor {self.succ!r} already started; the conditional block could "
@@ -551,31 +540,6 @@ class ConditionalInsertActivity(ChangeOperation):
 
     def added_node_ids(self) -> Set[str]:
         return {self.activity.node_id, self.split_id, self.join_id}
-
-    def affected_elements(self) -> Set[str]:
-        return set(self.reads) | set(self.writes)
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "op": self.operation_name,
-            "activity": _activity_payload(self.activity),
-            "pred": self.pred,
-            "succ": self.succ,
-            "guard": self.guard,
-            "reads": list(self.reads),
-            "writes": list(self.writes),
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "ConditionalInsertActivity":
-        return cls(
-            activity=_activity_from_payload(payload["activity"]),
-            pred=payload["pred"],
-            succ=payload["succ"],
-            guard=payload.get("guard", "True"),
-            reads=tuple(payload.get("reads", ())),
-            writes=tuple(payload.get("writes", ())),
-        )
 
     def describe(self) -> str:
         return f"conditionalInsert({self.activity.node_id}, {self.pred} -> {self.succ}, if {self.guard})"
@@ -595,7 +559,7 @@ class DeleteActivity(ChangeOperation):
 
     operation_name: ClassVar[str] = "delete_activity"
 
-    activity_id: str = ""
+    activity_id: str
     supply_values: Mapping[str, Any] = field(default_factory=dict)
 
     def check_preconditions(self, schema: ProcessSchema) -> List[str]:
@@ -715,20 +679,6 @@ class DeleteActivity(ChangeOperation):
     def removed_node_ids(self) -> Set[str]:
         return {self.activity_id}
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "op": self.operation_name,
-            "activity_id": self.activity_id,
-            "supply_values": dict(self.supply_values),
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "DeleteActivity":
-        return cls(
-            activity_id=payload["activity_id"],
-            supply_values=dict(payload.get("supply_values", {})),
-        )
-
     def describe(self) -> str:
         return f"deleteActivity({self.activity_id})"
 
@@ -746,9 +696,9 @@ class MoveActivity(ChangeOperation):
 
     operation_name: ClassVar[str] = "move_activity"
 
-    activity_id: str = ""
-    new_pred: str = ""
-    new_succ: str = ""
+    activity_id: str
+    new_pred: str
+    new_succ: str
 
     def check_preconditions(self, schema: ProcessSchema) -> List[str]:
         problems: List[str] = []
@@ -850,22 +800,6 @@ class MoveActivity(ChangeOperation):
     def affected_nodes(self) -> Set[str]:
         return {self.activity_id, self.new_pred, self.new_succ}
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "op": self.operation_name,
-            "activity_id": self.activity_id,
-            "new_pred": self.new_pred,
-            "new_succ": self.new_succ,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "MoveActivity":
-        return cls(
-            activity_id=payload["activity_id"],
-            new_pred=payload["new_pred"],
-            new_succ=payload["new_succ"],
-        )
-
     def describe(self) -> str:
         return f"moveActivity({self.activity_id} to {self.new_pred} -> {self.new_succ})"
 
@@ -884,8 +818,8 @@ class InsertSyncEdge(ChangeOperation):
 
     operation_name: ClassVar[str] = "insert_sync_edge"
 
-    source: str = ""
-    target: str = ""
+    source: str
+    target: str
 
     def check_preconditions(self, schema: ProcessSchema) -> List[str]:
         problems: List[str] = []
@@ -969,13 +903,6 @@ class InsertSyncEdge(ChangeOperation):
     def inverse(self) -> "ChangeOperation":
         return DeleteSyncEdge(source=self.source, target=self.target)
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {"op": self.operation_name, "source": self.source, "target": self.target}
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "InsertSyncEdge":
-        return cls(source=payload["source"], target=payload["target"])
-
     def describe(self) -> str:
         return f"insertSyncEdge({self.source} -> {self.target})"
 
@@ -987,8 +914,8 @@ class DeleteSyncEdge(ChangeOperation):
 
     operation_name: ClassVar[str] = "delete_sync_edge"
 
-    source: str = ""
-    target: str = ""
+    source: str
+    target: str
 
     def check_preconditions(self, schema: ProcessSchema) -> List[str]:
         if not schema.has_edge(self.source, self.target, EdgeType.SYNC):
@@ -1002,23 +929,11 @@ class DeleteSyncEdge(ChangeOperation):
     def apply(self, schema: ProcessSchema) -> None:
         schema.remove_edge(self.source, self.target, EdgeType.SYNC)
 
-    def compliance_conflicts(
-        self, instance: ProcessInstance, introduced: Optional[Set[str]] = None
-    ) -> List[Conflict]:
-        return []
-
     def affected_nodes(self) -> Set[str]:
         return {self.source, self.target}
 
     def inverse(self) -> "ChangeOperation":
         return InsertSyncEdge(source=self.source, target=self.target)
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {"op": self.operation_name, "source": self.source, "target": self.target}
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "DeleteSyncEdge":
-        return cls(source=payload["source"], target=payload["target"])
 
     def describe(self) -> str:
         return f"deleteSyncEdge({self.source} -> {self.target})"
@@ -1036,7 +951,7 @@ class AddDataElement(ChangeOperation):
 
     operation_name: ClassVar[str] = "add_data_element"
 
-    element: DataElement = None  # type: ignore[assignment]
+    element: DataElement
 
     def check_preconditions(self, schema: ProcessSchema) -> List[str]:
         if schema.has_data_element(self.element.name):
@@ -1046,26 +961,11 @@ class AddDataElement(ChangeOperation):
     def apply(self, schema: ProcessSchema) -> None:
         schema.add_data_element(self.element)
 
-    def compliance_conflicts(
-        self, instance: ProcessInstance, introduced: Optional[Set[str]] = None
-    ) -> List[Conflict]:
-        return []
-
-    def affected_nodes(self) -> Set[str]:
-        return set()
-
     def affected_elements(self) -> Set[str]:
         return {self.element.name}
 
     def inverse(self) -> "ChangeOperation":
         return DeleteDataElement(name=self.element.name)
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {"op": self.operation_name, "element": self.element.to_dict()}
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "AddDataElement":
-        return cls(element=DataElement.from_dict(payload["element"]))
 
     def describe(self) -> str:
         return f"addDataElement({self.element.name})"
@@ -1078,7 +978,7 @@ class DeleteDataElement(ChangeOperation):
 
     operation_name: ClassVar[str] = "delete_data_element"
 
-    name: str = ""
+    name: str
 
     def check_preconditions(self, schema: ProcessSchema) -> List[str]:
         problems: List[str] = []
@@ -1100,23 +1000,8 @@ class DeleteDataElement(ChangeOperation):
     def apply(self, schema: ProcessSchema) -> None:
         schema.remove_data_element(self.name)
 
-    def compliance_conflicts(
-        self, instance: ProcessInstance, introduced: Optional[Set[str]] = None
-    ) -> List[Conflict]:
-        return []
-
-    def affected_nodes(self) -> Set[str]:
-        return set()
-
     def affected_elements(self) -> Set[str]:
         return {self.name}
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {"op": self.operation_name, "name": self.name}
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "DeleteDataElement":
-        return cls(name=payload["name"])
 
     def describe(self) -> str:
         return f"deleteDataElement({self.name})"
@@ -1135,9 +1020,9 @@ class AddDataEdge(ChangeOperation):
 
     operation_name: ClassVar[str] = "add_data_edge"
 
-    activity: str = ""
-    element: str = ""
-    access: DataAccess = DataAccess.READ
+    activity: str
+    element: str
+    access: DataAccess
     mandatory: bool = True
 
     def check_preconditions(self, schema: ProcessSchema) -> List[str]:
@@ -1212,24 +1097,6 @@ class AddDataEdge(ChangeOperation):
     def inverse(self) -> "ChangeOperation":
         return DeleteDataEdge(activity=self.activity, element=self.element, access=self.access)
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "op": self.operation_name,
-            "activity": self.activity,
-            "element": self.element,
-            "access": self.access.value,
-            "mandatory": self.mandatory,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "AddDataEdge":
-        return cls(
-            activity=payload["activity"],
-            element=payload["element"],
-            access=DataAccess(payload["access"]),
-            mandatory=payload.get("mandatory", True),
-        )
-
     def describe(self) -> str:
         return f"addDataEdge({self.activity} {self.access.value} {self.element})"
 
@@ -1241,9 +1108,9 @@ class DeleteDataEdge(ChangeOperation):
 
     operation_name: ClassVar[str] = "delete_data_edge"
 
-    activity: str = ""
-    element: str = ""
-    access: DataAccess = DataAccess.READ
+    activity: str
+    element: str
+    access: DataAccess
 
     def check_preconditions(self, schema: ProcessSchema) -> List[str]:
         if not any(
@@ -1261,11 +1128,6 @@ class DeleteDataEdge(ChangeOperation):
     def apply(self, schema: ProcessSchema) -> None:
         schema.remove_data_edge(self.activity, self.element, self.access)
 
-    def compliance_conflicts(
-        self, instance: ProcessInstance, introduced: Optional[Set[str]] = None
-    ) -> List[Conflict]:
-        return []
-
     def affected_nodes(self) -> Set[str]:
         return {self.activity}
 
@@ -1274,22 +1136,6 @@ class DeleteDataEdge(ChangeOperation):
 
     def inverse(self) -> "ChangeOperation":
         return AddDataEdge(activity=self.activity, element=self.element, access=self.access)
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "op": self.operation_name,
-            "activity": self.activity,
-            "element": self.element,
-            "access": self.access.value,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "DeleteDataEdge":
-        return cls(
-            activity=payload["activity"],
-            element=payload["element"],
-            access=DataAccess(payload["access"]),
-        )
 
     def describe(self) -> str:
         return f"deleteDataEdge({self.activity} {self.access.value} {self.element})"
@@ -1312,7 +1158,7 @@ class ChangeActivityAttributes(ChangeOperation):
 
     operation_name: ClassVar[str] = "change_activity_attributes"
 
-    activity_id: str = ""
+    activity_id: str
     name: Optional[str] = None
     role: Optional[str] = None
     duration: Optional[float] = None
@@ -1336,31 +1182,8 @@ class ChangeActivityAttributes(ChangeOperation):
         )
         schema.replace_node(updated)
 
-    def compliance_conflicts(
-        self, instance: ProcessInstance, introduced: Optional[Set[str]] = None
-    ) -> List[Conflict]:
-        return []
-
     def affected_nodes(self) -> Set[str]:
         return {self.activity_id}
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "op": self.operation_name,
-            "activity_id": self.activity_id,
-            "name": self.name,
-            "role": self.role,
-            "duration": self.duration,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "ChangeActivityAttributes":
-        return cls(
-            activity_id=payload["activity_id"],
-            name=payload.get("name"),
-            role=payload.get("role"),
-            duration=payload.get("duration"),
-        )
 
     def describe(self) -> str:
         return f"changeAttributes({self.activity_id})"

@@ -9,10 +9,13 @@ from repro.core.operations import (
     DeleteDataElement,
     DeleteSyncEdge,
     InsertSyncEdge,
+    OperationError,
+    SerialInsertActivity,
     operation_from_dict,
 )
 from repro.schema.data import DataAccess, DataElement, DataType
 from repro.schema.edges import EdgeType
+from repro.schema.nodes import Node
 from repro.verification import verify_schema
 
 
@@ -180,7 +183,38 @@ class TestDataEdgeOperations:
 
 class TestRegistry:
     def test_unknown_operation_rejected(self):
-        from repro.core.operations import OperationError
-
         with pytest.raises(OperationError):
             operation_from_dict({"op": "does_not_exist"})
+
+
+class TestMalformedPayloads:
+    """A bad stored or wire payload is an ``OperationError`` naming the operation and the key."""
+
+    @pytest.mark.parametrize(
+        "payload, key",
+        [
+            ({"op": "serial_insert_activity", "activity": {"node_id": "x"}, "succ": "b"}, "pred"),
+            ({"op": "delete_activity", "supply_values": {}}, "activity_id"),
+            ({"op": "add_data_edge", "activity": "a", "element": "x", "access": "modify"}, "access"),
+            (
+                {"op": "serial_insert_activity", "activity": {"node_id": "x", "node_type": "gateway"},
+                 "pred": "a", "succ": "b"},
+                "activity",
+            ),
+            ({"op": "parallel_insert_activity", "activity": "x", "parallel_to": "a"}, "activity"),
+            ({"op": "add_data_element", "element": ["amount"]}, "element"),
+        ],
+        ids=["missing_pred", "missing_activity_id", "unknown_access", "unknown_node_type",
+             "activity_not_a_mapping", "element_not_a_mapping"],
+    )
+    def test_names_operation_and_key(self, payload, key):
+        with pytest.raises(OperationError) as refused:
+            operation_from_dict(payload)
+        assert payload["op"] in str(refused.value)
+        assert repr(key) in str(refused.value)
+
+
+def test_required_constructor_argument_is_enforced():
+    # a placeholder default used to yield an operation inserting after ""
+    with pytest.raises(TypeError):
+        SerialInsertActivity(activity=Node(node_id="x"), succ="b")

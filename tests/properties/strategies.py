@@ -184,7 +184,9 @@ def _add_data_edge(data, schema):
 def _delete_data_edge(data, schema):
     edges = sorted(edge.key for edge in schema.data_edges)
     if not edges:
-        return DeleteDataEdge(activity=_pick(data, _activities(schema), "node"), element="f1")
+        return DeleteDataEdge(
+            activity=_pick(data, _activities(schema), "node"), element="f1", access=DataAccess.READ
+        )
     activity, element, access = data.draw(st.sampled_from(edges), label="data edge")
     return DeleteDataEdge(activity=activity, element=element, access=DataAccess(access))
 

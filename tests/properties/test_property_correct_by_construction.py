@@ -195,7 +195,8 @@ GAPS = {
     "sync edge closing a cycle": (
         [InsertSyncEdge(source="b", target="a")], IssueCode.SYNC_CYCLE),
     "mandatory read added": (
-        [AddDataEdge(activity="w1", element="e")], IssueCode.MISSING_INPUT_DATA),
+        [AddDataEdge(activity="w1", element="e", access=DataAccess.READ)],
+        IssueCode.MISSING_INPUT_DATA),
     "delete the writer before the reader, keep one after it": (
         [DeleteActivity(activity_id="w1")], IssueCode.MISSING_INPUT_DATA),
     "delete the write edge before the reader": (
