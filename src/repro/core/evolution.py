@@ -3,21 +3,22 @@
 A process type groups all schema versions of one business process (the
 paper's Fig. 3 shows "online order, version V2").  A :class:`TypeChange`
 ΔT is the change log transforming one version into the next; releasing it
-produces and verifies the new version.  Whether and how running instances
-follow the new version is decided by the migration manager
-(:mod:`repro.core.migration`).
+produces the new version, correct by construction (``apply_to(check=True)``
+refuses an operation whose preconditions fail).  A released version is
+frozen: mutating it raises, and every change works on a copy.  Whether and
+how running instances follow the new version is decided by the migration
+manager (:mod:`repro.core.migration`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence
+from typing import Any, Collection, Dict, Iterable, List, Mapping, Optional, Sequence
 
 from repro.core.changelog import ChangeLog
 from repro.errors import ReproError
 from repro.core.operations import ChangeOperation, OperationError
 from repro.schema.graph import ProcessSchema, SchemaError
-from repro.verification.verifier import SchemaVerifier
 
 
 class EvolutionError(ReproError):
@@ -111,6 +112,7 @@ class ProcessType:
                 f"versions must be released in order: expected {self.latest_version + 1}, "
                 f"got {schema.version}"
             )
+        schema.freeze()
         self._versions[schema.version] = schema
         if type_change is not None:
             self._changes[schema.version] = type_change
@@ -129,18 +131,31 @@ class ProcessType:
         if superseded is not None:
             superseded.shed_analyses()
 
+    def drop_unoccupied(self, occupied: Collection[int]) -> None:
+        """Drop the compiled index of every version ≤ latest − 2 not in ``occupied``.
+
+        ``occupied`` holds every version some case runs on (over-counting
+        only keeps a version compiled).  A dropped version keeps its schema
+        and ΔT; ``schema.index`` rebuilds the index, layout and kernel if a
+        case needs them again, and because the schema is frozen the rebuilt
+        layout has the dropped one's node and edge positions.  Latest − 1
+        is kept whatever its occupancy: an eager plan, an in-flight rollout
+        or an observing canary may still use it.
+        """
+        newest_droppable = self.latest_version - 2
+        for version, schema in self._versions.items():
+            if version <= newest_droppable and version not in occupied:
+                schema.drop_index()
+
     # ------------------------------------------------------------------ #
 
-    def release_new_version(
-        self,
-        type_change: TypeChange,
-        verifier: Optional[SchemaVerifier] = None,
-    ) -> ProcessSchema:
-        """Apply ΔT to its base version, verify the result and release it.
+    def release_new_version(self, type_change: TypeChange) -> ProcessSchema:
+        """Apply ΔT to its base version and release the result, frozen.
 
-        Raises :class:`EvolutionError` when the operations cannot be applied
-        or the resulting schema fails buildtime verification — a type change
-        must never introduce the defects verification rules out.
+        Raises :class:`EvolutionError` when the operations cannot be
+        applied.  ``apply_to(check=True)`` checks every operation's
+        preconditions against the schema it changes, so a result it accepts
+        is correct by construction — no buildtime verification runs again.
         """
         base = self.schema_for(type_change.from_version)
         if type_change.from_version != self.latest_version:
@@ -155,11 +170,7 @@ class ProcessType:
         new_schema.version = base.version + 1
         new_schema.schema_id = f"{self.name}_v{new_schema.version}"
         new_schema.name = self.name
-        report = (verifier or SchemaVerifier()).verify(new_schema)
-        if not report.is_correct:
-            raise EvolutionError(
-                "the new schema version fails buildtime verification:\n" + report.summary()
-            )
+        new_schema.freeze()
         self._versions[new_schema.version] = new_schema
         self._changes[new_schema.version] = type_change
         self._shed_superseded()

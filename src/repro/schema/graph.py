@@ -35,10 +35,13 @@ class ProcessSchema:
         name: Process type name (e.g. ``"online_order"``).
         version: Version counter within the process type (1-based).
 
-    The schema is mutable by design: change operations and the builder add
-    and remove nodes and edges.  Runtime components never mutate schemas;
-    they hold references and instance-specific markings instead (the
-    redundancy-free storage representation of the paper's Fig. 2).
+    The schema is mutable while it is built: change operations and the
+    builder add and remove nodes and edges.  Once a process type releases
+    it as a version it is frozen (:meth:`freeze`) and every mutation raises
+    :class:`SchemaError`; change operations work on a copy.  Runtime
+    components never mutate schemas; they hold references and
+    instance-specific markings instead (the redundancy-free storage
+    representation of the paper's Fig. 2).
     """
 
     def __init__(self, schema_id: str, name: str = "", version: int = 1) -> None:
@@ -55,6 +58,7 @@ class ProcessSchema:
         self._data_edges: Dict[Tuple[str, str, str], DataEdge] = {}
         self._generation: int = 0
         self._index: Optional[SchemaIndex] = None
+        self._frozen = False
 
     # ------------------------------------------------------------------ #
     # compiled index and invalidation
@@ -89,8 +93,26 @@ class ProcessSchema:
         if self._index is not None:
             self._index.shed_analyses()
 
+    def drop_index(self) -> None:
+        """Drop the compiled index with its layout and kernel; :attr:`index` rebuilds it."""
+        self._index = None
+
+    def freeze(self) -> None:
+        """Refuse every later mutation: a released version never changes.
+
+        A rebuilt index of a frozen schema therefore has the node and edge
+        positions of every earlier one, so positionally stored markings
+        decode onto it unchanged.
+        """
+        self._frozen = True
+
     def _bump(self) -> None:
-        """Invalidate the compiled index after a structural mutation."""
+        """Invalidate the compiled index before a structural mutation."""
+        if self._frozen:
+            raise SchemaError(
+                f"schema {self.schema_id!r} is a released version and cannot change; "
+                f"change a copy"
+            )
         self._generation += 1
 
     def raw_edges(self) -> Iterable[Edge]:
@@ -172,20 +194,21 @@ class ProcessSchema:
         """Add a node; its id must not already exist."""
         if node.node_id in self._nodes:
             raise SchemaError(f"duplicate node id: {node.node_id!r}")
-        self._nodes[node.node_id] = node
         self._bump()
+        self._nodes[node.node_id] = node
 
     def replace_node(self, node: Node) -> None:
         """Replace an existing node (same id) with a new definition."""
         if node.node_id not in self._nodes:
             raise SchemaError(f"unknown node: {node.node_id!r}")
-        self._nodes[node.node_id] = node
         self._bump()
+        self._nodes[node.node_id] = node
 
     def remove_node(self, node_id: str) -> None:
         """Remove a node and every control/sync/loop/data edge touching it."""
         if node_id not in self._nodes:
             raise SchemaError(f"unknown node: {node_id!r}")
+        self._bump()
         del self._nodes[node_id]
         self._edges = {
             key: edge
@@ -197,7 +220,6 @@ class ProcessSchema:
             for key, dedge in self._data_edges.items()
             if dedge.activity != node_id
         }
-        self._bump()
 
     def add_edge(self, edge: Edge) -> None:
         """Add an edge; endpoints must exist and the edge must be new."""
@@ -209,16 +231,16 @@ class ProcessSchema:
             raise SchemaError(
                 f"duplicate {edge.edge_type.value} edge: {edge.source!r} -> {edge.target!r}"
             )
-        self._edges[edge.key] = edge
         self._bump()
+        self._edges[edge.key] = edge
 
     def remove_edge(self, source: str, target: str, edge_type: EdgeType = EdgeType.CONTROL) -> None:
         """Remove the edge identified by its endpoints and type."""
         key = (source, target, edge_type.value)
         if key not in self._edges:
             raise SchemaError(f"unknown {edge_type.value} edge: {source!r} -> {target!r}")
-        del self._edges[key]
         self._bump()
+        del self._edges[key]
 
     def replace_edge(self, edge: Edge) -> None:
         """Replace an existing edge (same key) with a new definition."""
@@ -226,24 +248,24 @@ class ProcessSchema:
             raise SchemaError(
                 f"unknown {edge.edge_type.value} edge: {edge.source!r} -> {edge.target!r}"
             )
-        self._edges[edge.key] = edge
         self._bump()
+        self._edges[edge.key] = edge
 
     def add_data_element(self, element: DataElement) -> None:
         if element.name in self._data_elements:
             raise SchemaError(f"duplicate data element: {element.name!r}")
-        self._data_elements[element.name] = element
         self._bump()
+        self._data_elements[element.name] = element
 
     def remove_data_element(self, name: str) -> None:
         """Remove a data element and all data edges referring to it."""
         if name not in self._data_elements:
             raise SchemaError(f"unknown data element: {name!r}")
+        self._bump()
         del self._data_elements[name]
         self._data_edges = {
             key: dedge for key, dedge in self._data_edges.items() if dedge.element != name
         }
-        self._bump()
 
     def add_data_edge(self, data_edge: DataEdge) -> None:
         if data_edge.activity not in self._nodes:
@@ -255,15 +277,15 @@ class ProcessSchema:
                 f"duplicate data edge: {data_edge.activity!r} {data_edge.access.value} "
                 f"{data_edge.element!r}"
             )
-        self._data_edges[data_edge.key] = data_edge
         self._bump()
+        self._data_edges[data_edge.key] = data_edge
 
     def remove_data_edge(self, activity: str, element: str, access) -> None:
         key = (activity, element, getattr(access, "value", access))
         if key not in self._data_edges:
             raise SchemaError(f"unknown data edge: {key!r}")
-        del self._data_edges[key]
         self._bump()
+        del self._data_edges[key]
 
     # ------------------------------------------------------------------ #
     # structural queries

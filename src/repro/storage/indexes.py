@@ -97,6 +97,20 @@ class InstanceIndex:
         """Instance ids of one process type on one version that may still execute."""
         return self._active_in(self._by_version.get((process_type, version), ()))
 
+    def active_versions(self, process_type: str) -> Set[int]:
+        """Versions of one process type on which at least one stored case may still execute.
+
+        One ``any`` per version bucket of the type, stopping at the first
+        active record.
+        """
+        entries = self._entries
+        return {
+            version
+            for (type_name, version), bucket in self._by_version.items()
+            if type_name == process_type
+            and any(entries[i][2] in ACTIVE_STATUS_VALUES for i in bucket)
+        }
+
     def _active_in(self, bucket) -> List[str]:
         # reads one entry per member of the bucket — never the other
         # types' cases, however many the store holds

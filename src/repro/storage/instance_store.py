@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import threading
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Mapping, Optional
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Set
 
 from repro.runtime.instance import ProcessInstance
 from repro.storage.indexes import InstanceIndex
@@ -252,6 +252,11 @@ class InstanceStore:
         """
         with self._lock:
             return self.index.active_by_version(process_type, version)
+
+    def active_versions_of_type(self, process_type: str) -> Set[int]:
+        """Versions of one type that still hold an active stored case."""
+        with self._lock:
+            return self.index.active_versions(process_type)
 
     def biased_instances(self) -> List[str]:
         with self._lock:

@@ -1287,7 +1287,29 @@ class AdeptSystem:
             to_version=new_schema.version,
             candidates=candidate_ids,
         )
+        self._drop_unoccupied_versions(process_type)
         return report
+
+    def _drop_unoccupied_versions(self, process_type: ProcessType) -> None:
+        """Drop the compiled index of every superseded version no case runs on.
+
+        Runs after each release (and its eager migration), under the
+        type's write lock.  Occupancy is recomputed, not maintained: the
+        version of every live case of the type, of any status, plus every
+        version holding an active stored record — O(live + versions) per
+        release and nothing per step, so no WAL replay, migration, ad-hoc
+        change, delete or revert has to keep a count exact.  A stale stored
+        record only over-counts, which keeps a version compiled.
+        """
+        type_id = process_type.name
+        with self._registry:
+            occupied = {
+                instance.schema_version
+                for instance in self._instances.values()
+                if instance.process_type == type_id
+            }
+        occupied.update(self.store.active_versions_of_type(type_id))
+        process_type.drop_unoccupied(occupied)
 
     def _evolution_candidates(self, type_id: str) -> List[str]:
         """Every live case of the type plus the *running* store-resident ones.
@@ -1597,6 +1619,7 @@ class AdeptSystem:
             )
             new_schema = self.repository.release_version(type_id, type_change)
             self._attach_plan(rollout)
+            self._drop_unoccupied_versions(process_type)
             self._journal(
                 KIND_ROLLOUT_STARTED,
                 type_id=type_id,
@@ -1976,6 +1999,7 @@ class AdeptSystem:
             decide_externally=record.get("decide_externally", False),
         )
         self._attach_plan(rollout)
+        self._drop_unoccupied_versions(self.repository.process_type(rollout.type_id))
         self._rollouts[rollout.type_id] = rollout
 
     def _replay_rollout_adoption(self, type_id: str, instance_id: str) -> None:

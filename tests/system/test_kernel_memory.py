@@ -1,16 +1,18 @@
 """What a published schema version may cost, by counting (no clocks, no byte sizes).
 
 The ``evolve`` workload publishes hundreds of versions, and stragglers
-keep stepping on old ones, so every version keeps its index, marking
-layout and step kernel alive — whatever those hold is multiplied by the
-version count.  What a version needed only while it was being released
-and migrated from (reachability, dominators, the block tree, the
-written-before sets) is shed once it falls two behind the latest; the
-from-version of the latest release keeps everything.  A kernel that
-referred back to its index or schema would also turn every dropped
-private execution schema into cyclic garbage only a full collection
-frees.  The guards: only the latest two versions hold release-time
-analyses, a straggler on a shed version steps without rebuilding any,
+keep stepping on old ones, so every version a case occupies keeps its
+index, marking layout and step kernel alive — whatever those hold is
+multiplied by the version count (an unoccupied one drops them:
+``test_version_release.py``).  What a version needed only while it was
+being released and migrated from (reachability, dominators, the block
+tree, the written-before sets) is shed once it falls two behind the
+latest; the from-version of the latest release keeps everything.  A
+kernel that referred back to its index or schema would also turn every
+dropped private execution schema into cyclic garbage only a full
+collection frees.  The guards: only latest − 1 holds release-time
+analyses (a release runs no verifier, so the latest computes none until
+asked), a straggler on a shed version steps without rebuilding any,
 a shed analysis asked again equals a fresh one, successive versions
 share one facts object per activity, and dropping a stepped, ad-hoc
 changed case leaves the cycle collector nothing to find.
@@ -113,8 +115,9 @@ def test_only_the_latest_two_versions_hold_release_time_analyses(evolved):
     system, _, compiled = evolved
     latest = system.type("evo").latest_version
     assert latest == VERSIONS + 1
-    assert holding_versions(system) == [latest - 1, latest]
-    assert "_block_tree" in release_time_analyses(system.repository.schema("evo", latest - 1))
+    assert holding_versions(system) == [latest - 1]
+    # latest − 1 is not shed: it keeps the entry specs its kernel compiled from
+    assert "_entry_specs" in release_time_analyses(system.repository.schema("evo", latest - 1))
     # every version keeps its index, layout and kernel: the same objects
     for version, (index, layout, kernel) in compiled.items():
         schema = system.repository.schema("evo", version)
@@ -137,7 +140,7 @@ def test_a_straggler_on_a_shed_version_steps_without_rebuilding_an_analysis(evol
     assert instance.marking.layout is layout
     assert index._step_kernel is kernel
     assert release_time_analyses(index.schema) == []
-    assert holding_versions(system) == [VERSIONS, VERSIONS + 1]
+    assert holding_versions(system) == [VERSIONS]
 
 
 def test_a_shed_analysis_asked_again_equals_a_fresh_one(evolved):
@@ -187,7 +190,7 @@ def test_a_canary_revert_after_shedding_leaves_the_next_evolve_intact(evolved):
     # the advanced cases and the straggler stay behind
     assert report.count(MigrationOutcome.STATE_CONFLICT) == len(advanced) + 1
     assert system.get_instance(fresh).schema_version == latest + 1
-    assert holding_versions(system) == [latest, latest + 1]
+    assert holding_versions(system) == [latest]
 
 
 def test_successive_versions_share_one_facts_object_per_activity(evolved):
