@@ -82,6 +82,7 @@ from repro.runtime.history import ExecutionHistory
 from repro.runtime.instance import ProcessInstance
 from repro.runtime.markings import Marking
 from repro.runtime.states import NodeState
+from repro.runtime.worklist import WorklistManager
 from repro.schema.data import DataAccess
 from repro.schema.graph import ProcessSchema
 
@@ -625,6 +626,7 @@ class ClassVerdict:
     #: the per-instance ``MigrationOutcome`` this class maps to, cached
     #: by the migration manager so members never re-derive it
     outcome: Any = None
+    _effect: Optional["StoredEffect"] = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def compliant(self) -> bool:
@@ -634,20 +636,39 @@ class ClassVerdict:
     def conflicts(self) -> List[Conflict]:
         return self.compliance.conflicts
 
-    def adapted_marking_dict(self, layout: Any) -> Dict[str, Any]:
-        """Stored-form template (cached) for direct stored-record rewrites.
+    def stored_effect(self, schema: ProcessSchema) -> "StoredEffect":
+        """What rewriting a stored member onto ``schema`` applies (cached).
 
-        ``layout`` is the target schema version's marking layout — the
-        class members are unbiased, so the template is what a write-back
-        of any migrated member would store.
+        ``schema`` is the target version of the verdict's plan — the only
+        one its adapted marking is laid out for.  The class members are
+        unbiased, so the marking's stored form is what a write-back of
+        any migrated member would store, and whether it finishes the case
+        and what work it offers are the same for every member.
         """
-        if self.adapted_marking is None:
-            raise ValueError("non-compliant classes have no adapted marking")
-        cached = getattr(self, "_marking_dict", None)
-        if cached is None:
-            cached = self.adapted_marking.to_stored(layout)
-            self._marking_dict = cached  # type: ignore[attr-defined]
-        return cached
+        effect = self._effect
+        if effect is None:
+            marking = self.adapted_marking
+            if marking is None:
+                raise ValueError("non-compliant classes have no adapted marking")
+            offers, _ = WorklistManager.work_of(schema, marking)
+            effect = self._effect = StoredEffect(
+                marking=marking.to_stored(schema.index.marking_layout()),
+                finished=marking.reached_end(schema),
+                offers=offers,
+            )
+        return effect
+
+
+@dataclass(frozen=True)
+class StoredEffect:
+    """A compliant class's effect on each of its stored members."""
+
+    #: the adapted marking in stored form (shared — treat as immutable)
+    marking: Dict[str, Any]
+    #: the adapted marking completed the end node: members finish
+    finished: bool
+    #: activity id -> role of what the adapted marking activates
+    offers: Dict[str, Optional[str]]
 
 
 class FingerprintCache:

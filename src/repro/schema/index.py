@@ -113,14 +113,17 @@ class SchemaIndex:
             node_id for node_id, node in nodes.items() if node.is_activity
         )
 
-        out_all: Dict[str, List[Edge]] = {node_id: [] for node_id in nodes}
-        in_all: Dict[str, List[Edge]] = {node_id: [] for node_id in nodes}
-        out_control: Dict[str, List[Edge]] = {node_id: [] for node_id in nodes}
-        in_control: Dict[str, List[Edge]] = {node_id: [] for node_id in nodes}
-        out_sync: Dict[str, List[Edge]] = {node_id: [] for node_id in nodes}
-        in_sync: Dict[str, List[Edge]] = {node_id: [] for node_id in nodes}
-        out_loop: Dict[str, List[Edge]] = {node_id: [] for node_id in nodes}
-        in_loop: Dict[str, List[Edge]] = {node_id: [] for node_id in nodes}
+        # sparse: a node appears in an adjacency map only once it has an
+        # edge of that kind (most nodes have no sync or loop edge); every
+        # reader asks with ``.get(node_id, _EMPTY_EDGES)``
+        out_all: Dict[str, List[Edge]] = {}
+        in_all: Dict[str, List[Edge]] = {}
+        out_control: Dict[str, List[Edge]] = {}
+        in_control: Dict[str, List[Edge]] = {}
+        out_sync: Dict[str, List[Edge]] = {}
+        in_sync: Dict[str, List[Edge]] = {}
+        out_loop: Dict[str, List[Edge]] = {}
+        in_loop: Dict[str, List[Edge]] = {}
         control_edges: List[Edge] = []
         sync_edges: List[Edge] = []
         loop_edges: List[Edge] = []
@@ -129,27 +132,30 @@ class SchemaIndex:
         loop_end_of: Dict[str, str] = {}
 
         for edge in schema.raw_edges():
-            # edges whose endpoints were removed cannot occur (remove_node
-            # prunes them), so every endpoint has an adjacency slot
-            out_all[edge.source].append(edge)
-            in_all[edge.target].append(edge)
+            source, target = edge.source, edge.target
+            if source not in nodes or target not in nodes:
+                # cannot occur (remove_node prunes a node's edges); a
+                # dangling endpoint would otherwise pass unnoticed
+                raise KeyError(f"edge {edge.key!r} has an endpoint outside the schema")
+            out_all.setdefault(source, []).append(edge)
+            in_all.setdefault(target, []).append(edge)
             if edge.edge_type is EdgeType.CONTROL:
-                out_control[edge.source].append(edge)
-                in_control[edge.target].append(edge)
+                out_control.setdefault(source, []).append(edge)
+                in_control.setdefault(target, []).append(edge)
                 control_edges.append(edge)
                 non_loop_keys.append(edge.key)
             elif edge.edge_type is EdgeType.SYNC:
-                out_sync[edge.source].append(edge)
-                in_sync[edge.target].append(edge)
+                out_sync.setdefault(source, []).append(edge)
+                in_sync.setdefault(target, []).append(edge)
                 sync_edges.append(edge)
                 non_loop_keys.append(edge.key)
             else:
-                out_loop[edge.source].append(edge)
-                in_loop[edge.target].append(edge)
+                out_loop.setdefault(source, []).append(edge)
+                in_loop.setdefault(target, []).append(edge)
                 loop_edges.append(edge)
                 # first loop edge (in insertion order) wins
-                loop_start_of.setdefault(edge.source, edge.target)
-                loop_end_of.setdefault(edge.target, edge.source)
+                loop_start_of.setdefault(source, target)
+                loop_end_of.setdefault(target, source)
 
         self._out_all = out_all
         self._in_all = in_all

@@ -36,13 +36,11 @@ import random
 import threading
 import time
 from collections import deque
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import (
     Any,
     Callable,
     Dict,
-    Iterator,
     List,
     Optional,
     Sequence,
@@ -77,6 +75,9 @@ class LockTable:
         self._stripes: Tuple[threading.RLock, ...] = tuple(
             threading.RLock() for _ in range(stripes)
         )
+        self._scopes: Tuple[_StripeScope, ...] = tuple(
+            _StripeScope((lock,)) for lock in self._stripes
+        )
 
     def __len__(self) -> int:
         return len(self._stripes)
@@ -91,20 +92,20 @@ class LockTable:
         """The stripe lock guarding ``key``."""
         return self._stripes[self._stripe_index(key)]
 
-    @contextmanager
-    def holding(self, *keys: str) -> Iterator[None]:
-        """Hold the stripes of all ``keys``, acquired in canonical order."""
-        indices = sorted({self._stripe_index(key) for key in keys})
-        acquired: List[threading.RLock] = []
-        try:
-            for index in indices:
-                lock = self._stripes[index]
-                lock.acquire()
-                acquired.append(lock)
-            yield
-        finally:
-            for lock in reversed(acquired):
-                lock.release()
+    def holding(self, *keys: str) -> "_StripeScope":
+        """Hold the stripes of all ``keys``, acquired in canonical order.
+
+        The single stripe-acquisition entry point: a ``with`` scope that
+        takes each distinct stripe once, in ascending stripe order, and
+        releases them in reverse.  One key needs no set or sort — its
+        stripe's scope is preallocated.
+        """
+        if len(keys) == 1:
+            return self._scopes[self._stripe_index(keys[0])]
+        stripes = self._stripes
+        return _StripeScope(
+            tuple(stripes[index] for index in sorted({self._stripe_index(key) for key in keys}))
+        )
 
     def try_acquire(self, key: str) -> bool:
         """Non-blocking acquire of one key's stripe (used by eviction)."""
@@ -130,6 +131,8 @@ class RWLock:
         self._readers = 0
         self._writer: Optional[int] = None
         self._waiting_writers = 0
+        self._read_scope = _Scope(self.acquire_read, self.release_read)
+        self._write_scope = _Scope(self.acquire_write, self.release_write)
 
     def acquire_read(self) -> None:
         with self._cond:
@@ -159,21 +162,61 @@ class RWLock:
             self._writer = None
             self._cond.notify_all()
 
-    @contextmanager
-    def read(self) -> Iterator[None]:
-        self.acquire_read()
-        try:
-            yield
-        finally:
-            self.release_read()
+    def read(self) -> "_Scope":
+        """The shared side as a ``with`` scope."""
+        return self._read_scope
 
-    @contextmanager
-    def write(self) -> Iterator[None]:
-        self.acquire_write()
+    def write(self) -> "_Scope":
+        """The exclusive side as a ``with`` scope."""
+        return self._write_scope
+
+
+# The scopes are plain objects, not generator-based context managers: they
+# are entered once per case on the migration and execution paths, where a
+# generator frame per entry is measurable.  Their state lives in the locks
+# they wrap, so each side of an RWLock and each single stripe keeps one
+# scope object for every entry, on every thread.
+
+
+class _StripeScope:
+    """Holds a sorted tuple of distinct stripe locks for one ``with`` body."""
+
+    __slots__ = ("_locks",)
+
+    def __init__(self, locks: Tuple[threading.RLock, ...]) -> None:
+        self._locks = locks
+
+    def __enter__(self) -> None:
+        locks = self._locks
+        taken = 0
         try:
-            yield
-        finally:
-            self.release_write()
+            for lock in locks:
+                lock.acquire()
+                taken += 1
+        except BaseException:
+            for lock in reversed(locks[:taken]):
+                lock.release()
+            raise
+
+    def __exit__(self, exc_type: Any, exc: Any, tb: Any) -> None:
+        for lock in reversed(self._locks):
+            lock.release()
+
+
+class _Scope:
+    """A ``with`` scope over one acquire/release pair (a side of an RWLock)."""
+
+    __slots__ = ("_acquire", "_release")
+
+    def __init__(self, acquire: Callable[[], None], release: Callable[[], None]) -> None:
+        self._acquire = acquire
+        self._release = release
+
+    def __enter__(self) -> None:
+        self._acquire()
+
+    def __exit__(self, exc_type: Any, exc: Any, tb: Any) -> None:
+        self._release()
 
 
 # --------------------------------------------------------------------------- #

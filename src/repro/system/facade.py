@@ -54,8 +54,20 @@ from __future__ import annotations
 import threading
 import time
 from collections import OrderedDict, deque
-from contextlib import contextmanager
-from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Union
+from contextlib import contextmanager, nullcontext
+from typing import (
+    Any,
+    ContextManager,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Set,
+    Union,
+)
 
 from repro.core.adhoc import AdHocChanger
 from repro.core.changelog import ChangeLog
@@ -134,6 +146,9 @@ MIGRATE_STRICT = "strict"
 #: never monopolises the lock table, large enough to amortise the
 #: per-chunk locking and kernel dispatch.
 _BATCH_CHUNK = 16
+
+#: The scope of "no lock" / "no suspension": stateless, so shared.
+_NULL_SCOPE: ContextManager[None] = nullcontext()
 
 _CONFLICT_OUTCOMES = (
     MigrationOutcome.STATE_CONFLICT,
@@ -294,20 +309,18 @@ class AdeptSystem:
     # ------------------------------------------------------------------ #
 
     def _type_lock(self, type_id: str) -> RWLock:
-        with self._type_locks_guard:
-            lock = self._type_locks.get(type_id)
-            if lock is None:
-                lock = self._type_locks[type_id] = RWLock()
-            return lock
+        # reading the map needs no guard; only creating a lock does
+        lock = self._type_locks.get(type_id)
+        if lock is None:
+            with self._type_locks_guard:
+                lock = self._type_locks.setdefault(type_id, RWLock())
+        return lock
 
-    @contextmanager
-    def _type_read(self, type_id: str) -> Iterator[None]:
+    def _type_read(self, type_id: str) -> ContextManager[None]:
         """Shared execution scope of one type ('' skips — unknown cases)."""
         if not type_id:
-            yield
-            return
-        with self._type_lock(type_id).read():
-            yield
+            return _NULL_SCOPE
+        return self._type_lock(type_id).read()
 
     @contextmanager
     def _case_execution(self, instance_id: str) -> Iterator[ProcessInstance]:
@@ -493,18 +506,15 @@ class AdeptSystem:
             self._closed = False
             self._backend.journal(kind, **fields)
 
-    @contextmanager
-    def _journal_suspended(self) -> Iterator[None]:
+    def _journal_suspended(self) -> ContextManager[None]:
         """Suppress WAL journaling (compound mutations journal one typed record).
 
         Suspension is per thread — concurrent mutations of *other* cases
         on other threads keep journaling their own records.
         """
         if self._backend is None:
-            yield
-        else:
-            with self._backend.suspended():
-                yield
+            return _NULL_SCOPE
+        return self._backend.suspended()
 
     def _on_engine_step(
         self,
@@ -925,9 +935,12 @@ class AdeptSystem:
         (0 when the case had nothing activated).
         """
         ids = list(instance_ids)
+        # one type lookup per id (a store read for an evicted one) serves
+        # both the sort and the grouping
+        types = [self._type_of(instance_id) for instance_id in ids]
         order = list(range(len(ids)))
         if self.cache_instances is not None:
-            order.sort(key=lambda position: self._type_of(ids[position]))
+            order.sort(key=types.__getitem__)
         results: List[Optional[RunResult]] = [None] * len(ids)
         # maximal runs of consecutive same-type positions execute as one
         # batch: one type read lock, one multi-stripe acquisition, one
@@ -939,12 +952,12 @@ class AdeptSystem:
         try:
             cursor = 0
             while cursor < len(order):
-                type_id = self._type_of(ids[order[cursor]])
+                type_id = types[order[cursor]]
                 upper = cursor + 1
                 while (
                     upper < len(order)
                     and upper - cursor < chunk_cap
-                    and self._type_of(ids[order[upper]]) == type_id
+                    and types[order[upper]] == type_id
                 ):
                     upper += 1
                 chunk = order[cursor:upper]
@@ -1543,17 +1556,17 @@ class AdeptSystem:
         class's adapted marking, and the case is offered what that
         marking activates — all without materialising it.  A marking
         that reached the end finishes the case, which then keeps no work
-        item open.
+        item open.  The class computes that effect once; a member pays
+        the record rewrite and its offer sync.
         """
-        finished = verdict.adapted_marking.reached_end(schema)
+        effect = verdict.stored_effect(schema)
         self.store.migrate_record(
             instance_id,
             schema.version,
-            verdict.adapted_marking_dict(schema.index.marking_layout()),
-            updates={"status": InstanceStatus.COMPLETED.value} if finished else None,
+            effect.marking,
+            updates={"status": InstanceStatus.COMPLETED.value} if effect.finished else None,
         )
-        offers, _ = self.worklists.work_of(schema, verdict.adapted_marking)
-        self.worklists.sync_offers(instance_id, offers, () if finished else None)
+        self.worklists.sync_offers(instance_id, effect.offers, () if effect.finished else None)
 
     def _as_type_change(self, process_type: ProcessType, change: ChangeLike) -> TypeChange:
         """Normalise the accepted change flavours onto a :class:`TypeChange`."""

@@ -39,10 +39,9 @@ from __future__ import annotations
 
 import json
 import threading
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Mapping, Optional, TYPE_CHECKING
+from typing import Any, Dict, List, Mapping, Optional, TYPE_CHECKING
 
 from repro.core.evolution import ProcessType, TypeChange
 from repro.core.changelog import ChangeLog
@@ -144,6 +143,26 @@ class RecoveryReport:
         return "\n".join(lines)
 
 
+class _Suspension:
+    """The ``with`` scope of :meth:`PersistentBackend.suspended`.
+
+    A plain object rather than a generator: every adoption enters one.
+    The nesting count lives in the backend's thread-local, so the
+    backend keeps one instance for all threads.
+    """
+
+    __slots__ = ("_local",)
+
+    def __init__(self, local: threading.local) -> None:
+        self._local = local
+
+    def __enter__(self) -> None:
+        self._local.count = getattr(self._local, "count", 0) + 1
+
+    def __exit__(self, exc_type: Any, exc: Any, tb: Any) -> None:
+        self._local.count -= 1
+
+
 class PersistentBackend:
     """Write-ahead log + snapshot durability for one :class:`AdeptSystem`.
 
@@ -175,6 +194,7 @@ class PersistentBackend:
         # a compound mutation (an evolve whose typed record covers every
         # inner step), other threads must keep journaling their own work
         self._suspension = threading.local()
+        self._suspended = _Suspension(self._suspension)
         self._bootstrap_seq()
 
     def _bootstrap_seq(self) -> None:
@@ -200,18 +220,14 @@ class PersistentBackend:
         """True when this thread's journal calls are being recorded."""
         return getattr(self._suspension, "count", 0) == 0
 
-    @contextmanager
-    def suspended(self) -> Iterator[None]:
+    def suspended(self) -> "_Suspension":
         """Suppress journaling *on the calling thread* (recovery replay,
         compound mutations covered by one typed record).  Other threads'
         records keep flowing — a concurrent step of an unrelated type
         must not be dropped because an evolve is quiescing its own type.
+        Scopes nest.
         """
-        self._suspension.count = getattr(self._suspension, "count", 0) + 1
-        try:
-            yield
-        finally:
-            self._suspension.count -= 1
+        return self._suspended
 
     def journal(self, kind: str, **fields: Any) -> Optional[int]:
         """Append one typed record; returns its sequence number (or None).

@@ -220,3 +220,127 @@ class TestPrimitives:
         run_threads([reader, reader, reader, writer, writer])
         assert state["violations"] == 0
         assert state["max_readers"] >= 1
+
+
+def _recording_table(monkeypatch, log, failing=()):
+    """A 64-stripe table whose stripe locks log (index, action); ``failing`` raise."""
+    from repro.system import concurrency
+
+    created = []
+
+    class RecordingLock:
+        def __init__(self):
+            self.index = len(created)
+            created.append(self)
+
+        def acquire(self, blocking=True):
+            if self.index in failing:
+                raise RuntimeError(f"stripe {self.index} failed")
+            log.append(("acquire", self.index))
+            return True
+
+        def release(self):
+            log.append(("release", self.index))
+
+    with monkeypatch.context() as patch:
+        patch.setattr(concurrency.threading, "RLock", RecordingLock)
+        return LockTable()
+
+
+class TestScopes:
+    """What the lock and suspension scopes promise, whatever object implements them."""
+
+    def test_holding_takes_each_distinct_stripe_once_ascending_and_releases_in_reverse(
+        self, monkeypatch
+    ):
+        log = []
+        table = _recording_table(monkeypatch, log)
+        first, second = table._stripe_index("a"), table._stripe_index("b")
+        assert first < second
+        for keys in (("a", "b", "a"), ("b", "a", "b")):
+            log.clear()
+            with table.holding(*keys):
+                assert log == [("acquire", first), ("acquire", second)]
+            assert log[2:] == [("release", second), ("release", first)]
+        log.clear()
+        with table.holding("b"):
+            assert log == [("acquire", second)]
+        assert log == [("acquire", second), ("release", second)]
+
+    def test_an_acquire_that_raises_releases_exactly_the_stripes_taken(self, monkeypatch):
+        log = []
+        probe = LockTable()
+        low, middle, high = sorted(probe._stripe_index(key) for key in ("a", "d", "b"))
+        table = _recording_table(monkeypatch, log, failing=(middle,))
+        entered = False
+        with pytest.raises(RuntimeError, match=f"stripe {middle}"):
+            with table.holding("b", "d", "a"):
+                entered = True
+        assert not entered
+        assert log == [("acquire", low), ("release", low)]
+        assert ("acquire", high) not in log
+
+    def test_read_scope_is_shared_and_write_scope_excludes_it(self):
+        lock = RWLock()
+        readers_in = threading.Barrier(3, timeout=10)
+        leave = threading.Event()
+        writer_in = threading.Event()
+        writer_leave = threading.Event()
+        late_reader_in = threading.Event()
+
+        def reader():
+            with lock.read():
+                readers_in.wait()  # both readers are inside at once
+                leave.wait(timeout=10)
+
+        def writer():
+            with lock.write():
+                writer_in.set()
+                writer_leave.wait(timeout=10)
+
+        def late_reader():
+            with lock.read():
+                late_reader_in.set()
+
+        threads = [threading.Thread(target=reader, daemon=True) for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        readers_in.wait()
+        threads.append(threading.Thread(target=writer, daemon=True))
+        threads[-1].start()
+        assert not writer_in.wait(timeout=0.2)  # two readers hold the lock
+        leave.set()
+        assert writer_in.wait(timeout=10)
+        threads.append(threading.Thread(target=late_reader, daemon=True))
+        threads[-1].start()
+        assert not late_reader_in.wait(timeout=0.2)  # the writer holds it alone
+        writer_leave.set()
+        assert late_reader_in.wait(timeout=10)
+        for thread in threads:
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+
+    def test_suspension_nests_per_thread_and_restores_the_count_when_the_body_raises(
+        self, tmp_path
+    ):
+        from repro.system.persistence import PersistentBackend
+
+        backend = PersistentBackend(str(tmp_path / "store"))
+        elsewhere = []
+        try:
+            with backend.suspended():
+                with pytest.raises(RuntimeError):
+                    with backend.suspended():
+                        assert not backend.active
+                        raise RuntimeError("the body fails")
+                assert not backend.active  # the outer scope still holds
+                thread = threading.Thread(target=lambda: elsewhere.append(backend.active))
+                thread.start()
+                thread.join(timeout=10)
+                assert not thread.is_alive()
+                assert backend.journal(KIND_STEP, instance_id="x") is None
+            assert elsewhere == [True]
+            assert backend.active
+            assert backend.journal(KIND_STEP, instance_id="x") is not None
+        finally:
+            backend.close()

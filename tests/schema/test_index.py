@@ -215,3 +215,48 @@ class TestGenerationInvalidation:
         assert index.successors("a") == ["b"]
         with pytest.raises(SchemaError):
             index.topological_order()
+
+
+ADJACENCY_MAPS = (
+    "_out_all", "_in_all", "_out_control", "_in_control",
+    "_out_sync", "_in_sync", "_out_loop", "_in_loop",
+)
+
+
+@pytest.mark.kernel
+class TestSparseAdjacency:
+    """The adjacency maps hold a node only once it has an edge of that kind."""
+
+    def test_nodes_without_sync_loop_or_data_edges_answer_empty(self):
+        from repro.schema.templates import sequential_process
+
+        schema = sequential_process(length=4)
+        index = schema.index
+        assert all(edge.edge_type is EdgeType.CONTROL for edge in schema.raw_edges())
+        assert not list(schema.raw_data_edges())
+        for node_id in schema.nodes:
+            for kind in (EdgeType.SYNC, EdgeType.LOOP):
+                assert index.out_edges(node_id, kind) == []
+                assert index.in_edges(node_id, kind) == []
+            assert index.data_edges_of(node_id) == []
+        start, end = index.start_node_id(), index.end_node_id()
+        assert index.in_edges(start) == [] and index.in_edges(start, EdgeType.CONTROL) == []
+        assert index.out_edges(end) == [] and index.out_edges(end, EdgeType.CONTROL) == []
+
+    @pytest.mark.parametrize("make", [online_order_process, loop_process])
+    def test_no_adjacency_map_holds_an_empty_list(self, make):
+        schema = make()
+        index = SchemaIndex(schema)
+        for name in ADJACENCY_MAPS:
+            table = getattr(index, name)
+            assert all(table.values()), f"{name} holds an empty list"
+        # and every edge is where the scans find it
+        assert_index_matches_scans(schema)
+
+    def test_a_dangling_edge_endpoint_is_refused(self):
+        schema = online_order_process()
+        # bypass add_edge's endpoint check: only a bug could leave this behind
+        dangling = control_edge("get_order", "ghost")
+        schema._edges[dangling.key] = dangling
+        with pytest.raises(KeyError, match="ghost"):
+            SchemaIndex(schema)

@@ -64,6 +64,92 @@ def test_streaming_equals_hydrated_with_identical_bias_clones(cache):
     assert outcomes[0][1] == outcomes[1][1]
 
 
+def _seed_classes(system, population=30, levels=5):
+    """Unbiased cases, ``population // levels`` per progress level (one class each)."""
+    handle = system.deploy(templates.sequential_process(length=6, schema_id="bulk_sys"))
+    ids = [handle.start().instance_id for _ in range(population)]
+    for index, instance_id in enumerate(ids):
+        system.step_many([instance_id], steps=index % levels)
+    return handle, ids
+
+
+def _stored_forms(system, ids):
+    """Each case's stored record as bytes, less the write-back's ``"fix"`` hint.
+
+    ``save_all`` writes the live cases back first, so every case has a
+    current record.  ``"fix"`` is a settle hint of cache write-backs,
+    never part of a case's state.
+    """
+    system.save_all()
+    forms = {}
+    for instance_id in ids:
+        record = system.store.record(instance_id)
+        record["marking"] = {k: v for k, v in record["marking"].items() if k != "fix"}
+        forms[instance_id] = json.dumps(record, sort_keys=True)
+    return forms
+
+
+def _open_work(system, ids):
+    return {
+        instance_id: sorted(
+            (item.activity_id, item.role, item.state.value)
+            for item in system.worklists.items_for_instance(instance_id)
+        )
+        for instance_id in ids
+    }
+
+
+@pytest.mark.parametrize("rollout", ["eager", "lazy"])
+def test_class_effect_equals_hydrated_twin(rollout):
+    """Store-resident class members rewritten from the class's one stored effect.
+
+    Every compliant class has at least three members that are not live
+    when they migrate (a cache of 3, six members per class): each must
+    end with the record and the open work items of its twin in a system
+    that keeps every case live and migrates each one on its own.
+    """
+    results = []
+    for cache in (3, None):
+        system = AdeptSystem(cache_instances=cache)
+        handle, ids = _seed_classes(system)
+        rewritten = []
+        migrate_record = system.store.migrate_record
+
+        def counted(instance_id, *args, **kwargs):
+            rewritten.append(instance_id)
+            return migrate_record(instance_id, *args, **kwargs)
+
+        system.store.migrate_record = counted
+        if rollout == "eager":
+            report = system.evolve(handle.type_id, _change(handle))
+        else:
+            system.evolve(handle.type_id, _change(handle), rollout="lazy")
+            while system.rollout_of(handle.type_id) is not None:
+                system.sweep_rollout(handle.type_id, max_cases=4)
+            report = None
+        results.append(
+            (
+                report_payload(report) if report is not None else None,
+                _stored_forms(system, ids),
+                _open_work(system, ids),
+            )
+        )
+        if cache is not None:
+            # progress 0, 1 and 2 are compliant: each class has three or
+            # more members rewritten as records, never hydrated
+            per_level = [ids.index(iid) % 5 for iid in rewritten]
+            assert all(per_level.count(level) >= 3 for level in (0, 1, 2))
+        else:
+            assert rewritten == []
+    streaming, hydrated = results
+    assert streaming[0] == hydrated[0]
+    assert streaming[1] == hydrated[1]
+    assert streaming[2] == hydrated[2]
+    # the compliant cases before the insertion point are offered the new
+    # activity, with the role the change gave it (none)
+    assert any(("review", None, "offered") in work for work in streaming[2].values())
+
+
 def test_biased_members_rewritten_records_materialise_correctly():
     """A record-rewritten biased member hydrates to a working migrated case."""
     system = AdeptSystem(cache_instances=3)
