@@ -78,6 +78,7 @@ from repro.core.operations import (
     ParallelInsertActivity,
     SerialInsertActivity,
 )
+from repro.runtime.data_context import DataContext
 from repro.runtime.history import ExecutionHistory
 from repro.runtime.instance import ProcessInstance
 from repro.runtime.markings import Marking
@@ -350,7 +351,9 @@ class MigrationPlan:
         produce for the hydrated instance — without materialising it.
         The marking part of the digest is a slice of the record: the
         layout checksum and the two code strings of a positionally
-        stored marking are hashed as they are.
+        stored marking are hashed as they are.  The two logs are read in
+        either stored form (text since format 3, lists before) and decoded
+        only when the plan's digest covers them.
 
         ``include_bias=True`` additionally fingerprints *biased* records:
         the canonical bias payload joins the digest and the data
@@ -379,9 +382,9 @@ class MigrationPlan:
         initial_writes = None
         if self.compliance_method != "conditions":
             initial_writes = [
-                [write.get("element"), write.get("value")]
-                for write in record.get("data", {}).get("writes", [])
-                if write.get("writer") == "<initial>"
+                [write.element, write.value]
+                for write in DataContext.from_dict(record.get("data", {})).writes
+                if write.writer == "<initial>"
             ]
         version = record.get("schema_version", 0)
         # a positional marking is its own projection; a keyed one written

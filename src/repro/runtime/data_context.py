@@ -10,8 +10,9 @@ storage layer persists the value history for recovery.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Optional
+from typing import Any, Dict, List, Mapping, Optional, Union
 
+from repro.runtime import stored_log
 from repro.schema.graph import ProcessSchema
 
 
@@ -23,6 +24,15 @@ class DataWrite:
     value: Any
     writer: str
     iteration: int = 0
+
+
+def _row_of_write(write: DataWrite) -> Dict[str, Any]:
+    return {
+        "element": write.element,
+        "value": write.value,
+        "writer": write.writer,
+        "iteration": write.iteration,
+    }
 
 
 def _write_of_row(row: Mapping[str, Any]) -> DataWrite:
@@ -37,19 +47,24 @@ def _write_of_row(row: Mapping[str, Any]) -> DataWrite:
 class DataContext:
     """Current values plus write history of an instance's data elements.
 
-    A context loaded from a store keeps the stored ``writes`` rows *by
-    reference* (as :class:`~repro.runtime.history.ExecutionHistory` keeps
-    its rows) and builds :class:`DataWrite` objects only when something
-    reads the write history; stepping only appends.  The rows are never
-    mutated, so the record they came from stays intact, and
-    :meth:`to_dict` hands them back as they were read.
+    A context loaded from a store keeps its stored writes as they were
+    read — the compact JSON text of the rows (or, from a record written
+    before format 3, the row list) — as
+    :class:`~repro.runtime.history.ExecutionHistory` keeps its rows.  The
+    text is decoded, and :class:`DataWrite` objects are built, only when
+    something reads the write history; stepping only appends, and
+    :meth:`to_stored` splices the encoded new writes onto the stored text.
+    The stored prefix is never replaced or mutated, so the record it came
+    from stays intact.
     """
 
     def __init__(self, schema: Optional[ProcessSchema] = None) -> None:
         self._values: Dict[str, Any] = {}
-        #: the stored prefix, shared with the record it was loaded from
-        self._rows: List[Mapping[str, Any]] = []
-        #: the writes built from ``_rows``, once something read them
+        #: the stored prefix: its JSON text, or its row list
+        self._prefix: Union[str, List[Mapping[str, Any]]] = []
+        #: the rows decoded from a stored text, once something read them
+        self._decoded: Optional[List[Mapping[str, Any]]] = None
+        #: the writes built from the stored rows, once something read them
         self._built: Optional[List[DataWrite]] = None
         #: writes recorded since (everything, for a never-stored context)
         self._tail: List[DataWrite] = []
@@ -59,10 +74,19 @@ class DataContext:
                 if initial is not None:
                     self._values[element.name] = initial
 
+    def _stored_rows(self) -> List[Mapping[str, Any]]:
+        prefix = self._prefix
+        if prefix.__class__ is not str:
+            return prefix
+        rows = self._decoded
+        if rows is None:
+            rows = self._decoded = stored_log.decode(prefix)
+        return rows
+
     def _all(self) -> List[DataWrite]:
         built = self._built
         if built is None:
-            built = self._built = [_write_of_row(row) for row in self._rows]
+            built = self._built = [_write_of_row(row) for row in self._stored_rows()]
         return built + self._tail
 
     # ------------------------------------------------------------------ #
@@ -112,7 +136,8 @@ class DataContext:
     def copy(self) -> "DataContext":
         clone = DataContext()
         clone._values = dict(self._values)
-        clone._rows = self._rows
+        clone._prefix = self._prefix
+        clone._decoded = self._decoded
         clone._built = self._built
         clone._tail = list(self._tail)
         return clone
@@ -120,27 +145,32 @@ class DataContext:
     # ------------------------------------------------------------------ #
 
     def to_dict(self) -> dict:
+        """The canonical form: the writes as a list (decodes a stored prefix)."""
         return {
             "values": dict(self._values),
-            "writes": self._rows
-            + [
-                {
-                    "element": w.element,
-                    "value": w.value,
-                    "writer": w.writer,
-                    "iteration": w.iteration,
-                }
-                for w in self._tail
-            ],
+            "writes": self._stored_rows() + [_row_of_write(w) for w in self._tail],
         }
+
+    def to_stored(self) -> dict:
+        """The stored form: the writes as one compact JSON text (decodes nothing)."""
+        prefix = self._prefix
+        text = prefix if prefix.__class__ is str else stored_log.encode(prefix)
+        if self._tail:
+            text = stored_log.splice(
+                text, stored_log.encode([_row_of_write(w) for w in self._tail])
+            )
+        return {"values": dict(self._values), "writes": text}
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> "DataContext":
+        """Reconstruct a context from :meth:`to_stored` or :meth:`to_dict` output."""
         context = cls()
         context._values = dict(payload.get("values", {}))
-        context._rows = payload.get("writes", context._rows)
+        writes = payload.get("writes")
+        if writes and writes != "[]":
+            context._prefix = writes
         return context
 
     def __repr__(self) -> str:
-        writes = len(self._rows) + len(self._tail)
+        writes = len(self._stored_rows()) + len(self._tail)
         return f"DataContext(values={len(self._values)}, writes={writes})"

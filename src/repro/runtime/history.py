@@ -11,9 +11,12 @@ for looping processes.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+
+from repro.runtime import stored_log
 
 
 class HistoryEventType(str, Enum):
@@ -129,32 +132,53 @@ class HistoryEntry:
 class ExecutionHistory:
     """Ordered log of the events an instance produced so far.
 
-    A history loaded from a store keeps the stored rows *by reference* and
-    builds :class:`HistoryEntry` objects only when something reads them
-    (compliance replay, ad-hoc change, rollback, ``completed_activities``);
-    stepping only appends.  Hydration is therefore O(1) and write-back
-    O(entries recorded since) in the history.
+    A history loaded from a store keeps its stored prefix as it was read
+    — the compact JSON text of the rows (or, from a record written before
+    format 3, the row list) — together with the number of rows in it, so
+    :meth:`record` knows the next position without reading it.  The text
+    is decoded, and :class:`HistoryEntry` objects are built, only when
+    something reads the prefix (compliance replay, ad-hoc change,
+    rollback, loop superseding, ``completed_activities``); stepping only
+    appends.  :meth:`to_stored` encodes only the entries recorded since
+    and splices them onto the prefix text, so hydration is O(1) and
+    write-back O(entries recorded since) in the history.
 
     Some readers (monitoring, ``instance_info``) query a live case's
     history without holding its lock while its owner records.  Every
     structural change is therefore published by one attribute assignment:
-    ``_rows`` is never mutated in place (superseding replaces the list),
-    and the entries built from it are cached together with the very list
-    they were built from, so a cache published late by a reader is
+    ``_prefix`` is never mutated in place (superseding replaces it by a
+    new row list), and what is derived from it — the decoded rows, the
+    entries built from those — is cached together with the very object
+    it was derived from, so a cache published late by a reader is
     recognised as outdated rather than trusted.
     """
 
     def __init__(self, entries: Optional[Iterable[HistoryEntry]] = None) -> None:
-        #: the stored prefix, shared with the record it was loaded from
-        self._rows: List[list] = []
+        #: the stored prefix: its JSON text, or its row list
+        self._prefix: Union[str, List[list]] = []
+        #: number of rows in the stored prefix
+        self._count = 0
+        #: ``(text, rows decoded from exactly that text)``
+        self._decoded: Tuple[Optional[str], List[list]] = (None, [])
         #: ``(rows, entries built from exactly that list)``
-        self._built: Tuple[List[list], List[HistoryEntry]] = (self._rows, [])
+        self._built: Tuple[List[list], List[HistoryEntry]] = (self._prefix, [])
         #: entries recorded since (everything, for a never-stored history)
         self._tail: List[HistoryEntry] = list(entries or [])
 
+    def _stored_rows(self) -> List[list]:
+        """The rows of the stored prefix, decoded on first use."""
+        prefix = self._prefix
+        if prefix.__class__ is not str:
+            return prefix
+        text, rows = self._decoded
+        if text is not prefix:
+            rows = stored_log.decode(prefix)
+            self._decoded = (prefix, rows)
+        return rows
+
     def _stored_entries(self) -> List[HistoryEntry]:
         """The entries of the stored prefix, materialised on first use."""
-        rows = self._rows
+        rows = self._stored_rows()
         built_from, entries = self._built
         if built_from is not rows:
             entries = [HistoryEntry.from_row(row) for row in rows]
@@ -166,8 +190,13 @@ class ExecutionHistory:
 
     @property
     def materialised(self) -> bool:
-        """False while stored rows are held that nothing has read yet."""
-        return self._built[0] is self._rows
+        """False while a stored prefix is held that nothing has read yet."""
+        rows = self._prefix
+        if rows.__class__ is str:
+            text, rows = self._decoded
+            if text is not self._prefix:
+                return False
+        return self._built[0] is rows
 
     # ------------------------------------------------------------------ #
     # recording
@@ -182,7 +211,7 @@ class ExecutionHistory:
         user: Optional[str] = None,
     ) -> HistoryEntry:
         """Append a new entry and return it."""
-        position = len(self._rows) + len(self._tail)
+        position = self._count + len(self._tail)
         entry = HistoryEntry(
             sequence=position,
             event=event,
@@ -203,19 +232,23 @@ class ExecutionHistory:
         reduced history.  Returns the number of entries flagged.
         """
         targets = set(activities)
-        rows = self._rows
-        hits = [
-            index
-            for index, row in enumerate(rows)
-            if row[_ACTIVITY] in targets and not row[_SUPERSEDED]
-        ]
-        if hits:
-            rows = list(rows)
-            for index in hits:
-                row = list(rows[index])
-                row[_SUPERSEDED] = 1
-                rows[index] = row
-            self._rows = rows  # entries built from the old list are outdated now
+        prefix = self._prefix
+        hits: List[int] = []
+        # a stored text that names no target holds no row to flag
+        if prefix.__class__ is not str or any(json.dumps(t) in prefix for t in targets):
+            rows = self._stored_rows()
+            hits = [
+                index
+                for index, row in enumerate(rows)
+                if row[_ACTIVITY] in targets and not row[_SUPERSEDED]
+            ]
+            if hits:
+                rows = list(rows)
+                for index in hits:
+                    row = list(rows[index])
+                    row[_SUPERSEDED] = 1
+                    rows[index] = row
+                self._prefix = rows  # what was derived from the old prefix is outdated now
         flagged = len(hits)
         tail = self._tail
         for index, entry in enumerate(tail):
@@ -239,7 +272,7 @@ class ExecutionHistory:
 
     def reduced_rows(self) -> List[list]:
         """The reduced history as stored rows (builds no stored entry)."""
-        rows = [row for row in self._rows if not row[_SUPERSEDED]]
+        rows = [row for row in self._stored_rows() if not row[_SUPERSEDED]]
         rows.extend(entry.to_row() for entry in self._tail if not entry.superseded)
         return rows
 
@@ -282,7 +315,7 @@ class ExecutionHistory:
         """Sequence number of the newest entry (-1 when empty)."""
         if self._tail:
             return self._tail[-1].sequence
-        return self._rows[-1][0] if self._rows else -1
+        return self._stored_rows()[-1][0] if self._count else -1
 
     # ------------------------------------------------------------------ #
     # copy / serialization
@@ -290,16 +323,32 @@ class ExecutionHistory:
 
     def copy(self) -> "ExecutionHistory":
         clone = ExecutionHistory(self._tail)
-        clone._rows = self._rows
+        clone._prefix = self._prefix
+        clone._count = self._count
+        clone._decoded = self._decoded
         clone._built = self._built
         return clone
 
     def to_dict(self) -> dict:
-        return {"rows": self._rows + [entry.to_row() for entry in self._tail]}
+        """The canonical form: the rows as a list (decodes a stored prefix)."""
+        return {"rows": self._stored_rows() + [entry.to_row() for entry in self._tail]}
+
+    def to_stored(self) -> dict:
+        """The stored form: the rows as one compact JSON text, and their count.
+
+        Decodes nothing: the text of the stored prefix is reused, and only
+        the entries recorded since are encoded and spliced onto it.
+        """
+        prefix = self._prefix
+        text = prefix if prefix.__class__ is str else stored_log.encode(prefix)
+        tail = self._tail
+        if tail:
+            text = stored_log.splice(text, stored_log.encode([entry.to_row() for entry in tail]))
+        return {"rows": text, "count": self._count + len(tail)}
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> "ExecutionHistory":
-        """Reconstruct a history from :meth:`to_dict` output.
+        """Reconstruct a history from :meth:`to_stored` or :meth:`to_dict` output.
 
         Also reads the ``"entries"`` list of per-entry dicts that stores
         written before the row form hold.
@@ -308,12 +357,16 @@ class ExecutionHistory:
         rows = payload.get("rows")
         if rows is None:
             rows = [HistoryEntry.from_dict(item).to_row() for item in payload.get("entries", [])]
-        if rows:
-            history._rows = rows
+        if rows.__class__ is str:
+            count = payload["count"]
+            if count:
+                history._prefix, history._count = rows, count
+        elif rows:
+            history._prefix, history._count = rows, len(rows)
         return history
 
     def __len__(self) -> int:
-        return len(self._rows) + len(self._tail)
+        return self._count + len(self._tail)
 
     def __iter__(self):
         return iter(self._all())

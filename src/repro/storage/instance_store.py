@@ -18,7 +18,7 @@ from repro.runtime.instance import ProcessInstance
 from repro.storage.indexes import InstanceIndex
 from repro.storage.repository import SchemaRepository
 from repro.storage.representations import HybridSubstitutionRepresentation, RepresentationStrategy
-from repro.storage.serialization import StorageError, instance_from_record, instance_to_dict
+from repro.storage.serialization import StorageError, instance_from_record, instance_to_stored
 
 
 @dataclass
@@ -54,8 +54,13 @@ class InstanceStore:
     # ------------------------------------------------------------------ #
 
     def encode_record(self, instance: ProcessInstance) -> Dict[str, Any]:
-        """The full stored record of an instance (state + schema representation)."""
-        record = instance_to_dict(instance)
+        """The full stored record of an instance (state + schema representation).
+
+        The state is in the stored form (:func:`instance_to_stored`): its
+        history rows and data writes are compact JSON text, so a record
+        costs its bytes in memory, not one object per row.
+        """
+        record = instance_to_stored(instance)
         schema_part = self.strategy.encode(instance)
         record["representation"] = {"strategy": self.strategy.name, **schema_part}
         return record

@@ -38,7 +38,54 @@ class StorageError(ReproError):
 
 
 def instance_to_dict(instance: ProcessInstance) -> Dict[str, Any]:
-    """Serialise the representation-independent part of an instance."""
+    """Serialise the representation-independent part of an instance.
+
+    The canonical form: history rows and data writes as lists.  What
+    :func:`~repro.runtime.instance.ProcessInstance.state_fingerprint`
+    hashes and what a rollout's pre-state keeps.
+    """
+    return _payload(instance, instance.history.to_dict(), instance.data.to_dict())
+
+
+def instance_to_stored(instance: ProcessInstance) -> Dict[str, Any]:
+    """:func:`instance_to_dict` in the stored form (snapshot format 3).
+
+    Equal but for the two logs: ``history`` is ``{"rows": <text>,
+    "count": <rows>}`` and ``data``'s ``writes`` a text, each the compact
+    JSON of the canonical list (:mod:`repro.runtime.stored_log`).  A
+    hydrated case reuses the text it was loaded with and encodes only
+    what it appended since.
+
+    A log holding a value that is not JSON — only an in-memory system
+    holds one; a durable one refuses it before it commits — has no text,
+    so that record keeps the canonical lists, which every reader takes.
+    """
+    try:
+        history, data = instance.history.to_stored(), instance.data.to_stored()
+    except (TypeError, ValueError):
+        history, data = instance.history.to_dict(), instance.data.to_dict()
+    return _payload(instance, history, data)
+
+
+def stored_record(record: Mapping[str, Any]) -> Mapping[str, Any]:
+    """A stored record with both logs in the stored form.
+
+    Returns ``record`` itself when it already is; a record written
+    before format 3 (log lists, or history entry dicts) is returned as a
+    converted copy.  The checkpoint writes every record through this.
+    """
+    history, data = record.get("history", {}), record.get("data", {})
+    if history.get("rows").__class__ is str and data.get("writes", "").__class__ is str:
+        return record
+    payload = dict(record)
+    payload["history"] = ExecutionHistory.from_dict(history).to_stored()
+    payload["data"] = DataContext.from_dict(data).to_stored()
+    return payload
+
+
+def _payload(
+    instance: ProcessInstance, history: Dict[str, Any], data: Dict[str, Any]
+) -> Dict[str, Any]:
     biased = instance.is_biased
     layout = None if biased else instance.original_schema.index.marking_layout()
     payload: Dict[str, Any] = {
@@ -47,8 +94,8 @@ def instance_to_dict(instance: ProcessInstance) -> Dict[str, Any]:
         "schema_version": instance.schema_version,
         "status": instance.status.value,
         "marking": instance.marking.to_stored(layout),
-        "history": instance.history.to_dict(),
-        "data": instance.data.to_dict(),
+        "history": history,
+        "data": data,
         "loop_iterations": dict(instance.loop_iterations),
         "biased": biased,
     }
@@ -62,7 +109,7 @@ def instance_from_dict(
     schema_resolver: SchemaResolver,
     execution_schema: Optional[ProcessSchema] = None,
 ) -> ProcessInstance:
-    """Reconstruct an instance from :func:`instance_to_dict` output.
+    """Reconstruct an instance from :func:`instance_to_dict` or :func:`instance_to_stored` output.
 
     ``schema_resolver`` maps ``(process_type, version)`` to the referenced
     original schema; ``execution_schema`` is the materialised

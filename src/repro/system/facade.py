@@ -1451,53 +1451,60 @@ class AdeptSystem:
         hydrate and re-encode on write-back).  Relied upon: a case that
         is not live has a current store record — eviction writes dirty
         cases back before dropping them.  The caller holds the type's
-        write lock, or its read lock and the case's stripe.
+        write lock, or its read lock and the case's stripe; this method
+        holds the stripe itself.
         """
-        bias_class = record = None
-        if instance is None:
-            with self._registry:
-                live = instance_id in self._instances
-            if not live and self.store.strategy.instance_independent_payload:
-                # an unknown id has no record: hydration raises the canonical EngineError
-                record = dict(self.store.records_for([instance_id])).get(instance_id)
-        if record is not None:
-            action, found = self._migrator.decide_record(
-                record, type_change, plan, cache, share_bias=bias_classes is not None
-            )
-            if action == "report":
-                return found
-            if action == "rewrite":
-                self._migrate_stored(instance_id, plan.new_schema, found)
-                return InstanceMigrationResult(instance_id, MigrationOutcome.MIGRATED)
-            bias_class = found
-            if bias_class is not None and bias_class in bias_classes:
-                return self._apply_biased_class(
-                    instance_id, bias_classes[bias_class], plan.new_schema.version
-                )
-        # pinned: LRU eviction must not detach the case mid-migration
-        self._pin(instance_id)
-        try:
+        # the stripe from the liveness check through the rewrite: a
+        # concurrent get_instance would otherwise hydrate the record
+        # between the decision and the rewrite and keep the case live on
+        # the version the store has left (reentrant — the sweep and the
+        # touch path already hold it)
+        with self._locks.holding(instance_id):
+            bias_class = record = None
             if instance is None:
-                instance = self.get_instance(instance_id)
-            result = self._migrator.migrate_instance(
-                instance, plan.old_schema, plan.new_schema, type_change, plan, cache, emit=False
-            )
-            if result.migrated:
-                # covers rollback migrations, which compensate activities
-                # and therefore also change the instance state
                 with self._registry:
-                    self._dirty.add(instance_id)
-                self.worklists.sync_instance(instance)
-        finally:
-            self._unpin(instance_id)
-        if bias_class is not None:
-            # the class's stored fields are encoded only if a second member comes
-            bias_classes[bias_class] = {"representative": instance_id, "result": result}
-            if result.migrated:
-                bias_classes[bias_class]["offers"], _ = self.worklists.work_of(
-                    instance.execution_schema, instance.marking
+                    live = instance_id in self._instances
+                if not live and self.store.strategy.instance_independent_payload:
+                    # an unknown id has no record: hydration raises the canonical EngineError
+                    record = dict(self.store.records_for([instance_id])).get(instance_id)
+            if record is not None:
+                action, found = self._migrator.decide_record(
+                    record, type_change, plan, cache, share_bias=bias_classes is not None
                 )
-        return result
+                if action == "report":
+                    return found
+                if action == "rewrite":
+                    self._migrate_stored(instance_id, plan.new_schema, found)
+                    return InstanceMigrationResult(instance_id, MigrationOutcome.MIGRATED)
+                bias_class = found
+                if bias_class is not None and bias_class in bias_classes:
+                    return self._apply_biased_class(
+                        instance_id, bias_classes[bias_class], plan.new_schema.version
+                    )
+            # pinned: LRU eviction must not detach the case mid-migration
+            self._pin(instance_id)
+            try:
+                if instance is None:
+                    instance = self.get_instance(instance_id)
+                result = self._migrator.migrate_instance(
+                    instance, plan.old_schema, plan.new_schema, type_change, plan, cache, emit=False
+                )
+                if result.migrated:
+                    # covers rollback migrations, which compensate activities
+                    # and therefore also change the instance state
+                    with self._registry:
+                        self._dirty.add(instance_id)
+                    self.worklists.sync_instance(instance)
+            finally:
+                self._unpin(instance_id)
+            if bias_class is not None:
+                # the class's stored fields are encoded only if a second member comes
+                bias_classes[bias_class] = {"representative": instance_id, "result": result}
+                if result.migrated:
+                    bias_classes[bias_class]["offers"], _ = self.worklists.work_of(
+                        instance.execution_schema, instance.marking
+                    )
+            return result
 
     def _apply_biased_class(
         self, instance_id: str, biased_class: Dict[str, Any], new_version: int

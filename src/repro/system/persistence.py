@@ -38,6 +38,7 @@ crash-consistency contract.
 from __future__ import annotations
 
 import json
+import os
 import threading
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -47,17 +48,20 @@ from repro.core.evolution import ProcessType, TypeChange
 from repro.core.changelog import ChangeLog
 from repro.errors import ReproError
 from repro.schema.graph import ProcessSchema
+from repro.storage.serialization import stored_record
 from repro.storage.wal import WriteAheadLog
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.system.facade import AdeptSystem
 
 #: Snapshot format written by this code (bumped on incompatible layout
-#: changes).  Format 2 may hold positionally stored markings and history
-#: rows; both it and format 1 (keyed markings, per-entry history dicts —
-#: still the read path of every record) load.
-FORMAT_VERSION = 2
-READABLE_FORMATS = (1, 2)
+#: changes).  Format 3 holds every record's history rows and data writes
+#: as compact JSON text (``storage.serialization.stored_record``); format
+#: 2 may hold positionally stored markings and history row lists; format
+#: 1 keyed markings and per-entry history dicts.  All three load — every
+#: form is still the read path of some record.
+FORMAT_VERSION = 3
+READABLE_FORMATS = (1, 2, 3)
 
 
 def shard_store_path(base: str, shard_id: str) -> str:
@@ -71,6 +75,15 @@ def shard_store_path(base: str, shard_id: str) -> str:
     if not shard_id or "/" in shard_id or shard_id in (".", ".."):
         raise ReproError(f"invalid shard id {shard_id!r} for a store path")
     return str(Path(base) / shard_id)
+
+def _fsync_directory(directory: Path) -> None:
+    """Make the entries of ``directory`` (a rename into it) durable."""
+    descriptor = os.open(directory, os.O_RDONLY)
+    try:
+        os.fsync(descriptor)
+    finally:
+        os.close(descriptor)
+
 
 #: All typed WAL record kinds, in the order they were introduced.
 KIND_TYPE_DEPLOYED = "type_deployed"
@@ -266,12 +279,15 @@ class PersistentBackend:
 
         The caller (``AdeptSystem.checkpoint``) has already flushed every
         dirty live instance into the instance store, so the store records
-        plus the schema repository are the complete state.  The snapshot
-        file is written to a temporary and atomically replaced; only
-        after it is durable is the log truncated — a crash between the
-        two steps replays the (now redundant, idempotent-by-state) WAL
-        suffix on top of the fresh snapshot, which converges to the same
-        state.
+        plus the schema repository are the complete state; a record
+        still in a pre-format-3 form is written in the stored form.
+
+        The snapshot survives a power cut: it is written to a temporary
+        file that is fsynced before it atomically replaces the old
+        snapshot, and the directory is fsynced after the rename, so the
+        new name is durable too.  Only then is the log truncated — a
+        crash between the steps replays the (now redundant) WAL suffix,
+        whose records the snapshot's ``next_seq`` marks as covered.
         """
         repository = system.repository
         schemas: List[Dict[str, Any]] = []
@@ -279,7 +295,8 @@ class PersistentBackend:
             for version in repository.versions_of(type_name):
                 schemas.append(repository.schema(type_name, version).to_dict())
         instances = {
-            instance_id: record for instance_id, record in system.store.scan_records()
+            instance_id: stored_record(record)
+            for instance_id, record in system.store.scan_records()
         }
         payload = {
             "format": FORMAT_VERSION,
@@ -299,8 +316,12 @@ class PersistentBackend:
         if retired:
             payload["retired_versions"] = retired
         temporary = self.snapshot_path.with_suffix(".json.tmp")
-        temporary.write_text(json.dumps(payload, sort_keys=True), encoding="utf-8")
-        temporary.replace(self.snapshot_path)
+        with open(temporary, "w", encoding="utf-8") as handle:
+            handle.write(json.dumps(payload, sort_keys=True))
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(temporary, self.snapshot_path)
+        _fsync_directory(self.directory)
         self.wal.truncate()
         self._read_at_open = None
 

@@ -3,7 +3,8 @@
 :class:`EagerDataContext` is the data context the runtime used before a
 hydrated case kept its stored ``writes`` list as rows — ``from_dict``
 builds one object per stored write, ``to_dict`` spells every one out
-again.  It is reference code, not production code:
+again, and ``to_stored`` encodes every one into the stored text.  It is
+reference code, not production code:
 ``tests/properties/test_property_data_context_parity.py`` drives it and
 :class:`repro.runtime.data_context.DataContext` through the same random
 operation sequences and requires equal answers and equal stored bytes.
@@ -11,6 +12,7 @@ operation sequences and requires equal answers and equal stored bytes.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional
 
@@ -89,6 +91,11 @@ class EagerDataContext:
             ],
         }
 
+    def to_stored(self) -> dict:
+        payload = self.to_dict()
+        payload["writes"] = json.dumps(payload["writes"], separators=(",", ":"), sort_keys=True)
+        return payload
+
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> "EagerDataContext":
         context = cls()
@@ -100,6 +107,11 @@ class EagerDataContext:
                 writer=item.get("writer", ""),
                 iteration=item.get("iteration", 0),
             )
-            for item in payload.get("writes", [])
+            for item in _rows(payload.get("writes", []))
         ]
         return context
+
+
+def _rows(writes):
+    """The stored writes as a list, from either stored form."""
+    return json.loads(writes) if isinstance(writes, str) else writes

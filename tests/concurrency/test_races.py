@@ -174,6 +174,47 @@ class TestEvolveVersusDelete:
             recovered.backend.close()
 
 
+class TestEagerEvolveVersusHydration:
+    def test_a_reader_cannot_hydrate_a_stored_case_mid_rewrite(self, tmp_path):
+        """Eager evolve decides and rewrites an evicted case under its stripe.
+
+        A reader (``get_instance``) started between the decision and the
+        store rewrite must wait for the rewrite: had it hydrated the
+        pre-migration record, the live case would stay on v1 while the
+        report, the store and recovery say v2.
+        """
+        store = str(tmp_path / "store")
+        system = AdeptSystem.open(store, cache_instances=2)
+        orders = system.deploy(templates.online_order_process())
+        for _ in range(6):
+            orders.start()
+        rewrite = system.store.migrate_record
+        readers = []
+
+        def racing_rewrite(instance_id, *args, **kwargs):
+            # the first record-level rewrite: its case is evicted and decided
+            if not readers:
+                reader = threading.Thread(target=system.get_instance, args=(instance_id,))
+                readers.append((instance_id, reader))
+                reader.start()
+                reader.join(timeout=0.3)  # at most this long: it must wait for us
+            return rewrite(instance_id, *args, **kwargs)
+
+        system.store.migrate_record = racing_rewrite
+        report = orders.evolve(order_type_change_v2())
+        ((target, reader),) = readers
+        reader.join(timeout=10.0)
+        assert not reader.is_alive()
+        assert report.to_version == 2
+        assert system.get_instance(target).schema_version == report.to_version
+        system.close(checkpoint=False)
+        reopened = AdeptSystem.open(store)
+        try:
+            assert reopened.get_instance(target).schema_version == report.to_version
+        finally:
+            reopened.close(checkpoint=False)
+
+
 class TestEvictionVersusStep:
     def test_step_pins_case_against_eviction(self, tmp_path):
         """The LRU must never write back (or drop) a case mid-step."""

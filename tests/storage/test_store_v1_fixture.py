@@ -17,6 +17,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.storage.serialization import instance_to_dict
 from repro.system import AdeptSystem
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
@@ -268,22 +269,32 @@ def test_every_running_case_steps_to_completion(store):
     system.close(checkpoint=False)
 
 
-def test_first_checkpoint_writes_format_2_and_reproduces_every_fingerprint(store):
+def test_first_checkpoint_writes_format_3_and_reproduces_every_fingerprint(store):
     system = AdeptSystem.open(store)
     fingerprints = {i: system.get_instance(i).state_fingerprint() for i in all_ids(system)}
     system.checkpoint()
     system.close(checkpoint=False)
     snapshot = json.loads((store / "snapshot.json").read_text())
-    assert snapshot["format"] == 2
+    assert snapshot["format"] == 3
     # a case the WAL suffix changed was written back in the new form
     # (plus the write-back's additive "fix" key while the marking is settled)
     assert set(snapshot["instances"]["loop-0"]["marking"]) - {"fix"} == {"layout", "nodes", "edges"}
-    assert "rows" in snapshot["instances"]["loop-0"]["history"]
+    # every record's two logs are stored text, touched or not
+    for case_id, record in snapshot["instances"].items():
+        assert set(record["history"]) == {"rows", "count"}, case_id
+        assert isinstance(record["history"]["rows"], str), case_id
+        assert isinstance(record["data"]["writes"], str), case_id
     reopened = AdeptSystem.open(store)
     assert reopened.last_recovery.replayed_records == 0
     assert {
         i: reopened.get_instance(i).state_fingerprint() for i in all_ids(reopened)
     } == fingerprints
+    # ... and decode to exactly the canonical lists of the case
+    for case_id, record in snapshot["instances"].items():
+        canonical = instance_to_dict(reopened.get_instance(case_id))
+        assert json.loads(record["history"]["rows"]) == canonical["history"]["rows"], case_id
+        assert record["history"]["count"] == len(canonical["history"]["rows"]), case_id
+        assert json.loads(record["data"]["writes"]) == canonical["data"]["writes"], case_id
     reopened.close(checkpoint=False)
 
 

@@ -19,7 +19,7 @@ from tests.storage.test_store_v1_fixture import (  # noqa: F401 - collected as t
     test_canary_revert_restores_from_the_old_format_pre_state,
     test_every_case_matches_the_handwritten_expectation,
     test_every_running_case_steps_to_completion,
-    test_first_checkpoint_writes_format_2_and_reproduces_every_fingerprint,
+    test_first_checkpoint_writes_format_3_and_reproduces_every_fingerprint,
 )
 
 

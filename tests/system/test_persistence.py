@@ -101,6 +101,45 @@ class TestCheckpointAndRecovery:
         assert reopened.last_recovery.replayed_records == 0
         assert sorted(reopened.stored_instance_ids()) == sorted(ids)
 
+    def test_checkpoint_is_durable_before_the_log_is_truncated(self, store_path, monkeypatch):
+        """fsync the snapshot file, rename it, fsync the directory, then truncate."""
+        import os
+        import stat
+
+        system = open_system(store_path)
+        system.deploy(templates.online_order_process()).start()
+        calls = []
+        fsync, replace, truncate = os.fsync, os.replace, system.backend.wal.truncate
+
+        def recorded_fsync(descriptor):
+            kind = "directory" if stat.S_ISDIR(os.fstat(descriptor).st_mode) else "file"
+            calls.append(("fsync", kind))
+            fsync(descriptor)
+
+        def recorded_replace(source, target):
+            calls.append(("replace", Path(source).name, Path(target).name))
+            replace(source, target)
+
+        def recorded_truncate():
+            calls.append(("truncate",))
+            truncate()
+
+        monkeypatch.setattr(os, "fsync", recorded_fsync)
+        monkeypatch.setattr(os, "replace", recorded_replace)
+        monkeypatch.setattr(system.backend.wal, "truncate", recorded_truncate)
+        system.checkpoint()
+        assert calls == [
+            ("fsync", "file"),
+            ("replace", "snapshot.json.tmp", "snapshot.json"),
+            ("fsync", "directory"),
+            ("truncate",),
+        ]
+        monkeypatch.undo()
+        system.close(checkpoint=False)
+        reopened = open_system(store_path)
+        assert reopened.last_recovery.snapshot_instances == 1
+        reopened.close(checkpoint=False)
+
     def test_unclean_exit_replays_wal_suffix(self, store_path):
         system = open_system(store_path)
         orders = system.deploy(templates.online_order_process())
@@ -384,6 +423,21 @@ class TestLazyHydration:
         assert len(system.live_instance_ids()) <= 2
         for instance_id in ids:
             assert system.get_instance(instance_id).instance_id == instance_id
+
+    def test_a_value_that_is_not_json_survives_eviction_without_backend(self):
+        """No text for such a log: the evicted record keeps its lists."""
+        import datetime
+
+        system = AdeptSystem(cache_instances=1)
+        orders = system.deploy(templates.online_order_process())
+        case_id = orders.start().instance_id
+        system.complete(case_id, "get_order", outputs={"order": datetime.date(2020, 1, 1)})
+        orders.start()  # evicts the case
+        assert case_id not in system.live_instance_ids()
+        restored = system.get_instance(case_id)
+        assert restored.data.get("order") == datetime.date(2020, 1, 1)
+        assert [w.value for w in restored.data.writes] == [datetime.date(2020, 1, 1)]
+        assert restored.completed_activities() == ["get_order"]
 
 
 class TestBackendUnit:
