@@ -26,6 +26,15 @@ class ReproError(Exception):
     """Base class of all exceptions raised by the repro package."""
 
 
+class PersistenceError(ReproError):
+    """Raised when the durability layer cannot journal or snapshot.
+
+    Lives here because both the write-ahead log (:mod:`repro.storage.wal`)
+    and the backend above it (:mod:`repro.system.persistence`, its
+    historical import path) raise it.
+    """
+
+
 class MigrationError(ReproError):
     """Raised when a schema evolution / migration run fails as a whole.
 

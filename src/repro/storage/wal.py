@@ -30,6 +30,8 @@ import threading
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Mapping
 
+from repro.errors import PersistenceError
+
 # one encoder for every record: json.dumps(..., sort_keys=True) builds a new
 # JSONEncoder per call (encode keeps no state between calls, so it is shared
 # by all threads); the bytes are json.dumps's
@@ -166,14 +168,21 @@ class WriteAheadLog:
     def truncate(self) -> None:
         """Drop all records (called after a successful checkpoint).
 
-        Pending (enqueued but uncommitted) records are dropped with the
-        rest — a checkpoint runs with every mutator quiesced, so the
-        buffer is empty in correct use.
+        Refuses with :class:`~repro.errors.PersistenceError` while a
+        record is enqueued but not yet committed: the checkpoint that
+        truncates must cover it, and dropping it would silently lose a
+        mutation its caller is about to acknowledge.  Every journaling
+        thread commits before it lets a checkpoint in (the façade's
+        sweep commits before it yields its type lock), so a refusal is
+        a broken caller, never a race to retry.
         """
         with self._flush_lock:
             with self._mutex:
-                self._pending = []
-                self._committed = self._enqueued
+                if self._pending:
+                    raise PersistenceError(
+                        f"cannot truncate {self._path}: {len(self._pending)} "
+                        f"enqueued record(s) are not committed yet"
+                    )
                 if self._handle is not None:
                     self._handle.close()
                     self._handle = None

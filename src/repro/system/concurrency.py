@@ -123,11 +123,14 @@ class RWLock:
     must be able to quiesce a type under a steady stream of steps.
 
     The lock is not reentrant across modes (a reader must not request
-    the write side); the façade's lock hierarchy never needs that.
+    the write side); the façade's lock hierarchy never needs that.  The
+    read side is on every step's path: its condition sits on a plain
+    (non-reentrant) lock, and a reader leaving wakes the waiters only
+    when a writer is among them — readers never wait on readers.
     """
 
     def __init__(self) -> None:
-        self._cond = threading.Condition()
+        self._cond = threading.Condition(threading.Lock())
         self._readers = 0
         self._writer: Optional[int] = None
         self._waiting_writers = 0
@@ -143,8 +146,19 @@ class RWLock:
     def release_read(self) -> None:
         with self._cond:
             self._readers -= 1
-            if self._readers == 0:
+            if self._readers == 0 and self._waiting_writers:
                 self._cond.notify_all()
+
+    @property
+    def writer_waiting(self) -> bool:
+        """True while a writer queues for the lock (an unlocked, cheap read).
+
+        A reader that holds the lock across many short units of work (the
+        rollout sweep) checks this between two units and, when it is set,
+        releases and re-acquires the read side — the re-acquisition queues
+        behind the writer, so the writer waits at most one unit.
+        """
+        return self._waiting_writers != 0
 
     def acquire_write(self) -> None:
         me = threading.get_ident()
@@ -516,8 +530,10 @@ class RolloutSweeper:
     and sleeps ``interval`` between rounds, until the rollout leaves its
     active states (completed or rolled back) or :meth:`stop` is called.
     The bounded batch per round is what keeps the drain from starving
-    case execution: each sweep touches at most ``batch`` cases under
-    short per-case locks, never the whole population under one lock.
+    case execution: each sweep touches at most ``batch`` cases.  A sweep
+    holds its type's read lock (shared with every step of the type) for
+    the round and yields it to a waiting writer between two cases, and
+    each case's stripe only while that case is decided.
     The sweeper also executes pending canary decisions — it calls into
     the façade holding no locks, the safe point for a promote/rollback.
     """

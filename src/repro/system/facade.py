@@ -1205,8 +1205,10 @@ class AdeptSystem:
         store-resident candidates are classified by compliance
         fingerprint straight from their stored records, and only one
         representative per execution-state class (plus the biased /
-        rollback residue) is ever hydrated — memory stays bounded by
-        ``cache_instances`` + 1 no matter how large the population is.
+        rollback residue) is ever materialised — as a scratch copy
+        outside the live cache, or hydrated under the rollback policy —
+        so memory stays bounded by ``cache_instances`` + 1 no matter
+        how large the population is.
         """
         if migrate not in (MIGRATE_COMPLIANT, MIGRATE_NONE, MIGRATE_STRICT):
             raise ValueError(
@@ -1387,7 +1389,8 @@ class AdeptSystem:
         holds the type's write lock (evolve, or recovery replaying one).
         Memory stays bounded by ``cache_instances`` + 1 whatever the
         population: :meth:`_migrate_case` decides store-resident cases
-        from their records and hydrates only what it must.
+        from their records and materialises only what it must, on a
+        scratch copy outside the live cache.
         """
         plan = self._migrator.compile_plan(
             process_type.schema_for(type_change.from_version),
@@ -1439,20 +1442,30 @@ class AdeptSystem:
         to :meth:`MigrationManager.migrate_instance`.  A store-resident
         one is decided from its record as far as that goes
         (:meth:`MigrationManager.decide_record`): reported as it is,
-        rewritten in place with its class's marking template, or
-        hydrated and migrated like a live one.  With ``bias_classes``
-        (eager only) store-resident biased cases in the same state with
-        the same bias share one hydrated representative's outcome,
-        adapted marking and re-encoded representation.
+        rewritten in place with its class's marking template, or — the
+        first of its class, a biased case, a biased-class representative
+        — decided by the same ``migrate_instance`` on a scratch copy
+        loaded from the store, written back if it migrated and offered
+        what its new marking activates.  The scratch copy never enters
+        the live cache, so deciding a stored case evicts no other.  With
+        ``bias_classes`` (eager only) store-resident biased cases in the
+        same state with the same bias share one representative's
+        outcome, adapted marking and re-encoded representation.
+
+        One exception hydrates: under ``rollback_on_state_conflict`` a
+        state-conflicting case is compensated by driving the shared
+        engine on it, whose step and touch listeners act on live cases
+        only (dirty marking, the on-touch adoption guard) — so with that
+        policy a stored case that needs a look is hydrated as before.
 
         Record-level decisions need a representation whose payload stays
         valid across the version change (``instance_independent_payload``
         — ``full_copy`` embeds a versioned schema copy, so its cases all
-        hydrate and re-encode on write-back).  Relied upon: a case that
-        is not live has a current store record — eviction writes dirty
-        cases back before dropping them.  The caller holds the type's
-        write lock, or its read lock and the case's stripe; this method
-        holds the stripe itself.
+        take the scratch or live path and re-encode on write-back).
+        Relied upon: a case that is not live has a current store record —
+        eviction writes dirty cases back before dropping them.  The caller
+        holds the type's write lock, or its read lock and the case's
+        stripe; this method holds the stripe itself.
         """
         # the stripe from the liveness check through the rewrite: a
         # concurrent get_instance would otherwise hydrate the record
@@ -1464,10 +1477,10 @@ class AdeptSystem:
             if instance is None:
                 with self._registry:
                     live = instance_id in self._instances
-                if not live and self.store.strategy.instance_independent_payload:
+                if not live:
                     # an unknown id has no record: hydration raises the canonical EngineError
                     record = dict(self.store.records_for([instance_id])).get(instance_id)
-            if record is not None:
+            if record is not None and self.store.strategy.instance_independent_payload:
                 action, found = self._migrator.decide_record(
                     record, type_change, plan, cache, share_bias=bias_classes is not None
                 )
@@ -1481,19 +1494,25 @@ class AdeptSystem:
                     return self._apply_biased_class(
                         instance_id, bias_classes[bias_class], plan.new_schema.version
                     )
-            # pinned: LRU eviction must not detach the case mid-migration
+            scratch = record is not None and not self._migrator.rollback_on_state_conflict
+            # pinned: LRU eviction must not detach a live case mid-migration
             self._pin(instance_id)
             try:
-                if instance is None:
+                if scratch:
+                    instance = self.store.load(instance_id)
+                elif instance is None:
                     instance = self.get_instance(instance_id)
                 result = self._migrator.migrate_instance(
                     instance, plan.old_schema, plan.new_schema, type_change, plan, cache, emit=False
                 )
                 if result.migrated:
-                    # covers rollback migrations, which compensate activities
-                    # and therefore also change the instance state
-                    with self._registry:
-                        self._dirty.add(instance_id)
+                    if scratch:
+                        self.store.write_back(instance)
+                    else:
+                        # covers rollback migrations, which compensate activities
+                        # and therefore also change the instance state
+                        with self._registry:
+                            self._dirty.add(instance_id)
                     self.worklists.sync_instance(instance)
             finally:
                 self._unpin(instance_id)
@@ -1812,9 +1831,14 @@ class AdeptSystem:
     def _promote_rollout(self, type_id: str) -> None:
         """Canary observation passed: open the rollout to the whole population."""
         rollout = self._rollouts.get(type_id)
-        if rollout is None or not rollout.promote():
+        if rollout is None:
             return
-        self._journal(KIND_ROLLOUT_PROMOTED, type_id=type_id, to_version=rollout.to_version)
+        # the type's read lock keeps a checkpoint out between the record's
+        # enqueue and its commit (the WAL refuses to truncate it)
+        with self._type_read(type_id):
+            if not rollout.promote():
+                return
+            self._journal(KIND_ROLLOUT_PROMOTED, type_id=type_id, to_version=rollout.to_version)
         self.bus.publish(
             CATEGORY_MIGRATION,
             "rollout_promoted",
@@ -1900,43 +1924,81 @@ class AdeptSystem:
         """Drain up to ``max_cases`` of a migrating rollout's residue.
 
         Cases the touch path has not reached adopt here instead: stored
-        unbiased records take the record-level fast path (shared verdict,
-        in-place rewrite, no hydration); live, biased or first-of-class
-        cases go through the same adoption as a touch.  When no residue
-        remains outside the conflicted set, the rollout completes.
-        Returns the number of cases processed this round.
+        unbiased records of a known class take the record-level fast
+        path (shared verdict, in-place rewrite); live, biased or
+        first-of-class cases go through the same adoption as a touch —
+        a stored one decided on a scratch copy that never enters the
+        live cache (:meth:`_migrate_case`).  When no residue remains
+        outside the conflicted set, the rollout completes.  Returns the
+        number of cases processed this round.
+
+        The call pays its fixed costs once, not per case: it holds the
+        type's read lock for the whole round and journals inside one
+        commit scope, so its ``rollout_migrated`` records (one per
+        adopted case, as always) reach the WAL in one write + flush,
+        committed before the call returns.  Between two cases it checks
+        for a waiting writer (an evolve, a canary rollback, a
+        checkpoint); if one waits, the sweep commits what it journaled,
+        yields the read lock and re-checks the rollout once it is back —
+        a writer waits at most one case and never finds an uncommitted
+        record.
         """
         self._drain_rollout_actions()
         rollout = self._rollouts.get(type_id)
         if rollout is None or rollout.state != STATE_MIGRATING:
             return 0
+        lock = self._type_lock(type_id)
         exhausted = True
         swept = 0
-        for instance_id in self._rollout_residue(rollout):
-            if swept >= max_cases:
-                exhausted = False
-                break
-            with self._type_read(type_id):
+        with lock.read(), self._journal_commit_scope():
+            for instance_id in self._rollout_residue(rollout):
+                if swept >= max_cases:
+                    exhausted = False
+                    break
+                if lock.writer_waiting:
+                    self._yield_type_read(lock)
                 if rollout.state != STATE_MIGRATING:
                     break
                 with self._locks.holding(instance_id):
                     if self._sweep_one(rollout, instance_id):
                         swept += 1
-        if swept:
-            with rollout.lock:
-                rollout.swept += swept
-            self.bus.publish(
-                CATEGORY_MIGRATION,
-                "rollout_swept",
-                type_id=type_id,
-                swept=swept,
-            )
-            self._enforce_cache_cap()
-        # cases left in the list are still undecided: only a sweep that
-        # got through it can have finished the rollout
-        if exhausted and rollout.state == STATE_MIGRATING and not self._rollout_residue(rollout):
-            self._complete_rollout(rollout)
+            if swept:
+                with rollout.lock:
+                    rollout.swept += swept
+                self.bus.publish(
+                    CATEGORY_MIGRATION,
+                    "rollout_swept",
+                    type_id=type_id,
+                    swept=swept,
+                )
+                self._enforce_cache_cap()
+            # cases left in the list are still undecided: only a sweep that
+            # got through it can have finished the rollout
+            if (
+                exhausted
+                and rollout.state == STATE_MIGRATING
+                and not self._rollout_residue(rollout)
+            ):
+                self._complete_rollout(rollout)
         return swept
+
+    def _journal_commit_scope(self) -> ContextManager[None]:
+        """One WAL commit for every record this thread journals inside."""
+        if self._backend is None:
+            return _NULL_SCOPE
+        return self._backend.commit_scope()
+
+    def _yield_type_read(self, lock: RWLock) -> None:
+        """Let a waiting writer have a type lock this thread holds for reading.
+
+        Commits this thread's deferred records first: the writer may be a
+        checkpoint, which truncates the WAL.  Re-acquiring the read side
+        queues behind the writer (the lock is write-preferring).
+        """
+        if self._backend is not None:
+            self._backend.commit()
+        lock.release_read()
+        lock.acquire_read()
 
     def _rollout_residue(self, rollout: Rollout) -> List[str]:
         """Active cases still on the rollout's from-version, less the decided ones."""

@@ -46,7 +46,7 @@ from typing import Any, Dict, List, Mapping, Optional, TYPE_CHECKING
 
 from repro.core.evolution import ProcessType, TypeChange
 from repro.core.changelog import ChangeLog
-from repro.errors import ReproError
+from repro.errors import PersistenceError, ReproError
 from repro.schema.graph import ProcessSchema
 from repro.storage.serialization import stored_record
 from repro.storage.wal import WriteAheadLog
@@ -122,10 +122,6 @@ ALL_KINDS = (
 )
 
 
-class PersistenceError(ReproError):
-    """Raised when the durability layer cannot journal or snapshot."""
-
-
 class RecoveryError(PersistenceError):
     """Raised when a snapshot or WAL suffix cannot be replayed consistently."""
 
@@ -156,6 +152,20 @@ class RecoveryReport:
         return "\n".join(lines)
 
 
+class _JournalState(threading.local):
+    """One thread's journaling state (class attributes are the defaults).
+
+    ``suspended`` counts the open :meth:`PersistentBackend.suspended`
+    scopes, ``deferring`` the open :meth:`PersistentBackend.commit_scope`
+    scopes, and ``ticket`` is the WAL ticket of the last record the
+    thread enqueued inside a commit scope and has not committed yet.
+    """
+
+    suspended = 0
+    deferring = 0
+    ticket = 0
+
+
 class _Suspension:
     """The ``with`` scope of :meth:`PersistentBackend.suspended`.
 
@@ -164,16 +174,34 @@ class _Suspension:
     backend keeps one instance for all threads.
     """
 
-    __slots__ = ("_local",)
+    __slots__ = ("_state",)
 
-    def __init__(self, local: threading.local) -> None:
-        self._local = local
+    def __init__(self, state: _JournalState) -> None:
+        self._state = state
 
     def __enter__(self) -> None:
-        self._local.count = getattr(self._local, "count", 0) + 1
+        self._state.suspended += 1
 
     def __exit__(self, exc_type: Any, exc: Any, tb: Any) -> None:
-        self._local.count -= 1
+        self._state.suspended -= 1
+
+
+class _CommitScope:
+    """The ``with`` scope of :meth:`PersistentBackend.commit_scope`."""
+
+    __slots__ = ("_backend",)
+
+    def __init__(self, backend: "PersistentBackend") -> None:
+        self._backend = backend
+
+    def __enter__(self) -> None:
+        self._backend._state.deferring += 1
+
+    def __exit__(self, exc_type: Any, exc: Any, tb: Any) -> None:
+        state = self._backend._state
+        state.deferring -= 1
+        if not state.deferring:
+            self._backend.commit()
 
 
 class PersistentBackend:
@@ -203,11 +231,13 @@ class PersistentBackend:
         # order; the (potentially blocking) group-commit flush happens
         # outside it — see :meth:`journal`
         self._seq_lock = threading.Lock()
-        # suspension is per *thread*: while one thread replays or applies
-        # a compound mutation (an evolve whose typed record covers every
-        # inner step), other threads must keep journaling their own work
-        self._suspension = threading.local()
-        self._suspended = _Suspension(self._suspension)
+        # suspension and deferred commits are per *thread*: while one
+        # thread replays or applies a compound mutation (an evolve whose
+        # typed record covers every inner step), other threads must keep
+        # journaling — and committing — their own work
+        self._state = _JournalState()
+        self._suspended = _Suspension(self._state)
+        self._commit_scope = _CommitScope(self)
         self._bootstrap_seq()
 
     def _bootstrap_seq(self) -> None:
@@ -231,7 +261,7 @@ class PersistentBackend:
     @property
     def active(self) -> bool:
         """True when this thread's journal calls are being recorded."""
-        return getattr(self._suspension, "count", 0) == 0
+        return self._state.suspended == 0
 
     def suspended(self) -> "_Suspension":
         """Suppress journaling *on the calling thread* (recovery replay,
@@ -242,15 +272,39 @@ class PersistentBackend:
         """
         return self._suspended
 
+    def commit_scope(self) -> "_CommitScope":
+        """One commit point for every record this thread journals inside.
+
+        Records are enqueued exactly as outside the scope (same ``seq``,
+        same bytes, one record per call); the scope defers their WAL
+        commit to its end — also when the body raises — so a call that
+        journals many records pays one write + flush.  The caller must
+        not acknowledge anything journaled inside before the scope ends,
+        and must :meth:`commit` before it lets a checkpoint in (the WAL
+        refuses to truncate uncommitted records).  Scopes nest; the
+        outermost one commits.
+        """
+        return self._commit_scope
+
+    def commit(self) -> None:
+        """Commit what this thread journaled so far inside a commit scope."""
+        state = self._state
+        ticket = state.ticket
+        if ticket:
+            state.ticket = 0
+            self.wal.commit(ticket)
+
     def journal(self, kind: str, **fields: Any) -> Optional[int]:
         """Append one typed record; returns its sequence number (or None).
 
         Safe to call from many threads.  The sequence number is allocated
         and the record enqueued in one critical section (file order ==
         seq order); the durability wait is a group commit — concurrent
-        journal calls share one write + flush.
+        journal calls share one write + flush — unless the calling
+        thread is inside a :meth:`commit_scope`, whose end commits.
         """
-        if not self.active:
+        state = self._state
+        if state.suspended:
             return None
         with self._seq_lock:
             self._read_at_open = None
@@ -259,7 +313,10 @@ class PersistentBackend:
             record = {"kind": kind, "seq": seq}
             record.update(fields)
             ticket = self.wal.enqueue(record)
-        self.wal.commit(ticket)
+        if state.deferring:
+            state.ticket = ticket
+        else:
+            self.wal.commit(ticket)
         return seq
 
     def wal_records(self) -> List[Dict[str, Any]]:

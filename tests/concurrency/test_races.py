@@ -215,6 +215,104 @@ class TestEagerEvolveVersusHydration:
             reopened.close(checkpoint=False)
 
 
+class TestScratchDecisionVersusHydration:
+    def test_a_reader_waits_for_the_scratch_copys_write_back(self, tmp_path):
+        """A stored case decided on a scratch copy is written back under its stripe.
+
+        A reader that asks for the case between the scratch load and the
+        write-back must get the migrated record, not the one the scratch
+        copy was loaded from.
+        """
+        store = str(tmp_path / "store")
+        system = AdeptSystem.open(store, cache_instances=2)
+        orders = system.deploy(templates.online_order_process())
+        for _ in range(6):
+            orders.start()
+        write_back = system.store.write_back
+        readers = []
+
+        def racing_write_back(instance):
+            if not readers and instance.instance_id not in system._instances:
+                reader = threading.Thread(target=system.get_instance, args=(instance.instance_id,))
+                readers.append((instance.instance_id, reader))
+                reader.start()
+                reader.join(timeout=0.3)  # at most this long: it must wait for us
+            return write_back(instance)
+
+        system.store.write_back = racing_write_back
+        rollout = orders.evolve(order_type_change_v2(), rollout="lazy")
+        while system.rollout_of(orders.type_id) is not None:
+            system.sweep_rollout(orders.type_id)
+        ((target, reader),) = readers
+        reader.join(timeout=10.0)
+        assert not reader.is_alive()
+        assert target in rollout.adopted
+        assert system.get_instance(target).schema_version == rollout.to_version
+        system.close(checkpoint=False)
+        reopened = AdeptSystem.open(store)
+        try:
+            assert reopened.get_instance(target).schema_version == rollout.to_version
+        finally:
+            reopened.close(checkpoint=False)
+
+
+class TestSweepVersusCheckpoint:
+    def test_sweeps_steps_and_checkpoints_at_once_recover_exactly(self, tmp_path):
+        """Sweeps yield to checkpoints; no checkpoint meets an uncommitted record.
+
+        Two sweepers drain a lazy rollout over a mostly stored population
+        while two threads step cases and one checkpoints in a loop, on
+        fewer cores and switching often.  Nothing may fail (a checkpoint
+        that met a sweep's uncommitted record would raise), and a crash
+        afterwards must recover every case exactly.
+        """
+        import sys
+
+        store = str(tmp_path / "store")
+        system = AdeptSystem.open(store, cache_instances=6)
+        process = system.deploy(templates.sequential_process(length=6))
+        cases = [process.start().instance_id for _ in range(120)]
+        system.step_many(cases[::3], steps=2)
+        rollout = process.evolve(_review_change(), rollout="lazy")
+        done = threading.Event()
+
+        def sweeper():
+            while system.rollout_of(process.type_id) is not None:
+                system.sweep_rollout(process.type_id, max_cases=17)
+            done.set()
+
+        def stepper(offset):
+            def run():
+                for instance_id in cases[offset::7]:
+                    system.step_many([instance_id], steps=1)
+            return run
+
+        def checkpointer():
+            while not done.is_set():
+                system.checkpoint()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            run_threads([sweeper, sweeper, stepper(0), stepper(3), checkpointer], timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert rollout.state == "completed"
+        expected = system_fingerprint(system)
+        system.backend.close()
+        recovered = AdeptSystem.open(store, cache_instances=6)
+        try:
+            assert system_fingerprint(recovered) == expected
+        finally:
+            recovered.close(checkpoint=False)
+
+
+def _review_change():
+    from repro import ChangeSet
+
+    return ChangeSet().serial_insert("review", pred="step_4", succ="step_5")
+
+
 class TestEvictionVersusStep:
     def test_step_pins_case_against_eviction(self, tmp_path):
         """The LRU must never write back (or drop) a case mid-step."""

@@ -344,3 +344,63 @@ class TestScopes:
             assert backend.journal(KIND_STEP, instance_id="x") is not None
         finally:
             backend.close()
+
+    def test_writer_waiting_is_set_exactly_while_a_writer_queues(self):
+        lock = RWLock()
+        assert not lock.writer_waiting
+        writer_in = threading.Event()
+
+        def writer():
+            with lock.write():
+                writer_in.set()
+
+        lock.acquire_read()
+        thread = threading.Thread(target=writer, daemon=True)
+        thread.start()
+        for _ in range(1000):
+            if lock.writer_waiting:
+                break
+            threading.Event().wait(0.005)
+        assert lock.writer_waiting and not writer_in.is_set()
+        lock.release_read()  # the last reader out wakes the writer
+        assert writer_in.wait(timeout=10)
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert not lock.writer_waiting
+        # with nobody waiting, readers come and go freely
+        with lock.read():
+            with lock.read():
+                pass
+
+    def test_commit_scope_defers_this_threads_commit_to_its_outermost_end(self, tmp_path):
+        from repro.system.persistence import PersistentBackend
+
+        backend = PersistentBackend(str(tmp_path / "store"))
+        wal = backend.wal
+        elsewhere = []
+        try:
+            with pytest.raises(RuntimeError):
+                with backend.commit_scope():
+                    with backend.commit_scope():
+                        first = backend.journal(KIND_STEP, instance_id="a")
+                    backend.journal(KIND_STEP, instance_id="b")
+                    assert (len(wal), wal.flush_count) == (0, 0)  # enqueued, not committed
+                    # another thread's records commit as always
+                    thread = threading.Thread(
+                        target=lambda: elsewhere.append(backend.journal(KIND_STEP, instance_id="c"))
+                    )
+                    thread.start()
+                    thread.join(timeout=10)
+                    assert not thread.is_alive()
+                    assert [r["instance_id"] for r in wal] == ["a", "b", "c"]
+                    backend.commit()  # nothing of this thread's is left to commit
+                    assert wal.flush_count == 1
+                    backend.journal(KIND_STEP, instance_id="d")
+                    raise RuntimeError("the body fails")
+            # the scope committed on its way out, in one flush
+            assert [r["seq"] for r in wal] == [first, first + 1, first + 2, first + 3]
+            assert wal.flush_count == 2
+            backend.journal(KIND_STEP, instance_id="e")  # outside: committed at once
+            assert (len(wal), wal.flush_count) == (5, 3)
+        finally:
+            backend.close()

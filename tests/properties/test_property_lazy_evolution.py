@@ -7,14 +7,21 @@ population and type change, driving a lazy rollout to convergence
 (touch + sweep) must therefore leave the population byte-identical to
 an eager ``migrate="compliant"`` evolution — same migrated set, same
 conflict set, same end state per fingerprint class.
+
+A store-resident case that must be looked at (first of its class,
+biased, a biased class's representative) is decided on a scratch copy
+that never enters the live cache; deciding it that way must equal
+hydrating it into the live cache and migrating the live case
+(:class:`TestScratchDecisionParity`).
 """
 
 import json
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.storage.serialization import instance_to_dict
+from repro.storage.serialization import instance_from_dict, instance_to_dict
 from repro.system import AdeptSystem
 from repro.workloads.change_generator import ChangeScenarioGenerator
 from repro.workloads.population import PopulationConfig, PopulationGenerator
@@ -149,3 +156,160 @@ class TestLazyEagerParity:
                     break
             digests.append(_digest(system, ids))
         assert digests[0] == digests[1]
+
+
+# --------------------------------------------------------------------------- #
+# scratch decisions of stored cases ≡ hydrating them live
+# --------------------------------------------------------------------------- #
+
+TIER1 = settings(
+    max_examples=25,
+    derandomize=True,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
+)
+STRESS = settings(
+    max_examples=400,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
+)
+
+
+class _Recording(AdeptSystem):
+    """Keeps every per-case migration result, in the order cases were decided."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.decided = []
+
+    def _migrate_case(self, instance_id, *args, **kwargs):
+        result = super()._migrate_case(instance_id, *args, **kwargs)
+        self.decided.append(
+            (
+                result.instance_id,
+                result.outcome.value,
+                result.was_biased,
+                [str(conflict) for conflict in result.conflicts],
+            )
+        )
+        return result
+
+
+class _HydratingTwin(_Recording):
+    """Decides every stored case the way a live one is: hydrated first."""
+
+    def _migrate_case(self, instance_id, type_change, plan, cache, instance=None, bias_classes=None):
+        if instance is None:
+            instance = self.get_instance(instance_id)
+        return super()._migrate_case(instance_id, type_change, plan, cache, instance, bias_classes)
+
+
+def _cloned_population(system_class, schema_seed, activities, population_seed, biased):
+    """30 generated cases plus a clone of each (so classes, biased ones too, have
+    several members), adopted into a live cache of 4 — nearly all store-resident."""
+    schema = _random_schema(schema_seed, activities)
+    population = PopulationGenerator(
+        schema,
+        config=PopulationConfig(
+            instance_count=30,
+            biased_fraction=biased,
+            seed=population_seed,
+            id_prefix="scratch",
+        ),
+    ).generate()
+    system = system_class(cache_instances=4)
+    system.deploy(schema, verify=False)
+    ids = []
+    for instance in population:
+        clone = instance_to_dict(instance)
+        clone["instance_id"] = f"{instance.instance_id}-twin"
+        for member in (instance, instance_from_dict(clone, system.repository.resolve)):
+            system.adopt_instance(member)
+            ids.append(member.instance_id)
+    return system, schema, ids
+
+
+def _stored_form(system, instance_id):
+    """The case's record as bytes — encoded from the live case if there is
+    one — less the write-back's ``"fix"`` hint."""
+    with system._registry:
+        live = system._instances.get(instance_id)
+    record = system.store.encode_record(live) if live is not None else system.store.record(instance_id)
+    record = dict(record)
+    record["marking"] = {k: v for k, v in record["marking"].items() if k != "fix"}
+    return json.dumps(record, sort_keys=True)
+
+
+def _open_work(system, instance_id):
+    return sorted(
+        (item.activity_id, item.role, item.state.value)
+        for item in system.worklists.items_for_instance(instance_id)
+    )
+
+
+def check_scratch_parity(schema_seed, activities, population_seed, change_seed, biased, lazy):
+    probe = _random_schema(schema_seed, activities)
+    if _type_change(probe, change_seed) is None:
+        return
+    outcomes = []
+    for system_class in (_Recording, _HydratingTwin):
+        system, schema, ids = _cloned_population(
+            system_class, schema_seed, activities, population_seed, biased
+        )
+        live_before = system.live_instance_ids()
+        change = _type_change(schema, change_seed)
+        if lazy:
+            rollout = system.evolve(schema.name, change, rollout="lazy")
+            while system.rollout_of(schema.name) is not None:
+                if system.sweep_rollout(schema.name, max_cases=13) == 0:
+                    break
+            settled = (sorted(rollout.adopted), sorted(rollout.conflicted))
+        else:
+            report = system.evolve(schema.name, change)
+            settled = sorted(
+                (r.instance_id, r.outcome.value, r.was_biased, [str(c) for c in r.conflicts])
+                for r in report.results
+            )
+        if system_class is _Recording:
+            # scratch decisions hydrate nobody into the live cache
+            assert system.live_instance_ids() == live_before
+        outcomes.append(
+            (
+                system.decided,
+                settled,
+                {i: _stored_form(system, i) for i in ids},
+                {i: _open_work(system, i) for i in ids},
+            )
+        )
+    scratch, hydrated = outcomes
+    assert scratch[0] == hydrated[0], "per-case migration results differ"
+    assert scratch[1] == hydrated[1]
+    assert scratch[2] == hydrated[2], "stored records differ"
+    assert scratch[3] == hydrated[3], "open work items differ"
+
+
+_SCRATCH_CASES = dict(
+    schema_seed=st.integers(min_value=0, max_value=9999),
+    activities=st.integers(min_value=4, max_value=10),
+    population_seed=st.integers(min_value=0, max_value=9999),
+    change_seed=st.integers(min_value=0, max_value=9999),
+    biased=st.sampled_from([0.0, 0.3]),
+    lazy=st.booleans(),
+)
+
+
+class TestScratchDecisionParity:
+    """First-of-class, biased, biased-class-member and conflicting cases alike:
+    the per-case result, the stored record (less ``"fix"``) and the open work
+    items equal those of a twin that hydrates every stored case it decides."""
+
+    @TIER1
+    @given(**_SCRATCH_CASES)
+    def test_scratch_decision_equals_live_hydration(self, **case):
+        check_scratch_parity(**case)
+
+    @pytest.mark.stress
+    @STRESS
+    @given(**_SCRATCH_CASES)
+    def test_scratch_decision_equals_live_hydration_stress(self, **case):
+        check_scratch_parity(**case)

@@ -2,6 +2,9 @@
 
 import json
 
+import pytest
+
+from repro.errors import PersistenceError
 from repro.storage.wal import WriteAheadLog
 
 
@@ -45,6 +48,18 @@ class TestWriteAheadLog:
         wal.append({"action": "save"})
         wal.truncate()
         assert len(WriteAheadLog(str(path))) == 0
+
+    def test_truncate_refuses_uncommitted_records(self, tmp_path):
+        """A checkpoint must cover every enqueued record, never drop one."""
+        wal = WriteAheadLog(str(tmp_path / "instances.wal"))
+        wal.append({"action": "save", "id": "a"})
+        ticket = wal.enqueue({"action": "save", "id": "pending"})
+        with pytest.raises(PersistenceError, match="1 enqueued record"):
+            wal.truncate()
+        wal.commit(ticket)
+        assert [r["id"] for r in wal] == ["a", "pending"]
+        wal.truncate()
+        assert len(wal) == 0
 
     def test_lines_are_byte_identical_to_json_dumps_sort_keys(self, tmp_path):
         """The log encodes with one shared encoder; the bytes stay json.dumps's."""
