@@ -30,7 +30,7 @@ from repro.workloads import PopulationConfig, PopulationGenerator
 
 def main() -> None:
     schema = templates.online_order_process()
-    system = AdeptSystem(representation="hybrid_substitution")
+    system = AdeptSystem()
     system.deploy(schema)
 
     print("=== generating the instance population ===")
@@ -59,7 +59,7 @@ def main() -> None:
 
     print("=== crash recovery through the write-ahead log ===")
     with tempfile.TemporaryDirectory() as directory:
-        durable = AdeptSystem.open(directory, representation="hybrid_substitution")
+        durable = AdeptSystem.open(directory)
         durable.deploy(schema)
         cases = PopulationGenerator(
             schema,
@@ -72,7 +72,7 @@ def main() -> None:
         print(f"store holds {len(durable.store)} instance(s); first:", durable.store.load(first).summary())
         # simulate a crash: no checkpoint, only the WAL reaches the next open
         durable.backend.close()
-        recovered = AdeptSystem.open(directory, representation="hybrid_substitution")
+        recovered = AdeptSystem.open(directory)
         replayed = recovered.last_recovery.replayed_records
         print(f"replayed {replayed} WAL record(s); store now holds {len(recovered.store)} instance(s)")
         print("first recovered instance:", recovered.store.load(first).summary())

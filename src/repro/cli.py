@@ -277,17 +277,17 @@ def _cmd_demo_fig1(args: argparse.Namespace) -> int:
 
 
 def _cmd_demo_fig3(args: argparse.Namespace) -> int:
-    system = AdeptSystem(rollback_on_state_conflict=args.rollback)
     system, orders, cases = paper_fig3_system(
         instance_count=args.instances,
         biased_fraction=args.biased_fraction,
         seed=args.seed,
-        system=system,
     )
     print("population before the type change:")
     print(system.statistics().summary())
     print()
-    report = orders.evolve(order_type_change_v2())
+    report = orders.evolve(
+        order_type_change_v2(), migrate="rollback" if args.rollback else "compliant"
+    )
     print(report.summary())
     if report.duration_seconds:
         print(f"throughput: {report.total / report.duration_seconds:.0f} instances/second")
@@ -508,7 +508,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--instances", type=int, default=500)
     sub.add_argument("--biased-fraction", type=float, default=0.1)
     sub.add_argument("--seed", type=int, default=7)
-    sub.add_argument("--rollback", action="store_true", help="compensate blocking activities (A6 policy)")
+    sub.add_argument(
+        "--rollback",
+        action="store_true",
+        help="evolve with migrate='rollback': compensate blocking activities (A6 policy)",
+    )
     sub.set_defaults(handler=_cmd_demo_fig3)
 
     return parser

@@ -65,13 +65,11 @@ class AdHocChanger:
     def __init__(
         self,
         engine: Optional[ProcessEngine] = None,
-        compliance_method: str = "conditions",
         event_log: Optional[EventLog] = None,
         authorization: Optional[object] = None,
     ) -> None:
         self.engine = engine or ProcessEngine()
         self.event_log = event_log if event_log is not None else self.engine.event_log
-        self.compliance_method = compliance_method
         self.checker = ComplianceChecker(engine=ProcessEngine())
         self.adapter = StateAdapter(engine=ProcessEngine())
         #: optional :class:`repro.org.authorization.ChangeAuthorization` policy
@@ -120,12 +118,7 @@ class AdHocChanger:
         new_execution_schema.schema_id = f"{instance.original_schema.schema_id}+{instance.instance_id}"
 
         # 3: state compliance of the running instance with the change
-        compliance = self.checker.check(
-            instance,
-            change_log,
-            target_schema=new_execution_schema,
-            method=self.compliance_method,
-        )
+        compliance = self.checker.check_with_conditions(instance, change_log)
         if not compliance.compliant:
             self._emit_rejected(instance, "state conflicts")
             raise AdHocChangeError(

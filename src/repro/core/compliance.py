@@ -13,8 +13,10 @@ Both are implemented here:
   engine — the general, meta-model independent criterion;
 * :meth:`ComplianceChecker.check_with_conditions` evaluates the
   per-operation conditions on the instance marking and history — the
-  efficient check used in production, whose agreement with the replay
-  criterion is asserted by the test suite and measured by benchmark E1.
+  one check the product runs (migration, ad-hoc changes), whose
+  agreement with the replay criterion is asserted by the property suite
+  and measured by benchmark E1.  Replay stays the oracle those checks
+  are held against.
 """
 
 from __future__ import annotations
@@ -196,39 +198,6 @@ class ComplianceChecker:
                 )
                 break
         return ReplayOutcome(scratch=scratch, conflicts=conflicts)
-
-    # ------------------------------------------------------------------ #
-    # combined check
-    # ------------------------------------------------------------------ #
-
-    def check(
-        self,
-        instance: ProcessInstance,
-        change: Union[ChangeLog, Sequence[ChangeOperation]],
-        target_schema: Optional[ProcessSchema] = None,
-        method: str = "conditions",
-    ) -> ComplianceResult:
-        """Check compliance with the selected method.
-
-        ``method`` is ``"conditions"`` (default), ``"replay"`` (requires
-        ``target_schema``) or ``"both"`` (replay is only consulted when the
-        conditions find no conflict — belt and braces).
-        """
-        if method == "conditions":
-            return self.check_with_conditions(instance, change)
-        if method == "replay":
-            if target_schema is None:
-                raise ValueError("replay compliance checking requires the target schema")
-            return self.check_by_replay(instance, target_schema)
-        if method == "both":
-            result = self.check_with_conditions(instance, change)
-            if not result.compliant or target_schema is None:
-                return result
-            replay_result = self.check_by_replay(instance, target_schema)
-            replay_result.method = "both"
-            replay_result.checked_operations = result.checked_operations
-            return replay_result
-        raise ValueError(f"unknown compliance method {method!r}")
 
 
 @dataclass

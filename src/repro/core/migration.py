@@ -6,10 +6,9 @@ running instance of the type is checked and — if possible — migrated
 on-the-fly:
 
 * **unbiased** instances are checked against the per-operation compliance
-  conditions (or the replay criterion); compliant ones get their marking
-  adapted and are re-linked to the new version, non-compliant ones remain
-  on the old version and simply keep running (state-related conflict,
-  instance I3 in Fig. 1);
+  conditions; compliant ones get their marking adapted and are re-linked
+  to the new version, non-compliant ones remain on the old version and
+  simply keep running (state-related conflict, instance I3 in Fig. 1);
 * **biased** instances (with ad-hoc modifications) additionally undergo
   semantic-overlap and structural checks: if applying ΔT to their
   instance-specific schema would produce an incorrect schema (e.g. a
@@ -228,12 +227,10 @@ class MigrationManager:
     def __init__(
         self,
         engine: Optional[ProcessEngine] = None,
-        compliance_method: str = "conditions",
         event_log: Optional[EventLog] = None,
         rollback_on_state_conflict: bool = False,
     ) -> None:
         self.engine = engine or ProcessEngine()
-        self.compliance_method = compliance_method
         self.event_log = event_log if event_log is not None else self.engine.event_log
         self.checker = ComplianceChecker(engine=ProcessEngine())
         self.adapter = StateAdapter(engine=ProcessEngine())
@@ -293,14 +290,12 @@ class MigrationManager:
     def compile_plan(
         self, old_schema: ProcessSchema, new_schema: ProcessSchema, type_change: TypeChange
     ) -> MigrationPlan:
-        """Compile ΔT once for this manager's compliance method."""
+        """Compile ΔT once for the old → new schema pair."""
         # both schema indexes are built here, once, instead of by the
         # first compliance check, replay or state adaptation that asks
         old_schema.index
         new_schema.index
-        return MigrationPlan.compile(
-            old_schema, new_schema, type_change, compliance_method=self.compliance_method
-        )
+        return MigrationPlan.compile(old_schema, new_schema, type_change)
 
     def migrate_batch(
         self,
@@ -493,13 +488,7 @@ class MigrationManager:
         RollbackManager(engine=self.engine, event_log=self.event_log).rollback_activities(
             instance, plan.activities
         )
-        compliance = self.checker.check(
-            instance,
-            type_change.operations,
-            target_schema=new_schema,
-            method=self.compliance_method,
-        )
-        if not compliance.compliant:
+        if not self.checker.check_with_conditions(instance, type_change.operations).compliant:
             return None
         adapted = self.adapter.adapt(instance, new_schema)
         instance.rebind_schema(new_schema)
@@ -551,12 +540,7 @@ class MigrationManager:
         combined_schema.schema_id = f"{new_schema.schema_id}+{instance.instance_id}"
         combined_schema.version = new_schema.version
         # 3. state-related conflicts on the combined schema
-        compliance = self.checker.check(
-            instance,
-            type_change.operations,
-            target_schema=combined_schema,
-            method=self.compliance_method,
-        )
+        compliance = self.checker.check_with_conditions(instance, type_change.operations)
         if not compliance.compliant:
             return refused(
                 self._outcome_for_conflicts(compliance.conflicts), compliance.conflicts

@@ -36,9 +36,7 @@ of the per-instance work (verdict *and* adapted marking):
   change operation's condition inspects,
 * the instance status and schema version, and
 * the reduced-history projection — only when the plan actually reads
-  history: the ``insertSyncEdge`` condition orders events, and the
-  ``replay``/``both`` compliance methods re-execute the trace (their
-  fingerprints include the entries *with* their data values).
+  history: the ``insertSyncEdge`` condition orders events.
 
 Biased instances are fingerprinted only together with their canonical
 bias payload (``fingerprint_of_record(..., include_bias=True)``): their
@@ -78,7 +76,6 @@ from repro.core.operations import (
     ParallelInsertActivity,
     SerialInsertActivity,
 )
-from repro.runtime.data_context import DataContext
 from repro.runtime.history import ExecutionHistory
 from repro.runtime.instance import ProcessInstance
 from repro.runtime.markings import Marking
@@ -163,26 +160,21 @@ class MigrationPlan:
         old_schema: ProcessSchema,
         new_schema: ProcessSchema,
         operations: Sequence[ChangeOperation],
-        compliance_method: str,
         compiled: List[CompiledOperation],
-        relevant_elements: Optional[Set[str]],
+        relevant_elements: Set[str],
         include_history: bool,
-        include_history_values: bool,
     ) -> None:
         self.old_schema = old_schema
         self.new_schema = new_schema
         self.operations = list(operations)
-        self.compliance_method = compliance_method
         self.compiled = compiled
-        #: data elements whose values the plan may read (``None`` = all)
+        #: data elements whose values the plan may read
         self.relevant_elements = relevant_elements
         self.include_history = include_history
-        self.include_history_values = include_history_values
         self._checker = ComplianceChecker()
         self._compliant_result = ComplianceResult(
             compliant=True,
             conflicts=[],
-            method=compliance_method,
             checked_operations=len(self.operations),
         )
         self._layout = old_schema.index.marking_layout()
@@ -199,13 +191,12 @@ class MigrationPlan:
         old_schema: ProcessSchema,
         new_schema: ProcessSchema,
         type_change: TypeChange,
-        compliance_method: str = "conditions",
     ) -> "MigrationPlan":
         """Specialise every operation of ``type_change`` against the schemas."""
         operations = list(type_change.operations)
         compiled: List[CompiledOperation] = []
         relevant: Set[str] = set()
-        history_needed = compliance_method != "conditions"
+        history_needed = False
         introduced: Set[str] = set()
         for operation in operations:
             compiled.append(
@@ -221,16 +212,13 @@ class MigrationPlan:
                 relevant |= _expression_names(edge.guard)
             if edge.loop_condition is not None:
                 relevant |= _expression_names(edge.loop_condition)
-        include_history_values = compliance_method != "conditions"
         return cls(
             old_schema=old_schema,
             new_schema=new_schema,
             operations=operations,
-            compliance_method=compliance_method,
             compiled=compiled,
             relevant_elements=relevant,
             include_history=history_needed,
-            include_history_values=include_history_values,
         )
 
     # ------------------------------------------------------------------ #
@@ -253,7 +241,7 @@ class MigrationPlan:
         the exact interpreted check, so conflicts carry the identical
         :class:`Conflict` descriptions the per-instance path produces.
         """
-        if self.compliance_method == "conditions" and self.applies_to(instance):
+        if self.applies_to(instance):
             states = instance.marking.node_states
             verdict: Optional[bool] = True
             for compiled in self.compiled:
@@ -264,12 +252,7 @@ class MigrationPlan:
                 break
             if verdict is True:
                 return self._compliant_result
-        return self._checker.check(
-            instance,
-            self.operations,
-            target_schema=self.new_schema,
-            method=self.compliance_method,
-        )
+        return self._checker.check_with_conditions(instance, self.operations)
 
     # ------------------------------------------------------------------ #
     # fingerprints
@@ -321,13 +304,6 @@ class MigrationPlan:
         if instance.is_biased:
             return None
         history = instance.history.reduced_rows() if self.include_history else None
-        initial_writes = None
-        if self.compliance_method != "conditions":
-            initial_writes = [
-                [write.element, write.value]
-                for write in instance.data.writes
-                if write.writer == "<initial>"
-            ]
         # the marking part is the marking as a write-back would store it
         marking_part = Marking.stored_key(
             instance.marking.to_stored(instance.original_schema.index.marking_layout())
@@ -339,7 +315,6 @@ class MigrationPlan:
             loop_iterations=instance.loop_iterations,
             values=instance.data.values,
             history=history,
-            initial_writes=initial_writes,
         )
 
     def fingerprint_of_record(
@@ -379,13 +354,6 @@ class MigrationPlan:
         history = None
         if self.include_history:
             history = ExecutionHistory.from_dict(record.get("history", {})).reduced_rows()
-        initial_writes = None
-        if self.compliance_method != "conditions":
-            initial_writes = [
-                [write.element, write.value]
-                for write in DataContext.from_dict(record.get("data", {})).writes
-                if write.writer == "<initial>"
-            ]
         version = record.get("schema_version", 0)
         # a positional marking is its own projection; a keyed one written
         # before the positional form (unbiased, on the plan's version) is
@@ -401,7 +369,6 @@ class MigrationPlan:
             loop_iterations=record.get("loop_iterations", {}),
             values=record.get("data", {}).get("values", {}),
             history=history,
-            initial_writes=initial_writes,
             bias_part=bias_part,
             extra_elements=extra_elements,
         )
@@ -414,17 +381,13 @@ class MigrationPlan:
         loop_iterations: Mapping[str, int],
         values: Mapping[str, Any],
         history: Optional[List[Any]],
-        initial_writes: Optional[List[Any]],
         bias_part: Any = None,
         extra_elements: Optional[frozenset] = None,
     ) -> str:
-        if self.relevant_elements is None:
-            names = sorted(values)
-        else:
-            relevant = self.relevant_elements
-            if extra_elements:
-                relevant = relevant | extra_elements
-            names = sorted(name for name in relevant if name in values)
+        relevant = self.relevant_elements
+        if extra_elements:
+            relevant = relevant | extra_elements
+        names = sorted(name for name in relevant if name in values)
         payload = (
             schema_version,
             status,
@@ -433,9 +396,6 @@ class MigrationPlan:
             [(name, _stable(values[name])) for name in names],
             [row[:4] + [_stable(row[4])] + row[5:] for row in history]
             if history is not None
-            else None,
-            [[element, _stable(value)] for element, value in initial_writes]
-            if initial_writes is not None
             else None,
             bias_part,
         )

@@ -14,7 +14,9 @@ instance:
 
 Each strategy implements the same two-method interface (``encode`` for
 saving, ``materialize_schema`` for loading) so the instance store and the
-storage benchmark can switch between them freely.
+storage benchmark can switch between them freely.  ``AdeptSystem`` always
+stores the hybrid form; the other two are the references of the Fig. 2
+measurement (``InstanceStore(strategy=...)``).
 """
 
 from __future__ import annotations
@@ -33,11 +35,6 @@ class RepresentationStrategy(ABC):
     """How the (possibly instance-specific) schema of an instance is stored."""
 
     name: str = "abstract"
-    #: True when :meth:`encode` output depends only on the *schemas* (no
-    #: instance ids inside) — two same-bias instances then share one
-    #: payload verbatim, which eager evolution exploits to
-    #: rewrite migrated biased records without materialising them.
-    instance_independent_payload: bool = True
 
     @abstractmethod
     def encode(self, instance: ProcessInstance) -> Dict[str, Any]:
@@ -58,8 +55,6 @@ class FullCopyRepresentation(RepresentationStrategy):
     """Baseline: store a complete schema copy for every instance."""
 
     name = "full_copy"
-    # the copied schema embeds the per-instance ``schema_id``
-    instance_independent_payload = False
 
     def encode(self, instance: ProcessInstance) -> Dict[str, Any]:
         return {"schema_copy": instance.execution_schema.to_dict()}
@@ -116,15 +111,3 @@ class HybridSubstitutionRepresentation(RepresentationStrategy):
             return None
         block = SubstitutionBlock.from_dict(payload)
         return block.overlay(original_schema, schema_id=f"{original_schema.schema_id}+{instance_id}")
-
-
-def strategy_by_name(name: str) -> RepresentationStrategy:
-    """Look up a representation strategy by its ``name`` attribute."""
-    strategies = {
-        FullCopyRepresentation.name: FullCopyRepresentation,
-        MaterializeOnAccessRepresentation.name: MaterializeOnAccessRepresentation,
-        HybridSubstitutionRepresentation.name: HybridSubstitutionRepresentation,
-    }
-    if name not in strategies:
-        raise ValueError(f"unknown representation strategy {name!r}")
-    return strategies[name]()

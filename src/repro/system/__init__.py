@@ -44,6 +44,7 @@ from repro.system.events import ALL_CATEGORIES, EventBus, SystemEvent
 from repro.system.facade import (
     MIGRATE_COMPLIANT,
     MIGRATE_NONE,
+    MIGRATE_ROLLBACK,
     MIGRATE_STRICT,
     AdeptSystem,
 )
@@ -78,6 +79,7 @@ __all__ = [
     "DeployResult",
     "MIGRATE_COMPLIANT",
     "MIGRATE_NONE",
+    "MIGRATE_ROLLBACK",
     "MIGRATE_STRICT",
     "PersistentBackend",
     "PersistenceError",

@@ -92,7 +92,6 @@ from repro.runtime.worklist import WorkItem, WorklistManager
 from repro.schema.graph import ProcessSchema, SchemaError
 from repro.storage.instance_store import InstanceStore, StorageError, StoredInstance
 from repro.storage.repository import SchemaRepository
-from repro.storage.representations import RepresentationStrategy, strategy_by_name
 from repro.storage.serialization import instance_from_dict, instance_to_dict
 from repro.system.concurrency import LockTable, PoolStats, RWLock, WorkerPool
 from repro.system.persistence import (
@@ -140,6 +139,7 @@ from repro.verification.verifier import SchemaVerifier
 MIGRATE_COMPLIANT = "compliant"
 MIGRATE_NONE = "none"
 MIGRATE_STRICT = "strict"
+MIGRATE_ROLLBACK = "rollback"
 
 #: Upper bound on cases executed under one :meth:`AdeptSystem.step_many`
 #: batch scope (pins + stripes held at once).  Small enough that a batch
@@ -180,15 +180,6 @@ class AdeptSystem:
             omitted.  All engine, change, schema and migration events are
             published on it; it builds those of the categories its
             subscribers want.
-        compliance_method: Compliance checking method handed to the
-            ad-hoc changer and the migration manager (``"conditions"`` or
-            ``"replay"``).
-        rollback_on_state_conflict: Migration policy — compensate the
-            blocking activities of state-conflicting unbiased instances
-            and migrate them anyway.
-        representation: Instance-store representation strategy (a
-            :class:`RepresentationStrategy` or its name, e.g.
-            ``"hybrid_substitution"``).
         monitor: When True (default), a :class:`repro.monitoring.EventFeed`
             is attached as the first bus subscriber, to
             :data:`FEED_CATEGORIES` (everything but ``engine``), and
@@ -198,15 +189,19 @@ class AdeptSystem:
             on access and the least-recently-used clean cases are evicted
             (dirty ones are saved first) — populations larger than memory
             stay addressable.  ``None`` (default) keeps every case live.
+
+    Migration has one configuration: compliance is decided by the
+    per-operation compliance conditions, and the instance store keeps the
+    hybrid substitution representation of the paper's Fig. 2.  What a
+    migration does with a state-conflicting case is a policy of each
+    :meth:`evolve` call (``migrate=``), journaled with the evolution, so
+    recovery replays it whatever the reopened system was constructed with.
     """
 
     def __init__(
         self,
         org_model: Optional[Any] = None,
         bus: Optional[EventBus] = None,
-        compliance_method: str = "conditions",
-        rollback_on_state_conflict: bool = False,
-        representation: Optional[Union[str, RepresentationStrategy]] = None,
         monitor: bool = True,
         cache_instances: Optional[int] = None,
     ) -> None:
@@ -220,26 +215,14 @@ class AdeptSystem:
         self.event_log = EventLog()
         self.event_log.subscribe(self.bus.publish_engine_event)
 
-        if isinstance(representation, str):
-            representation = strategy_by_name(representation)
-
         self.org_model = org_model
         self.engine = ProcessEngine(event_log=self.event_log)
         self.repository = SchemaRepository()
-        self.store = InstanceStore(self.repository, strategy=representation)
+        self.store = InstanceStore(self.repository)
         self.worklists = WorklistManager(self.engine, org_model=org_model)
         self.verifier = SchemaVerifier()
-        self.compliance_method = compliance_method
-        self.rollback_on_state_conflict = rollback_on_state_conflict
-        self._changer = AdHocChanger(
-            self.engine, compliance_method=compliance_method, event_log=self.event_log
-        )
-        self._migrator = MigrationManager(
-            self.engine,
-            compliance_method=compliance_method,
-            event_log=self.event_log,
-            rollback_on_state_conflict=rollback_on_state_conflict,
-        )
+        self._changer = AdHocChanger(self.engine, event_log=self.event_log)
+        self._migrator = MigrationManager(self.engine, event_log=self.event_log)
         #: Live-instance cache in LRU order (most recently used last).
         self._instances: "OrderedDict[str, ProcessInstance]" = OrderedDict()
         #: Live cases mutated since their last store save (never evicted silently).
@@ -289,10 +272,6 @@ class AdeptSystem:
         #: point where the deciding thread holds no locks (a rollback
         #: needs the type's *write* lock, which a toucher cannot take).
         self._pending_rollout_actions: "deque" = deque()
-        #: Per-thread re-entrancy guard: an adoption that compensates
-        #: work drives the shared engine, whose touch listener must not
-        #: recurse into another adoption of the same case.
-        self._touch_guard = threading.local()
 
         # journaling + dirty tracking for every committed activity transition
         self.engine.step_listener = self._on_engine_step
@@ -1182,7 +1161,14 @@ class AdeptSystem:
           checks that *every* active instance can migrate; if any cannot,
           :class:`MigrationError` is raised and neither the repository nor
           any instance is modified.  After the pre-check the cases
-          migrate exactly as under ``"compliant"``.
+          migrate exactly as under ``"compliant"``;
+        * ``"rollback"`` — like ``"compliant"``, but a case in a state
+          conflict has its blocking activities compensated (the planner
+          of :mod:`repro.core.rollback`) and migrates when that made it
+          compliant (``migrated_with_rollback``).
+
+        The policy is journaled with the evolution: recovery replays the
+        same policy, compensations included.
 
         A case never skips a delta: a running case on another version
         than the change's ``from_version`` (an earlier change refused it)
@@ -1206,14 +1192,14 @@ class AdeptSystem:
         fingerprint straight from their stored records, and only one
         representative per execution-state class (plus the biased /
         rollback residue) is ever materialised — as a scratch copy
-        outside the live cache, or hydrated under the rollback policy —
-        so memory stays bounded by ``cache_instances`` + 1 no matter
+        outside the live cache, or hydrated under the ``"rollback"``
+        policy — so memory stays bounded by ``cache_instances`` + 1 no matter
         how large the population is.
         """
-        if migrate not in (MIGRATE_COMPLIANT, MIGRATE_NONE, MIGRATE_STRICT):
+        if migrate not in (MIGRATE_COMPLIANT, MIGRATE_NONE, MIGRATE_STRICT, MIGRATE_ROLLBACK):
             raise ValueError(
                 f"unknown migration policy {migrate!r}; "
-                f"expected one of 'compliant', 'none', 'strict'"
+                f"expected one of 'compliant', 'none', 'strict', 'rollback'"
             )
         if rollout != ROLLOUT_EAGER:
             if rollout not in (ROLLOUT_LAZY, ROLLOUT_CANARY):
@@ -1292,7 +1278,11 @@ class AdeptSystem:
                 # mutation — rollback compensations inside the migration
                 # must not journal separate step records
                 report = self._migrate_candidates(
-                    process_type, type_change, candidate_ids, collect_results
+                    process_type,
+                    type_change,
+                    candidate_ids,
+                    collect_results,
+                    rollback=migrate == MIGRATE_ROLLBACK,
                 )
         self._journal(
             KIND_EVOLUTION,
@@ -1352,11 +1342,7 @@ class AdeptSystem:
         scratch_type = ProcessType(process_type.name)
         for version in process_type.versions:
             scratch_type.add_version(process_type.schema_for(version))
-        scratch_migrator = MigrationManager(
-            ProcessEngine(),
-            compliance_method=self.compliance_method,
-            rollback_on_state_conflict=self.rollback_on_state_conflict,
-        )
+        scratch_migrator = MigrationManager(ProcessEngine())
         # clones only: the cases themselves pass through the bounded live cache
         clones = [
             instance_from_dict(
@@ -1382,6 +1368,7 @@ class AdeptSystem:
         type_change: TypeChange,
         candidate_ids: Sequence[str],
         collect_results: bool = True,
+        rollback: bool = False,
     ) -> MigrationReport:
         """The eager driver: every candidate meets ΔT, one at a time, in order.
 
@@ -1390,8 +1377,14 @@ class AdeptSystem:
         Memory stays bounded by ``cache_instances`` + 1 whatever the
         population: :meth:`_migrate_case` decides store-resident cases
         from their records and materialises only what it must, on a
-        scratch copy outside the live cache.
+        scratch copy outside the live cache.  ``rollback`` is the
+        ``"rollback"`` policy of the call: a migration manager of its own
+        compensates the state-conflicting cases on the shared engine.
         """
+        compensating = None
+        if rollback:
+            # the third argument switches the manager's compensation on (A6)
+            compensating = MigrationManager(self.engine, self.event_log, True)
         plan = self._migrator.compile_plan(
             process_type.schema_for(type_change.from_version),
             process_type.schema_for(type_change.to_version),
@@ -1410,7 +1403,12 @@ class AdeptSystem:
         bias_classes: Dict[str, Dict[str, Any]] = {}
         for instance_id in candidate_ids:
             result = self._migrate_case(
-                instance_id, type_change, plan, cache, bias_classes=bias_classes
+                instance_id,
+                type_change,
+                plan,
+                cache,
+                bias_classes=bias_classes,
+                compensating=compensating,
             )
             report.add(result)
             self._migrator._emit(result)
@@ -1435,6 +1433,7 @@ class AdeptSystem:
         cache: FingerprintCache,
         instance: Optional[ProcessInstance] = None,
         bias_classes: Optional[Dict[str, Dict[str, Any]]] = None,
+        compensating: Optional[MigrationManager] = None,
     ) -> InstanceMigrationResult:
         """One case meets ΔT — for eager evolve, sweep, touch and recovery alike.
 
@@ -1452,16 +1451,13 @@ class AdeptSystem:
         same state with the same bias share one representative's
         outcome, adapted marking and re-encoded representation.
 
-        One exception hydrates: under ``rollback_on_state_conflict`` a
-        state-conflicting case is compensated by driving the shared
-        engine on it, whose step and touch listeners act on live cases
-        only (dirty marking, the on-touch adoption guard) — so with that
+        ``compensating`` is the call's migration manager under the
+        ``"rollback"`` policy (``None``: the system's own, which never
+        compensates).  It is the one exception that hydrates: it
+        compensates a state-conflicting case by driving the shared engine
+        on it, whose listeners act on live cases only — so under that
         policy a stored case that needs a look is hydrated as before.
 
-        Record-level decisions need a representation whose payload stays
-        valid across the version change (``instance_independent_payload``
-        — ``full_copy`` embeds a versioned schema copy, so its cases all
-        take the scratch or live path and re-encode on write-back).
         Relied upon: a case that is not live has a current store record —
         eviction writes dirty cases back before dropping them.  The caller
         holds the type's write lock, or its read lock and the case's
@@ -1472,6 +1468,7 @@ class AdeptSystem:
         # between the decision and the rewrite and keep the case live on
         # the version the store has left (reentrant — the sweep and the
         # touch path already hold it)
+        migrator = compensating or self._migrator
         with self._locks.holding(instance_id):
             bias_class = record = None
             if instance is None:
@@ -1480,8 +1477,8 @@ class AdeptSystem:
                 if not live:
                     # an unknown id has no record: hydration raises the canonical EngineError
                     record = dict(self.store.records_for([instance_id])).get(instance_id)
-            if record is not None and self.store.strategy.instance_independent_payload:
-                action, found = self._migrator.decide_record(
+            if record is not None:
+                action, found = migrator.decide_record(
                     record, type_change, plan, cache, share_bias=bias_classes is not None
                 )
                 if action == "report":
@@ -1494,7 +1491,7 @@ class AdeptSystem:
                     return self._apply_biased_class(
                         instance_id, bias_classes[bias_class], plan.new_schema.version
                     )
-            scratch = record is not None and not self._migrator.rollback_on_state_conflict
+            scratch = record is not None and compensating is None
             # pinned: LRU eviction must not detach a live case mid-migration
             self._pin(instance_id)
             try:
@@ -1502,7 +1499,7 @@ class AdeptSystem:
                     instance = self.store.load(instance_id)
                 elif instance is None:
                     instance = self.get_instance(instance_id)
-                result = self._migrator.migrate_instance(
+                result = migrator.migrate_instance(
                     instance, plan.old_schema, plan.new_schema, type_change, plan, cache, emit=False
                 )
                 if result.migrated:
@@ -1536,8 +1533,9 @@ class AdeptSystem:
         live representative or the record its eviction wrote back, less
         that write-back's ``"fix"`` hint — its stored ``marking``,
         ``status``, ``bias`` / ``biased`` / ``representation`` (bias
-        absorption may have changed them).  The representation payload is
-        instance-independent by the strategy contract checked by the caller.
+        absorption may have changed them).  The hybrid representation's
+        substitution block depends on the schemas only, never on the case,
+        so one encoding serves every member.
         """
         result = biased_class["result"]
         if result.migrated:
@@ -1726,9 +1724,6 @@ class AdeptSystem:
             # WAL replay / compound mutation: rollout records drive
             # adoption, not the engine's replayed touches
             return
-        if getattr(self._touch_guard, "busy", False):
-            # re-entrant engine call (compensation during an adoption)
-            return
         if instance.schema_version != rollout.from_version:
             return
         if not instance.status.is_active:
@@ -1740,13 +1735,9 @@ class AdeptSystem:
             return
         if rollout.state == STATE_OBSERVING and not rollout.in_cohort(instance_id):
             return
-        self._touch_guard.busy = True
-        try:
-            with rollout.lock:
-                rollout.touches += 1
-            decision = self._adopt(rollout, instance.instance_id, instance)
-        finally:
-            self._touch_guard.busy = False
+        with rollout.lock:
+            rollout.touches += 1
+        decision = self._adopt(rollout, instance.instance_id, instance)
         if decision is not None:
             self._pending_rollout_actions.append((rollout.type_id, decision))
 

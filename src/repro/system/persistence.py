@@ -573,11 +573,18 @@ def _replay_evolution(system: "AdeptSystem", record: Mapping[str, Any]) -> None:
     process_type = system.repository.process_type(type_id)
     new_schema = system.repository.release_version(type_id, type_change)
     _reconcile_version(record, new_schema.version)
-    if record.get("policy") != "none":
+    policy = record.get("policy")
+    if policy != "none":
         # the same driver the original evolve ran: same records, same plan,
-        # same per-class verdicts, same end state — and as little hydration
+        # same per-class verdicts, same compensations (the policy is the
+        # journaled one, not the reopened system's), same end state — and
+        # as little hydration
         system._migrate_candidates(
-            process_type, type_change, list(record.get("candidates", [])), collect_results=False
+            process_type,
+            type_change,
+            list(record.get("candidates", [])),
+            collect_results=False,
+            rollback=policy == "rollback",
         )
     system._drop_unoccupied_versions(process_type)
 

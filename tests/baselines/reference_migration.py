@@ -3,8 +3,8 @@
 :class:`ReferenceMigrator` states the paper's migration rule (Figs. 1
 and 3) in the plainest way that still reproduces the manager's observable
 behaviour: *every* instance is checked on its own — the interpreted
-:class:`~repro.core.compliance.ComplianceChecker` (conditions, replay or
-both), one run of the name-based reference adaptation
+compliance conditions of :class:`~repro.core.compliance.ComplianceChecker`,
+one run of the name-based reference adaptation
 (``reference_adaptation.py``), the biased-instance rules and the optional
 rollback policy.  It shares no decision code with
 :class:`repro.core.migration.MigrationManager`: no compiled plan, no
@@ -54,10 +54,7 @@ def _outcome_of(conflicts) -> MigrationOutcome:
 class ReferenceMigrator:
     """Per-instance migration: check, adapt, re-link — one case at a time."""
 
-    def __init__(
-        self, compliance_method: str = "conditions", rollback_on_state_conflict: bool = False
-    ) -> None:
-        self.compliance_method = compliance_method
+    def __init__(self, rollback_on_state_conflict: bool = False) -> None:
         self.rollback_on_state_conflict = rollback_on_state_conflict
         self.engine = ProcessEngine()
         self.checker = ComplianceChecker(engine=ProcessEngine())
@@ -109,10 +106,8 @@ class ReferenceMigrator:
 
     # ------------------------------------------------------------------ #
 
-    def _check(self, instance: ProcessInstance, type_change: TypeChange, target: ProcessSchema):
-        return self.checker.check(
-            instance, type_change.operations, target_schema=target, method=self.compliance_method
-        )
+    def _check(self, instance: ProcessInstance, type_change: TypeChange):
+        return self.checker.check_with_conditions(instance, type_change.operations)
 
     @staticmethod
     def _install(instance: ProcessInstance, marking: Marking, schema: ProcessSchema) -> None:
@@ -125,7 +120,7 @@ class ReferenceMigrator:
     def _migrate_unbiased(
         self, instance: ProcessInstance, new_schema: ProcessSchema, type_change: TypeChange
     ) -> InstanceMigrationResult:
-        compliance = self._check(instance, type_change, new_schema)
+        compliance = self._check(instance, type_change)
         if compliance.compliant:
             self._install(instance, self.adapter.adapt(instance, new_schema), new_schema)
             instance.rebind_schema(new_schema)
@@ -148,7 +143,7 @@ class ReferenceMigrator:
         if not plan.feasible or not plan.activities:
             return False
         RollbackManager(engine=self.engine).rollback_activities(instance, plan.activities)
-        if not self._check(instance, type_change, new_schema).compliant:
+        if not self._check(instance, type_change).compliant:
             return False
         self._install(instance, self.adapter.adapt(instance, new_schema), new_schema)
         instance.rebind_schema(new_schema)
@@ -205,7 +200,7 @@ class ReferenceMigrator:
                 ],
             )
         # 3. the state must be reproducible on the combined schema
-        compliance = self._check(instance, type_change, combined)
+        compliance = self._check(instance, type_change)
         if not compliance.compliant:
             return refused(_outcome_of(compliance.conflicts), compliance.conflicts)
         self._install(instance, self.adapter.adapt(instance, combined), combined)
@@ -280,9 +275,12 @@ def evolution_candidates(system, type_id: str) -> List[str]:
     return sorted(set(live) | set(system.store.running_instances_of_type(type_id)))
 
 
-def reference_evolve(system, type_id: str, type_change: TypeChange) -> MigrationReport:
-    """``system.evolve(type_id, ΔT)`` the slow way, on a throwaway system.
+def reference_evolve(
+    system, type_id: str, type_change: TypeChange, migrate: str = "compliant"
+) -> MigrationReport:
+    """``system.evolve(type_id, ΔT, migrate=...)`` the slow way, on a throwaway system.
 
+    ``migrate`` is the caller's policy, ``"compliant"`` or ``"rollback"``.
     Lifts the live-cache cap (the reference hydrates the whole candidate
     population and leaves it live — the migrated state exists only in the
     live objects), releases the version and migrates case by case.  Read
@@ -292,10 +290,7 @@ def reference_evolve(system, type_id: str, type_change: TypeChange) -> Migration
     system.cache_instances = None
     instances = [system.get_instance(instance_id) for instance_id in candidates]
     system.repository.release_version(type_id, type_change)
-    migrator = ReferenceMigrator(
-        compliance_method=system.compliance_method,
-        rollback_on_state_conflict=system.rollback_on_state_conflict,
-    )
+    migrator = ReferenceMigrator(rollback_on_state_conflict=migrate == "rollback")
     return migrator.migrate_type(
         system.repository.process_type(type_id), type_change, instances, release=False
     )

@@ -127,22 +127,3 @@ class TestMethodsAgree:
         by_conditions = checker.check_with_conditions(instance, delta_t.operations).compliant
         by_replay = checker.check_by_replay(instance, schema_v2).compliant
         assert by_conditions == by_replay
-
-    def test_check_dispatches_methods(self, checker, engine, order_schema, schema_v2, delta_t):
-        instance = instance_at(engine, order_schema, 2)
-        assert checker.check(instance, delta_t.operations, method="conditions").compliant
-        assert checker.check(
-            instance, delta_t.operations, target_schema=schema_v2, method="replay"
-        ).compliant
-        both = checker.check(instance, delta_t.operations, target_schema=schema_v2, method="both")
-        assert both.compliant and both.method == "both"
-
-    def test_replay_requires_target_schema(self, checker, engine, order_schema, delta_t):
-        instance = instance_at(engine, order_schema, 1)
-        with pytest.raises(ValueError):
-            checker.check(instance, delta_t.operations, method="replay")
-
-    def test_unknown_method_rejected(self, checker, engine, order_schema, delta_t):
-        instance = instance_at(engine, order_schema, 1)
-        with pytest.raises(ValueError):
-            checker.check(instance, delta_t.operations, method="telepathy")

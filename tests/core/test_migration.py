@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.adhoc import AdHocChanger
+from repro.core.compliance import ComplianceChecker
 from repro.core.evolution import ProcessType, TypeChange
 from repro.core.migration import MigrationManager, MigrationOutcome
 from repro.core.operations import ChangeActivityAttributes, DeleteActivity, SerialInsertActivity
@@ -105,11 +106,20 @@ class TestFig1Scenario:
         assert log.count(EventType.MIGRATION_REJECTED) == 2
 
     def test_replay_method_gives_same_classification(self, fig1):
-        manager = MigrationManager(fig1.engine, compliance_method="replay")
-        report = manager.migrate_type(fig1.process_type, fig1.type_change, fig1.instances)
-        assert report.migrated_count == 1
-        assert report.count(MigrationOutcome.STRUCTURAL_CONFLICT) == 1
-        assert report.count(MigrationOutcome.STATE_CONFLICT) == 1
+        """Per Fig. 1 case, the conditions' verdict is the trace-replay verdict.
+
+        I2's structural conflict is the combined schema's, found before
+        any state check; in state, I2 and I1 comply and I3 does not.
+        """
+        checker = ComplianceChecker()
+        operations = fig1.type_change.operations
+        target = operations.apply_to(fig1.schema_v1)
+        verdicts = {}
+        for instance in fig1.instances:
+            by_conditions = checker.check_with_conditions(instance, operations).compliant
+            assert by_conditions == checker.check_by_replay(instance, target).compliant
+            verdicts[instance.instance_id] = by_conditions
+        assert verdicts == {"I1": True, "I2": True, "I3": False}
 
 
 class TestBiasedMigration:

@@ -132,9 +132,7 @@ class TestMemoizationParity:
                 continue
             fingerprint = plan.fingerprint_of_instance(instance)
             assert fingerprint is not None
-            result = checker.check(
-                instance, change.operations, target_schema=new_schema, method="conditions"
-            )
+            result = checker.check_with_conditions(instance, change.operations)
             marking = None
             if result.compliant:
                 marking = json.dumps(
@@ -159,9 +157,10 @@ class TestMemoizationParity:
         population_seed=st.integers(min_value=0, max_value=999),
         change_seed=st.integers(min_value=0, max_value=999),
         cache_cap=st.integers(min_value=2, max_value=6),
+        migrate=st.sampled_from(["compliant", "rollback"]),
     )
     def test_streaming_evolve_with_eviction_matches_hydrated(
-        self, schema_seed, population_seed, change_seed, cache_cap
+        self, schema_seed, population_seed, change_seed, cache_cap, migrate
     ):
         """Facade parity: evolve under a tiny LRU == the per-instance reference."""
         probe_schema = _random_schema(schema_seed, 6)
@@ -186,7 +185,9 @@ class TestMemoizationParity:
                 system=system,
             ).generate()
             # part of the population rests in the store only (evicted)
-            report = evolve(system, handle.type_id, _type_change(schema, change_seed))
+            report = evolve(
+                system, handle.type_id, _type_change(schema, change_seed), migrate=migrate
+            )
             states = {
                 handle_.instance_id: system.get_instance(
                     handle_.instance_id

@@ -5,8 +5,13 @@ properties: the efficient per-operation compliance conditions agree with
 the general trace-replay criterion, migrated instances keep their
 completed work, and incremental state adaptation is equivalent to
 replaying the history on the changed schema.
+
+The conditions are the only compliance criterion the product runs, so
+the two agreement properties are its evidence: tier-1 runs 25 examples
+each, their ``stress`` variants 2 000 (the CI ``chaos`` job).
 """
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -27,49 +32,75 @@ RELAXED = settings(
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
 )
+STRESS = settings(RELAXED, max_examples=2000)
 
 
 def _advance(engine, instance, steps):
     engine.advance_instance(instance, steps)
 
 
+def conditions_never_accept_what_replay_rejects(schema, steps, seed):
+    """Invariant 3 on one random schema, instance and type change."""
+    engine = ProcessEngine()
+    instance = engine.create_instance(schema, "prop")
+    _advance(engine, instance, steps)
+    change = ChangeScenarioGenerator(schema, seed=seed).random_type_change(operation_count=2)
+    target = change.operations.apply_to(schema)
+    checker = ComplianceChecker()
+    by_conditions = checker.check_with_conditions(instance, change.operations).compliant
+    by_replay = checker.check_by_replay(instance, target).compliant
+    # The per-operation conditions must never accept an instance the
+    # general criterion rejects (they may only be more conservative).
+    if by_conditions:
+        assert by_replay
+
+
+def conditions_equal_replay_on_order_process(steps):
+    schema = online_order_process()
+    engine = ProcessEngine()
+    instance = engine.create_instance(schema, "prop")
+    for activity in ORDER_EXECUTION_SEQUENCE[:steps]:
+        engine.complete_activity(instance, activity)
+    change = order_type_change_v2()
+    target = change.operations.apply_to(schema)
+    checker = ComplianceChecker()
+    assert (
+        checker.check_with_conditions(instance, change.operations).compliant
+        == checker.check_by_replay(instance, target).compliant
+    )
+
+
+agreement_cases = dict(
+    schema=random_schemas(min_activities=4, max_activities=12),
+    steps=st.integers(min_value=0, max_value=14),
+    seed=st.integers(min_value=0, max_value=9999),
+)
+order_progress = st.integers(min_value=0, max_value=6)
+
+
 class TestComplianceAgreement:
     @RELAXED
-    @given(
-        schema=random_schemas(min_activities=4, max_activities=12),
-        steps=st.integers(min_value=0, max_value=14),
-        seed=st.integers(min_value=0, max_value=9999),
-    )
+    @given(**agreement_cases)
     def test_conditions_agree_with_replay(self, schema, steps, seed):
         """Invariant 3 on random schemas, instances and type changes."""
-        engine = ProcessEngine()
-        instance = engine.create_instance(schema, "prop")
-        _advance(engine, instance, steps)
-        change = ChangeScenarioGenerator(schema, seed=seed).random_type_change(operation_count=2)
-        target = change.operations.apply_to(schema)
-        checker = ComplianceChecker()
-        by_conditions = checker.check_with_conditions(instance, change.operations).compliant
-        by_replay = checker.check_by_replay(instance, target).compliant
-        # The per-operation conditions must never accept an instance the
-        # general criterion rejects (they may only be more conservative).
-        if by_conditions:
-            assert by_replay
+        conditions_never_accept_what_replay_rejects(schema, steps, seed)
 
     @RELAXED
-    @given(steps=st.integers(min_value=0, max_value=6))
+    @given(steps=order_progress)
     def test_exact_agreement_on_order_process(self, steps):
-        schema = online_order_process()
-        engine = ProcessEngine()
-        instance = engine.create_instance(schema, "prop")
-        for activity in ORDER_EXECUTION_SEQUENCE[:steps]:
-            engine.complete_activity(instance, activity)
-        change = order_type_change_v2()
-        target = change.operations.apply_to(schema)
-        checker = ComplianceChecker()
-        assert (
-            checker.check_with_conditions(instance, change.operations).compliant
-            == checker.check_by_replay(instance, target).compliant
-        )
+        conditions_equal_replay_on_order_process(steps)
+
+    @pytest.mark.stress
+    @STRESS
+    @given(**agreement_cases)
+    def test_conditions_agree_with_replay_stress(self, schema, steps, seed):
+        conditions_never_accept_what_replay_rejects(schema, steps, seed)
+
+    @pytest.mark.stress
+    @STRESS
+    @given(steps=order_progress)
+    def test_exact_agreement_on_order_process_stress(self, steps):
+        conditions_equal_replay_on_order_process(steps)
 
 
 class TestMigrationProperties:

@@ -198,10 +198,10 @@ class _Recording(AdeptSystem):
 class _HydratingTwin(_Recording):
     """Decides every stored case the way a live one is: hydrated first."""
 
-    def _migrate_case(self, instance_id, type_change, plan, cache, instance=None, bias_classes=None):
+    def _migrate_case(self, instance_id, type_change, plan, cache, instance=None, **options):
         if instance is None:
             instance = self.get_instance(instance_id)
-        return super()._migrate_case(instance_id, type_change, plan, cache, instance, bias_classes)
+        return super()._migrate_case(instance_id, type_change, plan, cache, instance, **options)
 
 
 def _cloned_population(system_class, schema_seed, activities, population_seed, biased):

@@ -12,7 +12,6 @@ from repro.storage.representations import (
     FullCopyRepresentation,
     HybridSubstitutionRepresentation,
     MaterializeOnAccessRepresentation,
-    strategy_by_name,
 )
 
 
@@ -104,11 +103,6 @@ class TestRepresentations:
             FullCopyRepresentation().encode(biased)
         )
         assert hybrid_size < full_size / 2
-
-    def test_strategy_by_name(self):
-        assert strategy_by_name("hybrid_substitution").name == "hybrid_substitution"
-        with pytest.raises(ValueError):
-            strategy_by_name("unknown")
 
 
 class TestInstanceStore:

@@ -17,7 +17,12 @@ from repro.core.adhoc import AdHocChanger
 from repro.core.changelog import ChangeLog
 from repro.core.evolution import ProcessType, TypeChange
 from repro.core.migration_plan import MigrationPlan
-from repro.core.operations import ChangeActivityAttributes, SerialInsertActivity
+from repro.core.operations import (
+    ChangeActivityAttributes,
+    InsertSyncEdge,
+    ParallelInsertActivity,
+    SerialInsertActivity,
+)
 from repro.core.substitution import SubstitutionBlock
 from repro.runtime.data_context import DataContext
 from repro.runtime.engine import ProcessEngine
@@ -264,13 +269,19 @@ class TestPositionalRecord:
     @given(data=st.data(), schema=codec_schemas)
     def test_record_and_instance_fingerprints_agree(self, data, schema):
         _, instance = data.draw(scheduled_instances(schema))
-        change = TypeChange.of(
-            1, [ChangeActivityAttributes(activity_id=schema.activity_ids()[0], name="renamed")]
-        )
-        new_schema = ProcessType(schema.name, schema).release_new_version(change)
-        # "replay" puts reduced history (with values) and initial writes in the digest
-        for method in ("conditions", "replay"):
-            plan = MigrationPlan.compile(schema, new_schema, change, compliance_method=method)
+        activity = data.draw(st.sampled_from(schema.activity_ids()))
+        renamed = [ChangeActivityAttributes(activity_id=activity, name="renamed")]
+        # a sync edge's condition orders history events: it puts the
+        # reduced history (with its values) in the digest
+        synced = [
+            ParallelInsertActivity(activity=Node(node_id="sync_probe"), parallel_to=activity),
+            InsertSyncEdge(source="sync_probe", target=activity),
+        ]
+        for operations in (renamed, synced):
+            change = TypeChange.of(1, operations)
+            new_schema = ProcessType(schema.name, schema).release_new_version(change)
+            plan = MigrationPlan.compile(schema, new_schema, change)
+            assert plan.include_history is (operations is synced)
             expected = plan.fingerprint_of_instance(instance)
             for record in (instance_to_dict(instance), keyed_twin(instance)):
                 for payload in (record, json_round_trip(record)):

@@ -184,34 +184,6 @@ def test_counters_only_report_through_facade():
     assert len(on_new_version) == report.migrated_count
 
 
-def test_full_copy_strategy_falls_back_to_hydration():
-    """full_copy payloads embed versioned schema copies: no record rewrites.
-
-    Both the biased *and* the unbiased fast paths must disengage — a
-    rewritten record would carry the new ``schema_version`` next to a
-    stale old-version ``schema_copy``.
-    """
-    outcomes = []
-    for evolve in (AdeptSystem.evolve, reference_evolve):
-        system = AdeptSystem(representation="full_copy", cache_instances=3)
-        handle, ids = _seed(system)
-        report = evolve(system, handle.type_id, _change(handle))
-        states = {iid: system.get_instance(iid).state_fingerprint() for iid in ids}
-        outcomes.append((report_payload(report), states))
-        # every stored record stays internally consistent: the embedded
-        # schema copy's version matches the record's schema_version
-        for _, record in system.store.scan_records():
-            schema_copy = record.get("representation", {}).get("schema_copy")
-            if schema_copy is not None:
-                assert schema_copy["version"] == record["schema_version"], (
-                    f"record {record['instance_id']} rewritten to "
-                    f"v{record['schema_version']} with a stale "
-                    f"v{schema_copy['version']} schema copy"
-                )
-    assert outcomes[0][0] == outcomes[1][0]
-    assert outcomes[0][1] == outcomes[1][1]
-
-
 def test_streaming_evolution_survives_wal_replay(tmp_path):
     """Recovery replays the journaled bulk evolution onto the same end state."""
     store = str(tmp_path / "store")
@@ -249,17 +221,13 @@ def test_parallel_residue_inherits_journal_suspension(tmp_path):
     from repro.workloads.order_process import order_type_change_v2
 
     store = str(tmp_path / "store")
-    system = AdeptSystem.open(
-        store,
-        rollback_on_state_conflict=True,
-        cache_instances=4,
-    )
+    system = AdeptSystem.open(store, cache_instances=4)
     orders = system.deploy(templates.online_order_process())
     ids = [orders.start().instance_id for _ in range(8)]
     # advanced past the change region: state conflicts, rollback kicks in
     system.step_many(ids, steps=4)
     steps_before = sum(1 for r in system.backend.wal_records() if r["kind"] == "step")
-    report = system.evolve(orders.type_id, order_type_change_v2())
+    report = system.evolve(orders.type_id, order_type_change_v2(), migrate="rollback")
     assert report.count(MigrationOutcome.MIGRATED_WITH_ROLLBACK) > 0
     steps_after = sum(1 for r in system.backend.wal_records() if r["kind"] == "step")
     assert steps_after == steps_before, (
@@ -268,11 +236,8 @@ def test_parallel_residue_inherits_journal_suspension(tmp_path):
     expected = {iid: system.get_instance(iid).state_fingerprint() for iid in ids}
     system.backend.close()
 
-    recovered = AdeptSystem.open(
-        store,
-        rollback_on_state_conflict=True,
-        cache_instances=4,
-    )
+    # the journaled policy compensates on replay: no flag on the reopen
+    recovered = AdeptSystem.open(store, cache_instances=4)
     try:
         mismatches = [
             iid

@@ -73,14 +73,14 @@ class TestRollbackPolicy:
         from repro.core.migration import MigrationOutcome
         from repro.runtime.history import HistoryEventType
 
-        system = AdeptSystem(rollback_on_state_conflict=True)
+        system = AdeptSystem()
         # compensations are engine events: built only for a subscriber
         system.bus.subscribe(lambda event: None, categories=["engine"])
         orders = system.deploy(templates.online_order_process())
         blocked = orders.start(case_id="blocked")
         for activity in ORDER_EXECUTION_SEQUENCE[:5]:  # pack_goods done -> state conflict
             blocked.complete(activity)
-        report = orders.evolve(order_type_change_v2())
+        report = orders.evolve(order_type_change_v2(), migrate="rollback")
         assert [r.outcome for r in report.results] == [MigrationOutcome.MIGRATED_WITH_ROLLBACK]
         compensated = [
             entry.activity
@@ -93,6 +93,84 @@ class TestRollbackPolicy:
             ("blocked", activity) for activity in compensated
         ]
         assert {event.instance_id for event in system.bus.events} <= {None, "blocked"}
+
+    @staticmethod
+    def _past_pack_goods(orders, count):
+        cases = [orders.start(case_id=f"blocked{i}") for i in range(count)]
+        for case in cases:
+            for activity in ORDER_EXECUTION_SEQUENCE[:5]:  # pack_goods done
+                case.complete(activity)
+        return [case.instance_id for case in cases]
+
+    def test_recovery_replays_the_journaled_policy(self, tmp_path):
+        """Acked => journaled => recovered, whatever the reopen is given.
+
+        The compensations are part of the evolution record's policy, so a
+        crash and a plain reopen reproduce every compensated case on v2.
+        """
+        from repro.core.migration import MigrationOutcome
+
+        store = str(tmp_path / "store")
+        system = AdeptSystem.open(store, cache_instances=2)
+        orders = system.deploy(templates.online_order_process())
+        blocked = self._past_pack_goods(orders, 4)
+        fresh = orders.start(case_id="fresh").instance_id
+        report = orders.evolve(order_type_change_v2(), migrate="rollback")
+        assert report.count(MigrationOutcome.MIGRATED_WITH_ROLLBACK) == len(blocked)
+        (record,) = [r for r in system.backend.wal_records() if r["kind"] == "evolution"]
+        assert record["policy"] == "rollback"
+        expected = {
+            case: system.get_instance(case).state_fingerprint() for case in blocked + [fresh]
+        }
+        system.backend.close()  # crash: recovery replays the evolution
+
+        recovered = AdeptSystem.open(store)
+        try:
+            for case, fingerprint in expected.items():
+                assert recovered.get_instance(case).state_fingerprint() == fingerprint, case
+                assert recovered.get_instance(case).schema_version == 2, case
+        finally:
+            recovered.close()
+
+    def test_other_policies_never_compensate(self):
+        from repro.core.migration import MigrationOutcome
+
+        system = AdeptSystem()
+        orders = system.deploy(templates.online_order_process())
+        (blocked,) = self._past_pack_goods(orders, 1)
+        before = system.get_instance(blocked).state_fingerprint()
+        with pytest.raises(MigrationError):
+            orders.evolve(order_type_change_v2(), migrate="strict")
+        report = orders.evolve(order_type_change_v2())
+        assert report.count(MigrationOutcome.STATE_CONFLICT) == 1
+        assert system.get_instance(blocked).state_fingerprint() == before
+
+    def test_touch_adoption_never_compensates(self):
+        """A lazy rollout's touch leaves a state-conflicting case as it is."""
+        from repro.runtime.history import HistoryEventType
+
+        system = AdeptSystem()
+        orders = system.deploy(templates.online_order_process())
+        (blocked,) = self._past_pack_goods(orders, 1)
+        rollout = orders.evolve(order_type_change_v2(), rollout="lazy")
+        system.complete(blocked, ORDER_EXECUTION_SEQUENCE[5])  # the touch
+        assert blocked in rollout.conflicted
+        instance = system.get_instance(blocked)
+        assert instance.schema_version == 1
+        assert instance.status is InstanceStatus.COMPLETED
+        assert not [
+            entry
+            for entry in instance.history
+            if entry.event is HistoryEventType.ACTIVITY_COMPENSATED
+        ]
+
+    @pytest.mark.parametrize("rollout", ["lazy", "canary"])
+    def test_progressive_rollouts_refuse_it(self, rollout):
+        system = AdeptSystem()
+        orders = system.deploy(templates.online_order_process())
+        with pytest.raises(ValueError, match="'compliant' migration policy only"):
+            orders.evolve(order_type_change_v2(), migrate="rollback", rollout=rollout)
+        assert orders.versions == [1]
 
 
 class TestNonePolicy:
@@ -167,10 +245,10 @@ class TestNoCaseSkipsADelta:
 
         return ChangeSet().serial_insert(node_id, pred=pred, succ=succ)
 
-    def _open(self, tmp_path, durable, **kwargs):
+    def _open(self, tmp_path, durable):
         if durable:
-            return AdeptSystem.open(str(tmp_path / "store"), cache_instances=1, **kwargs)
-        return AdeptSystem(**kwargs)
+            return AdeptSystem.open(str(tmp_path / "store"), cache_instances=1)
+        return AdeptSystem()
 
     def _assert_left_on_v1(self, system, instance_id):
         from repro.baselines.replay_compliance import ReplayComplianceBaseline
@@ -239,12 +317,12 @@ class TestNoCaseSkipsADelta:
         assert system.run(straggler).ok  # and it still finishes on v1
         system.close()
 
-    @pytest.mark.parametrize("rollback", [False, True], ids=["plain", "rollback_policy"])
+    @pytest.mark.parametrize("policy", ["compliant", "rollback"], ids=["plain", "rollback_policy"])
     @pytest.mark.parametrize("durable", [False, True], ids=["in_memory", "durable"])
-    def test_cases_passed_over_by_migrate_none_stay_too(self, tmp_path, durable, rollback):
+    def test_cases_passed_over_by_migrate_none_stay_too(self, tmp_path, durable, policy):
         from repro.core.migration import MigrationOutcome
 
-        system = self._open(tmp_path, durable, rollback_on_state_conflict=rollback)
+        system = self._open(tmp_path, durable)
         sequence = system.deploy(templates.sequential_process(length=6))
         passed_over = sequence.start(case_id="passed_over").instance_id
         system.step_many([passed_over], steps=3)
@@ -252,7 +330,7 @@ class TestNoCaseSkipsADelta:
         on_v2 = sequence.start(case_id="on_v2").instance_id
         before = system.get_instance(passed_over).state_fingerprint()
 
-        report = sequence.evolve(self._insert("audit", "step_5", "step_6"))
+        report = sequence.evolve(self._insert("audit", "step_5", "step_6"), migrate=policy)
         outcomes = {r.instance_id: r.outcome for r in report.results}
         assert outcomes == {
             passed_over: MigrationOutcome.STATE_CONFLICT,
@@ -348,11 +426,12 @@ class TestMigrationThatFinishesACase:
             self._assert_finished(system, case)
 
     def test_rollback_migration(self):
-        system, sequence = self._system(rollback_on_state_conflict=True)
+        system, sequence = self._system()
         case = self._at_step_3(system, sequence, "compensated")
         # step_2 completed: deleting it needs its compensation first
         report = sequence.evolve(
-            [DeleteActivity(activity_id="step_2"), DeleteActivity(activity_id="step_3")]
+            [DeleteActivity(activity_id="step_2"), DeleteActivity(activity_id="step_3")],
+            migrate="rollback",
         )
         assert [r.outcome.value for r in report.results] == ["migrated_with_rollback"]
         self._assert_finished(system, case)

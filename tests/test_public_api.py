@@ -97,9 +97,6 @@ class TestPublicApi:
         assert parameters(repro.AdeptSystem.__init__) == [
             "org_model",
             "bus",
-            "compliance_method",
-            "rollback_on_state_conflict",
-            "representation",
             "monitor",
             "cache_instances",
         ]
