@@ -103,6 +103,7 @@ from repro.system.persistence import (
     KIND_INSTANCE_SAVED,
     KIND_INSTANCE_STARTED,
     KIND_ROLLOUT_COMPLETED,
+    KIND_ROLLOUT_CONFLICTED,
     KIND_ROLLOUT_MIGRATED,
     KIND_ROLLOUT_PROMOTED,
     KIND_ROLLOUT_ROLLED_BACK,
@@ -1789,6 +1790,14 @@ class AdeptSystem:
                     to_version=rollout.to_version,
                 )
         else:
+            if rollout.state == STATE_OBSERVING:
+                # a canary's verdict rests on its conflicts: a crash keeps them
+                self._journal(
+                    KIND_ROLLOUT_CONFLICTED,
+                    type_id=rollout.type_id,
+                    instance_id=instance_id,
+                    to_version=rollout.to_version,
+                )
             decision = rollout.note_conflict(instance_id)
             if announce:
                 self.bus.publish(
@@ -1819,16 +1828,16 @@ class AdeptSystem:
             else:
                 self._promote_rollout(type_id)
 
-    def _promote_rollout(self, type_id: str) -> None:
-        """Canary observation passed: open the rollout to the whole population."""
+    def _promote_rollout(self, type_id: str) -> bool:
+        """Open an observing canary to the whole population; False if none was left."""
         rollout = self._rollouts.get(type_id)
         if rollout is None:
-            return
+            return False
         # the type's read lock keeps a checkpoint out between the record's
         # enqueue and its commit (the WAL refuses to truncate it)
         with self._type_read(type_id):
             if not rollout.promote():
-                return
+                return False
             self._journal(KIND_ROLLOUT_PROMOTED, type_id=type_id, to_version=rollout.to_version)
         self.bus.publish(
             CATEGORY_MIGRATION,
@@ -1837,24 +1846,26 @@ class AdeptSystem:
             to_version=rollout.to_version,
             observed_conflict_rate=rollout.observed_conflict_rate,
         )
+        return True
 
-    def _rollback_rollout(self, type_id: str) -> None:
+    def _rollback_rollout(self, type_id: str) -> Optional[List[str]]:
         """Canary observation failed: abandon the new version.
 
         Under the ``"revert"`` policy every adopted case is restored from
         its pre-adoption snapshot and the version is withdrawn from the
         repository; under ``"pin"`` adopted cases keep running on it but
         the version is retired — no new case will ever start on it.
+        Returns the restored ids (None: no observing rollout was left).
         """
         rollout = self._rollouts.get(type_id)
         if rollout is None:
-            return
+            return None
         reverted: List[str] = []
         with self._type_lock(type_id).write():
             if not rollout.roll_back():
-                return
+                return None
             if rollout.policy == POLICY_REVERT:
-                reverted = self._revert_canary_cohort(rollout, sorted(rollout.adopted))
+                reverted = self._revert_canary_cohort(rollout)
             self._journal(
                 KIND_ROLLOUT_ROLLED_BACK,
                 type_id=type_id,
@@ -1878,18 +1889,20 @@ class AdeptSystem:
             reverted=len(reverted),
             observed_conflict_rate=rollout.observed_conflict_rate,
         )
+        return reverted
 
-    def _revert_canary_cohort(self, rollout: Rollout, instance_ids: Iterable[str]) -> List[str]:
-        """Restore adopted canary cases from their pre-adoption snapshots.
+    def _revert_canary_cohort(self, rollout: Rollout) -> List[str]:
+        """Restore the adopted canary cases from their pre-adoption snapshots.
 
         Steps a case took on the canary version are discarded with it —
-        the deterministic policy (replay restores the same snapshots via
-        the ``reverted`` list of the journaled record).  Runs under the
-        type's write lock, or during recovery; the population is quiesced.
+        the deterministic policy (replay re-derives the same ids and
+        checks them against the ``reverted`` list of the journaled
+        record).  Runs under the type's write lock, or during recovery;
+        the population is quiesced.
         """
         reverted: List[str] = []
         with self._journal_suspended():
-            for instance_id in instance_ids:
+            for instance_id in sorted(rollout.adopted):
                 pre_state = rollout.pre_states.get(instance_id)
                 if pre_state is None:
                     continue  # adopted without a snapshot (defensive)
@@ -2029,10 +2042,10 @@ class AdeptSystem:
             self._pending_rollout_actions.append((rollout.type_id, decision))
         return True
 
-    def _complete_rollout(self, rollout: Rollout) -> None:
-        """Every case adopted (or conflicted): retire the rollout."""
+    def _complete_rollout(self, rollout: Rollout) -> bool:
+        """Every case adopted (or conflicted): retire the rollout; False unless migrating."""
         if not rollout.complete():
-            return
+            return False
         self._journal(
             KIND_ROLLOUT_COMPLETED, type_id=rollout.type_id, to_version=rollout.to_version
         )
@@ -2046,8 +2059,9 @@ class AdeptSystem:
             adopted=len(rollout.adopted),
             conflicted=len(rollout.conflicted),
         )
+        return True
 
-    # ---- recovery (snapshot restore + WAL replay) --------------------- #
+    # ---- recovery (snapshot restore) ---------------------------------- #
 
     def _restore_rollout(self, payload: Mapping[str, Any]) -> None:
         """Re-arm a rollout serialised into a snapshot."""
@@ -2057,75 +2071,6 @@ class AdeptSystem:
             self._rollouts[rollout.type_id] = rollout
         else:
             self._rollout_history[rollout.type_id] = rollout
-
-    def _replay_rollout_started(
-        self, record: Mapping[str, Any], type_change: TypeChange
-    ) -> None:
-        rollout = Rollout(
-            record["type_id"],
-            type_change,
-            record["mode"],
-            fraction=record.get("fraction", 0.1),
-            conflict_threshold=record.get("conflict_threshold", 0.5),
-            min_observations=record.get("min_observations", 20),
-            policy=record.get("policy", POLICY_REVERT),
-            decide_externally=record.get("decide_externally", False),
-        )
-        self._attach_plan(rollout)
-        self._drop_unoccupied_versions(self.repository.process_type(rollout.type_id))
-        self._rollouts[rollout.type_id] = rollout
-
-    def _replay_rollout_adoption(self, type_id: str, instance_id: str) -> None:
-        """Re-apply one journaled adoption during WAL replay."""
-        rollout = self._rollouts.get(type_id)
-        if rollout is None:
-            return
-        instance = self.get_instance(instance_id)
-        if instance.schema_version != rollout.from_version:
-            # a snapshot written after the adoption already carries the
-            # migrated state; only the bookkeeping needs replaying
-            rollout.adopted.add(instance_id)
-            return
-        pre_state = None
-        if rollout.state == STATE_OBSERVING and rollout.policy == POLICY_REVERT:
-            pre_state = instance_to_dict(instance)
-        result = self._migrate_case(
-            instance_id, rollout.type_change, rollout.plan, rollout.cache, instance
-        )
-        if result.migrated:
-            rollout.note_adoption(instance_id, pre_state)
-        # conflicts are not journaled, so a decision re-derived during
-        # replay may differ from the one that was taken live — decisions
-        # replay from their own promoted / rolled-back records instead
-        rollout.pending_decision = None
-
-    def _replay_rollout_promoted(self, type_id: str) -> None:
-        rollout = self._rollouts.get(type_id)
-        if rollout is None:
-            return
-        rollout.promote()
-        rollout.pending_decision = "promote"
-
-    def _replay_rollout_rolled_back(self, record: Mapping[str, Any]) -> None:
-        type_id = record["type_id"]
-        rollout = self._rollouts.pop(type_id, None)
-        if rollout is None:
-            return
-        rollout.roll_back()
-        rollout.pending_decision = "rollback"
-        if record.get("policy", rollout.policy) == POLICY_REVERT:
-            self._revert_canary_cohort(rollout, record.get("reverted", []))
-            self.repository.withdraw_version(type_id, rollout.to_version)
-        else:
-            self._retired_versions.setdefault(type_id, set()).add(rollout.to_version)
-        self._rollout_history[type_id] = rollout
-
-    def _replay_rollout_completed(self, type_id: str) -> None:
-        rollout = self._rollouts.pop(type_id, None)
-        if rollout is None:
-            return
-        rollout.complete()
-        self._rollout_history[type_id] = rollout
 
     # ------------------------------------------------------------------ #
     # persistence

@@ -16,12 +16,14 @@ so an ``AdeptSystem`` survives restarts:
   counters) in a single atomically-replaced snapshot file and truncates
   the log;
 * **recovery** — :meth:`PersistentBackend.recover` loads the latest
-  snapshot and *replays the WAL suffix* on top of it: logical records
-  (steps, change sets, evolutions) are re-executed through the very same
-  engine/changer/migrator code paths that produced them, reconciling the
-  replayed schema versions against the journaled change log.  A torn
-  trailing record (crash mid-append) is ignored — the commit point of a
-  mutation is its complete WAL line.
+  snapshot and *replays the WAL suffix* on top of it: a record replays
+  by calling the façade method that journaled it (deployments, starts,
+  aborts, deletions, every rollout transition); steps, change sets and
+  evolutions are re-executed through the engine, changer and migration
+  driver that produced them.  Replayed schema versions and rollout
+  transitions are reconciled against the journal — a mismatch raises
+  :class:`RecoveryError`.  A torn trailing record (crash mid-append) is
+  ignored — the commit point of a mutation is its complete WAL line.
 
 The WAL-suffix replay is the incremental-frame idea from the related
 work: a snapshot bounds how much history recovery has to re-execute, and
@@ -102,6 +104,7 @@ KIND_ROLLOUT_MIGRATED = "rollout_migrated"
 KIND_ROLLOUT_PROMOTED = "rollout_promoted"
 KIND_ROLLOUT_ROLLED_BACK = "rollout_rolled_back"
 KIND_ROLLOUT_COMPLETED = "rollout_completed"
+KIND_ROLLOUT_CONFLICTED = "rollout_conflicted"
 
 ALL_KINDS = (
     KIND_TYPE_DEPLOYED,
@@ -119,6 +122,7 @@ ALL_KINDS = (
     KIND_ROLLOUT_PROMOTED,
     KIND_ROLLOUT_ROLLED_BACK,
     KIND_ROLLOUT_COMPLETED,
+    KIND_ROLLOUT_CONFLICTED,
 )
 
 
@@ -409,9 +413,12 @@ class PersistentBackend:
         """Rebuild ``system`` from the snapshot and the WAL suffix.
 
         ``system`` must be freshly constructed (no deployed types, no
-        instances).  Journaling is suspended for the duration — the replay
-        drives the normal façade code paths, which would otherwise
-        re-journal every mutation.
+        instances).  Journaling is suspended for the duration — most
+        records replay by calling the façade method that journaled them,
+        which would otherwise re-journal every mutation; ``step``,
+        ``adhoc_change``, ``evolution`` and ``instance_saved`` records
+        keep a replay of their own (``docs/persistence.md`` says why).
+        Replayed transitions publish their bus events.
         """
         report = RecoveryReport()
         with self.suspended():
@@ -496,8 +503,6 @@ class PersistentBackend:
             raise RecoveryError(f"unknown WAL record kind {kind!r}") from None
         try:
             handler(system, record)
-        except RecoveryError:
-            raise
         except Exception as exc:
             raise RecoveryError(
                 f"replaying WAL record #{record.get('seq')} ({kind}) failed: {exc}"
@@ -554,10 +559,7 @@ def _replay_step(system: "AdeptSystem", record: Mapping[str, Any]) -> None:
 
 
 def _replay_instance_aborted(system: "AdeptSystem", record: Mapping[str, Any]) -> None:
-    system.engine.abort_instance(system.get_instance(record["instance_id"]))
-    # an abort is no engine step: without this an eviction later in the
-    # replay would drop the case unsaved and the abort with it
-    system._dirty.add(record["instance_id"])
+    system.abort(record["instance_id"])
 
 
 def _replay_adhoc_change(system: "AdeptSystem", record: Mapping[str, Any]) -> None:
@@ -596,34 +598,63 @@ def _replay_instance_saved(system: "AdeptSystem", record: Mapping[str, Any]) -> 
 
 
 def _replay_instance_deleted(system: "AdeptSystem", record: Mapping[str, Any]) -> None:
-    instance_id = record["instance_id"]
-    system.store.delete(instance_id)
-    system._instances.pop(instance_id, None)
-    system._dirty.discard(instance_id)
-    system.worklists.discard_instance(instance_id)
+    system.delete_instance(record["instance_id"])
 
 
 def _replay_rollout_started(system: "AdeptSystem", record: Mapping[str, Any]) -> None:
-    type_change = TypeChange.from_dict(record["change"])
-    new_schema = system.repository.release_version(record["type_id"], type_change)
-    _reconcile_version(record, new_schema.version)
-    system._replay_rollout_started(record, type_change)
+    rollout = system._evolve_progressive(
+        record["type_id"],
+        TypeChange.from_dict(record["change"]),
+        record["mode"],
+        fraction=record["fraction"],
+        conflict_threshold=record["conflict_threshold"],
+        min_observations=record["min_observations"],
+        policy=record["policy"],
+        decide_externally=record.get("decide_externally", False),
+    )
+    _reconcile_version(record, rollout.to_version)
 
 
-def _replay_rollout_migrated(system: "AdeptSystem", record: Mapping[str, Any]) -> None:
-    system._replay_rollout_adoption(record["type_id"], record["instance_id"])
+def _replay_rollout_attempt(system: "AdeptSystem", record: Mapping[str, Any]) -> None:
+    """``rollout_migrated`` / ``rollout_conflicted``: one adoption attempt."""
+    rollout = system.rollout_of(record["type_id"])
+    if rollout is None:
+        return
+    instance_id = record["instance_id"]
+    instance = system.get_instance(instance_id)
+    if instance.schema_version != rollout.from_version:
+        # a snapshot written after the adoption already carries the
+        # migrated state; only the bookkeeping needs replaying
+        rollout.adopted.add(instance_id)
+    else:
+        system._adopt(rollout, instance_id, instance)
+    # a decision re-derived here is not executed: decisions replay from
+    # their own promoted / rolled-back records, and one the crash kept
+    # out of the log is taken again on the next touch
+    rollout.pending_decision = None
+    migrated = record["kind"] == KIND_ROLLOUT_MIGRATED
+    if instance_id not in (rollout.adopted if migrated else rollout.conflicted):
+        raise RecoveryError(f"replay re-derived the opposite outcome for {instance_id!r}")
 
 
 def _replay_rollout_promoted(system: "AdeptSystem", record: Mapping[str, Any]) -> None:
-    system._replay_rollout_promoted(record["type_id"])
+    if not system._promote_rollout(record["type_id"]):
+        raise RecoveryError(f"no observing rollout of {record['type_id']!r} to promote")
 
 
 def _replay_rollout_rolled_back(system: "AdeptSystem", record: Mapping[str, Any]) -> None:
-    system._replay_rollout_rolled_back(record)
+    reverted = system._rollback_rollout(record["type_id"])
+    if reverted is None:
+        raise RecoveryError(f"no observing rollout of {record['type_id']!r} to roll back")
+    if reverted != record["reverted"]:
+        differing = sorted(set(reverted).symmetric_difference(record["reverted"]))
+        raise RecoveryError(f"replay reverted another cohort (differing in {differing})")
 
 
 def _replay_rollout_completed(system: "AdeptSystem", record: Mapping[str, Any]) -> None:
-    system._replay_rollout_completed(record["type_id"])
+    rollout = system.rollout_of(record["type_id"])
+    if rollout is None or not system._complete_rollout(rollout):
+        raise RecoveryError(f"no migrating rollout of {record['type_id']!r} to complete")
 
 
 def _reconcile_version(record: Mapping[str, Any], actual_version: int) -> None:
@@ -631,9 +662,8 @@ def _reconcile_version(record: Mapping[str, Any], actual_version: int) -> None:
     expected = record.get("to_version")
     if expected is not None and expected != actual_version:
         raise RecoveryError(
-            f"replaying WAL record #{record.get('seq')} released version "
-            f"{actual_version} of {record.get('type_id')!r} but the journal "
-            f"recorded v{expected} — the log no longer matches the change history"
+            f"released version {actual_version} of {record.get('type_id')!r} but the "
+            f"journal recorded v{expected} — the log no longer matches the change history"
         )
 
 
@@ -649,7 +679,8 @@ _REPLAY_HANDLERS = {
     KIND_INSTANCE_SAVED: _replay_instance_saved,
     KIND_INSTANCE_DELETED: _replay_instance_deleted,
     KIND_ROLLOUT_STARTED: _replay_rollout_started,
-    KIND_ROLLOUT_MIGRATED: _replay_rollout_migrated,
+    KIND_ROLLOUT_MIGRATED: _replay_rollout_attempt,
+    KIND_ROLLOUT_CONFLICTED: _replay_rollout_attempt,
     KIND_ROLLOUT_PROMOTED: _replay_rollout_promoted,
     KIND_ROLLOUT_ROLLED_BACK: _replay_rollout_rolled_back,
     KIND_ROLLOUT_COMPLETED: _replay_rollout_completed,

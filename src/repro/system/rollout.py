@@ -123,8 +123,8 @@ class Rollout:
         #: canary only: pre-adoption state (``instance_to_dict``) of every
         #: adopted cohort member, kept until the observe/rollback decision.
         self.pre_states: Dict[str, Dict[str, Any]] = {}
-        #: counters (telemetry; survive in snapshots, reset on WAL-only
-        #: recovery where conflicts re-derive on the next touch)
+        #: counters (telemetry, not journaled: they survive in snapshots
+        #: and restart from zero on a WAL-only recovery)
         self.touches = 0
         self.swept = 0
         #: one-shot decision slot: None until the canary verdict is taken.

@@ -446,6 +446,43 @@ class TestDurableRollout:
                 instance_to_dict(recovered.get_instance(case.instance_id))
                 == expected[case.instance_id]
             )
+        # the replay runs the live transitions, bus events included
+        assert recovered.feed.rollout_summary() == system.feed.rollout_summary()
+        assert recovered.feed.rollout_summary()["rollout_case_adopted"] == 10
+        assert recovered.feed.rollout_summary()["rollout_rolled_back"] == 1
+
+    def test_crash_mid_observation_keeps_the_canary_verdict(self, tmp_path):
+        def touch_and_decide(crash):
+            path = tmp_path / f"db-{crash}"
+            system = AdeptSystem.open(path)
+            orders = system.deploy(templates.online_order_process())
+            fresh = [orders.start().instance_id for _ in range(20)]
+            advanced = [orders.start().instance_id for _ in range(10)]
+            system.step_many(advanced, steps=3)
+            rollout = system.evolve(
+                "online_order",
+                order_type_change_v2(),
+                rollout="canary",
+                fraction=1.0,
+                conflict_threshold=0.3,
+                min_observations=20,
+            )
+            for instance_id in fresh[:5] + advanced[:9]:
+                system.step_many([instance_id], steps=1)
+            assert (len(rollout.adopted), len(rollout.conflicted)) == (5, 9)
+            if crash:
+                # the canary's evidence (its conflicts too) is in the WAL
+                system.backend.close()
+                system = AdeptSystem.open(path)
+            for instance_id in fresh[5:]:
+                system.step_many([instance_id], steps=1)
+            return (
+                system.rollout_status("online_order")["state"],
+                system.type("online_order").versions,
+            )
+
+        assert touch_and_decide(crash=False) == (STATE_ROLLED_BACK, [1])
+        assert touch_and_decide(crash=True) == (STATE_ROLLED_BACK, [1])
 
 
 class TestRolloutObservability:
