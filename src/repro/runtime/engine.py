@@ -15,7 +15,8 @@ advances automatically, which is what lets migrated instances simply
 **Thread-safety contract.**  One engine may drive disjoint instances
 from many threads concurrently, provided each *instance* is driven by at
 most one thread at a time (the :class:`~repro.system.AdeptSystem` façade
-enforces this with striped per-instance locks).  The step path touches
+goes further: it runs one operation at a time, under its execution
+lock).  The step path touches
 no shared mutable state: all execution state lives on the instance, the
 compiled :class:`~repro.schema.index.SchemaIndex` (and its step kernel)
 is a snapshot shared read-only across threads — the kernel's per-activity

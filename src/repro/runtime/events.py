@@ -74,7 +74,7 @@ class EventLog:
     the GIL and the listener collection is an immutable tuple republished
     by :meth:`subscribe`, so concurrent appenders never observe a
     half-registered listener.  Ordering *between* threads is provided by
-    the callers (each instance is stepped under its stripe lock; the
+    the callers (the façade steps cases one operation at a time; the
     system bus re-sequences).
     """
 

@@ -8,7 +8,7 @@ the work and completes it through the engine.
 **Synchronisation is per case.**  Whoever changes a case calls
 :meth:`WorklistManager.sync_instance` for exactly that case before it
 lets go of it (the façade does so at the exit of every execution scope,
-while the case's stripe is still held), so the offered items of a case
+inside the operation), so the offered items of a case
 equal its activated activities whenever nobody is working on it — at a
 cost independent of how many other cases exist.  Only *open* (offered or
 claimed) items are resident: a completed or withdrawn item leaves the
@@ -17,14 +17,21 @@ caller still holding the :class:`WorkItem` sees its final state.
 
 **Thread safety.**  All item state lives behind one manager lock, an
 innermost leaf: it guards the item and registry dicts only and is never
-held across an engine call, a hydration or a lock acquisition.
-:meth:`WorklistManager.claim` is an *atomic reservation* — under
-contention exactly one claimer flips an item from OFFERED to CLAIMED,
-every other claimer gets a clean :class:`EngineError`.  The engine call
-itself runs outside the manager lock, wrapped in the optional
-:attr:`execution_guard` (the façade installs its per-type/per-instance
-locking there), so holding a worklist view never blocks case execution.
-A failed engine call reverts the reservation.
+held across an engine call, a hydration or a lock acquisition, so the
+views (:meth:`WorklistManager.worklist_for` and friends) are pure reads
+that need no other lock.  :meth:`WorklistManager.claim` is an *atomic
+reservation* — under contention exactly one claimer flips an item from
+OFFERED to CLAIMED, every other claimer gets a clean
+:class:`EngineError`.  The engine call itself runs outside the manager
+lock, wrapped in the optional :attr:`execution_guard` (the façade
+installs its execution scope there).  A failed engine call reverts the
+reservation.
+
+**Performing an item in three parts.**  :meth:`WorklistManager.claim`
+starts the activity, :meth:`WorklistManager.inputs_of` reads what a
+worker function needs, and :meth:`WorklistManager.complete` writes the
+outputs.  The worker function itself runs between them, so a scheduler
+(the façade's worker pool) runs it without holding the case.
 """
 
 from __future__ import annotations
@@ -51,6 +58,7 @@ from repro.runtime.instance import ProcessInstance
 from repro.runtime.markings import NODE_CODE, Marking
 from repro.runtime.states import NodeState
 from repro.schema.graph import ProcessSchema
+from repro.schema.nodes import Node
 
 
 # the marking codes work_of searches for
@@ -104,9 +112,9 @@ class WorklistManager:
         self.instance_resolver: Optional[Any] = None
         #: Optional context-manager factory ``guard(instance_id) -> instance``
         #: wrapping every engine call performed through the worklist.  The
-        #: façade installs its execution scope (type read lock + instance
-        #: stripe, synchronising the case on exit) here; standalone
-        #: managers run unguarded and synchronise the case themselves.
+        #: façade installs its execution scope (the case inside an
+        #: operation, synchronised on exit) here; standalone managers run
+        #: unguarded and synchronise the case themselves.
         self.execution_guard: Optional[Callable[[str], Any]] = None
         # guards _items / _open_by_instance / _instances / _counter /
         # _completing; a leaf — nothing else is acquired or called into
@@ -122,7 +130,8 @@ class WorklistManager:
     def register_instance(self, instance: ProcessInstance) -> None:
         """Track a live instance (or its replacement object) and synchronise it.
 
-        The caller owns the case (holds its stripe, or is single-threaded).
+        The caller owns the case (runs the façade operation that holds
+        it, or is single-threaded).
         """
         with self._lock:
             self._instances[instance.instance_id] = instance
@@ -154,10 +163,10 @@ class WorklistManager:
         """Make one case's open items match its marking.
 
         O(the case's own nodes), whatever the population.  The caller
-        owns the case (holds its stripe, or is single-threaded), so the
-        marking read here is not mid-step.  A case that is no longer
-        active keeps nothing open — nobody could start or complete its
-        activities.
+        owns the case (runs the façade operation that holds it, or is
+        single-threaded), so the marking read here is not mid-step.  A
+        case that is no longer active keeps nothing open — nobody could
+        start or complete its activities.
         """
         offers: Mapping[str, Optional[str]] = {}
         running: Collection[str] = ()
@@ -365,6 +374,18 @@ class WorklistManager:
             raise
         return item
 
+    def inputs_of(self, item_id: str) -> Tuple[Node, Dict[str, Any]]:
+        """What a worker function reads to perform a claimed item.
+
+        The activity's node and a copy of its case's data (a worker's
+        arguments); the caller owns the case, the worker function that
+        receives them need not.
+        """
+        with self._lock:
+            item = self._item(item_id)
+        instance = self._live_instance(item.instance_id)
+        return instance.execution_schema.node(item.activity_id), instance.data.values
+
     def _release_claim(self, item: WorkItem, user: str) -> None:
         """Undo a claim whose engine start failed.
 
@@ -393,9 +414,9 @@ class WorklistManager:
         """Complete a claimed work item through the engine.
 
         ``auto_outputs=True`` generates outputs the way scripted
-        execution does (via ``worker``, or the engine's plausible
-        defaults) — the worker pool uses it so loop conditions and
-        guards keep progressing.
+        execution does (via ``worker``, filtered to the activity's write
+        set, or the engine's plausible defaults) — the worker pool uses
+        it so loop conditions and guards keep progressing.
         """
         with self._lock:
             item = self._item(item_id)

@@ -308,8 +308,7 @@ class ShardServer:
 
     def _op_status(self, request: Dict[str, Any]) -> Dict[str, Any]:
         system = self._system()
-        with system._registry:
-            live = len(system._instances)
+        live = len(system.live_instance_ids())
         return {
             "shard_id": self.shard_id,
             "pid": os.getpid(),
@@ -584,9 +583,7 @@ class ShardServer:
     def _op_case_ids(self, request: Dict[str, Any]) -> List[str]:
         """Every case id this shard owns (live or stored) — rebalancing input."""
         system = self._system()
-        with system._registry:
-            live = set(system._instances)
-        return sorted(live | set(system.store.instance_ids()))
+        return sorted(set(system.live_instance_ids()) | set(system.store.instance_ids()))
 
     def _op_rollout_status(self, request: Dict[str, Any]) -> Optional[Dict[str, Any]]:
         return self._system().rollout_status(request["type_id"])

@@ -46,7 +46,7 @@ class InstanceStore:
         self.index = InstanceIndex()
         # one reentrant lock serialises record/index mutations and makes
         # every query a consistent snapshot — the store is shared by all
-        # worker threads of the façade (innermost in its lock hierarchy)
+        # threads of the façade (a leaf below its execution lock)
         self._lock = threading.RLock()
 
     # ------------------------------------------------------------------ #

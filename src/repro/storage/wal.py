@@ -171,10 +171,10 @@ class WriteAheadLog:
         Refuses with :class:`~repro.errors.PersistenceError` while a
         record is enqueued but not yet committed: the checkpoint that
         truncates must cover it, and dropping it would silently lose a
-        mutation its caller is about to acknowledge.  Every journaling
-        thread commits before it lets a checkpoint in (the façade's
-        sweep commits before it yields its type lock), so a refusal is
-        a broken caller, never a race to retry.
+        mutation its caller is about to acknowledge.  The façade's
+        checkpoint commits every enqueued record before it truncates
+        (enqueues happen only under the execution lock it holds), so a
+        refusal is a broken caller, never a race to retry.
         """
         with self._flush_lock:
             with self._mutex:

@@ -19,12 +19,12 @@ migration manager, organisational model, monitoring) into a single
   :class:`PersistentBackend` (typed write-ahead log + atomic snapshots)
   so the system survives restarts and crashes, with an LRU-bounded live
   cache hydrating cases from the instance store on access;
-* **a concurrent multi-worker runtime** — every public method is
-  thread-safe (striped per-instance locks, one read-write lock per
-  process type, group-committed journaling); ``system.serve(workers=N)``
-  runs a :class:`WorkerPool` that claims and completes work items in
-  parallel with work-stealing across types, while ``evolve`` quiesces
-  only the affected type.
+* **a multi-worker runtime** — every public method is thread-safe: each
+  runs as one operation under the system's single execution lock, with
+  group-committed journaling flushed outside it; ``system.serve(workers=N)``
+  runs a :class:`WorkerPool` that claims and completes work items with
+  work-stealing across types, running each activity's worker function
+  outside the lock.
 
 See ``docs/api.md``, ``docs/persistence.md`` and the concurrency section
 of ``docs/architecture.md`` for the full tour.
@@ -35,7 +35,6 @@ from repro.system.concurrency import (
     LockTable,
     PoolStats,
     RolloutSweeper,
-    RWLock,
     VirtualScheduler,
     WorkerPool,
     simulated_latency_worker,
@@ -88,7 +87,6 @@ __all__ = [
     "WorkerPool",
     "PoolStats",
     "LockTable",
-    "RWLock",
     "VirtualScheduler",
     "simulated_latency_worker",
     "Rollout",

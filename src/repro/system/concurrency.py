@@ -1,33 +1,31 @@
 """Concurrency primitives of the :class:`~repro.system.AdeptSystem` façade.
 
-ADEPT2's central claim is correctness of dynamic change *while cases are
-running*.  For that claim to mean anything, many cases must actually be
-able to run at once — this module provides the primitives that let one
-``AdeptSystem`` be driven safely from many threads:
+One ``AdeptSystem`` may be driven from many threads, but it has *one
+writer at a time*: every public operation runs from start to end under
+the system's single execution lock, the single-writer design of
+H-Store's single-threaded partitions (Stonebraker et al., "The End of an
+Architectural Era", VLDB 2007).  Under the GIL finer locking buys no
+parallel engine work, only lock traffic; scale-out comes from shard
+processes (:mod:`repro.service`).  This module provides:
 
-* :class:`LockTable` — striped per-instance locks.  Every execution or
-  mutation of one case holds its stripe; multi-id acquisitions take the
-  deduplicated stripes in one canonical order, so they can never
-  deadlock against each other.
-* :class:`RWLock` — a write-preferring read-write lock.  The façade keeps
-  one per process type: ``step``/``step_many``/ad-hoc changes take the
-  *read* side and proceed in parallel, ``evolve`` takes the *write* side
-  and thereby quiesces exactly the affected type while other types keep
-  executing.
-* :class:`WorkerPool` — the parallel worklist scheduler behind
+* :class:`LockTable` — the execution lock: one re-entrant lock and its
+  preallocated ``with`` scope.  The outermost scope of a thread runs the
+  system's release hook (pending canary decisions) before it lets go.
+* :class:`WorkerPool` — the worklist scheduler behind
   ``system.serve(workers=N)`` / ``system.drain()``.  Workers claim
   offered work items from per-type queues (atomic claim — an item is
   performed exactly once) and steal from other types' queues when their
-  own run dry.
+  own run dry; a worker function runs outside the execution lock.
 * :class:`VirtualScheduler` — a deterministic cooperative scheduler for
   the concurrency test harness: N logical threads run one at a time and
   the next runnable thread is chosen by a seeded RNG at every switch
   point, so a failing interleaving replays exactly from its seed.
 
-The façade's lock hierarchy (documented in ``docs/architecture.md``) is:
-schema lock → per-type RW locks → instance stripes → leaves (the
-live-registry lock, the worklist-manager lock, storage/bus internals).
-Locks are only ever acquired downwards.
+Only two waits happen outside the execution lock: the group-commit flush
+of an operation's WAL records (a ``step`` record excepted — a completed
+activity is committed at its step), and a worker function of the pool.
+The locks below it (the worklist manager's, the WAL's, storage and bus
+internals) are leaves, never held while the execution lock is awaited.
 """
 
 from __future__ import annotations
@@ -45,13 +43,10 @@ from typing import (
     Optional,
     Sequence,
     Set,
-    Tuple,
 )
-from zlib import crc32
 
 __all__ = [
     "LockTable",
-    "RWLock",
     "WorkerPool",
     "PoolStats",
     "RolloutSweeper",
@@ -61,180 +56,65 @@ __all__ = [
 
 
 class LockTable:
-    """Striped reentrant locks keyed by (instance) id.
+    """The execution lock of one system: one re-entrant lock, one scope.
 
-    Ids hash onto a fixed number of stripes; acquiring "the lock of an
-    id" acquires its stripe.  :meth:`holding` accepts many ids and
-    acquires the deduplicated stripes in ascending stripe order — the
-    canonical order that makes multi-id acquisition deadlock free.
+    :meth:`holding` is the single entry point through which an operation
+    takes it.  The scope counts its nesting; when the outermost scope of
+    the owning thread exits, ``on_release`` runs (still under the lock,
+    also when the body raised) and only then is the lock released.
     """
 
-    def __init__(self, stripes: int = 64) -> None:
-        if stripes < 1:
-            raise ValueError("stripes must be >= 1")
-        self._stripes: Tuple[threading.RLock, ...] = tuple(
-            threading.RLock() for _ in range(stripes)
-        )
-        self._scopes: Tuple[_StripeScope, ...] = tuple(
-            _StripeScope((lock,)) for lock in self._stripes
-        )
+    def __init__(self, on_release: Optional[Callable[[], None]] = None) -> None:
+        self._lock = threading.RLock()
+        #: thread ident of the holder (written by the holder only)
+        self._owner: Optional[int] = None
+        self._depth = 0
+        self._on_release = on_release
+        self._scope = _Held(self)
 
-    def __len__(self) -> int:
-        return len(self._stripes)
+    def held(self) -> bool:
+        """True when the calling thread holds the lock."""
+        return self._owner == threading.get_ident()
 
-    def _stripe_index(self, key: str) -> int:
-        # a stable, cheap string hash (hash() is randomised per process,
-        # which is fine within one process but worth avoiding for
-        # reproducible stress runs under PYTHONHASHSEED experiments)
-        return crc32(key.encode()) % len(self._stripes)
-
-    def lock_for(self, key: str) -> threading.RLock:
-        """The stripe lock guarding ``key``."""
-        return self._stripes[self._stripe_index(key)]
-
-    def holding(self, *keys: str) -> "_StripeScope":
-        """Hold the stripes of all ``keys``, acquired in canonical order.
-
-        The single stripe-acquisition entry point: a ``with`` scope that
-        takes each distinct stripe once, in ascending stripe order, and
-        releases them in reverse.  One key needs no set or sort — its
-        stripe's scope is preallocated.
-        """
-        if len(keys) == 1:
-            return self._scopes[self._stripe_index(keys[0])]
-        stripes = self._stripes
-        return _StripeScope(
-            tuple(stripes[index] for index in sorted({self._stripe_index(key) for key in keys}))
-        )
-
-    def try_acquire(self, key: str) -> bool:
-        """Non-blocking acquire of one key's stripe (used by eviction)."""
-        return self.lock_for(key).acquire(blocking=False)
-
-    def release(self, key: str) -> None:
-        self.lock_for(key).release()
+    def holding(self) -> "_Held":
+        """The lock as a ``with`` scope (preallocated; scopes nest)."""
+        return self._scope
 
 
-class RWLock:
-    """A write-preferring readers/writer lock.
+class _Held:
+    """The ``with`` scope of :meth:`LockTable.holding`.
 
-    Many readers may hold the lock at once; a writer holds it alone.
-    Once a writer is waiting, new readers queue behind it — ``evolve``
-    must be able to quiesce a type under a steady stream of steps.
-
-    The lock is not reentrant across modes (a reader must not request
-    the write side); the façade's lock hierarchy never needs that.  The
-    read side is on every step's path: its condition sits on a plain
-    (non-reentrant) lock, and a reader leaving wakes the waiters only
-    when a writer is among them — readers never wait on readers.
+    A plain object, not a generator-based context manager: one is entered
+    per operation.  Its state lives in the table, so one object serves
+    every entry on every thread.
     """
 
-    def __init__(self) -> None:
-        self._cond = threading.Condition(threading.Lock())
-        self._readers = 0
-        self._writer: Optional[int] = None
-        self._waiting_writers = 0
-        self._read_scope = _Scope(self.acquire_read, self.release_read)
-        self._write_scope = _Scope(self.acquire_write, self.release_write)
+    __slots__ = ("_table",)
 
-    def acquire_read(self) -> None:
-        with self._cond:
-            while self._writer is not None or self._waiting_writers:
-                self._cond.wait()
-            self._readers += 1
-
-    def release_read(self) -> None:
-        with self._cond:
-            self._readers -= 1
-            if self._readers == 0 and self._waiting_writers:
-                self._cond.notify_all()
-
-    @property
-    def writer_waiting(self) -> bool:
-        """True while a writer queues for the lock (an unlocked, cheap read).
-
-        A reader that holds the lock across many short units of work (the
-        rollout sweep) checks this between two units and, when it is set,
-        releases and re-acquires the read side — the re-acquisition queues
-        behind the writer, so the writer waits at most one unit.
-        """
-        return self._waiting_writers != 0
-
-    def acquire_write(self) -> None:
-        me = threading.get_ident()
-        with self._cond:
-            self._waiting_writers += 1
-            try:
-                while self._readers or self._writer is not None:
-                    self._cond.wait()
-            finally:
-                self._waiting_writers -= 1
-            self._writer = me
-
-    def release_write(self) -> None:
-        with self._cond:
-            self._writer = None
-            self._cond.notify_all()
-
-    def read(self) -> "_Scope":
-        """The shared side as a ``with`` scope."""
-        return self._read_scope
-
-    def write(self) -> "_Scope":
-        """The exclusive side as a ``with`` scope."""
-        return self._write_scope
-
-
-# The scopes are plain objects, not generator-based context managers: they
-# are entered once per case on the migration and execution paths, where a
-# generator frame per entry is measurable.  Their state lives in the locks
-# they wrap, so each side of an RWLock and each single stripe keeps one
-# scope object for every entry, on every thread.
-
-
-class _StripeScope:
-    """Holds a sorted tuple of distinct stripe locks for one ``with`` body."""
-
-    __slots__ = ("_locks",)
-
-    def __init__(self, locks: Tuple[threading.RLock, ...]) -> None:
-        self._locks = locks
+    def __init__(self, table: LockTable) -> None:
+        self._table = table
 
     def __enter__(self) -> None:
-        locks = self._locks
-        taken = 0
+        table = self._table
+        table._lock.acquire()
+        if not table._depth:
+            table._owner = threading.get_ident()
+        table._depth += 1
+
+    def __exit__(self, exc_type: Any, exc: Any, tb: Any) -> None:
+        table = self._table
         try:
-            for lock in locks:
-                lock.acquire()
-                taken += 1
-        except BaseException:
-            for lock in reversed(locks[:taken]):
-                lock.release()
-            raise
-
-    def __exit__(self, exc_type: Any, exc: Any, tb: Any) -> None:
-        for lock in reversed(self._locks):
-            lock.release()
-
-
-class _Scope:
-    """A ``with`` scope over one acquire/release pair (a side of an RWLock)."""
-
-    __slots__ = ("_acquire", "_release")
-
-    def __init__(self, acquire: Callable[[], None], release: Callable[[], None]) -> None:
-        self._acquire = acquire
-        self._release = release
-
-    def __enter__(self) -> None:
-        self._acquire()
-
-    def __exit__(self, exc_type: Any, exc: Any, tb: Any) -> None:
-        self._release()
+            if table._depth == 1 and table._on_release is not None:
+                table._on_release()
+        finally:
+            table._depth -= 1
+            if not table._depth:
+                table._owner = None
+            table._lock.release()
 
 
 # --------------------------------------------------------------------------- #
-# the parallel worklist scheduler
+# the worklist scheduler
 # --------------------------------------------------------------------------- #
 
 
@@ -264,14 +144,15 @@ def simulated_latency_worker(
     """An engine Worker that models a blocking activity implementation.
 
     Real activities do work *outside* the process engine — they call
-    services, wait on humans, read documents.  During that time the case
-    holds no engine resources and other cases can proceed; this worker
-    reproduces that profile by sleeping ``seconds`` (releasing the GIL)
-    before producing outputs.  The concurrency benchmark uses it: worker
-    threads overlap the blocked portion of activity execution, which is
-    exactly where a multi-worker runtime multiplies throughput.
+    services, wait on humans, read documents.  This worker reproduces
+    that profile by sleeping ``seconds`` (releasing the GIL) before
+    producing outputs.  Under :meth:`AdeptSystem.serve` the pool runs it
+    with the execution lock released — between the claim and the
+    completion, which take the lock — so worker threads overlap their
+    blocked time while other operations proceed; that is where a
+    multi-worker runtime multiplies throughput.  Passed to ``step_many``
+    or ``run`` it sleeps inside the operation, under the lock.
     """
-    import time
 
     def worker(node: Any, data: Any) -> Dict[str, Any]:
         time.sleep(seconds)
@@ -292,6 +173,10 @@ class WorkerPool:
     through the worklist manager's atomic claim before it executes, so
     even if an item id ends up queued twice (a resync races a worker)
     it is performed exactly once; the loser counts a stale claim.
+
+    One item is two operations of the system: the claim, which also
+    reads what the worker function needs, and the completion.  The
+    worker function runs between them, outside the execution lock.
 
     Nothing rescans the population: each completion leaves its case's
     items synchronised (the execution scope's exit) and the pool feeds
@@ -471,29 +356,28 @@ class WorkerPool:
         from repro.runtime.engine import EngineError
 
         user = f"{self.user_prefix}-{index}"
-        worklists = self.system.worklists
+        system = self.system
+        worker_fn = self.worker_fn
         while True:
             item_id = self._next_item(index)
             if item_id is None:
                 return
             try:
                 try:
-                    # the pool executes items as the system scheduler, not
-                    # as a named human — org-model roles gate *human*
-                    # worklists; enforcing them here would livelock drain()
-                    # on any role-restricted item (failed claim → still
-                    # offered → re-queued by the next resync, forever)
-                    worklists.claim(item_id, user, enforce_roles=False)
+                    node, data = system._claim_work(item_id, user)
                 except EngineError:
                     # withdrawn, claimed by someone else, or its case was
                     # deleted — the atomic claim makes this a clean no-op
                     with self._mutex:
                         self.stats.stale_claims += 1
                     continue
+                worker = None
+                if worker_fn is not None:
+                    # the activity's own work: outside the execution lock
+                    produced = dict(worker_fn(node, data))
+                    worker = lambda node, data: produced  # noqa: E731
                 try:
-                    item = worklists.complete(
-                        item_id, auto_outputs=True, worker=self.worker_fn
-                    )
+                    item = system._complete_work(item_id, worker)
                 except EngineError as exc:
                     with self._mutex:
                         self.stats.errors.append(f"{item_id}: {exc}")
@@ -504,13 +388,9 @@ class WorkerPool:
                         self.stats.steps_by_worker.get(user, 0) + 1
                     )
                 # feed the freshly offered items of this case back in
-                type_id = self.system._type_of(item.instance_id)
-                for follow_up in worklists.offered_items_for_instance(item.instance_id):
+                type_id = system._type_of(item.instance_id)
+                for follow_up in system.worklists.offered_items_for_instance(item.instance_id):
                     self.submit(follow_up.item_id, type_id or "")
-                # a touch inside the completion may have tipped a canary
-                # rollout over its decision point; the worker executes the
-                # pending promote/rollback here, outside every lock
-                self.system._drain_rollout_actions()
             except Exception as exc:  # pragma: no cover - defensive
                 with self._mutex:
                     self.stats.errors.append(f"{item_id}: {exc!r}")
@@ -530,12 +410,8 @@ class RolloutSweeper:
     and sleeps ``interval`` between rounds, until the rollout leaves its
     active states (completed or rolled back) or :meth:`stop` is called.
     The bounded batch per round is what keeps the drain from starving
-    case execution: each sweep touches at most ``batch`` cases.  A sweep
-    holds its type's read lock (shared with every step of the type) for
-    the round and yields it to a waiting writer between two cases, and
-    each case's stripe only while that case is decided.
-    The sweeper also executes pending canary decisions — it calls into
-    the façade holding no locks, the safe point for a promote/rollback.
+    case execution: each sweep is one operation of the system, holding
+    the execution lock for at most ``batch`` cases.
     """
 
     def __init__(
@@ -608,9 +484,9 @@ class VirtualScheduler:
     between switch points, the whole interleaving — and therefore any
     failure it provokes — is a pure function of the seed.
 
-    Functions must not hold locks across switch points (the façade's
-    public operations never do); a thread blocking on a lock held by a
-    paused thread would stall the schedule.
+    Functions must not hold locks across switch points (a façade
+    operation holds the execution lock only while it runs); a thread
+    blocking on a lock held by a paused thread would stall the schedule.
     """
 
     def __init__(self, seed: int = 0) -> None:

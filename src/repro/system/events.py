@@ -129,12 +129,13 @@ class EventBus:
     subscriber dispatch happen under one reentrant lock, so every
     subscriber observes all events in strictly ascending ``seq`` order
     even when many threads publish concurrently.  Dispatch is therefore
-    serialised, and events fire from inside the façade's locked regions
-    (an ``instance_migrated`` fires while its type is quiesced under the
-    write lock).  Two hard rules for subscribers follow: they must stay
-    cheap (the built-in :class:`~repro.monitoring.EventFeed` is an
-    appender), and they must **never call back into the system
-    synchronously** — doing so from inside a quiesce deadlocks.  Slow or
+    serialised, and events fire from inside the façade's operations,
+    under its execution lock.  Two hard rules for subscribers follow:
+    they must stay cheap (the built-in
+    :class:`~repro.monitoring.EventFeed` is an appender), and they must
+    **never call back into the system synchronously** — a call from the
+    publishing thread runs a nested operation in the middle of one, and
+    a call handed to another thread and waited for deadlocks.  Slow or
     re-entrant consumers belong behind a queue-forwarding subscriber
     that processes events on their own thread.
     """

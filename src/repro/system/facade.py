@@ -26,21 +26,17 @@ Everything is addressed by ID — handles are thin references that stay
 valid across save/load cycles and migrations.
 
 **Concurrency.**  One system may be driven from many threads; every
-public method is thread-safe.  The locking discipline (see
-``docs/architecture.md`` for the full contract):
+public method is thread-safe because the system has one writer at a
+time.  Each public operation holds the system's one execution lock
+(:class:`~repro.system.concurrency.LockTable`) from start to end, so
+operations are serialised whole: the registry, the store, the worklists,
+the rollouts and the journal are only ever changed by the thread that
+holds it.  Two waits happen outside the lock: the group-commit flush of
+the WAL records an operation journaled, and the worker function of a
+pool worker (see ``docs/architecture.md``).
 
-* one **read-write lock per process type** — executions and per-case
-  changes hold the read side and run in parallel; :meth:`evolve` holds
-  the write side and thereby quiesces exactly the affected type;
-* a striped **per-instance lock table** — each case is executed by at
-  most one thread at a time; multi-case operations (migration) acquire
-  all involved stripes in canonical order;
-* a **registry lock** for the live-instance LRU, the dirty set and the
-  case-id counters, and the **worklist-manager lock** for the open work
-  items (both innermost leaves, never held across engine work).
-
-Whoever works on a case synchronises *that case's* work items before
-releasing its stripe (the exits of :meth:`AdeptSystem._case_execution`
+Whoever works on a case synchronises *that case's* work items before it
+lets go of the case (the exits of :meth:`AdeptSystem._case_execution`
 and :meth:`AdeptSystem._batch_execution`) — no request ever rescans the
 population.
 
@@ -51,9 +47,10 @@ exploits this.
 
 from __future__ import annotations
 
+import functools
 import threading
 import time
-from collections import OrderedDict, deque
+from collections import OrderedDict
 from contextlib import contextmanager, nullcontext
 from typing import (
     Any,
@@ -93,7 +90,7 @@ from repro.schema.graph import ProcessSchema, SchemaError
 from repro.storage.instance_store import InstanceStore, StorageError, StoredInstance
 from repro.storage.repository import SchemaRepository
 from repro.storage.serialization import instance_from_dict, instance_to_dict
-from repro.system.concurrency import LockTable, PoolStats, RWLock, WorkerPool
+from repro.system.concurrency import LockTable, PoolStats, WorkerPool
 from repro.system.persistence import (
     KIND_ADHOC_CHANGE,
     KIND_EVOLUTION,
@@ -143,12 +140,12 @@ MIGRATE_STRICT = "strict"
 MIGRATE_ROLLBACK = "rollback"
 
 #: Upper bound on cases executed under one :meth:`AdeptSystem.step_many`
-#: batch scope (pins + stripes held at once).  Small enough that a batch
-#: never monopolises the lock table, large enough to amortise the
-#: per-chunk locking and kernel dispatch.
+#: batch scope.  Large enough to amortise the per-chunk kernel dispatch;
+#: with a bounded live cache the chunk never exceeds the cache, so
+#: hydrating a chunk never evicts a case of the same chunk.
 _BATCH_CHUNK = 16
 
-#: The scope of "no lock" / "no suspension": stateless, so shared.
+#: The scope of "no suspension": stateless, so shared.
 _NULL_SCOPE: ContextManager[None] = nullcontext()
 
 _CONFLICT_OUTCOMES = (
@@ -170,6 +167,34 @@ def _json_serialisable(outputs: Mapping[str, Any]) -> None:
     import json
 
     json.dumps(outputs)
+
+
+def _operation(method: Any) -> Any:
+    """Run a façade method as one operation of the system.
+
+    The outermost call holds the execution lock for the whole method; a
+    call made inside another operation runs within the caller's.  On a
+    durable system the call also opens the backend's commit scope
+    *outside* the lock: its records are enqueued under the lock and
+    flushed once the lock is released, and the call returns only after
+    that — the durability wait holds up no other operation.  (A ``step``
+    record is the exception: each completed activity is its own commit
+    point, see :meth:`AdeptSystem._on_engine_step`.)
+    """
+
+    @functools.wraps(method)
+    def operation(self: "AdeptSystem", *args: Any, **kwargs: Any) -> Any:
+        lock = self._lock
+        if lock.held():
+            return method(self, *args, **kwargs)
+        backend = self._backend
+        if backend is None:
+            with lock.holding():
+                return method(self, *args, **kwargs)
+        with backend.commit_scope(), lock.holding():
+            return method(self, *args, **kwargs)
+
+    return operation
 
 
 class AdeptSystem:
@@ -235,30 +260,13 @@ class AdeptSystem:
         #: Report of the recovery performed by :meth:`open` (``None`` otherwise).
         self.last_recovery: Optional[RecoveryReport] = None
 
-        # ---- concurrency plumbing.  The lock hierarchy, only ever
-        # acquired downwards: schema lock → type RW locks → instance
-        # stripes → leaves (the registry lock below, the worklist-manager
-        # lock, storage/bus internals).  A leaf guards its own dicts and
-        # is never held while a lock above it is waited for — in
-        # particular the worklist manager never takes a stripe: it reads
-        # a marking only of a case handed in by whoever holds that case's
-        # stripe (or its type's write lock) ----
-        #: Striped per-instance execution locks.
-        self._locks = LockTable()
-        self._type_locks: Dict[str, RWLock] = {}
-        self._type_locks_guard = threading.Lock()
-        #: Read: deploy/adopt; write: checkpoint (quiesces the whole system).
-        self._schema_lock = RWLock()
-        #: Guards the live-instance LRU, dirty set, pins and id counters.
-        self._registry = threading.RLock()
-        #: Per-id pin counts — a pinned case is mid-execution and must not
-        #: be evicted (the named eviction-vs-step race).
-        self._pinned_ids: Dict[str, int] = {}
-        #: Explicit id reservations between allocation and registration.
-        self._reserved_ids: Set[str] = set()
+        #: The execution lock: every operation holds it from start to end.
+        #: Its outermost exit runs the canary decisions the operation took.
+        self._lock = LockTable(on_release=self._run_rollout_decisions)
         self._pool: Optional[WorkerPool] = None
         # serve()/drain() are check-then-act on _pool; racing callers
-        # must resolve to one pool, not two (one of which would leak)
+        # must resolve to one pool, not two (one of which would leak).
+        # Not the execution lock: drain waits for workers that need it
         self._pool_guard = threading.Lock()
 
         # ---- progressive rollout state (see repro.system.rollout) ----
@@ -269,10 +277,9 @@ class AdeptSystem:
         #: Versions retired by a "pin"-policy canary rollback — never
         #: picked for new cases, though pinned cases keep running on them.
         self._retired_versions: Dict[str, Set[int]] = {}
-        #: Canary decisions taken on a touch path; executed later at a
-        #: point where the deciding thread holds no locks (a rollback
-        #: needs the type's *write* lock, which a toucher cannot take).
-        self._pending_rollout_actions: "deque" = deque()
+        #: Canary decisions taken by a touch or a sweep; they run when the
+        #: operation that took them ends (:meth:`_run_rollout_decisions`).
+        self._rollout_decisions: List[tuple] = []
 
         # journaling + dirty tracking for every committed activity transition
         self.engine.step_listener = self._on_engine_step
@@ -285,117 +292,55 @@ class AdeptSystem:
         self.worklists.execution_guard = self._case_execution
 
     # ------------------------------------------------------------------ #
-    # locking helpers
+    # execution scopes
     # ------------------------------------------------------------------ #
-
-    def _type_lock(self, type_id: str) -> RWLock:
-        # reading the map needs no guard; only creating a lock does
-        lock = self._type_locks.get(type_id)
-        if lock is None:
-            with self._type_locks_guard:
-                lock = self._type_locks.setdefault(type_id, RWLock())
-        return lock
-
-    def _type_read(self, type_id: str) -> ContextManager[None]:
-        """Shared execution scope of one type ('' skips — unknown cases)."""
-        if not type_id:
-            return _NULL_SCOPE
-        return self._type_lock(type_id).read()
 
     @contextmanager
     def _case_execution(self, instance_id: str) -> Iterator[ProcessInstance]:
         """The canonical execution scope for one case.
 
-        Holds the case's type read lock (so an ``evolve`` quiesces it),
-        pins the case against eviction and holds its stripe — the
-        per-instance mutual exclusion that makes the engine's
-        thread-safety contract hold.  Yields the live instance and, on
-        the way out with the stripe still held, synchronises its work
-        items — the one place a stepped, changed, claimed or aborted
-        case meets the worklist.
+        Yields the live instance — adopting an in-flight rollout's version
+        first — and, on the way out, synchronises its work items: the one
+        place a stepped, changed, claimed or aborted case meets the
+        worklist.  Runs inside the calling operation; an engine call of
+        the worklist manager made outside any operation (its execution
+        guard is this scope) takes the lock itself — its ``step`` record
+        is committed at the step, like every other.
         """
-        type_id = self._type_of(instance_id)
-        self._pin(instance_id)
+        if not self._lock.held():
+            with self._lock.holding(), self._case_execution(instance_id) as instance:
+                yield instance
+            return
+        instance = self._live(instance_id)
         try:
-            with self._type_read(type_id):
-                with self._locks.holding(instance_id):
-                    instance = self.get_instance(instance_id)
-                    try:
-                        if self._rollouts:
-                            # lazy on-touch migration: the case adopts an
-                            # in-flight rollout's version before it is
-                            # worked on (claim, step, change, save — every
-                            # path through this scope)
-                            self._touch_for_rollout(instance)
-                        yield instance
-                    finally:
-                        self.worklists.sync_instance(instance)
+            if self._rollouts:
+                # lazy on-touch migration: the case adopts an in-flight
+                # rollout's version before it is worked on (claim, step,
+                # change, save — every path through this scope)
+                self._touch_for_rollout(instance)
+            yield instance
         finally:
-            self._unpin(instance_id)
+            self.worklists.sync_instance(instance)
 
     @contextmanager
-    def _batch_execution(
-        self, type_id: str, instance_ids: List[str]
-    ) -> Iterator[List[ProcessInstance]]:
-        """Execution scope for a same-type batch of cases.
+    def _batch_execution(self, instance_ids: List[str]) -> Iterator[List[ProcessInstance]]:
+        """Execution scope for a same-type batch of cases (inside an operation).
 
-        The batch twin of :meth:`_case_execution`: pins every case, takes
-        the shared type read lock once, then acquires all case stripes in
-        one deadlock-free :meth:`~repro.system.concurrency.LockTable.holding`
-        call (deduplicated, canonical stripe order).  Yields the hydrated
+        The batch twin of :meth:`_case_execution`: yields the hydrated
         live instances in batch order and synchronises the work items of
-        exactly those cases before the stripes are released.
+        exactly those cases on the way out.
         """
-        for instance_id in instance_ids:
-            self._pin(instance_id)
+        instances: List[ProcessInstance] = []
         try:
-            with self._type_read(type_id):
-                with self._locks.holding(*instance_ids):
-                    instances: List[ProcessInstance] = []
-                    try:
-                        for instance_id in instance_ids:
-                            instance = self.get_instance(instance_id)
-                            instances.append(instance)
-                            if self._rollouts:
-                                self._touch_for_rollout(instance)
-                        yield instances
-                    finally:
-                        for instance in instances:
-                            self.worklists.sync_instance(instance)
-        finally:
             for instance_id in instance_ids:
-                self._unpin(instance_id)
-
-    def _pin(self, instance_id: str) -> None:
-        with self._registry:
-            self._pinned_ids[instance_id] = self._pinned_ids.get(instance_id, 0) + 1
-
-    def _unpin(self, instance_id: str) -> None:
-        with self._registry:
-            count = self._pinned_ids.get(instance_id, 0) - 1
-            if count <= 0:
-                self._pinned_ids.pop(instance_id, None)
-            else:
-                self._pinned_ids[instance_id] = count
-
-    @contextmanager
-    def _quiesced(self) -> Iterator[None]:
-        """Stop-the-world scope: no deploy, step, change or evolve runs.
-
-        Takes the schema write lock (excludes new deployments) and then
-        every type's write lock in canonical (sorted) order — the only
-        multi-type acquisition in the system, so it cannot deadlock
-        against single-type holders.  Used by :meth:`checkpoint`.
-        """
-        with self._schema_lock.write():
-            locks = [self._type_lock(name) for name in sorted(self.repository.type_names())]
-            for lock in locks:
-                lock.acquire_write()
-            try:
-                yield
-            finally:
-                for lock in reversed(locks):
-                    lock.release_write()
+                instance = self._live(instance_id)
+                instances.append(instance)
+                if self._rollouts:
+                    self._touch_for_rollout(instance)
+            yield instances
+        finally:
+            for instance in instances:
+                self.worklists.sync_instance(instance)
 
     # ------------------------------------------------------------------ #
     # durability: open / journaling / checkpoint / close
@@ -423,7 +368,8 @@ class AdeptSystem:
         backend = PersistentBackend(path)
         system = cls(cache_instances=cache_instances, **kwargs)
         system._attach_backend(backend)
-        report = backend.recover(system)
+        with system._lock.holding():
+            report = backend.recover(system)
         system.last_recovery = report
         system.bus.publish(
             CATEGORY_SYSTEM,
@@ -487,11 +433,7 @@ class AdeptSystem:
             self._backend.journal(kind, **fields)
 
     def _journal_suspended(self) -> ContextManager[None]:
-        """Suppress WAL journaling (compound mutations journal one typed record).
-
-        Suspension is per thread — concurrent mutations of *other* cases
-        on other threads keep journaling their own records.
-        """
+        """Suppress WAL journaling (compound mutations journal one typed record)."""
         if self._backend is None:
             return _NULL_SCOPE
         return self._backend.suspended()
@@ -508,74 +450,59 @@ class AdeptSystem:
 
         The engine notifies once per acknowledged operation — an explicit
         start, or a completion (which covers its implicit start) — so a
-        completed activity is one record and one commit point.
+        completed activity is one record and one commit point: the record
+        is committed here, with whatever the operation journaled before
+        it, also inside a multi-step operation.
         """
         instance_id = instance.instance_id
-        with self._registry:
-            if instance_id not in self._instances:
-                return  # scratch/clone instance driven through the shared engine
-            self._dirty.add(instance_id)
-        if self._backend is not None:
-            self._backend.journal(
-                KIND_STEP,
-                instance_id=instance_id,
-                action=action,
-                activity=activity_id,
-                outputs=dict(outputs) if outputs else None,
-                user=user,
-            )
+        if instance_id not in self._instances:
+            return  # scratch/clone instance driven through the shared engine
+        self._dirty.add(instance_id)
+        backend = self._backend
+        if backend is not None and backend.journal(
+            KIND_STEP,
+            instance_id=instance_id,
+            action=action,
+            activity=activity_id,
+            outputs=dict(outputs) if outputs else None,
+            user=user,
+        ) is not None:
+            backend.commit()
 
     # ------------------------------------------------------------------ #
     # lazy hydration: the LRU-bounded live-instance cache
     # ------------------------------------------------------------------ #
 
     def _enforce_cache_cap(self) -> None:
+        """Evict least-recently-used cases down to the cap (inside an operation).
+
+        The most recently touched case always stays live, and so does
+        every case of a :meth:`step_many` chunk (a chunk never exceeds
+        the cap).  From the LRU head, no further than the excess
+        requires: the cost of an eviction must not grow with the cache
+        it trims.
+        """
         cap = self.cache_instances
         if cap is None:
             return
-        cap = max(cap, 1)  # the most recently touched case always stays live
-        # victim selection holds the registry lock (tiny: dict pops only);
-        # the expensive write-backs run after it is released, under each
-        # victim's stripe — which was acquired (non-blocking) during
-        # selection and is what keeps a racing re-hydration of the same id
-        # waiting until the store copy is current
-        victims: List[tuple] = []  # (instance_id, instance, dirty)
-        with self._registry:
-            excess = len(self._instances) - cap
-            if excess <= 0:
-                return
-            # from the LRU head, no further than the excess requires: the
-            # cost of an eviction must not grow with the cache it trims
-            chosen: List[str] = []
-            for instance_id in self._instances:
-                if self._pinned_ids.get(instance_id):
-                    continue  # mid-execution on another thread
-                if not self._locks.try_acquire(instance_id):
-                    continue  # its stripe is busy; try again next time
-                chosen.append(instance_id)
-                if len(chosen) == excess:
-                    break
-            for instance_id in chosen:
-                instance = self._instances.pop(instance_id)
-                dirty = instance_id in self._dirty
+        for _ in range(len(self._instances) - max(cap, 1)):
+            instance_id = next(iter(self._instances))
+            instance = self._instances.pop(instance_id)
+            if instance_id in self._dirty:
                 self._dirty.discard(instance_id)
-                victims.append((instance_id, instance, dirty))
-        for instance_id, instance, dirty in victims:
-            try:
-                if dirty:
-                    # the logical WAL records already cover this state —
-                    # the save is a cache write-back, not a durability point
-                    self.store.write_back(instance)
-                self.worklists.unregister_instance(instance_id)
-            finally:
-                self._locks.release(instance_id)
-        for instance_id, _, _ in victims:
+                # the logical WAL records already cover this state —
+                # the save is a cache write-back, not a durability point
+                self.store.write_back(instance)
+            self.worklists.unregister_instance(instance_id)
             self.bus.publish(CATEGORY_SYSTEM, "instance_evicted", instance_id=instance_id)
 
     def _type_of(self, instance_id: str) -> str:
-        """Process type of a live or stored case ('' when unknown)."""
-        with self._registry:
-            instance = self._instances.get(instance_id)
+        """Process type of a live or stored case ('' when unknown).
+
+        A read of leaf-guarded maps: pool workers call it outside any
+        operation.
+        """
+        instance = self._instances.get(instance_id)
         if instance is not None:
             return instance.process_type
         try:
@@ -587,6 +514,7 @@ class AdeptSystem:
     # schema deployment and type access
     # ------------------------------------------------------------------ #
 
+    @_operation
     def deploy(self, schema: ProcessSchema, verify: bool = True) -> TypeHandle:
         """Register ``schema`` as a new process type (version 1).
 
@@ -600,9 +528,8 @@ class AdeptSystem:
                 raise SchemaError(
                     f"schema {schema.name!r} fails buildtime verification:\n" + report.summary()
                 )
-        with self._schema_lock.read():
-            self.repository.register_type(schema)
-            self._journal(KIND_TYPE_DEPLOYED, type_id=schema.name, schema=schema.to_dict())
+        self.repository.register_type(schema)
+        self._journal(KIND_TYPE_DEPLOYED, type_id=schema.name, schema=schema.to_dict())
         self.bus.publish(
             CATEGORY_SCHEMA,
             "type_deployed",
@@ -612,18 +539,18 @@ class AdeptSystem:
         )
         return TypeHandle(self, schema.name)
 
+    @_operation
     def adopt(self, process_type: ProcessType) -> TypeHandle:
         """Adopt an externally built :class:`ProcessType` (all versions)."""
-        with self._schema_lock.read():
-            self.repository.adopt_type(process_type)
-            self._journal(
-                KIND_TYPE_ADOPTED,
-                type_id=process_type.name,
-                schemas=[
-                    process_type.schema_for(version).to_dict()
-                    for version in process_type.versions
-                ],
-            )
+        self.repository.adopt_type(process_type)
+        self._journal(
+            KIND_TYPE_ADOPTED,
+            type_id=process_type.name,
+            schemas=[
+                process_type.schema_for(version).to_dict()
+                for version in process_type.versions
+            ],
+        )
         self.bus.publish(
             CATEGORY_SCHEMA,
             "type_deployed",
@@ -657,6 +584,7 @@ class AdeptSystem:
     # instance lifecycle
     # ------------------------------------------------------------------ #
 
+    @_operation
     def start(
         self,
         type_id: str,
@@ -671,58 +599,39 @@ class AdeptSystem:
         keyword arguments become initial data-element values.
         """
         process_type = self.repository.process_type(type_id)
-        with self._type_read(type_id):
-            schema = (
-                self._startable_schema(process_type)
-                if version is None
-                else process_type.schema_for(version)
-            )
-            with self._registry:
-                if case_id is None:
-                    case_id = self._next_case_id(type_id)
-                elif (
-                    case_id in self._instances
-                    or case_id in self._reserved_ids
-                    or self.store.contains(case_id)
-                ):
-                    raise EngineError(f"instance id {case_id!r} is already in use")
-                self._reserved_ids.add(case_id)
-            with self._locks.holding(case_id):
-                try:
-                    instance = self.engine.create_instance(
-                        schema, case_id, initial_data=data or None
-                    )
-                    with self._registry:
-                        self._instances[case_id] = instance
-                        self._dirty.add(case_id)
-                finally:
-                    with self._registry:
-                        self._reserved_ids.discard(case_id)
-                # journal before the case becomes claimable through the
-                # worklist — a pool worker must never journal a step of a
-                # case whose start record is not durable yet
-                self._journal(
-                    KIND_INSTANCE_STARTED,
-                    instance_id=case_id,
-                    type_id=type_id,
-                    version=schema.version,
-                    data=dict(data),
-                )
-                self.worklists.register_instance(instance)
+        schema = (
+            self._startable_schema(process_type)
+            if version is None
+            else process_type.schema_for(version)
+        )
+        if case_id is None:
+            case_id = self._next_case_id(type_id)
+        elif self._in_use(case_id):
+            raise EngineError(f"instance id {case_id!r} is already in use")
+        instance = self.engine.create_instance(schema, case_id, initial_data=data or None)
+        self._instances[case_id] = instance
+        self._dirty.add(case_id)
+        self._journal(
+            KIND_INSTANCE_STARTED,
+            instance_id=case_id,
+            type_id=type_id,
+            version=schema.version,
+            data=dict(data),
+        )
+        self.worklists.register_instance(instance)
         self._notify_pool(case_id)
         self._enforce_cache_cap()
         return InstanceHandle(self, case_id)
 
+    def _in_use(self, case_id: str) -> bool:
+        return case_id in self._instances or self.store.contains(case_id)
+
     def _next_case_id(self, type_id: str) -> str:
-        """Allocate the next free generated id (registry lock held)."""
+        """Allocate the next free generated id."""
         while True:
             self._case_counters[type_id] = self._case_counters.get(type_id, 0) + 1
             case_id = f"{type_id}-{self._case_counters[type_id]:05d}"
-            if (
-                case_id not in self._instances
-                and case_id not in self._reserved_ids
-                and not self.store.contains(case_id)
-            ):
+            if not self._in_use(case_id):
                 return case_id
 
     def _startable_schema(self, process_type: ProcessType) -> ProcessSchema:
@@ -749,6 +658,7 @@ class AdeptSystem:
         self.get_instance(instance_id)
         return InstanceHandle(self, instance_id)
 
+    @_operation
     def adopt_instance(self, instance: ProcessInstance) -> InstanceHandle:
         """Track an externally created :class:`ProcessInstance`.
 
@@ -757,54 +667,47 @@ class AdeptSystem:
         """
         self.repository.process_type(instance.process_type)  # raises when unknown
         instance_id = instance.instance_id
-        with self._type_read(instance.process_type):
-            with self._locks.holding(instance_id):
-                with self._registry:
-                    if instance_id in self._instances or instance_id in self._reserved_ids:
-                        raise EngineError(f"instance id {instance_id!r} is already in use")
-                    self._instances[instance_id] = instance
-                    self._dirty.add(instance_id)
-                self._journal(
-                    KIND_INSTANCE_ADOPTED,
-                    instance_id=instance_id,
-                    record=self.store.encode_record(instance),
-                )
-                self.worklists.register_instance(instance)
+        if instance_id in self._instances:
+            raise EngineError(f"instance id {instance_id!r} is already in use")
+        self._instances[instance_id] = instance
+        self._dirty.add(instance_id)
+        self._journal(
+            KIND_INSTANCE_ADOPTED,
+            instance_id=instance_id,
+            record=self.store.encode_record(instance),
+        )
+        self.worklists.register_instance(instance)
         self._notify_pool(instance_id)
         self._enforce_cache_cap()
         return InstanceHandle(self, instance_id)
 
+    @_operation
     def get_instance(self, instance_id: str) -> ProcessInstance:
         """The live :class:`ProcessInstance` behind an id.
 
         Cases known only to the instance store are loaded (and registered
-        with the worklist manager) transparently.  Hydration of one id is
-        serialised on its stripe, so two threads racing for an evicted
-        case agree on one live object.
+        with the worklist manager) transparently.
         """
-        with self._registry:
-            instance = self._instances.get(instance_id)
-            if instance is not None:
-                self._instances.move_to_end(instance_id)
-                return instance
-        with self._locks.holding(instance_id):
-            with self._registry:
-                instance = self._instances.get(instance_id)
-                if instance is not None:
-                    self._instances.move_to_end(instance_id)
-                    return instance
-            if not self.store.contains(instance_id):
-                raise EngineError(f"unknown instance {instance_id!r}")
-            instance = self.store.load(instance_id)
-            with self._registry:
-                self._instances[instance_id] = instance
-            # synchronised here, under its stripe: the stored record may
-            # have been rewritten (migrated) while the case was evicted
-            self.worklists.register_instance(instance)
+        return self._live(instance_id)
+
+    def _live(self, instance_id: str) -> ProcessInstance:
+        """:meth:`get_instance` inside an operation."""
+        instance = self._instances.get(instance_id)
+        if instance is not None:
+            self._instances.move_to_end(instance_id)
+            return instance
+        if not self.store.contains(instance_id):
+            raise EngineError(f"unknown instance {instance_id!r}")
+        instance = self.store.load(instance_id)
+        self._instances[instance_id] = instance
+        # the stored record may have been rewritten (migrated) while the
+        # case was evicted
+        self.worklists.register_instance(instance)
         self.bus.publish(CATEGORY_SYSTEM, "instance_loaded", instance_id=instance_id)
         self._enforce_cache_cap()
         return instance
 
+    @_operation
     def instances_of(
         self, type_id: str, version: Optional[int] = None
     ) -> List[InstanceHandle]:
@@ -815,38 +718,37 @@ class AdeptSystem:
         — handles are resolved lazily on first use.  For ids that are both
         live and stored the live state decides the version filter.
         """
-        with self._registry:
-            live = list(self._instances.values())
         ids = {
             instance.instance_id
-            for instance in live
+            for instance in self._instances.values()
             if instance.process_type == type_id
             and (version is None or instance.schema_version == version)
         }
-        live_ids = {instance.instance_id for instance in live}
         stored = (
             self.store.instances_of_type(type_id)
             if version is None
             else self.store.instances_of_type(type_id, version)
         )
         for instance_id in stored:
-            if instance_id not in live_ids:
+            if instance_id not in self._instances:
                 ids.add(instance_id)
         return [InstanceHandle(self, instance_id) for instance_id in sorted(ids)]
 
+    @_operation
     def live_instance_ids(self) -> List[str]:
-        with self._registry:
-            return sorted(self._instances)
+        return sorted(self._instances)
 
     # ------------------------------------------------------------------ #
     # execution (addressed by id)
     # ------------------------------------------------------------------ #
 
+    @_operation
     def activated(self, instance_id: str) -> List[str]:
         """Activity ids of a case that could be started right now."""
         with self._case_execution(instance_id) as instance:
             return instance.activated_activities()
 
+    @_operation
     def start_activity(
         self, instance_id: str, activity_id: str, user: Optional[str] = None
     ) -> StepResult:
@@ -859,6 +761,7 @@ class AdeptSystem:
                 activated=instance.activated_activities(),
             )
 
+    @_operation
     def complete(
         self,
         instance_id: str,
@@ -869,25 +772,23 @@ class AdeptSystem:
         """Complete one activity of a case and return the resulting state."""
         with self._case_execution(instance_id) as instance:
             self.engine.complete_activity(instance, activity_id, outputs=outputs, user=user)
-            result = StepResult(
+            return StepResult(
                 instance_id=instance_id,
                 activity_id=activity_id,
                 status=instance.status,
                 activated=instance.activated_activities(),
             )
-        self._drain_rollout_actions()
-        return result
 
+    @_operation
     def run(
         self, instance_id: str, worker: Optional[Worker] = None, max_steps: int = 10000
     ) -> RunResult:
         """Drive a case until it completes (or no activity is activated)."""
         with self._case_execution(instance_id) as instance:
             steps = self.engine.run_to_completion(instance, worker=worker, max_steps=max_steps)
-            result = RunResult(instance_id=instance_id, steps=steps, status=instance.status)
-        self._drain_rollout_actions()
-        return result
+            return RunResult(instance_id=instance_id, steps=steps, status=instance.status)
 
+    @_operation
     def step_many(
         self,
         instance_ids: Iterable[str],
@@ -923,54 +824,47 @@ class AdeptSystem:
             order.sort(key=types.__getitem__)
         results: List[Optional[RunResult]] = [None] * len(ids)
         # maximal runs of consecutive same-type positions execute as one
-        # batch: one type read lock, one multi-stripe acquisition, one
-        # engine call for the whole run.  Chunks stay small so
-        # a batch never pins more cases than a bounded live cache can hold.
+        # batch: one engine call for the whole run.  With a bounded live
+        # cache a chunk never holds more cases than the cache.
         chunk_cap = _BATCH_CHUNK
         if self.cache_instances is not None:
             chunk_cap = max(1, min(chunk_cap, self.cache_instances))
-        try:
-            cursor = 0
-            while cursor < len(order):
-                type_id = types[order[cursor]]
-                upper = cursor + 1
-                while (
-                    upper < len(order)
-                    and upper - cursor < chunk_cap
-                    and types[order[upper]] == type_id
-                ):
-                    upper += 1
-                chunk = order[cursor:upper]
-                cursor = upper
-                chunk_ids = [ids[position] for position in chunk]
-                with self._batch_execution(type_id, chunk_ids) as instances:
-                    active_flags = [instance.status.is_active for instance in instances]
-                    active = [
-                        instance
-                        for instance, flag in zip(instances, active_flags)
-                        if flag
-                    ]
-                    counts = iter(
-                        self.engine.step_many_compiled(active, steps, worker=worker)
-                    )
-                    for position, instance, flag in zip(chunk, instances, active_flags):
-                        results[position] = RunResult(
-                            instance_id=instance.instance_id,
-                            steps=next(counts) if flag else 0,
-                            status=instance.status,
-                        )
-        finally:
+        cursor = 0
+        while cursor < len(order):
+            type_id = types[order[cursor]]
+            upper = cursor + 1
+            while (
+                upper < len(order)
+                and upper - cursor < chunk_cap
+                and types[order[upper]] == type_id
+            ):
+                upper += 1
+            chunk = order[cursor:upper]
+            cursor = upper
             # chunks that ran before a mid-batch failure (e.g. an unknown
             # id) synchronised their cases on the way out of their scope
-            self._drain_rollout_actions()
+            with self._batch_execution([ids[position] for position in chunk]) as instances:
+                active_flags = [instance.status.is_active for instance in instances]
+                active = [
+                    instance
+                    for instance, flag in zip(instances, active_flags)
+                    if flag
+                ]
+                counts = iter(self.engine.step_many_compiled(active, steps, worker=worker))
+                for position, instance, flag in zip(chunk, instances, active_flags):
+                    results[position] = RunResult(
+                        instance_id=instance.instance_id,
+                        steps=next(counts) if flag else 0,
+                        status=instance.status,
+                    )
         return [result for result in results if result is not None]
 
+    @_operation
     def abort(self, instance_id: str) -> None:
         """Abort a case (the baseline policy of non-adaptive systems)."""
         with self._case_execution(instance_id) as instance:
             self.engine.abort_instance(instance)
-            with self._registry:
-                self._dirty.add(instance_id)
+            self._dirty.add(instance_id)
             self._journal(KIND_INSTANCE_ABORTED, instance_id=instance_id)
 
     # ------------------------------------------------------------------ #
@@ -991,9 +885,11 @@ class AdeptSystem:
         and the case data to its outputs, exactly like
         :meth:`step_many` — omit it for the engine's plausible defaults.
 
-        Call :meth:`drain` to complete all outstanding work and stop the
-        pool; an :meth:`evolve` issued while serving quiesces only the
-        affected type and the pool carries on.
+        Each item is two operations — the claim and the completion — and
+        ``worker`` runs between them without the execution lock, so other
+        operations (an :meth:`evolve`, a :meth:`checkpoint`) proceed while
+        activities do their work.  Call :meth:`drain` to complete all
+        outstanding work and stop the pool.
         """
         with self._pool_guard:
             if self._pool is not None and not self._pool.finished:
@@ -1038,23 +934,37 @@ class AdeptSystem:
         """Offered work items ``user`` is authorised to perform (a pure read)."""
         return self.worklists.worklist_for(user)
 
+    @_operation
     def claim(self, item_id: str, user: str) -> WorkItem:
         """Claim an offered work item (starts the activity).
 
         The claim is atomic: under contention exactly one caller wins;
         the losers receive an :class:`EngineError`.
         """
-        item = self.worklists.claim(item_id, user)
-        self._drain_rollout_actions()
-        return item
+        return self.worklists.claim(item_id, user)
 
+    @_operation
     def complete_item(
         self, item_id: str, outputs: Optional[Mapping[str, Any]] = None
     ) -> WorkItem:
         """Complete a claimed work item through the engine."""
-        item = self.worklists.complete(item_id, outputs=outputs)
-        self._drain_rollout_actions()
-        return item
+        return self.worklists.complete(item_id, outputs=outputs)
+
+    @_operation
+    def _claim_work(self, item_id: str, user: str) -> Any:
+        """A pool worker's claim: the item's activity node and case data.
+
+        The pool executes items as the system scheduler, not as a named
+        human — org-model roles gate *human* worklists; enforcing them
+        here would livelock ``drain()`` on any role-restricted item.
+        """
+        self.worklists.claim(item_id, user, enforce_roles=False)
+        return self.worklists.inputs_of(item_id)
+
+    @_operation
+    def _complete_work(self, item_id: str, worker: Optional[Worker]) -> WorkItem:
+        """A pool worker's completion, with what its worker function produced."""
+        return self.worklists.complete(item_id, auto_outputs=True, worker=worker)
 
     # ------------------------------------------------------------------ #
     # ad-hoc change (transactional ChangeSets)
@@ -1065,6 +975,7 @@ class AdeptSystem:
         self.get_instance(instance_id)  # fail fast for unknown ids
         return ChangeSet(self, instance_id, comment=comment)
 
+    @_operation
     def apply_changeset(self, changeset: ChangeSet, user: Optional[str] = None) -> ChangeResult:
         """Validate and commit a change set atomically.
 
@@ -1079,8 +990,7 @@ class AdeptSystem:
                 result = self._changer.apply(
                     instance, change_log, comment=change_log.comment, user=user
                 )
-            with self._registry:
-                self._dirty.add(instance.instance_id)
+            self._dirty.add(instance.instance_id)
             self._journal(
                 KIND_ADHOC_CHANGE,
                 instance_id=instance.instance_id,
@@ -1116,6 +1026,7 @@ class AdeptSystem:
     # schema evolution and migration
     # ------------------------------------------------------------------ #
 
+    @_operation
     def evolve(
         self,
         type_id: str,
@@ -1133,11 +1044,10 @@ class AdeptSystem:
 
         ``rollout`` selects *when* cases migrate:
 
-        * ``"eager"`` (default) — the type quiesces and the whole
-          population migrates before :meth:`evolve` returns (the
-          behaviour documented below);
+        * ``"eager"`` (default) — the whole population migrates before
+          :meth:`evolve` returns (the behaviour documented below);
         * ``"lazy"`` — the new version and its compiled migration plan
-          are published without quiescing; each case adopts the new
+          are published without migrating anyone; each case adopts the new
           version the next time it is touched (claimed, stepped,
           changed, saved).  Returns the live :class:`Rollout` instead of
           a report;
@@ -1179,12 +1089,9 @@ class AdeptSystem:
         bounded conflict sample) — for very large populations the report
         then does not hold one result object per case.
 
-        The evolution holds the type's write lock for its whole duration:
-        steps, ad-hoc changes, starts and deletions of this type *quiesce*
-        until the migration committed, while every other type keeps
-        executing at full speed.  The candidate set is therefore an exact
-        snapshot — no step can slip between compliance check and
-        migration.
+        The evolution is one operation: no other operation runs until
+        the migration is done, so the candidate set is an exact snapshot
+        — no step can slip between compliance check and migration.
 
         The candidates meet the change one at a time
         (:meth:`_migrate_case`): the change is compiled once into a
@@ -1227,8 +1134,7 @@ class AdeptSystem:
                 policy=canary_policy,
                 decide_externally=canary_decide == "external",
             )
-        with self._type_lock(type_id).write():
-            report = self._evolve_locked(type_id, change, migrate, collect_results)
+        report = self._evolve_eagerly(type_id, change, migrate, collect_results)
         self._notify_pool()
         if migrate != MIGRATE_NONE:
             self.bus.publish(
@@ -1242,10 +1148,10 @@ class AdeptSystem:
             )
         return report
 
-    def _evolve_locked(
+    def _evolve_eagerly(
         self, type_id: str, change: ChangeLike, migrate: str, collect_results: bool = True
     ) -> MigrationReport:
-        """The evolution body; the caller holds the type's write lock."""
+        """Release the version and migrate every candidate now."""
         if type_id in self._rollouts:
             raise MigrationError(
                 f"a progressive rollout of {type_id!r} is still in flight"
@@ -1257,10 +1163,7 @@ class AdeptSystem:
             self._require_all_compliant(process_type, type_change, candidate_ids)
         new_schema = self.repository.release_version(type_id, type_change)
         # published in causal order (before the instance_migrated engine
-        # events the migration emits).  This — like those engine events —
-        # runs under the type's write lock, which is why bus subscribers
-        # must never call back into the system synchronously (see the
-        # EventBus contract).
+        # events the migration emits).
         self.bus.publish(
             CATEGORY_SCHEMA,
             "schema_version_released",
@@ -1299,8 +1202,7 @@ class AdeptSystem:
     def _drop_unoccupied_versions(self, process_type: ProcessType) -> None:
         """Drop the compiled index of every superseded version no case runs on.
 
-        Runs after each release (and its eager migration), under the
-        type's write lock.  Occupancy is recomputed, not maintained: the
+        Runs after each release (and its eager migration).  Occupancy is recomputed, not maintained: the
         version of every live case of the type, of any status, plus every
         version holding an active stored record — O(live + versions) per
         release and nothing per step, so no WAL replay, migration, ad-hoc
@@ -1308,12 +1210,11 @@ class AdeptSystem:
         record only over-counts, which keeps a version compiled.
         """
         type_id = process_type.name
-        with self._registry:
-            occupied = {
-                instance.schema_version
-                for instance in self._instances.values()
-                if instance.process_type == type_id
-            }
+        occupied = {
+            instance.schema_version
+            for instance in self._instances.values()
+            if instance.process_type == type_id
+        }
         occupied.update(self.store.active_versions_of_type(type_id))
         process_type.drop_unoccupied(occupied)
 
@@ -1323,12 +1224,11 @@ class AdeptSystem:
         Finished stored cases can never migrate, so touching them would
         only defeat the bounded live cache.
         """
-        with self._registry:
-            candidates = {
-                instance.instance_id
-                for instance in self._instances.values()
-                if instance.process_type == type_id
-            }
+        candidates = {
+            instance.instance_id
+            for instance in self._instances.values()
+            if instance.process_type == type_id
+        }
         candidates.update(self.store.running_instances_of_type(type_id))
         return sorted(candidates)
 
@@ -1347,7 +1247,7 @@ class AdeptSystem:
         # clones only: the cases themselves pass through the bounded live cache
         clones = [
             instance_from_dict(
-                instance_to_dict(self.get_instance(instance_id)), self.repository.resolve
+                instance_to_dict(self._live(instance_id)), self.repository.resolve
             )
             for instance_id in candidate_ids
         ]
@@ -1373,9 +1273,8 @@ class AdeptSystem:
     ) -> MigrationReport:
         """The eager driver: every candidate meets ΔT, one at a time, in order.
 
-        The new schema version must already be released and the caller
-        holds the type's write lock (evolve, or recovery replaying one).
-        Memory stays bounded by ``cache_instances`` + 1 whatever the
+        The new schema version must already be released (evolve, or
+        recovery replaying one).  Memory stays bounded by ``cache_instances`` + 1 whatever the
         population: :meth:`_migrate_case` decides store-resident cases
         from their records and materialises only what it must, on a
         scratch copy outside the live cache.  ``rollback`` is the
@@ -1460,68 +1359,53 @@ class AdeptSystem:
         policy a stored case that needs a look is hydrated as before.
 
         Relied upon: a case that is not live has a current store record —
-        eviction writes dirty cases back before dropping them.  The caller
-        holds the type's write lock, or its read lock and the case's
-        stripe; this method holds the stripe itself.
+        eviction writes dirty cases back before dropping them.  Runs
+        inside an operation, so no hydration can come between the
+        liveness check and the rewrite.
         """
-        # the stripe from the liveness check through the rewrite: a
-        # concurrent get_instance would otherwise hydrate the record
-        # between the decision and the rewrite and keep the case live on
-        # the version the store has left (reentrant — the sweep and the
-        # touch path already hold it)
         migrator = compensating or self._migrator
-        with self._locks.holding(instance_id):
-            bias_class = record = None
-            if instance is None:
-                with self._registry:
-                    live = instance_id in self._instances
-                if not live:
-                    # an unknown id has no record: hydration raises the canonical EngineError
-                    record = dict(self.store.records_for([instance_id])).get(instance_id)
-            if record is not None:
-                action, found = migrator.decide_record(
-                    record, type_change, plan, cache, share_bias=bias_classes is not None
+        bias_class = record = None
+        if instance is None and instance_id not in self._instances:
+            # an unknown id has no record: hydration raises the canonical EngineError
+            record = dict(self.store.records_for([instance_id])).get(instance_id)
+        if record is not None:
+            action, found = migrator.decide_record(
+                record, type_change, plan, cache, share_bias=bias_classes is not None
+            )
+            if action == "report":
+                return found
+            if action == "rewrite":
+                self._migrate_stored(instance_id, plan.new_schema, found)
+                return InstanceMigrationResult(instance_id, MigrationOutcome.MIGRATED)
+            bias_class = found
+            if bias_class is not None and bias_class in bias_classes:
+                return self._apply_biased_class(
+                    instance_id, bias_classes[bias_class], plan.new_schema.version
                 )
-                if action == "report":
-                    return found
-                if action == "rewrite":
-                    self._migrate_stored(instance_id, plan.new_schema, found)
-                    return InstanceMigrationResult(instance_id, MigrationOutcome.MIGRATED)
-                bias_class = found
-                if bias_class is not None and bias_class in bias_classes:
-                    return self._apply_biased_class(
-                        instance_id, bias_classes[bias_class], plan.new_schema.version
-                    )
-            scratch = record is not None and compensating is None
-            # pinned: LRU eviction must not detach a live case mid-migration
-            self._pin(instance_id)
-            try:
-                if scratch:
-                    instance = self.store.load(instance_id)
-                elif instance is None:
-                    instance = self.get_instance(instance_id)
-                result = migrator.migrate_instance(
-                    instance, plan.old_schema, plan.new_schema, type_change, plan, cache, emit=False
+        scratch = record is not None and compensating is None
+        if scratch:
+            instance = self.store.load(instance_id)
+        elif instance is None:
+            instance = self._live(instance_id)
+        result = migrator.migrate_instance(
+            instance, plan.old_schema, plan.new_schema, type_change, plan, cache, emit=False
+        )
+        if result.migrated:
+            if scratch:
+                self.store.write_back(instance)
+            else:
+                # covers rollback migrations, which compensate activities
+                # and therefore also change the instance state
+                self._dirty.add(instance_id)
+            self.worklists.sync_instance(instance)
+        if bias_class is not None:
+            # the class's stored fields are encoded only if a second member comes
+            bias_classes[bias_class] = {"representative": instance_id, "result": result}
+            if result.migrated:
+                bias_classes[bias_class]["offers"], _ = self.worklists.work_of(
+                    instance.execution_schema, instance.marking
                 )
-                if result.migrated:
-                    if scratch:
-                        self.store.write_back(instance)
-                    else:
-                        # covers rollback migrations, which compensate activities
-                        # and therefore also change the instance state
-                        with self._registry:
-                            self._dirty.add(instance_id)
-                    self.worklists.sync_instance(instance)
-            finally:
-                self._unpin(instance_id)
-            if bias_class is not None:
-                # the class's stored fields are encoded only if a second member comes
-                bias_classes[bias_class] = {"representative": instance_id, "result": result}
-                if result.migrated:
-                    bias_classes[bias_class]["offers"], _ = self.worklists.work_of(
-                        instance.execution_schema, instance.marking
-                    )
-            return result
+        return result
 
     def _apply_biased_class(
         self, instance_id: str, biased_class: Dict[str, Any], new_version: int
@@ -1542,8 +1426,7 @@ class AdeptSystem:
         if result.migrated:
             if "marking" not in biased_class:
                 representative = biased_class["representative"]
-                with self._registry:
-                    live = self._instances.get(representative)
+                live = self._instances.get(representative)
                 if live is not None:
                     encoded = self.store.encode_record(live)
                 else:
@@ -1627,50 +1510,46 @@ class AdeptSystem:
         policy: str,
         decide_externally: bool = False,
     ) -> Rollout:
-        """Publish a new version without quiescing the population.
+        """Publish a new version without migrating the population.
 
-        The type's write lock is held only for the version publish and
-        plan compilation — O(schema), independent of population size.
-        From the moment the lock drops, running cases adopt the new
-        version lazily on their next touch (see :meth:`_touch_for_rollout`)
-        while a sweeper can drain untouched residue in the background
-        (:meth:`sweep_rollout`).
+        O(schema), independent of population size: the version is
+        released and its plan compiled.  From then on running cases adopt
+        the new version lazily on their next touch (see
+        :meth:`_touch_for_rollout`) while a sweeper can drain untouched
+        residue in the background (:meth:`sweep_rollout`).
         """
-        with self._type_lock(type_id).write():
-            if type_id in self._rollouts:
-                raise MigrationError(
-                    f"a progressive rollout of {type_id!r} is still in flight"
-                )
-            process_type = self.repository.process_type(type_id)
-            type_change = self._as_type_change(process_type, change)
-            # validate the rollout parameters *before* the version is
-            # released — a bad fraction must not leave a half evolution
-            rollout = Rollout(
-                type_id,
-                type_change,
-                mode,
-                fraction=fraction,
-                conflict_threshold=conflict_threshold,
-                min_observations=min_observations,
-                policy=policy,
-                decide_externally=decide_externally,
-            )
-            new_schema = self.repository.release_version(type_id, type_change)
-            self._attach_plan(rollout)
-            self._drop_unoccupied_versions(process_type)
-            self._journal(
-                KIND_ROLLOUT_STARTED,
-                type_id=type_id,
-                change=type_change.to_dict(),
-                to_version=new_schema.version,
-                mode=mode,
-                fraction=fraction,
-                conflict_threshold=conflict_threshold,
-                min_observations=min_observations,
-                policy=policy,
-                decide_externally=decide_externally,
-            )
-            self._rollouts[type_id] = rollout
+        if type_id in self._rollouts:
+            raise MigrationError(f"a progressive rollout of {type_id!r} is still in flight")
+        process_type = self.repository.process_type(type_id)
+        type_change = self._as_type_change(process_type, change)
+        # validate the rollout parameters *before* the version is
+        # released — a bad fraction must not leave a half evolution
+        rollout = Rollout(
+            type_id,
+            type_change,
+            mode,
+            fraction=fraction,
+            conflict_threshold=conflict_threshold,
+            min_observations=min_observations,
+            policy=policy,
+            decide_externally=decide_externally,
+        )
+        new_schema = self.repository.release_version(type_id, type_change)
+        self._attach_plan(rollout)
+        self._drop_unoccupied_versions(process_type)
+        self._journal(
+            KIND_ROLLOUT_STARTED,
+            type_id=type_id,
+            change=type_change.to_dict(),
+            to_version=new_schema.version,
+            mode=mode,
+            fraction=fraction,
+            conflict_threshold=conflict_threshold,
+            min_observations=min_observations,
+            policy=policy,
+            decide_externally=decide_externally,
+        )
+        self._rollouts[type_id] = rollout
         self.bus.publish(
             CATEGORY_SCHEMA,
             "schema_version_released",
@@ -1700,6 +1579,7 @@ class AdeptSystem:
         """The in-flight rollout of ``type_id`` (None when there is none)."""
         return self._rollouts.get(type_id)
 
+    @_operation
     def rollout_status(self, type_id: str) -> Optional[Dict[str, Any]]:
         """Progress of the active (or, failing that, last) rollout."""
         rollout = self._rollouts.get(type_id) or self._rollout_history.get(type_id)
@@ -1710,13 +1590,11 @@ class AdeptSystem:
     def _touch_for_rollout(self, instance: ProcessInstance) -> None:
         """O(1) per-touch check: adopt an in-flight rollout's version.
 
-        Called with the type's *read* lock and the case's stripe held
+        Called inside an operation on a case it is about to work on
         (every touch path goes through :meth:`_case_execution` or an
-        engine call inside it), which is exactly what makes adoption
-        safe against a concurrent promote/rollback: those take the
-        type's write lock.  Decisions derived here (canary promote /
-        rollback) are queued, never executed inline — the executing
-        thread would have to climb the lock hierarchy.
+        engine call inside it).  A canary decision the adoption tips over
+        is queued and runs when the operation ends
+        (:meth:`_run_rollout_decisions`).
         """
         rollout = self._rollouts.get(instance.process_type)
         if rollout is None or not rollout.active:
@@ -1736,11 +1614,10 @@ class AdeptSystem:
             return
         if rollout.state == STATE_OBSERVING and not rollout.in_cohort(instance_id):
             return
-        with rollout.lock:
-            rollout.touches += 1
+        rollout.touches += 1
         decision = self._adopt(rollout, instance.instance_id, instance)
         if decision is not None:
-            self._pending_rollout_actions.append((rollout.type_id, decision))
+            self._rollout_decisions.append((rollout.type_id, decision))
 
     def _adopt(
         self, rollout: Rollout, instance_id: str, instance: Optional[ProcessInstance] = None
@@ -1751,7 +1628,7 @@ class AdeptSystem:
         passes only the id, so a store-resident case can adopt without
         being hydrated.  Returns the canary decision the attempt
         triggered ("promote" / "rollback"), if any — the *caller* queues
-        it.  Caller holds the type's read lock and the case's stripe.
+        it.
         """
         pre_state = None
         if (
@@ -1769,10 +1646,9 @@ class AdeptSystem:
             )
         if result.outcome is MigrationOutcome.FINISHED:
             return None
-        with self._registry:
-            # a store-resident case adopts silently, as it always has:
-            # ``rollout_swept`` carries its count
-            announce = instance_id in self._instances
+        # a store-resident case adopts silently, as it always has:
+        # ``rollout_swept`` carries its count
+        announce = instance_id in self._instances
         if result.migrated:
             self._journal(
                 KIND_ROLLOUT_MIGRATED,
@@ -1809,36 +1685,30 @@ class AdeptSystem:
                 )
         return decision
 
-    def _drain_rollout_actions(self) -> None:
-        """Execute queued canary decisions (caller must hold no locks).
+    def _run_rollout_decisions(self) -> None:
+        """Run the canary decisions queued by the operation that is ending.
 
-        Touch paths queue promote/rollback decisions because executing
-        them needs the type's *write* lock (above the locks a toucher
-        holds).  Pool workers, the sweeper and the façade's public entry
-        points drain the queue at lock-free points; execution is
-        idempotent, so concurrent drains are harmless.
+        The execution lock's release hook: it runs when the outermost
+        operation scope exits, still under the lock — the one place a
+        decision runs.  Not inline at the touch: a revert replaces live
+        case objects that the deciding operation may still be stepping
+        (a ``step_many`` chunk).
         """
-        while True:
-            try:
-                type_id, decision = self._pending_rollout_actions.popleft()
-            except IndexError:
-                return
+        decisions = self._rollout_decisions
+        while decisions:
+            type_id, decision = decisions.pop(0)
             if decision == "rollback":
                 self._rollback_rollout(type_id)
             else:
                 self._promote_rollout(type_id)
 
+    @_operation
     def _promote_rollout(self, type_id: str) -> bool:
         """Open an observing canary to the whole population; False if none was left."""
         rollout = self._rollouts.get(type_id)
-        if rollout is None:
+        if rollout is None or not rollout.promote():
             return False
-        # the type's read lock keeps a checkpoint out between the record's
-        # enqueue and its commit (the WAL refuses to truncate it)
-        with self._type_read(type_id):
-            if not rollout.promote():
-                return False
-            self._journal(KIND_ROLLOUT_PROMOTED, type_id=type_id, to_version=rollout.to_version)
+        self._journal(KIND_ROLLOUT_PROMOTED, type_id=type_id, to_version=rollout.to_version)
         self.bus.publish(
             CATEGORY_MIGRATION,
             "rollout_promoted",
@@ -1848,6 +1718,7 @@ class AdeptSystem:
         )
         return True
 
+    @_operation
     def _rollback_rollout(self, type_id: str) -> Optional[List[str]]:
         """Canary observation failed: abandon the new version.
 
@@ -1858,27 +1729,24 @@ class AdeptSystem:
         Returns the restored ids (None: no observing rollout was left).
         """
         rollout = self._rollouts.get(type_id)
-        if rollout is None:
+        if rollout is None or not rollout.roll_back():
             return None
         reverted: List[str] = []
-        with self._type_lock(type_id).write():
-            if not rollout.roll_back():
-                return None
-            if rollout.policy == POLICY_REVERT:
-                reverted = self._revert_canary_cohort(rollout)
-            self._journal(
-                KIND_ROLLOUT_ROLLED_BACK,
-                type_id=type_id,
-                to_version=rollout.to_version,
-                policy=rollout.policy,
-                reverted=reverted,
-            )
-            if rollout.policy == POLICY_REVERT:
-                self.repository.withdraw_version(type_id, rollout.to_version)
-            else:
-                self._retired_versions.setdefault(type_id, set()).add(rollout.to_version)
-            self._rollouts.pop(type_id, None)
-            self._rollout_history[type_id] = rollout
+        if rollout.policy == POLICY_REVERT:
+            reverted = self._revert_canary_cohort(rollout)
+        self._journal(
+            KIND_ROLLOUT_ROLLED_BACK,
+            type_id=type_id,
+            to_version=rollout.to_version,
+            policy=rollout.policy,
+            reverted=reverted,
+        )
+        if rollout.policy == POLICY_REVERT:
+            self.repository.withdraw_version(type_id, rollout.to_version)
+        else:
+            self._retired_versions.setdefault(type_id, set()).add(rollout.to_version)
+        self._rollouts.pop(type_id, None)
+        self._rollout_history[type_id] = rollout
         self._notify_pool()
         self.bus.publish(
             CATEGORY_MIGRATION,
@@ -1897,8 +1765,7 @@ class AdeptSystem:
         Steps a case took on the canary version are discarded with it —
         the deterministic policy (replay re-derives the same ids and
         checks them against the ``reverted`` list of the journaled
-        record).  Runs under the type's write lock, or during recovery;
-        the population is quiesced.
+        record).
         """
         reverted: List[str] = []
         with self._journal_suspended():
@@ -1907,23 +1774,20 @@ class AdeptSystem:
                 if pre_state is None:
                     continue  # adopted without a snapshot (defensive)
                 restored = instance_from_dict(dict(pre_state), self.repository.resolve)
-                with self._locks.holding(instance_id):
-                    with self._registry:
-                        live = instance_id in self._instances
-                        if live:
-                            self._instances[instance_id] = restored
-                            self._dirty.add(instance_id)
-                    if live:
-                        # tracks the restored object and re-offers its work
-                        self.worklists.register_instance(restored)
-                    else:
-                        self.store.write_back(restored)
-                        self.worklists.sync_instance(restored)
+                if instance_id in self._instances:
+                    self._instances[instance_id] = restored
+                    self._dirty.add(instance_id)
+                    # tracks the restored object and re-offers its work
+                    self.worklists.register_instance(restored)
+                else:
+                    self.store.write_back(restored)
+                    self.worklists.sync_instance(restored)
                 reverted.append(instance_id)
         return reverted
 
     # ---- the background sweeper --------------------------------------- #
 
+    @_operation
     def sweep_rollout(self, type_id: str, max_cases: int = 256) -> int:
         """Drain up to ``max_cases`` of a migrating rollout's residue.
 
@@ -1936,86 +1800,47 @@ class AdeptSystem:
         outside the conflicted set, the rollout completes.  Returns the
         number of cases processed this round.
 
-        The call pays its fixed costs once, not per case: it holds the
-        type's read lock for the whole round and journals inside one
-        commit scope, so its ``rollout_migrated`` records (one per
-        adopted case, as always) reach the WAL in one write + flush,
-        committed before the call returns.  Between two cases it checks
-        for a waiting writer (an evolve, a canary rollback, a
-        checkpoint); if one waits, the sweep commits what it journaled,
-        yields the read lock and re-checks the rollout once it is back —
-        a writer waits at most one case and never finds an uncommitted
-        record.
+        The call is one operation: it holds the execution lock for at
+        most ``max_cases`` cases, which bounds how long any other
+        operation waits for it.  Its ``rollout_migrated`` records (one
+        per adopted case, as always) reach the WAL in one write + flush,
+        committed before the call returns.
         """
-        self._drain_rollout_actions()
         rollout = self._rollouts.get(type_id)
         if rollout is None or rollout.state != STATE_MIGRATING:
             return 0
-        lock = self._type_lock(type_id)
-        exhausted = True
+        residue = self._rollout_residue(rollout)
         swept = 0
-        with lock.read(), self._journal_commit_scope():
-            for instance_id in self._rollout_residue(rollout):
-                if swept >= max_cases:
-                    exhausted = False
-                    break
-                if lock.writer_waiting:
-                    self._yield_type_read(lock)
-                if rollout.state != STATE_MIGRATING:
-                    break
-                with self._locks.holding(instance_id):
-                    if self._sweep_one(rollout, instance_id):
-                        swept += 1
-            if swept:
-                with rollout.lock:
-                    rollout.swept += swept
-                self.bus.publish(
-                    CATEGORY_MIGRATION,
-                    "rollout_swept",
-                    type_id=type_id,
-                    swept=swept,
-                )
-                self._enforce_cache_cap()
-            # cases left in the list are still undecided: only a sweep that
-            # got through it can have finished the rollout
-            if (
-                exhausted
-                and rollout.state == STATE_MIGRATING
-                and not self._rollout_residue(rollout)
-            ):
-                self._complete_rollout(rollout)
+        for instance_id in residue[:max_cases]:
+            decision = self._adopt(rollout, instance_id)
+            if decision is not None:
+                self._rollout_decisions.append((type_id, decision))
+            swept += 1
+        if swept:
+            rollout.swept += swept
+            self.bus.publish(
+                CATEGORY_MIGRATION,
+                "rollout_swept",
+                type_id=type_id,
+                swept=swept,
+            )
+            self._enforce_cache_cap()
+        # cases left in the list are still undecided: only a sweep that
+        # got through it can have finished the rollout
+        if len(residue) <= max_cases and not self._rollout_residue(rollout):
+            self._complete_rollout(rollout)
         return swept
-
-    def _journal_commit_scope(self) -> ContextManager[None]:
-        """One WAL commit for every record this thread journals inside."""
-        if self._backend is None:
-            return _NULL_SCOPE
-        return self._backend.commit_scope()
-
-    def _yield_type_read(self, lock: RWLock) -> None:
-        """Let a waiting writer have a type lock this thread holds for reading.
-
-        Commits this thread's deferred records first: the writer may be a
-        checkpoint, which truncates the WAL.  Re-acquiring the read side
-        queues behind the writer (the lock is write-preferring).
-        """
-        if self._backend is not None:
-            self._backend.commit()
-        lock.release_read()
-        lock.acquire_read()
 
     def _rollout_residue(self, rollout: Rollout) -> List[str]:
         """Active cases still on the rollout's from-version, less the decided ones."""
         type_id = rollout.type_id
-        with self._registry:
-            live = {
-                instance.instance_id
-                for instance in self._instances.values()
-                if instance.process_type == type_id
-                and instance.schema_version == rollout.from_version
-                and instance.status.is_active
-            }
-            live_ids = set(self._instances)
+        live = {
+            instance.instance_id
+            for instance in self._instances.values()
+            if instance.process_type == type_id
+            and instance.schema_version == rollout.from_version
+            and instance.status.is_active
+        }
         stored = {
             instance_id
             for instance_id in self.store.running_instances_on_version(
@@ -2023,24 +1848,9 @@ class AdeptSystem:
             )
             # the live copy governs — a store record of a live case may
             # be stale (dirty cases write back lazily)
-            if instance_id not in live_ids
+            if instance_id not in self._instances
         }
         return sorted((live | stored) - rollout.adopted - rollout.conflicted)
-
-    def _sweep_one(self, rollout: Rollout, instance_id: str) -> bool:
-        """Adopt (or conflict) one residue case; True when it was decided.
-
-        Caller holds the type read lock and the case's stripe.
-        """
-        if instance_id in rollout.adopted or instance_id in rollout.conflicted:
-            return False  # decided by a concurrent touch since the residue scan
-        try:
-            decision = self._adopt(rollout, instance_id)
-        except EngineError:
-            return False  # deleted since the residue scan
-        if decision is not None:
-            self._pending_rollout_actions.append((rollout.type_id, decision))
-        return True
 
     def _complete_rollout(self, rollout: Rollout) -> bool:
         """Every case adopted (or conflicted): retire the rollout; False unless migrating."""
@@ -2076,12 +1886,12 @@ class AdeptSystem:
     # persistence
     # ------------------------------------------------------------------ #
 
+    @_operation
     def save(self, instance_id: str) -> StoredInstance:
         """Persist one case through the instance store."""
         with self._case_execution(instance_id) as instance:
             stored = self.store.save(instance)
-            with self._registry:
-                self._dirty.discard(instance_id)
+            self._dirty.discard(instance_id)
             self._journal(
                 KIND_INSTANCE_SAVED,
                 instance_id=instance_id,
@@ -2090,6 +1900,7 @@ class AdeptSystem:
         self.bus.publish(CATEGORY_SYSTEM, "instance_saved", instance_id=instance_id)
         return stored
 
+    @_operation
     def save_all(self) -> List[StoredInstance]:
         """Persist every live case."""
         return [self.save(instance_id) for instance_id in self.live_instance_ids()]
@@ -2098,28 +1909,20 @@ class AdeptSystem:
         """Load a stored case into the live set and return its handle."""
         return self.instance(instance_id)
 
+    @_operation
     def delete_instance(self, instance_id: str) -> bool:
         """Remove a case from the live set and the instance store.
 
         Returns True when the case existed anywhere.  Only then is the
         deletion journaled (so it survives recovery) and published: an
-        unknown id leaves no trace.  Holding the type's read lock
-        and the case's stripe serialises the deletion against steps of
-        the case and against an evolve of its type — a migration never
-        sees a half-deleted candidate.
+        unknown id leaves no trace.
         """
-        type_id = self._type_of(instance_id)
-        with self._type_read(type_id):
-            with self._locks.holding(instance_id):
-                with self._registry:
-                    existed_live = self._instances.pop(instance_id, None) is not None
-                    self._dirty.discard(instance_id)
-                existed = self.store.delete(instance_id) or existed_live
-                if existed:
-                    self._journal(KIND_INSTANCE_DELETED, instance_id=instance_id)
-                # inside the stripe: a racing start() of the same id must
-                # not lose its fresh offers to this withdrawal
-                self.worklists.discard_instance(instance_id)
+        existed_live = self._instances.pop(instance_id, None) is not None
+        self._dirty.discard(instance_id)
+        existed = self.store.delete(instance_id) or existed_live
+        if existed:
+            self._journal(KIND_INSTANCE_DELETED, instance_id=instance_id)
+        self.worklists.discard_instance(instance_id)
         if existed:
             self.bus.publish(CATEGORY_SYSTEM, "instance_deleted", instance_id=instance_id)
         return existed
@@ -2127,28 +1930,28 @@ class AdeptSystem:
     def stored_instance_ids(self) -> List[str]:
         return self.store.instance_ids()
 
+    @_operation
     def checkpoint(self) -> None:
         """Make the current state the durable baseline.
 
         Writes every dirty live case back to the instance store, captures
         one atomic snapshot (schemas, instance records, case counters) and
         truncates the write-ahead log — after this, recovery loads the
-        snapshot and replays nothing.  The checkpoint runs under a
-        stop-the-world quiesce (every type's write lock), so the snapshot
-        is a consistent cut and no record is lost between write-back and
-        truncation.  A no-op on an in-memory system (one not created by
+        snapshot and replays nothing.  The checkpoint is one operation, so
+        the snapshot is a consistent cut.  Records other operations
+        enqueued before it and have not flushed yet are committed first
+        (:meth:`PersistentBackend.write_snapshot`); their callers return
+        normally.  A no-op on an in-memory system (one not created by
         :meth:`open`), as :meth:`close` is: there is nothing to make durable.
         """
         if self._backend is None:
             return
-        with self._quiesced():
-            with self._registry:
-                for instance_id in sorted(self._dirty):
-                    instance = self._instances.get(instance_id)
-                    if instance is not None:
-                        self.store.write_back(instance)
-                self._dirty.clear()
-            self._backend.write_snapshot(self)
+        for instance_id in sorted(self._dirty):
+            instance = self._instances.get(instance_id)
+            if instance is not None:
+                self.store.write_back(instance)
+        self._dirty.clear()
+        self._backend.write_snapshot(self)
         self.bus.publish(
             CATEGORY_SYSTEM,
             "checkpoint_completed",
@@ -2160,19 +1963,15 @@ class AdeptSystem:
     # monitoring
     # ------------------------------------------------------------------ #
 
+    @_operation
     def monitor(self, instance_id: str) -> InstanceMonitor:
         """A monitoring view of one case."""
         return InstanceMonitor(self.get_instance(instance_id))
 
+    @_operation
     def statistics(self, type_id: Optional[str] = None) -> PopulationStatistics:
-        """Population statistics over the live cases (optionally one type).
-
-        Under concurrent load the collection is a best-effort snapshot —
-        cases stepped while the statistics are computed may be counted at
-        either side of the step.
-        """
-        with self._registry:
-            instances: Iterable[ProcessInstance] = list(self._instances.values())
+        """Population statistics over the live cases (optionally one type)."""
+        instances: Iterable[ProcessInstance] = list(self._instances.values())
         if type_id is not None:
             instances = [i for i in instances if i.process_type == type_id]
         return PopulationStatistics.collect(instances)

@@ -78,7 +78,7 @@ class TypeHandle:
         """Release a new schema version and migrate running instances.
 
         ``rollout="lazy"`` / ``"canary"`` publish the version without
-        quiescing and return the live
+        migrating the population and return the live
         :class:`~repro.system.rollout.Rollout` instead of a report; the
         remaining keyword arguments (``fraction``,
         ``conflict_threshold``, ``min_observations``, ``canary_policy``)

@@ -230,6 +230,8 @@ class PersistentBackend:
         self.wal = WriteAheadLog(str(self.directory / "wal.jsonl"))
         self.snapshot_path = self.directory / "snapshot.json"
         self._seq = 0
+        #: the WAL ticket of the last record enqueued
+        self._ticket = 0
         # sequence allocation + WAL enqueue happen atomically under this
         # lock, so the file order of records always matches their seq
         # order; the (potentially blocking) group-commit flush happens
@@ -270,9 +272,8 @@ class PersistentBackend:
     def suspended(self) -> "_Suspension":
         """Suppress journaling *on the calling thread* (recovery replay,
         compound mutations covered by one typed record).  Other threads'
-        records keep flowing — a concurrent step of an unrelated type
-        must not be dropped because an evolve is quiescing its own type.
-        Scopes nest.
+        records keep flowing — the suspension covers the suspending
+        thread's own mutation only.  Scopes nest.
         """
         return self._suspended
 
@@ -283,10 +284,10 @@ class PersistentBackend:
         same bytes, one record per call); the scope defers their WAL
         commit to its end — also when the body raises — so a call that
         journals many records pays one write + flush.  The caller must
-        not acknowledge anything journaled inside before the scope ends,
-        and must :meth:`commit` before it lets a checkpoint in (the WAL
-        refuses to truncate uncommitted records).  Scopes nest; the
-        outermost one commits.
+        not acknowledge anything journaled inside before the scope ends;
+        a checkpoint in between commits the records for it
+        (:meth:`write_snapshot` commits every enqueued record before it
+        truncates).  Scopes nest; the outermost one commits.
         """
         return self._commit_scope
 
@@ -316,7 +317,7 @@ class PersistentBackend:
             seq = self._seq
             record = {"kind": kind, "seq": seq}
             record.update(fields)
-            ticket = self.wal.enqueue(record)
+            ticket = self._ticket = self.wal.enqueue(record)
         if state.deferring:
             state.ticket = ticket
         else:
@@ -338,10 +339,15 @@ class PersistentBackend:
     def write_snapshot(self, system: "AdeptSystem") -> None:
         """Capture the system state atomically and truncate the WAL.
 
-        The caller (``AdeptSystem.checkpoint``) has already flushed every
-        dirty live instance into the instance store, so the store records
-        plus the schema repository are the complete state; a record
-        still in a pre-format-3 form is written in the stored form.
+        The caller (``AdeptSystem.checkpoint``) holds the execution lock
+        and has already flushed every dirty live instance into the
+        instance store, so the store records plus the schema repository
+        are the complete state; a record still in a pre-format-3 form is
+        written in the stored form.  Records other operations enqueued
+        before the lock came to the checkpoint may still wait for their
+        group commit: every enqueued record is committed first, so the
+        truncation finds none pending, and a thread waiting on one of
+        them finds it committed and returns.
 
         The snapshot survives a power cut: it is written to a temporary
         file that is fsynced before it atomically replaces the old
@@ -376,6 +382,7 @@ class PersistentBackend:
         }
         if retired:
             payload["retired_versions"] = retired
+        self.wal.commit(self._ticket)
         temporary = self.snapshot_path.with_suffix(".json.tmp")
         with open(temporary, "w", encoding="utf-8") as handle:
             handle.write(json.dumps(payload, sort_keys=True))

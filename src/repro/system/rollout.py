@@ -1,7 +1,7 @@
 """Progressive rollout state machine for zero-downtime evolution.
 
 ``AdeptSystem.evolve(..., rollout="lazy")`` publishes a new schema
-version *without quiescing the type*: the write lock shrinks to the
+version *without migrating the population*: the operation shrinks to the
 version publish, and every case adopts the new version **on its next
 touch** (claim, step, hydrate or sweep) via the compiled
 :class:`~repro.core.migration_plan.MigrationPlan` — an O(1) decision for
@@ -12,10 +12,11 @@ full lazy mode or *auto-rolls back*, reverting (or pinning) the canary
 cohort.
 
 This module holds the pure state machine — one :class:`Rollout` object
-per in-flight evolution.  The façade owns the locking, journaling and
-instance mutation around it; :mod:`repro.system.persistence` serialises
-the state into snapshots and replays the rollout WAL records so an
-in-flight rollout survives a crash and resumes where it stopped.
+per in-flight evolution.  The façade owns the journaling and instance
+mutation around it, and calls it only under its execution lock;
+:mod:`repro.system.persistence` serialises the state into snapshots and
+replays the rollout WAL records so an in-flight rollout survives a crash
+and resumes where it stopped.
 
 State machine::
 
@@ -29,15 +30,14 @@ State machine::
                       ROLLED_BACK  (cohort reverted or pinned,
                                     version withdrawn/retired)
 
-Decisions are taken exactly once: the first thread that observes the
-decision condition wins the compare-and-set and performs the transition;
-every other toucher keeps executing undisturbed.
+Decisions are taken exactly once: the first attempt that meets the
+decision condition sets :attr:`Rollout.pending_decision`; the façade runs
+the transition when that attempt's operation ends.
 """
 
 from __future__ import annotations
 
 import hashlib
-import threading
 from typing import Any, Dict, List, Mapping, Optional, Set
 
 from repro.core.evolution import TypeChange
@@ -73,10 +73,8 @@ def cohort_bucket(instance_id: str) -> int:
 class Rollout:
     """One in-flight progressive rollout of a process type.
 
-    The object is shared by every touching thread; all counter and set
-    mutations happen under :attr:`lock`.  Reading :attr:`state` without
-    the lock is safe (it is a single reference assignment) — the façade
-    re-checks it under the locks that matter before mutating a case.
+    The façade reads and mutates it only inside its operations, which
+    run one at a time.
     """
 
     def __init__(
@@ -113,7 +111,6 @@ class Rollout:
         #: sample would otherwise decide on a fraction of the evidence.
         self.decide_externally = bool(decide_externally)
         self.state = STATE_OBSERVING if mode == ROLLOUT_CANARY else STATE_MIGRATING
-        self.lock = threading.RLock()
         #: ids migrated by this rollout (exactly-once bookkeeping).
         self.adopted: Set[str] = set()
         #: ids whose adoption attempt conflicted — they stay on the old
@@ -157,22 +154,20 @@ class Rollout:
         self, instance_id: str, pre_state: Optional[Mapping[str, Any]] = None
     ) -> Optional[str]:
         """Record one successful adoption; returns a pending canary decision."""
-        with self.lock:
-            self.conflicted.discard(instance_id)
-            self.adopted.add(instance_id)
-            if pre_state is not None and self.state == STATE_OBSERVING:
-                self.pre_states[instance_id] = dict(pre_state)
-            return self._maybe_decide()
+        self.conflicted.discard(instance_id)
+        self.adopted.add(instance_id)
+        if pre_state is not None and self.state == STATE_OBSERVING:
+            self.pre_states[instance_id] = dict(pre_state)
+        return self._maybe_decide()
 
     def note_conflict(self, instance_id: str) -> Optional[str]:
         """Record one conflicting adoption attempt; returns a pending decision."""
-        with self.lock:
-            if instance_id not in self.adopted:
-                self.conflicted.add(instance_id)
-            return self._maybe_decide()
+        if instance_id not in self.adopted:
+            self.conflicted.add(instance_id)
+        return self._maybe_decide()
 
     def _maybe_decide(self) -> Optional[str]:
-        """Take the canary verdict exactly once (lock held)."""
+        """Take the canary verdict exactly once."""
         if self.state != STATE_OBSERVING or self.pending_decision is not None:
             return None
         if self.decide_externally:
@@ -189,28 +184,25 @@ class Rollout:
 
     def promote(self) -> bool:
         """OBSERVING → MIGRATING; returns False when already decided."""
-        with self.lock:
-            if self.state != STATE_OBSERVING:
-                return False
-            self.state = STATE_MIGRATING
-            self.pre_states.clear()  # no rollback after promotion
-            return True
+        if self.state != STATE_OBSERVING:
+            return False
+        self.state = STATE_MIGRATING
+        self.pre_states.clear()  # no rollback after promotion
+        return True
 
     def roll_back(self) -> bool:
         """OBSERVING → ROLLED_BACK; returns False when already decided."""
-        with self.lock:
-            if self.state != STATE_OBSERVING:
-                return False
-            self.state = STATE_ROLLED_BACK
-            return True
+        if self.state != STATE_OBSERVING:
+            return False
+        self.state = STATE_ROLLED_BACK
+        return True
 
     def complete(self) -> bool:
         """MIGRATING → COMPLETED; returns False unless currently migrating."""
-        with self.lock:
-            if self.state != STATE_MIGRATING:
-                return False
-            self.state = STATE_COMPLETED
-            return True
+        if self.state != STATE_MIGRATING:
+            return False
+        self.state = STATE_COMPLETED
+        return True
 
     @property
     def active(self) -> bool:
@@ -220,45 +212,43 @@ class Rollout:
 
     def progress(self) -> Dict[str, Any]:
         """A structured snapshot for monitoring and CLI output."""
-        with self.lock:
-            return {
-                "type_id": self.type_id,
-                "mode": self.mode,
-                "state": self.state,
-                "from_version": self.from_version,
-                "to_version": self.to_version,
-                "adopted": len(self.adopted),
-                "conflicted": len(self.conflicted),
-                "attempts": self.attempts,
-                "observed_conflict_rate": round(self.observed_conflict_rate, 4),
-                "conflict_threshold": self.conflict_threshold,
-                "fraction": self.fraction,
-                "touches": self.touches,
-                "swept": self.swept,
-                "policy": self.policy,
-            }
+        return {
+            "type_id": self.type_id,
+            "mode": self.mode,
+            "state": self.state,
+            "from_version": self.from_version,
+            "to_version": self.to_version,
+            "adopted": len(self.adopted),
+            "conflicted": len(self.conflicted),
+            "attempts": self.attempts,
+            "observed_conflict_rate": round(self.observed_conflict_rate, 4),
+            "conflict_threshold": self.conflict_threshold,
+            "fraction": self.fraction,
+            "touches": self.touches,
+            "swept": self.swept,
+            "policy": self.policy,
+        }
 
     # -- snapshot persistence ------------------------------------------- #
 
     def to_dict(self) -> Dict[str, Any]:
         """Serialise the resumable rollout state (checkpoint payload)."""
-        with self.lock:
-            return {
-                "type_id": self.type_id,
-                "change": self.type_change.to_dict(),
-                "mode": self.mode,
-                "state": self.state,
-                "fraction": self.fraction,
-                "conflict_threshold": self.conflict_threshold,
-                "min_observations": self.min_observations,
-                "policy": self.policy,
-                "decide_externally": self.decide_externally,
-                "adopted": sorted(self.adopted),
-                "conflicted": sorted(self.conflicted),
-                "pre_states": dict(self.pre_states),
-                "touches": self.touches,
-                "swept": self.swept,
-            }
+        return {
+            "type_id": self.type_id,
+            "change": self.type_change.to_dict(),
+            "mode": self.mode,
+            "state": self.state,
+            "fraction": self.fraction,
+            "conflict_threshold": self.conflict_threshold,
+            "min_observations": self.min_observations,
+            "policy": self.policy,
+            "decide_externally": self.decide_externally,
+            "adopted": sorted(self.adopted),
+            "conflicted": sorted(self.conflicted),
+            "pre_states": dict(self.pre_states),
+            "touches": self.touches,
+            "swept": self.swept,
+        }
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> "Rollout":

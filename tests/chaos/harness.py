@@ -143,7 +143,7 @@ def check_worklist_parity(system: AdeptSystem) -> None:
     """
     from repro.runtime.worklist import WorkItemState
 
-    with system._registry:
+    with system._lock.holding():
         cases = dict(system._instances)
     for instance_id, record in system.store.scan_records():
         if instance_id not in cases:  # the live copy governs

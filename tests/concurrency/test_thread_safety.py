@@ -6,7 +6,7 @@ import pytest
 
 from repro.schema import templates
 from repro.storage.wal import WriteAheadLog
-from repro.system import AdeptSystem, LockTable, RWLock
+from repro.system import AdeptSystem
 from repro.system.persistence import KIND_STEP
 
 from tests.concurrency.harness import run_threads
@@ -160,165 +160,8 @@ class TestGroupCommitWal:
         system.close()
 
 
-class TestPrimitives:
-    def test_lock_table_multi_acquire_is_deadlock_free(self):
-        table = LockTable(stripes=4)
-        ids = [f"case-{n}" for n in range(40)]
-
-        def worker(seed):
-            import random
-
-            rng = random.Random(seed)
-            for _ in range(200):
-                picked = rng.sample(ids, 3)
-                with table.holding(*picked):
-                    pass
-
-        run_threads([(lambda s=s: worker(s)) for s in range(8)])
-
-    def test_stripe_index_is_a_pure_function_of_the_key_over_all_stripes(self):
-        """Stable across tables, processes and PYTHONHASHSEED values (the
-        pinned indices are crc32's, not ``hash()``'s), and 10 000 generated
-        ids reach every one of the 64 stripes about evenly."""
-        table, other = LockTable(), LockTable()
-        assert table._stripe_index("online_order-r000001") == 54
-        assert table._stripe_index("sequence-00042") == 14
-        ids = [f"online_order-r{n:06d}" for n in range(5000)]
-        ids += [f"sequence-{n:05d}" for n in range(5000)]
-        indices = [table._stripe_index(case_id) for case_id in ids]
-        assert indices == [other._stripe_index(case_id) for case_id in ids]
-        per_stripe = [indices.count(stripe) for stripe in range(len(table))]
-        assert min(per_stripe) > 0
-        assert max(per_stripe) < 2 * len(ids) / len(table)
-
-    def test_rwlock_write_excludes_readers_and_vice_versa(self):
-        lock = RWLock()
-        state = {"readers": 0, "writers": 0, "max_readers": 0, "violations": 0}
-        guard = threading.Lock()
-
-        def reader():
-            for _ in range(100):
-                with lock.read():
-                    with guard:
-                        state["readers"] += 1
-                        state["max_readers"] = max(state["max_readers"], state["readers"])
-                        if state["writers"]:
-                            state["violations"] += 1
-                    with guard:
-                        state["readers"] -= 1
-
-        def writer():
-            for _ in range(20):
-                with lock.write():
-                    with guard:
-                        state["writers"] += 1
-                        if state["readers"] or state["writers"] > 1:
-                            state["violations"] += 1
-                    with guard:
-                        state["writers"] -= 1
-
-        run_threads([reader, reader, reader, writer, writer])
-        assert state["violations"] == 0
-        assert state["max_readers"] >= 1
-
-
-def _recording_table(monkeypatch, log, failing=()):
-    """A 64-stripe table whose stripe locks log (index, action); ``failing`` raise."""
-    from repro.system import concurrency
-
-    created = []
-
-    class RecordingLock:
-        def __init__(self):
-            self.index = len(created)
-            created.append(self)
-
-        def acquire(self, blocking=True):
-            if self.index in failing:
-                raise RuntimeError(f"stripe {self.index} failed")
-            log.append(("acquire", self.index))
-            return True
-
-        def release(self):
-            log.append(("release", self.index))
-
-    with monkeypatch.context() as patch:
-        patch.setattr(concurrency.threading, "RLock", RecordingLock)
-        return LockTable()
-
-
 class TestScopes:
-    """What the lock and suspension scopes promise, whatever object implements them."""
-
-    def test_holding_takes_each_distinct_stripe_once_ascending_and_releases_in_reverse(
-        self, monkeypatch
-    ):
-        log = []
-        table = _recording_table(monkeypatch, log)
-        first, second = table._stripe_index("a"), table._stripe_index("b")
-        assert first < second
-        for keys in (("a", "b", "a"), ("b", "a", "b")):
-            log.clear()
-            with table.holding(*keys):
-                assert log == [("acquire", first), ("acquire", second)]
-            assert log[2:] == [("release", second), ("release", first)]
-        log.clear()
-        with table.holding("b"):
-            assert log == [("acquire", second)]
-        assert log == [("acquire", second), ("release", second)]
-
-    def test_an_acquire_that_raises_releases_exactly_the_stripes_taken(self, monkeypatch):
-        log = []
-        probe = LockTable()
-        low, middle, high = sorted(probe._stripe_index(key) for key in ("a", "d", "b"))
-        table = _recording_table(monkeypatch, log, failing=(middle,))
-        entered = False
-        with pytest.raises(RuntimeError, match=f"stripe {middle}"):
-            with table.holding("b", "d", "a"):
-                entered = True
-        assert not entered
-        assert log == [("acquire", low), ("release", low)]
-        assert ("acquire", high) not in log
-
-    def test_read_scope_is_shared_and_write_scope_excludes_it(self):
-        lock = RWLock()
-        readers_in = threading.Barrier(3, timeout=10)
-        leave = threading.Event()
-        writer_in = threading.Event()
-        writer_leave = threading.Event()
-        late_reader_in = threading.Event()
-
-        def reader():
-            with lock.read():
-                readers_in.wait()  # both readers are inside at once
-                leave.wait(timeout=10)
-
-        def writer():
-            with lock.write():
-                writer_in.set()
-                writer_leave.wait(timeout=10)
-
-        def late_reader():
-            with lock.read():
-                late_reader_in.set()
-
-        threads = [threading.Thread(target=reader, daemon=True) for _ in range(2)]
-        for thread in threads:
-            thread.start()
-        readers_in.wait()
-        threads.append(threading.Thread(target=writer, daemon=True))
-        threads[-1].start()
-        assert not writer_in.wait(timeout=0.2)  # two readers hold the lock
-        leave.set()
-        assert writer_in.wait(timeout=10)
-        threads.append(threading.Thread(target=late_reader, daemon=True))
-        threads[-1].start()
-        assert not late_reader_in.wait(timeout=0.2)  # the writer holds it alone
-        writer_leave.set()
-        assert late_reader_in.wait(timeout=10)
-        for thread in threads:
-            thread.join(timeout=10)
-            assert not thread.is_alive()
+    """What the suspension and commit scopes promise, whatever object implements them."""
 
     def test_suspension_nests_per_thread_and_restores_the_count_when_the_body_raises(
         self, tmp_path
@@ -344,33 +187,6 @@ class TestScopes:
             assert backend.journal(KIND_STEP, instance_id="x") is not None
         finally:
             backend.close()
-
-    def test_writer_waiting_is_set_exactly_while_a_writer_queues(self):
-        lock = RWLock()
-        assert not lock.writer_waiting
-        writer_in = threading.Event()
-
-        def writer():
-            with lock.write():
-                writer_in.set()
-
-        lock.acquire_read()
-        thread = threading.Thread(target=writer, daemon=True)
-        thread.start()
-        for _ in range(1000):
-            if lock.writer_waiting:
-                break
-            threading.Event().wait(0.005)
-        assert lock.writer_waiting and not writer_in.is_set()
-        lock.release_read()  # the last reader out wakes the writer
-        assert writer_in.wait(timeout=10)
-        thread.join(timeout=10)
-        assert not thread.is_alive()
-        assert not lock.writer_waiting
-        # with nobody waiting, readers come and go freely
-        with lock.read():
-            with lock.read():
-                pass
 
     def test_commit_scope_defers_this_threads_commit_to_its_outermost_end(self, tmp_path):
         from repro.system.persistence import PersistentBackend

@@ -198,7 +198,7 @@ class TestPoolAuthorization:
             # after the claim reserved the item, the case disappears and
             # its items are withdrawn before the engine start runs
             system.worklists.discard_instance("victim")
-            with system._registry:
+            with system._lock.holding():
                 system._instances.pop("victim", None)
                 system._dirty.discard("victim")
             system.worklists.execution_guard = original_guard

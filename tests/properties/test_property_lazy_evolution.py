@@ -232,7 +232,7 @@ def _cloned_population(system_class, schema_seed, activities, population_seed, b
 def _stored_form(system, instance_id):
     """The case's record as bytes — encoded from the live case if there is
     one — less the write-back's ``"fix"`` hint."""
-    with system._registry:
+    with system._lock.holding():
         live = system._instances.get(instance_id)
     record = system.store.encode_record(live) if live is not None else system.store.record(instance_id)
     record = dict(record)

@@ -1,14 +1,13 @@
 """A rollout sweep pays its fixed costs per call, not per case.
 
-``sweep_rollout`` holds its type's read lock for the whole call and
-journals inside one commit scope of the persistence backend: the WAL
-still gets one ``rollout_migrated`` record per adopted case, but they
-are written and flushed once, before the call returns.  A writer that
-queues meanwhile (an evolve, a canary rollback, a checkpoint) gets the
-lock before the sweep's next case, and the sweep commits what it has
-journaled before it lets the writer in.  Stored cases that need a look
-(first of their class, biased) are decided on a scratch copy that never
-enters the live cache.
+``sweep_rollout`` is one operation: it holds the system's execution lock
+for the whole call and journals inside one commit scope of the
+persistence backend: the WAL still gets one ``rollout_migrated`` record
+per adopted case, but they are written and flushed once, after the lock
+is released and before the call returns.  A checkpoint that arrives
+meanwhile gets in after the sweep's last case and covers its records.
+Stored cases that need a look (first of their class, biased) are decided
+on a scratch copy that never enters the live cache.
 """
 
 import threading
@@ -62,36 +61,37 @@ def _fingerprints(system, ids):
     return {instance_id: system.get_instance(instance_id).state_fingerprint() for instance_id in ids}
 
 
-def _writer_at_case(system, type_id, case, writer):
-    """Start ``writer`` on a thread once the sweep has decided ``case`` cases.
+def _checkpoint_at_case(system, case):
+    """Start a checkpoint on a thread once the sweep has decided ``case`` cases.
 
-    The sweep's thread waits, still inside that case, until the writer
-    queues for the type lock.  ``writer`` receives a ``note`` callable to
-    call once it holds the lock; returns the list ``note`` appends the
-    number of cases decided by then to, and the thread.
+    The sweep's thread waits, still inside that case, until the
+    checkpoint thread is about to call ``checkpoint()``.  Returns the
+    list the checkpoint appends the number of cases decided by then to
+    (once it holds the lock and writes its snapshot), and the thread.
     """
-    lock = system._type_lock(type_id)
     decided = []
     got_in = []
-    original = system._sweep_one
+    calling = threading.Event()
+    original = system._adopt
+    write_snapshot = system.backend.write_snapshot
 
-    def run_writer():
-        writer(lambda: got_in.append(len(decided)))
+    def run_checkpoint():
+        system.backend.write_snapshot = lambda s: (got_in.append(len(decided)), write_snapshot(s))
+        calling.set()
+        system.checkpoint()
 
-    thread = threading.Thread(target=run_writer, daemon=True)
+    thread = threading.Thread(target=run_checkpoint, daemon=True)
 
-    def sweep_one(rollout, instance_id):
-        result = original(rollout, instance_id)
+    def adopt(rollout, instance_id, instance=None):
+        result = original(rollout, instance_id, instance)
         decided.append(instance_id)
         if len(decided) == case:
             thread.start()
-            deadline = time.monotonic() + 10
-            while not lock.writer_waiting:
-                assert time.monotonic() < deadline, "the writer never queued"
-                time.sleep(0.001)
+            assert calling.wait(timeout=10), "the checkpoint never started"
+            time.sleep(0.05)  # time to reach the lock; nothing is asserted on it
         return result
 
-    system._sweep_one = sweep_one
+    system._adopt = adopt
     return got_in, thread
 
 
@@ -213,47 +213,24 @@ class TestScratchDecisions:
             )
 
 
-class TestWriterYield:
-    def test_writer_queued_mid_sweep_gets_in_before_the_next_case(self):
-        system = AdeptSystem(cache_instances=8)
-        handle, ids = _population(system, cases=300, biased_every=50)
-        rollout = system.evolve(handle.type_id, _change(), rollout="lazy")
-        assert len(system._rollout_residue(rollout)) > 256
-        lock = system._type_lock(handle.type_id)
-
-        def writer(note):
-            with lock.write():
-                note()
-
-        got_in, thread = _writer_at_case(system, handle.type_id, 40, writer)
-        assert system.sweep_rollout(handle.type_id, max_cases=256) == 256
-        thread.join(timeout=10)
-        assert not thread.is_alive()
-        assert got_in == [40]
-
-    def test_checkpoint_through_the_yield_loses_no_adoption(self, tmp_path):
+class TestCheckpointVersusSweep:
+    def test_checkpoint_through_the_sweep_loses_no_adoption(self, tmp_path):
         store = str(tmp_path / "store")
         system = AdeptSystem.open(store, cache_instances=4)
         handle, ids = _population(system)
         rollout = system.evolve(handle.type_id, _change(), rollout="lazy")
         flushes_before = system.backend.wal.flush_count
-        write_snapshot = system.backend.write_snapshot
 
-        def checkpoint(note):
-            # noted once the checkpoint holds every type's write lock
-            system.backend.write_snapshot = lambda s: (note(), write_snapshot(s))
-            system.checkpoint()
-
-        got_in, thread = _writer_at_case(system, handle.type_id, 12, checkpoint)
-        system.sweep_rollout(handle.type_id, max_cases=30)
+        got_in, thread = _checkpoint_at_case(system, 12)
+        assert system.sweep_rollout(handle.type_id, max_cases=30) == 30
         thread.join(timeout=10)
         assert not thread.is_alive()
-        assert got_in == [12]
-        # one commit at the yield, one at the end of the call
-        assert system.backend.wal.flush_count == flushes_before + 2
+        assert got_in == [30]  # the checkpoint got in after the sweep's last case
+        # the sweep's records reached the WAL in one flush (its own commit
+        # or the checkpoint's), and the snapshot covers every one of them
+        assert system.backend.wal.flush_count == flushes_before + 1
+        assert _migrated_records(system) == []
         adopted = set(rollout.adopted)
-        in_wal = _migrated_records(system)
-        assert set(in_wal) < adopted  # the checkpoint covers the earlier ones
         expected = _fingerprints(system, ids)
         system.backend.close()
 
