@@ -180,11 +180,11 @@ class ProcessInstance:
         so that "equal fingerprint" and "equal persisted record" coincide.
         """
         import hashlib
-        import json
 
+        from repro import json_codec
         from repro.storage.serialization import instance_to_dict
 
-        payload = json.dumps(instance_to_dict(self), sort_keys=True)
+        payload = json_codec.dumps(instance_to_dict(self), sort_keys=True)
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
     def node_state(self, node_id: str) -> NodeState:

@@ -4,35 +4,26 @@ A stored case keeps each of its two logs as one compact JSON text — no
 whitespace, sorted keys, so equal rows give equal text whatever order
 their dicts were built in.  Nothing reads the logs while a case steps,
 so a hydrated case keeps the text as it was read, and a write-back
-encodes only the rows appended since and splices them onto it.
-:func:`decode` is the one place a stored log is parsed.
+encodes only the rows appended since and splices them onto it.  A
+write-back encodes a few rows per log, so the encoder's set-up would
+be a third of the cost: :func:`encode` uses the prebuilt compact,
+sorted encoder of :mod:`repro.json_codec`.  :func:`decode` is the one
+place a stored log is parsed.
 """
 
 from __future__ import annotations
 
 import json
-from json import encoder as _json_encoder
 from typing import Any, Sequence
 
-_encoder = json.JSONEncoder(separators=(",", ":"), sort_keys=True)
-# A write-back encodes a few rows per log, so the per-call set-up of
-# ``JSONEncoder.encode`` is a third of the cost: keep the C encoder it
-# builds (same output) when the interpreter has one.
-_c_encoder = (
-    None
-    if _json_encoder.c_make_encoder is None
-    else _json_encoder.c_make_encoder(
-        None, _encoder.default, _json_encoder.encode_basestring_ascii, None,
-        ":", ",", True, False, True,
-    )
-)
+from repro import json_codec
+
+_COMPACT = (",", ":")
 
 
 def encode(rows: Sequence[Any]) -> str:
     """The stored text of a list of rows."""
-    if _c_encoder is None:
-        return _encoder.encode(rows)
-    return "".join(_c_encoder(rows, 0))
+    return json_codec.dumps(rows, separators=_COMPACT, sort_keys=True)
 
 
 def decode(text: str) -> list:

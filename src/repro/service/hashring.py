@@ -11,6 +11,10 @@ on:
   ~K/N of K keys (each with ``replicas`` virtual points per shard, the
   classic consistent-hashing bound), so a rebalance hands over a small
   fraction of the population instead of reshuffling everything.
+
+A lookup hashes its key once: :meth:`HashRing.shard_for` memoises key →
+owner, and every membership change starts a fresh memo, so a memoised
+answer is always the one the current ring computes.
 """
 
 from __future__ import annotations
@@ -39,6 +43,9 @@ class HashRing:
     change moves only the keys between the affected points.
     """
 
+    #: memoised lookups before the memo starts over (bounds its memory)
+    _MEMO_CAP = 16384
+
     def __init__(self, shard_ids: Iterable[str], replicas: int = 128) -> None:
         if replicas < 1:
             raise ValueError("replicas must be >= 1")
@@ -46,6 +53,7 @@ class HashRing:
         self._shards: List[str] = []
         self._points: List[int] = []
         self._owners: List[str] = []
+        self._memo: Dict[str, str] = {}
         for shard_id in shard_ids:
             self.add_shard(shard_id)
 
@@ -73,6 +81,7 @@ class HashRing:
             index = bisect.bisect(self._points, point)
             self._points.insert(index, point)
             self._owners.insert(index, shard_id)
+        self._memo = {}
 
     def remove_shard(self, shard_id: str) -> None:
         if shard_id not in self._shards:
@@ -85,6 +94,7 @@ class HashRing:
         ]
         self._points = [point for point, _ in keep]
         self._owners = [owner for _, owner in keep]
+        self._memo = {}
 
     # ------------------------------------------------------------------ #
     # routing
@@ -92,18 +102,27 @@ class HashRing:
 
     def shard_for(self, key: str) -> str:
         """The shard owning ``key`` (raises when the ring is empty)."""
-        if not self._points:
-            raise ServiceError("hash ring has no shards")
-        index = bisect.bisect(self._points, _point(key))
-        if index == len(self._points):
-            index = 0
-        return self._owners[index]
+        memo = self._memo
+        owner = memo.get(key)
+        if owner is None:
+            if not self._points:
+                raise ServiceError("hash ring has no shards")
+            index = bisect.bisect(self._points, _point(key))
+            if index == len(self._points):
+                index = 0
+            owner = self._owners[index]
+            if len(memo) >= self._MEMO_CAP:
+                memo.clear()
+            memo[key] = owner
+        return owner
 
     def partition(self, keys: Sequence[str]) -> Dict[str, List[str]]:
         """Group ``keys`` by owning shard, preserving input order per shard."""
         groups: Dict[str, List[str]] = {}
+        memo = self._memo
         for key in keys:
-            groups.setdefault(self.shard_for(key), []).append(key)
+            owner = memo.get(key) or self.shard_for(key)
+            groups.setdefault(owner, []).append(key)
         return groups
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

@@ -9,15 +9,19 @@ that many bytes of UTF-8 JSON.  Requests are
 
 Both send and receive return the number of bytes moved so callers can
 feed the measured ``data_transfer`` telemetry counter without guessing.
+
+The codec is :mod:`repro.json_codec` under the module name ``json``:
+the calls below have the stdlib's shape and bytes, and encoding reuses
+one prebuilt C encoder instead of building one per frame.
 """
 
 from __future__ import annotations
 
-import json
 import socket
 import struct
 from typing import Any, Tuple
 
+from repro import json_codec as json
 from repro.service.errors import ShardProtocolError
 
 __all__ = ["send_message", "recv_message", "MAX_FRAME_BYTES"]

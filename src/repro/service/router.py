@@ -11,7 +11,9 @@ processes look like one system:
   partitioned per shard, sent in parallel, and merged **in input
   order**: the k-th id a caller passes gets the k-th result back, no
   matter which shard executed it.  The calling thread carries the first
-  shard's call itself; pool threads exist for the second to N-th.
+  shard's call itself; pool threads exist for the second to N-th.  A
+  ``step_many`` whose ids all live on one shard is that shard's one
+  call, its reply returned as is.
 * **schema broadcast** — ``evolve`` is a versioned two-phase commit:
   phase 1 *publishes* the change to every shard (each validates that
   its type sits at the expected version and stages the change); only
@@ -250,6 +252,12 @@ class ShardRouter:
         """Advance many cases, one batch per owning shard, merged in input order."""
         ids = list(instance_ids)
         groups = self.ring.partition(ids)
+        if len(groups) == 1:
+            # one owner got every id, in input order: its reply is the result
+            (shard_id,) = groups
+            return self.clients[shard_id].call(
+                "step_many", instance_ids=ids, steps=steps, worker=worker
+            )
         per_shard = self._fan_out(
             [
                 (

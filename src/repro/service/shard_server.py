@@ -274,14 +274,14 @@ class ShardServer:
                     return
                 except ServiceError:
                     return  # malformed frame: drop the connection
-                self.telemetry.add("data_transfer", received)
-                self.telemetry.add("requests")
                 response = self._dispatch(request)
+                steps = _steps_taken(request, response)
                 try:
                     sent = send_message(conn, response)
                 except (ConnectionError, OSError):
+                    self.telemetry.note_request(received, steps)
                     return
-                self.telemetry.add("data_transfer", sent)
+                self.telemetry.note_request(received + sent, steps)
 
     def _dispatch(self, request: Any) -> Dict[str, Any]:
         if not isinstance(request, dict) or "op" not in request:
@@ -407,7 +407,6 @@ class ShardServer:
             worker=resolve_worker(request.get("worker", self.worker_spec)),
             max_steps=request.get("max_steps", 10000),
         )
-        self.telemetry.add("steps", result.steps)
         return result.to_dict()
 
     def _op_step_many(self, request: Dict[str, Any]) -> List[Dict[str, Any]]:
@@ -416,7 +415,6 @@ class ShardServer:
             steps=request.get("steps", 1),
             worker=resolve_worker(request.get("worker", self.worker_spec)),
         )
-        self.telemetry.add("steps", sum(result.steps for result in results))
         return [result.to_dict() for result in results]
 
     def _op_start_activity(self, request: Dict[str, Any]) -> Dict[str, Any]:
@@ -432,7 +430,6 @@ class ShardServer:
             outputs=request.get("outputs"),
             user=request.get("user"),
         )
-        self.telemetry.add("steps")
         return result.to_dict()
 
     def _op_activated(self, request: Dict[str, Any]) -> List[str]:
@@ -626,7 +623,6 @@ class ShardServer:
         item = self._system().complete_item(
             request["item_id"], outputs=request.get("outputs")
         )
-        self.telemetry.add("steps")
         return _item_payload(item)
 
     # ------------------------------------------------------------------ #
@@ -723,6 +719,23 @@ class ShardServer:
         # the client gets its ack before the listener closes
         self.initiate_shutdown()
         return {"stopping": True}
+
+
+#: the ops that advance cases, and the steps their result says they took
+_STEPS_OF: Dict[str, Callable[[Any], int]] = {
+    "run": lambda result: result["steps"],
+    "step_many": lambda results: sum(result["steps"] for result in results),
+    "complete": lambda result: 1,
+    "complete_item": lambda result: 1,
+}
+
+
+def _steps_taken(request: Any, response: Dict[str, Any]) -> int:
+    """The steps a served request took (its ``steps`` telemetry)."""
+    if not response["ok"]:
+        return 0
+    count = _STEPS_OF.get(request["op"])
+    return 0 if count is None else count(response["result"])
 
 
 def _item_payload(item: Any) -> Dict[str, Any]:

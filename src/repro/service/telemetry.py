@@ -45,6 +45,14 @@ class ShardTelemetry:
         with self._lock:
             self._counts[counter] += amount
 
+    def note_request(self, transferred: int, steps: int) -> None:
+        """One served request: its frames' bytes and the steps it took."""
+        counts = self._counts
+        with self._lock:
+            counts["requests"] += 1
+            counts["data_transfer"] += transferred
+            counts["steps"] += steps
+
     def as_dict(self) -> Dict[str, int]:
         """A snapshot, with ``total`` summing the ADEPT2 cost factors."""
         with self._lock:

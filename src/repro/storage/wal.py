@@ -6,7 +6,9 @@ loads the last snapshot and replays the log on top of it.  The log is
 deliberately simple (JSON lines) — its purpose in the reproduction is to
 demonstrate that the hybrid storage representation composes with standard
 recovery techniques, and to give the failure-injection tests something
-real to exercise.
+real to exercise.  A line is ``json.dumps(record, sort_keys=True)``'s
+text, written through the prebuilt sorted encoder of
+:mod:`repro.json_codec` rather than an encoder built per record.
 
 **Thread safety and group commit.**  The log is safe to append from many
 threads.  Appends are split into two phases: :meth:`enqueue` serialises
@@ -30,12 +32,8 @@ import threading
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Mapping
 
+from repro import json_codec
 from repro.errors import PersistenceError
-
-# one encoder for every record: json.dumps(..., sort_keys=True) builds a new
-# JSONEncoder per call (encode keeps no state between calls, so it is shared
-# by all threads); the bytes are json.dumps's
-_encode = json.JSONEncoder(sort_keys=True).encode
 
 
 class WriteAheadLog:
@@ -79,7 +77,7 @@ class WriteAheadLog:
         backend's sequence numbers) enqueue under their own lock — the
         pending buffer preserves enqueue order — and commit outside it.
         """
-        line = _encode(record) + "\n"
+        line = json_codec.dumps(record, sort_keys=True) + "\n"
         with self._mutex:
             self.append_count += 1
             self._pending.append(line)

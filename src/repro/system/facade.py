@@ -66,6 +66,7 @@ from typing import (
     Union,
 )
 
+from repro import json_codec
 from repro.core.adhoc import AdHocChanger
 from repro.core.changelog import ChangeLog
 from repro.core.evolution import ProcessType, TypeChange
@@ -164,9 +165,7 @@ FEED_CATEGORIES = (CATEGORY_CHANGE, CATEGORY_MIGRATION, CATEGORY_SCHEMA, CATEGOR
 
 def _json_serialisable(outputs: Mapping[str, Any]) -> None:
     """Fail-fast check installed as the engine's step-outputs validator."""
-    import json
-
-    json.dumps(outputs)
+    json_codec.dumps(outputs)
 
 
 def _operation(method: Any) -> Any:

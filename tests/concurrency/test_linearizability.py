@@ -3,9 +3,9 @@
 N actors perform randomized step / ad-hoc-change / evolve / start /
 abort operations against one durable system.  The write-ahead log then
 *is* a witness interleaving: it records one totally ordered sequence of
-the committed operations that respects every per-case order (steps
-journal under the case's stripe) and every type order (evolutions
-journal under the type's write lock).  Replaying it sequentially through
+the committed operations that respects every per-case order and every type
+order (every operation journals under the system's one execution
+lock).  Replaying it sequentially through
 ``AdeptSystem.open`` must land on exactly the observed concurrent end
 state — fingerprint-for-fingerprint.  Any lost update, double-applied
 step or torn migration diverges the replay.

@@ -1,10 +1,10 @@
-"""Lock-order stress: the worklist-manager lock is a leaf *below* the stripes.
+"""Lock-order stress: the worklist-manager lock is a leaf *below* the execution lock.
 
-Every execution scope synchronises its case's work items while it still
-holds the case's stripe, so the manager lock is taken stripe → manager on
-every hot path.  A single manager → stripe acquisition anywhere (the old
-order: a refresh reading markings under the manager lock) would deadlock
-against that.  These schedules put every path that meets the manager on
+Every operation synchronises its cases' work items while it still holds
+the system's execution lock, so the manager lock is taken execution lock
+→ manager on every hot path.  A single manager → execution-lock
+acquisition anywhere (a refresh reading markings under the manager
+lock, say) would deadlock against that.  These schedules put every path that meets the manager on
 *one* process type at once — batch steps, claim/complete through the
 worklist, ad-hoc changes, delete + start, pure worklist reads, an eager
 evolve and a canary rollout with a forced revert, a serving worker pool

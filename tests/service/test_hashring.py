@@ -139,3 +139,44 @@ class TestMinimalRemapping:
         expected = len(population) / len(counts)
         for shard, count in counts.items():
             assert 0.4 * expected <= count <= 1.9 * expected, (shard, counts)
+
+
+class TestMemo:
+    """``shard_for`` memoises key → owner; the memo never answers stale."""
+
+    def test_memoised_lookups_agree_with_a_fresh_ring(self):
+        names = ["a", "b", "c", "d"]
+        keys = _keys(10000)
+        ring = HashRing(names)
+        first = [ring.shard_for(key) for key in keys]
+        memoised = [ring.shard_for(key) for key in keys]
+        fresh = HashRing(names)
+        assert memoised == first == [fresh.shard_for(key) for key in keys]
+        assert ring.partition(keys) == HashRing(names).partition(keys)
+
+    @pytest.mark.parametrize("change", ["add", "remove"])
+    def test_a_membership_change_reroutes_every_moved_key_at_once(self, change):
+        keys = _keys(5000)
+        ring = HashRing(["a", "b", "c"])
+        before = {key: ring.shard_for(key) for key in keys}
+        if change == "add":
+            ring.add_shard("d")
+            members = ["a", "b", "c", "d"]
+        else:
+            ring.remove_shard("b")
+            members = ["a", "c"]
+        fresh = HashRing(members)
+        moved = [key for key in keys if fresh.shard_for(key) != before[key]]
+        assert moved  # the change did move keys, and the memo knew them all
+        for key in keys:
+            assert ring.shard_for(key) == fresh.shard_for(key)
+        assert ring.partition(moved) == fresh.partition(moved)
+
+    def test_the_memo_never_grows_past_its_cap(self):
+        ring = HashRing(["a", "b"])
+        cap = HashRing._MEMO_CAP
+        for key in _keys(cap + 1000):
+            ring.shard_for(key)
+            assert len(ring._memo) <= cap
+        ring.partition(_keys(cap + 1000)[-3000:])
+        assert len(ring._memo) <= cap

@@ -1,8 +1,8 @@
 """The population-independence gate (deterministic, no wall clock).
 
 A façade request synchronises the work items of the cases it touched and
-nothing else, so the number of markings it reads and of stripes it takes
-must not depend on how many *other* cases are live.  The gate counts
+nothing else, so the number of markings it reads and of execution-lock
+scopes it enters must not depend on how many *other* cases are live.  The gate counts
 exactly that — cases synchronised (``WorklistManager.sync_offers``, one
 marking pass each), ``ProcessInstance.activated_activities`` calls and
 ``LockTable.holding`` entries per request — for a population of 50 and
