@@ -251,10 +251,12 @@ def _cmd_shard_status(args: argparse.Namespace) -> int:
         return 0
     for shard_id in sorted(status["shards"]):
         shard = status["shards"][shard_id]
+        journal = shard["journal"]
         print(
             f"{shard_id}: pid={shard['pid']} {shard['host']}:{shard['port']} "
             f"live={shard['live_instances']} stored={shard['stored_instances']} "
-            f"types={','.join(shard['types']) or '-'}"
+            f"types={','.join(shard['types']) or '-'} journal="
+            + (f"{journal['records']} records/{journal['flushes']} flushes" if journal else "-")
         )
     telemetry = status["telemetry"]
     print(

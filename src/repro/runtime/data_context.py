@@ -9,16 +9,14 @@ storage layer persists the value history for recovery.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Optional, Union
+from typing import Any, Dict, List, Mapping, NamedTuple, Optional, Union
 
 from repro.runtime import stored_log
 from repro.schema.graph import ProcessSchema
 
 
-@dataclass(frozen=True)
-class DataWrite:
-    """One recorded write of a data element."""
+class DataWrite(NamedTuple):
+    """One recorded write of a data element (a named tuple: cheap to build)."""
 
     element: str
     value: Any
@@ -111,7 +109,7 @@ class DataContext:
     def write(self, element: str, value: Any, writer: str, iteration: int = 0) -> None:
         """Record a write of ``element`` by activity ``writer``."""
         self._values[element] = value
-        self._tail.append(DataWrite(element=element, value=value, writer=writer, iteration=iteration))
+        self._tail.append(DataWrite(element, value, writer, iteration))
 
     def supply(self, element: str, value: Any) -> None:
         """Set a value without an owning activity (missing-data supply).

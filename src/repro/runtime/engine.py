@@ -132,8 +132,9 @@ class ProcessEngine:
         #: ``"start"`` for an explicit :meth:`start_activity`,
         #: ``"complete"`` for a :meth:`complete_activity` — including the
         #: implicit start it performs on an ACTIVATED activity, so a
-        #: completed activity has one commit point.  The durability
-        #: layer journals these as typed WAL records; unlike the event log
+        #: completed activity is one notification.  The durability layer
+        #: journals each as one typed WAL record, committed with the rest
+        #: of the calling operation's records; unlike the event log
         #: the hook receives the *actual outputs* written by the step, so a
         #: crash-recovery replay reproduces the exact data context.
         self.step_listener: Optional[Callable[[str, ProcessInstance, str, Optional[Dict[str, Any]], Optional[str]], None]] = None
@@ -234,8 +235,9 @@ class ProcessEngine:
 
         :meth:`start_activity` is acknowledged on its own, so it tells the
         step listener; the implicit start inside :meth:`complete_activity`
-        does not — its one commit point is the ``complete`` notification,
-        which a replay turns back into this same transition.
+        does not — it is journaled only as part of the ``complete``
+        notification's one record, which a replay turns back into this
+        same transition.
         """
         activity_id, reads, _, _, loop_start = facts
         instance.marking.nodes[position] = _RUNNING

@@ -12,9 +12,9 @@ for looping processes.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from types import MappingProxyType
+from typing import Any, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
 from repro.runtime import stored_log
 
@@ -41,11 +41,15 @@ _EVENT_CODE = {
 }
 _EVENT_OF_CODE = {code: event for event, code in _EVENT_CODE.items()}
 _ACTIVITY, _SUPERSEDED = 2, 6  # row columns read without building an entry
+#: the ``values`` of an entry built without any: shared, so read-only
+_NO_VALUES: Mapping[str, Any] = MappingProxyType({})
 
 
-@dataclass(frozen=True)
-class HistoryEntry:
+class HistoryEntry(NamedTuple):
     """One event of an instance's execution history.
+
+    A named tuple: every step records two entries, and a tuple is built
+    without a per-field ``__setattr__``.
 
     Attributes:
         sequence: Monotonically increasing position within the history.
@@ -64,23 +68,14 @@ class HistoryEntry:
     event: HistoryEventType
     activity: str
     iteration: int = 0
-    values: Mapping[str, Any] = field(default_factory=dict)
+    values: Mapping[str, Any] = _NO_VALUES
     user: Optional[str] = None
     superseded: bool = False
     timestamp: int = 0
 
     def mark_superseded(self) -> "HistoryEntry":
         """A copy of this entry flagged as belonging to an old iteration."""
-        return HistoryEntry(
-            sequence=self.sequence,
-            event=self.event,
-            activity=self.activity,
-            iteration=self.iteration,
-            values=self.values,
-            user=self.user,
-            superseded=True,
-            timestamp=self.timestamp,
-        )
+        return self._replace(superseded=True)
 
     def to_dict(self) -> dict:
         return {
@@ -213,13 +208,7 @@ class ExecutionHistory:
         """Append a new entry and return it."""
         position = self._count + len(self._tail)
         entry = HistoryEntry(
-            sequence=position,
-            event=event,
-            activity=activity,
-            iteration=iteration,
-            values=dict(values or {}),
-            user=user,
-            timestamp=position,
+            position, event, activity, iteration, dict(values or {}), user, False, position
         )
         self._tail.append(entry)
         return entry

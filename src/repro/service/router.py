@@ -270,12 +270,12 @@ class ShardRouter:
             ]
         )
         # partition() preserved input order per shard, and each shard
-        # returns results in its input order — zip them back by position
-        by_id: Dict[str, Dict[str, Any]] = {}
-        for shard_id, group in groups.items():
-            for case_id, result in zip(group, per_shard[shard_id]):
-                by_id[case_id] = result
-        return [by_id[case_id] for case_id in ids]
+        # returns results in its input order: position by position, the
+        # next result of the case's owner is that position's (a case id
+        # given twice gets each step's own result)
+        owner = {case_id: shard_id for shard_id, group in groups.items() for case_id in group}
+        replies = {shard_id: iter(per_shard[shard_id]) for shard_id in groups}
+        return [next(replies[owner[case_id]]) for case_id in ids]
 
     def run(self, instance_id: str, worker: str = "", max_steps: int = 10000) -> Dict[str, Any]:
         return self.client_for(instance_id).call(

@@ -309,6 +309,14 @@ class ShardServer:
     def _op_status(self, request: Dict[str, Any]) -> Dict[str, Any]:
         system = self._system()
         live = len(system.live_instance_ids())
+        backend = system.backend
+        # the WAL's own counters, apart from the distributed cost factors
+        # of ``telemetry``: records over flushes is the group-commit batch
+        journal = (
+            None
+            if backend is None
+            else {"records": backend.wal.append_count, "flushes": backend.wal.flush_count}
+        )
         return {
             "shard_id": self.shard_id,
             "pid": os.getpid(),
@@ -319,6 +327,7 @@ class ShardServer:
             "live_instances": live,
             "stored_instances": len(system.store.instance_ids()),
             "workers": self.workers,
+            "journal": journal,
             "telemetry": self.telemetry.as_dict(),
         }
 

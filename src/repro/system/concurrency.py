@@ -22,8 +22,8 @@ processes (:mod:`repro.service`).  This module provides:
   point, so a failing interleaving replays exactly from its seed.
 
 Only two waits happen outside the execution lock: the group-commit flush
-of an operation's WAL records (a ``step`` record excepted — a completed
-activity is committed at its step), and a worker function of the pool.
+of an operation's WAL records (its ``step`` records included), and a
+worker function of the pool.
 The locks below it (the worklist manager's, the WAL's, storage and bus
 internals) are leaves, never held while the execution lock is awaited.
 """

@@ -174,11 +174,10 @@ def _operation(method: Any) -> Any:
     The outermost call holds the execution lock for the whole method; a
     call made inside another operation runs within the caller's.  On a
     durable system the call also opens the backend's commit scope
-    *outside* the lock: its records are enqueued under the lock and
-    flushed once the lock is released, and the call returns only after
-    that — the durability wait holds up no other operation.  (A ``step``
-    record is the exception: each completed activity is its own commit
-    point, see :meth:`AdeptSystem._on_engine_step`.)
+    *outside* the lock: its records — ``step`` records included — are
+    enqueued under the lock and written and flushed once, after the lock
+    is released, and the call returns only after that (also when the
+    method raises) — the durability wait holds up no other operation.
     """
 
     @functools.wraps(method)
@@ -303,8 +302,8 @@ class AdeptSystem:
         place a stepped, changed, claimed or aborted case meets the
         worklist.  Runs inside the calling operation; an engine call of
         the worklist manager made outside any operation (its execution
-        guard is this scope) takes the lock itself — its ``step`` record
-        is committed at the step, like every other.
+        guard is this scope) takes the lock itself — no commit scope is
+        open then, so its ``step`` record is committed at the step.
         """
         if not self._lock.held():
             with self._lock.holding(), self._case_execution(instance_id) as instance:
@@ -449,24 +448,24 @@ class AdeptSystem:
 
         The engine notifies once per acknowledged operation — an explicit
         start, or a completion (which covers its implicit start) — so a
-        completed activity is one record and one commit point: the record
-        is committed here, with whatever the operation journaled before
-        it, also inside a multi-step operation.
+        completed activity is one record, enqueued here, at its step.  It
+        is committed with the rest of the operation's records when the
+        operation ends (one write + flush per call, however many steps it
+        took); an engine call made outside any operation has no commit
+        scope open, so its record is committed at once.
         """
         instance_id = instance.instance_id
         if instance_id not in self._instances:
             return  # scratch/clone instance driven through the shared engine
         self._dirty.add(instance_id)
-        backend = self._backend
-        if backend is not None and backend.journal(
+        self._journal(
             KIND_STEP,
             instance_id=instance_id,
             action=action,
             activity=activity_id,
             outputs=dict(outputs) if outputs else None,
             user=user,
-        ) is not None:
-            backend.commit()
+        )
 
     # ------------------------------------------------------------------ #
     # lazy hydration: the LRU-bounded live-instance cache

@@ -141,13 +141,14 @@ def _run(path, seed, scheduled):
         for index, kind in enumerate(kinds)
     ]
     # the pool's workers are real threads in both modes: they contend with
-    # whichever actor is running for stripes and for the manager lock
+    # whichever actor is running for the execution lock and the manager lock
     system.serve(workers=3)
     if scheduled:
         scheduler.run(actors, timeout=60.0)
     else:
         # ten threads on fewer cores, switching often: a thread is far more
-        # likely to be preempted between taking a stripe and the manager lock
+        # likely to be preempted between taking the execution lock and the
+        # manager lock
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.runtime.data_context import DataContext
+from repro.runtime.data_context import DataContext, DataWrite
 from repro.schema import templates
 
 
@@ -66,3 +66,30 @@ class TestCopySerialize:
         restored = DataContext.from_dict(context.to_dict())
         assert restored.get("x") == {"nested": True}
         assert restored.last_write("x").iteration == 2
+
+
+class TestWriteIsATuple:
+    """``DataWrite`` is a named tuple: same fields, order and default."""
+
+    def test_a_write_is_a_tuple_of_its_fields_in_order(self):
+        write = DataWrite("x", 1, "a")
+        assert isinstance(write, tuple)
+        assert DataWrite._fields == ("element", "value", "writer", "iteration")
+        assert write == ("x", 1, "a", 0)
+
+    def test_replace_and_asdict(self):
+        write = DataWrite(element="x", value=1, writer="a", iteration=2)
+        assert write._replace(value=5) == ("x", 5, "a", 2)
+        assert write._asdict() == {"element": "x", "value": 1, "writer": "a", "iteration": 2}
+
+    def test_recorded_writes_round_trip_through_both_forms(self):
+        context = DataContext()
+        context.write("x", {"nested": [1]}, writer="a", iteration=1)
+        context.supply("y", "z")
+        expected = [DataWrite("x", {"nested": [1]}, "a", 1), DataWrite("y", "z", "<supplied>", 0)]
+        assert context.writes == expected
+        for payload in (context.to_dict(), context.to_stored()):
+            restored = DataContext.from_dict(payload)
+            assert restored.writes == expected
+            assert restored.last_write("x") == expected[0]
+            assert restored.to_stored() == context.to_stored()

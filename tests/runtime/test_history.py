@@ -119,3 +119,56 @@ class TestSerialization:
         clone.record(HistoryEventType.ACTIVITY_COMPLETED, "a")
         assert len(history) == 1
         assert len(clone) == 2
+
+
+class TestEntryIsATuple:
+    """``HistoryEntry`` is a named tuple: same fields, order and defaults."""
+
+    def _entry(self, **fields):
+        base = dict(sequence=3, event=HistoryEventType.ACTIVITY_COMPLETED, activity="a")
+        base.update(fields)
+        return HistoryEntry(**base)
+
+    def test_an_entry_is_a_tuple_of_its_fields_in_order(self):
+        entry = self._entry(iteration=2, values={"x": 1}, user="carol", timestamp=3)
+        assert isinstance(entry, tuple)
+        assert HistoryEntry._fields == (
+            "sequence", "event", "activity", "iteration", "values", "user", "superseded",
+            "timestamp",
+        )
+        assert entry == (3, HistoryEventType.ACTIVITY_COMPLETED, "a", 2, {"x": 1}, "carol", False, 3)
+
+    def test_replace_and_asdict(self):
+        entry = self._entry(user="carol")
+        assert entry._replace(user="dave").user == "dave"
+        assert entry.user == "carol"
+        assert entry._asdict()["activity"] == "a"
+        assert list(entry._asdict()) == list(HistoryEntry._fields)
+
+    def test_mark_superseded_is_replace(self):
+        entry = self._entry(values={"x": 1})
+        assert entry.mark_superseded() == entry._replace(superseded=True)
+        assert entry.mark_superseded().superseded and not entry.superseded
+
+    def test_the_default_values_are_read_only(self):
+        entry = self._entry()
+        assert entry.values == {}
+        with pytest.raises(TypeError):
+            entry.values["x"] = 1
+        assert self._entry().values == {}
+
+    def test_a_recorded_entry_owns_its_values(self):
+        history = ExecutionHistory()
+        entry = history.record(HistoryEventType.ACTIVITY_STARTED, "a")
+        entry.values["x"] = 1  # a fresh dict, not the shared default
+        assert history.record(HistoryEventType.ACTIVITY_STARTED, "b").values == {}
+
+    @pytest.mark.parametrize("superseded", [False, True])
+    def test_row_and_dict_round_trips(self, superseded):
+        entry = self._entry(iteration=1, values={"x": [1, 2]}, user="bob", superseded=superseded)
+        assert HistoryEntry.from_row(entry.to_row()) == entry
+        assert HistoryEntry.from_dict(entry.to_dict()) == entry
+        assert entry.to_row() == [3, 1, "a", 1, {"x": [1, 2]}, "bob", int(superseded), 0]
+        assert HistoryEntry.from_dict({"sequence": 0, "event": "activity_started", "activity": "a"}) == (
+            0, HistoryEventType.ACTIVITY_STARTED, "a", 0, {}, None, False, 0,
+        )

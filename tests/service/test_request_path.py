@@ -14,7 +14,7 @@ import threading
 import pytest
 
 from repro import AdeptSystem
-from repro.schema.templates import online_order_process
+from repro.schema.templates import online_order_process, sequential_process
 from repro.service import ShardClient, ShardRouter, ShardServer
 
 
@@ -103,6 +103,25 @@ class TestTwoShards:
         assert threads[first_shard] == threading.get_ident()
         assert len(set(threads.values())) == 2
 
+    def test_a_case_given_twice_gets_each_steps_own_result(self, fleet):
+        _servers, router = fleet(2)
+        router.deploy(sequential_process(length=3).to_dict())
+        by_shard = {}
+        while len(by_shard) < 2:
+            case_id = router.start("sequence")
+            by_shard.setdefault(router.ring.shard_for(case_id), case_id)
+        twice, other = by_shard.values()
+        router.step_many([twice], steps=2)  # one activity before completion
+
+        results = router.step_many([twice, other, twice], steps=1)
+
+        # what the one-shard path answers: the first position took the
+        # last step, the second found nothing left to do
+        assert [result["instance_id"] for result in results] == [twice, other, twice]
+        assert [result["steps"] for result in results] == [1, 1, 0]
+        assert results[0]["status"] == results[2]["status"] == "completed"
+        assert results[1]["status"] == "running"
+
     def test_every_call_lands_before_the_first_failure_in_call_order_surfaces(
         self, fleet, monkeypatch
     ):
@@ -139,5 +158,6 @@ def test_in_process_step_many_appends_one_complete_record_per_step(tmp_path):
     assert steps > 4 * 3
     records = system.backend.wal_records()[already:]
     assert [(r["kind"], r["action"]) for r in records] == [("step", "complete")] * steps
-    assert (wal.append_count, wal.flush_count) == (appended + steps, flushed + steps)
+    # one record per completed activity, one flush per step_many call
+    assert (wal.append_count, wal.flush_count) == (appended + steps, flushed + 2)
     system.close()

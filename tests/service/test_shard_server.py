@@ -234,6 +234,51 @@ class TestTwoPhaseEvolve:
         assert status["state"] in ("migrating", "completed")
 
 
+class TestJournalStatus:
+    """``status`` reports the WAL's records and flushes, apart from telemetry."""
+
+    def test_step_many_over_k_cases_adds_k_records_and_one_flush(self, shard):
+        _server, client = shard
+        _deploy_orders(client)
+        ids = [f"ord-{index}" for index in range(5)]
+        for case_id in ids:
+            client.call("start", type_id="online_order", case_id=case_id)
+        before = client.call("status")["journal"]
+
+        results = client.call("step_many", instance_ids=ids, steps=1)
+
+        assert [result["steps"] for result in results] == [1] * len(ids)
+        status = client.call("status")
+        assert status["journal"] == {
+            "records": before["records"] + len(ids),
+            "flushes": before["flushes"] + 1,
+        }
+        assert "journal" not in status["telemetry"]
+
+    def test_an_in_memory_shard_has_no_journal(self):
+        server = ShardServer("m0")
+        host, port = server.start_in_thread()
+        client = ShardClient("m0", host, port)
+        try:
+            assert client.call("status")["journal"] is None
+        finally:
+            client.close()
+            server.stop()
+
+    def test_shard_status_prints_each_shards_records_and_flushes(self, shard, tmp_path, capsys):
+        from repro.cli import main
+
+        _server, client = shard
+        _deploy_orders(client)
+        client.call("start", type_id="online_order", case_id="ord-1")
+        journal = client.call("status")["journal"]
+
+        assert main(["shard-status", "--store", str(tmp_path)]) == 0
+
+        line = next(line for line in capsys.readouterr().out.splitlines() if line.startswith("s0:"))
+        assert line.endswith(f"journal={journal['records']} records/{journal['flushes']} flushes")
+
+
 class TestDurability:
     def test_wal_summary_counts(self, shard):
         _server, client = shard
@@ -292,6 +337,20 @@ class TestSatellites:
         reopened = AdeptSystem.open(str(tmp_path / "store"))
         try:
             assert reopened.get_instance("seq-1").instance_id == "seq-1"
+        finally:
+            reopened.close(checkpoint=False)
+
+    def test_close_after_a_step_closes_again(self, tmp_path):
+        system = AdeptSystem.open(str(tmp_path / "store"))
+        system.deploy(sequential_process())
+        system.start("sequence", case_id="seq-1")
+        system.close()
+        system.step_many(["seq-1"], steps=1)  # reopens the WAL
+        system.close()  # checkpoints the step and releases the handle
+        reopened = AdeptSystem.open(str(tmp_path / "store"))
+        try:
+            assert reopened.last_recovery.replayed_records == 0
+            assert reopened.get_instance("seq-1").completed_activities() == ["step_1"]
         finally:
             reopened.close(checkpoint=False)
 
