@@ -127,15 +127,17 @@ class WorklistManager:
     # synchronisation with the cases
     # ------------------------------------------------------------------ #
 
-    def register_instance(self, instance: ProcessInstance) -> None:
+    def register_instance(self, instance: ProcessInstance, sync: bool = True) -> None:
         """Track a live instance (or its replacement object) and synchronise it.
 
         The caller owns the case (runs the façade operation that holds
-        it, or is single-threaded).
+        it, or is single-threaded).  ``sync=False`` is for a caller that
+        knows the case's open items already match its marking.
         """
         with self._lock:
             self._instances[instance.instance_id] = instance
-        self.sync_instance(instance)
+        if sync:
+            self.sync_instance(instance)
 
     def unregister_instance(self, instance_id: str) -> None:
         """Stop tracking an instance (eviction from the live cache).

@@ -44,6 +44,8 @@ class InstanceStore:
         #: instance id -> stored record
         self._records: Dict[str, Dict[str, Any]] = {}
         self.index = InstanceIndex()
+        #: ids whose current record :meth:`write_back` stored (:meth:`written_back`)
+        self._written_back: Set[str] = set()
         # one reentrant lock serialises record/index mutations and makes
         # every query a consistent snapshot — the store is shared by all
         # threads of the façade (a leaf below its execution lock)
@@ -83,6 +85,7 @@ class InstanceStore:
         total_bytes = len(json.dumps(record, sort_keys=True))
         with self._lock:
             self._records[instance.instance_id] = record
+            self._written_back.discard(instance.instance_id)
             self.index.add(instance.instance_id, record)
         return StoredInstance(
             instance_id=instance.instance_id,
@@ -108,12 +111,16 @@ class InstanceStore:
         re-examines the nodes it signals instead of the whole schema.  The
         key is a cache hint, not state — no WAL record, fingerprint or
         ``instance_to_dict`` carries it, and absent means "not known".
+
+        Marks the record as written back, until another writer replaces it
+        (:meth:`written_back`).
         """
         record = self.encode_record(instance)
         if instance.marking.settled:
             record["marking"]["fix"] = 1
         with self._lock:
             self._records[instance.instance_id] = record
+            self._written_back.add(instance.instance_id)
             self.index.add(instance.instance_id, record)
 
     def load(self, instance_id: str) -> ProcessInstance:
@@ -124,6 +131,27 @@ class InstanceStore:
             raise StorageError(f"unknown instance {instance_id!r}")
         return self._instantiate(record)
 
+    def written_back(self, instance_id: str) -> bool:
+        """True while the stored record is the one :meth:`write_back` stored.
+
+        That is, no migration, snapshot load, replay, save or deletion
+        replaced it since.  The live cache writes back a case it evicts
+        after the scope that last changed the case synchronised its work
+        items, so those items still match such a record.  One set
+        membership test, which is atomic: no lock is taken.
+        """
+        return instance_id in self._written_back
+
+    def clear_write_back_marks(self) -> None:
+        """Forget which records :meth:`write_back` stored (recovery calls this).
+
+        A WAL replay drives cases through the engine without
+        synchronising their work items, and the evictions it causes write
+        those cases back.
+        """
+        with self._lock:
+            self._written_back.clear()
+
     def load_all(self, instance_ids: Optional[Iterable[str]] = None) -> List[ProcessInstance]:
         """Load several (or all) stored instances."""
         ids = list(instance_ids) if instance_ids is not None else self.instance_ids()
@@ -133,12 +161,21 @@ class InstanceStore:
         """Remove a stored instance; returns True when it existed."""
         with self._lock:
             existed = self._records.pop(instance_id, None) is not None
+            self._written_back.discard(instance_id)
             self.index.remove(instance_id)
         return existed
 
     def contains(self, instance_id: str) -> bool:
         with self._lock:
             return instance_id in self._records
+
+    def process_type_of(self, instance_id: str) -> str:
+        """Process type of a stored case ('' when unknown).
+
+        One dict read, which is atomic: no lock is taken.
+        """
+        record = self._records.get(instance_id)
+        return "" if record is None else record.get("process_type", "")
 
     def instance_ids(self) -> List[str]:
         with self._lock:
@@ -161,6 +198,7 @@ class InstanceStore:
         payload = dict(record)
         with self._lock:
             self._records[payload["instance_id"]] = payload
+            self._written_back.discard(payload["instance_id"])
             self.index.add(payload["instance_id"], payload)
 
     def scan_records(self) -> Iterable[tuple]:
@@ -220,6 +258,7 @@ class InstanceStore:
                 else:
                     record[key] = value
             self._records[instance_id] = record
+            self._written_back.discard(instance_id)
             self.index.add(instance_id, record)
         return record
 
@@ -288,10 +327,12 @@ class InstanceStore:
 
     def _instantiate(self, record: Mapping[str, Any]) -> ProcessInstance:
         original = self.repository.resolve(record["process_type"], record["schema_version"])
-        representation = record.get("representation", {})
-        execution_schema = self.strategy.materialize_schema(
-            representation, original, record["instance_id"]
-        )
+        execution_schema = None
+        if record.get("bias"):
+            # only a biased case executes on a schema of its own
+            execution_schema = self.strategy.materialize_schema(
+                record.get("representation", {}), original, record["instance_id"]
+            )
         return instance_from_record(record, original, execution_schema)
 
     def __len__(self) -> int:

@@ -503,10 +503,7 @@ class AdeptSystem:
         instance = self._instances.get(instance_id)
         if instance is not None:
             return instance.process_type
-        try:
-            return self.store.record(instance_id).get("process_type", "")
-        except StorageError:
-            return ""
+        return self.store.process_type_of(instance_id)
 
     # ------------------------------------------------------------------ #
     # schema deployment and type access
@@ -694,13 +691,21 @@ class AdeptSystem:
         if instance is not None:
             self._instances.move_to_end(instance_id)
             return instance
-        if not self.store.contains(instance_id):
-            raise EngineError(f"unknown instance {instance_id!r}")
-        instance = self.store.load(instance_id)
+        try:
+            instance = self.store.load(instance_id)
+        except StorageError:
+            # one lookup on the hit-or-load path; only a missing record is
+            # an unknown id — a stored one that does not decode says why
+            if self.store.contains(instance_id):
+                raise
+            raise EngineError(f"unknown instance {instance_id!r}") from None
         self._instances[instance_id] = instance
-        # the stored record may have been rewritten (migrated) while the
-        # case was evicted
-        self.worklists.register_instance(instance)
+        # a record this cache wrote back left the case's work items as the
+        # scope that last changed it synchronised them; any other record
+        # (migrated, saved, replayed, loaded) may offer something else
+        self.worklists.register_instance(
+            instance, sync=not self.store.written_back(instance_id)
+        )
         self.bus.publish(CATEGORY_SYSTEM, "instance_loaded", instance_id=instance_id)
         self._enforce_cache_cap()
         return instance
@@ -811,7 +816,13 @@ class AdeptSystem:
 
         Returns one :class:`RunResult` per instance id, in input order;
         ``result.steps`` is the number of activities actually executed
-        (0 when the case had nothing activated).
+        (0 when the case had nothing activated).  An id given more than
+        once is stepped at each position, and each position's ``steps`` is
+        its own, but ``result.status`` is read when the id's chunk has
+        finished: every position of the id reports the same, final status
+        (``step_many([a, b, a])`` with ``a`` one activity from its end
+        gives steps ``[1, 1, 0]`` and ``completed`` at both of ``a``'s
+        positions).
         """
         ids = list(instance_ids)
         # one type lookup per id (a store read for an evicted one) serves

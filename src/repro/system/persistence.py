@@ -40,6 +40,7 @@ crash-consistency contract.
 from __future__ import annotations
 
 import json
+import logging
 import os
 import threading
 from dataclasses import dataclass, field
@@ -55,6 +56,8 @@ from repro.storage.wal import WriteAheadLog
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.system.facade import AdeptSystem
+
+logger = logging.getLogger(__name__)
 
 #: Snapshot format written by this code (bumped on incompatible layout
 #: changes).  Format 3 holds every record's history rows and data writes
@@ -406,10 +409,12 @@ class PersistentBackend:
         except json.JSONDecodeError:
             return None
         if payload.get("format") not in READABLE_FORMATS:
-            raise RecoveryError(
+            message = (
                 f"snapshot format {payload.get('format')!r} is not supported "
                 f"(expected one of {READABLE_FORMATS})"
             )
+            logger.warning("refusing snapshot %s: %s", self.snapshot_path, message)
+            raise RecoveryError(message)
         return payload
 
     # ------------------------------------------------------------------ #
@@ -449,9 +454,21 @@ class PersistentBackend:
                 report.replayed_by_kind[kind] = report.replayed_by_kind.get(kind, 0) + 1
             # the replay stepped cases through the engine directly: one
             # global resynchronisation, the only one the system ever runs —
-            # the live cases first (hydrating the others evicts them)
+            # the live cases first (hydrating the others evicts them).  The
+            # replay's evictions wrote back cases whose items it never
+            # synchronised: no record may pass for one that left them current
+            system.store.clear_write_back_marks()
             system.worklists.refresh()
             self._reoffer_stored_work(system)
+        logger.info(
+            "recovered %s: snapshot %s, %d record(s) replayed%s",
+            self.directory,
+            f"with {report.snapshot_instances} instance(s)" if report.snapshot_loaded else "none",
+            report.replayed_records,
+            "".join(
+                f", {kind} {count}" for kind, count in sorted(report.replayed_by_kind.items())
+            ),
+        )
         return report
 
     @staticmethod
@@ -503,14 +520,21 @@ class PersistentBackend:
     # -- record replay -------------------------------------------------- #
 
     def _apply_record(self, system: "AdeptSystem", record: Mapping[str, Any]) -> None:
+        """Replay one WAL record; every failure leaves as a :class:`RecoveryError`.
+
+        A handler's own ``RecoveryError`` (a reconciliation mismatch) is
+        wrapped like any other failure, so the one warning logged here
+        names the record for all of them.
+        """
         kind = record.get("kind")
-        try:
-            handler = _REPLAY_HANDLERS[kind]
-        except KeyError:
-            raise RecoveryError(f"unknown WAL record kind {kind!r}") from None
+        handler = _REPLAY_HANDLERS.get(kind)
+        if handler is None:
+            logger.warning("WAL record #%s: unknown kind %r", record.get("seq"), kind)
+            raise RecoveryError(f"unknown WAL record kind {kind!r}")
         try:
             handler(system, record)
         except Exception as exc:
+            logger.warning("replaying WAL record #%s (%s) failed: %s", record.get("seq"), kind, exc)
             raise RecoveryError(
                 f"replaying WAL record #{record.get('seq')} ({kind}) failed: {exc}"
             ) from exc

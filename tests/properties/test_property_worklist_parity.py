@@ -9,8 +9,14 @@ check_worklist_parity`) after each single one: starts, batch steps,
 direct completions, claim + complete through the worklist, aborts,
 ad-hoc inserts and deletes, eager evolutions, lazy rollouts with touches
 and sweeps, canary rollouts with a forced revert, deletions, eviction
-and re-hydration under a live cache of four — and crash + reopen, after
-which the recovered offers must equal the pre-crash ones.
+and re-hydration under a live cache of four (and of two) — and crash +
+reopen, after which the recovered offers must equal the pre-crash ones.
+
+Hydrating a record the cache itself wrote back does not synchronise the
+case's items (the scope that last changed the case did); the
+deterministic cases at the end pin the two records that must not pass
+for one: a stored case migrated under a claim, and a case that the WAL
+replay stepped and evicted.
 """
 
 import random
@@ -21,6 +27,7 @@ from pathlib import Path
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.core.migration import MigrationOutcome
 from repro.core.operations import DeleteActivity, SerialInsertActivity
 from repro.errors import ReproError
 from repro.schema import templates
@@ -271,3 +278,73 @@ class TestWorklistParity:
     @given(seed=st.integers(min_value=0, max_value=10**6))
     def test_incremental_equals_from_scratch(self, seed):
         _run(seed, operations=60)
+
+    @RELAXED
+    @given(seed=st.integers(min_value=0, max_value=10**6))
+    def test_incremental_equals_from_scratch_with_a_cache_of_two(self, seed):
+        """Nearly every touch hydrates a case and evicts another."""
+        _run(seed, operations=60, cache=2)
+
+
+def _claimed_at_step_2(system, case_id):
+    """Start ``case_id``, complete ``step_1`` and claim ``step_2`` (which starts it)."""
+    system.start(TYPE_ID, case_id=case_id)
+    system.complete(case_id, "step_1")
+    (item,) = system.worklists.offered_items_for_instance(case_id)
+    system.claim(item.item_id, "clerk")
+    return item
+
+
+class TestRecordsThatDidNotKeepTheirItems:
+    def test_stored_case_migrated_under_a_claim(self, tmp_path):
+        """Two evicted cases claimed at ``step_2``; an evolution decides the
+        first on a scratch copy and rewrites the second's record, leaving
+        its claim alone (``running=None``).  Hydrating it afterwards and
+        completing the claim keeps the worklist exact."""
+        system = AdeptSystem.open(tmp_path / "db", cache_instances=2)
+        system.deploy(templates.sequential_process(length=7))
+        claims = {case: _claimed_at_step_2(system, case) for case in ("x1", "x2")}
+        for filler in ("f1", "f2"):
+            system.start(TYPE_ID, case_id=filler)
+        assert {"x1", "x2"}.isdisjoint(system.live_instance_ids())
+        check_worklist_parity(system)
+
+        report = system.evolve(
+            TYPE_ID,
+            [SerialInsertActivity(activity=Node(node_id="evo_1"), pred="step_3", succ="step_4")],
+        )
+        assert report.count(MigrationOutcome.MIGRATED) == 4
+        # x1 was decided on a scratch copy and written back; x2's record was rewritten
+        written_back = {case: system.store.written_back(case) for case in ("x1", "x2")}
+        assert written_back == {"x1": True, "x2": False}
+        check_worklist_parity(system)
+        for case in ("x1", "x2"):
+            system.get_instance(case)  # hydrates the migrated record
+            check_worklist_parity(system)
+            system.complete_item(claims[case].item_id)
+            check_worklist_parity(system)
+            assert system.activated(case) == ["step_3"]
+        system.close(checkpoint=False)
+
+    def test_offers_survive_a_crash_whose_replay_evicts(self, tmp_path):
+        """Six cases stepped past the last checkpoint under a cache of two:
+        the replay steps them one after another, evicting as it goes
+        (write-backs of cases whose items it never synchronised), and the
+        reopened system offers exactly what the crashed one did."""
+        system = AdeptSystem.open(tmp_path / "db", cache_instances=2)
+        system.deploy(templates.sequential_process(length=7))
+        cases = [system.start(TYPE_ID).instance_id for _ in range(6)]
+        system.checkpoint()
+        for rounds, case in enumerate(cases):
+            system.step_many([case], steps=1 + rounds % 3)
+        system.step_many(cases, steps=1)
+        before = _offered(system)
+        check_worklist_parity(system)
+        system.close(checkpoint=False)
+
+        system = AdeptSystem.open(tmp_path / "db", cache_instances=2)
+        evicted = {event.instance_id for event in system.bus.events_of(name="instance_evicted")}
+        assert len(evicted) >= 4, "the replay itself must evict"
+        assert _offered(system) == before
+        check_worklist_parity(system)
+        system.close(checkpoint=False)

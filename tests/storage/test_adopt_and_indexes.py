@@ -195,3 +195,43 @@ class TestActiveCaseQueries:
             )
         assert reads_of(store.running_instances_on_version, "alpha", 2) == (on_version, 8)
         assert reads_of(store.running_instances_of_type, "alpha") == (of_type, 24)
+
+
+class TestWriteBackMark:
+    """``written_back`` says whether the record is the one ``write_back`` stored."""
+
+    def store_with_one_case(self):
+        process_type, engine, instances = paper_fig3_population(instance_count=1, seed=12)
+        repository = SchemaRepository()
+        repository.adopt_type(process_type)
+        store = InstanceStore(repository)
+        return store, instances[0]
+
+    def test_only_the_write_back_marks(self):
+        store, instance = self.store_with_one_case()
+        case_id = instance.instance_id
+        assert not store.written_back(case_id)
+        store.save(instance)
+        assert not store.written_back(case_id)
+        store.write_back(instance)
+        assert store.written_back(case_id)
+        assert store.load(case_id).state_fingerprint() == instance.state_fingerprint()
+
+    @pytest.mark.parametrize("writer", ["save", "put_record", "migrate_record", "delete", "clear"])
+    def test_every_other_writer_clears_the_mark(self, writer):
+        store, instance = self.store_with_one_case()
+        case_id = instance.instance_id
+        store.write_back(instance)
+        record = store.record(case_id)
+        if writer == "save":
+            store.save(instance)
+        elif writer == "put_record":
+            store.put_record(record)
+        elif writer == "migrate_record":
+            store.migrate_record(case_id, record["schema_version"], record["marking"])
+        elif writer == "delete":
+            store.delete(case_id)
+            store.put_record(record)
+        else:
+            store.clear_write_back_marks()
+        assert not store.written_back(case_id)

@@ -7,8 +7,10 @@ from pathlib import Path
 
 import pytest
 
+from repro.runtime.engine import EngineError
 from repro.runtime.states import InstanceStatus
 from repro.schema import templates
+from repro.storage.serialization import StorageError
 from repro.system import AdeptSystem, RecoveryError
 from repro.system.persistence import (
     KIND_ADHOC_CHANGE,
@@ -416,6 +418,22 @@ class TestLazyHydration:
         assert claimed.instance_id == evicted
         assert evicted in system.live_instance_ids()
 
+    def test_an_unknown_id_is_an_engine_error(self, store_path):
+        system, orders, ids = self.populate(store_path)
+        with pytest.raises(EngineError, match="unknown instance 'no-such-case'"):
+            system.get_instance("no-such-case")
+
+    def test_a_stored_record_that_does_not_decode_keeps_its_own_error(self, store_path):
+        """Only a missing record is an unknown id; a corrupt one says what is wrong."""
+        system, orders, ids = self.populate(store_path)
+        evicted = next(i for i in ids if i not in system.live_instance_ids())
+        record = dict(system.store.record(evicted))
+        record["marking"] = {**record["marking"], "layout": "not-this-layout"}
+        system.store.put_record(record)
+        with pytest.raises(StorageError, match="does not fit"):
+            system.get_instance(evicted)
+        assert evicted not in system.live_instance_ids()
+
     def test_lru_cache_works_without_backend(self, tmp_path):
         system = AdeptSystem(cache_instances=2)
         orders = system.deploy(templates.sequential_process())
@@ -687,3 +705,66 @@ class TestPickOrderAcrossRestart:
         # (order-2 is outside the fixture's canary cohort and stays on v1)
         assert self.picks(old, "order-2", 4) == self.picks(fresh, "order-2", 4)
         old.close(checkpoint=False)
+
+
+class TestRecoveryLogging:
+    """Recovery says what it did in one INFO line, and names the record it refuses."""
+
+    LOGGER = "repro.system.persistence"
+
+    def test_one_info_line_per_recovery_and_none_on_the_step_path(self, store_path, caplog):
+        system = open_system(store_path, cache_instances=1)
+        orders = system.deploy(templates.online_order_process())
+        cases = [orders.start().instance_id for _ in range(3)]
+        system.checkpoint()
+        system.step_many(cases, steps=1)
+        system.close(checkpoint=False)
+
+        with caplog.at_level("DEBUG", logger=self.LOGGER):
+            system = open_system(store_path, cache_instances=1)
+        (line,) = [r for r in caplog.records if r.name == self.LOGGER]
+        assert line.levelname == "INFO"
+        assert line.getMessage() == (
+            f"recovered {store_path}: snapshot with 3 instance(s), 3 record(s) replayed, step 3"
+        )
+
+        caplog.clear()
+        with caplog.at_level("DEBUG", logger=self.LOGGER):
+            system.step_many(cases, steps=1)  # hydrates and evicts every case
+            system.get_instance(cases[0])
+        assert caplog.records == []
+        system.close(checkpoint=False)
+
+    def test_a_warning_names_the_record_before_recovery_fails(self, store_path, caplog):
+        system = open_system(store_path)
+        orders = system.deploy(templates.online_order_process())
+        orders.start()
+        system.close(checkpoint=False)
+        wal = Path(store_path) / "wal.jsonl"
+        with wal.open("a", encoding="utf-8") as handle:
+            handle.write(json.dumps({"kind": "no_such_kind", "seq": 99}) + "\n")
+
+        with caplog.at_level("WARNING", logger=self.LOGGER), pytest.raises(RecoveryError):
+            open_system(store_path)
+        (warning,) = [r for r in caplog.records if r.name == self.LOGGER]
+        assert warning.levelname == "WARNING"
+        assert warning.getMessage() == "WAL record #99: unknown kind 'no_such_kind'"
+
+    def test_a_warning_names_the_failed_replay(self, store_path, caplog):
+        system = open_system(store_path)
+        orders = system.deploy(templates.online_order_process())
+        orders.start()
+        orders.evolve(order_type_change_v2(), migrate="none")
+        system.backend.close()
+        wal = system.backend.wal.path
+        records = [json.loads(line) for line in wal.read_text().splitlines() if line]
+        for record in records:
+            if record["kind"] == KIND_EVOLUTION:
+                record["to_version"] = 9
+                seq = record["seq"]
+        wal.write_text("".join(json.dumps(r, sort_keys=True) + "\n" for r in records))
+
+        with caplog.at_level("WARNING", logger=self.LOGGER), pytest.raises(RecoveryError):
+            open_system(store_path)
+        (warning,) = [r for r in caplog.records if r.name == self.LOGGER]
+        assert warning.getMessage().startswith(f"replaying WAL record #{seq} (evolution) failed:")

@@ -81,6 +81,20 @@ class TestStepMany:
         assert results[0].steps == 0
         assert results[0].status is InstanceStatus.COMPLETED
 
+    def test_an_id_given_twice_reports_the_chunks_final_status_at_both_positions(self):
+        """Each position's ``steps`` is its own; ``status`` is read after the chunk."""
+        system = AdeptSystem()
+        handle = system.deploy(templates.sequential_process(length=3))
+        twice, other = handle.start().instance_id, handle.start().instance_id
+        system.step_many([twice], steps=2)  # one activity before completion
+
+        results = system.step_many([twice, other, twice], steps=1)
+
+        assert [result.instance_id for result in results] == [twice, other, twice]
+        assert [result.steps for result in results] == [1, 1, 0]
+        assert results[0].status is results[2].status is InstanceStatus.COMPLETED
+        assert results[1].status is InstanceStatus.RUNNING
+
     def test_steps_bound_respected(self, system_with_population):
         system, handle, cases = system_with_population
         instance_id = cases[0].instance_id

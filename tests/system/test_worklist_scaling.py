@@ -25,11 +25,11 @@ from repro.system.concurrency import LockTable
 class _Counts:
     def __init__(self):
         self.markings_read = 0  # cases synchronised + activated_activities() calls
-        self.stripes_held = 0
+        self.lock_entries = 0
         self.refreshes = 0
 
     def as_tuple(self):
-        return (self.markings_read, self.stripes_held, self.refreshes)
+        return (self.markings_read, self.lock_entries, self.refreshes)
 
 
 @contextmanager
@@ -51,7 +51,7 @@ def _counting(monkeypatch):
         return sync_offers(self, *args, **kwargs)
 
     def counted_holding(self, *keys):
-        counts.stripes_held += 1
+        counts.lock_entries += 1
         return holding(self, *keys)
 
     def counted_refresh(self):
@@ -107,7 +107,7 @@ class TestPopulationIndependence:
         # and the absolute numbers are per-case small, not merely equal
         assert small["worklist"] == (0, 0, 0)
         assert all(refreshes == 0 for _, _, refreshes in small.values())
-        assert all(stripes <= 2 for _, stripes, _ in small.values())
+        assert all(entries <= 2 for _, entries, _ in small.values())
         assert all(markings <= 4 for markings, _, _ in small.values()), small
 
     def test_batch_cost_is_proportional_to_the_batch(self, monkeypatch):
