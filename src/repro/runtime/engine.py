@@ -144,12 +144,6 @@ class ProcessEngine:
         #: write-ahead log cannot record must reject the step up front,
         #: not diverge the journal from an already-committed transition.
         self.step_outputs_validator: Optional[Callable[[Mapping[str, Any]], None]] = None
-        #: Optional hook invoked with the instance *before* an activity
-        #: transition executes.  The progressive-rollout machinery installs
-        #: its lazy on-touch migration here: a case still on the old schema
-        #: version of an in-flight rollout adopts the new version the moment
-        #: it is actually worked on, before the step runs.
-        self.touch_listener: Optional[Callable[[ProcessInstance], None]] = None
 
     # ------------------------------------------------------------------ #
     # instance lifecycle
@@ -212,8 +206,6 @@ class ProcessEngine:
         self, instance: ProcessInstance, activity_id: str, user: Optional[str] = None
     ) -> None:
         """Move an activated activity to RUNNING and log the start event."""
-        if self.touch_listener is not None:
-            self.touch_listener(instance)
         self._require_active(instance)
         kernel, position, facts = self._locate(instance, activity_id)
         if not kernel.is_activity[position]:
@@ -266,8 +258,6 @@ class ProcessEngine:
         marking advanced: a crash before that leaves the activity
         ACTIVATED in the journal's eyes and the step can simply be retried.
         """
-        if self.touch_listener is not None:
-            self.touch_listener(instance)
         self._require_active(instance)
         kernel, position, facts = self._locate(instance, activity_id)
         if not kernel.is_activity[position]:
@@ -376,9 +366,8 @@ class ProcessEngine:
         """Advance each instance by up to ``activity_count`` activities.
 
         Every step completes the instance's first activated activity with
-        the outputs :meth:`outputs_for` generates.  The compiled kernel is
-        looked up per step, so a case whose schema changes mid-batch (the
-        touch listener adopting a rollout) continues on the new one.
+        the outputs :meth:`outputs_for` generates, on the compiled kernel
+        of the instance's execution schema.
         Returns the per-instance executed counts in input order.
         """
         results: List[int] = []

@@ -602,9 +602,9 @@ class ShardServer:
         if rollout is None or rollout.state != "observing":
             return {"applied": False}
         if decision == "promote":
-            system._promote_rollout(request["type_id"])
+            system.evolution.promote(request["type_id"])
         elif decision == "rollback":
-            system._rollback_rollout(request["type_id"])
+            system.evolution.roll_back(request["type_id"])
         else:
             raise ServiceError(f"unknown rollout decision {decision!r}")
         return {"applied": True}

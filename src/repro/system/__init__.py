@@ -40,13 +40,13 @@ from repro.system.concurrency import (
     simulated_latency_worker,
 )
 from repro.system.events import ALL_CATEGORIES, EventBus, SystemEvent
-from repro.system.facade import (
+from repro.system.evolution import (
     MIGRATE_COMPLIANT,
     MIGRATE_NONE,
     MIGRATE_ROLLBACK,
     MIGRATE_STRICT,
-    AdeptSystem,
 )
+from repro.system.facade import AdeptSystem
 from repro.system.handles import InstanceHandle, TypeHandle
 from repro.system.persistence import (
     PersistenceError,

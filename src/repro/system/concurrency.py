@@ -11,6 +11,8 @@ processes (:mod:`repro.service`).  This module provides:
 * :class:`LockTable` — the execution lock: one re-entrant lock and its
   preallocated ``with`` scope.  The outermost scope of a thread runs the
   system's release hook (pending canary decisions) before it lets go.
+* :func:`operation` — the decorator that runs a method of the system (or
+  of one of its collaborators) as one operation under that lock.
 * :class:`WorkerPool` — the worklist scheduler behind
   ``system.serve(workers=N)`` / ``system.drain()``.  Workers claim
   offered work items from per-type queues (atomic claim — an item is
@@ -30,6 +32,7 @@ internals) are leaves, never held while the execution lock is awaited.
 
 from __future__ import annotations
 
+import functools
 import random
 import threading
 import time
@@ -47,6 +50,7 @@ from typing import (
 
 __all__ = [
     "LockTable",
+    "operation",
     "WorkerPool",
     "PoolStats",
     "RolloutSweeper",
@@ -111,6 +115,36 @@ class _Held:
             if not table._depth:
                 table._owner = None
             table._lock.release()
+
+
+def operation(method: Any) -> Any:
+    """Run a method as one operation of the system.
+
+    ``self`` is the system or one of its collaborators: anything with the
+    system's execution lock as ``_lock`` and its durability backend (or
+    ``None``) as ``_backend``.  The outermost call holds the execution
+    lock for the whole method; a call made inside another operation runs
+    within the caller's.  On a durable system the call also opens the
+    backend's commit scope *outside* the lock: its records — ``step``
+    records included — are enqueued under the lock and written and
+    flushed once, after the lock is released, and the call returns only
+    after that (also when the method raises) — the durability wait holds
+    up no other operation.
+    """
+
+    @functools.wraps(method)
+    def run(self: Any, *args: Any, **kwargs: Any) -> Any:
+        lock = self._lock
+        if lock.held():
+            return method(self, *args, **kwargs)
+        backend = self._backend
+        if backend is None:
+            with lock.holding():
+                return method(self, *args, **kwargs)
+        with backend.commit_scope(), lock.holding():
+            return method(self, *args, **kwargs)
+
+    return run
 
 
 # --------------------------------------------------------------------------- #

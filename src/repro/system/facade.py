@@ -5,9 +5,11 @@ schema versioning, instance execution, ad-hoc change and compliance-
 checked migration behind a single service interface.  This module is
 that interface for the reproduction: one object composing the schema
 repository, the instance store, the execution engine, the worklist
-manager, the ad-hoc changer, the migration manager, the organisational
-model and the monitoring feed — wired once, correctly, with every state
-change flowing through one :class:`~repro.system.events.EventBus`.
+manager, the ad-hoc changer, schema evolution (the
+:class:`~repro.system.evolution.Evolution` collaborator, ``self.evolution``),
+the organisational model and the monitoring feed — wired once, correctly,
+with every state change flowing through one
+:class:`~repro.system.events.EventBus`.
 
 Typical use::
 
@@ -47,9 +49,7 @@ exploits this.
 
 from __future__ import annotations
 
-import functools
 import threading
-import time
 from collections import OrderedDict
 from contextlib import contextmanager, nullcontext
 from typing import (
@@ -61,67 +61,38 @@ from typing import (
     List,
     Mapping,
     Optional,
-    Sequence,
     Set,
-    Union,
 )
 
 from repro import json_codec
 from repro.core.adhoc import AdHocChanger
-from repro.core.changelog import ChangeLog
-from repro.core.evolution import ProcessType, TypeChange
-from repro.core.migration import (
-    InstanceMigrationResult,
-    MigrationManager,
-    MigrationOutcome,
-    MigrationReport,
-)
-from repro.core.migration_plan import ClassVerdict, FingerprintCache, MigrationPlan
-from repro.core.operations import ChangeOperation
-from repro.errors import MigrationError
+from repro.core.evolution import ProcessType
 from repro.monitoring.feed import EventFeed
 from repro.monitoring.monitor import InstanceMonitor
 from repro.monitoring.statistics import PopulationStatistics
 from repro.runtime.engine import EngineError, ProcessEngine, Worker
 from repro.runtime.events import EventLog
 from repro.runtime.instance import ProcessInstance
-from repro.runtime.states import ACTIVE_STATUS_VALUES, InstanceStatus
 from repro.runtime.worklist import WorkItem, WorklistManager
 from repro.schema.graph import ProcessSchema, SchemaError
 from repro.storage.instance_store import InstanceStore, StorageError, StoredInstance
 from repro.storage.repository import SchemaRepository
-from repro.storage.serialization import instance_from_dict, instance_to_dict
-from repro.system.concurrency import LockTable, PoolStats, WorkerPool
+from repro.system.concurrency import LockTable, PoolStats, WorkerPool, operation as _operation
+from repro.system.evolution import MIGRATE_COMPLIANT, ChangeLike, Evolution
 from repro.system.persistence import (
     KIND_ADHOC_CHANGE,
-    KIND_EVOLUTION,
     KIND_INSTANCE_ABORTED,
     KIND_INSTANCE_ADOPTED,
     KIND_INSTANCE_DELETED,
     KIND_INSTANCE_SAVED,
     KIND_INSTANCE_STARTED,
-    KIND_ROLLOUT_COMPLETED,
-    KIND_ROLLOUT_CONFLICTED,
-    KIND_ROLLOUT_MIGRATED,
-    KIND_ROLLOUT_PROMOTED,
-    KIND_ROLLOUT_ROLLED_BACK,
-    KIND_ROLLOUT_STARTED,
     KIND_STEP,
     KIND_TYPE_ADOPTED,
     KIND_TYPE_DEPLOYED,
     PersistentBackend,
     RecoveryReport,
 )
-from repro.system.rollout import (
-    POLICY_PIN,
-    POLICY_REVERT,
-    ROLLOUT_CANARY,
-    ROLLOUT_EAGER,
-    ROLLOUT_LAZY,
-    STATE_MIGRATING,
-    STATE_OBSERVING,
-    Rollout,
-)
+from repro.system.rollout import POLICY_REVERT, ROLLOUT_EAGER, Rollout
 from repro.system.changes import ChangeSet
 from repro.system.events import (
     CATEGORY_CHANGE,
@@ -134,12 +105,6 @@ from repro.system.handles import InstanceHandle, TypeHandle
 from repro.system.results import ChangeResult, DeployResult, RunResult, StepResult
 from repro.verification.verifier import SchemaVerifier
 
-#: Migration policies accepted by :meth:`AdeptSystem.evolve`.
-MIGRATE_COMPLIANT = "compliant"
-MIGRATE_NONE = "none"
-MIGRATE_STRICT = "strict"
-MIGRATE_ROLLBACK = "rollback"
-
 #: Upper bound on cases executed under one :meth:`AdeptSystem.step_many`
 #: batch scope.  Large enough to amortise the per-chunk kernel dispatch;
 #: with a bounded live cache the chunk never exceeds the cache, so
@@ -149,15 +114,6 @@ _BATCH_CHUNK = 16
 #: The scope of "no suspension": stateless, so shared.
 _NULL_SCOPE: ContextManager[None] = nullcontext()
 
-_CONFLICT_OUTCOMES = (
-    MigrationOutcome.STATE_CONFLICT,
-    MigrationOutcome.STRUCTURAL_CONFLICT,
-    MigrationOutcome.SEMANTIC_CONFLICT,
-    MigrationOutcome.DATA_CONFLICT,
-)
-
-ChangeLike = Union[TypeChange, ChangeSet, ChangeLog, Sequence[ChangeOperation]]
-
 #: What the default monitoring feed shows: the effects of changes and of
 #: the system's own lifecycle, not the per-step ``engine`` stream.
 FEED_CATEGORIES = (CATEGORY_CHANGE, CATEGORY_MIGRATION, CATEGORY_SCHEMA, CATEGORY_SYSTEM)
@@ -166,33 +122,6 @@ FEED_CATEGORIES = (CATEGORY_CHANGE, CATEGORY_MIGRATION, CATEGORY_SCHEMA, CATEGOR
 def _json_serialisable(outputs: Mapping[str, Any]) -> None:
     """Fail-fast check installed as the engine's step-outputs validator."""
     json_codec.dumps(outputs)
-
-
-def _operation(method: Any) -> Any:
-    """Run a façade method as one operation of the system.
-
-    The outermost call holds the execution lock for the whole method; a
-    call made inside another operation runs within the caller's.  On a
-    durable system the call also opens the backend's commit scope
-    *outside* the lock: its records — ``step`` records included — are
-    enqueued under the lock and written and flushed once, after the lock
-    is released, and the call returns only after that (also when the
-    method raises) — the durability wait holds up no other operation.
-    """
-
-    @functools.wraps(method)
-    def operation(self: "AdeptSystem", *args: Any, **kwargs: Any) -> Any:
-        lock = self._lock
-        if lock.held():
-            return method(self, *args, **kwargs)
-        backend = self._backend
-        if backend is None:
-            with lock.holding():
-                return method(self, *args, **kwargs)
-        with backend.commit_scope(), lock.holding():
-            return method(self, *args, **kwargs)
-
-    return operation
 
 
 class AdeptSystem:
@@ -246,7 +175,6 @@ class AdeptSystem:
         self.worklists = WorklistManager(self.engine, org_model=org_model)
         self.verifier = SchemaVerifier()
         self._changer = AdHocChanger(self.engine, event_log=self.event_log)
-        self._migrator = MigrationManager(self.engine, event_log=self.event_log)
         #: Live-instance cache in LRU order (most recently used last).
         self._instances: "OrderedDict[str, ProcessInstance]" = OrderedDict()
         #: Live cases mutated since their last store save (never evicted silently).
@@ -258,32 +186,19 @@ class AdeptSystem:
         #: Report of the recovery performed by :meth:`open` (``None`` otherwise).
         self.last_recovery: Optional[RecoveryReport] = None
 
+        #: Schema evolution: releases, eager migration, progressive rollouts.
+        self.evolution = Evolution(self)
         #: The execution lock: every operation holds it from start to end.
         #: Its outermost exit runs the canary decisions the operation took.
-        self._lock = LockTable(on_release=self._run_rollout_decisions)
+        self._lock = LockTable(on_release=self.evolution.run_decisions)
         self._pool: Optional[WorkerPool] = None
         # serve()/drain() are check-then-act on _pool; racing callers
         # must resolve to one pool, not two (one of which would leak).
         # Not the execution lock: drain waits for workers that need it
         self._pool_guard = threading.Lock()
 
-        # ---- progressive rollout state (see repro.system.rollout) ----
-        #: In-flight progressive rollouts, one per type id.
-        self._rollouts: Dict[str, Rollout] = {}
-        #: Finished rollouts (completed / rolled back), for status queries.
-        self._rollout_history: Dict[str, Rollout] = {}
-        #: Versions retired by a "pin"-policy canary rollback — never
-        #: picked for new cases, though pinned cases keep running on them.
-        self._retired_versions: Dict[str, Set[int]] = {}
-        #: Canary decisions taken by a touch or a sweep; they run when the
-        #: operation that took them ends (:meth:`_run_rollout_decisions`).
-        self._rollout_decisions: List[tuple] = []
-
         # journaling + dirty tracking for every committed activity transition
         self.engine.step_listener = self._on_engine_step
-        # lazy on-touch migration: every engine transition checks the
-        # case against an in-flight rollout of its type first
-        self.engine.touch_listener = self._touch_for_rollout
         # claiming a work item of an evicted case re-hydrates it transparently
         self.worklists.instance_resolver = self.get_instance
         # worklist engine calls run under the same locks as direct calls
@@ -311,7 +226,7 @@ class AdeptSystem:
             return
         instance = self._live(instance_id)
         try:
-            if self._rollouts:
+            if self.evolution.rollouts:
                 # lazy on-touch migration: the case adopts an in-flight
                 # rollout's version before it is worked on (claim, step,
                 # change, save — every path through this scope)
@@ -329,11 +244,12 @@ class AdeptSystem:
         exactly those cases on the way out.
         """
         instances: List[ProcessInstance] = []
+        rollouts = self.evolution.rollouts
         try:
             for instance_id in instance_ids:
                 instance = self._live(instance_id)
                 instances.append(instance)
-                if self._rollouts:
+                if rollouts:
                     self._touch_for_rollout(instance)
             yield instances
         finally:
@@ -595,7 +511,7 @@ class AdeptSystem:
         """
         process_type = self.repository.process_type(type_id)
         schema = (
-            self._startable_schema(process_type)
+            self.evolution.startable_schema(process_type)
             if version is None
             else process_type.schema_for(version)
         )
@@ -628,25 +544,6 @@ class AdeptSystem:
             case_id = f"{type_id}-{self._case_counters[type_id]:05d}"
             if not self._in_use(case_id):
                 return case_id
-
-    def _startable_schema(self, process_type: ProcessType) -> ProcessSchema:
-        """The version new cases start on when none is requested.
-
-        Normally the latest released version, with two exceptions: while
-        a canary rollout is still *observing*, new cases keep starting on
-        the stable (from) version — the canary version may yet be rolled
-        back, and a rolled-back version must never be a case's only home.
-        Versions retired by a "pin"-policy rollback are skipped likewise.
-        """
-        rollout = self._rollouts.get(process_type.name)
-        if rollout is not None and rollout.state == STATE_OBSERVING:
-            return process_type.schema_for(rollout.from_version)
-        retired = self._retired_versions.get(process_type.name)
-        if retired:
-            startable = [v for v in process_type.versions if v not in retired]
-            if startable:
-                return process_type.schema_for(max(startable))
-        return process_type.latest_schema
 
     def instance(self, instance_id: str) -> InstanceHandle:
         """Handle of a live or stored case (raises for unknown ids)."""
@@ -1032,7 +929,7 @@ class AdeptSystem:
             )
 
     # ------------------------------------------------------------------ #
-    # schema evolution and migration
+    # schema evolution and migration (system/evolution.py)
     # ------------------------------------------------------------------ #
 
     @_operation
@@ -1103,7 +1000,7 @@ class AdeptSystem:
         — no step can slip between compliance check and migration.
 
         The candidates meet the change one at a time
-        (:meth:`_migrate_case`): the change is compiled once into a
+        (:meth:`Evolution._migrate_case`): the change is compiled once into a
         :class:`~repro.core.migration_plan.MigrationPlan`, unbiased
         store-resident candidates are classified by compliance
         fingerprint straight from their stored records, and only one
@@ -1113,783 +1010,45 @@ class AdeptSystem:
         policy — so memory stays bounded by ``cache_instances`` + 1 no matter
         how large the population is.
         """
-        if migrate not in (MIGRATE_COMPLIANT, MIGRATE_NONE, MIGRATE_STRICT, MIGRATE_ROLLBACK):
-            raise ValueError(
-                f"unknown migration policy {migrate!r}; "
-                f"expected one of 'compliant', 'none', 'strict', 'rollback'"
-            )
-        if rollout != ROLLOUT_EAGER:
-            if rollout not in (ROLLOUT_LAZY, ROLLOUT_CANARY):
-                raise ValueError(
-                    f"unknown rollout mode {rollout!r}; "
-                    f"expected one of 'eager', 'lazy', 'canary'"
-                )
-            if migrate != MIGRATE_COMPLIANT:
-                raise ValueError(
-                    "progressive rollouts support the 'compliant' migration policy only"
-                )
-            if canary_decide not in ("auto", "external"):
-                raise ValueError(
-                    f"unknown canary_decide {canary_decide!r}; "
-                    f"expected 'auto' or 'external'"
-                )
-            return self._evolve_progressive(
-                type_id,
-                change,
-                rollout,
-                fraction=fraction,
-                conflict_threshold=conflict_threshold,
-                min_observations=min_observations,
-                policy=canary_policy,
-                decide_externally=canary_decide == "external",
-            )
-        report = self._evolve_eagerly(type_id, change, migrate, collect_results)
-        self._notify_pool()
-        if migrate != MIGRATE_NONE:
-            self.bus.publish(
-                CATEGORY_MIGRATION,
-                "migration_completed",
-                type_id=type_id,
-                from_version=report.from_version,
-                to_version=report.to_version,
-                migrated=report.migrated_count,
-                total=report.total,
-            )
-        return report
-
-    def _evolve_eagerly(
-        self, type_id: str, change: ChangeLike, migrate: str, collect_results: bool = True
-    ) -> MigrationReport:
-        """Release the version and migrate every candidate now."""
-        if type_id in self._rollouts:
-            raise MigrationError(
-                f"a progressive rollout of {type_id!r} is still in flight"
-            )
-        process_type = self.repository.process_type(type_id)
-        type_change = self._as_type_change(process_type, change)
-        candidate_ids = [] if migrate == MIGRATE_NONE else self._evolution_candidates(type_id)
-        if migrate == MIGRATE_STRICT:
-            self._require_all_compliant(process_type, type_change, candidate_ids)
-        new_schema = self.repository.release_version(type_id, type_change)
-        # published in causal order (before the instance_migrated engine
-        # events the migration emits).
-        self.bus.publish(
-            CATEGORY_SCHEMA,
-            "schema_version_released",
-            type_id=type_id,
-            version=new_schema.version,
-        )
-        if migrate == MIGRATE_NONE:
-            report = MigrationReport(
-                process_type=type_id,
-                from_version=type_change.from_version,
-                to_version=new_schema.version,
-            )
-        else:
-            with self._journal_suspended():
-                # the single typed evolution record below covers the whole
-                # mutation — rollback compensations inside the migration
-                # must not journal separate step records
-                report = self._migrate_candidates(
-                    process_type,
-                    type_change,
-                    candidate_ids,
-                    collect_results,
-                    rollback=migrate == MIGRATE_ROLLBACK,
-                )
-        self._journal(
-            KIND_EVOLUTION,
-            type_id=type_id,
-            change=type_change.to_dict(),
-            policy=migrate,
-            to_version=new_schema.version,
-            candidates=candidate_ids,
-        )
-        self._drop_unoccupied_versions(process_type)
-        return report
-
-    def _drop_unoccupied_versions(self, process_type: ProcessType) -> None:
-        """Drop the compiled index of every superseded version no case runs on.
-
-        Runs after each release (and its eager migration).  Occupancy is recomputed, not maintained: the
-        version of every live case of the type, of any status, plus every
-        version holding an active stored record — O(live + versions) per
-        release and nothing per step, so no WAL replay, migration, ad-hoc
-        change, delete or revert has to keep a count exact.  A stale stored
-        record only over-counts, which keeps a version compiled.
-        """
-        type_id = process_type.name
-        occupied = {
-            instance.schema_version
-            for instance in self._instances.values()
-            if instance.process_type == type_id
-        }
-        occupied.update(self.store.active_versions_of_type(type_id))
-        process_type.drop_unoccupied(occupied)
-
-    def _evolution_candidates(self, type_id: str) -> List[str]:
-        """Every live case of the type plus the *running* store-resident ones.
-
-        Finished stored cases can never migrate, so touching them would
-        only defeat the bounded live cache.
-        """
-        candidates = {
-            instance.instance_id
-            for instance in self._instances.values()
-            if instance.process_type == type_id
-        }
-        candidates.update(self.store.running_instances_of_type(type_id))
-        return sorted(candidates)
-
-    def _require_all_compliant(
-        self, process_type: ProcessType, type_change: TypeChange, candidate_ids: Sequence[str]
-    ) -> None:
-        """``migrate="strict"``: dry-run ΔT on clones, refuse it if any case would stay behind.
-
-        Runs before the version is released, against a scratch copy of
-        the type — neither the repository nor any case is modified.
-        """
-        scratch_type = ProcessType(process_type.name)
-        for version in process_type.versions:
-            scratch_type.add_version(process_type.schema_for(version))
-        scratch_migrator = MigrationManager(ProcessEngine())
-        # clones only: the cases themselves pass through the bounded live cache
-        clones = [
-            instance_from_dict(
-                instance_to_dict(self._live(instance_id)), self.repository.resolve
-            )
-            for instance_id in candidate_ids
-        ]
-        dry_report = scratch_migrator.migrate_type(scratch_type, type_change, clones)
-        blocked = [
-            result for result in dry_report.results if result.outcome in _CONFLICT_OUTCOMES
-        ]
-        if blocked:
-            raise MigrationError(
-                f"strict migration of {process_type.name!r} refused: "
-                f"{len(blocked)} of {dry_report.total} instance(s) cannot migrate "
-                f"({', '.join(sorted(r.instance_id for r in blocked))})",
-                report=dry_report,
-            )
-
-    def _migrate_candidates(
-        self,
-        process_type: ProcessType,
-        type_change: TypeChange,
-        candidate_ids: Sequence[str],
-        collect_results: bool = True,
-        rollback: bool = False,
-    ) -> MigrationReport:
-        """The eager driver: every candidate meets ΔT, one at a time, in order.
-
-        The new schema version must already be released (evolve, or
-        recovery replaying one).  Memory stays bounded by ``cache_instances`` + 1 whatever the
-        population: :meth:`_migrate_case` decides store-resident cases
-        from their records and materialises only what it must, on a
-        scratch copy outside the live cache.  ``rollback`` is the
-        ``"rollback"`` policy of the call: a migration manager of its own
-        compensates the state-conflicting cases on the shared engine.
-        """
-        compensating = None
-        if rollback:
-            # the third argument switches the manager's compensation on (A6)
-            compensating = MigrationManager(self.engine, self.event_log, True)
-        plan = self._migrator.compile_plan(
-            process_type.schema_for(type_change.from_version),
-            process_type.schema_for(type_change.to_version),
-            type_change,
-        )
-        cache = FingerprintCache()
-        report = MigrationReport(
-            process_type=process_type.name,
-            from_version=type_change.from_version,
-            to_version=type_change.to_version,
-            collect_results=collect_results,
-        )
-        started = time.perf_counter()
-        # biased classes (state fingerprint + canonical bias) decided so
-        # far: fingerprint -> what the class's representative came to
-        bias_classes: Dict[str, Dict[str, Any]] = {}
-        for instance_id in candidate_ids:
-            result = self._migrate_case(
-                instance_id,
-                type_change,
-                plan,
-                cache,
-                bias_classes=bias_classes,
-                compensating=compensating,
-            )
-            report.add(result)
-            self._migrator._emit(result)
-        self._enforce_cache_cap()
-        report.duration_seconds = time.perf_counter() - started
-        self.bus.publish(
-            CATEGORY_SYSTEM,
-            "bulk_migration_classes",
-            type_id=process_type.name,
-            classes=cache.classes,
-            hits=cache.hits,
-            misses=cache.misses,
-            candidates=len(candidate_ids),
-        )
-        return report
-
-    def _migrate_case(
-        self,
-        instance_id: str,
-        type_change: TypeChange,
-        plan: MigrationPlan,
-        cache: FingerprintCache,
-        instance: Optional[ProcessInstance] = None,
-        bias_classes: Optional[Dict[str, Dict[str, Any]]] = None,
-        compensating: Optional[MigrationManager] = None,
-    ) -> InstanceMigrationResult:
-        """One case meets ΔT — for eager evolve, sweep, touch and recovery alike.
-
-        A live case (``instance`` when the caller already holds it) goes
-        to :meth:`MigrationManager.migrate_instance`.  A store-resident
-        one is decided from its record as far as that goes
-        (:meth:`MigrationManager.decide_record`): reported as it is,
-        rewritten in place with its class's marking template, or — the
-        first of its class, a biased case, a biased-class representative
-        — decided by the same ``migrate_instance`` on a scratch copy
-        loaded from the store, written back if it migrated and offered
-        what its new marking activates.  The scratch copy never enters
-        the live cache, so deciding a stored case evicts no other.  With
-        ``bias_classes`` (eager only) store-resident biased cases in the
-        same state with the same bias share one representative's
-        outcome, adapted marking and re-encoded representation.
-
-        ``compensating`` is the call's migration manager under the
-        ``"rollback"`` policy (``None``: the system's own, which never
-        compensates).  It is the one exception that hydrates: it
-        compensates a state-conflicting case by driving the shared engine
-        on it, whose listeners act on live cases only — so under that
-        policy a stored case that needs a look is hydrated as before.
-
-        Relied upon: a case that is not live has a current store record —
-        eviction writes dirty cases back before dropping them.  Runs
-        inside an operation, so no hydration can come between the
-        liveness check and the rewrite.
-        """
-        migrator = compensating or self._migrator
-        bias_class = record = None
-        if instance is None and instance_id not in self._instances:
-            # an unknown id has no record: hydration raises the canonical EngineError
-            record = dict(self.store.records_for([instance_id])).get(instance_id)
-        if record is not None:
-            action, found = migrator.decide_record(
-                record, type_change, plan, cache, share_bias=bias_classes is not None
-            )
-            if action == "report":
-                return found
-            if action == "rewrite":
-                self._migrate_stored(instance_id, plan.new_schema, found)
-                return InstanceMigrationResult(instance_id, MigrationOutcome.MIGRATED)
-            bias_class = found
-            if bias_class is not None and bias_class in bias_classes:
-                return self._apply_biased_class(
-                    instance_id, bias_classes[bias_class], plan.new_schema.version
-                )
-        scratch = record is not None and compensating is None
-        if scratch:
-            instance = self.store.load(instance_id)
-        elif instance is None:
-            instance = self._live(instance_id)
-        result = migrator.migrate_instance(
-            instance, plan.old_schema, plan.new_schema, type_change, plan, cache, emit=False
-        )
-        if result.migrated:
-            if scratch:
-                self.store.write_back(instance)
-            else:
-                # covers rollback migrations, which compensate activities
-                # and therefore also change the instance state
-                self._dirty.add(instance_id)
-            self.worklists.sync_instance(instance)
-        if bias_class is not None:
-            # the class's stored fields are encoded only if a second member comes
-            bias_classes[bias_class] = {"representative": instance_id, "result": result}
-            if result.migrated:
-                bias_classes[bias_class]["offers"], _ = self.worklists.work_of(
-                    instance.execution_schema, instance.marking
-                )
-        return result
-
-    def _apply_biased_class(
-        self, instance_id: str, biased_class: Dict[str, Any], new_version: int
-    ) -> InstanceMigrationResult:
-        """Apply a biased class's shared verdict to one stored member.
-
-        Everything the class members need is a pure function of (bias,
-        state fingerprint): the representative's outcome, conflicts and
-        offers and — encoded once, at the first further member, from the
-        live representative or the record its eviction wrote back, less
-        that write-back's ``"fix"`` hint — its stored ``marking``,
-        ``status``, ``bias`` / ``biased`` / ``representation`` (bias
-        absorption may have changed them).  The hybrid representation's
-        substitution block depends on the schemas only, never on the case,
-        so one encoding serves every member.
-        """
-        result = biased_class["result"]
-        if result.migrated:
-            if "marking" not in biased_class:
-                representative = biased_class["representative"]
-                live = self._instances.get(representative)
-                if live is not None:
-                    encoded = self.store.encode_record(live)
-                else:
-                    encoded = self.store.record(representative)
-                marking = dict(encoded["marking"])
-                marking.pop("fix", None)
-                biased_class["marking"] = marking
-                biased_class["updates"] = {
-                    "status": encoded["status"],
-                    "biased": encoded.get("biased", False),
-                    "bias": encoded.get("bias"),
-                    "representation": encoded.get("representation"),
-                }
-            updates = biased_class["updates"]
-            self.store.migrate_record(
-                instance_id, new_version, biased_class["marking"], updates=updates
-            )
-            finished = updates["status"] not in ACTIVE_STATUS_VALUES
-            self.worklists.sync_offers(
-                instance_id, biased_class["offers"], () if finished else None
-            )
-        return InstanceMigrationResult(
-            instance_id=instance_id,
-            outcome=result.outcome,
-            conflicts=list(result.conflicts),
-            was_biased=True,
-        )
-
-    def _migrate_stored(
-        self, instance_id: str, schema: ProcessSchema, verdict: ClassVerdict
-    ) -> None:
-        """Apply a compliant class verdict to one evicted, unbiased member.
-
-        Record-level: the stored record moves onto ``schema`` with the
-        class's adapted marking, and the case is offered what that
-        marking activates — all without materialising it.  A marking
-        that reached the end finishes the case, which then keeps no work
-        item open.  The class computes that effect once; a member pays
-        the record rewrite and its offer sync.
-        """
-        effect = verdict.stored_effect(schema)
-        self.store.migrate_record(
-            instance_id,
-            schema.version,
-            effect.marking,
-            updates={"status": InstanceStatus.COMPLETED.value} if effect.finished else None,
-        )
-        self.worklists.sync_offers(instance_id, effect.offers, () if effect.finished else None)
-
-    def _as_type_change(self, process_type: ProcessType, change: ChangeLike) -> TypeChange:
-        """Normalise the accepted change flavours onto a :class:`TypeChange`."""
-        if isinstance(change, TypeChange):
-            return change
-        if isinstance(change, ChangeSet):
-            return TypeChange(
-                from_version=process_type.latest_version,
-                operations=change.to_change_log(),
-                comment=change.to_change_log().comment,
-            )
-        if isinstance(change, ChangeLog):
-            return TypeChange(
-                from_version=process_type.latest_version,
-                operations=change,
-                comment=change.comment,
-            )
-        return TypeChange.of(process_type.latest_version, list(change))
-
-    # ------------------------------------------------------------------ #
-    # progressive (zero-downtime) rollouts
-    # ------------------------------------------------------------------ #
-
-    def _evolve_progressive(
-        self,
-        type_id: str,
-        change: ChangeLike,
-        mode: str,
-        *,
-        fraction: float,
-        conflict_threshold: float,
-        min_observations: int,
-        policy: str,
-        decide_externally: bool = False,
-    ) -> Rollout:
-        """Publish a new version without migrating the population.
-
-        O(schema), independent of population size: the version is
-        released and its plan compiled.  From then on running cases adopt
-        the new version lazily on their next touch (see
-        :meth:`_touch_for_rollout`) while a sweeper can drain untouched
-        residue in the background (:meth:`sweep_rollout`).
-        """
-        if type_id in self._rollouts:
-            raise MigrationError(f"a progressive rollout of {type_id!r} is still in flight")
-        process_type = self.repository.process_type(type_id)
-        type_change = self._as_type_change(process_type, change)
-        # validate the rollout parameters *before* the version is
-        # released — a bad fraction must not leave a half evolution
-        rollout = Rollout(
+        return self.evolution.evolve(
             type_id,
-            type_change,
-            mode,
+            change,
+            migrate,
+            collect_results,
+            rollout,
+            canary_policy,
+            canary_decide,
             fraction=fraction,
             conflict_threshold=conflict_threshold,
             min_observations=min_observations,
-            policy=policy,
-            decide_externally=decide_externally,
         )
-        new_schema = self.repository.release_version(type_id, type_change)
-        self._attach_plan(rollout)
-        self._drop_unoccupied_versions(process_type)
-        self._journal(
-            KIND_ROLLOUT_STARTED,
-            type_id=type_id,
-            change=type_change.to_dict(),
-            to_version=new_schema.version,
-            mode=mode,
-            fraction=fraction,
-            conflict_threshold=conflict_threshold,
-            min_observations=min_observations,
-            policy=policy,
-            decide_externally=decide_externally,
-        )
-        self._rollouts[type_id] = rollout
-        self.bus.publish(
-            CATEGORY_SCHEMA,
-            "schema_version_released",
-            type_id=type_id,
-            version=new_schema.version,
-        )
-        self.bus.publish(
-            CATEGORY_MIGRATION,
-            "rollout_started",
-            type_id=type_id,
-            to_version=new_schema.version,
-            mode=mode,
-        )
-        return rollout
-
-    def _attach_plan(self, rollout: Rollout) -> None:
-        """Compile the rollout's migration plan and fresh verdict cache."""
-        process_type = self.repository.process_type(rollout.type_id)
-        rollout.plan = self._migrator.compile_plan(
-            process_type.schema_for(rollout.from_version),
-            process_type.schema_for(rollout.to_version),
-            rollout.type_change,
-        )
-        rollout.cache = FingerprintCache()
 
     def rollout_of(self, type_id: str) -> Optional[Rollout]:
         """The in-flight rollout of ``type_id`` (None when there is none)."""
-        return self._rollouts.get(type_id)
+        return self.evolution.rollouts.get(type_id)
 
     @_operation
     def rollout_status(self, type_id: str) -> Optional[Dict[str, Any]]:
         """Progress of the active (or, failing that, last) rollout."""
-        rollout = self._rollouts.get(type_id) or self._rollout_history.get(type_id)
-        return rollout.progress() if rollout is not None else None
-
-    # ---- the on-touch adoption path ----------------------------------- #
-
-    def _touch_for_rollout(self, instance: ProcessInstance) -> None:
-        """O(1) per-touch check: adopt an in-flight rollout's version.
-
-        Called inside an operation on a case it is about to work on
-        (every touch path goes through :meth:`_case_execution` or an
-        engine call inside it).  A canary decision the adoption tips over
-        is queued and runs when the operation ends
-        (:meth:`_run_rollout_decisions`).
-        """
-        rollout = self._rollouts.get(instance.process_type)
-        if rollout is None or not rollout.active:
-            return
-        if self._backend is not None and not self._backend.active:
-            # WAL replay / compound mutation: rollout records drive
-            # adoption, not the engine's replayed touches
-            return
-        if instance.schema_version != rollout.from_version:
-            return
-        if not instance.status.is_active:
-            return
-        instance_id = instance.instance_id
-        if instance_id in rollout.conflicted:
-            # conflicting cases stay on their old version (the paper's
-            # eager semantics); never re-attempted within one rollout
-            return
-        if rollout.state == STATE_OBSERVING and not rollout.in_cohort(instance_id):
-            return
-        rollout.touches += 1
-        decision = self._adopt(rollout, instance.instance_id, instance)
-        if decision is not None:
-            self._rollout_decisions.append((rollout.type_id, decision))
-
-    def _adopt(
-        self, rollout: Rollout, instance_id: str, instance: Optional[ProcessInstance] = None
-    ) -> Optional[str]:
-        """Migrate one case onto the rollout's version and keep the books.
-
-        The touch path passes the live ``instance`` it holds; the sweep
-        passes only the id, so a store-resident case can adopt without
-        being hydrated.  Returns the canary decision the attempt
-        triggered ("promote" / "rollback"), if any — the *caller* queues
-        it.
-        """
-        pre_state = None
-        if (
-            instance is not None
-            and rollout.state == STATE_OBSERVING
-            and rollout.policy == POLICY_REVERT
-        ):
-            # captured *before* the migration so a rollback can restore
-            # the case byte-identically (observing rollouts adopt on
-            # touch only — the sweep waits for the promotion)
-            pre_state = instance_to_dict(instance)
-        with self._journal_suspended():
-            result = self._migrate_case(
-                instance_id, rollout.type_change, rollout.plan, rollout.cache, instance
-            )
-        if result.outcome is MigrationOutcome.FINISHED:
-            return None
-        # a store-resident case adopts silently, as it always has:
-        # ``rollout_swept`` carries its count
-        announce = instance_id in self._instances
-        if result.migrated:
-            self._journal(
-                KIND_ROLLOUT_MIGRATED,
-                type_id=rollout.type_id,
-                instance_id=instance_id,
-                to_version=rollout.to_version,
-            )
-            decision = rollout.note_adoption(instance_id, pre_state)
-            if announce:
-                self.bus.publish(
-                    CATEGORY_MIGRATION,
-                    "rollout_case_adopted",
-                    type_id=rollout.type_id,
-                    instance_id=instance_id,
-                    to_version=rollout.to_version,
-                )
-        else:
-            if rollout.state == STATE_OBSERVING:
-                # a canary's verdict rests on its conflicts: a crash keeps them
-                self._journal(
-                    KIND_ROLLOUT_CONFLICTED,
-                    type_id=rollout.type_id,
-                    instance_id=instance_id,
-                    to_version=rollout.to_version,
-                )
-            decision = rollout.note_conflict(instance_id)
-            if announce:
-                self.bus.publish(
-                    CATEGORY_MIGRATION,
-                    "rollout_case_conflict",
-                    type_id=rollout.type_id,
-                    instance_id=instance_id,
-                    outcome=result.outcome.value,
-                )
-        return decision
-
-    def _run_rollout_decisions(self) -> None:
-        """Run the canary decisions queued by the operation that is ending.
-
-        The execution lock's release hook: it runs when the outermost
-        operation scope exits, still under the lock — the one place a
-        decision runs.  Not inline at the touch: a revert replaces live
-        case objects that the deciding operation may still be stepping
-        (a ``step_many`` chunk).
-        """
-        decisions = self._rollout_decisions
-        while decisions:
-            type_id, decision = decisions.pop(0)
-            if decision == "rollback":
-                self._rollback_rollout(type_id)
-            else:
-                self._promote_rollout(type_id)
-
-    @_operation
-    def _promote_rollout(self, type_id: str) -> bool:
-        """Open an observing canary to the whole population; False if none was left."""
-        rollout = self._rollouts.get(type_id)
-        if rollout is None or not rollout.promote():
-            return False
-        self._journal(KIND_ROLLOUT_PROMOTED, type_id=type_id, to_version=rollout.to_version)
-        self.bus.publish(
-            CATEGORY_MIGRATION,
-            "rollout_promoted",
-            type_id=type_id,
-            to_version=rollout.to_version,
-            observed_conflict_rate=rollout.observed_conflict_rate,
-        )
-        return True
-
-    @_operation
-    def _rollback_rollout(self, type_id: str) -> Optional[List[str]]:
-        """Canary observation failed: abandon the new version.
-
-        Under the ``"revert"`` policy every adopted case is restored from
-        its pre-adoption snapshot and the version is withdrawn from the
-        repository; under ``"pin"`` adopted cases keep running on it but
-        the version is retired — no new case will ever start on it.
-        Returns the restored ids (None: no observing rollout was left).
-        """
-        rollout = self._rollouts.get(type_id)
-        if rollout is None or not rollout.roll_back():
-            return None
-        reverted: List[str] = []
-        if rollout.policy == POLICY_REVERT:
-            reverted = self._revert_canary_cohort(rollout)
-        self._journal(
-            KIND_ROLLOUT_ROLLED_BACK,
-            type_id=type_id,
-            to_version=rollout.to_version,
-            policy=rollout.policy,
-            reverted=reverted,
-        )
-        if rollout.policy == POLICY_REVERT:
-            self.repository.withdraw_version(type_id, rollout.to_version)
-        else:
-            self._retired_versions.setdefault(type_id, set()).add(rollout.to_version)
-        self._rollouts.pop(type_id, None)
-        self._rollout_history[type_id] = rollout
-        self._notify_pool()
-        self.bus.publish(
-            CATEGORY_MIGRATION,
-            "rollout_rolled_back",
-            type_id=type_id,
-            to_version=rollout.to_version,
-            policy=rollout.policy,
-            reverted=len(reverted),
-            observed_conflict_rate=rollout.observed_conflict_rate,
-        )
-        return reverted
-
-    def _revert_canary_cohort(self, rollout: Rollout) -> List[str]:
-        """Restore the adopted canary cases from their pre-adoption snapshots.
-
-        Steps a case took on the canary version are discarded with it —
-        the deterministic policy (replay re-derives the same ids and
-        checks them against the ``reverted`` list of the journaled
-        record).
-        """
-        reverted: List[str] = []
-        with self._journal_suspended():
-            for instance_id in sorted(rollout.adopted):
-                pre_state = rollout.pre_states.get(instance_id)
-                if pre_state is None:
-                    continue  # adopted without a snapshot (defensive)
-                restored = instance_from_dict(dict(pre_state), self.repository.resolve)
-                if instance_id in self._instances:
-                    self._instances[instance_id] = restored
-                    self._dirty.add(instance_id)
-                    # tracks the restored object and re-offers its work
-                    self.worklists.register_instance(restored)
-                else:
-                    self.store.write_back(restored)
-                    self.worklists.sync_instance(restored)
-                reverted.append(instance_id)
-        return reverted
-
-    # ---- the background sweeper --------------------------------------- #
+        return self.evolution.status(type_id)
 
     @_operation
     def sweep_rollout(self, type_id: str, max_cases: int = 256) -> int:
         """Drain up to ``max_cases`` of a migrating rollout's residue.
 
-        Cases the touch path has not reached adopt here instead: stored
-        unbiased records of a known class take the record-level fast
-        path (shared verdict, in-place rewrite); live, biased or
-        first-of-class cases go through the same adoption as a touch —
-        a stored one decided on a scratch copy that never enters the
-        live cache (:meth:`_migrate_case`).  When no residue remains
-        outside the conflicted set, the rollout completes.  Returns the
-        number of cases processed this round.
-
-        The call is one operation: it holds the execution lock for at
-        most ``max_cases`` cases, which bounds how long any other
-        operation waits for it.  Its ``rollout_migrated`` records (one
-        per adopted case, as always) reach the WAL in one write + flush,
-        committed before the call returns.
+        Returns the number of cases processed this round; when no residue
+        is left the rollout completes (:meth:`Evolution.sweep`).  The call
+        is one operation: it holds the execution lock for at most
+        ``max_cases`` cases, which bounds how long any other operation
+        waits for it.  Its ``rollout_migrated`` records (one per adopted
+        case) reach the WAL in one write + flush, committed before the
+        call returns.
         """
-        rollout = self._rollouts.get(type_id)
-        if rollout is None or rollout.state != STATE_MIGRATING:
-            return 0
-        residue = self._rollout_residue(rollout)
-        swept = 0
-        for instance_id in residue[:max_cases]:
-            decision = self._adopt(rollout, instance_id)
-            if decision is not None:
-                self._rollout_decisions.append((type_id, decision))
-            swept += 1
-        if swept:
-            rollout.swept += swept
-            self.bus.publish(
-                CATEGORY_MIGRATION,
-                "rollout_swept",
-                type_id=type_id,
-                swept=swept,
-            )
-            self._enforce_cache_cap()
-        # cases left in the list are still undecided: only a sweep that
-        # got through it can have finished the rollout
-        if len(residue) <= max_cases and not self._rollout_residue(rollout):
-            self._complete_rollout(rollout)
-        return swept
+        return self.evolution.sweep(type_id, max_cases)
 
-    def _rollout_residue(self, rollout: Rollout) -> List[str]:
-        """Active cases still on the rollout's from-version, less the decided ones."""
-        type_id = rollout.type_id
-        live = {
-            instance.instance_id
-            for instance in self._instances.values()
-            if instance.process_type == type_id
-            and instance.schema_version == rollout.from_version
-            and instance.status.is_active
-        }
-        stored = {
-            instance_id
-            for instance_id in self.store.running_instances_on_version(
-                type_id, rollout.from_version
-            )
-            # the live copy governs — a store record of a live case may
-            # be stale (dirty cases write back lazily)
-            if instance_id not in self._instances
-        }
-        return sorted((live | stored) - rollout.adopted - rollout.conflicted)
-
-    def _complete_rollout(self, rollout: Rollout) -> bool:
-        """Every case adopted (or conflicted): retire the rollout; False unless migrating."""
-        if not rollout.complete():
-            return False
-        self._journal(
-            KIND_ROLLOUT_COMPLETED, type_id=rollout.type_id, to_version=rollout.to_version
-        )
-        self._rollouts.pop(rollout.type_id, None)
-        self._rollout_history[rollout.type_id] = rollout
-        self.bus.publish(
-            CATEGORY_MIGRATION,
-            "rollout_completed",
-            type_id=rollout.type_id,
-            to_version=rollout.to_version,
-            adopted=len(rollout.adopted),
-            conflicted=len(rollout.conflicted),
-        )
-        return True
-
-    # ---- recovery (snapshot restore) ---------------------------------- #
-
-    def _restore_rollout(self, payload: Mapping[str, Any]) -> None:
-        """Re-arm a rollout serialised into a snapshot."""
-        rollout = Rollout.from_dict(dict(payload))
-        self._attach_plan(rollout)
-        if rollout.active:
-            self._rollouts[rollout.type_id] = rollout
-        else:
-            self._rollout_history[rollout.type_id] = rollout
+    def _touch_for_rollout(self, instance: ProcessInstance) -> None:
+        """A touch of a case: adopt an in-flight rollout's version (:meth:`Evolution.touch`)."""
+        self.evolution.touch(instance)
 
     # ------------------------------------------------------------------ #
     # persistence

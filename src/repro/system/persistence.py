@@ -17,10 +17,10 @@ so an ``AdeptSystem`` survives restarts:
   the log;
 * **recovery** — :meth:`PersistentBackend.recover` loads the latest
   snapshot and *replays the WAL suffix* on top of it: a record replays
-  by calling the façade method that journaled it (deployments, starts,
-  aborts, deletions, every rollout transition); steps, change sets and
-  evolutions are re-executed through the engine, changer and migration
-  driver that produced them.  Replayed schema versions and rollout
+  by calling the method that journaled it (deployments, starts, aborts,
+  deletions, evolutions, every rollout transition); steps and change
+  sets are re-executed through the engine and changer that produced
+  them.  Replayed schema versions and rollout
   transitions are reconciled against the journal — a mismatch raises
   :class:`RecoveryError`.  A torn trailing record (crash mid-append) is
   ignored — the commit point of a mutation is its complete WAL line.
@@ -375,16 +375,7 @@ class PersistentBackend:
             "schemas": schemas,
             "instances": instances,
         }
-        rollouts = [rollout.to_dict() for rollout in system._rollouts.values()]
-        if rollouts:
-            payload["rollouts"] = rollouts
-        retired = {
-            type_id: sorted(versions)
-            for type_id, versions in system._retired_versions.items()
-            if versions
-        }
-        if retired:
-            payload["retired_versions"] = retired
+        payload.update(system.evolution.snapshot())
         self.wal.commit(self._ticket)
         temporary = self.snapshot_path.with_suffix(".json.tmp")
         with open(temporary, "w", encoding="utf-8") as handle:
@@ -426,10 +417,10 @@ class PersistentBackend:
 
         ``system`` must be freshly constructed (no deployed types, no
         instances).  Journaling is suspended for the duration — most
-        records replay by calling the façade method that journaled them,
-        which would otherwise re-journal every mutation; ``step``,
-        ``adhoc_change``, ``evolution`` and ``instance_saved`` records
-        keep a replay of their own (``docs/persistence.md`` says why).
+        records replay by calling the method that journaled them, which
+        would otherwise re-journal every mutation; ``step``,
+        ``adhoc_change`` and ``instance_saved`` records keep a replay of
+        their own (``docs/persistence.md`` says why).
         Replayed transitions publish their bus events.
         """
         report = RecoveryReport()
@@ -510,10 +501,7 @@ class PersistentBackend:
         system._case_counters.update(snapshot.get("case_counters", {}))
         # rollouts are restored after schemas: the compiled plan is rebuilt
         # from the (already adopted) repository versions
-        for payload in snapshot.get("rollouts", []):
-            system._restore_rollout(payload)
-        for type_id, versions in snapshot.get("retired_versions", {}).items():
-            system._retired_versions[type_id] = set(versions)
+        system.evolution.restore(snapshot)
         self._seq = int(snapshot.get("next_seq", self._seq))
         report.snapshot_loaded = True
 
@@ -601,25 +589,18 @@ def _replay_adhoc_change(system: "AdeptSystem", record: Mapping[str, Any]) -> No
 
 
 def _replay_evolution(system: "AdeptSystem", record: Mapping[str, Any]) -> None:
-    type_id = record["type_id"]
-    type_change = TypeChange.from_dict(record["change"])
-    process_type = system.repository.process_type(type_id)
-    new_schema = system.repository.release_version(type_id, type_change)
-    _reconcile_version(record, new_schema.version)
-    policy = record.get("policy")
-    if policy != "none":
-        # the same driver the original evolve ran: same records, same plan,
-        # same per-class verdicts, same compensations (the policy is the
-        # journaled one, not the reopened system's), same end state — and
-        # as little hydration
-        system._migrate_candidates(
-            process_type,
-            type_change,
-            list(record.get("candidates", [])),
-            collect_results=False,
-            rollback=policy == "rollback",
-        )
-    system._drop_unoccupied_versions(process_type)
+    # the release and migration the original evolve ran, over the journaled
+    # candidates with the journaled policy (not the reopened system's):
+    # same plan, same per-class verdicts, same compensations, same events,
+    # same end state — only the strict dry run is skipped, which passed
+    report = system.evolution.release_and_migrate(
+        record["type_id"],
+        TypeChange.from_dict(record["change"]),
+        record.get("policy") or "compliant",
+        collect_results=False,
+        candidates=list(record.get("candidates", [])),
+    )
+    _reconcile_version(record, report.to_version)
 
 
 def _replay_instance_saved(system: "AdeptSystem", record: Mapping[str, Any]) -> None:
@@ -633,7 +614,7 @@ def _replay_instance_deleted(system: "AdeptSystem", record: Mapping[str, Any]) -
 
 
 def _replay_rollout_started(system: "AdeptSystem", record: Mapping[str, Any]) -> None:
-    rollout = system._evolve_progressive(
+    rollout = system.evolution.start_rollout(
         record["type_id"],
         TypeChange.from_dict(record["change"]),
         record["mode"],
@@ -658,7 +639,7 @@ def _replay_rollout_attempt(system: "AdeptSystem", record: Mapping[str, Any]) ->
         # migrated state; only the bookkeeping needs replaying
         rollout.adopted.add(instance_id)
     else:
-        system._adopt(rollout, instance_id, instance)
+        system.evolution.adopt(rollout, instance_id, instance)
     # a decision re-derived here is not executed: decisions replay from
     # their own promoted / rolled-back records, and one the crash kept
     # out of the log is taken again on the next touch
@@ -669,12 +650,12 @@ def _replay_rollout_attempt(system: "AdeptSystem", record: Mapping[str, Any]) ->
 
 
 def _replay_rollout_promoted(system: "AdeptSystem", record: Mapping[str, Any]) -> None:
-    if not system._promote_rollout(record["type_id"]):
+    if not system.evolution.promote(record["type_id"]):
         raise RecoveryError(f"no observing rollout of {record['type_id']!r} to promote")
 
 
 def _replay_rollout_rolled_back(system: "AdeptSystem", record: Mapping[str, Any]) -> None:
-    reverted = system._rollback_rollout(record["type_id"])
+    reverted = system.evolution.roll_back(record["type_id"])
     if reverted is None:
         raise RecoveryError(f"no observing rollout of {record['type_id']!r} to roll back")
     if reverted != record["reverted"]:
@@ -684,7 +665,7 @@ def _replay_rollout_rolled_back(system: "AdeptSystem", record: Mapping[str, Any]
 
 def _replay_rollout_completed(system: "AdeptSystem", record: Mapping[str, Any]) -> None:
     rollout = system.rollout_of(record["type_id"])
-    if rollout is None or not system._complete_rollout(rollout):
+    if rollout is None or not system.evolution.complete(rollout):
         raise RecoveryError(f"no migrating rollout of {record['type_id']!r} to complete")
 
 

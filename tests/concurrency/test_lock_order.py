@@ -116,7 +116,7 @@ class Evolver(_Actor):
 
     def one(self):
         if self.system.rollout_of(TYPE_ID) is not None:
-            self.system._rollback_rollout(TYPE_ID)
+            self.system.evolution.roll_back(TYPE_ID)
         elif self.rng.random() < 0.5:
             self.system.evolve(TYPE_ID, self._delta())
         else:
@@ -156,7 +156,7 @@ def _run(path, seed, scheduled):
         finally:
             sys.setswitchinterval(interval)
     if system.rollout_of(TYPE_ID) is not None:
-        system._rollback_rollout(TYPE_ID)
+        system.evolution.roll_back(TYPE_ID)
     # (a pool "error" here is a benign loss: a delete or a canary revert
     # took the work from under a claim between its start and completion)
     system.drain(timeout=60.0)

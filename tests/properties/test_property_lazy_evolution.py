@@ -175,16 +175,19 @@ STRESS = settings(
 )
 
 
-class _Recording(AdeptSystem):
-    """Keeps every per-case migration result, in the order cases were decided."""
+def _recording(system, hydrate):
+    """Keep every per-case migration result of ``system``, in the order cases
+    were decided; with ``hydrate``, decide every stored case the way a live
+    one is: hydrated first."""
+    evolution = system.evolution
+    migrate_case = evolution._migrate_case
+    decided = []
 
-    def __init__(self, **kwargs):
-        super().__init__(**kwargs)
-        self.decided = []
-
-    def _migrate_case(self, instance_id, *args, **kwargs):
-        result = super()._migrate_case(instance_id, *args, **kwargs)
-        self.decided.append(
+    def recording(instance_id, type_change, plan, cache, instance=None, **options):
+        if hydrate and instance is None:
+            instance = system.get_instance(instance_id)
+        result = migrate_case(instance_id, type_change, plan, cache, instance, **options)
+        decided.append(
             (
                 result.instance_id,
                 result.outcome.value,
@@ -194,19 +197,14 @@ class _Recording(AdeptSystem):
         )
         return result
 
-
-class _HydratingTwin(_Recording):
-    """Decides every stored case the way a live one is: hydrated first."""
-
-    def _migrate_case(self, instance_id, type_change, plan, cache, instance=None, **options):
-        if instance is None:
-            instance = self.get_instance(instance_id)
-        return super()._migrate_case(instance_id, type_change, plan, cache, instance, **options)
+    evolution._migrate_case = recording
+    return decided
 
 
-def _cloned_population(system_class, schema_seed, activities, population_seed, biased):
+def _cloned_population(hydrate, schema_seed, activities, population_seed, biased):
     """30 generated cases plus a clone of each (so classes, biased ones too, have
-    several members), adopted into a live cache of 4 — nearly all store-resident."""
+    several members), adopted into a live cache of 4 — nearly all store-resident;
+    the system records its per-case migration results (:func:`_recording`)."""
     schema = _random_schema(schema_seed, activities)
     population = PopulationGenerator(
         schema,
@@ -217,7 +215,8 @@ def _cloned_population(system_class, schema_seed, activities, population_seed, b
             id_prefix="scratch",
         ),
     ).generate()
-    system = system_class(cache_instances=4)
+    system = AdeptSystem(cache_instances=4)
+    decided = _recording(system, hydrate)
     system.deploy(schema, verify=False)
     ids = []
     for instance in population:
@@ -226,7 +225,7 @@ def _cloned_population(system_class, schema_seed, activities, population_seed, b
         for member in (instance, instance_from_dict(clone, system.repository.resolve)):
             system.adopt_instance(member)
             ids.append(member.instance_id)
-    return system, schema, ids
+    return system, schema, ids, decided
 
 
 def _stored_form(system, instance_id):
@@ -252,9 +251,9 @@ def check_scratch_parity(schema_seed, activities, population_seed, change_seed, 
     if _type_change(probe, change_seed) is None:
         return
     outcomes = []
-    for system_class in (_Recording, _HydratingTwin):
-        system, schema, ids = _cloned_population(
-            system_class, schema_seed, activities, population_seed, biased
+    for hydrate in (False, True):
+        system, schema, ids, decided = _cloned_population(
+            hydrate, schema_seed, activities, population_seed, biased
         )
         live_before = system.live_instance_ids()
         change = _type_change(schema, change_seed)
@@ -270,12 +269,12 @@ def check_scratch_parity(schema_seed, activities, population_seed, change_seed, 
                 (r.instance_id, r.outcome.value, r.was_biased, [str(c) for c in r.conflicts])
                 for r in report.results
             )
-        if system_class is _Recording:
+        if not hydrate:
             # scratch decisions hydrate nobody into the live cache
             assert system.live_instance_ids() == live_before
         outcomes.append(
             (
-                system.decided,
+                decided,
                 settled,
                 {i: _stored_form(system, i) for i in ids},
                 {i: _open_work(system, i) for i in ids},

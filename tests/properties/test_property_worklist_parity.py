@@ -189,7 +189,7 @@ class _OpMix:
         for case in self.rng.sample(self.ids, min(len(self.ids), 4)):
             self.system.step_many([case], steps=1)  # adopts, then moves on
             check_worklist_parity(self.system)
-        self.system._rollback_rollout(TYPE_ID)
+        self.system.evolution.roll_back(TYPE_ID)
 
     def op_delete(self):
         case = self._case()

@@ -64,3 +64,32 @@ def test_no_request_path_hook_is_missing(tracer):
         hook for hook in tracer.missing_hooks if hook.startswith(REQUEST_PATH_OWNERS)
     ]
     assert missing == []
+
+
+#: owners of the evolution hooks: the façade's delegates, the rollout's
+#: books, the migration manager and its plan
+EVOLUTION_OWNERS = ("AdeptSystem.", "Rollout.", "MigrationManager.", "MigrationPlan.")
+
+
+def test_no_evolution_hook_is_missing_but_the_known_stale_one(tracer):
+    missing = [hook for hook in tracer.missing_hooks if hook.startswith(EVOLUTION_OWNERS)]
+    assert missing == ["MigrationManager.migrate_on_touch"]
+
+
+def test_a_touch_and_a_sweep_reach_the_traced_facade_hooks(tracer):
+    from repro import AdeptSystem
+    from repro.core.operations import DeleteActivity
+    from repro.schema import templates
+
+    system = AdeptSystem()
+    sequence = system.deploy(templates.sequential_process())
+    touched, swept = sequence.start().instance_id, sequence.start().instance_id
+    sequence.evolve([DeleteActivity(activity_id="step_2")], rollout="lazy")
+    system.activated(touched)
+    system.sweep_rollout(sequence.type_id)
+
+    assert system.get_instance(touched).schema_version == 2
+    assert system.get_instance(swept).schema_version == 2
+    spans = [tracer.names[span[0]] for span in tracer.spans]
+    assert spans.count("system.rollout:touch_for_rollout") == 1
+    assert spans.count("system.rollout:sweep_rollout") == 1

@@ -300,7 +300,7 @@ def test_first_checkpoint_writes_format_3_and_reproduces_every_fingerprint(store
 
 def test_canary_revert_restores_from_the_old_format_pre_state(store):
     system = AdeptSystem.open(store)
-    system._rollback_rollout("online_order")
+    system.evolution.roll_back("online_order")
     assert system.rollout_status("online_order")["state"] == "rolled_back"
     assert system.type("online_order").versions == [1]
     # back where they were when the canary adopted them: progress 0 and 1

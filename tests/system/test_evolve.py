@@ -230,6 +230,36 @@ class TestStrictPolicy:
         assert live.version == 2
         assert done.version == 1  # finished cases stay where they are
 
+    @pytest.mark.parametrize("refused", [False, True])
+    def test_dry_run_hydrates_nobody(self, refused):
+        """The dry run clones each candidate without hydrating it — a live case
+        is copied, a stored one loaded outside the cache — so memory stays
+        bounded by ``cache_instances`` + 1 however large the population."""
+        system = AdeptSystem(cache_instances=4)
+        orders = system.deploy(templates.online_order_process())
+        for number in range(40):
+            case = orders.start(case_id=f"case{number:02d}")
+            done = 5 if refused and number % 10 == 0 else number % 3  # 5: past pack_goods
+            for activity in ORDER_EXECUTION_SEQUENCE[:done]:
+                case.complete(activity)
+        live_before = system.live_instance_ids()
+        cache_traffic = []
+        system.bus.subscribe(
+            lambda event: cache_traffic.append((event.name, event.instance_id))
+            if event.name in ("instance_loaded", "instance_evicted")
+            else None
+        )
+
+        if refused:
+            with pytest.raises(MigrationError, match="4 of 40"):
+                orders.evolve(order_type_change_v2(), migrate="strict")
+            assert orders.versions == [1]
+        else:
+            report = orders.evolve(order_type_change_v2(), migrate="strict")
+            assert report.migrated_count == 40
+        assert cache_traffic == []
+        assert system.live_instance_ids() == live_before
+
 
 class TestNoCaseSkipsADelta:
     """A case an earlier change left behind is not moved by a later one.

@@ -329,7 +329,7 @@ class TestRolloutWorklistSync:
         _touch_all(system, fresh)
         assert rollout.adopted == {case.instance_id for case in fresh}
         assert all(_offers(system, c.instance_id) == ["collect_data"] for c in fresh)
-        system._rollback_rollout("online_order")
+        system.evolution.roll_back("online_order")
         assert rollout.state == STATE_ROLLED_BACK
         for case in fresh:
             restored = system.get_instance(case.instance_id)

@@ -95,9 +95,9 @@ def _canary_external(decision):
         _touch(system, rollout, _interleave(fresh[:3], advanced[:3]), window)
         assert rollout.state == STATE_OBSERVING
         if decision == "promote":
-            assert system._promote_rollout(TYPE_ID)
+            assert system.evolution.promote(TYPE_ID)
         else:
-            assert system._rollback_rollout(TYPE_ID) == sorted(rollout.adopted)
+            assert system.evolution.roll_back(TYPE_ID) == sorted(rollout.adopted)
         _touch(system, rollout, fresh[3:6] + advanced[3:5], window)
 
     return scenario
@@ -121,7 +121,7 @@ def _observable(system, ids, conflicted=None):
     are the conflicts a migrating rollout notes — ``conflicted``
     replaces the live set with the ones noted while observing.
     """
-    rollout = system.rollout_of(TYPE_ID) or system._rollout_history[TYPE_ID]
+    rollout = system.rollout_of(TYPE_ID) or system.evolution.history[TYPE_ID]
     books = rollout.to_dict()
     del books["touches"], books["swept"]
     if conflicted is not None:
@@ -134,7 +134,7 @@ def _observable(system, ids, conflicted=None):
     return {
         "rollout": books,
         "versions": system.type(TYPE_ID).versions,
-        "retired": sorted(system._retired_versions.get(TYPE_ID, ())),
+        "retired": sorted(system.evolution.retired.get(TYPE_ID, ())),
         "cases": cases,
         "work": work,
     }

@@ -72,7 +72,7 @@ def _checkpoint_at_case(system, case):
     decided = []
     got_in = []
     calling = threading.Event()
-    original = system._adopt
+    original = system.evolution.adopt
     write_snapshot = system.backend.write_snapshot
 
     def run_checkpoint():
@@ -91,7 +91,7 @@ def _checkpoint_at_case(system, case):
             time.sleep(0.05)  # time to reach the lock; nothing is asserted on it
         return result
 
-    system._adopt = adopt
+    system.evolution.adopt = adopt
     return got_in, thread
 
 
@@ -100,7 +100,7 @@ class TestOneCommitPerSweep:
         system = AdeptSystem.open(str(tmp_path / "store"), cache_instances=4)
         handle, ids = _population(system)
         rollout = system.evolve(handle.type_id, _change(), rollout="lazy")
-        residue = system._rollout_residue(rollout)
+        residue = system.evolution.residue(rollout)
         records_before = len(_migrated_records(system))
         flushes_before = system.backend.wal.flush_count
 
@@ -136,8 +136,8 @@ class TestOneCommitPerSweep:
         system = AdeptSystem.open(store, cache_instances=4)
         handle, ids = _population(system)
         rollout = system.evolve(handle.type_id, _change(), rollout="lazy")
-        residue = system._rollout_residue(rollout)
-        original = system._migrate_case
+        residue = system.evolution.residue(rollout)
+        original = system.evolution._migrate_case
         calls = []
 
         def migrate_case(instance_id, *args, **kwargs):
@@ -146,7 +146,7 @@ class TestOneCommitPerSweep:
                 raise RuntimeError("injected")
             return original(instance_id, *args, **kwargs)
 
-        system._migrate_case = migrate_case
+        system.evolution._migrate_case = migrate_case
         with pytest.raises(RuntimeError, match="injected"):
             system.sweep_rollout(handle.type_id)
 
@@ -208,7 +208,7 @@ class TestScratchDecisions:
         handle, _ = _population(system, cases=6)
         rollout = system.evolve(handle.type_id, _change(), rollout="lazy")
         with pytest.raises(EngineError, match="unknown instance"):
-            system._migrate_case(
+            system.evolution._migrate_case(
                 "no-such-case", rollout.type_change, rollout.plan, rollout.cache
             )
 
