@@ -7,8 +7,8 @@ the encoding itself.  This module keeps one prebuilt C
 encoder per dialect the program writes on its hot paths:
 
 * compact — wire frames (``separators=(",", ":")``);
-* compact and sorted — the stored history and data logs;
-* sorted — WAL lines and instance fingerprints (``sort_keys=True``);
+* compact and sorted — the stored history and data logs, WAL lines;
+* sorted — instance fingerprints (``sort_keys=True``);
 * plain — the step-outputs validator (no arguments).
 
 :func:`dumps` takes ``json.dumps``'s arguments for these dialects, so a
@@ -25,12 +25,13 @@ import json
 from json import encoder as _encoder
 from typing import Any, Callable, Dict, Optional, Tuple
 
-__all__ = ["dumps", "loads", "JSONDecodeError"]
+__all__ = ["COMPACT", "dumps", "loads", "JSONDecodeError"]
 
 loads = json.loads
 JSONDecodeError = json.JSONDecodeError
 
-_COMPACT = (",", ":")
+#: the separators of the compact dialects
+COMPACT = (",", ":")
 
 
 def _prebuilt(**options: Any) -> Callable[[Any], str]:
@@ -67,8 +68,8 @@ def _prebuilt(**options: Any) -> Callable[[Any], str]:
 _DIALECTS: Dict[Tuple[Optional[Tuple[str, str]], bool], Callable[[Any], str]] = {
     (None, False): _prebuilt(),
     (None, True): _prebuilt(sort_keys=True),
-    (_COMPACT, False): _prebuilt(separators=_COMPACT),
-    (_COMPACT, True): _prebuilt(separators=_COMPACT, sort_keys=True),
+    (COMPACT, False): _prebuilt(separators=COMPACT),
+    (COMPACT, True): _prebuilt(separators=COMPACT, sort_keys=True),
 }
 
 

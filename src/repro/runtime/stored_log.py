@@ -18,12 +18,10 @@ from typing import Any, Sequence
 
 from repro import json_codec
 
-_COMPACT = (",", ":")
-
 
 def encode(rows: Sequence[Any]) -> str:
     """The stored text of a list of rows."""
-    return json_codec.dumps(rows, separators=_COMPACT, sort_keys=True)
+    return json_codec.dumps(rows, separators=json_codec.COMPACT, sort_keys=True)
 
 
 def decode(text: str) -> list:

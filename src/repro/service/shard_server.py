@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import logging
 import os
 import secrets
 import signal
@@ -55,12 +56,17 @@ from repro.system.persistence import (
     KIND_EVOLUTION,
     KIND_ROLLOUT_MIGRATED,
     KIND_STEP,
+    write_durably,
 )
 from repro.system.rollout import ROLLOUT_CANARY, ROLLOUT_EAGER, ROLLOUT_LAZY
 
 __all__ = ["ShardServer", "resolve_worker", "run_shard_server", "main"]
 
+logger = logging.getLogger(__name__)
+
 ENDPOINT_FILE = "endpoint.json"
+#: how much of a refused request's error message the warning quotes
+LOGGED_MESSAGE_CHARS = 200
 
 
 def resolve_worker(spec: str) -> Optional[Callable[..., Dict[str, Any]]]:
@@ -76,12 +82,6 @@ def resolve_worker(spec: str) -> Optional[Callable[..., Dict[str, Any]]]:
     if spec.startswith("simulated_latency:"):
         return simulated_latency_worker(float(spec.split(":", 1)[1]))
     raise ServiceError(f"unknown worker spec {spec!r}")
-
-
-def _atomic_write_json(path: Path, payload: Dict[str, Any]) -> None:
-    tmp = path.with_suffix(".tmp")
-    tmp.write_text(json.dumps(payload, indent=2), encoding="utf-8")
-    os.replace(tmp, path)
 
 
 class ShardServer:
@@ -188,15 +188,13 @@ class ShardServer:
         self.host, self.port = listener.getsockname()
         self._listener = listener
         if self.store_path is not None:
-            _atomic_write_json(
-                Path(self.store_path) / ENDPOINT_FILE,
-                {
-                    "shard_id": self.shard_id,
-                    "host": self.host,
-                    "port": self.port,
-                    "pid": os.getpid(),
-                },
-            )
+            endpoint = {
+                "shard_id": self.shard_id,
+                "host": self.host,
+                "port": self.port,
+                "pid": os.getpid(),
+            }
+            write_durably(Path(self.store_path) / ENDPOINT_FILE, json.dumps(endpoint, indent=2))
         self._accept_thread = threading.Thread(
             target=self._accept_loop, name=f"shard-{self.shard_id}-accept", daemon=True
         )
@@ -272,8 +270,13 @@ class ShardServer:
                     request, received = recv_message(conn)
                 except (ConnectionError, OSError):
                     return
-                except ServiceError:
-                    return  # malformed frame: drop the connection
+                except ServiceError as exc:
+                    logger.warning(
+                        "shard %s dropped a connection on a malformed frame: %s",
+                        self.shard_id,
+                        _truncated(str(exc)),
+                    )
+                    return
                 response = self._dispatch(request)
                 steps = _steps_taken(request, response)
                 try:
@@ -285,14 +288,26 @@ class ShardServer:
 
     def _dispatch(self, request: Any) -> Dict[str, Any]:
         if not isinstance(request, dict) or "op" not in request:
-            return _error_payload(ServiceError("request must be an object with an 'op'"))
-        handler = self._handlers.get(request["op"])
+            return self._refused(None, ServiceError("request must be an object with an 'op'"))
+        op = request["op"]
+        handler = self._handlers.get(op)
         if handler is None:
-            return _error_payload(ServiceError(f"unknown op {request['op']!r}"))
+            return self._refused(op, ServiceError(f"unknown op {op!r}"))
         try:
             return {"ok": True, "result": handler(request)}
         except Exception as exc:  # noqa: BLE001 - every failure crosses the wire
-            return _error_payload(exc)
+            return self._refused(op, exc)
+
+    def _refused(self, op: Any, exc: Exception) -> Dict[str, Any]:
+        """The error response to a refused request, logged as one warning."""
+        logger.warning(
+            "shard %s refused %r: %s: %s",
+            self.shard_id,
+            op,
+            type(exc).__name__,
+            _truncated(str(exc)),
+        )
+        return _error_payload(exc)
 
     # ------------------------------------------------------------------ #
     # basic ops
@@ -756,6 +771,12 @@ def _item_payload(item: Any) -> Dict[str, Any]:
         "state": item.state.value,
         "claimed_by": item.claimed_by,
     }
+
+
+def _truncated(message: str) -> str:
+    if len(message) <= LOGGED_MESSAGE_CHARS:
+        return message
+    return message[:LOGGED_MESSAGE_CHARS] + "…"
 
 
 def _error_payload(exc: Exception) -> Dict[str, Any]:

@@ -6,9 +6,17 @@ loads the last snapshot and replays the log on top of it.  The log is
 deliberately simple (JSON lines) — its purpose in the reproduction is to
 demonstrate that the hybrid storage representation composes with standard
 recovery techniques, and to give the failure-injection tests something
-real to exercise.  A line is ``json.dumps(record, sort_keys=True)``'s
-text, written through the prebuilt sorted encoder of
-:mod:`repro.json_codec` rather than an encoder built per record.
+real to exercise.
+
+**Line format.**  A line is the record's compact sorted JSON —
+``json.dumps(record, separators=(",", ":"), sort_keys=True)``'s text,
+the dialect the stored history and data logs use — written through the
+prebuilt encoder of :mod:`repro.json_codec` rather than an encoder built
+per record.  The log writes the record it is given; the persistence
+backend leaves a field whose value is ``None`` out of its records, and
+its readers take a missing field for ``None``.  Lines written before
+(``", "`` / ``": "`` padding, explicit nulls) parse and replay the same:
+a JSON line needs no format version.
 
 **Thread safety and group commit.**  The log is safe to append from many
 threads.  Appends are split into two phases: :meth:`enqueue` serialises
@@ -77,7 +85,7 @@ class WriteAheadLog:
         backend's sequence numbers) enqueue under their own lock — the
         pending buffer preserves enqueue order — and commit outside it.
         """
-        line = json_codec.dumps(record, sort_keys=True) + "\n"
+        line = json_codec.dumps(record, separators=json_codec.COMPACT, sort_keys=True) + "\n"
         with self._mutex:
             self.append_count += 1
             self._pending.append(line)

@@ -49,6 +49,7 @@ exploits this.
 
 from __future__ import annotations
 
+import logging
 import threading
 from collections import OrderedDict
 from contextlib import contextmanager, nullcontext
@@ -104,6 +105,8 @@ from repro.system.events import (
 from repro.system.handles import InstanceHandle, TypeHandle
 from repro.system.results import ChangeResult, DeployResult, RunResult, StepResult
 from repro.verification.verifier import SchemaVerifier
+
+logger = logging.getLogger(__name__)
 
 #: Upper bound on cases executed under one :meth:`AdeptSystem.step_many`
 #: batch scope.  Large enough to amortise the per-chunk kernel dispatch;
@@ -374,12 +377,14 @@ class AdeptSystem:
         if instance_id not in self._instances:
             return  # scratch/clone instance driven through the shared engine
         self._dirty.add(instance_id)
+        # the engine hands over a fresh outputs dict, and the WAL encodes
+        # the record before this returns: no copy is needed
         self._journal(
             KIND_STEP,
             instance_id=instance_id,
             action=action,
             activity=activity_id,
-            outputs=dict(outputs) if outputs else None,
+            outputs=outputs or None,
             user=user,
         )
 
@@ -394,7 +399,7 @@ class AdeptSystem:
         every case of a :meth:`step_many` chunk (a chunk never exceeds
         the cap).  From the LRU head, no further than the excess
         requires: the cost of an eviction must not grow with the cache
-        it trims.
+        it trims.  Each eviction is one DEBUG log line.
         """
         cap = self.cache_instances
         if cap is None:
@@ -402,11 +407,13 @@ class AdeptSystem:
         for _ in range(len(self._instances) - max(cap, 1)):
             instance_id = next(iter(self._instances))
             instance = self._instances.pop(instance_id)
-            if instance_id in self._dirty:
+            dirty = instance_id in self._dirty
+            if dirty:
                 self._dirty.discard(instance_id)
                 # the logical WAL records already cover this state —
                 # the save is a cache write-back, not a durability point
                 self.store.write_back(instance)
+            logger.debug("evicted %s (%s)", instance_id, "written back" if dirty else "clean")
             self.worklists.unregister_instance(instance_id)
             self.bus.publish(CATEGORY_SYSTEM, "instance_evicted", instance_id=instance_id)
 

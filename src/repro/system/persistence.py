@@ -81,9 +81,21 @@ def shard_store_path(base: str, shard_id: str) -> str:
         raise ReproError(f"invalid shard id {shard_id!r} for a store path")
     return str(Path(base) / shard_id)
 
-def _fsync_directory(directory: Path) -> None:
-    """Make the entries of ``directory`` (a rename into it) durable."""
-    descriptor = os.open(directory, os.O_RDONLY)
+
+def write_durably(path: Path, text: str) -> None:
+    """Replace ``path`` with ``text`` so that a power cut leaves one or the other.
+
+    The text goes to ``<name>.tmp`` beside it, which is fsynced before
+    it atomically replaces ``path``; the directory is fsynced after the
+    rename, so the new name is durable too.
+    """
+    temporary = path.with_name(path.name + ".tmp")
+    with open(temporary, "w", encoding="utf-8") as handle:
+        handle.write(text)
+        handle.flush()
+        os.fsync(handle.fileno())
+    os.replace(temporary, path)
+    descriptor = os.open(path.parent, os.O_RDONLY)
     try:
         os.fsync(descriptor)
     finally:
@@ -305,6 +317,9 @@ class PersistentBackend:
     def journal(self, kind: str, **fields: Any) -> Optional[int]:
         """Append one typed record; returns its sequence number (or None).
 
+        A field whose value is ``None`` is left out of the record: every
+        reader takes a missing field for ``None`` (``record.get(name)``).
+
         Safe to call from many threads.  The sequence number is allocated
         and the record enqueued in one critical section (file order ==
         seq order); the durability wait is a group commit — concurrent
@@ -314,12 +329,12 @@ class PersistentBackend:
         state = self._state
         if state.suspended:
             return None
+        record = {name: value for name, value in fields.items() if value is not None}
+        record["kind"] = kind
         with self._seq_lock:
             self._read_at_open = None
             self._seq += 1
-            seq = self._seq
-            record = {"kind": kind, "seq": seq}
-            record.update(fields)
+            seq = record["seq"] = self._seq
             ticket = self._ticket = self.wal.enqueue(record)
         if state.deferring:
             state.ticket = ticket
@@ -352,12 +367,13 @@ class PersistentBackend:
         truncation finds none pending, and a thread waiting on one of
         them finds it committed and returns.
 
-        The snapshot survives a power cut: it is written to a temporary
-        file that is fsynced before it atomically replaces the old
-        snapshot, and the directory is fsynced after the rename, so the
-        new name is durable too.  Only then is the log truncated — a
-        crash between the steps replays the (now redundant) WAL suffix,
-        whose records the snapshot's ``next_seq`` marks as covered.
+        The snapshot survives a power cut: :func:`write_durably` writes
+        it to a temporary file that is fsynced before it atomically
+        replaces the old snapshot, and fsyncs the directory after the
+        rename, so the new name is durable too.  Only then is the log
+        truncated — a crash between the steps replays the (now
+        redundant) WAL suffix, whose records the snapshot's ``next_seq``
+        marks as covered.
         """
         repository = system.repository
         schemas: List[Dict[str, Any]] = []
@@ -377,13 +393,7 @@ class PersistentBackend:
         }
         payload.update(system.evolution.snapshot())
         self.wal.commit(self._ticket)
-        temporary = self.snapshot_path.with_suffix(".json.tmp")
-        with open(temporary, "w", encoding="utf-8") as handle:
-            handle.write(json.dumps(payload, sort_keys=True))
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(temporary, self.snapshot_path)
-        _fsync_directory(self.directory)
+        write_durably(self.snapshot_path, json.dumps(payload, sort_keys=True))
         self.wal.truncate()
         self._read_at_open = None
 
@@ -529,7 +539,8 @@ class PersistentBackend:
 
 
 # --------------------------------------------------------------------------- #
-# replay handlers (one per record kind)
+# replay handlers (one per record kind); a field journaled as None is absent
+# from the record, so one that may be None is read with .get()
 # --------------------------------------------------------------------------- #
 
 

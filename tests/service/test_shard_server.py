@@ -6,6 +6,12 @@ behaviour (signals, kill -9 recovery, routing) lives in
 ``test_router_multiprocess.py`` under the ``shards`` marker.
 """
 
+import logging
+import os
+import socket
+import stat
+import struct
+
 import pytest
 
 from repro import AdeptSystem
@@ -51,6 +57,28 @@ class TestLifecycle:
         payload = json.loads((tmp_path / "s0" / "endpoint.json").read_text())
         server, _client = shard
         assert (payload["host"], payload["port"]) == server.endpoint
+
+    def test_endpoint_file_is_fsynced_before_and_after_its_rename(self, tmp_path, monkeypatch):
+        """The file reaches the disk, then the directory entry naming it."""
+        fsync, synced = os.fsync, []
+
+        def recorded_fsync(descriptor):
+            status = os.fstat(descriptor)
+            synced.append((stat.S_ISDIR(status.st_mode), status.st_ino))
+            fsync(descriptor)
+
+        monkeypatch.setattr(os, "fsync", recorded_fsync)
+        server = ShardServer("s2", store=str(tmp_path / "s2"))
+        server.start_in_thread()
+        try:
+            endpoint = tmp_path / "s2" / "endpoint.json"
+            assert synced == [
+                (False, endpoint.stat().st_ino),
+                (True, (tmp_path / "s2").stat().st_ino),
+            ]
+            assert not (tmp_path / "s2" / "endpoint.json.tmp").exists()
+        finally:
+            server.stop(checkpoint=False)
 
     def test_unknown_op_is_a_remote_error(self, shard):
         _server, client = shard
@@ -370,3 +398,45 @@ class TestSatellites:
         assert callable(worker)
         with pytest.raises(ServiceError):
             resolve_worker("quantum:1")
+
+
+class TestRefusalLogging:
+    """One WARNING per refused request or dropped frame; none on success."""
+
+    LOGGER = "repro.service.shard_server"
+
+    def test_each_refused_request_is_one_warning(self, shard, caplog):
+        _server, client = shard
+        _deploy_orders(client)
+        caplog.set_level(logging.DEBUG, logger=self.LOGGER)
+        with pytest.raises(RemoteError):
+            client.call("frobnicate")
+        with pytest.raises(RemoteError):
+            client.call("instance_info", instance_id="missing-" + "x" * 500)
+        warnings = [r for r in caplog.records if r.name == self.LOGGER]
+        assert [r.levelno for r in warnings] == [logging.WARNING] * 2
+        unknown, missing = (r.getMessage() for r in warnings)
+        assert unknown.startswith("shard s0 refused 'frobnicate': ServiceError: unknown op")
+        assert missing.startswith("shard s0 refused 'instance_info': ")
+        assert "missing-x" in missing and len(missing) < 300
+
+    def test_the_success_path_logs_nothing(self, shard, caplog):
+        _server, client = shard
+        caplog.set_level(logging.DEBUG, logger=self.LOGGER)
+        _deploy_orders(client)
+        case_id = client.call("start", type_id="online_order")["instance_id"]
+        client.call("step_many", instance_ids=[case_id], steps=2)
+        client.call("instance_info", instance_id=case_id)
+        assert [r for r in caplog.records if r.name == self.LOGGER] == []
+
+    def test_a_malformed_frame_is_one_warning(self, shard, caplog):
+        server, _client = shard
+        caplog.set_level(logging.DEBUG, logger=self.LOGGER)
+        body = b"{not json"
+        with socket.create_connection(server.endpoint) as raw:
+            raw.sendall(struct.pack(">Q", len(body)) + body)
+            assert raw.recv(1) == b""  # the server dropped the connection
+        (warning,) = [r for r in caplog.records if r.name == self.LOGGER]
+        assert warning.levelno == logging.WARNING
+        assert warning.getMessage().startswith("shard s0 dropped a connection")
+        assert "undecodable frame" in warning.getMessage()

@@ -62,7 +62,12 @@ class TestWriteAheadLog:
         assert len(wal) == 0
 
     def test_lines_are_byte_identical_to_json_dumps_sort_keys(self, tmp_path):
-        """The log encodes with one shared encoder; the bytes stay json.dumps's."""
+        """The log encodes with one shared encoder; the bytes are json.dumps's.
+
+        A line is the compact sorted dialect; the log itself writes every
+        field it is given, ``None`` values included (the persistence
+        backend is what leaves them out).
+        """
         import random
 
         rng = random.Random(23)
@@ -90,6 +95,9 @@ class TestWriteAheadLog:
         for record in records:
             wal.append(record)
         wal.close()
-        expected = "".join(json.dumps(record, sort_keys=True) + "\n" for record in records)
+        expected = "".join(
+            json.dumps(record, separators=(",", ":"), sort_keys=True) + "\n"
+            for record in records
+        )
         assert path.read_bytes() == expected.encode("utf-8")
         assert WriteAheadLog(str(path)).records() == records

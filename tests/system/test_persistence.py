@@ -707,6 +707,33 @@ class TestPickOrderAcrossRestart:
         old.close(checkpoint=False)
 
 
+class TestEvictionLogging:
+    """Each eviction under cache pressure is one DEBUG line, nothing at INFO."""
+
+    LOGGER = "repro.system.facade"
+
+    def test_one_debug_line_per_eviction(self, store_path, caplog):
+        system = open_system(store_path, cache_instances=1)
+        orders = system.deploy(templates.online_order_process())
+        with caplog.at_level("DEBUG", logger=self.LOGGER):
+            first = orders.start().instance_id
+            second = orders.start().instance_id  # evicts the first, unsaved
+            system.save(second)
+            system.get_instance(first)  # evicts the second, saved since
+        lines = [r for r in caplog.records if r.name == self.LOGGER]
+        assert [r.levelname for r in lines] == ["DEBUG", "DEBUG"]
+        assert [r.getMessage() for r in lines] == [
+            f"evicted {first} (written back)",
+            f"evicted {second} (clean)",
+        ]
+
+        caplog.clear()
+        with caplog.at_level("INFO", logger=self.LOGGER):
+            system.step_many([first, second], steps=1)
+        assert caplog.records == []
+        system.close(checkpoint=False)
+
+
 class TestRecoveryLogging:
     """Recovery says what it did in one INFO line, and names the record it refuses."""
 
