@@ -70,7 +70,6 @@ from repro.verification import SchemaVerifier, VerificationReport, verify_schema
 from repro.runtime import (
     EdgeState,
     EngineError,
-    EventLog,
     EventType,
     ExecutionHistory,
     InstanceStatus,
@@ -201,7 +200,6 @@ __all__ = [
     "EdgeState",
     "InstanceStatus",
     "EngineError",
-    "EventLog",
     "EventType",
     "WorklistManager",
     # core change framework

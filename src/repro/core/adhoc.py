@@ -32,7 +32,7 @@ from repro.core.conflicts import Conflict, structural_conflicts
 from repro.core.operations import ChangeOperation, OperationError
 from repro.core.state_adaptation import StateAdapter
 from repro.runtime.engine import ProcessEngine
-from repro.runtime.events import EngineEvent, EventLog, EventType
+from repro.runtime.events import EngineEvent, EventType
 from repro.runtime.instance import ProcessInstance
 from repro.schema.graph import ProcessSchema, SchemaError
 
@@ -65,11 +65,9 @@ class AdHocChanger:
     def __init__(
         self,
         engine: Optional[ProcessEngine] = None,
-        event_log: Optional[EventLog] = None,
         authorization: Optional[object] = None,
     ) -> None:
         self.engine = engine or ProcessEngine()
-        self.event_log = event_log if event_log is not None else self.engine.event_log
         self.checker = ComplianceChecker(engine=ProcessEngine())
         self.adapter = StateAdapter(engine=ProcessEngine())
         #: optional :class:`repro.org.authorization.ChangeAuthorization` policy
@@ -138,7 +136,7 @@ class AdHocChanger:
                     instance.data.supply(element, value)
         instance.set_bias(combined_bias, new_execution_schema)
         instance.install_marking(adapted_marking)
-        self.event_log.append(
+        self.engine.emit(
             EngineEvent(
                 event_type=EventType.ADHOC_CHANGE_APPLIED,
                 instance_id=instance.instance_id,
@@ -167,7 +165,7 @@ class AdHocChanger:
     # ------------------------------------------------------------------ #
 
     def _emit_rejected(self, instance: ProcessInstance, reason: str) -> None:
-        self.event_log.append(
+        self.engine.emit(
             EngineEvent(
                 event_type=EventType.ADHOC_CHANGE_REJECTED,
                 instance_id=instance.instance_id,

@@ -44,7 +44,7 @@ from repro.core.migration_plan import ClassVerdict, FingerprintCache, MigrationP
 from repro.core.operations import OperationError
 from repro.core.state_adaptation import StateAdapter
 from repro.runtime.engine import ProcessEngine
-from repro.runtime.events import EngineEvent, EventLog, EventType
+from repro.runtime.events import EngineEvent, EventType
 from repro.runtime.instance import ProcessInstance
 from repro.runtime.states import ACTIVE_STATUS_VALUES
 from repro.schema.graph import ProcessSchema, SchemaError
@@ -227,11 +227,9 @@ class MigrationManager:
     def __init__(
         self,
         engine: Optional[ProcessEngine] = None,
-        event_log: Optional[EventLog] = None,
         rollback_on_state_conflict: bool = False,
     ) -> None:
         self.engine = engine or ProcessEngine()
-        self.event_log = event_log if event_log is not None else self.engine.event_log
         self.checker = ComplianceChecker(engine=ProcessEngine())
         self.adapter = StateAdapter(engine=ProcessEngine())
         #: optional policy: compensate the blocking activities of state-conflicting
@@ -265,7 +263,7 @@ class MigrationManager:
         """
         if release:
             new_schema = process_type.release_new_version(type_change)
-            self.event_log.append(
+            self.engine.emit(
                 EngineEvent(
                     event_type=EventType.SCHEMA_VERSION_RELEASED,
                     details=f"{process_type.name} v{new_schema.version}",
@@ -485,9 +483,7 @@ class MigrationManager:
         plan = RollbackPlanner(engine=self.engine).plan(instance, type_change.operations)
         if not plan.feasible or not plan.activities:
             return None
-        RollbackManager(engine=self.engine, event_log=self.event_log).rollback_activities(
-            instance, plan.activities
-        )
+        RollbackManager(engine=self.engine).rollback_activities(instance, plan.activities)
         if not self.checker.check_with_conditions(instance, type_change.operations).compliant:
             return None
         adapted = self.adapter.adapt(instance, new_schema)
@@ -619,7 +615,7 @@ class MigrationManager:
         )
         if result.outcome is MigrationOutcome.FINISHED:
             return
-        self.event_log.append(
+        self.engine.emit(
             EngineEvent(
                 event_type=event_type,
                 instance_id=result.instance_id,

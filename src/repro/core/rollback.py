@@ -27,7 +27,7 @@ from repro.core.compliance import ComplianceChecker
 from repro.core.conflicts import ConflictKind
 from repro.core.operations import ChangeOperation
 from repro.runtime.engine import EngineError, ProcessEngine
-from repro.runtime.events import EngineEvent, EventLog, EventType
+from repro.runtime.events import EngineEvent, EventType
 from repro.runtime.history import HistoryEventType
 from repro.runtime.instance import ProcessInstance
 from repro.runtime.states import EdgeState, NodeState
@@ -60,10 +60,8 @@ class RollbackPlan:
 class RollbackManager:
     """Rolls back (compensates) executed activities of a running instance."""
 
-    def __init__(self, engine: Optional[ProcessEngine] = None, event_log: Optional[EventLog] = None) -> None:
+    def __init__(self, engine: Optional[ProcessEngine] = None) -> None:
         self.engine = engine or ProcessEngine()
-        # an empty EventLog is falsy (it has __len__), so test for None explicitly
-        self.event_log = event_log if event_log is not None else self.engine.event_log
 
     # ------------------------------------------------------------------ #
 
@@ -124,7 +122,7 @@ class RollbackManager:
                 activity_id,
                 iteration=instance.history.entries_for(activity_id, reduced=True)[-1].iteration,
             )
-            self.event_log.append(
+            self.engine.emit(
                 EngineEvent(
                     event_type=EventType.ACTIVITY_COMPENSATED,
                     instance_id=instance.instance_id,
@@ -169,8 +167,8 @@ class RollbackPlanner:
         """
         change_log = change if isinstance(change, ChangeLog) else ChangeLog(change)
         scratch = instance.clone()
-        # a scratch engine: neither the compensations nor the re-propagation
-        # of the clone may show up in the real engine's event log
+        # a scratch engine without a listener: neither the compensations nor
+        # the re-propagation of the clone may reach the real engine's listener
         manager = RollbackManager(
             engine=ProcessEngine(max_propagation_rounds=self.engine.max_propagation_rounds)
         )

@@ -14,7 +14,7 @@ import io
 from typing import Dict, Iterable, List, Sequence
 
 from repro.core.changelog import ChangeLog
-from repro.runtime.events import EventLog
+from repro.runtime.events import EngineEvent
 from repro.runtime.instance import ProcessInstance
 
 
@@ -67,8 +67,8 @@ def change_log_rows(instance: ProcessInstance) -> List[Dict[str, object]]:
     return rows
 
 
-def engine_event_rows(event_log: EventLog) -> List[Dict[str, object]]:
-    """All published engine events as flat dictionaries."""
+def engine_event_rows(events: Iterable[EngineEvent]) -> List[Dict[str, object]]:
+    """Engine events as flat dictionaries, e.g. those an engine's listener collected."""
     return [
         {
             "event": event.event_type.value,
@@ -77,7 +77,7 @@ def engine_event_rows(event_log: EventLog) -> List[Dict[str, object]]:
             "user": event.user or "",
             "details": event.details or "",
         }
-        for event in event_log.events
+        for event in events
     ]
 
 

@@ -4,8 +4,8 @@ The paper's monitoring component visualises the effects of ad-hoc
 changes and type changes.  The :class:`EventFeed` is its live-feed
 counterpart: subscribed to the :class:`repro.system.EventBus`, it keeps
 a window of the newest :class:`repro.system.SystemEvent` objects of its
-categories in delivery order — bounded like the engine log and the bus
-history, by :data:`~repro.runtime.events.MAX_RETAINED_EVENTS` — plus
+categories in delivery order — the system's one retained event window,
+bounded by :data:`~repro.runtime.events.MAX_RETAINED_EVENTS` — plus
 exact lifetime counts per event name and per category, and renders them
 as text: the library equivalent of the activity stream in the
 prototype's GUI.  The façade's default feed subscribes to every category
@@ -133,7 +133,10 @@ class EventFeed:
         return {name: counts.get(name, 0) for name in self._ROLLOUT_EVENTS}
 
     def tail(self, count: int = 10, category: Optional[str] = None) -> List[Any]:
-        """The most recent ``count`` retained events (optionally of one category)."""
+        """The most recent ``count`` retained events (optionally of one category);
+        none for a ``count`` ≤ 0."""
+        if count <= 0:
+            return []
         snapshot = self.events
         events = (
             snapshot
@@ -143,10 +146,11 @@ class EventFeed:
         return events[-count:]
 
     def render(self, limit: int = 20) -> str:
-        """The most recent events as a text block."""
+        """The most recent ``limit`` events as a text block (none for ``limit`` ≤ 0)."""
         snapshot = self.events
+        limit = max(limit, 0)
         lines = [f"event feed ({len(snapshot)} event(s), showing last {limit}):"]
-        for event in snapshot[-limit:]:
+        for event in snapshot[-limit:] if limit else ():
             lines.append(f"  {event}")
         return "\n".join(lines)
 

@@ -20,7 +20,7 @@ from repro.runtime.engine import (
 )
 from repro.runtime.kernel import MarkingLayout, StepKernel
 from repro.runtime.worklist import WorkItem, WorkItemState, WorklistManager
-from repro.runtime.events import EngineEvent, EventLog, EventType
+from repro.runtime.events import EngineEvent, EventType
 from repro.runtime.expressions import ExpressionError, evaluate_condition
 
 __all__ = [
@@ -43,7 +43,6 @@ __all__ = [
     "WorkItemState",
     "WorklistManager",
     "EngineEvent",
-    "EventLog",
     "EventType",
     "ExpressionError",
     "evaluate_condition",

@@ -36,7 +36,7 @@ from heapq import heappop, heappush
 from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.errors import ReproError
-from repro.runtime.events import EngineEvent, EventLog, EventType
+from repro.runtime.events import EngineEvent, EventType
 from repro.runtime.expressions import ExpressionError, evaluate_condition
 from repro.runtime.history import HistoryEventType
 from repro.runtime.instance import ProcessInstance
@@ -117,11 +117,12 @@ Worker = Callable[[Node, Mapping[str, Any]], Mapping[str, Any]]
 class ProcessEngine:
     """Executes process instances on (verified) process schemas."""
 
-    def __init__(
-        self, event_log: Optional[EventLog] = None, max_propagation_rounds: Optional[int] = None
-    ) -> None:
-        # an empty EventLog is falsy (it has __len__), so test for None explicitly
-        self.event_log = event_log if event_log is not None else EventLog()
+    def __init__(self, max_propagation_rounds: Optional[int] = None) -> None:
+        #: Optional sink of every :class:`EngineEvent` this engine and the
+        #: change managers driving it report (:meth:`emit`).  The engine
+        #: keeps none of them: without a listener an event is not even
+        #: built.  The façade installs its bus here.
+        self.event_listener: Optional[Callable[[EngineEvent], None]] = None
         #: Explicit round bound override.  ``None`` (the default) derives
         #: the bound from the schema: topological depth × loop-iteration
         #: budget, floored at the legacy constant of 10000 — see
@@ -134,7 +135,7 @@ class ProcessEngine:
         #: implicit start it performs on an ACTIVATED activity, so a
         #: completed activity is one notification.  The durability layer
         #: journals each as one typed WAL record, committed with the rest
-        #: of the calling operation's records; unlike the event log
+        #: of the calling operation's records; unlike the event listener
         #: the hook receives the *actual outputs* written by the step, so a
         #: crash-recovery replay reproduces the exact data context.
         self.step_listener: Optional[Callable[[str, ProcessInstance, str, Optional[Dict[str, Any]], Optional[str]], None]] = None
@@ -652,6 +653,12 @@ class ProcessEngine:
                 f"instance {instance.instance_id!r} is {instance.status.value} and cannot execute activities"
             )
 
+    def emit(self, event: EngineEvent) -> None:
+        """Report ``event`` to :attr:`event_listener`, if one is set."""
+        listener = self.event_listener
+        if listener is not None:
+            listener(event)
+
     def _emit(
         self,
         event_type: EventType,
@@ -659,4 +666,8 @@ class ProcessEngine:
         node: Optional[str],
         user: Optional[str] = None,
     ) -> None:
-        self.event_log.append(EngineEvent(event_type, instance.instance_id, node, user))
+        # the step path's own copy of emit: one call less per event, and
+        # no event built for nobody
+        listener = self.event_listener
+        if listener is not None:
+            listener(EngineEvent(event_type, instance.instance_id, node, user))

@@ -30,7 +30,6 @@ from typing import (
     Deque,
     Dict,
     FrozenSet,
-    List,
     Mapping,
     NamedTuple,
     Optional,
@@ -55,7 +54,7 @@ ALL_CATEGORIES: Tuple[str, ...] = (
     CATEGORY_SYSTEM,
 )
 
-#: How engine-log event types map onto bus categories.
+#: How engine event types map onto bus categories.
 _ENGINE_EVENT_CATEGORIES: Dict[EventType, str] = {
     EventType.ADHOC_CHANGE_APPLIED: CATEGORY_CHANGE,
     EventType.ADHOC_CHANGE_REJECTED: CATEGORY_CHANGE,
@@ -121,14 +120,15 @@ class EventBus:
 
     Events exist on demand: the bus builds one only for a category some
     subscriber wants (:attr:`wanted`).  Publishing any other category
-    returns ``None`` at once — no sequence number, no :class:`SystemEvent`,
-    no history entry — so the per-step ``engine`` stream costs nothing
-    while nobody listens to it.
+    returns ``None`` at once — no sequence number, no :class:`SystemEvent`
+    — so the per-step ``engine`` stream costs nothing while nobody listens
+    to it.  The bus retains no delivered event: a subscriber that wants a
+    window keeps one (the façade's :class:`~repro.monitoring.EventFeed`).
 
-    Publishing is thread-safe: sequence allocation, history retention and
-    subscriber dispatch happen under one reentrant lock, so every
-    subscriber observes all events in strictly ascending ``seq`` order
-    even when many threads publish concurrently.  Dispatch is therefore
+    Publishing is thread-safe: sequence allocation and subscriber dispatch
+    happen under one reentrant lock, so every subscriber observes all
+    events in strictly ascending ``seq`` order even when many threads
+    publish concurrently.  Dispatch is therefore
     serialised, and events fire from inside the façade's operations,
     under its execution lock.  Two hard rules for subscribers follow:
     they must stay cheap (the built-in
@@ -140,7 +140,7 @@ class EventBus:
     that processes events on their own thread.
     """
 
-    def __init__(self, max_history: int = MAX_RETAINED_EVENTS) -> None:
+    def __init__(self) -> None:
         # an immutable tuple, republished by subscribe/unsubscribe: a
         # publish iterates the one it found, so a handler that subscribes
         # or unsubscribes mid-delivery never disturbs the event in flight
@@ -150,20 +150,15 @@ class EventBus:
         self.wanted: FrozenSet[str] = frozenset()
         self._seq = 0
         self._token = 0
-        # bounded deque: appending beyond the cap drops the oldest event
-        # in O(1) — a capped list with head deletions would make every
-        # publish O(max_history) once full (bulk migrations publish one
-        # event per migrated case)
-        self._history: Deque[SystemEvent] = deque(maxlen=max_history)
-        self.max_history = max_history
         # reentrant: a subscriber may itself publish (or subscribe)
         self._lock = threading.RLock()
-        #: ``(subscriber, event, exception)`` triples of the newest failed
-        #: deliveries, bounded like the history: each exception holds its
-        #: traceback and with it the frames, so an archive of them would
-        #: grow with every publish to a subscriber that always raises.
+        #: ``(subscriber, event, exception)`` triples of the newest
+        #: :data:`MAX_RETAINED_EVENTS` failed deliveries: each exception
+        #: holds its traceback and with it the frames, so an archive of
+        #: them would grow with every publish to a subscriber that always
+        #: raises.
         self.delivery_errors: Deque[Tuple[Subscriber, SystemEvent, Exception]] = deque(
-            maxlen=max_history
+            maxlen=MAX_RETAINED_EVENTS
         )
         #: Every failed delivery, counted exactly.
         self.delivery_failures = 0
@@ -177,8 +172,14 @@ class EventBus:
     ) -> int:
         """Register ``handler`` for all events (or the given categories).
 
+        ``categories`` is a collection of names; a bare string is refused
+        with :class:`TypeError`, since it would subscribe to its letters.
         Returns an opaque token accepted by :meth:`unsubscribe`.
         """
+        if isinstance(categories, str):
+            raise TypeError(
+                f"categories must be a collection of category names, not the string {categories!r}"
+            )
         with self._lock:
             self._token += 1
             wanted = frozenset(categories) if categories is not None else None
@@ -244,7 +245,6 @@ class EventBus:
         with self._lock:
             self._seq += 1
             event = SystemEvent(self._seq, category, name, instance_id, type_id, payload)
-            self._history.append(event)
             for _, handler, categories in self._subscriptions:
                 if categories is not None and category not in categories:
                     continue
@@ -254,29 +254,3 @@ class EventBus:
                     self.delivery_failures += 1
                     self.delivery_errors.append((handler, event, exc))
             return event
-
-    # ------------------------------------------------------------------ #
-    # inspection
-    # ------------------------------------------------------------------ #
-
-    @property
-    def events(self) -> List[SystemEvent]:
-        """The retained history of wanted events (bounded by ``max_history``)."""
-        with self._lock:
-            return list(self._history)
-
-    def events_of(
-        self, category: Optional[str] = None, name: Optional[str] = None
-    ) -> List[SystemEvent]:
-        """Retained events filtered by category and/or name."""
-        with self._lock:
-            return [
-                event
-                for event in self._history
-                if (category is None or event.category == category)
-                and (name is None or event.name == name)
-            ]
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._history)

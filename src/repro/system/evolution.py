@@ -79,7 +79,7 @@ class Evolution:
 
     def __init__(self, system: "AdeptSystem") -> None:
         self.system = system
-        self._migrator = MigrationManager(system.engine, event_log=system.event_log)
+        self._migrator = MigrationManager(system.engine)
         #: In-flight progressive rollouts, one per type id.
         self.rollouts: Dict[str, Rollout] = {}
         #: Finished rollouts (completed / rolled back), for status queries.
@@ -206,8 +206,7 @@ class Evolution:
         if policy != MIGRATE_NONE:
             compensating = None
             if policy == MIGRATE_ROLLBACK:
-                # the third argument switches the manager's compensation on (A6)
-                compensating = MigrationManager(system.engine, system.event_log, True)
+                compensating = MigrationManager(system.engine, rollback_on_state_conflict=True)
             plan = self._migrator.compile_plan(
                 process_type.schema_for(type_change.from_version), new_schema, type_change
             )

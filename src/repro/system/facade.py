@@ -72,7 +72,6 @@ from repro.monitoring.feed import EventFeed
 from repro.monitoring.monitor import InstanceMonitor
 from repro.monitoring.statistics import PopulationStatistics
 from repro.runtime.engine import EngineError, ProcessEngine, Worker
-from repro.runtime.events import EventLog
 from repro.runtime.instance import ProcessInstance
 from repro.runtime.worklist import WorkItem, WorklistManager
 from repro.schema.graph import ProcessSchema, SchemaError
@@ -161,23 +160,21 @@ class AdeptSystem:
         monitor: bool = True,
         cache_instances: Optional[int] = None,
     ) -> None:
-        # an empty EventBus is falsy (it has __len__), so test for None explicitly
         self.bus = bus if bus is not None else EventBus()
         self.feed: Optional[EventFeed] = None
         if monitor:
             # the monitoring package is the first subscriber on the bus
             self.feed = EventFeed()
             self.bus.subscribe(self.feed, categories=FEED_CATEGORIES)
-        self.event_log = EventLog()
-        self.event_log.subscribe(self.bus.publish_engine_event)
 
         self.org_model = org_model
-        self.engine = ProcessEngine(event_log=self.event_log)
+        self.engine = ProcessEngine()
+        self.engine.event_listener = self.bus.publish_engine_event
         self.repository = SchemaRepository()
         self.store = InstanceStore(self.repository)
         self.worklists = WorklistManager(self.engine, org_model=org_model)
         self.verifier = SchemaVerifier()
-        self._changer = AdHocChanger(self.engine, event_log=self.event_log)
+        self._changer = AdHocChanger(self.engine)
         #: Live-instance cache in LRU order (most recently used last).
         self._instances: "OrderedDict[str, ProcessInstance]" = OrderedDict()
         #: Live cases mutated since their last store save (never evicted silently).

@@ -23,7 +23,7 @@ import json
 from typing import Any, Callable, Dict, List, Mapping, Optional
 
 from repro.runtime.engine import EngineError, JoinSignalConflictError, PropagationLimitError
-from repro.runtime.events import EngineEvent, EventLog, EventType
+from repro.runtime.events import EngineEvent, EventType
 from repro.runtime.expressions import ExpressionError, evaluate_condition
 from repro.runtime.history import HistoryEventType
 from repro.runtime.instance import ProcessInstance
@@ -39,11 +39,27 @@ from tests.baselines import brute_force as bf
 Worker = Callable[[Node, Mapping[str, Any]], Mapping[str, Any]]
 
 
+class EventRecorder(list):
+    """An ``event_listener`` that keeps every event it hears, in order:
+    the event stream :func:`observed` compares."""
+
+    def __call__(self, event: EngineEvent) -> None:
+        self.append(event)
+
+
+def recording(engine):
+    """``engine`` (a ProcessEngine or a ScanOracle) with a fresh
+    :class:`EventRecorder` as its event listener."""
+    engine.event_listener = EventRecorder()
+    return engine
+
+
 class ScanOracle:
     """Round-based full-scan interpreter of the ADEPT2 marking rules."""
 
     def __init__(self, max_propagation_rounds: Optional[int] = None) -> None:
-        self.event_log = EventLog()
+        #: like the engine's: the one sink of the events, none by default
+        self.event_listener: Optional[Callable[[EngineEvent], None]] = None
         self.max_propagation_rounds = max_propagation_rounds
 
     # ------------------------------------------------------------------ #
@@ -325,6 +341,12 @@ class ScanOracle:
             f"mixed branch signals ({states})"
         )
 
+    def emit(self, event: EngineEvent) -> None:
+        """Report ``event`` to the listener, if one is set (the change
+        managers driving the oracle report through here)."""
+        if self.event_listener is not None:
+            self.event_listener(event)
+
     def _emit(
         self,
         event_type: EventType,
@@ -332,7 +354,7 @@ class ScanOracle:
         node: Optional[str],
         user: Optional[str] = None,
     ) -> None:
-        self.event_log.append(
+        self.emit(
             EngineEvent(
                 event_type=event_type, instance_id=instance.instance_id, node_id=node, user=user
             )
@@ -345,7 +367,9 @@ def observed(engine, instances) -> tuple:
     Per instance: the canonical serialisation (status, version, marking,
     full history, data context, loop counters, bias), the marking's node
     order and the resulting activation order; plus the engine's event
-    stream.  Works for a :class:`ProcessEngine` and a :class:`ScanOracle`.
+    stream, as its :class:`EventRecorder` listener heard it (see
+    :func:`recording`).  Works for a :class:`ProcessEngine` and a
+    :class:`ScanOracle`.
     """
     return (
         [
@@ -358,6 +382,6 @@ def observed(engine, instances) -> tuple:
         ],
         [
             (event.event_type.value, event.instance_id, event.node_id, event.user)
-            for event in engine.event_log.events
+            for event in engine.event_listener
         ],
     )

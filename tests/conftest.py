@@ -18,6 +18,14 @@ def engine() -> ProcessEngine:
 
 
 @pytest.fixture
+def engine_events(engine):
+    """Every event the ``engine`` fixture reports, in order (its listener)."""
+    events = []
+    engine.event_listener = events.append
+    return events
+
+
+@pytest.fixture
 def order_schema():
     """The paper's online order process (version 1)."""
     return templates.online_order_process()

@@ -85,14 +85,14 @@ class TestSuccessfulChanges:
         assert len(instance.bias) == 2
         assert instance.execution_schema.has_edge("step_a", "step_b")
 
-    def test_events_emitted(self, engine, changer, order_schema):
+    def test_events_emitted(self, engine, engine_events, changer, order_schema):
         instance = started_instance(engine, order_schema, "get_order")
         changer.apply(
             instance,
             [SerialInsertActivity(activity=Node(node_id="x"), pred="get_order", succ="collect_data")],
             comment="extra check",
         )
-        assert engine.event_log.count(EventType.ADHOC_CHANGE_APPLIED) == 1
+        assert [e.event_type for e in engine_events].count(EventType.ADHOC_CHANGE_APPLIED) == 1
 
     def test_change_accepts_changelog(self, engine, changer, order_schema):
         instance = started_instance(engine, order_schema, "get_order")
@@ -156,13 +156,15 @@ class TestRejectedChanges:
         assert any(conflict.kind.value == "structural" for conflict in excinfo.value.conflicts)
         assert not instance.is_biased  # nothing was applied
 
-    def test_rejected_change_leaves_instance_untouched(self, engine, changer, order_schema):
+    def test_rejected_change_leaves_instance_untouched(
+        self, engine, engine_events, changer, order_schema
+    ):
         instance = started_instance(engine, order_schema, "get_order")
         marking_before = instance.marking.copy()
         with pytest.raises(AdHocChangeError):
             changer.apply(instance, [DeleteActivity(activity_id="get_order")])
         assert instance.marking.equivalent_to(marking_before)
-        assert engine.event_log.count(EventType.ADHOC_CHANGE_REJECTED) == 1
+        assert [e.event_type for e in engine_events].count(EventType.ADHOC_CHANGE_REJECTED) == 1
 
     def test_insert_reading_an_unwritten_element_rejected(self, engine, changer, order_schema):
         instance = started_instance(engine, order_schema, "get_order")

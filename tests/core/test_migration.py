@@ -98,12 +98,12 @@ class TestFig1Scenario:
         assert completed.index("send_questions") < completed.index("pack_goods")
         assert completed.index("send_questions") < completed.index("confirm_order")
 
-    def test_events_emitted(self, manager, fig1):
+    def test_events_emitted(self, manager, engine_events, fig1):
         manager.migrate_type(fig1.process_type, fig1.type_change, fig1.instances)
-        log = manager.event_log
-        assert log.count(EventType.SCHEMA_VERSION_RELEASED) == 1
-        assert log.count(EventType.INSTANCE_MIGRATED) == 1
-        assert log.count(EventType.MIGRATION_REJECTED) == 2
+        types = [e.event_type for e in engine_events]
+        assert types.count(EventType.SCHEMA_VERSION_RELEASED) == 1
+        assert types.count(EventType.INSTANCE_MIGRATED) == 1
+        assert types.count(EventType.MIGRATION_REJECTED) == 2
 
     def test_replay_method_gives_same_classification(self, fig1):
         """Per Fig. 1 case, the conditions' verdict is the trace-replay verdict.

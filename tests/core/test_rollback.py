@@ -5,7 +5,7 @@ import pytest
 from repro.core.changelog import ChangeLog
 from repro.core.migration import MigrationManager, MigrationOutcome
 from repro.core.rollback import RollbackError, RollbackManager, RollbackPlanner
-from repro.runtime.events import EventLog, EventType
+from repro.runtime.events import EventType
 from repro.runtime.history import HistoryEventType
 from repro.runtime.states import InstanceStatus, NodeState
 from repro.workloads.order_process import ORDER_EXECUTION_SEQUENCE, order_type_change_v2
@@ -38,25 +38,17 @@ class TestRollbackManager:
         # the parallel branch is untouched
         assert instance.node_state("confirm_order") is NodeState.COMPLETED
 
-    def test_compensation_recorded_in_history_and_events(self, engine, order_schema):
+    def test_compensation_recorded_in_history_and_events(self, engine, engine_events, order_schema):
         instance = instance_at(engine, order_schema, 2)
         RollbackManager(engine).rollback_activities(instance, ["collect_data"])
         compensations = [
             e for e in instance.history if e.event is HistoryEventType.ACTIVITY_COMPENSATED
         ]
         assert [e.activity for e in compensations] == ["collect_data"]
-        assert engine.event_log.count(EventType.ACTIVITY_COMPENSATED) == 1
+        assert [e.event_type for e in engine_events].count(EventType.ACTIVITY_COMPENSATED) == 1
         # the original completion is still in the full history, but superseded
         full = instance.history.completed_activities(reduced=False)
         assert "collect_data" in full
-
-    def test_a_given_event_log_is_written_even_when_it_is_empty(self, engine, order_schema):
-        """An empty EventLog is falsy; it must still win over the engine's log."""
-        instance = instance_at(engine, order_schema, 2)
-        own_log = EventLog()
-        RollbackManager(engine, event_log=own_log).rollback_activities(instance, ["collect_data"])
-        assert own_log.count(EventType.ACTIVITY_COMPENSATED) == 1
-        assert engine.event_log.count(EventType.ACTIVITY_COMPENSATED) == 0
 
     def test_instance_continues_after_rollback(self, engine, order_schema):
         instance = instance_at(engine, order_schema, 4)
@@ -91,14 +83,14 @@ class TestRollbackPlanner:
         # planning must not modify the real instance
         assert instance.node_state("pack_goods") is NodeState.COMPLETED
 
-    def test_plan_leaves_the_engine_log_untouched(self, engine, order_schema):
-        """The dry run compensates on a clone; no event of it reaches the real log."""
+    def test_plan_leaves_the_engine_listener_untouched(self, engine, order_schema):
+        """The dry run compensates on a clone; no event of it reaches the real listener."""
         instance = instance_at(engine, order_schema, 5)
-        events_before = len(engine.event_log)
+        events = []
+        engine.event_listener = events.append
         plan = RollbackPlanner(engine).plan(instance, order_type_change_v2().operations)
         assert plan.activities
-        assert len(engine.event_log) == events_before
-        assert engine.event_log.count(EventType.ACTIVITY_COMPENSATED) == 0
+        assert events == []
 
     def test_plan_for_compliant_instance_is_empty(self, engine, order_schema):
         instance = instance_at(engine, order_schema, 2)

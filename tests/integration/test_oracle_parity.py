@@ -36,14 +36,14 @@ from repro.verification.dataflow import written_before
 from repro.workloads.order_process import order_type_change_v2, paper_fig3_population
 from repro.workloads.schema_generator import RandomSchemaGenerator, SchemaGeneratorConfig
 
-from tests.baselines.scan_oracle import ScanOracle, observed
+from tests.baselines.scan_oracle import ScanOracle, observed, recording
 
 pytestmark = pytest.mark.kernel
 
 
 def _kernel_and_oracle(run):
     """Run ``run(engine)`` once per side."""
-    return run(ProcessEngine()), run(ScanOracle())
+    return run(recording(ProcessEngine())), run(recording(ScanOracle()))
 
 
 def _generated_schemas():
@@ -185,7 +185,7 @@ class TestSteppingParity:
         system = AdeptSystem()
         handle = system.deploy(templates.online_order_process())
         ids = [handle.start().instance_id for _ in range(4)]
-        oracle = ScanOracle()
+        oracle = recording(ScanOracle())
         worklists = WorklistManager(oracle)
         twins = [oracle.create_instance(handle.schema(), instance_id) for instance_id in ids]
         for twin in twins:
@@ -206,7 +206,8 @@ class TestSteppingParity:
             if not any(result.steps for result in results):
                 break
         live = [system.get_instance(instance_id) for instance_id in ids]
-        assert observed(system.engine, live)[0] == observed(oracle, twins)[0]
+        # states only: the system's events went to its bus, not to a recorder
+        assert observed(recording(system.engine), live)[0] == observed(oracle, twins)[0]
 
 
 class TestChangedCasesParity:
@@ -247,9 +248,9 @@ class TestChangedCasesParity:
         report = orders.evolve(order_type_change_v2())
         assert report.migrated_count > 0
 
-        oracle = ScanOracle()
+        oracle = recording(ScanOracle())
         twins = [system.get_instance(instance_id).clone(instance_id) for instance_id in ids]
-        already_logged = len(system.engine.event_log.events)
+        recording(system.engine)  # the events from here on, in place of the bus
         system.step_many(ids, steps=50)
         for twin in twins:
             oracle.run_to_completion(twin)
@@ -258,7 +259,7 @@ class TestChangedCasesParity:
         kernel_state, kernel_events = observed(system.engine, live)
         oracle_state, oracle_events = observed(oracle, twins)
         assert kernel_state == oracle_state
-        assert kernel_events[already_logged:] == oracle_events
+        assert kernel_events == oracle_events
 
     def test_loop_reset_inside_a_step_many_batch(self):
         schema = templates.loop_process(body_length=2, max_iterations=6)
@@ -289,7 +290,7 @@ class TestChangedCasesParity:
         notification per acknowledged operation: an implicit start is part
         of its ``complete``, an explicit start is announced on its own —
         history and events are the oracle's either way."""
-        engine, oracle = ProcessEngine(), ScanOracle()
+        engine, oracle = recording(ProcessEngine()), recording(ScanOracle())
         journaled = []
         engine.step_listener = lambda action, instance, activity, outputs, user: journaled.append(
             (action, activity, user)
@@ -322,7 +323,7 @@ class TestChangedCasesParity:
         }
         transitions = [
             (event.node_id, event.user)
-            for event in engine.event_log.events
+            for event in engine.event_listener
             if event.event_type.value in ("activity_started", "activity_completed")
         ]
         assert transitions == [(first, "alice")] * 2 + [(second, None)] * 2 + [(third, "bob")] * 2

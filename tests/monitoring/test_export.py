@@ -65,9 +65,9 @@ class TestChangeAndEventExport:
     def test_change_log_rows_for_unbiased_instance(self, fig1):
         assert change_log_rows(fig1.i1) == []
 
-    def test_engine_event_rows(self, engine, order_schema):
+    def test_engine_event_rows(self, engine, engine_events, order_schema):
         instance = engine.create_instance(order_schema, "case")
         engine.run_to_completion(instance)
-        rows = engine_event_rows(engine.event_log)
-        assert len(rows) == len(engine.event_log)
+        rows = engine_event_rows(engine_events)
+        assert len(rows) == len(engine_events)
         assert any(row["event"] == "instance_completed" for row in rows)

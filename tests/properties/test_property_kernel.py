@@ -23,7 +23,7 @@ from repro.schema.nodes import Node
 from repro.schema.builder import SchemaBuilder
 from repro.schema.data import DataType
 
-from tests.baselines.scan_oracle import ScanOracle, observed
+from tests.baselines.scan_oracle import ScanOracle, observed, recording
 
 from .strategies import random_schemas
 
@@ -107,7 +107,7 @@ def test_kernel_and_oracle_agree_across_an_adhoc_change(schema, seed):
         trace += list(_step_randomly(engine, instance, rng, steps=40))
         return trace, observed(engine, [instance])
 
-    assert run(ProcessEngine()) == run(ScanOracle())
+    assert run(recording(ProcessEngine())) == run(recording(ScanOracle()))
 
 
 @RELAXED
@@ -120,7 +120,7 @@ def test_kernel_and_oracle_stepping_agree(schema, seed):
         trace = list(_step_randomly(engine, instance, random.Random(seed), steps=60))
         return trace, observed(engine, [instance])
 
-    assert run(ProcessEngine()) == run(ScanOracle())
+    assert run(recording(ProcessEngine())) == run(recording(ScanOracle()))
 
 
 def _parallel_then_loop(branches: int, iterations: int):

@@ -343,7 +343,9 @@ class TestRecordsThatDidNotKeepTheirItems:
         system.close(checkpoint=False)
 
         system = AdeptSystem.open(tmp_path / "db", cache_instances=2)
-        evicted = {event.instance_id for event in system.bus.events_of(name="instance_evicted")}
+        evicted = {
+            event.instance_id for event in system.feed.events if event.name == "instance_evicted"
+        }
         assert len(evicted) >= 4, "the replay itself must evict"
         assert _offered(system) == before
         check_worklist_parity(system)

@@ -1,4 +1,4 @@
-"""Tests for the worklist manager and the event log."""
+"""Tests for the worklist manager and the engine's events."""
 
 import pytest
 
@@ -6,7 +6,7 @@ from repro.core.adhoc import AdHocChanger
 from repro.core.operations import DeleteActivity
 from repro.org.model import example_org_model
 from repro.runtime.engine import EngineError, ProcessEngine
-from repro.runtime.events import EngineEvent, EventLog, EventType
+from repro.runtime.events import EngineEvent, EventType
 from repro.runtime.states import InstanceStatus
 from repro.runtime.worklist import WorkItemState, WorklistManager
 
@@ -168,29 +168,13 @@ class TestWorklist:
         assert len(worklists.items_for_instance("i2")) == 1
 
 
-class TestEventLog:
-    def test_append_and_query(self):
-        log = EventLog()
-        log.append(EngineEvent(event_type=EventType.INSTANCE_CREATED, instance_id="i1"))
-        log.append(EngineEvent(event_type=EventType.ACTIVITY_COMPLETED, instance_id="i1", node_id="a"))
-        assert len(log) == 2
-        assert log.count(EventType.ACTIVITY_COMPLETED) == 1
-        assert log.events_of(EventType.ACTIVITY_COMPLETED, instance_id="i1")
-        assert not log.events_of(EventType.ACTIVITY_COMPLETED, instance_id="other")
-
-    def test_listeners_notified(self):
-        log = EventLog()
-        received = []
-        log.subscribe(received.append)
-        event = EngineEvent(event_type=EventType.INSTANCE_COMPLETED, instance_id="i1")
-        log.append(event)
-        assert received == [event]
-
-    def test_clear(self):
-        log = EventLog()
-        log.append(EngineEvent(event_type=EventType.INSTANCE_CREATED))
-        log.clear()
-        assert len(log) == 0
+class TestEngineEvents:
+    def test_engine_reports_to_its_listener(self, engine, engine_events, sequence_schema):
+        instance = engine.create_instance(sequence_schema, "i1")
+        engine.run_to_completion(instance)
+        assert engine_events[0] == EngineEvent(EventType.INSTANCE_CREATED, "i1")
+        assert engine_events[-1].event_type is EventType.INSTANCE_COMPLETED
+        assert {event.instance_id for event in engine_events} == {"i1"}
 
     def test_event_string_rendering(self):
         event = EngineEvent(

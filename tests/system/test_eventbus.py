@@ -3,7 +3,7 @@
 import pytest
 
 from repro import AdeptSystem, EventBus, EventFeed
-from repro.runtime.events import MAX_RETAINED_EVENTS, EventType
+from repro.runtime.events import MAX_RETAINED_EVENTS
 from repro.schema import templates
 from repro.system.events import ALL_CATEGORIES, SystemEvent
 from repro.workloads.order_process import order_type_change_v2
@@ -62,7 +62,7 @@ class TestOrderedDelivery:
         assert isinstance(system.feed, EventFeed)
         system.deploy(templates.online_order_process())
         assert system.feed.names() == ["type_deployed"]
-        assert len(system.feed) == len(system.bus)
+        assert system.feed.events[0].seq == 1
 
     def test_feed_can_be_disabled(self):
         system = AdeptSystem(monitor=False)
@@ -152,14 +152,18 @@ class TestSubscriptionApi:
         ]
         assert bus.subscriber_count == 3
 
-    def test_history_is_bounded(self):
-        bus = EventBus(max_history=5)
-        bus.subscribe(ignore)  # the history holds wanted events only
-        for index in range(12):
-            bus.publish("system", f"e{index}")
-        assert len(bus) == 5
-        assert [event.name for event in bus.events] == ["e7", "e8", "e9", "e10", "e11"]
-        assert bus.events_of(name="e11")
+    def test_a_bare_string_is_not_a_category_list(self):
+        """``categories="migration"`` would subscribe to its letters and hear
+        nothing; it is refused, while custom category names stay allowed."""
+        bus = EventBus()
+        with pytest.raises(TypeError, match="migration"):
+            bus.subscribe(ignore, categories="migration")
+        assert bus.subscriber_count == 0 and bus.wanted == frozenset()
+        heard = []
+        bus.subscribe(heard.append, categories=("migration", "audit"))
+        bus.publish("audit", "custom")
+        bus.publish("migration", "migrated")
+        assert [event.name for event in heard] == ["custom", "migrated"]
 
 
 class TestOnDemand:
@@ -168,7 +172,8 @@ class TestOnDemand:
     def test_wanted_is_the_union_of_the_subscriptions(self):
         bus = EventBus()
         assert bus.wanted == frozenset()
-        migrations = bus.subscribe(ignore, categories=["migration"])
+        heard = []
+        migrations = bus.subscribe(heard.append, categories=["migration"])
         assert bus.wanted == {"migration"}
         everything = bus.subscribe(ignore)
         assert bus.wanted == set(ALL_CATEGORIES)
@@ -179,20 +184,26 @@ class TestOnDemand:
         bus.unsubscribe(migrations)
         assert bus.wanted == frozenset()
         assert bus.publish("migration", "wanted") is None
-        assert [event.name for event in bus.events] == ["wanted"]
+        assert [event.name for event in heard] == ["wanted"]
 
-    def test_default_feed_leaves_steps_off_the_bus_and_in_the_event_log(self):
+    def test_default_feed_leaves_steps_unbuilt_at_the_bus(self):
+        """Every step reaches the bus through the engine's one listener; with
+        only the default feed subscribed, the bus builds none of them."""
         system = AdeptSystem()
         sequence = system.deploy(templates.sequential_process(length=5))
         ids = [sequence.start().instance_id for _ in range(20)]
-        before = len(system.bus)
+        before = len(system.feed)
+        offered = []
+        to_bus = system.engine.event_listener
+        assert to_bus == system.bus.publish_engine_event
+        system.engine.event_listener = lambda event: offered.append((event, to_bus(event)))
         steps = sum(result.steps for result in system.step_many(ids, steps=5))
         assert steps == 100
-        assert system.bus.events_of(category="engine") == []
-        assert len(system.bus) == before
-        completed = system.event_log.events_of(EventType.ACTIVITY_COMPLETED)
-        assert len(completed) == steps
-        assert len(system.event_log.events_of(EventType.INSTANCE_COMPLETED)) == len(ids)
+        names = [event.event_type.value for event, _ in offered]
+        assert names.count("activity_completed") == steps
+        assert names.count("instance_completed") == len(ids)
+        assert [built for _, built in offered] == [None] * len(offered)
+        assert len(system.feed) == before
         assert "engine" not in system.feed.category_counts()
 
     def test_engine_subscriber_added_mid_run_hears_the_steps_from_then_on(self):
@@ -223,8 +234,9 @@ class TestOnDemand:
         ]
         seqs = [event.seq for event in heard]
         assert seqs == sorted(seqs) and len(set(seqs)) == len(seqs)
-        assert system.bus.events_of(category="engine") == [
-            event for event in heard if event.category == "engine"
+        # the feed got the very migration events the late subscriber heard
+        assert [event for event in system.feed.events if event.category == "migration"] == [
+            event for event in heard if event.category == "migration"
         ]
 
     def test_without_a_feed_a_step_builds_no_event(self, monkeypatch):
@@ -239,20 +251,19 @@ class TestOnDemand:
 
         monkeypatch.setattr(events_module, "SystemEvent", forbidden)
         assert case.run().ok
-        assert len(system.event_log.events_of(EventType.ACTIVITY_COMPLETED)) == 4
+        assert len(case.completed_activities()) == 4
         monkeypatch.undo()
-        assert system.bus.events == []
         # no sequence number was taken: the first wanted event is number one
         system.bus.subscribe(ignore, categories=["system"])
         assert system.bus.publish("system", "first").seq == 1
 
 
 class TestRetention:
-    def test_thirty_thousand_steps_leave_every_event_store_at_its_bound(self, tmp_path):
-        """Events are windows, not archives: the engine log, the bus history
-        and the monitoring feed each hold their newest events and nothing
-        else — all three at the one bound — while sequence numbers and the
-        feed's counts keep counting and order is kept."""
+    def test_thirty_thousand_steps_leave_the_feed_at_its_bound(self, tmp_path):
+        """Events are a window, not an archive: the monitoring feed, the one
+        place that retains them, holds its newest events at the one bound —
+        while sequence numbers and the feed's counts keep counting and order
+        is kept."""
         system = AdeptSystem.open(tmp_path / "db")
         # the feed also asks for the per-step engine events, so the bus builds them
         system.bus.subscribe(system.feed, categories=["engine"])
@@ -265,26 +276,17 @@ class TestRetention:
                 system.delete_instance(case_id)
             deleted += len(ids)
 
-        assert len(system.event_log) == MAX_RETAINED_EVENTS
-        assert len(system.event_log.events) == MAX_RETAINED_EVENTS
-        assert len(system.bus) == system.bus.max_history == MAX_RETAINED_EVENTS
-        assert len(system.feed.events) == system.feed.max_events == MAX_RETAINED_EVENTS
+        window = system.feed.events
+        assert len(window) == system.feed.max_events == MAX_RETAINED_EVENTS
         # nothing stopped counting: far more was published than is retained
-        published = system.bus.events[-1].seq
+        # (the feed wants every category, so it got every published event)
+        published = window[-1].seq
         assert published > 2 * steps > system.feed.max_events
-        # and every window is the unbroken tail of what was published
-        for window in (system.bus.events, system.feed.events):
-            assert [event.seq for event in window] == list(
-                range(published - len(window) + 1, published + 1)
-            )
+        # and the window is the unbroken tail of what was published
+        assert [event.seq for event in window] == list(
+            range(published - len(window) + 1, published + 1)
+        )
         assert system.feed.names()[-1] == "instance_deleted"
-        newest_engine_events = [e for e in system.bus.events if e.category == "engine"]
-        assert [
-            (e.name, e.instance_id) for e in newest_engine_events
-        ] == [
-            (e.event_type.value, e.instance_id)
-            for e in system.event_log.events[-len(newest_engine_events):]
-        ]
         # the counts are over everything delivered, not over the window
         assert sum(system.feed.category_counts().values()) == published
         assert system.feed.counts()["instance_completed"] == deleted
@@ -293,7 +295,7 @@ class TestRetention:
 
     def test_a_subscriber_that_always_raises_leaves_a_bounded_error_window(self):
         """Each recorded failure holds its exception, traceback and frames,
-        so failures are a window like the history, with an exact count."""
+        so failures are a window like the feed's, with an exact count."""
         bus = EventBus()
         bus.subscribe(ignore)
 
@@ -304,7 +306,6 @@ class TestRetention:
         publishes = 3 * MAX_RETAINED_EVENTS
         for index in range(publishes):
             bus.publish("system", f"e{index}")
-        assert len(bus) == MAX_RETAINED_EVENTS
         assert len(bus.delivery_errors) == MAX_RETAINED_EVENTS
         assert bus.delivery_failures == publishes
         assert [str(error) for _, _, error in bus.delivery_errors] == [

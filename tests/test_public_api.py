@@ -87,6 +87,41 @@ class TestPublicApi:
                     assert not hasattr(module, name), f"{module.__name__}.{name} is back"
                     assert name not in getattr(module, "__all__", ())
 
+    def test_event_windows_are_gone(self):
+        """One event path, one window: the engine reports to one listener, the
+        bus keeps no history, and scratch engines report nowhere."""
+        import repro.runtime
+        import repro.runtime.events
+        from repro.core.rollback import RollbackPlanner
+        from repro.errors import MigrationError
+        from repro.schema import templates
+        from repro.workloads.order_process import ORDER_EXECUTION_SEQUENCE, order_type_change_v2
+
+        for module in (repro, repro.runtime, repro.runtime.events):
+            assert not hasattr(module, "EventLog"), f"{module.__name__}.EventLog is back"
+            assert "EventLog" not in getattr(module, "__all__", ())
+        system = repro.AdeptSystem()
+        assert not hasattr(system, "event_log")
+        assert not hasattr(system.engine, "event_log")
+        assert system.engine.event_listener == system.bus.publish_engine_event
+        for name in ("events", "events_of", "max_history", "__len__"):
+            assert not hasattr(repro.EventBus, name), f"EventBus.{name} is back"
+        assert repro.EventBus()  # no __len__: an empty bus is not falsy
+
+        orders = system.deploy(templates.online_order_process())
+        blocked = orders.start(case_id="blocked")
+        for activity in ORDER_EXECUTION_SEQUENCE[:5]:  # pack_goods done -> state conflict
+            blocked.complete(activity)
+        heard = []
+        system.bus.subscribe(heard.append)
+        plan = RollbackPlanner(system.engine).plan(
+            system.get_instance("blocked"), order_type_change_v2().operations
+        )
+        assert plan.activities
+        with pytest.raises(MigrationError):
+            orders.evolve(order_type_change_v2(), migrate="strict")
+        assert heard == []
+
     def test_migration_surface_has_no_path_selecting_knobs(self):
         """One migration pipeline: nothing on the surface chooses between paths."""
         import inspect
@@ -175,4 +210,4 @@ class TestPublicApi:
         # an in-memory system has nothing to make durable: checkpoint() is a no-op
         system = repro.AdeptSystem()
         system.checkpoint()
-        assert system.bus.events_of(name="checkpoint_completed") == []
+        assert "checkpoint_completed" not in system.feed.names()
