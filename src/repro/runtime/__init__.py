@@ -14,6 +14,7 @@ from repro.runtime.data_context import DataContext
 from repro.runtime.instance import ProcessInstance
 from repro.runtime.engine import (
     EngineError,
+    InstanceIdInUseError,
     JoinSignalConflictError,
     ProcessEngine,
     PropagationLimitError,
@@ -30,6 +31,7 @@ __all__ = [
     "Marking",
     "MarkingLayout",
     "StepKernel",
+    "InstanceIdInUseError",
     "JoinSignalConflictError",
     "PropagationLimitError",
     "ExecutionHistory",

@@ -77,6 +77,15 @@ class EngineError(ReproError):
     """Raised when an instance is driven in an illegal way."""
 
 
+class InstanceIdInUseError(EngineError):
+    """A case was to be started or adopted under an id another case holds.
+
+    Its own type so that a caller allocating ids (the shard router, whose
+    counter starts over when it restarts) can tell a collision from any
+    other refusal and retry with the next id.
+    """
+
+
 class JoinSignalConflictError(EngineError):
     """An AND join received mixed TRUE/FALSE branch signals.
 

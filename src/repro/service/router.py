@@ -37,11 +37,8 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from repro.service.errors import (
-    RemoteError,
-    ServiceError,
-    ShardUnavailableError,
-)
+from repro.runtime.engine import InstanceIdInUseError
+from repro.service.errors import RemoteError, ServiceError, ShardUnavailableError
 from repro.service.hashring import HashRing
 from repro.service.protocol import recv_message, send_message
 from repro.service.telemetry import ShardTelemetry
@@ -209,42 +206,42 @@ class ShardRouter:
 
     def start(self, type_id: str, case_id: Optional[str] = None, **data: Any) -> str:
         """Start one case on the shard that owns its (possibly new) id."""
-        attempts = 0
-        while True:
-            allocated = case_id if case_id is not None else self._next_case_id(type_id)
-            client = self.client_for(allocated)
-            try:
-                result = client.call(
-                    "start", type_id=type_id, case_id=allocated, data=data or None
-                )
-                return result["instance_id"]
-            except RemoteError as exc:
-                # an id collision (restarted router vs. durable shards) is
-                # retryable only when the router allocated the id itself
-                taken = "already in use" in exc.remote_message
-                if case_id is None and taken and attempts < 1000:
-                    attempts += 1
-                    continue
-                raise
+        return self._start(type_id, data, case_id, retry=case_id is None)
 
     def start_many(self, type_id: str, count: int, **data: Any) -> List[str]:
         """Start ``count`` cases, spread over the ring by their ids."""
         ids = [self._next_case_id(type_id) for _ in range(count)]
-        groups = self.ring.partition(ids)
-        def _start_group(client: ShardClient, group: List[str]) -> List[str]:
-            return [
-                client.call("start", type_id=type_id, case_id=i, data=data or None)[
-                    "instance_id"
-                ]
-                for i in group
-            ]
-        self._fan_out(
+        per_shard = self._fan_out(
             [
-                (shard_id, lambda c=self.clients[shard_id], g=group: _start_group(c, g))
-                for shard_id, group in groups.items()
+                (shard_id, lambda g=group: {i: self._start(type_id, data, i) for i in g})
+                for shard_id, group in self.ring.partition(ids).items()
             ]
         )
-        return ids
+        started = {i: case_id for group in per_shard.values() for i, case_id in group.items()}
+        return [started[i] for i in ids]
+
+    def _start(
+        self, type_id: str, data: Mapping[str, Any], case_id: Optional[str], retry: bool = True
+    ) -> str:
+        """Start a case; with ``retry``, a taken id is replaced by the next one.
+
+        A restarted router counts from 1 again while durable shards keep
+        their cases, so a router-allocated id can be the owner's
+        ``InstanceIdInUseError``.  A caller's own ``case_id`` is not retried.
+        """
+        for _attempt in range(1000):
+            if case_id is None:
+                case_id = self._next_case_id(type_id)
+            try:
+                result = self.client_for(case_id).call(
+                    "start", type_id=type_id, case_id=case_id, data=data or None
+                )
+                return result["instance_id"]
+            except RemoteError as exc:
+                if not retry or exc.remote_type != InstanceIdInUseError.__name__:
+                    raise
+                case_id = None
+        raise ServiceError(f"no free case id for {type_id!r} after 1000 collisions")
 
     def step_many(
         self, instance_ids: Sequence[str], steps: int = 1, worker: str = ""
@@ -355,10 +352,11 @@ class ShardRouter:
                     for shard_id, token in tokens.items()
                 ]
             )
-        except ShardUnavailableError:
+        except Exception:
             # activation is not abortable — a shard that activated has
-            # committed.  An unreachable shard here re-publishes on
-            # restart recovery; surface the partial failure loudly.
+            # committed — but a shard that refused it (an undeclared
+            # option) or was unreachable may still hold its stage
+            self._abort_published(type_id, expect_version)
             raise
         summary: Dict[str, Any] = {
             "type_id": type_id,

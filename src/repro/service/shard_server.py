@@ -44,7 +44,7 @@ import threading
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.core.evolution import TypeChange
+from repro.core.evolution import ProcessType, TypeChange
 from repro.errors import ReproError
 from repro.schema.graph import ProcessSchema
 from repro.service.errors import ServiceError
@@ -52,12 +52,7 @@ from repro.service.protocol import recv_message, send_message
 from repro.service.telemetry import ShardTelemetry
 from repro.system.concurrency import RolloutSweeper, simulated_latency_worker
 from repro.system.facade import AdeptSystem
-from repro.system.persistence import (
-    KIND_EVOLUTION,
-    KIND_ROLLOUT_MIGRATED,
-    KIND_STEP,
-    write_durably,
-)
+from repro.system.persistence import write_durably
 from repro.system.rollout import ROLLOUT_CANARY, ROLLOUT_EAGER, ROLLOUT_LAZY
 
 __all__ = ["ShardServer", "resolve_worker", "run_shard_server", "main"]
@@ -114,44 +109,15 @@ class ShardServer:
         self._stopped = False
         self._lifecycle = threading.Lock()
         # staged (published, not yet activated) schema changes, by token
-        self._staged: Dict[str, Tuple[str, TypeChange, int]] = {}
+        self._staged: Dict[str, Tuple[str, TypeChange]] = {}
         self._staged_lock = threading.Lock()
         self._sweepers: Dict[str, RolloutSweeper] = {}
-        self._handlers: Dict[str, Callable[[Dict[str, Any]], Any]] = {
-            "ping": self._op_ping,
-            "status": self._op_status,
-            "telemetry": self._op_telemetry,
-            "deploy": self._op_deploy,
-            "dump_types": self._op_dump_types,
-            "adopt_type": self._op_adopt_type,
-            "start": self._op_start,
-            "run": self._op_run,
-            "step_many": self._op_step_many,
-            "start_activity": self._op_start_activity,
-            "complete": self._op_complete,
-            "activated": self._op_activated,
-            "abort": self._op_abort,
-            "delete_instance": self._op_delete_instance,
-            "instance_info": self._op_instance_info,
-            "instances_of": self._op_instances_of,
-            "evolve_publish": self._op_evolve_publish,
-            "evolve_activate": self._op_evolve_activate,
-            "evolve_abort": self._op_evolve_abort,
-            "evolve_abort_type": self._op_evolve_abort_type,
-            "case_ids": self._op_case_ids,
-            "rollout_status": self._op_rollout_status,
-            "rollout_decide": self._op_rollout_decide,
-            "sweep_rollout": self._op_sweep_rollout,
-            "worklist": self._op_worklist,
-            "claim": self._op_claim,
-            "complete_item": self._op_complete_item,
-            "export_case": self._op_export_case,
-            "import_case": self._op_import_case,
-            "wal_summary": self._op_wal_summary,
-            "checkpoint": self._op_checkpoint,
-            "serve": self._op_serve,
-            "drain": self._op_drain,
-            "shutdown": self._op_shutdown,
+        # an op is its ``_op_<name>`` method, and the method's keyword
+        # parameters are the request's fields: binding refuses the rest
+        self._handlers: Dict[str, Callable[..., Any]] = {
+            name[len("_op_"):]: getattr(self, name)
+            for name in dir(type(self))
+            if name.startswith("_op_")
         }
 
     # ------------------------------------------------------------------ #
@@ -287,14 +253,15 @@ class ShardServer:
                 self.telemetry.note_request(received + sent, steps)
 
     def _dispatch(self, request: Any) -> Dict[str, Any]:
-        if not isinstance(request, dict) or "op" not in request:
+        if not isinstance(request, dict) or not isinstance(request.get("op"), str):
             return self._refused(None, ServiceError("request must be an object with an 'op'"))
-        op = request["op"]
+        fields = dict(request)
+        op = fields.pop("op")
         handler = self._handlers.get(op)
         if handler is None:
             return self._refused(op, ServiceError(f"unknown op {op!r}"))
         try:
-            return {"ok": True, "result": handler(request)}
+            return {"ok": True, "result": handler(**fields)}
         except Exception as exc:  # noqa: BLE001 - every failure crosses the wire
             return self._refused(op, exc)
 
@@ -318,10 +285,14 @@ class ShardServer:
             raise ServiceError(f"shard {self.shard_id!r} has no system")
         return self.system
 
-    def _op_ping(self, request: Dict[str, Any]) -> Dict[str, Any]:
+    def _worker(self, spec: Optional[str]) -> Optional[Callable[..., Dict[str, Any]]]:
+        """The worker a request names; an omitted one is the server's own."""
+        return resolve_worker(self.worker_spec if spec is None else spec)
+
+    def _op_ping(self) -> Dict[str, Any]:
         return {"shard_id": self.shard_id, "pid": os.getpid()}
 
-    def _op_status(self, request: Dict[str, Any]) -> Dict[str, Any]:
+    def _op_status(self) -> Dict[str, Any]:
         system = self._system()
         live = len(system.live_instance_ids())
         backend = system.backend
@@ -346,30 +317,30 @@ class ShardServer:
             "telemetry": self.telemetry.as_dict(),
         }
 
-    def _op_telemetry(self, request: Dict[str, Any]) -> Dict[str, Any]:
+    def _op_telemetry(self) -> Dict[str, Any]:
         return self.telemetry.as_dict()
 
-    def _op_deploy(self, request: Dict[str, Any]) -> Dict[str, Any]:
+    def _op_deploy(self, *, schema: Dict[str, Any], verify: bool = True) -> Dict[str, Any]:
         system = self._system()
-        schema = ProcessSchema.from_dict(request["schema"])
-        if system.repository.has_type(schema.name):
+        process_schema = ProcessSchema.from_dict(schema)
+        if system.repository.has_type(process_schema.name):
             # the broadcast deploy is idempotent: a shard that already
             # has the type (restart, retry) acknowledges instead of failing
-            existing = system.repository.process_type(schema.name)
+            existing = system.repository.process_type(process_schema.name)
             return {
-                "type_id": schema.name,
+                "type_id": process_schema.name,
                 "version": existing.latest_version,
                 "already_deployed": True,
             }
-        handle = system.deploy(schema, verify=request.get("verify", True))
+        handle = system.deploy(process_schema, verify=verify)
         self.telemetry.add("change_propagation")
         return {
             "type_id": handle.type_id,
-            "version": schema.version,
+            "version": process_schema.version,
             "already_deployed": False,
         }
 
-    def _op_dump_types(self, request: Dict[str, Any]) -> List[Dict[str, Any]]:
+    def _op_dump_types(self) -> List[Dict[str, Any]]:
         """Every deployed type with all its schema versions (join sync)."""
         system = self._system()
         dump: List[Dict[str, Any]] = []
@@ -386,19 +357,15 @@ class ShardServer:
             )
         return dump
 
-    def _op_adopt_type(self, request: Dict[str, Any]) -> Dict[str, Any]:
+    def _op_adopt_type(self, *, type: Dict[str, Any]) -> Dict[str, Any]:
         """Adopt a multi-version type dumped by another shard (join sync).
 
         Idempotent like ``deploy``: a shard that already has the type at
         the dumped latest version acknowledges instead of failing.
         """
-        from repro.core.evolution import ProcessType
-
         system = self._system()
-        name = request["type"]["name"]
-        schemas = [
-            ProcessSchema.from_dict(payload) for payload in request["type"]["schemas"]
-        ]
+        name = type["name"]
+        schemas = [ProcessSchema.from_dict(payload) for payload in type["schemas"]]
         latest = max(schema.version for schema in schemas)
         if system.repository.has_type(name):
             existing = system.repository.process_type(name)
@@ -415,60 +382,57 @@ class ShardServer:
         self.telemetry.add("change_propagation")
         return {"type_id": name, "version": latest, "already_deployed": False}
 
-    def _op_start(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        system = self._system()
-        handle = system.start(
-            request["type_id"],
-            case_id=request.get("case_id"),
-            version=request.get("version"),
-            **(request.get("data") or {}),
-        )
+    def _op_start(
+        self,
+        *,
+        type_id: str,
+        case_id: Optional[str] = None,
+        version: Optional[int] = None,
+        data: Optional[Dict[str, Any]] = None,
+    ) -> Dict[str, Any]:
+        handle = self._system().start(type_id, case_id=case_id, version=version, **(data or {}))
         return {"instance_id": handle.instance_id}
 
-    def _op_run(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        result = self._system().run(
-            request["instance_id"],
-            worker=resolve_worker(request.get("worker", self.worker_spec)),
-            max_steps=request.get("max_steps", 10000),
-        )
+    def _op_run(
+        self, *, instance_id: str, worker: Optional[str] = None, max_steps: int = 10000
+    ) -> Dict[str, Any]:
+        result = self._system().run(instance_id, worker=self._worker(worker), max_steps=max_steps)
         return result.to_dict()
 
-    def _op_step_many(self, request: Dict[str, Any]) -> List[Dict[str, Any]]:
-        results = self._system().step_many(
-            request["instance_ids"],
-            steps=request.get("steps", 1),
-            worker=resolve_worker(request.get("worker", self.worker_spec)),
-        )
+    def _op_step_many(
+        self, *, instance_ids: List[str], steps: int = 1, worker: Optional[str] = None
+    ) -> List[Dict[str, Any]]:
+        results = self._system().step_many(instance_ids, steps=steps, worker=self._worker(worker))
         return [result.to_dict() for result in results]
 
-    def _op_start_activity(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        result = self._system().start_activity(
-            request["instance_id"], request["activity_id"], user=request.get("user")
-        )
+    def _op_start_activity(
+        self, *, instance_id: str, activity_id: str, user: Optional[str] = None
+    ) -> Dict[str, Any]:
+        return self._system().start_activity(instance_id, activity_id, user=user).to_dict()
+
+    def _op_complete(
+        self,
+        *,
+        instance_id: str,
+        activity_id: str,
+        outputs: Optional[Dict[str, Any]] = None,
+        user: Optional[str] = None,
+    ) -> Dict[str, Any]:
+        result = self._system().complete(instance_id, activity_id, outputs=outputs, user=user)
         return result.to_dict()
 
-    def _op_complete(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        result = self._system().complete(
-            request["instance_id"],
-            request["activity_id"],
-            outputs=request.get("outputs"),
-            user=request.get("user"),
-        )
-        return result.to_dict()
+    def _op_activated(self, *, instance_id: str) -> List[str]:
+        return self._system().activated(instance_id)
 
-    def _op_activated(self, request: Dict[str, Any]) -> List[str]:
-        return self._system().activated(request["instance_id"])
-
-    def _op_abort(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        self._system().abort(request["instance_id"])
+    def _op_abort(self, *, instance_id: str) -> Dict[str, Any]:
+        self._system().abort(instance_id)
         return {}
 
-    def _op_delete_instance(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        return {"deleted": self._system().delete_instance(request["instance_id"])}
+    def _op_delete_instance(self, *, instance_id: str) -> Dict[str, Any]:
+        return {"deleted": self._system().delete_instance(instance_id)}
 
-    def _op_instance_info(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        system = self._system()
-        instance = system.get_instance(request["instance_id"])
+    def _op_instance_info(self, *, instance_id: str) -> Dict[str, Any]:
+        instance = self._system().get_instance(instance_id)
         return {
             "instance_id": instance.instance_id,
             "type_id": instance.process_type,
@@ -479,17 +443,17 @@ class ShardServer:
             "state_fingerprint": instance.state_fingerprint(),
         }
 
-    def _op_instances_of(self, request: Dict[str, Any]) -> List[str]:
-        handles = self._system().instances_of(
-            request["type_id"], version=request.get("version")
-        )
+    def _op_instances_of(self, *, type_id: str, version: Optional[int] = None) -> List[str]:
+        handles = self._system().instances_of(type_id, version=version)
         return sorted(handle.instance_id for handle in handles)
 
     # ------------------------------------------------------------------ #
     # the versioned two-phase schema broadcast
     # ------------------------------------------------------------------ #
 
-    def _op_evolve_publish(self, request: Dict[str, Any]) -> Dict[str, Any]:
+    def _op_evolve_publish(
+        self, *, type_id: str, change: Dict[str, Any], expect_version: Optional[int] = None
+    ) -> Dict[str, Any]:
         """Phase 1: validate and stage a schema change, commit nothing.
 
         The router publishes the change to *every* shard first; only when
@@ -500,9 +464,8 @@ class ShardServer:
         of splitting the fleet across schema versions.
         """
         system = self._system()
-        type_id = request["type_id"]
-        type_change = TypeChange.from_dict(request["change"])
-        expect = request.get("expect_version", type_change.from_version)
+        type_change = TypeChange.from_dict(change)
+        expect = type_change.from_version if expect_version is None else expect_version
         process_type = system.repository.process_type(type_id)
         if process_type.latest_version != expect:
             raise ServiceError(
@@ -520,7 +483,7 @@ class ShardServer:
             )
         token = secrets.token_hex(8)
         with self._staged_lock:
-            self._staged[token] = (type_id, type_change, expect)
+            self._staged[token] = (type_id, type_change)
         self.telemetry.add("change_propagation")
         return {
             "token": token,
@@ -529,105 +492,101 @@ class ShardServer:
             "to_version": type_change.to_version,
         }
 
-    def _pop_staged(self, token: str) -> Tuple[str, TypeChange, int]:
+    def _pop_staged(self, token: str) -> Tuple[str, TypeChange]:
         with self._staged_lock:
             staged = self._staged.pop(token, None)
         if staged is None:
             raise ServiceError(f"no staged evolution for token {token!r}")
         return staged
 
-    def _op_evolve_activate(self, request: Dict[str, Any]) -> Dict[str, Any]:
+    def _op_evolve_activate(
+        self,
+        *,
+        token: str,
+        rollout: str = ROLLOUT_EAGER,
+        migrate: str = "compliant",
+        fraction: float = 0.1,
+        conflict_threshold: float = 0.5,
+        min_observations: int = 20,
+        policy: str = "revert",
+        sweep: bool = False,
+    ) -> Dict[str, Any]:
         """Phase 2: commit a staged change (eager migrate or rollout)."""
         system = self._system()
-        type_id, type_change, _expect = self._pop_staged(request["token"])
-        mode = request.get("rollout", ROLLOUT_EAGER)
-        if mode == ROLLOUT_EAGER:
-            report = system.evolve(
-                type_id,
-                type_change,
-                migrate=request.get("migrate", "compliant"),
-                collect_results=False,
-            )
+        type_id, type_change = self._pop_staged(token)
+        if rollout == ROLLOUT_EAGER:
+            report = system.evolve(type_id, type_change, migrate=migrate, collect_results=False)
             self.telemetry.add("migration", report.migrated_count)
             return {
                 "shard_id": self.shard_id,
-                "mode": mode,
+                "mode": rollout,
                 "from_version": report.from_version,
                 "to_version": report.to_version,
                 "total": report.total,
                 "migrated": report.migrated_count,
                 "outcomes": report.outcome_counts(),
             }
-        if mode not in (ROLLOUT_LAZY, ROLLOUT_CANARY):
-            raise ServiceError(f"unknown rollout mode {mode!r}")
-        rollout = system.evolve(
+        if rollout not in (ROLLOUT_LAZY, ROLLOUT_CANARY):
+            raise ServiceError(f"unknown rollout mode {rollout!r}")
+        progress = system.evolve(
             type_id,
             type_change,
-            rollout=mode,
-            fraction=request.get("fraction", 0.1),
-            conflict_threshold=request.get("conflict_threshold", 0.5),
-            min_observations=request.get("min_observations", 20),
-            canary_policy=request.get("policy", "revert"),
+            rollout=rollout,
+            fraction=fraction,
+            conflict_threshold=conflict_threshold,
+            min_observations=min_observations,
+            canary_policy=policy,
             # shard-local canaries never self-decide: each shard sees only
             # its partition's attempts, the router sees the fleet's
-            canary_decide="external" if mode == ROLLOUT_CANARY else "auto",
-        )
-        if request.get("sweep") and mode == ROLLOUT_LAZY:
+            canary_decide="external" if rollout == ROLLOUT_CANARY else "auto",
+        ).progress()
+        if sweep and rollout == ROLLOUT_LAZY:
             sweeper = RolloutSweeper(system, type_id)
             self._sweepers[type_id] = sweeper
             sweeper.start()
-        return {"shard_id": self.shard_id, "mode": mode, **rollout.progress()}
+        return {"shard_id": self.shard_id, "mode": rollout, **progress}
 
-    def _op_evolve_abort(self, request: Dict[str, Any]) -> Dict[str, Any]:
+    def _op_evolve_abort(self, *, token: str) -> Dict[str, Any]:
         with self._staged_lock:
-            staged = self._staged.pop(request["token"], None)
-        return {"aborted": staged is not None}
+            return {"aborted": self._staged.pop(token, None) is not None}
 
-    def _op_evolve_abort_type(self, request: Dict[str, Any]) -> Dict[str, Any]:
+    def _op_evolve_abort_type(self, *, type_id: str) -> Dict[str, Any]:
         """Drop any staged change for a type (the router lost the token).
 
         A publish broadcast that failed part-way leaves stages on the
         shards that accepted; the router no longer knows their tokens, so
         the abort is keyed by type instead.
         """
-        type_id = request["type_id"]
         with self._staged_lock:
-            tokens = [
-                token
-                for token, (staged_type, _change, _expect) in self._staged.items()
-                if staged_type == type_id
-            ]
+            tokens = [token for token, staged in self._staged.items() if staged[0] == type_id]
             for token in tokens:
                 del self._staged[token]
         return {"aborted": len(tokens)}
 
-    def _op_case_ids(self, request: Dict[str, Any]) -> List[str]:
+    def _op_case_ids(self) -> List[str]:
         """Every case id this shard owns (live or stored) — rebalancing input."""
         system = self._system()
         return sorted(set(system.live_instance_ids()) | set(system.store.instance_ids()))
 
-    def _op_rollout_status(self, request: Dict[str, Any]) -> Optional[Dict[str, Any]]:
-        return self._system().rollout_status(request["type_id"])
+    def _op_rollout_status(self, *, type_id: str) -> Optional[Dict[str, Any]]:
+        return self._system().rollout_status(type_id)
 
-    def _op_rollout_decide(self, request: Dict[str, Any]) -> Dict[str, Any]:
+    def _op_rollout_decide(self, *, type_id: str, decision: str) -> Dict[str, Any]:
         """Apply the router's aggregated canary verdict on this shard."""
         system = self._system()
-        decision = request["decision"]
-        rollout = system.rollout_of(request["type_id"])
+        rollout = system.rollout_of(type_id)
         if rollout is None or rollout.state != "observing":
             return {"applied": False}
         if decision == "promote":
-            system.evolution.promote(request["type_id"])
+            system.evolution.promote(type_id)
         elif decision == "rollback":
-            system.evolution.roll_back(request["type_id"])
+            system.evolution.roll_back(type_id)
         else:
             raise ServiceError(f"unknown rollout decision {decision!r}")
         return {"applied": True}
 
-    def _op_sweep_rollout(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        swept = self._system().sweep_rollout(
-            request["type_id"], max_cases=request.get("max_cases", 256)
-        )
+    def _op_sweep_rollout(self, *, type_id: str, max_cases: int = 256) -> Dict[str, Any]:
+        swept = self._system().sweep_rollout(type_id, max_cases=max_cases)
         self.telemetry.add("migration", swept)
         return {"swept": swept}
 
@@ -635,101 +594,51 @@ class ShardServer:
     # worklist
     # ------------------------------------------------------------------ #
 
-    def _op_worklist(self, request: Dict[str, Any]) -> List[Dict[str, Any]]:
-        items = self._system().worklist(request["user"])
-        return [_item_payload(item) for item in items]
+    def _op_worklist(self, *, user: str) -> List[Dict[str, Any]]:
+        return [_item_payload(item) for item in self._system().worklist(user)]
 
-    def _op_claim(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        item = self._system().claim(request["item_id"], request["user"])
-        return _item_payload(item)
+    def _op_claim(self, *, item_id: str, user: str) -> Dict[str, Any]:
+        return _item_payload(self._system().claim(item_id, user))
 
-    def _op_complete_item(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        item = self._system().complete_item(
-            request["item_id"], outputs=request.get("outputs")
-        )
-        return _item_payload(item)
+    def _op_complete_item(
+        self, *, item_id: str, outputs: Optional[Dict[str, Any]] = None
+    ) -> Dict[str, Any]:
+        return _item_payload(self._system().complete_item(item_id, outputs=outputs))
 
     # ------------------------------------------------------------------ #
     # cross-shard case handover
     # ------------------------------------------------------------------ #
 
-    def _op_export_case(self, request: Dict[str, Any]) -> Dict[str, Any]:
+    def _op_export_case(self, *, instance_id: str) -> Dict[str, Any]:
         """Serialise a case and drop local ownership (handover out)."""
         system = self._system()
-        instance = system.get_instance(request["instance_id"])
-        record = system.store.encode_record(instance)
-        system.delete_instance(request["instance_id"])
+        record = system.store.encode_record(system.get_instance(instance_id))
+        system.delete_instance(instance_id)
         self.telemetry.add("handover")
         return {"record": record}
 
-    def _op_import_case(self, request: Dict[str, Any]) -> Dict[str, Any]:
+    def _op_import_case(self, *, record: Dict[str, Any]) -> Dict[str, Any]:
         """Adopt a case exported by another shard (handover in)."""
         system = self._system()
-        instance = system.store.instantiate(request["record"])
-        handle = system.adopt_instance(instance)
+        handle = system.adopt_instance(system.store.instantiate(record))
         self.telemetry.add("handover")
         return {"instance_id": handle.instance_id}
 
     # ------------------------------------------------------------------ #
-    # durability
+    # durability and the worker pool
     # ------------------------------------------------------------------ #
 
-    def _op_wal_summary(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        """Counters over this shard's WAL, for exactly-once verification.
-
-        The drill in the sharded benchmark checks that an evolve-under-load
-        journaled exactly one evolution record per shard whose candidate
-        lists partition the population, and that no case ever appears in
-        two shards' records.
-        """
-        system = self._system()
-        backend = system.backend
-        if backend is None:
-            raise ServiceError(f"shard {self.shard_id!r} is not durable")
-        counts: Dict[str, int] = {}
-        evolutions: List[Dict[str, Any]] = []
-        rollout_migrated: List[str] = []
-        steps_by_instance: Dict[str, int] = {}
-        for record in backend.wal.records():
-            kind = record.get("kind", "")
-            counts[kind] = counts.get(kind, 0) + 1
-            if kind == KIND_EVOLUTION:
-                evolutions.append(
-                    {
-                        "type_id": record.get("type_id"),
-                        "to_version": record.get("to_version"),
-                        "policy": record.get("policy"),
-                        "candidates": list(record.get("candidates", [])),
-                    }
-                )
-            elif kind == KIND_ROLLOUT_MIGRATED:
-                rollout_migrated.append(record.get("instance_id", ""))
-            elif kind == KIND_STEP and record.get("action") == "complete":
-                instance_id = record.get("instance_id", "")
-                steps_by_instance[instance_id] = steps_by_instance.get(instance_id, 0) + 1
-        return {
-            "shard_id": self.shard_id,
-            "counts": counts,
-            "evolutions": evolutions,
-            "rollout_migrated": rollout_migrated,
-            "steps_by_instance": steps_by_instance,
-        }
-
-    def _op_checkpoint(self, request: Dict[str, Any]) -> Dict[str, Any]:
+    def _op_checkpoint(self) -> Dict[str, Any]:
         self._system().checkpoint()
         return {}
 
-    def _op_serve(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        workers = request.get("workers", 4)
-        self._system().serve(
-            workers=workers,
-            worker=resolve_worker(request.get("worker", self.worker_spec)),
-        )
+    def _op_serve(self, *, workers: int = 4, worker: Optional[str] = None) -> Dict[str, Any]:
+        self._system().serve(workers=workers, worker=self._worker(worker))
         self.workers = workers
         return {"workers": workers}
 
-    def _op_drain(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        stats = self._system().drain(timeout=request.get("timeout"))
+    def _op_drain(self, *, timeout: Optional[float] = None) -> Dict[str, Any]:
+        stats = self._system().drain(timeout=timeout)
         self.workers = 0
         return {
             "workers": stats.workers,
@@ -738,7 +647,7 @@ class ShardServer:
             "stale_claims": stats.stale_claims,
         }
 
-    def _op_shutdown(self, request: Dict[str, Any]) -> Dict[str, Any]:
+    def _op_shutdown(self) -> Dict[str, Any]:
         # respond first, then let the waiter in main()/stop() tear down —
         # the client gets its ack before the listener closes
         self.initiate_shutdown()

@@ -10,9 +10,10 @@ publish/activate that reaches a shard is ``change_propagation`` and
 every case actually migrated there counts under ``migration``.
 
 The counter names intentionally match
-:meth:`repro.distributed.costs.CommunicationCosts.as_dict` so the A5
-simulation benchmark and the sharded-service benchmark are directly
-comparable.
+:meth:`repro.distributed.costs.CommunicationCosts.as_dict`, so a fleet's
+measured counters (``ShardRouter.telemetry()``) read against the A5
+simulation (``tests/paper/test_ablations.py::TestA5Distributed``) factor
+by factor.
 """
 
 from __future__ import annotations

@@ -71,7 +71,7 @@ from repro.core.evolution import ProcessType
 from repro.monitoring.feed import EventFeed
 from repro.monitoring.monitor import InstanceMonitor
 from repro.monitoring.statistics import PopulationStatistics
-from repro.runtime.engine import EngineError, ProcessEngine, Worker
+from repro.runtime.engine import EngineError, InstanceIdInUseError, ProcessEngine, Worker
 from repro.runtime.instance import ProcessInstance
 from repro.runtime.worklist import WorkItem, WorklistManager
 from repro.schema.graph import ProcessSchema, SchemaError
@@ -522,7 +522,7 @@ class AdeptSystem:
         if case_id is None:
             case_id = self._next_case_id(type_id)
         elif self._in_use(case_id):
-            raise EngineError(f"instance id {case_id!r} is already in use")
+            raise InstanceIdInUseError(f"instance id {case_id!r} is already in use")
         instance = self.engine.create_instance(schema, case_id, initial_data=data or None)
         self._instances[case_id] = instance
         self._dirty.add(case_id)
@@ -564,7 +564,7 @@ class AdeptSystem:
         self.repository.process_type(instance.process_type)  # raises when unknown
         instance_id = instance.instance_id
         if instance_id in self._instances:
-            raise EngineError(f"instance id {instance_id!r} is already in use")
+            raise InstanceIdInUseError(f"instance id {instance_id!r} is already in use")
         self._instances[instance_id] = instance
         self._dirty.add(instance_id)
         self._journal(

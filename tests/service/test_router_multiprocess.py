@@ -22,6 +22,7 @@ from repro.service import (
     ShardUnavailableError,
 )
 from repro.workloads.order_process import ORDER_EXECUTION_SEQUENCE, order_type_change_v2
+from tests.service.journal import journal_summary
 
 pytestmark = pytest.mark.shards
 
@@ -104,7 +105,7 @@ class TestSchemaBroadcast:
     def test_evolve_under_load_matches_single_process_reference(self, fleet):
         """The broadcast equals one in-process evolve of the same population,
         and each shard journals exactly one evolution record for it."""
-        _supervisor, router = fleet
+        supervisor, router = fleet
         router.deploy(ORDERS)
         router.deploy(sequential_process(length=3).to_dict())
         ids = router.start_many("online_order", 60)
@@ -152,7 +153,8 @@ class TestSchemaBroadcast:
 
         # exactly once, from each shard's journal
         candidates = []
-        for shard_id, wal in router.broadcast("wal_summary").items():
+        for shard_id in router.clients:
+            wal = journal_summary(supervisor.store_of(shard_id))
             evolutions = [r for r in wal["evolutions"] if r["type_id"] == "online_order"]
             assert len(evolutions) == 1, shard_id
             candidates.extend(evolutions[0]["candidates"])

@@ -11,6 +11,7 @@ import os
 import socket
 import stat
 import struct
+from contextlib import closing
 
 import pytest
 
@@ -20,11 +21,13 @@ from repro.service import (
     RemoteError,
     ServiceError,
     ShardClient,
+    ShardRouter,
     ShardServer,
 )
 from repro.service.shard_server import resolve_worker
 from repro.system.persistence import shard_store_path
 from repro.workloads.order_process import ORDER_EXECUTION_SEQUENCE, order_type_change_v2
+from tests.service.journal import journal_summary
 
 
 @pytest.fixture()
@@ -98,6 +101,36 @@ class TestLifecycle:
         server.start_in_thread()
         server.stop()
         server.stop()  # second stop must be a no-op, like AdeptSystem.close
+
+
+class TestFieldBinding:
+    """An op is its ``_op_`` method; the method's parameters are its fields."""
+
+    def test_an_undeclared_field_is_refused_by_name_before_anything_runs(self, shard):
+        _server, client = shard
+        _deploy_orders(client)
+        client.call("start", type_id="online_order", case_id="ord-1")
+        with pytest.raises(RemoteError, match="'max_step'") as excinfo:
+            client.call("run", instance_id="ord-1", max_step=1)
+        assert excinfo.value.remote_type == "TypeError"
+        assert client.call("instance_info", instance_id="ord-1")["completed"] == []
+
+    def test_a_missing_field_is_refused_by_name(self, shard):
+        _server, client = shard
+        with pytest.raises(RemoteError, match="'instance_id'"):
+            client.call("run")
+
+    def test_an_op_that_is_not_a_name_is_refused(self, shard):
+        _server, client = shard
+        with pytest.raises(RemoteError, match="must be an object with an 'op'"):
+            client.call(["run"])
+        assert client.call("ping")["shard_id"] == "s0"
+
+    @pytest.mark.parametrize("name", ["_dispatch", "__init__", "stop", "_op_ping"])
+    def test_a_method_that_is_not_an_op_is_unknown(self, shard, name):
+        _server, client = shard
+        with pytest.raises(RemoteError, match="unknown op"):
+            client.call(name)
 
 
 class TestCaseOps:
@@ -174,6 +207,95 @@ class TestCaseOps:
         finally:
             client_b.close()
             server_b.stop()
+
+
+class TestUnroutedOps:
+    """The ops no router method sends, each once over the socket."""
+
+    def test_activated(self, shard):
+        _server, client = shard
+        _deploy_orders(client)
+        client.call("start", type_id="online_order", case_id="ord-1")
+        assert client.call("activated", instance_id="ord-1") == [ORDER_EXECUTION_SEQUENCE[0]]
+
+    def test_start_activity(self, shard):
+        _server, client = shard
+        _deploy_orders(client)
+        client.call("start", type_id="online_order", case_id="ord-1")
+        first = ORDER_EXECUTION_SEQUENCE[0]
+        started = client.call(
+            "start_activity", instance_id="ord-1", activity_id=first, user="clerk"
+        )
+        assert started == {
+            "ok": True,
+            "instance_id": "ord-1",
+            "activity_id": first,
+            "status": "running",
+            "activated": [],
+        }
+
+    def test_abort(self, shard):
+        _server, client = shard
+        _deploy_orders(client)
+        client.call("start", type_id="online_order", case_id="ord-1")
+        assert client.call("abort", instance_id="ord-1") == {}
+        assert client.call("instance_info", instance_id="ord-1")["status"] == "aborted"
+
+    def test_serve(self, shard):
+        _server, client = shard
+        assert client.call("serve", workers=2) == {"workers": 2}
+        assert client.call("status")["workers"] == 2
+        client.call("drain", timeout=30)
+
+    def test_drain(self, shard):
+        _server, client = shard
+        _deploy_orders(client)
+        client.call("serve", workers=2)
+        for index in range(3):
+            client.call("start", type_id="online_order", case_id=f"ord-{index}")
+        stats = client.call("drain", timeout=30)
+        assert stats["workers"] == 2
+        assert stats["items_completed"] == 3 * len(ORDER_EXECUTION_SEQUENCE)
+        assert client.call("status")["workers"] == 0
+        assert client.call("instance_info", instance_id="ord-2")["status"] == "completed"
+
+    def test_shutdown(self, shard):
+        server, client = shard
+        assert client.call("shutdown") == {"stopping": True}
+        assert server.wait(5) is True
+
+
+class TestRouterOverOneShard:
+    def test_a_restarted_router_starts_cases_under_fresh_ids(self, shard):
+        """A router's id counter starts over; the durable shard keeps its cases."""
+        server, client = shard
+        _deploy_orders(client)
+        endpoints = {"s0": server.endpoint}
+        with closing(ShardRouter(endpoints)) as first:
+            taken = first.start_many("online_order", 4)
+        with closing(ShardRouter(endpoints)) as second:
+            fresh_many = second.start_many("online_order", 2)
+        with closing(ShardRouter(endpoints)) as third:
+            fresh_one = third.start("online_order")
+            with pytest.raises(RemoteError) as excinfo:
+                third.start("online_order", case_id=taken[0])
+        assert excinfo.value.remote_type == "InstanceIdInUseError"
+        started = taken + fresh_many + [fresh_one]
+        assert len(set(started)) == 7
+        assert sorted(client.call("case_ids")) == sorted(started)
+
+    def test_a_refused_activation_leaves_no_stage(self, shard):
+        """An undeclared option refuses the activation; the router drops the stage."""
+        server, client = shard
+        _deploy_orders(client)
+        client.call("start", type_id="online_order", case_id="ord-1")
+        change = order_type_change_v2(1).to_dict()
+        with closing(ShardRouter({"s0": server.endpoint})) as router:
+            with pytest.raises(RemoteError, match="'fractoin'"):
+                router.evolve("online_order", change, expect_version=1, fractoin=1.0)
+            assert client.call("evolve_abort_type", type_id="online_order")["aborted"] == 0
+            assert client.call("instance_info", instance_id="ord-1")["version"] == 1
+            assert router.evolve("online_order", change, expect_version=1)["migrated"] == 1
 
 
 class TestTwoPhaseEvolve:
@@ -309,20 +431,20 @@ class TestJournalStatus:
 
 class TestDurability:
     def test_wal_summary_counts(self, shard):
-        _server, client = shard
+        server, client = shard
         _deploy_orders(client)
         client.call("start", type_id="online_order", case_id="ord-1")
         client.call("step_many", instance_ids=["ord-1"], steps=3)
-        summary = client.call("wal_summary")
+        summary = journal_summary(server.store_path)
         assert summary["counts"]["instance_started"] == 1
         assert summary["steps_by_instance"]["ord-1"] == 3
 
     def test_checkpoint_truncates_wal(self, shard):
-        _server, client = shard
+        server, client = shard
         _deploy_orders(client)
         client.call("start", type_id="online_order", case_id="ord-1")
         client.call("checkpoint")
-        assert client.call("wal_summary")["counts"] == {}
+        assert journal_summary(server.store_path)["counts"] == {}
 
     def test_graceful_stop_then_reopen_without_replay(self, tmp_path):
         store = str(tmp_path / "shard")
