@@ -382,13 +382,14 @@ class MigrationManager:
     ) -> ClassVerdict:
         """The verdict of an unbiased instance's fingerprint class.
 
-        The first member computes it — the compiled plan check plus one
-        state adaptation — every further member finds it in ``cache``.
+        The first member computes it — the operations' compliance
+        conditions plus one state adaptation — every further member finds
+        it in ``cache``.
         """
         fingerprint = plan.fingerprint_of_instance(instance)
         verdict = cache.get(fingerprint)
         if verdict is None:
-            compliance = plan.check(instance)
+            compliance = self.checker.check_with_conditions(instance, plan.operations)
             if compliance.compliant:
                 adapted = self.adapter.adapt(instance, plan.new_schema)
                 outcome = MigrationOutcome.MIGRATED

@@ -1,27 +1,24 @@
-"""Compiled migration plans: pay per change operation, not per instance.
+"""Migration plans: pay per change operation and per class, not per instance.
 
 The paper's scalability argument is that compliance is decided by
 "precise and easy to implement compliance conditions" per change
-operation instead of replaying histories.  This module pushes the same
-idea one level further for *bulk* migration: a :class:`TypeChange` is
-compiled **once** into a :class:`MigrationPlan` —
+operation instead of replaying histories
+(:meth:`~repro.core.operations.ChangeOperation.compliance_conflicts`).
+This module carries the same idea over to *bulk* migration: a
+:class:`TypeChange` is compiled **once** into a :class:`MigrationPlan`,
+which holds
 
-* every structural question an operation's compliance condition asks
-  (does the insertion position exist? which successors follow the
-  wrapped activity?) is answered once against the old schema's compiled
-  :class:`~repro.schema.index.SchemaIndex` and becomes a constant of the
-  plan;
-* what remains per instance is a tiny *residual predicate* over the
-  instance marking (and, for the few operations that need it, the data
-  context or the reduced history) — a handful of dict lookups;
-* the plan also knows the exact **state projection** those residual
-  predicates and the subsequent marking adaptation read, and derives a
-  compliance **fingerprint** from it.  Two unbiased instances with equal
-  fingerprints are indistinguishable to the whole migration pipeline:
-  they receive the same :class:`~repro.core.compliance.ComplianceResult`
-  and — when compliant — the same adapted marking.  Bulk migration
-  therefore computes one verdict per *equivalence class* and applies it
-  O(1) per member (see :class:`FingerprintCache`).
+* the change's operations, whose conditions decide every verdict
+  (:meth:`~repro.core.compliance.ComplianceChecker.check_with_conditions`);
+* the exact **state projection** those conditions and the subsequent
+  marking adaptation read; and
+* the compliance **fingerprint** derived from it.  Two unbiased
+  instances with equal fingerprints are indistinguishable to the whole
+  migration pipeline: they receive the same
+  :class:`~repro.core.compliance.ComplianceResult` and — when compliant
+  — the same adapted marking.  Bulk migration therefore evaluates the
+  conditions once per *equivalence class* and applies the verdict O(1)
+  per member (see :class:`FingerprintCache`).
 
 Soundness contract
 ------------------
@@ -32,10 +29,11 @@ of the per-instance work (verdict *and* adapted marking):
 * the complete marking (node and edge states),
 * the loop iteration counters (the adaptation's loop-end decisions),
 * the values of the *relevant* data elements — the variables read by any
-  guard or loop condition of the target schema plus every element a
-  change operation's condition inspects,
+  guard or loop condition of the target schema, every element a change
+  operation names, and the elements a deleted activity writes without a
+  supplied value (its condition asks whether they hold one),
 * the instance status and schema version, and
-* the reduced-history projection — only when the plan actually reads
+* the reduced-history projection — only when the conditions read
   history: the ``insertSyncEdge`` condition orders events.
 
 Biased instances are fingerprinted only together with their canonical
@@ -56,44 +54,17 @@ import hashlib
 import json
 import marshal
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Set
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Set
 
-from repro.core.compliance import ComplianceChecker, ComplianceResult
+from repro.core.compliance import ComplianceResult
 from repro.core.conflicts import Conflict
 from repro.core.evolution import TypeChange
-from repro.core.operations import (
-    AddDataEdge,
-    AddDataElement,
-    ChangeActivityAttributes,
-    ChangeOperation,
-    ConditionalInsertActivity,
-    DeleteActivity,
-    DeleteDataEdge,
-    DeleteDataElement,
-    DeleteSyncEdge,
-    InsertSyncEdge,
-    MoveActivity,
-    ParallelInsertActivity,
-    SerialInsertActivity,
-)
+from repro.core.operations import ChangeOperation, DeleteActivity, InsertSyncEdge
 from repro.runtime.history import ExecutionHistory
 from repro.runtime.instance import ProcessInstance
 from repro.runtime.markings import Marking
-from repro.runtime.states import NodeState
 from repro.runtime.worklist import WorklistManager
-from repro.schema.data import DataAccess
 from repro.schema.graph import ProcessSchema
-
-#: Node states counting as "started" (mirrors ``NodeState.is_started``);
-#: the residual predicates test membership on the raw marking dict.
-_STARTED_STATES = frozenset(
-    state for state in NodeState if state.is_started
-)
-
-#: Residual predicate: marking node-states + a tiny instance view -> compliant?
-#: ``None`` means "cannot be decided from the projection" (fall back to the
-#: interpreted condition).
-Residual = Callable[[Mapping[str, NodeState], ProcessInstance], Optional[bool]]
 
 
 def _expression_names(expression: str) -> Set[str]:
@@ -103,11 +74,6 @@ def _expression_names(expression: str) -> Set[str]:
     except SyntaxError:
         return set()
     return {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-
-
-def _not_started_in(states: Mapping[str, NodeState], node_id: str) -> bool:
-    state = states.get(node_id)
-    return state is None or state not in _STARTED_STATES
 
 
 def _stable(value: Any) -> Any:
@@ -124,30 +90,6 @@ def _stable(value: Any) -> Any:
     return value
 
 
-@dataclass
-class CompiledOperation:
-    """One change operation specialised against the old type schema."""
-
-    operation: ChangeOperation
-    #: node ids introduced by *earlier* operations of the same change
-    introduced: Set[str] = field(default_factory=set)
-    #: compile-time verdict (the structural facts are instance-independent):
-    #: ``False`` when every unbiased instance of the old version conflicts
-    #: structurally, ``True`` when the operation is always compliant.
-    constant: Optional[bool] = None
-    #: residual marking predicate (``None``: always consult ``constant``)
-    residual: Optional[Residual] = None
-
-    def fast_verdict(
-        self, states: Mapping[str, NodeState], instance: ProcessInstance
-    ) -> Optional[bool]:
-        if self.constant is not None:
-            return self.constant
-        if self.residual is not None:
-            return self.residual(states, instance)
-        return None
-
-
 class MigrationPlan:
     """A :class:`TypeChange` compiled for one old → new schema pair.
 
@@ -160,30 +102,18 @@ class MigrationPlan:
         old_schema: ProcessSchema,
         new_schema: ProcessSchema,
         operations: Sequence[ChangeOperation],
-        compiled: List[CompiledOperation],
         relevant_elements: Set[str],
         include_history: bool,
     ) -> None:
         self.old_schema = old_schema
         self.new_schema = new_schema
         self.operations = list(operations)
-        self.compiled = compiled
         #: data elements whose values the plan may read
         self.relevant_elements = relevant_elements
         self.include_history = include_history
-        self._checker = ComplianceChecker()
-        self._compliant_result = ComplianceResult(
-            compliant=True,
-            conflicts=[],
-            checked_operations=len(self.operations),
-        )
         self._layout = old_schema.index.marking_layout()
         #: per-distinct-bias projection extensions (see :meth:`bias_extras`)
         self._bias_extras: Dict[Any, "BiasExtras"] = {}
-
-    # ------------------------------------------------------------------ #
-    # compilation
-    # ------------------------------------------------------------------ #
 
     @classmethod
     def compile(
@@ -192,19 +122,18 @@ class MigrationPlan:
         new_schema: ProcessSchema,
         type_change: TypeChange,
     ) -> "MigrationPlan":
-        """Specialise every operation of ``type_change`` against the schemas."""
+        """The plan of ``type_change``: its operations and the state they read."""
         operations = list(type_change.operations)
-        compiled: List[CompiledOperation] = []
         relevant: Set[str] = set()
-        history_needed = False
-        introduced: Set[str] = set()
         for operation in operations:
-            compiled.append(
-                _compile_operation(operation, old_schema, set(introduced), relevant)
-            )
-            if isinstance(operation, InsertSyncEdge):
-                history_needed = True
-            introduced |= operation.added_node_ids()
+            relevant |= operation.affected_elements()
+            if isinstance(operation, DeleteActivity):
+                # the condition asks whether each unsupplied written element has a value
+                relevant.update(
+                    write.element
+                    for write in old_schema.writes_of(operation.activity_id)
+                    if write.element not in operation.supply_values
+                )
         # the adaptation's propagation pass evaluates guards and loop
         # conditions of the *target* schema over the instance data
         for edge in new_schema.edges:
@@ -216,43 +145,9 @@ class MigrationPlan:
             old_schema=old_schema,
             new_schema=new_schema,
             operations=operations,
-            compiled=compiled,
             relevant_elements=relevant,
-            include_history=history_needed,
+            include_history=any(isinstance(op, InsertSyncEdge) for op in operations),
         )
-
-    # ------------------------------------------------------------------ #
-    # per-instance evaluation
-    # ------------------------------------------------------------------ #
-
-    def applies_to(self, instance: ProcessInstance) -> bool:
-        """True when the compiled residuals may decide this instance."""
-        return (
-            not instance.is_biased
-            and instance.schema_version == self.old_schema.version
-        )
-
-    def check(self, instance: ProcessInstance) -> ComplianceResult:
-        """Compliance of one unbiased instance — cheap plan evaluation.
-
-        When every compiled residual proves compliance the (shared)
-        positive result is returned without touching the interpreted
-        conditions; any conflict or undecidable residual falls back to
-        the exact interpreted check, so conflicts carry the identical
-        :class:`Conflict` descriptions the per-instance path produces.
-        """
-        if self.applies_to(instance):
-            states = instance.marking.node_states
-            verdict: Optional[bool] = True
-            for compiled in self.compiled:
-                decided = compiled.fast_verdict(states, instance)
-                if decided is True:
-                    continue
-                verdict = decided
-                break
-            if verdict is True:
-                return self._compliant_result
-        return self._checker.check_with_conditions(instance, self.operations)
 
     # ------------------------------------------------------------------ #
     # fingerprints
@@ -417,146 +312,6 @@ class MigrationPlan:
         except (ValueError, TypeError):
             rendered = json.dumps(payload, sort_keys=True, default=repr).encode("utf-8")
         return hashlib.sha256(rendered).hexdigest()
-
-
-# --------------------------------------------------------------------------- #
-# per-operation residual compilers
-# --------------------------------------------------------------------------- #
-
-
-def _compile_operation(
-    operation: ChangeOperation,
-    old_schema: ProcessSchema,
-    introduced: Set[str],
-    relevant: Set[str],
-) -> CompiledOperation:
-    """Specialise one operation; collects its relevant data elements."""
-    relevant |= operation.affected_elements()
-
-    def exists(node_id: str) -> bool:
-        return old_schema.has_node(node_id) or node_id in introduced
-
-    compiled = CompiledOperation(operation=operation, introduced=introduced)
-
-    if isinstance(operation, (SerialInsertActivity, ConditionalInsertActivity)):
-        if not exists(operation.succ) or not exists(operation.pred):
-            compiled.constant = False
-            return compiled
-        succ = operation.succ
-        if succ in introduced:
-            compiled.constant = True
-            return compiled
-        compiled.residual = lambda states, _i: _not_started_in(states, succ)
-        return compiled
-
-    if isinstance(operation, ParallelInsertActivity):
-        if not exists(operation.parallel_to):
-            compiled.constant = False
-            return compiled
-        successors = tuple(
-            s
-            for s in old_schema.successors(operation.parallel_to)
-            if s not in introduced
-        )
-        if not successors:
-            compiled.constant = True
-            return compiled
-        compiled.residual = lambda states, _i: all(
-            _not_started_in(states, s) for s in successors
-        )
-        return compiled
-
-    if isinstance(operation, DeleteActivity):
-        if not exists(operation.activity_id):
-            compiled.constant = False
-            return compiled
-        activity_id = operation.activity_id
-        written = tuple(
-            write.element
-            for write in old_schema.writes_of(activity_id)
-            if write.element not in operation.supply_values
-        )
-        relevant |= set(written)
-        if not written:
-            compiled.residual = lambda states, _i: (
-                True if _not_started_in(states, activity_id) else None
-            )
-            return compiled
-
-        def delete_residual(
-            states: Mapping[str, NodeState], instance: ProcessInstance
-        ) -> Optional[bool]:
-            if not _not_started_in(states, activity_id):
-                return None  # started: exact conflict text from the slow path
-            if all(instance.data.has_value(element) for element in written):
-                return True
-            return None  # potential data conflict: delegate
-
-        compiled.residual = delete_residual
-        return compiled
-
-    if isinstance(operation, MoveActivity):
-        nodes = (operation.activity_id, operation.new_pred, operation.new_succ)
-        if not all(exists(n) for n in nodes):
-            compiled.constant = False
-            return compiled
-        activity_id, new_succ = operation.activity_id, operation.new_succ
-        succ_free = new_succ in introduced
-        compiled.residual = lambda states, _i: (
-            _not_started_in(states, activity_id)
-            and (succ_free or _not_started_in(states, new_succ))
-        )
-        return compiled
-
-    if isinstance(operation, InsertSyncEdge):
-        if not exists(operation.source) or not exists(operation.target):
-            compiled.constant = False
-            return compiled
-        target = operation.target
-        if target in introduced:
-            compiled.constant = True
-            return compiled
-        # started targets need the history-ordering check: delegate
-        compiled.residual = lambda states, _i: (
-            True if _not_started_in(states, target) else None
-        )
-        return compiled
-
-    if isinstance(operation, AddDataEdge):
-        if not exists(operation.activity):
-            compiled.constant = False
-            return compiled
-        activity, element = operation.activity, operation.element
-        if operation.access is DataAccess.READ and not operation.mandatory:
-            compiled.constant = True
-            return compiled
-        if operation.access is DataAccess.READ:
-
-            def read_residual(
-                states: Mapping[str, NodeState], instance: ProcessInstance
-            ) -> Optional[bool]:
-                if _not_started_in(states, activity):
-                    return True
-                return True if instance.data.has_value(element) else None
-
-            compiled.residual = read_residual
-        else:
-            compiled.residual = lambda states, _i: (
-                True if _not_started_in(states, activity) else None
-            )
-        return compiled
-
-    if isinstance(
-        operation,
-        (DeleteSyncEdge, AddDataElement, DeleteDataElement, DeleteDataEdge, ChangeActivityAttributes),
-    ):
-        compiled.constant = True
-        return compiled
-
-    # unknown / future operation: no residual — the plan falls back to the
-    # interpreted conditions for every instance (still memoizable, because
-    # the fingerprint then covers marking, data and history conservatively)
-    return compiled
 
 
 # --------------------------------------------------------------------------- #

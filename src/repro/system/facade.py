@@ -559,12 +559,20 @@ class AdeptSystem:
         """Track an externally created :class:`ProcessInstance`.
 
         The instance's process type must already be deployed.  Workload
-        generators use this to hand their populations to the system.
+        generators use this to hand their populations to the system.  An
+        id that names a live or a stored case is refused, as :meth:`start`
+        refuses it.
         """
         self.repository.process_type(instance.process_type)  # raises when unknown
+        if self._in_use(instance.instance_id):
+            raise InstanceIdInUseError(
+                f"instance id {instance.instance_id!r} is already in use"
+            )
+        return self._admit(instance)
+
+    def _admit(self, instance: ProcessInstance) -> InstanceHandle:
+        """:meth:`adopt_instance` past its checks: the case joins the live set."""
         instance_id = instance.instance_id
-        if instance_id in self._instances:
-            raise InstanceIdInUseError(f"instance id {instance_id!r} is already in use")
         self._instances[instance_id] = instance
         self._dirty.add(instance_id)
         self._journal(

@@ -572,7 +572,9 @@ def _replay_instance_started(system: "AdeptSystem", record: Mapping[str, Any]) -
 
 def _replay_instance_adopted(system: "AdeptSystem", record: Mapping[str, Any]) -> None:
     instance = system.store.instantiate(record["record"])
-    system.adopt_instance(instance)
+    # adoption once refused only live ids, so a journal may hold an adoption
+    # that replaced a stored case: it replays as it was accepted
+    system._admit(instance)
 
 
 def _replay_step(system: "AdeptSystem", record: Mapping[str, Any]) -> None:

@@ -10,7 +10,7 @@ from repro.core.operations import DeleteActivity, SerialInsertActivity
 from repro.runtime.engine import ProcessEngine
 from repro.schema.nodes import Node, NodeType
 from repro.schema.templates import online_order_process
-from repro.storage.serialization import instance_to_dict
+from repro.storage.serialization import instance_from_record, instance_to_dict
 from repro.workloads.order_process import ORDER_EXECUTION_SEQUENCE, order_type_change_v2
 
 
@@ -38,20 +38,44 @@ def _instance_at(engine, schema, progress, instance_id="case"):
     return instance
 
 
+def _migrate(manager, plan, cache, instance, change):
+    return manager.migrate_instance(
+        instance, plan.old_schema, plan.new_schema, change, plan=plan, cache=cache
+    )
+
+
 class TestPlanCompilation:
     def test_plan_checks_agree_with_interpreted_conditions(self, schema, change, plan):
+        """A class's verdict is the interpreted conditions, for its first and later members."""
         engine = ProcessEngine()
         checker = ComplianceChecker()
+        manager = MigrationManager()
+        cache = FingerprintCache()
+        outcomes = set()
         for progress in range(len(ORDER_EXECUTION_SEQUENCE) + 1):
-            instance = _instance_at(engine, schema, progress, f"case-{progress}")
-            fast = plan.check(instance)
-            slow = checker.check_with_conditions(instance, change.operations)
-            assert fast.compliant == slow.compliant
-            assert [str(c) for c in fast.conflicts] == [str(c) for c in slow.conflicts]
-            assert fast.method == slow.method
-            assert fast.checked_operations == slow.checked_operations
+            for member in ("first", "second"):
+                instance = _instance_at(engine, schema, progress, f"case-{progress}-{member}")
+                expected = checker.check_with_conditions(instance, change.operations)
+                result = _migrate(manager, plan, cache, instance, change)
+                if not instance.status.is_active:  # the whole sequence ran
+                    assert result.outcome is MigrationOutcome.FINISHED
+                    continue
+                assert [str(c) for c in result.conflicts] == [
+                    str(c) for c in expected.conflicts
+                ]
+                assert result.outcome is (
+                    MigrationOutcome.MIGRATED
+                    if expected.compliant
+                    else MigrationOutcome.STATE_CONFLICT
+                )
+                assert instance.schema_version == (2 if expected.compliant else 1)
+                outcomes.add(result.outcome)
+        # the sequence crosses the change's state conflicts
+        assert outcomes == {MigrationOutcome.MIGRATED, MigrationOutcome.STATE_CONFLICT}
+        assert cache.hits == cache.misses == len(ORDER_EXECUTION_SEQUENCE)
 
     def test_structurally_impossible_operation_compiles_to_constant(self, schema):
+        """An insertion between absent nodes is a structural conflict for every case."""
         change = TypeChange.of(
             1,
             [
@@ -62,9 +86,21 @@ class TestPlanCompilation:
                 )
             ],
         )
-        new_schema = schema.copy() if hasattr(schema, "copy") else schema
+        new_schema = schema.copy()
+        new_schema.version = 2
         plan = MigrationPlan.compile(schema, new_schema, change)
-        assert plan.compiled[0].constant is False
+        engine = ProcessEngine()
+        manager = MigrationManager()
+        cache = FingerprintCache()
+        for progress in range(len(ORDER_EXECUTION_SEQUENCE) + 1):
+            instance = _instance_at(engine, schema, progress, f"case-{progress}")
+            result = _migrate(manager, plan, cache, instance, change)
+            assert result.outcome is (
+                MigrationOutcome.STRUCTURAL_CONFLICT
+                if instance.status.is_active
+                else MigrationOutcome.FINISHED
+            )
+            assert instance.schema_version == 1
 
     def test_insert_sync_edge_includes_history_in_fingerprint(self, plan):
         # order_type_change_v2 contains an insertSyncEdge: the condition
@@ -72,17 +108,36 @@ class TestPlanCompilation:
         assert plan.include_history
 
     def test_delete_activity_collects_written_elements(self):
+        """Whether the deleted writer's element holds a value splits the class."""
         from repro.schema.builder import SchemaBuilder
 
         builder = SchemaBuilder("del_plan", name="del_plan")
-        builder.activity("a").activity("b", writes=("x",)).activity("c")
+        # the default keeps the reader's input supplied once b is gone
+        builder.data("x", default="fallback")
+        builder.activity("a").activity("b", writes=("x",)).activity("c", reads=("x",))
         small = builder.build()
         change = TypeChange.of(1, [DeleteActivity(activity_id="b")])
-        target = change.operations.apply_to(small)
+        target = change.operations.apply_to(small, check=True)
+        target.version = 2
         plan = MigrationPlan.compile(small, target, change)
-        # the residual predicate reads has_value("x"): it must be part of
-        # the fingerprint projection
-        assert "x" in plan.relevant_elements
+        engine = ProcessEngine()
+        valued = engine.create_instance(small, "valued")
+        assert valued.data.get("x") == "fallback"
+        # a stored case whose record holds no value for x, at the same marking
+        record = instance_to_dict(engine.create_instance(small, "empty"))
+        empty = instance_from_record(dict(record, data={"values": {}, "writes": []}), small)
+        assert not empty.data.has_value("x")
+        assert valued.marking.to_dict() == empty.marking.to_dict()
+        # the deletion condition asks whether x holds a value: the two
+        # cases must fall into different classes
+        assert plan.fingerprint_of_instance(valued) != plan.fingerprint_of_instance(empty)
+        manager = MigrationManager()
+        cache = FingerprintCache()
+        migrated = _migrate(manager, plan, cache, valued, change)
+        refused = _migrate(manager, plan, cache, empty, change)
+        assert migrated.outcome is MigrationOutcome.MIGRATED
+        assert refused.outcome is MigrationOutcome.DATA_CONFLICT
+        assert (valued.schema_version, empty.schema_version) == (2, 1)
 
 
 class TestFingerprints:

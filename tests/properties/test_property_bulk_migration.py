@@ -8,10 +8,17 @@ adapted markings, so migrating a population through the one pipeline
 migrator (``tests/baselines/reference_migration.py``) — including biased
 instances, the rollback-on-state-conflict policy and mid-stream LRU
 eviction under a small ``cache_instances`` bound.
+
+A class's verdict is the operations' compliance conditions on its first
+member, so these properties are the oracle of the plan's state
+projection: a projection that misses an input the conditions read puts
+cases with different verdicts into one class.  Tier-1 runs 15 examples
+each, their ``stress`` variants 300 (the CI ``chaos`` job).
 """
 
 import json
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -37,6 +44,7 @@ RELAXED = settings(
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
 )
+STRESS = settings(RELAXED, max_examples=300)
 
 
 def _random_schema(seed: int, activities: int):
@@ -75,126 +83,157 @@ def _state_digest(instances) -> list:
     return [json.dumps(instance_to_dict(i), sort_keys=True) for i in instances]
 
 
+def memoized_equals_per_instance(schema_seed, activities, population_seed, change_seed, rollback):
+    """The manager's reports and end states are the reference migrator's."""
+    schema = _random_schema(schema_seed, activities)
+    change = _type_change(schema, change_seed)
+    if change is None:
+        return
+    runs = []
+    for migrator in (
+        ReferenceMigrator(rollback_on_state_conflict=rollback),
+        MigrationManager(rollback_on_state_conflict=rollback),
+    ):
+        fresh_schema = _random_schema(schema_seed, activities)
+        population = _population(fresh_schema, population_seed, 30, biased=0.25)
+        process_type = ProcessType(fresh_schema.name, fresh_schema)
+        report = migrator.migrate_type(
+            process_type, _type_change(fresh_schema, change_seed), population
+        )
+        runs.append((report_payload(report), _state_digest(population)))
+    assert runs[0][0] == runs[1][0], "reports diverge from the reference migrator"
+    assert runs[0][1] == runs[1][1], "instance end states diverge from the reference migrator"
+
+
+def fingerprint_classes_share_exact_verdicts(schema_seed, population_seed, change_seed):
+    """Equal fingerprint ⇒ byte-identical compliance result and marking."""
+    schema = _random_schema(schema_seed, 8)
+    change = _type_change(schema, change_seed)
+    if change is None:
+        return
+    new_schema = change.operations.apply_to(schema)
+    new_schema.version = schema.version + 1
+    plan = MigrationPlan.compile(schema, new_schema, change)
+    population = _population(schema, population_seed, 30, biased=0.0)
+    checker = ComplianceChecker()
+    classes = {}
+    for instance in population:
+        if not instance.status.is_active:
+            continue
+        fingerprint = plan.fingerprint_of_instance(instance)
+        assert fingerprint is not None
+        result = checker.check_with_conditions(instance, change.operations)
+        marking = None
+        if result.compliant:
+            marking = json.dumps(
+                StateAdapter().adapt(instance, new_schema).to_dict(), sort_keys=True
+            )
+        observed = (
+            result.compliant,
+            tuple(str(conflict) for conflict in result.conflicts),
+            marking,
+        )
+        if fingerprint in classes:
+            assert classes[fingerprint] == observed, (
+                "two instances with equal fingerprints computed different "
+                "verdicts or adapted markings"
+            )
+        else:
+            classes[fingerprint] = observed
+
+
+def streaming_evolve_with_eviction_matches_hydrated(
+    schema_seed, population_seed, change_seed, cache_cap, migrate
+):
+    """Facade parity: evolve under a tiny LRU == the per-instance reference."""
+    probe_schema = _random_schema(schema_seed, 6)
+    if _type_change(probe_schema, change_seed) is None:
+        return
+    outcomes = []
+    # same LRU bound on both sides: the candidate set (live cases plus
+    # *running* stored cases) depends on which finished cases are still
+    # live, so differing caps would compare different populations
+    for evolve in (reference_evolve, AdeptSystem.evolve):
+        system = AdeptSystem(cache_instances=cache_cap)
+        schema = _random_schema(schema_seed, 6)
+        handle = system.deploy(schema, verify=False)
+        PopulationGenerator(
+            schema,
+            config=PopulationConfig(
+                instance_count=25,
+                biased_fraction=0.2,
+                seed=population_seed,
+                id_prefix="case",
+            ),
+            system=system,
+        ).generate()
+        # part of the population rests in the store only (evicted)
+        report = evolve(
+            system, handle.type_id, _type_change(schema, change_seed), migrate=migrate
+        )
+        states = {
+            handle_.instance_id: system.get_instance(
+                handle_.instance_id
+            ).state_fingerprint()
+            for handle_ in system.instances_of(handle.type_id)
+        }
+        outcomes.append((report_payload(report), states))
+        system.close()
+    assert outcomes[0][0] == outcomes[1][0], "reports diverge from the reference"
+    assert outcomes[0][1] == outcomes[1][1], "end states diverge from the reference"
+
+
+_PARITY_CASES = dict(
+    schema_seed=st.integers(min_value=0, max_value=9999),
+    activities=st.integers(min_value=4, max_value=10),
+    population_seed=st.integers(min_value=0, max_value=9999),
+    change_seed=st.integers(min_value=0, max_value=9999),
+    rollback=st.booleans(),
+)
+_CLASS_CASES = dict(
+    schema_seed=st.integers(min_value=0, max_value=9999),
+    population_seed=st.integers(min_value=0, max_value=9999),
+    change_seed=st.integers(min_value=0, max_value=9999),
+)
+_EVOLVE_CASES = dict(
+    schema_seed=st.integers(min_value=0, max_value=999),
+    population_seed=st.integers(min_value=0, max_value=999),
+    change_seed=st.integers(min_value=0, max_value=999),
+    cache_cap=st.integers(min_value=2, max_value=6),
+    migrate=st.sampled_from(["compliant", "rollback"]),
+)
+
+
 class TestMemoizationParity:
     @RELAXED
-    @given(
-        schema_seed=st.integers(min_value=0, max_value=9999),
-        activities=st.integers(min_value=4, max_value=10),
-        population_seed=st.integers(min_value=0, max_value=9999),
-        change_seed=st.integers(min_value=0, max_value=9999),
-        rollback=st.booleans(),
-    )
-    def test_memoized_equals_per_instance(
-        self, schema_seed, activities, population_seed, change_seed, rollback
-    ):
-        """The manager's reports and end states are the reference migrator's."""
-        schema = _random_schema(schema_seed, activities)
-        change = _type_change(schema, change_seed)
-        if change is None:
-            return
-        runs = []
-        for migrator in (
-            ReferenceMigrator(rollback_on_state_conflict=rollback),
-            MigrationManager(rollback_on_state_conflict=rollback),
-        ):
-            fresh_schema = _random_schema(schema_seed, activities)
-            population = _population(fresh_schema, population_seed, 30, biased=0.25)
-            process_type = ProcessType(fresh_schema.name, fresh_schema)
-            report = migrator.migrate_type(
-                process_type, _type_change(fresh_schema, change_seed), population
-            )
-            runs.append((report_payload(report), _state_digest(population)))
-        assert runs[0][0] == runs[1][0], "reports diverge from the reference migrator"
-        assert runs[0][1] == runs[1][1], "instance end states diverge from the reference migrator"
+    @given(**_PARITY_CASES)
+    def test_memoized_equals_per_instance(self, **case):
+        memoized_equals_per_instance(**case)
 
     @RELAXED
-    @given(
-        schema_seed=st.integers(min_value=0, max_value=9999),
-        population_seed=st.integers(min_value=0, max_value=9999),
-        change_seed=st.integers(min_value=0, max_value=9999),
-    )
-    def test_fingerprint_classes_share_exact_verdicts(
-        self, schema_seed, population_seed, change_seed
-    ):
-        """Equal fingerprint ⇒ byte-identical compliance result and marking."""
-        schema = _random_schema(schema_seed, 8)
-        change = _type_change(schema, change_seed)
-        if change is None:
-            return
-        new_schema = change.operations.apply_to(schema)
-        new_schema.version = schema.version + 1
-        plan = MigrationPlan.compile(schema, new_schema, change)
-        population = _population(schema, population_seed, 30, biased=0.0)
-        checker = ComplianceChecker()
-        classes = {}
-        for instance in population:
-            if not instance.status.is_active:
-                continue
-            fingerprint = plan.fingerprint_of_instance(instance)
-            assert fingerprint is not None
-            result = checker.check_with_conditions(instance, change.operations)
-            marking = None
-            if result.compliant:
-                marking = json.dumps(
-                    StateAdapter().adapt(instance, new_schema).to_dict(), sort_keys=True
-                )
-            observed = (
-                result.compliant,
-                tuple(str(conflict) for conflict in result.conflicts),
-                marking,
-            )
-            if fingerprint in classes:
-                assert classes[fingerprint] == observed, (
-                    "two instances with equal fingerprints computed different "
-                    "verdicts or adapted markings"
-                )
-            else:
-                classes[fingerprint] = observed
+    @given(**_CLASS_CASES)
+    def test_fingerprint_classes_share_exact_verdicts(self, **case):
+        fingerprint_classes_share_exact_verdicts(**case)
 
     @RELAXED
-    @given(
-        schema_seed=st.integers(min_value=0, max_value=999),
-        population_seed=st.integers(min_value=0, max_value=999),
-        change_seed=st.integers(min_value=0, max_value=999),
-        cache_cap=st.integers(min_value=2, max_value=6),
-        migrate=st.sampled_from(["compliant", "rollback"]),
-    )
-    def test_streaming_evolve_with_eviction_matches_hydrated(
-        self, schema_seed, population_seed, change_seed, cache_cap, migrate
-    ):
-        """Facade parity: evolve under a tiny LRU == the per-instance reference."""
-        probe_schema = _random_schema(schema_seed, 6)
-        if _type_change(probe_schema, change_seed) is None:
-            return
-        outcomes = []
-        # same LRU bound on both sides: the candidate set (live cases plus
-        # *running* stored cases) depends on which finished cases are still
-        # live, so differing caps would compare different populations
-        for evolve in (reference_evolve, AdeptSystem.evolve):
-            system = AdeptSystem(cache_instances=cache_cap)
-            schema = _random_schema(schema_seed, 6)
-            handle = system.deploy(schema, verify=False)
-            PopulationGenerator(
-                schema,
-                config=PopulationConfig(
-                    instance_count=25,
-                    biased_fraction=0.2,
-                    seed=population_seed,
-                    id_prefix="case",
-                ),
-                system=system,
-            ).generate()
-            # part of the population rests in the store only (evicted)
-            report = evolve(
-                system, handle.type_id, _type_change(schema, change_seed), migrate=migrate
-            )
-            states = {
-                handle_.instance_id: system.get_instance(
-                    handle_.instance_id
-                ).state_fingerprint()
-                for handle_ in system.instances_of(handle.type_id)
-            }
-            outcomes.append((report_payload(report), states))
-            system.close()
-        assert outcomes[0][0] == outcomes[1][0], "reports diverge from the reference"
-        assert outcomes[0][1] == outcomes[1][1], "end states diverge from the reference"
+    @given(**_EVOLVE_CASES)
+    def test_streaming_evolve_with_eviction_matches_hydrated(self, **case):
+        streaming_evolve_with_eviction_matches_hydrated(**case)
+
+    @pytest.mark.stress
+    @STRESS
+    @given(**_PARITY_CASES)
+    def test_memoized_equals_per_instance_stress(self, **case):
+        memoized_equals_per_instance(**case)
+
+    @pytest.mark.stress
+    @STRESS
+    @given(**_CLASS_CASES)
+    def test_fingerprint_classes_share_exact_verdicts_stress(self, **case):
+        fingerprint_classes_share_exact_verdicts(**case)
+
+    @pytest.mark.stress
+    @STRESS
+    @given(**_EVOLVE_CASES)
+    def test_streaming_evolve_with_eviction_matches_hydrated_stress(self, **case):
+        streaming_evolve_with_eviction_matches_hydrated(**case)

@@ -209,6 +209,34 @@ class TestCaseOps:
             server_b.stop()
 
 
+    def test_import_over_an_evicted_case_is_refused(self, shard, tmp_path):
+        """``import_case`` refuses an id the shard holds only in its store."""
+        _server_a, client_a = shard
+        _deploy_orders(client_a)
+        client_a.call("start", type_id="online_order", case_id="ord-1")
+        client_a.call("step_many", instance_ids=["ord-1"], steps=2)
+
+        server_b = ShardServer("s1", store=str(tmp_path / "s1"), cache_instances=2)
+        host, port = server_b.start_in_thread()
+        client_b = ShardClient("s1", host, port)
+        try:
+            _deploy_orders(client_b)
+            client_b.call("start", type_id="online_order", case_id="ord-1")
+            resident = client_b.call("instance_info", instance_id="ord-1")
+            for case_id in ("ord-2", "ord-3", "ord-4"):
+                client_b.call("start", type_id="online_order", case_id=case_id)
+            assert "ord-1" not in server_b.system.live_instance_ids()
+            exported = client_a.call("export_case", instance_id="ord-1")
+            with pytest.raises(RemoteError) as excinfo:
+                client_b.call("import_case", record=exported["record"])
+            assert excinfo.value.remote_type == "InstanceIdInUseError"
+            assert client_b.call("instance_info", instance_id="ord-1") == resident
+            assert client_b.call("telemetry")["handover"] == 0
+        finally:
+            client_b.close()
+            server_b.stop()
+
+
 class TestUnroutedOps:
     """The ops no router method sends, each once over the socket."""
 

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.runtime.engine import EngineError
+from repro.runtime.engine import EngineError, InstanceIdInUseError, ProcessEngine
 from repro.runtime.states import InstanceStatus
 from repro.schema import templates
 from repro.storage.serialization import StorageError
@@ -582,7 +582,7 @@ class TestReviewRegressions:
     def test_unjournalable_outputs_reject_the_step_before_commit(self, store_path):
         import datetime
 
-        from repro.runtime.engine import EngineError
+        from repro.runtime.engine import EngineError, InstanceIdInUseError, ProcessEngine
 
         system = open_system(store_path)
         orders = system.deploy(templates.online_order_process())
@@ -614,7 +614,7 @@ class TestReviewRegressions:
         assert claimed.instance_id == case_id
 
     def test_delete_instance_withdraws_open_items(self, store_path):
-        from repro.runtime.engine import EngineError
+        from repro.runtime.engine import EngineError, InstanceIdInUseError, ProcessEngine
         from repro.runtime.worklist import WorkItemState
 
         system = open_system(store_path)
@@ -704,6 +704,65 @@ class TestPickOrderAcrossRestart:
         # (order-2 is outside the fixture's canary cohort and stays on v1)
         assert self.picks(old, "order-2", 4) == self.picks(fresh, "order-2", 4)
         old.close(checkpoint=False)
+
+
+class TestAdoptionOverStoredIds:
+    """An adoption may not take the id of a stored case; an old journal's may."""
+
+    def evicted_population(self, store_path):
+        system = open_system(store_path, cache_instances=2)
+        orders = system.deploy(templates.online_order_process())
+        ids = [orders.start().instance_id for _ in range(4)]
+        assert ids[0] not in system.live_instance_ids()
+        assert ids[0] in system.stored_instance_ids()
+        return system, ids
+
+    def outsider(self, system, instance_id):
+        """A case built outside the system under ``instance_id``, one step on."""
+        engine = ProcessEngine()
+        instance = engine.create_instance(
+            system.repository.resolve("online_order", 1), instance_id
+        )
+        engine.complete_activity(instance, "get_order")
+        return instance
+
+    def test_adopting_over_an_evicted_case_is_refused(self, store_path):
+        system, ids = self.evicted_population(store_path)
+        stored = system.store.record(ids[0])
+        with pytest.raises(InstanceIdInUseError):
+            system.adopt_instance(self.outsider(system, ids[0]))
+        # the stored case is untouched and was neither journaled over nor loaded
+        assert ids[0] not in system.live_instance_ids()
+        assert system.store.record(ids[0]) == stored
+        assert system.get_instance(ids[0]).completed_activities() == []
+        system.close(checkpoint=False)
+        reopened = open_system(store_path, cache_instances=2)
+        assert reopened.get_instance(ids[0]).completed_activities() == []
+        reopened.close()
+
+    @pytest.mark.parametrize("cache", [None, 2])
+    def test_a_journaled_adoption_over_a_stored_case_replays(self, store_path, cache):
+        """A journal written when adoption refused only live ids still opens.
+
+        Its ``instance_adopted`` record replaced a case that was stored
+        then; on replay the case may be live (no cache bound) or stored.
+        """
+        system, ids = self.evicted_population(store_path)
+        adopted = self.outsider(system, ids[0])
+        expected = {i: system.get_instance(i).state_fingerprint() for i in ids[1:]}
+        expected[ids[0]] = adopted.state_fingerprint()
+        record = system.store.encode_record(adopted)
+        system.backend.close()  # crash: the journal is all there is
+        wal = Path(store_path) / "wal.jsonl"
+        seq = json.loads(wal.read_text().splitlines()[-1])["seq"] + 1
+        line = {"instance_id": ids[0], "kind": "instance_adopted", "record": record, "seq": seq}
+        with wal.open("a", encoding="utf-8") as handle:
+            handle.write(json.dumps(line, separators=(",", ":"), sort_keys=True) + "\n")
+
+        reopened = open_system(store_path, cache_instances=cache)
+        assert {i: reopened.get_instance(i).state_fingerprint() for i in ids} == expected
+        assert reopened.activated(ids[0]) == adopted.activated_activities()
+        reopened.close()
 
 
 class TestEvictionLogging:
