@@ -52,9 +52,11 @@ def main() -> None:
 
     # 2. one system, one deployed type, one running case — all by handle
     system = AdeptSystem()
-    # the feed shows changes and lifecycle events; step 4 also shows the
-    # per-step engine events, which are built only for a subscriber
-    system.bus.subscribe(system.feed, categories=["engine"])
+    # the feed counts changes and lifecycle events and keeps none; step 4
+    # shows the newest events, per-step engine ones included (built only
+    # for a subscriber), from a list subscribed to every category
+    events = []
+    system.bus.subscribe(events.append)
     orders = system.deploy(schema)
     case = orders.start(case_id="order-0001")
     print("=== execution ===")
@@ -90,7 +92,10 @@ def main() -> None:
     print()
     print(monitor.history_view())
     print()
-    print(system.feed.render(limit=8))
+    print("event feed counts:", system.feed.category_counts())
+    print(f"last 8 of {len(events)} event(s):")
+    for event in events[-8:]:
+        print(f"  {event}")
 
 
 if __name__ == "__main__":

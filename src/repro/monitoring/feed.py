@@ -2,31 +2,26 @@
 
 The paper's monitoring component visualises the effects of ad-hoc
 changes and type changes.  The :class:`EventFeed` is its live-feed
-counterpart: subscribed to the :class:`repro.system.EventBus`, it keeps
-a window of the newest :class:`repro.system.SystemEvent` objects of its
-categories in delivery order — the system's one retained event window,
-bounded by :data:`~repro.runtime.events.MAX_RETAINED_EVENTS` — plus
-exact lifetime counts per event name and per category, and renders them
-as text: the library equivalent of the activity stream in the
-prototype's GUI.  The façade's default feed subscribes to every category
-but the per-step ``engine`` one.
+counterpart: subscribed to the :class:`repro.system.EventBus`, it counts
+the :class:`repro.system.SystemEvent` objects of its categories exactly,
+per event name and per category, and keeps none of them — the journal
+is the durable record, and a caller that wants recent events subscribes
+a handler of its own.  The façade's default feed subscribes to every
+category but the per-step ``engine`` one.
 
 The feed deliberately avoids importing :mod:`repro.system` (monitoring
 must stay importable on its own); it only relies on the event's
-``seq`` / ``category`` / ``name`` attributes.
+``category`` / ``name`` attributes.
 """
 
 from __future__ import annotations
 
 import threading
-from collections import deque
-from typing import Any, Deque, Dict, List, Optional
-
-from repro.runtime.events import MAX_RETAINED_EVENTS
+from typing import Any, Dict
 
 
 class EventFeed:
-    """Collects system events for inspection and rendering.
+    """Counts system events for inspection.
 
     The feed is a plain callable, so it can be handed directly to
     :meth:`repro.system.EventBus.subscribe`::
@@ -34,24 +29,16 @@ class EventFeed:
         feed = EventFeed()
         system.bus.subscribe(feed, categories=["migration"])
 
-    It retains the newest ``max_events`` events (:attr:`events`,
-    :meth:`names`, :meth:`tail`, :meth:`render`) and counts every event
-    it ever received (:meth:`counts`, :meth:`category_counts` and the
-    summaries), so the counts stay exact however far the window has
-    moved on.
+    It counts every event it receives (:meth:`counts`,
+    :meth:`category_counts` and the summaries) and retains none, so it
+    holds as much after a million events as after ten.
 
-    Appending and every accessor hold one internal lock, so the feed can
+    Counting and every accessor hold one internal lock, so the feed can
     be shared by a bus that is published to from many threads — readers
-    always see a consistent snapshot in delivery order.
+    always see a consistent snapshot.
     """
 
-    def __init__(self, max_events: int = MAX_RETAINED_EVENTS) -> None:
-        self.max_events = max_events
-        # a bounded deque: appending beyond the cap drops the oldest
-        # event in O(1) — a list with a head-deletion would make every
-        # append O(cap) once the feed is full (bulk migrations publish
-        # hundreds of thousands of events)
-        self._events: Deque[Any] = deque(maxlen=max_events)
+    def __init__(self) -> None:
         self._name_counts: Dict[str, int] = {}
         self._category_counts: Dict[str, int] = {}
         self._lock = threading.Lock()
@@ -61,22 +48,10 @@ class EventFeed:
         name_counts = self._name_counts
         category_counts = self._category_counts
         with self._lock:
-            self._events.append(event)
             name_counts[event.name] = name_counts.get(event.name, 0) + 1
             category_counts[event.category] = category_counts.get(event.category, 0) + 1
 
     # ------------------------------------------------------------------ #
-
-    @property
-    def events(self) -> List[Any]:
-        """The retained events (the newest ``max_events``) in delivery order."""
-        with self._lock:
-            return list(self._events)
-
-    def names(self) -> List[str]:
-        """The retained event names in delivery order (handy for behavioural asserts)."""
-        with self._lock:
-            return [event.name for event in self._events]
 
     def counts(self) -> Dict[str, int]:
         """Event count per event name, over every event received."""
@@ -132,35 +107,8 @@ class EventFeed:
         counts = self.counts()
         return {name: counts.get(name, 0) for name in self._ROLLOUT_EVENTS}
 
-    def tail(self, count: int = 10, category: Optional[str] = None) -> List[Any]:
-        """The most recent ``count`` retained events (optionally of one category);
-        none for a ``count`` ≤ 0."""
-        if count <= 0:
-            return []
-        snapshot = self.events
-        events = (
-            snapshot
-            if category is None
-            else [event for event in snapshot if event.category == category]
-        )
-        return events[-count:]
-
-    def render(self, limit: int = 20) -> str:
-        """The most recent ``limit`` events as a text block (none for ``limit`` ≤ 0)."""
-        snapshot = self.events
-        limit = max(limit, 0)
-        lines = [f"event feed ({len(snapshot)} event(s), showing last {limit}):"]
-        for event in snapshot[-limit:] if limit else ():
-            lines.append(f"  {event}")
-        return "\n".join(lines)
-
     def clear(self) -> None:
-        """Forget the retained events and reset the counts."""
+        """Reset the counts."""
         with self._lock:
-            self._events.clear()
             self._name_counts.clear()
             self._category_counts.clear()
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._events)

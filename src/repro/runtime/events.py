@@ -13,13 +13,6 @@ from __future__ import annotations
 from enum import Enum
 from typing import NamedTuple, Optional
 
-#: The one retention bound for events: how many the monitoring feed
-#: and the system bus's failed deliveries retain — the newest ones.
-#: Both are windows for inspection, not archives: the journal is the
-#: durable record, and counts that must stay exact are kept as counters
-#: beside the window.
-MAX_RETAINED_EVENTS = 10000
-
 
 class EventType(str, Enum):
     """All event kinds the runtime and the change framework emit."""

@@ -15,19 +15,17 @@ first built-in subscriber (:class:`repro.monitoring.EventFeed`).
 
 Subscriber exceptions never interrupt the publishing component (a broken
 dashboard must not abort a migration run); they are counted on
-:attr:`EventBus.delivery_failures` and the newest are kept on
-:attr:`EventBus.delivery_errors` instead.
+:attr:`EventBus.delivery_failures` and logged as warnings instead.
 """
 
 from __future__ import annotations
 
+import logging
 import threading
-from collections import deque
 from types import MappingProxyType
 from typing import (
     Any,
     Callable,
-    Deque,
     Dict,
     FrozenSet,
     Mapping,
@@ -37,7 +35,9 @@ from typing import (
     Tuple,
 )
 
-from repro.runtime.events import MAX_RETAINED_EVENTS, EngineEvent, EventType
+from repro.runtime.events import EngineEvent, EventType
+
+logger = logging.getLogger(__name__)
 
 #: Event categories published by the façade.
 CATEGORY_ENGINE = "engine"
@@ -122,8 +122,9 @@ class EventBus:
     subscriber wants (:attr:`wanted`).  Publishing any other category
     returns ``None`` at once — no sequence number, no :class:`SystemEvent`
     — so the per-step ``engine`` stream costs nothing while nobody listens
-    to it.  The bus retains no delivered event: a subscriber that wants a
-    window keeps one (the façade's :class:`~repro.monitoring.EventFeed`).
+    to it.  The bus retains no delivered event, and neither does the
+    façade's :class:`~repro.monitoring.EventFeed` (it counts them): a
+    caller that wants recent events subscribes a handler that keeps them.
 
     Publishing is thread-safe: sequence allocation and subscriber dispatch
     happen under one reentrant lock, so every subscriber observes all
@@ -132,7 +133,7 @@ class EventBus:
     serialised, and events fire from inside the façade's operations,
     under its execution lock.  Two hard rules for subscribers follow:
     they must stay cheap (the built-in
-    :class:`~repro.monitoring.EventFeed` is an appender), and they must
+    :class:`~repro.monitoring.EventFeed` is a counter), and they must
     **never call back into the system synchronously** — a call from the
     publishing thread runs a nested operation in the middle of one, and
     a call handed to another thread and waited for deadlocks.  Slow or
@@ -152,15 +153,9 @@ class EventBus:
         self._token = 0
         # reentrant: a subscriber may itself publish (or subscribe)
         self._lock = threading.RLock()
-        #: ``(subscriber, event, exception)`` triples of the newest
-        #: :data:`MAX_RETAINED_EVENTS` failed deliveries: each exception
-        #: holds its traceback and with it the frames, so an archive of
-        #: them would grow with every publish to a subscriber that always
-        #: raises.
-        self.delivery_errors: Deque[Tuple[Subscriber, SystemEvent, Exception]] = deque(
-            maxlen=MAX_RETAINED_EVENTS
-        )
-        #: Every failed delivery, counted exactly.
+        #: Every failed delivery, counted exactly.  The bus keeps none of
+        #: the exceptions (each holds its traceback, and with it frames
+        #: that can reach live instances); it logs each one instead.
         self.delivery_failures = 0
 
     # ------------------------------------------------------------------ #
@@ -252,5 +247,12 @@ class EventBus:
                     handler(event)
                 except Exception as exc:  # noqa: BLE001 - subscriber isolation
                     self.delivery_failures += 1
-                    self.delivery_errors.append((handler, event, exc))
+                    logger.warning(
+                        "subscriber %r failed on event %s: %s: %s",
+                        handler,
+                        name,
+                        type(exc).__name__,
+                        exc,
+                        exc_info=True,
+                    )
             return event

@@ -116,7 +116,7 @@ _BATCH_CHUNK = 16
 #: The scope of "no suspension": stateless, so shared.
 _NULL_SCOPE: ContextManager[None] = nullcontext()
 
-#: What the default monitoring feed shows: the effects of changes and of
+#: What the default monitoring feed counts: the effects of changes and of
 #: the system's own lifecycle, not the per-step ``engine`` stream.
 FEED_CATEGORIES = (CATEGORY_CHANGE, CATEGORY_MIGRATION, CATEGORY_SCHEMA, CATEGORY_SYSTEM)
 

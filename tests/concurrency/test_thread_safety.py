@@ -1,5 +1,6 @@
 """Thread-safety basics: parallel stepping, bus ordering, group commit."""
 
+import logging
 import threading
 
 import pytest
@@ -78,20 +79,27 @@ class TestParallelStepping:
 
 
 class TestEventOrdering:
-    def test_bus_seq_is_strictly_increasing_under_concurrent_publish(self):
+    def test_bus_seq_is_strictly_increasing_under_concurrent_publish(self, caplog):
         system = AdeptSystem()
+        received = []
+        system.bus.subscribe(received.append)
         process = system.deploy(templates.sequential_process())
         ids = [process.start().instance_id for _ in range(24)]
 
-        run_threads([
-            (lambda part=ids[i::4]: [system.run(case_id) for case_id in part])
-            for i in range(4)
-        ])
+        with caplog.at_level(logging.WARNING, logger="repro.system.events"):
+            run_threads([
+                (lambda part=ids[i::4]: [system.run(case_id) for case_id in part])
+                for i in range(4)
+            ])
 
-        seqs = [event.seq for event in system.feed.events]
+        completed = [event for event in received if event.name == "instance_completed"]
+        assert sorted(event.instance_id for event in completed) == sorted(ids)
+        seqs = [event.seq for event in received]
         assert seqs == sorted(seqs)
         assert len(seqs) == len(set(seqs))
-        assert not system.bus.delivery_errors
+        assert system.feed.counts()["type_deployed"] == 1
+        assert system.bus.delivery_failures == 0
+        assert not [record for record in caplog.records if record.name == "repro.system.events"]
 
 
 class TestGroupCommitWal:

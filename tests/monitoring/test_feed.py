@@ -1,33 +1,51 @@
-"""Tests for the monitoring feed's windowed views."""
+"""Tests for the monitoring feed: exact counts, and no event kept."""
+
+import sys
+import threading
+import weakref
 
 from repro.monitoring.feed import EventFeed
 from repro.system.events import SystemEvent
 
 
-def _feed(names):
-    feed = EventFeed()
-    for seq, name in enumerate(names, start=1):
-        feed(SystemEvent(seq, "migration" if name.startswith("m") else "system", name))
-    return feed
+class _Event:
+    """An event-shaped object a weak reference can watch (a tuple cannot)."""
+
+    def __init__(self, category, name):
+        self.category = category
+        self.name = name
 
 
-class TestTailAndRender:
-    def test_tail_counts_from_the_newest_event(self):
-        feed = _feed(["s1", "m2", "s3"])
-        assert [event.name for event in feed.tail(2)] == ["m2", "s3"]
-        assert [event.name for event in feed.tail(5)] == ["s1", "m2", "s3"]
-        assert [event.name for event in feed.tail(5, category="migration")] == ["m2"]
+class TestCounts:
+    def test_the_feed_keeps_no_event_it_counted(self):
+        feed = EventFeed()
+        event = _Event("migration", "instance_migrated")
+        watch = weakref.ref(event)
+        feed(event)
+        del event
+        assert watch() is None
+        assert feed.counts() == {"instance_migrated": 1}
+        assert feed.category_counts() == {"migration": 1}
 
-    def test_a_count_of_zero_or_less_shows_nothing(self):
-        feed = _feed(["s1", "m2", "s3"])
-        for count in (0, -1):
-            assert feed.tail(count) == []
-            assert feed.tail(count, category="system") == []
-            assert feed.render(limit=count).splitlines() == [
-                "event feed (3 event(s), showing last 0):"
-            ]
+    def test_counts_from_many_threads_are_exact(self):
+        feed = EventFeed()
 
-    def test_render_shows_the_newest_events_under_the_header(self):
-        lines = _feed(["s1", "m2", "s3"]).render(limit=2).splitlines()
-        assert lines[0] == "event feed (3 event(s), showing last 2):"
-        assert [line.split()[-1] for line in lines[1:]] == ["m2", "s3"]
+        def deliver(first):
+            for seq in range(first, first + 5000):
+                feed(SystemEvent(seq, "migration" if seq % 2 else "system", f"e{seq % 3}"))
+
+        threads = [threading.Thread(target=deliver, args=(part * 5000,)) for part in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch often: a lost update would show
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert feed.category_counts() == {"migration": 10000, "system": 10000}
+        counts = feed.counts()
+        assert sorted(counts) == ["e0", "e1", "e2"] and sum(counts.values()) == 20000
+        assert counts["e0"] == len(range(0, 20000, 3))

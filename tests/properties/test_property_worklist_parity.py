@@ -32,7 +32,7 @@ from repro.core.operations import DeleteActivity, SerialInsertActivity
 from repro.errors import ReproError
 from repro.schema import templates
 from repro.schema.nodes import Node
-from repro.system import AdeptSystem
+from repro.system import AdeptSystem, EventBus
 
 from tests.chaos.harness import check_worklist_parity
 
@@ -342,10 +342,12 @@ class TestRecordsThatDidNotKeepTheirItems:
         check_worklist_parity(system)
         system.close(checkpoint=False)
 
-        system = AdeptSystem.open(tmp_path / "db", cache_instances=2)
-        evicted = {
-            event.instance_id for event in system.feed.events if event.name == "instance_evicted"
-        }
+        # the replay runs inside open(): hear it on a bus subscribed beforehand
+        bus = EventBus()
+        heard = []
+        bus.subscribe(heard.append, categories=["system"])
+        system = AdeptSystem.open(tmp_path / "db", cache_instances=2, bus=bus)
+        evicted = {event.instance_id for event in heard if event.name == "instance_evicted"}
         assert len(evicted) >= 4, "the replay itself must evict"
         assert _offered(system) == before
         check_worklist_parity(system)

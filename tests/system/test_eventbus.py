@@ -1,9 +1,15 @@
-"""Tests for the EventBus: ordered delivery, categories, subscriber isolation."""
+"""Tests for the EventBus: ordered delivery, categories, subscriber isolation,
+and that no event outlives its delivery."""
+
+import gc
+import logging
+import sys
+import types
 
 import pytest
 
 from repro import AdeptSystem, EventBus, EventFeed
-from repro.runtime.events import MAX_RETAINED_EVENTS
+from repro.runtime.events import EngineEvent
 from repro.schema import templates
 from repro.system.events import ALL_CATEGORIES, SystemEvent
 from repro.workloads.order_process import order_type_change_v2
@@ -60,9 +66,13 @@ class TestOrderedDelivery:
     def test_monitoring_feed_is_first_subscriber(self):
         system = AdeptSystem()
         assert isinstance(system.feed, EventFeed)
+        assert system.bus.subscriber_count == 1
+        heard = []
+        system.bus.subscribe(heard.append)
         system.deploy(templates.online_order_process())
-        assert system.feed.names() == ["type_deployed"]
-        assert system.feed.events[0].seq == 1
+        assert [(event.seq, event.name) for event in heard] == [(1, "type_deployed")]
+        assert system.feed.counts() == {"type_deployed": 1}
+        assert system.feed.category_counts() == {"schema": 1}
 
     def test_feed_can_be_disabled(self):
         system = AdeptSystem(monitor=False)
@@ -102,26 +112,38 @@ class TestSubscriptionApi:
         assert [event.name for event in external] == ["type_deployed"]
         assert system.bus is bus
 
-    def test_broken_subscriber_does_not_break_execution(self):
+    def test_broken_subscriber_does_not_break_execution(self, caplog):
         system = AdeptSystem()
+        delivered = []
 
         def broken(event):
+            delivered.append(event.name)
             raise RuntimeError("dashboard down")
 
         system.bus.subscribe(broken)
-        orders = system.deploy(templates.online_order_process())
-        case = orders.start()
-        assert case.run().ok  # execution unaffected
-        assert system.bus.delivery_errors
-        handler, event, error = system.bus.delivery_errors[0]
-        assert handler is broken
-        assert isinstance(error, RuntimeError)
+        with caplog.at_level(logging.WARNING, logger="repro.system.events"):
+            orders = system.deploy(templates.online_order_process())
+            case = orders.start()
+            assert case.run().ok  # execution unaffected
+        # every failed delivery is counted and logged once, naming the
+        # subscriber, the event and the exception
+        records = [record for record in caplog.records if record.name == "repro.system.events"]
+        assert system.bus.delivery_failures == len(delivered) == len(records) > 1
+        for record, name in zip(records, delivered):
+            assert record.levelno == logging.WARNING
+            message = record.getMessage()
+            assert repr(broken) in message and f" {name}: " in message
+            assert "RuntimeError: dashboard down" in message
+            assert record.exc_info[0] is RuntimeError
+        assert delivered[0] == "type_deployed"
 
-    def test_subscribing_and_unsubscribing_mid_delivery_leaves_the_event_in_flight_alone(self):
+    def test_subscribing_and_unsubscribing_mid_delivery_leaves_the_event_in_flight_alone(
+        self, caplog
+    ):
         """Each event goes to exactly the subscribers registered when it was
         published: a handler that unsubscribes itself still hears it once
         and never again, one subscribed mid-delivery starts with the next
-        event, and a raising neighbour is recorded, not propagated."""
+        event, and a raising neighbour is counted and logged, not propagated."""
         bus = EventBus()
         heard = {"once": [], "late": [], "steady": []}
         tokens = {}
@@ -137,18 +159,23 @@ class TestSubscriptionApi:
         tokens["once"] = bus.subscribe(once)
         bus.subscribe(broken)
         bus.subscribe(lambda event: heard["steady"].append(event.name))
-        for name in ("one", "two", "three"):
-            bus.publish("system", name)
+        with caplog.at_level(logging.WARNING, logger="repro.system.events"):
+            for name in ("one", "two", "three"):
+                bus.publish("system", name)
 
         assert heard == {
             "once": ["one"],
             "late": ["two", "three"],
             "steady": ["one", "two", "three"],
         }
-        assert [(handler, event.name) for handler, event, _ in bus.delivery_errors] == [
-            (broken, "one"),
-            (broken, "two"),
-            (broken, "three"),
+        assert bus.delivery_failures == 3
+        assert [
+            record.getMessage()
+            for record in caplog.records
+            if record.name == "repro.system.events"
+        ] == [
+            f"subscriber {broken!r} failed on event {name}: RuntimeError: dashboard down"
+            for name in ("one", "two", "three")
         ]
         assert bus.subscriber_count == 3
 
@@ -192,7 +219,7 @@ class TestOnDemand:
         system = AdeptSystem()
         sequence = system.deploy(templates.sequential_process(length=5))
         ids = [sequence.start().instance_id for _ in range(20)]
-        before = len(system.feed)
+        before = system.feed.counts()
         offered = []
         to_bus = system.engine.event_listener
         assert to_bus == system.bus.publish_engine_event
@@ -203,11 +230,13 @@ class TestOnDemand:
         assert names.count("activity_completed") == steps
         assert names.count("instance_completed") == len(ids)
         assert [built for _, built in offered] == [None] * len(offered)
-        assert len(system.feed) == before
+        assert system.feed.counts() == before
         assert "engine" not in system.feed.category_counts()
 
     def test_engine_subscriber_added_mid_run_hears_the_steps_from_then_on(self):
         system = AdeptSystem()
+        migrations = []
+        system.bus.subscribe(migrations.append, categories=["migration"])
         orders = system.deploy(templates.online_order_process())
         early = orders.start(case_id="early")
         early.complete("get_order")
@@ -234,10 +263,10 @@ class TestOnDemand:
         ]
         seqs = [event.seq for event in heard]
         assert seqs == sorted(seqs) and len(set(seqs)) == len(seqs)
-        # the feed got the very migration events the late subscriber heard
-        assert [event for event in system.feed.events if event.category == "migration"] == [
-            event for event in heard if event.category == "migration"
-        ]
+        # a subscriber from the start got the very migration events the late
+        # subscriber heard, and the feed counted them
+        assert migrations == [event for event in heard if event.category == "migration"]
+        assert system.feed.category_counts()["migration"] == len(migrations) == 2
 
     def test_without_a_feed_a_step_builds_no_event(self, monkeypatch):
         import repro.system.events as events_module
@@ -258,63 +287,140 @@ class TestOnDemand:
         assert system.bus.publish("system", "first").seq == 1
 
 
+def _alive(kinds):
+    """The objects of ``kinds`` the garbage collector can still reach."""
+    gc.collect()
+    return [obj for obj in gc.get_objects() if isinstance(obj, kinds)]
+
+
+_OPAQUE = (type, types.ModuleType, types.FunctionType, types.BuiltinFunctionType, types.MethodType)
+
+
+def _footprint(*roots):
+    """Bytes of every object reachable from ``roots``, short of code and modules."""
+    seen, stack, total = set(), list(roots), 0
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, _OPAQUE):
+            continue
+        seen.add(id(obj))
+        total += sys.getsizeof(obj)
+        stack.extend(gc.get_referents(obj))
+    return total
+
+
+class _CountingHandler(logging.Handler):
+    """Counts the records it is handed and keeps only the newest message."""
+
+    def __init__(self):
+        super().__init__(logging.WARNING)
+        self.count = 0
+        self.last = None
+
+    def emit(self, record):
+        self.count += 1
+        self.last = (record.levelno, record.exc_info[0], record.getMessage())
+
+
 class TestRetention:
-    def test_thirty_thousand_steps_leave_the_feed_at_its_bound(self, tmp_path):
-        """Events are a window, not an archive: the monitoring feed, the one
-        place that retains them, holds its newest events at the one bound —
-        while sequence numbers and the feed's counts keep counting and order
-        is kept."""
-        system = AdeptSystem.open(tmp_path / "db")
-        # the feed also asks for the per-step engine events, so the bus builds them
-        system.bus.subscribe(system.feed, categories=["engine"])
+    """No event outlives its delivery: the feed keeps counts, the bus counts
+    and logs failed deliveries, and neither grows with event traffic."""
+
+    @staticmethod
+    def _assert_exact(system, steps, cases, first, durable):
+        """The feed counted exactly what this incarnation of ``system`` published."""
+        expected = dict.fromkeys(("activity_activated", "activity_started", "activity_completed"), steps)
+        expected.update(dict.fromkeys(("instance_created", "instance_completed", "instance_deleted"), cases))
+        if first:
+            expected["type_deployed"] = 1
+        if durable:
+            expected["recovery_completed"] = 1
+        assert system.feed.counts() == expected
+        # the feed heard every event the bus numbered, this probe included
+        probe = system.bus.publish("system", "probe")
+        assert sum(system.feed.category_counts().values()) == probe.seq
+
+    @pytest.mark.parametrize("durable", [False, True], ids=["memory", "durable"])
+    def test_thirty_thousand_steps_leave_no_event_behind(self, durable, tmp_path):
+        """30 000 steps, each case deleted after it finished, a durable system
+        restarted every 6 000: no event survives its delivery, the bus and
+        the feed stay the size they were at 9 000 steps, and the counts are
+        exact."""
+        earlier = {id(event) for event in _alive((SystemEvent, EngineEvent))}
+
+        def construct():
+            system = AdeptSystem.open(tmp_path / "db") if durable else AdeptSystem()
+            # the feed also counts the per-step engine events, so the bus builds them
+            system.bus.subscribe(system.feed, categories=["engine"])
+            return system
+
+        system = construct()
         sequence = system.deploy(templates.sequential_process(length=6))
-        steps = deleted = 0
-        while steps < 30000:
+        first = True
+        size = None
+        rounds = steps = cases = 0
+        while rounds < 20:
             ids = [sequence.start().instance_id for _ in range(250)]
             steps += sum(result.steps for result in system.step_many(ids, steps=6))
             for case_id in ids:
                 system.delete_instance(case_id)
-            deleted += len(ids)
+            cases += len(ids)
+            rounds += 1
+            if rounds == 6:
+                size = _footprint(system.bus, system.feed)
+            if durable and rounds % 4 == 0 and rounds < 20:
+                # a clean restart: the closed incarnation counted exactly what
+                # it published, and the reopened one starts counting afresh
+                self._assert_exact(system, steps, cases, first, durable)
+                system.close()
+                system = construct()
+                sequence = system.type("sequence")
+                first = False
+                steps = cases = 0
+        assert steps == (6000 if durable else 30000)
 
-        window = system.feed.events
-        assert len(window) == system.feed.max_events == MAX_RETAINED_EVENTS
-        # nothing stopped counting: far more was published than is retained
-        # (the feed wants every category, so it got every published event)
-        published = window[-1].seq
-        assert published > 2 * steps > system.feed.max_events
-        # and the window is the unbroken tail of what was published
-        assert [event.seq for event in window] == list(
-            range(published - len(window) + 1, published + 1)
-        )
-        assert system.feed.names()[-1] == "instance_deleted"
-        # the counts are over everything delivered, not over the window
-        assert sum(system.feed.category_counts().values()) == published
-        assert system.feed.counts()["instance_completed"] == deleted
-        assert system.feed.storage_summary()["instance_deleted"] == deleted
+        # the bus and the feed are no bigger after 30 000 steps than after 9 000
+        assert _footprint(system.bus, system.feed) - size <= 16 * 1024
+        self._assert_exact(system, steps, cases, first, durable)
         system.close()
+        # and nothing kept an event after its delivery
+        assert [
+            event for event in _alive((SystemEvent, EngineEvent)) if id(event) not in earlier
+        ] == []
 
-    def test_a_subscriber_that_always_raises_leaves_a_bounded_error_window(self):
-        """Each recorded failure holds its exception, traceback and frames,
-        so failures are a window like the feed's, with an exact count."""
-        bus = EventBus()
-        bus.subscribe(ignore)
+    def test_a_subscriber_that_always_raises_leaves_no_exception_behind(self, monkeypatch):
+        """Each failure's exception holds its traceback and frames: the bus
+        counts and logs it and keeps none."""
+
+        class DashboardDown(RuntimeError):
+            pass
 
         def broken(event):
-            raise RuntimeError(event.name)
+            raise DashboardDown(event.name)
 
+        bus = EventBus()
+        bus.subscribe(ignore)
         bus.subscribe(broken)
-        publishes = 3 * MAX_RETAINED_EVENTS
-        for index in range(publishes):
-            bus.publish("system", f"e{index}")
-        assert len(bus.delivery_errors) == MAX_RETAINED_EVENTS
-        assert bus.delivery_failures == publishes
-        assert [str(error) for _, _, error in bus.delivery_errors] == [
-            f"e{index}" for index in range(publishes - MAX_RETAINED_EVENTS, publishes)
-        ]
-        assert all(handler is broken for handler, _, _ in bus.delivery_errors)
+        warnings = _CountingHandler()
+        logger = logging.getLogger("repro.system.events")
+        # a capturing handler up the tree would keep every record and its exception
+        monkeypatch.setattr(logger, "propagate", False)
+        logger.addHandler(warnings)
+        try:
+            for index in range(30000):
+                bus.publish("system", f"e{index}")
+        finally:
+            logger.removeHandler(warnings)
+        assert bus.delivery_failures == warnings.count == 30000
+        assert warnings.last == (
+            logging.WARNING,
+            DashboardDown,
+            f"subscriber {broken!r} failed on event e29999: DashboardDown: e29999",
+        )
+        assert _alive(DashboardDown) == []
 
-    def test_summaries_are_exact_past_the_window(self):
-        feed = EventFeed(max_events=5)
+    def test_summaries_are_exact_counts(self):
+        feed = EventFeed()
         names = [
             "instance_loaded",
             "instance_evicted",
@@ -325,8 +431,6 @@ class TestRetention:
         for seq, name in enumerate(names, start=1):
             feed(SystemEvent(seq, categories.get(name, "system"), name))
 
-        assert len(feed) == 5
-        assert feed.names() == names[-5:]
         assert feed.counts() == {
             "instance_loaded": 4,
             "instance_evicted": 4,
@@ -357,8 +461,6 @@ class TestRetention:
         }
 
         feed.clear()
-        assert len(feed) == 0 and feed.names() == []
         assert feed.counts() == {} and feed.category_counts() == {}
         assert set(feed.storage_summary().values()) == {0}
         assert set(feed.rollout_summary().values()) == {0}
-

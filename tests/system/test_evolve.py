@@ -77,6 +77,8 @@ class TestRollbackPolicy:
         # compensations are engine events: built only for a subscriber
         engine_events = []
         system.bus.subscribe(engine_events.append, categories=["engine"])
+        published = []
+        system.bus.subscribe(published.append)
         orders = system.deploy(templates.online_order_process())
         blocked = orders.start(case_id="blocked")
         for activity in ORDER_EXECUTION_SEQUENCE[:5]:  # pack_goods done -> state conflict
@@ -93,7 +95,7 @@ class TestRollbackPolicy:
         assert [(event.instance_id, event.payload["node"]) for event in events] == [
             ("blocked", activity) for activity in compensated
         ]
-        published = engine_events + system.feed.events
+        assert {event.category for event in published} == {"engine", "migration", "schema", "system"}
         assert {event.instance_id for event in published} <= {None, "blocked"}
 
     @staticmethod

@@ -88,8 +88,9 @@ class TestPublicApi:
                     assert name not in getattr(module, "__all__", ())
 
     def test_event_windows_are_gone(self):
-        """One event path, one window: the engine reports to one listener, the
-        bus keeps no history, and scratch engines report nowhere."""
+        """One event path, no window: the engine reports to one listener, the
+        bus keeps no history and no failed delivery, the feed keeps counts
+        only, and scratch engines report nowhere."""
         import repro.runtime
         import repro.runtime.events
         from repro.core.rollback import RollbackPlanner
@@ -107,6 +108,12 @@ class TestPublicApi:
         for name in ("events", "events_of", "max_history", "__len__"):
             assert not hasattr(repro.EventBus, name), f"EventBus.{name} is back"
         assert repro.EventBus()  # no __len__: an empty bus is not falsy
+        assert not hasattr(repro.EventBus(), "delivery_errors")
+        assert not hasattr(repro.runtime.events, "MAX_RETAINED_EVENTS")
+        for name in ("events", "names", "tail", "render", "__len__", "max_events"):
+            assert not hasattr(system.feed, name), f"EventFeed.{name} is back"
+        with pytest.raises(TypeError):
+            repro.EventFeed(max_events=5)
 
         orders = system.deploy(templates.online_order_process())
         blocked = orders.start(case_id="blocked")
@@ -209,5 +216,8 @@ class TestPublicApi:
                 assert not hasattr(owner, name), f"{owner.__name__}.{name} is back"
         # an in-memory system has nothing to make durable: checkpoint() is a no-op
         system = repro.AdeptSystem()
+        heard = []
+        system.bus.subscribe(heard.append)
         system.checkpoint()
-        assert "checkpoint_completed" not in system.feed.names()
+        assert heard == []
+        assert "checkpoint_completed" not in system.feed.counts()
