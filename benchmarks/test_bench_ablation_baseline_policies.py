@@ -7,7 +7,7 @@ checks are how many cases end up on the new version and how much
 completed work survives.
 """
 
-from repro.baselines.nonadaptive import AbortRestartPolicy, StayOnOldVersionPolicy
+from repro.paper.nonadaptive import AbortRestartPolicy, StayOnOldVersionPolicy
 from repro.core.migration import MigrationManager
 from repro.workloads.order_process import order_type_change_v2, paper_fig3_population
 

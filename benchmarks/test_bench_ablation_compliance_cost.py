@@ -12,6 +12,7 @@ import pytest
 from repro.core.changelog import ChangeLog
 from repro.core.compliance import ComplianceChecker
 from repro.core.operations import SerialInsertActivity
+from repro.paper.replay import check_by_replay
 from repro.runtime.engine import ProcessEngine
 from repro.schema.nodes import Node
 from repro.schema.templates import loop_process
@@ -55,17 +56,16 @@ def test_conditions_cost_constant_in_history(iterations):
 def test_replay_cost_grows_with_history(iterations):
     schema, instance = looping_instance(iterations)
     target = change_for(schema).apply_to(schema)
-    assert ComplianceChecker().check_by_replay(instance, target).compliant
+    assert check_by_replay(instance, target).compliant
 
 
 def test_summarise_cost_curve():
     """Reduced and full replay both accept; only the reduced history
     stays bounded once the loop has iterated."""
-    checker = ComplianceChecker()
     for iterations in ITERATION_COUNTS:
         schema, instance = looping_instance(iterations)
         target = change_for(schema).apply_to(schema)
-        assert checker.check_by_replay(instance, target).compliant
-        assert checker.check_by_replay(instance, target, reduced=False).compliant
+        assert check_by_replay(instance, target).compliant
+        assert check_by_replay(instance, target, reduced=False).compliant
         reduced, full = len(instance.history.reduced()), len(instance.history.entries)
         assert reduced == full if iterations == 1 else reduced < full

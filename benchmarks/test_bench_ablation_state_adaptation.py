@@ -10,6 +10,7 @@ import pytest
 
 from repro.core.operations import SerialInsertActivity
 from repro.core.state_adaptation import StateAdapter
+from repro.paper.replay import recompute_by_replay
 from repro.runtime.engine import ProcessEngine
 from repro.schema.nodes import Node
 from repro.schema.templates import sequential_process
@@ -40,7 +41,7 @@ def test_incremental_adaptation(length):
 @pytest.mark.parametrize("length", SCHEMA_SIZES)
 def test_replay_adaptation(length):
     instance, target = prepared_instance(length)
-    assert StateAdapter().recompute_by_replay(instance, target).completed_nodes()
+    assert recompute_by_replay(instance, target).completed_nodes()
 
 
 def test_adaptation_equivalence_and_speedup():
@@ -49,6 +50,6 @@ def test_adaptation_equivalence_and_speedup():
     for length in SCHEMA_SIZES:
         instance, target = prepared_instance(length)
         incremental = adapter.adapt(instance, target)
-        replayed = adapter.recompute_by_replay(instance, target)
+        replayed = recompute_by_replay(instance, target)
         for activity in target.activity_ids():
             assert incremental.node_state(activity) is replayed.node_state(activity)

@@ -10,25 +10,13 @@ full copy's schema bytes.  Nothing here measures time.
 
 import pytest
 
-from repro.baselines.storage_baselines import compare_representations
+from repro.paper.storage import STRATEGIES, RepresentationStore, compare_representations
 from repro.schema.templates import online_order_process
-from repro.storage.instance_store import InstanceStore
 from repro.storage.repository import SchemaRepository
-from repro.storage.representations import (
-    FullCopyRepresentation,
-    HybridSubstitutionRepresentation,
-    MaterializeOnAccessRepresentation,
-)
 from repro.workloads.population import PopulationConfig, PopulationGenerator
 
 INSTANCES = 400
 BIASED_FRACTION = 0.2
-
-STRATEGIES = {
-    "full_copy": FullCopyRepresentation,
-    "materialize_on_access": MaterializeOnAccessRepresentation,
-    "hybrid_substitution": HybridSubstitutionRepresentation,
-}
 
 
 @pytest.fixture(scope="module")
@@ -49,7 +37,7 @@ def storage_setup():
 def test_store_and_load_population(storage_setup, strategy_name):
     """Every case saved under one representation loads back."""
     repository, population = storage_setup
-    store = InstanceStore(repository, strategy=STRATEGIES[strategy_name]())
+    store = RepresentationStore(repository, strategy_name)
     store.save_all(population)
     loaded = store.load_all()
     assert len(loaded) == INSTANCES

@@ -24,7 +24,7 @@ except ImportError:  # fresh checkout: fall back to the in-tree sources
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from repro import AdeptSystem, Node, SerialInsertActivity, TypeChange
-from repro.distributed import DistributedCoordinator, SchemaPartitioning
+from repro.paper.distributed import DistributedCoordinator, SchemaPartitioning
 from repro.schema import templates
 
 

@@ -23,7 +23,7 @@ except ImportError:  # fresh checkout: fall back to the in-tree sources
 import tempfile
 
 from repro import AdeptSystem
-from repro.baselines import compare_representations
+from repro.paper.storage import compare_representations
 from repro.schema import templates
 from repro.workloads import PopulationConfig, PopulationGenerator
 

@@ -5,8 +5,11 @@ process schemas (WSM nets) with buildtime verification, an execution
 engine with markings / histories / worklists, correctness-preserving
 ad-hoc instance changes, schema evolution with compliance-checked
 on-the-fly instance migration, hybrid instance storage (substitution
-blocks), an organisational model, a simulated distributed runtime and a
-monitoring component.
+blocks), an organisational model, a multi-process shard service and a
+monitoring component.  What the paper compares ADEPT2 against (trace
+replay, the Fig. 2 storage alternatives, non-adaptive policies, the
+simulated distributed runtime) is in :mod:`repro.paper`, which the
+product never imports.
 
 Everything is served by **one** service façade, the
 :class:`~repro.system.AdeptSystem` — as in the paper, where a single
@@ -110,13 +113,7 @@ from repro.core import (
     SubstitutionBlock,
     TypeChange,
 )
-from repro.storage import (
-    FullCopyRepresentation,
-    HybridSubstitutionRepresentation,
-    InstanceStore,
-    MaterializeOnAccessRepresentation,
-    SchemaRepository,
-)
+from repro.storage import InstanceStore, SchemaRepository
 from repro.org import OrgModel, OrgUnit, Role, StaffAssignmentResolver, User
 from repro.monitoring import EventFeed, InstanceMonitor, render_migration_report, render_schema_ascii
 from repro.errors import MigrationError, ReproError
@@ -138,7 +135,6 @@ from repro.system import (
     StepResult,
     SystemEvent,
     TypeHandle,
-    VirtualScheduler,
     WorkerPool,
     simulated_latency_worker,
 )
@@ -163,7 +159,6 @@ __all__ = [
     # concurrency
     "WorkerPool",
     "PoolStats",
-    "VirtualScheduler",
     "simulated_latency_worker",
     # progressive rollouts
     "Rollout",
@@ -235,9 +230,6 @@ __all__ = [
     # storage
     "SchemaRepository",
     "InstanceStore",
-    "FullCopyRepresentation",
-    "MaterializeOnAccessRepresentation",
-    "HybridSubstitutionRepresentation",
     # org
     "OrgModel",
     "OrgUnit",

@@ -141,7 +141,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         cases.append(process_type.start(case_id=case_id))
     if args.workers > 1:
         # the multi-worker runtime: N threads claim and complete the
-        # offered work items concurrently (work-stealing across types)
+        # offered work items concurrently from one shared queue
         system.serve(workers=args.workers)
         stats = system.drain()
         print(f"worker pool: {stats.summary()}")
@@ -315,7 +315,6 @@ def _run_lifecycle(args: argparse.Namespace) -> Dict[str, Any]:
         pool_stats = {
             "workers": drained.workers,
             "items_completed": drained.items_completed,
-            "steals": drained.steals,
             "stale_claims": drained.stale_claims,
         }
         # count genuine completions, exactly like the sequential path's

@@ -68,7 +68,7 @@ class AdHocChanger:
         authorization: Optional[object] = None,
     ) -> None:
         self.engine = engine or ProcessEngine()
-        self.checker = ComplianceChecker(engine=ProcessEngine())
+        self.checker = ComplianceChecker()
         self.adapter = StateAdapter(engine=ProcessEngine())
         #: optional :class:`repro.org.authorization.ChangeAuthorization` policy
         self.authorization = authorization

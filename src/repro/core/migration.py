@@ -230,7 +230,7 @@ class MigrationManager:
         rollback_on_state_conflict: bool = False,
     ) -> None:
         self.engine = engine or ProcessEngine()
-        self.checker = ComplianceChecker(engine=ProcessEngine())
+        self.checker = ComplianceChecker()
         self.adapter = StateAdapter(engine=ProcessEngine())
         #: optional policy: compensate the blocking activities of state-conflicting
         #: unbiased instances and migrate them anyway (see repro.core.rollback)
@@ -290,7 +290,7 @@ class MigrationManager:
     ) -> MigrationPlan:
         """Compile ΔT once for the old → new schema pair."""
         # both schema indexes are built here, once, instead of by the
-        # first compliance check, replay or state adaptation that asks
+        # first compliance check or state adaptation that asks
         old_schema.index
         new_schema.index
         return MigrationPlan.compile(old_schema, new_schema, type_change)

@@ -152,7 +152,7 @@ class RollbackPlanner:
 
     def __init__(self, engine: Optional[ProcessEngine] = None, max_rounds: int = 10) -> None:
         self.engine = engine or ProcessEngine()
-        self.checker = ComplianceChecker(engine=ProcessEngine())
+        self.checker = ComplianceChecker()
         self.max_rounds = max_rounds
 
     def plan(

@@ -7,35 +7,29 @@ dead branches skipped, and so on — the paper's "efficient procedures ...
 for adapting the states of instances when migrating them to the new
 schema" (instance I1 in Fig. 1).
 
-Two procedures are provided:
+:meth:`StateAdapter.adapt` is the **positional** procedure: (1) lay the
+marking's codes onto the target's :class:`~repro.runtime.kernel.MarkingLayout`
+by position, as :meth:`Marking.lay_onto` does; (2) reset what the change
+took the justification from — new nodes, nodes whose control/sync edges
+changed (but not performed activities, nor unfired nodes whose inputs are
+unchanged) and, along signalled edges, the derived states downstream of
+those, up to performed activities — and fire the new out-edges of kept
+COMPLETED nodes; (3) propagate from the reset nodes only.  Unless a reset
+node is the start node or has a signalled control in-edge, the marking
+already is a fixpoint and the target's step kernel is not compiled.
+Everything the change does not reach keeps its code: cost O(layout) +
+O(changed region), no scratch instance, no copy of history or data.
 
-* :meth:`StateAdapter.adapt` — the **positional** procedure: (1) lay
-  the marking's codes onto the target's
-  :class:`~repro.runtime.kernel.MarkingLayout` by position, as
-  :meth:`Marking.lay_onto` does; (2) reset what the change took the
-  justification from — new nodes, nodes whose control/sync edges changed
-  (but not performed activities, nor unfired nodes whose inputs are
-  unchanged) and, along signalled edges, the derived states downstream
-  of those, up to performed activities — and fire the new out-edges of
-  kept COMPLETED nodes; (3) propagate from the reset nodes only.  Unless
-  a reset node is the start node or has a signalled control in-edge,
-  the marking already is a fixpoint and the target's step kernel is not
-  compiled.  Everything the change does not reach keeps its code: cost
-  O(layout) + O(changed region), no scratch instance, no copy of
-  history or data.
-* :meth:`StateAdapter.recompute_by_replay` — the **baseline**: replay the
-  whole reduced history on the changed schema from scratch.  Used to
-  cross-validate the positional procedure (they must produce equivalent
-  markings for compliant instances) and as the slow comparator in
-  benchmark A2.
+Its reference is the marking obtained by replaying the whole reduced
+history on the changed schema from scratch (:mod:`repro.paper.replay`):
+for compliant instances both are equivalent.
 """
 
 from __future__ import annotations
 
 from types import SimpleNamespace
-from typing import Any, Optional, Set, Tuple
+from typing import Any, Optional, Set
 
-from repro.core.compliance import ComplianceChecker
 from repro.runtime.engine import ProcessEngine
 from repro.runtime.history import ExecutionHistory
 from repro.runtime.instance import ProcessInstance
@@ -151,48 +145,3 @@ class StateAdapter:
             return True
         edge_pos, edges = marking.layout.edge_pos, marking.edges
         return any(edges[edge_pos[edge.key]] for edge in index.in_edges(node_id, EdgeType.CONTROL))
-
-    # ------------------------------------------------------------------ #
-    # baseline: full replay
-    # ------------------------------------------------------------------ #
-
-    def recompute_by_replay(
-        self, instance: ProcessInstance, target_schema: ProcessSchema
-    ) -> Marking:
-        """Marking obtained by replaying the reduced history from scratch.
-
-        Raises :class:`ValueError` when the history cannot be replayed on
-        the target schema (i.e. the instance is not compliant) — callers
-        check compliance first.
-        """
-        checker = ComplianceChecker(engine=self._engine)
-        outcome = checker.replay_instance(instance, target_schema)
-        if outcome.conflicts:
-            raise ValueError(
-                "history cannot be replayed on the target schema: "
-                + "; ".join(str(conflict) for conflict in outcome.conflicts)
-            )
-        return outcome.scratch.marking
-
-    # ------------------------------------------------------------------ #
-    # convenience
-    # ------------------------------------------------------------------ #
-
-    def adapt_and_verify(
-        self, instance: ProcessInstance, target_schema: ProcessSchema
-    ) -> Tuple[Marking, bool]:
-        """Adapt positionally and report agreement with the replay baseline.
-
-        Returns ``(marking, agrees)`` where ``agrees`` is True when both
-        procedures yield equivalent markings for the activity nodes.  Used
-        by tests and the A2 ablation benchmark.
-        """
-        adapted = self.adapt(instance, target_schema)
-        try:
-            replayed = self.recompute_by_replay(instance, target_schema)
-        except ValueError:
-            return adapted, False
-        return adapted, all(
-            adapted.node_state(node_id) is replayed.node_state(node_id)
-            for node_id in target_schema.activity_ids()
-        )

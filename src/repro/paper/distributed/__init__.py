@@ -16,10 +16,10 @@ hand-overs, broadcast messages and bytes on the wire, reported under
 the same names (``repro.service.ShardTelemetry``).
 """
 
-from repro.distributed.partitioning import SchemaPartitioning
-from repro.distributed.servers import ProcessServer
-from repro.distributed.costs import CommunicationCosts
-from repro.distributed.coordinator import DistributedCoordinator
+from repro.paper.distributed.partitioning import SchemaPartitioning
+from repro.paper.distributed.servers import ProcessServer
+from repro.paper.distributed.costs import CommunicationCosts
+from repro.paper.distributed.coordinator import DistributedCoordinator
 
 __all__ = [
     "SchemaPartitioning",

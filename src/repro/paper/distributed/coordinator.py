@@ -19,9 +19,9 @@ from repro.core.changelog import ChangeLog
 from repro.core.evolution import ProcessType, TypeChange
 from repro.core.migration import MigrationManager, MigrationReport
 from repro.core.operations import ChangeOperation
-from repro.distributed.costs import CommunicationCosts
-from repro.distributed.partitioning import SchemaPartitioning
-from repro.distributed.servers import ProcessServer
+from repro.paper.distributed.costs import CommunicationCosts
+from repro.paper.distributed.partitioning import SchemaPartitioning
+from repro.paper.distributed.servers import ProcessServer
 from repro.runtime.engine import ProcessEngine, Worker
 from repro.runtime.instance import ProcessInstance
 
@@ -146,7 +146,7 @@ class DistributedCoordinator:
         controls their nearest assigned control predecessor on the instance's
         execution schema (matching how ADEPT keeps changed regions local).
         """
-        from repro.distributed.partitioning import PartitioningError
+        from repro.paper.distributed.partitioning import PartitioningError
         from repro.schema.edges import EdgeType
 
         try:

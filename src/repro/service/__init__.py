@@ -1,8 +1,8 @@
 """The sharded multi-process service tier.
 
 The ADEPT2 paper describes a process *management system* — a server
-serving many clients — and the :mod:`repro.distributed` package models
-multi-server control in-process.  This package makes that real: it puts
+serving many clients — and the :mod:`repro.paper.distributed`
+simulation models multi-server control in-process.  This package makes that real: it puts
 a network API in front of :class:`~repro.system.AdeptSystem` and runs
 one system *per OS process*, so aggregate throughput scales past the
 GIL that bounds the thread-based worker pool.
@@ -27,7 +27,7 @@ GIL that bounds the thread-based worker pool.
 * :class:`ShardSupervisor` — spawns and babysits the shard processes
   (per-shard store naming, endpoint discovery, graceful drain,
   kill/restart for the failure drills).
-* :class:`ShardTelemetry` — the :mod:`repro.distributed` simulation
+* :class:`ShardTelemetry` — the :mod:`repro.paper.distributed` simulation
   counters (handover, change_propagation, migration, data_transfer)
   promoted to *measured* telemetry emitted by the shard processes.
 

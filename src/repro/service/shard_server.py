@@ -643,7 +643,6 @@ class ShardServer:
         return {
             "workers": stats.workers,
             "items_completed": stats.items_completed,
-            "steals": stats.steals,
             "stale_claims": stats.stale_claims,
         }
 

@@ -1,6 +1,6 @@
 """Measured communication telemetry for the service tier.
 
-:mod:`repro.distributed.costs` *models* the ADEPT2 cost factors —
+:mod:`repro.paper.distributed.costs` *models* the ADEPT2 cost factors —
 hand-overs between servers, change propagation on evolution, migration
 work and raw data transfer — by counting simulated events.  The shard
 processes emit the same counters for real traffic: every frame on the
@@ -10,8 +10,8 @@ publish/activate that reaches a shard is ``change_propagation`` and
 every case actually migrated there counts under ``migration``.
 
 The counter names intentionally match
-:meth:`repro.distributed.costs.CommunicationCosts.as_dict`, so a fleet's
-measured counters (``ShardRouter.telemetry()``) read against the A5
+:meth:`repro.paper.distributed.costs.CommunicationCosts.as_dict`, so a
+fleet's measured counters (``ShardRouter.telemetry()``) read against the A5
 simulation (``tests/paper/test_ablations.py::TestA5Distributed``) factor
 by factor.
 """

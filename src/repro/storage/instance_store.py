@@ -1,10 +1,13 @@
 """The instance store: the one home of a stored case record.
 
-Combines the schema repository (shared schema versions), a representation
-strategy (how instance-specific schemas are stored — Fig. 2) and the
-secondary indexes (efficient querying by type / version / status).  The
-records live in memory; what makes them durable is the system's snapshot
-and logical write-ahead log (:mod:`repro.system.persistence`).
+Combines the schema repository (shared schema versions), the ADEPT2
+hybrid representation of instance-specific schemas (paper Fig. 2) and
+the secondary indexes (efficient querying by type / version / status).
+An unchanged case only references its schema version; a biased case
+keeps a minimal substitution block that is overlaid on the original
+schema when the case is loaded.  The records live in memory; what makes
+them durable is the system's snapshot and logical write-ahead log
+(:mod:`repro.system.persistence`).
 """
 
 from __future__ import annotations
@@ -14,11 +17,14 @@ import threading
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Set
 
+from repro.core.substitution import SubstitutionBlock
 from repro.runtime.instance import ProcessInstance
 from repro.storage.indexes import InstanceIndex
 from repro.storage.repository import SchemaRepository
-from repro.storage.representations import HybridSubstitutionRepresentation, RepresentationStrategy
 from repro.storage.serialization import StorageError, instance_from_record, instance_to_stored
+
+#: the ``"strategy"`` every stored record's ``"representation"`` names
+HYBRID_SUBSTITUTION = "hybrid_substitution"
 
 
 @dataclass
@@ -32,15 +38,10 @@ class StoredInstance:
 
 
 class InstanceStore:
-    """Persists process instances using a pluggable representation strategy."""
+    """Persists process instances in the hybrid representation."""
 
-    def __init__(
-        self,
-        repository: SchemaRepository,
-        strategy: Optional[RepresentationStrategy] = None,
-    ) -> None:
+    def __init__(self, repository: SchemaRepository) -> None:
         self.repository = repository
-        self.strategy = strategy or HybridSubstitutionRepresentation()
         #: instance id -> stored record
         self._records: Dict[str, Dict[str, Any]] = {}
         self.index = InstanceIndex()
@@ -63,8 +64,14 @@ class InstanceStore:
         costs its bytes in memory, not one object per row.
         """
         record = instance_to_stored(instance)
-        schema_part = self.strategy.encode(instance)
-        record["representation"] = {"strategy": self.strategy.name, **schema_part}
+        representation: Dict[str, Any] = {"strategy": HYBRID_SUBSTITUTION}
+        if instance.is_biased:
+            block = SubstitutionBlock.from_schemas(
+                instance.original_schema, instance.execution_schema
+            )
+            if not block.is_empty():
+                representation["substitution_block"] = block.to_dict()
+        record["representation"] = representation
         return record
 
     def save(self, instance: ProcessInstance) -> StoredInstance:
@@ -90,7 +97,7 @@ class InstanceStore:
         return StoredInstance(
             instance_id=instance.instance_id,
             total_bytes=total_bytes,
-            schema_payload_bytes=self.strategy.payload_size_bytes(schema_part),
+            schema_payload_bytes=len(json.dumps(schema_part, sort_keys=True)),
             biased=bool(record.get("biased")),
         )
 
@@ -314,24 +321,16 @@ class InstanceStore:
         """Approximate persisted size of all instance records."""
         return len(json.dumps(dict(self.scan_records()), sort_keys=True))
 
-    def schema_payload_bytes(self) -> int:
-        """Persisted bytes spent on per-instance schema representations."""
-        total = 0
-        for _, record in self.scan_records():
-            representation = dict(record.get("representation", {}))
-            representation.pop("strategy", None)
-            total += self.strategy.payload_size_bytes(representation)
-        return total
-
     # ------------------------------------------------------------------ #
 
     def _instantiate(self, record: Mapping[str, Any]) -> ProcessInstance:
         original = self.repository.resolve(record["process_type"], record["schema_version"])
         execution_schema = None
-        if record.get("bias"):
-            # only a biased case executes on a schema of its own
-            execution_schema = self.strategy.materialize_schema(
-                record.get("representation", {}), original, record["instance_id"]
+        # only a biased case executes on a schema of its own
+        block = record.get("bias") and record.get("representation", {}).get("substitution_block")
+        if block:
+            execution_schema = SubstitutionBlock.from_dict(block).overlay(
+                original, schema_id=f"{original.schema_id}+{record['instance_id']}"
             )
         return instance_from_record(record, original, execution_schema)
 

@@ -1,7 +1,7 @@
 """Serialisation of process instances (independent of the representation).
 
-The representation strategies (:mod:`repro.storage.representations`)
-decide how the *schema* of an instance is persisted; everything else —
+The instance store (:mod:`repro.storage.instance_store`) decides how
+the *schema* of an instance is persisted; everything else —
 marking, history, data context, loop counters, status, bias change log —
 is serialised here in one canonical format.
 

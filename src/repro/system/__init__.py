@@ -22,9 +22,9 @@ migration manager, organisational model, monitoring) into a single
 * **a multi-worker runtime** — every public method is thread-safe: each
   runs as one operation under the system's single execution lock, with
   group-committed journaling flushed outside it; ``system.serve(workers=N)``
-  runs a :class:`WorkerPool` that claims and completes work items with
-  work-stealing across types, running each activity's worker function
-  outside the lock.
+  runs a :class:`WorkerPool` whose workers claim and complete work items
+  from one shared queue, running each activity's worker function outside
+  the lock.
 
 See ``docs/api.md``, ``docs/persistence.md`` and the concurrency section
 of ``docs/architecture.md`` for the full tour.
@@ -35,7 +35,6 @@ from repro.system.concurrency import (
     LockTable,
     PoolStats,
     RolloutSweeper,
-    VirtualScheduler,
     WorkerPool,
     simulated_latency_worker,
 )
@@ -87,7 +86,6 @@ __all__ = [
     "WorkerPool",
     "PoolStats",
     "LockTable",
-    "VirtualScheduler",
     "simulated_latency_worker",
     "Rollout",
     "RolloutSweeper",

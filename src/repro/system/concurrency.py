@@ -15,13 +15,9 @@ processes (:mod:`repro.service`).  This module provides:
   of one of its collaborators) as one operation under that lock.
 * :class:`WorkerPool` — the worklist scheduler behind
   ``system.serve(workers=N)`` / ``system.drain()``.  Workers claim
-  offered work items from per-type queues (atomic claim — an item is
-  performed exactly once) and steal from other types' queues when their
-  own run dry; a worker function runs outside the execution lock.
-* :class:`VirtualScheduler` — a deterministic cooperative scheduler for
-  the concurrency test harness: N logical threads run one at a time and
-  the next runnable thread is chosen by a seeded RNG at every switch
-  point, so a failing interleaving replays exactly from its seed.
+  offered work items from one shared queue (atomic claim — an item is
+  performed exactly once); a worker function runs outside the execution
+  lock.
 
 Only two waits happen outside the execution lock: the group-commit flush
 of an operation's WAL records (its ``step`` records included), and a
@@ -33,7 +29,6 @@ internals) are leaves, never held while the execution lock is awaited.
 from __future__ import annotations
 
 import functools
-import random
 import threading
 import time
 from collections import deque
@@ -44,7 +39,6 @@ from typing import (
     Dict,
     List,
     Optional,
-    Sequence,
     Set,
 )
 
@@ -54,7 +48,6 @@ __all__ = [
     "WorkerPool",
     "PoolStats",
     "RolloutSweeper",
-    "VirtualScheduler",
     "simulated_latency_worker",
 ]
 
@@ -159,7 +152,6 @@ class PoolStats:
     workers: int = 0
     items_completed: int = 0
     stale_claims: int = 0
-    steals: int = 0
     resyncs: int = 0
     steps_by_worker: Dict[str, int] = field(default_factory=dict)
     errors: List[str] = field(default_factory=list)
@@ -167,7 +159,7 @@ class PoolStats:
     def summary(self) -> str:
         return (
             f"{self.items_completed} item(s) completed by {self.workers} worker(s) "
-            f"({self.steals} steal(s), {self.stale_claims} stale claim(s), "
+            f"({self.stale_claims} stale claim(s), "
             f"{self.resyncs} resync(s), {len(self.errors)} error(s))"
         )
 
@@ -200,13 +192,13 @@ def simulated_latency_worker(
 class WorkerPool:
     """N worker threads claiming and completing offered work items.
 
-    The pool keeps one queue of offered work items per process type.
-    Worker *i*'s "own" queues are the types assigned to it round-robin;
-    when they run dry it steals from the other types' queues — types
-    with deep backlogs are drained by everyone.  An item is *claimed*
-    through the worklist manager's atomic claim before it executes, so
-    even if an item id ends up queued twice (a resync races a worker)
-    it is performed exactly once; the loser counts a stale claim.
+    The pool keeps one queue of offered work items, which every worker
+    takes from: each claim and completion runs under the system's one
+    execution lock, so tying workers to process types would buy nothing.
+    An item is *claimed* through the worklist manager's atomic claim
+    before it executes, so even if an item id ends up queued twice (a
+    resync races a worker) it is performed exactly once; the loser
+    counts a stale claim.
 
     One item is two operations of the system: the claim, which also
     reads what the worker function needs, and the completion.  The
@@ -214,7 +206,7 @@ class WorkerPool:
 
     Nothing rescans the population: each completion leaves its case's
     items synchronised (the execution scope's exit) and the pool feeds
-    them back into the queues, so stepping stays linear in the work
+    them back into the queue, so stepping stays linear in the work
     performed, not in the population size.
     """
 
@@ -233,8 +225,7 @@ class WorkerPool:
         self.user_prefix = user_prefix
         self._mutex = threading.Lock()
         self._work = threading.Condition(self._mutex)
-        self._queues: Dict[str, "deque[str]"] = {}
-        self._type_order: List[str] = []
+        self._queue: "deque[str]" = deque()
         self._queued: Set[str] = set()
         self._inflight = 0
         self._stopping = False
@@ -247,7 +238,7 @@ class WorkerPool:
     # ------------------------------------------------------------------ #
 
     def start(self) -> "WorkerPool":
-        """Seed the queues from the current worklist and start the workers."""
+        """Seed the queue from the current worklist and start the workers."""
         if self._started:
             raise RuntimeError("worker pool is already started")
         self._started = True
@@ -273,17 +264,13 @@ class WorkerPool:
         """True once the pool has been stopped and its threads joined."""
         return self._stopping and not self._threads
 
-    def submit(self, item_id: str, type_id: str) -> bool:
+    def submit(self, item_id: str) -> bool:
         """Queue one offered work item; returns False when already queued."""
         with self._work:
             if item_id in self._queued:
                 return False
             self._queued.add(item_id)
-            queue = self._queues.get(type_id)
-            if queue is None:
-                queue = self._queues[type_id] = deque()
-                self._type_order.append(type_id)
-            queue.append(item_id)
+            self._queue.append(item_id)
             # notify_all: the condition is shared with wait_idle callers —
             # a single notify could wake an idle-waiter instead of a
             # worker and strand the queued item (lost wakeup)
@@ -300,8 +287,7 @@ class WorkerPool:
         """
         added = 0
         for item in self.system.worklists.offered_items():
-            type_id = self.system._type_of(item.instance_id)
-            if self.submit(item.item_id, type_id or ""):
+            if self.submit(item.item_id):
                 added += 1
         if added:
             with self._mutex:
@@ -309,10 +295,10 @@ class WorkerPool:
         return added
 
     def wait_idle(self, timeout: Optional[float] = None) -> bool:
-        """Block until all queues are empty and no item is executing."""
+        """Block until the queue is empty and no item is executing."""
         with self._work:
             return self._work.wait_for(
-                lambda: self._inflight == 0 and not any(self._queues.values()),
+                lambda: self._inflight == 0 and not self._queue,
                 timeout=timeout,
             )
 
@@ -359,26 +345,17 @@ class WorkerPool:
     # worker loop
     # ------------------------------------------------------------------ #
 
-    def _next_item(self, worker_index: int) -> Optional[str]:
-        """Pop the next item: own types first, then steal (blocking)."""
+    def _next_item(self) -> Optional[str]:
+        """Pop the next queued item (blocking); None once the pool stops."""
         with self._work:
             while True:
                 if self._stopping:
                     return None
-                order = self._type_order
-                if order:
-                    count = len(order)
-                    start = worker_index % count
-                    for offset in range(count):
-                        type_id = order[(start + offset) % count]
-                        queue = self._queues.get(type_id)
-                        if queue:
-                            item_id = queue.popleft()
-                            self._queued.discard(item_id)
-                            self._inflight += 1
-                            if offset and count > 1:
-                                self.stats.steals += 1
-                            return item_id
+                if self._queue:
+                    item_id = self._queue.popleft()
+                    self._queued.discard(item_id)
+                    self._inflight += 1
+                    return item_id
                 self._work.wait()
 
     def _finish_item(self) -> None:
@@ -393,7 +370,7 @@ class WorkerPool:
         system = self.system
         worker_fn = self.worker_fn
         while True:
-            item_id = self._next_item(index)
+            item_id = self._next_item()
             if item_id is None:
                 return
             try:
@@ -422,9 +399,8 @@ class WorkerPool:
                         self.stats.steps_by_worker.get(user, 0) + 1
                     )
                 # feed the freshly offered items of this case back in
-                type_id = system._type_of(item.instance_id)
                 for follow_up in system.worklists.offered_items_for_instance(item.instance_id):
-                    self.submit(follow_up.item_id, type_id or "")
+                    self.submit(follow_up.item_id)
             except Exception as exc:  # pragma: no cover - defensive
                 with self._mutex:
                     self.stats.errors.append(f"{item_id}: {exc!r}")
@@ -500,90 +476,3 @@ class RolloutSweeper:
 
     def __exit__(self, exc_type: Any, exc: Any, tb: Any) -> None:
         self.stop()
-
-
-# --------------------------------------------------------------------------- #
-# deterministic scheduling for the test harness
-# --------------------------------------------------------------------------- #
-
-
-class VirtualScheduler:
-    """Seeded cooperative scheduler: concurrency with replayable schedules.
-
-    ``run([fn1, fn2, ...])`` executes every function on its own (real)
-    thread, but only one thread is runnable at any moment.  Each function
-    receives no arguments and calls :meth:`switch` between its logical
-    operations; at every switch point the scheduler picks the next
-    runnable thread with a seeded RNG.  Because exactly one thread runs
-    between switch points, the whole interleaving — and therefore any
-    failure it provokes — is a pure function of the seed.
-
-    Functions must not hold locks across switch points (a façade
-    operation holds the execution lock only while it runs); a thread
-    blocking on a lock held by a paused thread would stall the schedule.
-    """
-
-    def __init__(self, seed: int = 0) -> None:
-        self._rng = random.Random(seed)
-        self._cond = threading.Condition()
-        self._runnable: List[int] = []
-        self._current: Optional[int] = None
-        self._idents: Dict[int, int] = {}
-        self._failures: List[BaseException] = []
-        self.switches = 0
-
-    def switch(self) -> None:
-        """Yield control; the scheduler picks who runs next (maybe me)."""
-        me = self._idents[threading.get_ident()]
-        with self._cond:
-            self.switches += 1
-            self._current = self._rng.choice(self._runnable)
-            self._cond.notify_all()
-            while self._current != me:
-                self._cond.wait()
-
-    def _wrapped(self, index: int, fn: Callable[[], Any]) -> None:
-        self._idents[threading.get_ident()] = index
-        with self._cond:
-            while self._current != index:
-                self._cond.wait()
-        try:
-            fn()
-        except BaseException as exc:  # noqa: BLE001 - reported by run()
-            self._failures.append(exc)
-        finally:
-            with self._cond:
-                self._runnable.remove(index)
-                if self._runnable:
-                    self._current = self._rng.choice(self._runnable)
-                else:
-                    self._current = None
-                self._cond.notify_all()
-
-    def run(self, functions: Sequence[Callable[[], Any]], timeout: float = 120.0) -> None:
-        """Execute ``functions`` under the deterministic schedule.
-
-        Raises the first exception any function raised (after all
-        threads finished), or ``TimeoutError`` when the schedule stalls.
-        """
-        if not functions:
-            return
-        threads = [
-            threading.Thread(target=self._wrapped, args=(index, fn), daemon=True)
-            for index, fn in enumerate(functions)
-        ]
-        self._runnable = list(range(len(functions)))
-        for thread in threads:
-            thread.start()
-        # all threads park on the condition first; release the first one
-        with self._cond:
-            self._current = self._rng.choice(self._runnable)
-            self._cond.notify_all()
-        for thread in threads:
-            thread.join(timeout=timeout)
-            if thread.is_alive():
-                raise TimeoutError(
-                    "virtual schedule stalled (a function blocked across a switch point?)"
-                )
-        if self._failures:
-            raise self._failures[0]

@@ -797,11 +797,11 @@ class AdeptSystem:
         """Start ``workers`` threads claiming and completing work items.
 
         The returned :class:`~repro.system.concurrency.WorkerPool` is
-        already running: it seeds its per-type queues from the currently
-        offered work items and steps cases concurrently (stealing across
-        types when a queue runs dry).  ``worker`` maps an activity node
-        and the case data to its outputs, exactly like
-        :meth:`step_many` — omit it for the engine's plausible defaults.
+        already running: it seeds its one queue from the currently
+        offered work items and steps cases concurrently.  ``worker``
+        maps an activity node and the case data to its outputs, exactly
+        like :meth:`step_many` — omit it for the engine's plausible
+        defaults.
 
         Each item is two operations — the claim and the completion — and
         ``worker`` runs between them without the execution lock, so other
@@ -840,9 +840,8 @@ class AdeptSystem:
         if instance_id is None:
             pool.resync()
             return
-        type_id = self._type_of(instance_id)
         for item in self.worklists.offered_items_for_instance(instance_id):
-            pool.submit(item.item_id, type_id or "")
+            pool.submit(item.item_id)
 
     # ------------------------------------------------------------------ #
     # worklists

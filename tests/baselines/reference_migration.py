@@ -57,7 +57,7 @@ class ReferenceMigrator:
     def __init__(self, rollback_on_state_conflict: bool = False) -> None:
         self.rollback_on_state_conflict = rollback_on_state_conflict
         self.engine = ProcessEngine()
-        self.checker = ComplianceChecker(engine=ProcessEngine())
+        self.checker = ComplianceChecker()
         self.adapter = ReferenceAdapter(engine=ProcessEngine())
         self.verifier = SchemaVerifier()
 

@@ -2,10 +2,10 @@
 
 import pytest
 
-from repro.baselines.nonadaptive import AbortRestartPolicy, StayOnOldVersionPolicy
-from repro.baselines.replay_compliance import ReplayComplianceBaseline
-from repro.baselines.storage_baselines import compare_representations
 from repro.core.migration import MigrationManager
+from repro.paper.nonadaptive import AbortRestartPolicy, StayOnOldVersionPolicy
+from repro.paper.replay import check_by_replay
+from repro.paper.storage import compare_representations
 from repro.storage.repository import SchemaRepository
 from repro.workloads.order_process import order_type_change_v2, paper_fig3_population
 from repro.workloads.population import PopulationConfig, PopulationGenerator
@@ -62,10 +62,9 @@ class TestMigrationBeatsBaselines:
 
 class TestReplayBaseline:
     def test_agrees_with_conditions_on_fig1(self, fig1):
-        baseline = ReplayComplianceBaseline()
         target = fig1.type_change.operations.apply_to(fig1.schema_v1)
-        assert baseline.is_compliant(fig1.i1, target)
-        assert not baseline.is_compliant(fig1.i3, target)
+        assert check_by_replay(fig1.i1, target).compliant
+        assert not check_by_replay(fig1.i3, target).compliant
 
 
 class TestStorageComparison:

@@ -10,7 +10,7 @@ migrated exactly once or rolled back cleanly.
 
 import pytest
 
-from repro.system import AdeptSystem, VirtualScheduler
+from repro.system import AdeptSystem
 
 from tests.chaos.harness import (
     TYPE_ID,
@@ -22,6 +22,7 @@ from tests.chaos.harness import (
     population_digest,
     rollout_journal,
 )
+from tests.concurrency.scheduler import VirtualScheduler
 
 
 def _interleaved_rollout(path, seed, mode="lazy", advanced=0, **rollout_kwargs):

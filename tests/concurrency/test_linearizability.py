@@ -11,7 +11,7 @@ state — fingerprint-for-fingerprint.  Any lost update, double-applied
 step or torn migration diverges the replay.
 
 The deterministic mode runs the same workload under the
-:class:`~repro.system.concurrency.VirtualScheduler` — one runnable
+:class:`~tests.concurrency.scheduler.VirtualScheduler` — one runnable
 thread at a time, the next chosen by a seeded RNG at every switch point
 — so a failure replays *exactly* from its seed (the test asserts that
 two runs of one seed produce byte-identical journals).
@@ -20,7 +20,7 @@ two runs of one seed produce byte-identical journals).
 import pytest
 
 from repro.schema import templates
-from repro.system import AdeptSystem, VirtualScheduler
+from repro.system import AdeptSystem
 
 from tests.chaos.harness import check_worklist_parity
 from tests.concurrency.harness import (
@@ -29,6 +29,7 @@ from tests.concurrency.harness import (
     stress_seeds,
     system_fingerprint,
 )
+from tests.concurrency.scheduler import VirtualScheduler
 
 ACTORS = 4
 OPS_PER_ACTOR = 25

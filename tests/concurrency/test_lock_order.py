@@ -22,10 +22,11 @@ from repro.core.operations import SerialInsertActivity
 from repro.errors import ReproError
 from repro.schema import templates
 from repro.schema.nodes import Node
-from repro.system import AdeptSystem, VirtualScheduler
+from repro.system import AdeptSystem
 
 from tests.chaos.harness import check_worklist_parity
 from tests.concurrency.harness import run_threads, stress_seeds
+from tests.concurrency.scheduler import VirtualScheduler
 
 TYPE_ID = "sequence"
 OPERATIONS = 20

@@ -5,6 +5,7 @@ import pytest
 from repro.core.changelog import ChangeLog
 from repro.core.compliance import ComplianceChecker
 from repro.core.operations import DeleteActivity, InsertSyncEdge, SerialInsertActivity
+from repro.paper.replay import check_by_replay
 from repro.runtime.engine import ProcessEngine
 from repro.schema.nodes import Node
 from repro.workloads.order_process import ORDER_EXECUTION_SEQUENCE, order_type_change_v2
@@ -76,29 +77,29 @@ class TestConditions:
 
 
 class TestReplay:
-    def test_fresh_instance_replayable(self, checker, engine, order_schema, schema_v2):
+    def test_fresh_instance_replayable(self, engine, order_schema, schema_v2):
         instance = instance_at(engine, order_schema, 0)
-        assert checker.check_by_replay(instance, schema_v2).compliant
+        assert check_by_replay(instance, schema_v2).compliant
 
-    def test_partially_executed_instance_replayable(self, checker, fig1, schema_v2, delta_t):
+    def test_partially_executed_instance_replayable(self, fig1, schema_v2, delta_t):
         target = delta_t.operations.apply_to(fig1.schema_v1)
-        assert checker.check_by_replay(fig1.i1, target).compliant
+        assert check_by_replay(fig1.i1, target).compliant
 
-    def test_instance_past_change_region_not_replayable(self, checker, engine, order_schema, schema_v2):
+    def test_instance_past_change_region_not_replayable(self, engine, order_schema, schema_v2):
         instance = instance_at(engine, order_schema, 5)
-        result = checker.check_by_replay(instance, schema_v2)
+        result = check_by_replay(instance, schema_v2)
         assert not result.compliant
         assert result.conflicts
 
-    def test_replay_with_deleted_activity_in_history(self, checker, engine, order_schema):
+    def test_replay_with_deleted_activity_in_history(self, engine, order_schema):
         instance = instance_at(engine, order_schema, 2)  # collect_data completed
         target = ChangeLog(
             [DeleteActivity(activity_id="collect_data", supply_values={"customer": {}})]
         ).apply_to(order_schema)
-        result = checker.check_by_replay(instance, target)
+        result = check_by_replay(instance, target)
         assert not result.compliant
 
-    def test_replay_preserves_data_decisions(self, checker, engine, credit_schema):
+    def test_replay_preserves_data_decisions(self, engine, credit_schema):
         instance = engine.create_instance(credit_schema, "i1")
         engine.complete_activity(instance, "receive_application")
         engine.complete_activity(instance, "check_identity")
@@ -109,12 +110,12 @@ class TestReplay:
             [SerialInsertActivity(activity=Node(node_id="notify_board"), pred="approve_credit", succ=credit_schema.successors("approve_credit")[0])]
         )
         target = extension.apply_to(credit_schema)
-        assert checker.check_by_replay(instance, target).compliant
+        assert check_by_replay(instance, target).compliant
 
-    def test_replay_scratch_instance_isolated(self, checker, engine, order_schema, schema_v2):
+    def test_replay_scratch_instance_isolated(self, engine, order_schema, schema_v2):
         instance = instance_at(engine, order_schema, 3)
         before = len(instance.history)
-        checker.check_by_replay(instance, schema_v2)
+        check_by_replay(instance, schema_v2)
         assert len(instance.history) == before  # original untouched
 
 
@@ -125,5 +126,5 @@ class TestMethodsAgree:
     ):
         instance = instance_at(engine, order_schema, progress, f"inst-{progress}")
         by_conditions = checker.check_with_conditions(instance, delta_t.operations).compliant
-        by_replay = checker.check_by_replay(instance, schema_v2).compliant
+        by_replay = check_by_replay(instance, schema_v2).compliant
         assert by_conditions == by_replay

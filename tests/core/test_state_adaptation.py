@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.core.compliance import ComplianceChecker
 from repro.core.state_adaptation import StateAdapter
+from repro.paper.replay import adapt_and_verify, check_by_replay, recompute_by_replay
 from repro.runtime.states import NodeState
 from repro.workloads.order_process import ORDER_EXECUTION_SEQUENCE, order_type_change_v2
 
@@ -92,27 +92,27 @@ class TestAdaptationInSkippedRegions:
 
 class TestReplayBaselineAgreement:
     @pytest.mark.parametrize("progress", range(0, 3))
-    def test_incremental_equals_replay(self, adapter, engine, order_schema, schema_v2, progress):
+    def test_incremental_equals_replay(self, engine, order_schema, schema_v2, progress):
         instance = instance_at(engine, order_schema, progress, f"i-{progress}")
-        incremental, agrees = adapter.adapt_and_verify(instance, schema_v2)
-        assert agrees, incremental.differences(adapter.recompute_by_replay(instance, schema_v2))
+        incremental, agrees = adapt_and_verify(instance, schema_v2)
+        assert agrees, incremental.differences(recompute_by_replay(instance, schema_v2))
 
-    def test_incremental_equals_replay_for_paper_i1(self, adapter, fig1):
+    def test_incremental_equals_replay_for_paper_i1(self, fig1):
         target = fig1.type_change.operations.apply_to(fig1.schema_v1)
-        _, agrees = adapter.adapt_and_verify(fig1.i1, target)
+        _, agrees = adapt_and_verify(fig1.i1, target)
         assert agrees
 
-    def test_replay_baseline_rejects_non_compliant_instance(self, adapter, engine, order_schema, schema_v2):
+    def test_replay_baseline_rejects_non_compliant_instance(self, engine, order_schema, schema_v2):
         instance = instance_at(engine, order_schema, 5)
         with pytest.raises(ValueError):
-            adapter.recompute_by_replay(instance, schema_v2)
+            recompute_by_replay(instance, schema_v2)
 
-    def test_adapt_and_verify_reports_disagreement_for_non_compliant(self, adapter, engine, order_schema, schema_v2):
+    def test_adapt_and_verify_reports_disagreement_for_non_compliant(self, engine, order_schema, schema_v2):
         instance = instance_at(engine, order_schema, 5)
-        _, agrees = adapter.adapt_and_verify(instance, schema_v2)
+        _, agrees = adapt_and_verify(instance, schema_v2)
         assert not agrees
 
-    def test_agreement_with_biased_instance(self, adapter, engine, fig1):
+    def test_agreement_with_biased_instance(self, engine, fig1):
         """The biased I2 is adapted on its own (bias-extended) schema."""
         from repro.core.changelog import ChangeLog
         from repro.core.operations import ChangeActivityAttributes
@@ -121,7 +121,7 @@ class TestReplayBaselineAgreement:
             [ChangeActivityAttributes(activity_id="deliver_goods", role="courier")]
         )
         target = compatible_change.apply_to(fig1.i2.execution_schema)
-        incremental, agrees = adapter.adapt_and_verify(fig1.i2, target)
+        incremental, agrees = adapt_and_verify(fig1.i2, target)
         assert agrees
 
 
@@ -175,9 +175,9 @@ class TestSkipRederivation:
             ]
         )
         target = change.apply_to(xor_schema)
-        assert ComplianceChecker().check_by_replay(instance, target).compliant
+        assert check_by_replay(instance, target).compliant
         incremental = adapter.adapt(instance, target)
-        replayed = adapter.recompute_by_replay(instance, target)
+        replayed = recompute_by_replay(instance, target)
         for activity in target.activity_ids():
             assert incremental.node_state(activity) is replayed.node_state(activity)
         # the decision is pending again, so nothing in the block is skipped
@@ -209,7 +209,7 @@ class TestSkipRederivation:
         )
         target = change.apply_to(xor_schema)
         incremental = adapter.adapt(instance, target)
-        replayed = adapter.recompute_by_replay(instance, target)
+        replayed = recompute_by_replay(instance, target)
         for activity in target.activity_ids():
             assert incremental.node_state(activity) is replayed.node_state(activity)
         assert incremental.node_state("fast_path") is NodeState.SKIPPED
@@ -273,9 +273,9 @@ class TestDerivedStateJustification:
             ]
         )
         target = change.apply_to(schema)
-        assert ComplianceChecker().check_by_replay(instance, target).compliant
+        assert check_by_replay(instance, target).compliant
         incremental = adapter.adapt(instance, target)
-        replayed = adapter.recompute_by_replay(instance, target)
+        replayed = recompute_by_replay(instance, target)
         assert incremental.differences(replayed) == []
         # the flow is parked before the inserted activity — nothing behind
         # the join may stay activated or completed
@@ -326,9 +326,9 @@ class TestDerivedStateJustification:
             ]
         )
         target = change.apply_to(schema)
-        assert ComplianceChecker().check_by_replay(engine_instance, target).compliant
+        assert check_by_replay(engine_instance, target).compliant
         incremental = adapter.adapt(engine_instance, target)
-        replayed = adapter.recompute_by_replay(engine_instance, target)
+        replayed = recompute_by_replay(engine_instance, target)
         assert incremental.differences(replayed) == []
         # the second parallel block (join -> split -> branches) reset too
         assert incremental.node_state("late_a") is NodeState.NOT_ACTIVATED
@@ -422,6 +422,6 @@ class TestTakenDecisionsStay:
         adapted = adapter.adapt(instance, target)
         assert adapted.node_state("c") is NodeState.SKIPPED
         assert adapted.activated_nodes() == ["z"]
-        assert adapted.differences(adapter.recompute_by_replay(instance, target)) == []
+        assert adapted.differences(recompute_by_replay(instance, target)) == []
         re_decided = ReferenceAdapter().adapt(instance, target)
         assert re_decided.node_state("c") is NodeState.ACTIVATED

@@ -4,8 +4,8 @@ import pytest
 
 from repro.core.evolution import ProcessType, TypeChange
 from repro.core.operations import SerialInsertActivity
-from repro.distributed.coordinator import DistributedCoordinator
-from repro.distributed.partitioning import PartitioningError, SchemaPartitioning
+from repro.paper.distributed.coordinator import DistributedCoordinator
+from repro.paper.distributed.partitioning import PartitioningError, SchemaPartitioning
 from repro.runtime.states import InstanceStatus
 from repro.schema import templates
 from repro.schema.nodes import Node
@@ -140,7 +140,7 @@ class TestDistributedChanges:
 
 class TestCosts:
     def test_cost_accounting(self):
-        from repro.distributed.costs import CommunicationCosts
+        from repro.paper.distributed.costs import CommunicationCosts
 
         costs = CommunicationCosts()
         costs.add_handover()

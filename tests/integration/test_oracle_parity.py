@@ -23,6 +23,7 @@ from repro.core.adhoc import AdHocChanger
 from repro.core.compliance import ComplianceChecker
 from repro.core.migration import MigrationManager
 from repro.core.operations import SerialInsertActivity
+from repro.paper.replay import check_by_replay
 from repro.runtime.engine import ProcessEngine
 from repro.runtime.worklist import WorklistManager
 from repro.schema import templates
@@ -354,7 +355,7 @@ def _compliance_outcome(engine):
     verdicts = []
     for instance in instances:
         conditions = checker.check_with_conditions(instance, change.operations)
-        replay = checker.check_by_replay(instance, target)
+        replay = check_by_replay(instance, target)
         verdicts.append(
             (
                 instance.instance_id,

@@ -13,8 +13,8 @@ import pytest
 
 from repro.core.evolution import ProcessType
 from repro.core.migration import MigrationManager, MigrationOutcome
-from repro.distributed.coordinator import DistributedCoordinator
-from repro.distributed.partitioning import SchemaPartitioning
+from repro.paper.distributed.coordinator import DistributedCoordinator
+from repro.paper.distributed.partitioning import SchemaPartitioning
 from repro.runtime.events import EventType
 from repro.schema.data import DataAccess, DataEdge, DataElement
 from repro.schema.edges import Edge, EdgeType

@@ -11,13 +11,10 @@ of ``benchmarks/e2e``.
 """
 
 from repro.core.compliance import ComplianceChecker
+from repro.paper.replay import check_by_replay
+from repro.paper.storage import RepresentationStore
 from repro.schema.templates import online_order_process
-from repro.storage.instance_store import InstanceStore
 from repro.storage.repository import SchemaRepository
-from repro.storage.representations import (
-    FullCopyRepresentation,
-    HybridSubstitutionRepresentation,
-)
 from repro.workloads.order_process import order_type_change_v2, paper_fig3_population
 from repro.workloads.population import PopulationConfig, PopulationGenerator
 
@@ -32,7 +29,7 @@ def test_fig1_conditions_and_replay_agree_on_every_instance():
     by_conditions = [
         checker.check_with_conditions(i, delta_t.operations).compliant for i in instances
     ]
-    by_replay = [checker.check_by_replay(i, schema_v2).compliant for i in instances]
+    by_replay = [check_by_replay(i, schema_v2).compliant for i in instances]
     assert by_conditions == by_replay
     assert 0 < sum(by_conditions) < len(instances)
 
@@ -50,10 +47,10 @@ def test_fig2_hybrid_schema_bytes_follow_the_biased_share():
             config=PopulationConfig(instance_count=120, biased_fraction=fraction, seed=7),
         ).generate()
         for strategy, sizes in (
-            (HybridSubstitutionRepresentation(), hybrid_bytes),
-            (FullCopyRepresentation(), full_bytes),
+            ("hybrid_substitution", hybrid_bytes),
+            ("full_copy", full_bytes),
         ):
-            store = InstanceStore(repository, strategy=strategy)
+            store = RepresentationStore(repository, strategy)
             store.save_all(population)
             sizes.append(store.schema_payload_bytes())
     assert hybrid_bytes == sorted(hybrid_bytes)

@@ -19,6 +19,7 @@ from repro.core.compliance import ComplianceChecker
 from repro.core.migration import MigrationManager
 from repro.core.state_adaptation import StateAdapter
 from repro.core.evolution import ProcessType
+from repro.paper.replay import check_by_replay, recompute_by_replay
 from repro.runtime.engine import ProcessEngine
 from repro.runtime.states import NodeState
 from repro.schema.templates import online_order_process
@@ -48,7 +49,7 @@ def conditions_never_accept_what_replay_rejects(schema, steps, seed):
     target = change.operations.apply_to(schema)
     checker = ComplianceChecker()
     by_conditions = checker.check_with_conditions(instance, change.operations).compliant
-    by_replay = checker.check_by_replay(instance, target).compliant
+    by_replay = check_by_replay(instance, target).compliant
     # The per-operation conditions must never accept an instance the
     # general criterion rejects (they may only be more conservative).
     if by_conditions:
@@ -66,7 +67,7 @@ def conditions_equal_replay_on_order_process(steps):
     checker = ComplianceChecker()
     assert (
         checker.check_with_conditions(instance, change.operations).compliant
-        == checker.check_by_replay(instance, target).compliant
+        == check_by_replay(instance, target).compliant
     )
 
 
@@ -164,11 +165,10 @@ class TestStateAdaptationProperties:
         _advance(engine, instance, steps)
         change = ChangeScenarioGenerator(schema, seed=seed).random_type_change(operation_count=1)
         target = change.operations.apply_to(schema)
-        checker = ComplianceChecker()
-        if not checker.check_by_replay(instance, target).compliant:
+        if not check_by_replay(instance, target).compliant:
             return
         adapter = StateAdapter()
         incremental = adapter.adapt(instance, target)
-        replayed = adapter.recompute_by_replay(instance, target)
+        replayed = recompute_by_replay(instance, target)
         for activity in target.activity_ids():
             assert incremental.node_state(activity) is replayed.node_state(activity)

@@ -1,18 +1,23 @@
 """Tests for instance representations (Fig. 2) and the instance store."""
 
+import json
+
 import pytest
 
 from repro.core.adhoc import AdHocChanger
 from repro.core.operations import InsertSyncEdge, SerialInsertActivity
 from repro.runtime.states import InstanceStatus, NodeState
 from repro.schema.nodes import Node
+from repro.paper.storage import (
+    STRATEGIES,
+    FullCopyRepresentation,
+    MaterializeOnAccessRepresentation,
+    RepresentationStore,
+    schema_payload_bytes,
+)
 from repro.storage.instance_store import InstanceStore, StorageError
 from repro.storage.repository import SchemaRepository
-from repro.storage.representations import (
-    FullCopyRepresentation,
-    HybridSubstitutionRepresentation,
-    MaterializeOnAccessRepresentation,
-)
+from repro.workloads.population import PopulationConfig, PopulationGenerator
 
 
 @pytest.fixture
@@ -43,17 +48,10 @@ def make_instances(engine, order_schema, count=4, biased_every=2):
     return instances
 
 
-ALL_STRATEGIES = [
-    FullCopyRepresentation,
-    MaterializeOnAccessRepresentation,
-    HybridSubstitutionRepresentation,
-]
-
-
 class TestRepresentations:
-    @pytest.mark.parametrize("strategy_cls", ALL_STRATEGIES)
-    def test_roundtrip_preserves_execution_schema(self, engine, order_schema, repository, strategy_cls):
-        store = InstanceStore(repository, strategy=strategy_cls())
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_roundtrip_preserves_execution_schema(self, engine, order_schema, repository, strategy):
+        store = RepresentationStore(repository, strategy)
         instances = make_instances(engine, order_schema)
         store.save_all(instances)
         for original in instances:
@@ -61,9 +59,9 @@ class TestRepresentations:
             assert loaded.execution_schema.structurally_equals(original.execution_schema)
             assert loaded.is_biased == original.is_biased
 
-    @pytest.mark.parametrize("strategy_cls", ALL_STRATEGIES)
-    def test_roundtrip_preserves_state(self, engine, order_schema, repository, strategy_cls):
-        store = InstanceStore(repository, strategy=strategy_cls())
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_roundtrip_preserves_state(self, engine, order_schema, repository, strategy):
+        store = RepresentationStore(repository, strategy)
         instances = make_instances(engine, order_schema)
         store.save_all(instances)
         for original in instances:
@@ -73,9 +71,9 @@ class TestRepresentations:
             assert loaded.completed_activities() == original.completed_activities()
             assert loaded.status == original.status
 
-    @pytest.mark.parametrize("strategy_cls", ALL_STRATEGIES)
-    def test_loaded_instance_can_continue(self, engine, order_schema, repository, strategy_cls):
-        store = InstanceStore(repository, strategy=strategy_cls())
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_loaded_instance_can_continue(self, engine, order_schema, repository, strategy):
+        store = RepresentationStore(repository, strategy)
         instances = make_instances(engine, order_schema)
         store.save_all(instances)
         for original in instances:
@@ -84,9 +82,10 @@ class TestRepresentations:
             assert loaded.status is InstanceStatus.COMPLETED
 
     def test_unbiased_instances_have_no_schema_payload(self, engine, order_schema, repository):
-        for strategy in (MaterializeOnAccessRepresentation(), HybridSubstitutionRepresentation()):
-            instance = engine.create_instance(order_schema, f"plain-{strategy.name}")
-            assert strategy.encode(instance) == {}
+        instance = engine.create_instance(order_schema, "plain")
+        assert MaterializeOnAccessRepresentation().encode(instance) == {}
+        representation = InstanceStore(repository).encode_record(instance)["representation"]
+        assert representation == {"strategy": "hybrid_substitution"}
 
     def test_full_copy_always_stores_schema(self, engine, order_schema, repository):
         instance = engine.create_instance(order_schema, "plain")
@@ -96,13 +95,55 @@ class TestRepresentations:
     def test_hybrid_payload_smaller_than_full_copy(self, engine, order_schema, repository):
         instances = make_instances(engine, order_schema)
         biased = next(i for i in instances if i.is_biased)
-        hybrid_size = HybridSubstitutionRepresentation().payload_size_bytes(
-            HybridSubstitutionRepresentation().encode(biased)
-        )
-        full_size = FullCopyRepresentation().payload_size_bytes(
-            FullCopyRepresentation().encode(biased)
+        hybrid_size = schema_payload_bytes(RepresentationStore(repository).encode_record(biased))
+        full_size = schema_payload_bytes(
+            RepresentationStore(repository, "full_copy").encode_record(biased)
         )
         assert hybrid_size < full_size / 2
+
+    def test_unknown_representation_is_refused(self, repository):
+        with pytest.raises(ValueError):
+            RepresentationStore(repository, "hybrid")
+
+
+class TestHybridRowIsTheProductStore:
+    """The Fig. 2 table's hybrid row measures the records the product stores."""
+
+    def test_hybrid_records_equal_the_store_records_byte_for_byte(self, order_schema, repository):
+        population = PopulationGenerator(
+            order_schema,
+            config=PopulationConfig(instance_count=60, biased_fraction=0.3, seed=5),
+        ).generate()
+        assert any(instance.is_biased for instance in population)
+        harness = RepresentationStore(repository, "hybrid_substitution")
+        harness.save_all(population)
+        store = InstanceStore(repository)
+        store.save_all(population)
+        assert sorted(harness.records) == store.instance_ids()
+        biased_blocks = 0
+        for instance_id, record in harness.records.items():
+            assert json.dumps(record, sort_keys=True) == json.dumps(
+                store.record(instance_id), sort_keys=True
+            )
+            biased_blocks += "substitution_block" in record["representation"]
+        assert biased_blocks == sum(1 for instance in population if instance.is_biased)
+        assert harness.total_bytes() == store.total_bytes()
+
+    def test_baseline_records_keep_the_stored_state(self, order_schema, repository):
+        """A baseline record differs from the product's only in its representation."""
+        population = PopulationGenerator(
+            order_schema,
+            config=PopulationConfig(instance_count=20, biased_fraction=0.5, seed=9),
+        ).generate()
+        store = InstanceStore(repository)
+        for strategy in ("full_copy", "materialize_on_access"):
+            harness = RepresentationStore(repository, strategy)
+            for instance in population:
+                record = harness.encode_record(instance)
+                product = store.encode_record(instance)
+                assert record.pop("representation")["strategy"] == strategy
+                product.pop("representation")
+                assert json.dumps(record, sort_keys=True) == json.dumps(product, sort_keys=True)
 
 
 class TestInstanceStore:

@@ -285,7 +285,7 @@ class TestNoCaseSkipsADelta:
         return AdeptSystem()
 
     def _assert_left_on_v1(self, system, instance_id):
-        from repro.baselines.replay_compliance import ReplayComplianceBaseline
+        from repro.paper.replay import check_by_replay
 
         instance = system.get_instance(instance_id)
         assert instance.schema_version == 1
@@ -293,7 +293,7 @@ class TestNoCaseSkipsADelta:
         assert not instance.execution_schema.has_node("audit")
         # its history is one the schema it runs on can produce
         own_schema = system.repository.resolve("sequence", 1)
-        assert ReplayComplianceBaseline().is_compliant(instance, own_schema)
+        assert check_by_replay(instance, own_schema).compliant
 
     @pytest.mark.parametrize("durable", [False, True], ids=["in_memory", "durable"])
     def test_straggler_stays_on_its_version(self, tmp_path, monkeypatch, durable):

@@ -21,7 +21,7 @@ class TestHierarchy:
     def test_all_component_errors_share_the_base(self):
         from repro.core.evolution import EvolutionError
         from repro.core.rollback import RollbackError
-        from repro.distributed.partitioning import PartitioningError
+        from repro.paper.distributed.partitioning import PartitioningError
         from repro.org.authorization import AuthorizationError
         from repro.runtime.expressions import ExpressionError
         from repro.schema.blocks import BlockStructureError

@@ -60,7 +60,7 @@ class TestPublicApi:
     def test_storage_types_exposed(self, order_schema):
         repository = repro.SchemaRepository()
         repository.register_type(order_schema)
-        store = repro.InstanceStore(repository, strategy=repro.HybridSubstitutionRepresentation())
+        store = repro.InstanceStore(repository)
         engine = repro.ProcessEngine()
         instance = engine.create_instance(order_schema, "api-store")
         store.save(instance)
@@ -221,3 +221,61 @@ class TestPublicApi:
         system.checkpoint()
         assert heard == []
         assert "checkpoint_completed" not in system.feed.counts()
+
+    def test_comparison_apparatus_is_not_product_surface(self):
+        """Trace replay, the Fig. 2 alternatives, the non-adaptive and
+        distributed simulations and the test scheduler live outside the
+        product: no knob, parameter, wrapper or export of theirs is left."""
+        import importlib.util
+        import inspect
+
+        import repro.core
+        import repro.core.compliance
+        import repro.storage
+        import repro.system
+        import repro.system.concurrency
+        from repro.core.compliance import ComplianceChecker
+        from repro.core.state_adaptation import StateAdapter
+
+        moved = (
+            "check_by_replay",
+            "replay_conflicts",
+            "replay_instance",
+            "ReplayOutcome",
+            "recompute_by_replay",
+            "adapt_and_verify",
+            "RepresentationStrategy",
+            "FullCopyRepresentation",
+            "MaterializeOnAccessRepresentation",
+            "HybridSubstitutionRepresentation",
+            "ReplayComplianceBaseline",
+            "compare_representations",
+            "VirtualScheduler",
+        )
+        for module in (
+            repro,
+            repro.core,
+            repro.core.compliance,
+            repro.storage,
+            repro.system,
+            repro.system.concurrency,
+        ):
+            for name in moved:
+                assert not hasattr(module, name), f"{module.__name__}.{name} is back"
+                assert name not in getattr(module, "__all__", ())
+        for owner in (ComplianceChecker, StateAdapter):
+            for name in moved:
+                assert not hasattr(owner, name), f"{owner.__name__}.{name} is back"
+        for package in ("repro.baselines", "repro.distributed", "repro.storage.representations"):
+            assert importlib.util.find_spec(package) is None, f"{package} is back"
+
+        assert list(inspect.signature(ComplianceChecker).parameters) == []
+        assert list(inspect.signature(repro.InstanceStore).parameters) == ["repository"]
+        repository = repro.SchemaRepository()
+        with pytest.raises(TypeError):
+            repro.InstanceStore(repository, strategy=None)
+        with pytest.raises(TypeError):
+            ComplianceChecker(engine=repro.ProcessEngine())
+        # the pool keeps one queue: no steal count, no type argument
+        assert "steals" not in inspect.signature(repro.PoolStats).parameters
+        assert list(inspect.signature(repro.WorkerPool.submit).parameters) == ["self", "item_id"]
