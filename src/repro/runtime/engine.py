@@ -48,10 +48,11 @@ from repro.runtime.kernel import (
     StepKernel,
 )
 from repro.runtime.markings import EDGE_CODE, NODE_CODE, NODE_STATES, Marking
-from repro.runtime.states import EdgeState, InstanceStatus, NodeState
+from repro.runtime.states import ACTIVE_STATUSES, EdgeState, InstanceStatus, NodeState
 from repro.schema.data import DataType
 from repro.schema.edges import EdgeType
 from repro.schema.graph import ProcessSchema
+from repro.schema.index import SchemaIndex
 from repro.schema.nodes import Node
 
 
@@ -168,70 +169,94 @@ class ProcessEngine:
         """Create a new instance of ``schema`` and advance it to its first activities."""
         instance = ProcessInstance(instance_id=instance_id, schema=schema, initial_data=initial_data)
         instance.status = InstanceStatus.RUNNING
-        self._emit(EventType.INSTANCE_CREATED, instance, node=None)
-        self.propagate(instance)
+        emit = self._step_events()
+        if emit is not None:
+            emit(EngineEvent(EventType.INSTANCE_CREATED, instance_id))
+        kernel, index = self._kernel_of(instance)
+        self._propagate(instance, kernel, index, None, emit)
         return instance
 
     def activated_activities(self, instance: ProcessInstance) -> List[str]:
         """Activity ids the user could start right now (worklist content)."""
         return instance.activated_activities()
 
-    def _kernel_of(self, instance: ProcessInstance) -> StepKernel:
-        """The compiled kernel of the instance's execution schema, with the
-        instance's marking on the kernel's layout.
+    def _kernel_of(self, instance: ProcessInstance) -> Tuple[StepKernel, SchemaIndex]:
+        """The compiled kernel of the instance's execution schema and the
+        index it was compiled from, with the instance's marking on the
+        kernel's layout.
 
         The one place a marking changes coordinates: a case whose schema
         was mutated in place, or swapped under a marking built elsewhere,
-        is re-laid by name before the kernel reads it by position.
+        is re-laid by name before the kernel reads it by position.  An
+        engine call resolves a case once and carries the pair through
+        that case's steps; no pair outlives the call.
         """
-        kernel = instance.execution_schema.index.step_kernel()
+        index = instance.execution_schema.index
+        kernel = index.step_kernel()
         if instance.marking.layout is not kernel.layout:
             instance.marking.lay_onto(kernel.layout)
-        return kernel
+        return kernel, index
 
     def _locate(
         self, instance: ProcessInstance, node_id: str
-    ) -> Tuple[StepKernel, int, ActivityFacts]:
-        """Kernel, position and facts of ``node_id`` — a step's one lookup by name."""
-        schema = instance.execution_schema
-        kernel = self._kernel_of(instance)
+    ) -> Tuple[StepKernel, SchemaIndex, int, ActivityFacts]:
+        """Kernel, index, position and facts of ``node_id`` — a step's one lookup by name."""
+        kernel, index = self._kernel_of(instance)
         position = kernel.layout.node_pos.get(node_id)
         if position is None:
-            schema.node(node_id)  # raises: unknown node
-        return kernel, position, kernel.facts_of(position, schema.index)
+            instance.execution_schema.node(node_id)  # raises: unknown node
+        return kernel, index, position, kernel.facts_of(position, index)
 
-    def _first_activated_compiled(self, instance: ProcessInstance) -> Optional[str]:
-        """First activated activity id in layout order, O(first hit)."""
-        kernel = self._kernel_of(instance)
-        nodes = instance.marking.nodes
-        is_activity = kernel.is_activity
-        position = nodes.find(_ACTIVATED)
-        while position != -1:
-            if is_activity[position]:
-                return kernel.node_ids[position]
-            position = nodes.find(_ACTIVATED, position + 1)
-        return None
+    def _locate_activity(
+        self, instance: ProcessInstance, activity_id: str
+    ) -> Tuple[StepKernel, SchemaIndex, int, ActivityFacts]:
+        """:meth:`_locate` for an activity operation: the case must be active
+        and the node an activity."""
+        self._require_active(instance)
+        located = self._locate(instance, activity_id)
+        if not located[0].is_activity[located[2]]:
+            raise EngineError(f"{activity_id!r} is not an activity node")
+        return located
+
+    def _step_events(self) -> Optional[Callable[[EngineEvent], None]]:
+        """Where this operation's step-path events go: the listener, or ``None``.
+
+        Asked once per engine operation, which then builds an
+        :class:`EngineEvent` only if the answer is not ``None``.  A
+        listener bound to an object that answers ``wants_step_events()`` —
+        the façade's bus: does any subscriber want the ``engine``
+        category? — is asked; any other listener hears every event.
+        """
+        listener = self.event_listener
+        if listener is None:
+            return None
+        wants = getattr(getattr(listener, "__self__", None), "wants_step_events", None)
+        if wants is not None and not wants():
+            return None
+        return listener
 
     def start_activity(
         self, instance: ProcessInstance, activity_id: str, user: Optional[str] = None
     ) -> None:
         """Move an activated activity to RUNNING and log the start event."""
-        self._require_active(instance)
-        kernel, position, facts = self._locate(instance, activity_id)
-        if not kernel.is_activity[position]:
-            raise EngineError(f"{activity_id!r} is not an activity node")
+        _, _, position, facts = self._locate_activity(instance, activity_id)
         code = instance.marking.nodes[position]
         if code != _ACTIVATED:
             raise EngineError(
                 f"activity {activity_id!r} cannot be started from state "
                 f"{NODE_STATES[code].value!r}"
             )
-        self._begin_activity(instance, position, facts, user)
+        self._begin_activity(instance, position, facts, user, self._step_events())
         if self.step_listener is not None:
             self.step_listener("start", instance, activity_id, None, user)
 
     def _begin_activity(
-        self, instance: ProcessInstance, position: int, facts: ActivityFacts, user: Optional[str]
+        self,
+        instance: ProcessInstance,
+        position: int,
+        facts: ActivityFacts,
+        user: Optional[str],
+        emit: Optional[Callable[[EngineEvent], None]],
     ) -> None:
         """The start transition of an ACTIVATED activity, unannounced.
 
@@ -251,7 +276,8 @@ class ProcessEngine:
             values={element: data.get(element) for element in reads},
             user=user,
         )
-        self._emit(EventType.ACTIVITY_STARTED, instance, node=activity_id, user=user)
+        if emit is not None:
+            emit(EngineEvent(EventType.ACTIVITY_STARTED, instance.instance_id, activity_id, user))
 
     def complete_activity(
         self,
@@ -268,17 +294,50 @@ class ProcessEngine:
         marking advanced: a crash before that leaves the activity
         ACTIVATED in the journal's eyes and the step can simply be retried.
         """
-        self._require_active(instance)
-        kernel, position, facts = self._locate(instance, activity_id)
-        if not kernel.is_activity[position]:
-            raise EngineError(f"{activity_id!r} is not an activity node")
-        writable, loop_start = facts[2], facts[4]
+        kernel, index, position, facts = self._locate_activity(instance, activity_id)
+        writable = facts[2]
         outputs = dict(outputs or {})
         unknown = [element for element in outputs if element not in writable]
         if unknown:
             raise EngineError(
                 f"activity {activity_id!r} has no write access to {sorted(unknown)!r}"
             )
+        self._complete(instance, kernel, index, position, facts, outputs, user, self._step_events())
+
+    def complete_scripted(
+        self,
+        instance: ProcessInstance,
+        activity_id: str,
+        worker: Optional[Worker] = None,
+        user: Optional[str] = None,
+    ) -> None:
+        """Complete ``activity_id`` with the outputs :meth:`outputs_for` generates.
+
+        :meth:`outputs_for` followed by :meth:`complete_activity`, with
+        the case and the activity looked up once — what the worklist
+        manager's ``auto_outputs`` path (and so the worker pool) runs.
+        """
+        kernel, index, position, facts = self._locate_activity(instance, activity_id)
+        outputs = self._outputs(instance, kernel, position, facts, worker)
+        self._complete(instance, kernel, index, position, facts, outputs, user, self._step_events())
+
+    def _complete(
+        self,
+        instance: ProcessInstance,
+        kernel: StepKernel,
+        index: SchemaIndex,
+        position: int,
+        facts: ActivityFacts,
+        outputs: Dict[str, Any],
+        user: Optional[str],
+        emit: Optional[Callable[[EngineEvent], None]],
+    ) -> None:
+        """The completion of a located activity whose outputs it may write.
+
+        ``outputs`` is a fresh dict within the activity's write set; the
+        step listener receives it as is.
+        """
+        activity_id, loop_start = facts[0], facts[4]
         if outputs and self.step_outputs_validator is not None:
             # before any state moves — including the implicit start below —
             # so a rejected step leaves instance and journal untouched
@@ -291,7 +350,7 @@ class ProcessEngine:
         marking = instance.marking
         code = marking.nodes[position]
         if code == _ACTIVATED:
-            self._begin_activity(instance, position, facts, user)
+            self._begin_activity(instance, position, facts, user, emit)
         elif code != _RUNNING and code != _SUSPENDED:
             raise EngineError(
                 f"activity {activity_id!r} cannot be completed from state "
@@ -308,13 +367,14 @@ class ProcessEngine:
             values=outputs,
             user=user,
         )
-        self._emit(EventType.ACTIVITY_COMPLETED, instance, node=activity_id, user=user)
+        if emit is not None:
+            emit(EngineEvent(EventType.ACTIVITY_COMPLETED, instance.instance_id, activity_id, user))
         # signal the out-edges and re-propagate; a settled marking needs only
         # the signalled targets re-examined — O(affected cascade), not O(schema)
         touched: List[int] = []
         settled = marking.settled
         self._signal_outgoing(marking.edges, kernel, position, _TRUE, -1, touched)
-        self._propagate_kernel(instance, kernel, touched if settled else None)
+        self._propagate(instance, kernel, index, touched if settled else None, emit)
         if self.step_listener is not None:
             # after propagation: the listener journals the step only once the
             # whole transition (outputs, marking advance) is committed
@@ -337,7 +397,9 @@ class ProcessEngine:
     def abort_instance(self, instance: ProcessInstance) -> None:
         """Abort the whole instance (baseline policy of non-adaptive systems)."""
         instance.status = InstanceStatus.ABORTED
-        self._emit(EventType.INSTANCE_ABORTED, instance, node=None)
+        emit = self._step_events()
+        if emit is not None:
+            emit(EngineEvent(EventType.INSTANCE_ABORTED, instance.instance_id))
 
     # ------------------------------------------------------------------ #
     # scripted execution helpers
@@ -375,21 +437,32 @@ class ProcessEngine:
     ) -> List[int]:
         """Advance each instance by up to ``activity_count`` activities.
 
-        Every step completes the instance's first activated activity with
-        the outputs :meth:`outputs_for` generates, on the compiled kernel
-        of the instance's execution schema.
+        Every step completes the instance's first activated activity (in
+        layout order) with the outputs :meth:`outputs_for` generates, on
+        the compiled kernel of the instance's execution schema.  A case's
+        kernel and index are resolved once and carried through its steps.
         Returns the per-instance executed counts in input order.
         """
         results: List[int] = []
+        emit = self._step_events()
         for instance in instances:
             executed = 0
-            while executed < activity_count and instance.status.is_active:
-                activity_id = self._first_activated_compiled(instance)
-                if activity_id is None:
-                    break
-                outputs = self.outputs_for(instance, activity_id, worker)
-                self.complete_activity(instance, activity_id, outputs)
-                executed += 1
+            if activity_count > 0 and instance.status in ACTIVE_STATUSES:
+                kernel, index = self._kernel_of(instance)
+                nodes = instance.marking.nodes
+                is_activity = kernel.is_activity
+                while True:
+                    position = nodes.find(_ACTIVATED)
+                    while position != -1 and not is_activity[position]:
+                        position = nodes.find(_ACTIVATED, position + 1)
+                    if position == -1:
+                        break
+                    facts = kernel.facts_of(position, index)
+                    outputs = self._outputs(instance, kernel, position, facts, worker)
+                    self._complete(instance, kernel, index, position, facts, outputs, None, emit)
+                    executed += 1
+                    if executed == activity_count or instance.status not in ACTIVE_STATUSES:
+                        break
             results.append(executed)
         return results
 
@@ -400,11 +473,23 @@ class ProcessEngine:
 
         With a ``worker``, its produced values (filtered to the activity's
         write set); without one, plausible defaults per data type
-        (booleans True so loops terminate).  Public so schedulers — the
-        worklist manager's ``auto_outputs`` path, the worker pool — share
-        exactly the generation :meth:`run_to_completion` uses.
+        (booleans True so loops terminate).  Public so schedulers share
+        exactly the generation :meth:`run_to_completion` uses;
+        :meth:`complete_scripted` generates and completes in one lookup.
         """
-        kernel, position, (_, _, writes, write_types, _) = self._locate(instance, activity_id)
+        kernel, _, position, facts = self._locate(instance, activity_id)
+        return self._outputs(instance, kernel, position, facts, worker)
+
+    @staticmethod
+    def _outputs(
+        instance: ProcessInstance,
+        kernel: StepKernel,
+        position: int,
+        facts: ActivityFacts,
+        worker: Optional[Worker],
+    ) -> Dict[str, Any]:
+        """:meth:`outputs_for` of a located activity."""
+        activity_id, _, writes, write_types, _ = facts
         if worker is not None:
             produced = dict(worker(kernel.nodes[position], instance.data.values))
             return {k: v for k, v in produced.items() if k in writes}
@@ -428,7 +513,8 @@ class ProcessEngine:
         Re-examines every untouched node (full propagation, e.g. after
         rollback).
         """
-        self._propagate_kernel(instance, self._kernel_of(instance))
+        kernel, index = self._kernel_of(instance)
+        self._propagate(instance, kernel, index, None, self._step_events())
 
     def _propagate_kernel(
         self,
@@ -436,11 +522,27 @@ class ProcessEngine:
         kernel: StepKernel,
         seeds: Optional[List[int]] = None,
     ) -> None:
+        """:meth:`_propagate` with ``kernel`` over the instance's execution
+        schema, as its own operation (state adaptation's seeded entry)."""
+        self._propagate(
+            instance, kernel, instance.execution_schema.index, seeds, self._step_events()
+        )
+
+    def _propagate(
+        self,
+        instance: ProcessInstance,
+        kernel: StepKernel,
+        index: SchemaIndex,
+        seeds: Optional[List[int]],
+        emit: Optional[Callable[[EngineEvent], None]],
+    ) -> None:
         """Worklist propagation through the compiled stepping kernel.
 
         ``seeds`` — positions of the nodes whose in-edges changed, or that
         were reset (state adaptation), since the marking was last settled;
-        ``None`` re-examines every untouched node.
+        ``None`` re-examines every untouched node.  ``index`` is the index
+        ``kernel`` was compiled from; ``emit`` receives the step-path
+        events, ``None`` builds none.
 
         The worklist visits nodes in the order a round-based full scan
         would (the reference oracle under ``tests/baselines``): within a
@@ -497,11 +599,12 @@ class ProcessEngine:
                 if decision == 1:
                     if is_activity[p]:
                         nodes[p] = _ACTIVATED
-                        self._emit(EventType.ACTIVITY_ACTIVATED, instance, node=node_ids[p])
+                        if emit is not None:
+                            emit(EngineEvent(EventType.ACTIVITY_ACTIVATED, instance.instance_id, node_ids[p]))
                     else:
-                        self._execute_structural(instance, p, kernel, marking, touched)
+                        self._execute_structural(instance, p, kernel, index, marking, touched, emit)
                 elif decision == 2:
-                    self._skip_node(instance, p, kernel, marking, touched)
+                    self._skip_node(instance, p, kernel, index, marking, touched, emit)
                 else:
                     raise self._join_conflict(instance, node_ids[p])
                 for tp in touched:
@@ -535,20 +638,23 @@ class ProcessEngine:
         instance: ProcessInstance,
         p: int,
         kernel: StepKernel,
+        index: SchemaIndex,
         marking: Marking,
         touched: List[int],
+        emit: Optional[Callable[[EngineEvent], None]],
     ) -> None:
         """Automatically execute a structural node that just became ready."""
         kind = kernel.action_kind[p]
         if kind == ACTION_LOOP_END:
-            self._execute_loop_end(instance, p, kernel, marking, touched)
+            self._execute_loop_end(instance, p, kernel, index, marking, touched, emit)
             return
         marking.nodes[p] = _COMPLETED
         if kind == ACTION_END:
             instance.status = InstanceStatus.COMPLETED
-            self._emit(EventType.INSTANCE_COMPLETED, instance, node=kernel.node_ids[p])
+            if emit is not None:
+                emit(EngineEvent(EventType.INSTANCE_COMPLETED, instance.instance_id, kernel.node_ids[p]))
             return
-        chosen = self._choose_branch(instance, kernel, p) if kind == ACTION_XOR_SPLIT else -1
+        chosen = self._choose_branch(instance, kernel, index, p) if kind == ACTION_XOR_SPLIT else -1
         self._signal_outgoing(marking.edges, kernel, p, _TRUE, chosen, touched)
 
     def _skip_node(
@@ -556,15 +662,18 @@ class ProcessEngine:
         instance: ProcessInstance,
         p: int,
         kernel: StepKernel,
+        index: SchemaIndex,
         marking: Marking,
         touched: List[int],
+        emit: Optional[Callable[[EngineEvent], None]],
     ) -> None:
         """Dead-path elimination: mark a node skipped and signal FALSE onwards."""
         node_id = kernel.node_ids[p]
         marking.nodes[p] = _SKIPPED
-        self._emit(EventType.ACTIVITY_SKIPPED, instance, node=node_id)
+        if emit is not None:
+            emit(EngineEvent(EventType.ACTIVITY_SKIPPED, instance.instance_id, node_id))
         if kernel.is_activity[p]:
-            loop_start = kernel.facts_of(p, instance.execution_schema.index)[4]
+            loop_start = kernel.facts_of(p, index)[4]
             instance.history.record(
                 HistoryEventType.ACTIVITY_SKIPPED,
                 node_id,
@@ -588,9 +697,11 @@ class ProcessEngine:
             f"skipped — the schema or a migration produced an inconsistent marking"
         )
 
-    def _choose_branch(self, instance: ProcessInstance, kernel: StepKernel, p: int) -> int:
+    def _choose_branch(
+        self, instance: ProcessInstance, kernel: StepKernel, index: SchemaIndex, p: int
+    ) -> int:
         """Evaluate XOR guards over the current data; the chosen target's position."""
-        edges = instance.execution_schema.index.out_edges(kernel.node_ids[p], EdgeType.CONTROL)
+        edges = index.out_edges(kernel.node_ids[p], EdgeType.CONTROL)
         # out_control[p] was compiled from the same edge list, in the same order
         targets = [target for _, target in kernel.out_control[p]]
         default_target: Optional[int] = None
@@ -614,13 +725,14 @@ class ProcessEngine:
         instance: ProcessInstance,
         p: int,
         kernel: StepKernel,
+        index: SchemaIndex,
         marking: Marking,
         touched: List[int],
+        emit: Optional[Callable[[EngineEvent], None]],
     ) -> None:
         """Evaluate the loop condition: leave the loop, or reset its body and
         supersede its history for a new iteration."""
         schema = instance.execution_schema
-        index = schema.index
         node_id = kernel.node_ids[p]
         loop_start_id = index.matching_loop_start(node_id)
         loop_edge = schema.edge(node_id, loop_start_id, EdgeType.LOOP)
@@ -647,7 +759,8 @@ class ProcessEngine:
             touched.append(node_pos[reset_id])
         for edge in index.loop_internal_edges(loop_start_id):
             marking.set_edge_state_key(edge.key, EdgeState.NOT_SIGNALED)
-        self._emit(EventType.LOOP_ITERATION, instance, node=loop_start_id)
+        if emit is not None:
+            emit(EngineEvent(EventType.LOOP_ITERATION, instance.instance_id, loop_start_id))
         instance.history.record(
             HistoryEventType.LOOP_ITERATION_STARTED, loop_start_id, iteration=iteration + 1
         )
@@ -657,7 +770,7 @@ class ProcessEngine:
     # ------------------------------------------------------------------ #
 
     def _require_active(self, instance: ProcessInstance) -> None:
-        if not instance.status.is_active:
+        if instance.status not in ACTIVE_STATUSES:
             raise EngineError(
                 f"instance {instance.instance_id!r} is {instance.status.value} and cannot execute activities"
             )
@@ -667,16 +780,3 @@ class ProcessEngine:
         listener = self.event_listener
         if listener is not None:
             listener(event)
-
-    def _emit(
-        self,
-        event_type: EventType,
-        instance: ProcessInstance,
-        node: Optional[str],
-        user: Optional[str] = None,
-    ) -> None:
-        # the step path's own copy of emit: one call less per event, and
-        # no event built for nobody
-        listener = self.event_listener
-        if listener is not None:
-            listener(EngineEvent(event_type, instance.instance_id, node, user))

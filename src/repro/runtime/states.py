@@ -69,13 +69,17 @@ class InstanceStatus(str, Enum):
     @property
     def is_active(self) -> bool:
         """True while the instance may still execute activities."""
-        return self in (InstanceStatus.CREATED, InstanceStatus.RUNNING, InstanceStatus.SUSPENDED)
+        return self in ACTIVE_STATUSES
 
+
+#: The statuses of an instance that may still execute activities
+#: (``status in ACTIVE_STATUSES`` is ``status.is_active`` without the call)
+ACTIVE_STATUSES: FrozenSet[InstanceStatus] = frozenset(
+    {InstanceStatus.CREATED, InstanceStatus.RUNNING, InstanceStatus.SUSPENDED}
+)
 
 #: ``InstanceStatus.is_active`` over the string form stored records and indexes hold
-ACTIVE_STATUS_VALUES: FrozenSet[str] = frozenset(
-    status.value for status in InstanceStatus if status.is_active
-)
+ACTIVE_STATUS_VALUES: FrozenSet[str] = frozenset(status.value for status in ACTIVE_STATUSES)
 
 _NODE_TRANSITIONS: Dict[NodeState, FrozenSet[NodeState]] = {
     NodeState.NOT_ACTIVATED: frozenset({NodeState.ACTIVATED, NodeState.SKIPPED}),

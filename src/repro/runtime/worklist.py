@@ -56,7 +56,7 @@ from typing import (
 from repro.runtime.engine import EngineError, ProcessEngine
 from repro.runtime.instance import ProcessInstance
 from repro.runtime.markings import NODE_CODE, Marking
-from repro.runtime.states import NodeState
+from repro.runtime.states import ACTIVE_STATUSES, NodeState
 from repro.schema.graph import ProcessSchema
 from repro.schema.nodes import Node
 
@@ -172,7 +172,7 @@ class WorklistManager:
         """
         offers: Mapping[str, Optional[str]] = {}
         running: Collection[str] = ()
-        if instance.status.is_active:
+        if instance.status in ACTIVE_STATUSES:
             offers, running = self.work_of(instance.execution_schema, instance.marking)
         self.sync_offers(instance.instance_id, offers, running)
 
@@ -430,10 +430,13 @@ class WorklistManager:
         try:
             with self._execution(item.instance_id) as instance:
                 if outputs is None and auto_outputs:
-                    outputs = self.engine.outputs_for(instance, item.activity_id, worker)
-                self.engine.complete_activity(
-                    instance, item.activity_id, outputs=outputs, user=item.claimed_by
-                )
+                    self.engine.complete_scripted(
+                        instance, item.activity_id, worker, user=item.claimed_by
+                    )
+                else:
+                    self.engine.complete_activity(
+                        instance, item.activity_id, outputs=outputs, user=item.claimed_by
+                    )
                 # closed before the scope's closing sync: a loop that
                 # re-activates the activity at once gets a fresh item
                 with self._lock:

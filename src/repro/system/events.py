@@ -194,6 +194,15 @@ class EventBus:
     def subscriber_count(self) -> int:
         return len(self._subscriptions)
 
+    def wants_step_events(self) -> bool:
+        """True when some subscriber wants the ``engine`` category.
+
+        The engine whose listener is :meth:`publish_engine_event` asks
+        this once per operation and, while it is False, builds no
+        step-path event and makes no call for one.
+        """
+        return CATEGORY_ENGINE in self.wanted
+
     # ------------------------------------------------------------------ #
     # publishing
     # ------------------------------------------------------------------ #

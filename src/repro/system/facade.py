@@ -73,6 +73,7 @@ from repro.monitoring.monitor import InstanceMonitor
 from repro.monitoring.statistics import PopulationStatistics
 from repro.runtime.engine import EngineError, InstanceIdInUseError, ProcessEngine, Worker
 from repro.runtime.instance import ProcessInstance
+from repro.runtime.states import ACTIVE_STATUSES
 from repro.runtime.worklist import WorkItem, WorklistManager
 from repro.schema.graph import ProcessSchema, SchemaError
 from repro.storage.instance_store import InstanceStore, StorageError, StoredInstance
@@ -762,7 +763,7 @@ class AdeptSystem:
             # chunks that ran before a mid-batch failure (e.g. an unknown
             # id) synchronised their cases on the way out of their scope
             with self._batch_execution([ids[position] for position in chunk]) as instances:
-                active_flags = [instance.status.is_active for instance in instances]
+                active_flags = [instance.status in ACTIVE_STATUSES for instance in instances]
                 active = [
                     instance
                     for instance, flag in zip(instances, active_flags)

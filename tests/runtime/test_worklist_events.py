@@ -53,6 +53,34 @@ class TestWorklist:
         assert [i.activity_id for i in worklists.open_items()] == ["collect_data"]
         assert len(worklists) == 1
 
+    def test_an_auto_output_completion_resolves_its_case_once(
+        self, engine, worklists, order_schema, monkeypatch
+    ):
+        """The pool's path (``auto_outputs=True``) generates the outputs and
+        completes the activity on one lookup of the case's kernel, where
+        ``outputs_for`` + ``complete_activity`` took two."""
+        instances = [engine.create_instance(order_schema, f"i{k}") for k in range(3)]
+        for instance in instances:
+            worklists.register_instance(instance)
+        lookups = []
+        kernel_of = ProcessEngine._kernel_of
+
+        def counted(self, instance):
+            lookups.append(instance.instance_id)
+            return kernel_of(self, instance)
+
+        monkeypatch.setattr(ProcessEngine, "_kernel_of", counted)
+        completed = 0
+        while worklists.open_items():
+            # a claim starts the activity: an operation, and a lookup, of its own
+            item = worklists.claim(worklists.open_items()[0].item_id, "pool", enforce_roles=False)
+            del lookups[:]
+            worklists.complete(item.item_id, auto_outputs=True)
+            assert lookups == [item.instance_id]
+            completed += 1
+        assert all(instance.status is InstanceStatus.COMPLETED for instance in instances)
+        assert completed > len(instances)
+
     def test_claim_requires_role(self, engine, worklists, order_schema):
         instance = engine.create_instance(order_schema, "i1")
         worklists.register_instance(instance)

@@ -13,6 +13,7 @@ from repro.runtime.events import EngineEvent
 from repro.schema import templates
 from repro.system.events import ALL_CATEGORIES, SystemEvent
 from repro.workloads.order_process import order_type_change_v2
+from repro.workloads.schema_generator import RandomSchemaGenerator, SchemaGeneratorConfig
 
 
 def ignore(event):
@@ -213,25 +214,75 @@ class TestOnDemand:
         assert bus.publish("migration", "wanted") is None
         assert [event.name for event in heard] == ["wanted"]
 
-    def test_default_feed_leaves_steps_unbuilt_at_the_bus(self):
-        """Every step reaches the bus through the engine's one listener; with
-        only the default feed subscribed, the bus builds none of them."""
+    def test_default_feed_leaves_steps_unbuilt_at_the_bus(self, monkeypatch):
+        """With only the default feed subscribed, nobody wants the ``engine``
+        category: the engine asks its listener once per operation and
+        builds no ``EngineEvent`` at all, so no step reaches the bus."""
+        import repro.runtime.engine as engine_module
+
         system = AdeptSystem()
         sequence = system.deploy(templates.sequential_process(length=5))
         ids = [sequence.start().instance_id for _ in range(20)]
         before = system.feed.counts()
-        offered = []
-        to_bus = system.engine.event_listener
-        assert to_bus == system.bus.publish_engine_event
-        system.engine.event_listener = lambda event: offered.append((event, to_bus(event)))
+        assert system.engine.event_listener == system.bus.publish_engine_event
+        assert not system.bus.wants_step_events()
+
+        def forbidden(*args):
+            raise AssertionError("built an EngineEvent nobody wants")
+
+        monkeypatch.setattr(engine_module, "EngineEvent", forbidden)
         steps = sum(result.steps for result in system.step_many(ids, steps=5))
         assert steps == 100
-        names = [event.event_type.value for event, _ in offered]
-        assert names.count("activity_completed") == steps
-        assert names.count("instance_completed") == len(ids)
-        assert [built for _, built in offered] == [None] * len(offered)
+        assert all(not system.get_instance(i).status.is_active for i in ids)
         assert system.feed.counts() == before
         assert "engine" not in system.feed.category_counts()
+
+    def test_an_engine_subscriber_hears_the_scan_oracles_events(self):
+        """The events the engine builds for an ``engine`` subscriber are the
+        reference interpreter's, in order — through XOR choices, skipped
+        branches and loop iterations."""
+        from tests.baselines.scan_oracle import ScanOracle, observed, recording
+
+        passes = {}
+
+        def loop_twice(node, data):
+            # leave the loop on the third pass through its last body activity
+            passes[node.node_id] = passes.get(node.node_id, 0) + 1
+            return {"done": passes[node.node_id] % 3 == 0}
+
+        runs = [
+            (templates.patient_treatment_process(), None),
+            (templates.loop_process(body_length=2, max_iterations=6), loop_twice),
+            (
+                RandomSchemaGenerator(
+                    SchemaGeneratorConfig(target_activities=14, loop_probability=0.2), seed=3
+                ).generate("generated"),
+                None,
+            ),
+        ]
+        system = AdeptSystem()
+        heard = []
+        system.bus.subscribe(heard.append, categories=["engine"])
+        assert system.bus.wants_step_events()
+        oracle = recording(ScanOracle())
+        twins = []
+        for schema, worker in runs:
+            handle = system.deploy(schema)
+            ids = [handle.start(case_id=f"{handle.type_id}-{k}").instance_id for k in range(3)]
+            passes.clear()
+            system.step_many(ids, steps=60, worker=worker)
+            batch = [oracle.create_instance(schema, case_id) for case_id in ids]
+            passes.clear()
+            for twin in batch:
+                oracle.advance_instance(twin, 60, worker)
+            twins += batch
+
+        names = {event.name for event in heard}
+        assert {"activity_skipped", "loop_iteration", "instance_completed"} <= names
+        assert [
+            (event.name, event.instance_id, event.payload.get("node"), event.payload.get("user"))
+            for event in heard
+        ] == observed(oracle, twins)[1]
 
     def test_engine_subscriber_added_mid_run_hears_the_steps_from_then_on(self):
         system = AdeptSystem()
