@@ -23,11 +23,8 @@ BUDGET = os.path.join(os.path.dirname(os.path.abspath(__file__)), "budget.json")
 
 def record() -> None:
     measured = measure()
-    try:
-        with open(BUDGET, encoding="utf-8") as handle:
-            budget = json.load(handle)
-    except FileNotFoundError:
-        budget = {"tolerance": 0.01, "calls": {}}
+    with open(BUDGET, encoding="utf-8") as handle:
+        budget = json.load(handle)
     budget["counters"] = measured["counters"]
     budget["calls"][measured["python"]] = measured["calls"]
     with open(BUDGET, "w", encoding="utf-8") as handle:
