@@ -1,6 +1,6 @@
 """Deterministic cost counts of the product's hot paths: the count gate's ruler.
 
-Timings flip on a noisy host; counts do not.  This driver runs small,
+Timings flip on a noisy host; counts do not.  This module runs small,
 fixed versions of the benchmark's workloads in one process and reports
 what they cost in units that are the same on every run and under every
 ``PYTHONHASHSEED``:

@@ -1,6 +1,6 @@
 """The count gate: every count of ``driver.py`` stays within 1 % of ``budget.json``.
 
-The driver runs in a fresh interpreter, so no cache another test warmed
+``driver.py`` runs in a fresh interpreter, so no cache another test warmed
 changes what it counts.  A count that moves by more than the tolerance
 fails in either direction: a rise is a regression, a fall is a gain that
 must be recorded (``python tests/budget/record.py`` on each interpreter
